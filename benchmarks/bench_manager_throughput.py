@@ -1,4 +1,4 @@
-"""Manager dispatch throughput: event-driven reactor vs thread-per-worker.
+"""Manager dispatch throughput of the event-driven reactor.
 
 The load generator pre-loads the manager with a deep ready queue, then
 lets a fleet of :class:`~repro.worker.scripted.ScriptedWorker` stubs
@@ -9,18 +9,15 @@ path: placement, command serialization, and ingestion of the reply
 storm — not sandboxes, not subprocess startup.
 
 This is the regime the paper's manager lives in (§3: thousands of
-queued tasks against hundreds of workers), and it is exactly where the
-historical thread-per-connection receive path collapses: every one of
-the K notices a task produces triggers a synchronous scheduling pump
-that scans the ready backlog and rebuilds placement state, so the
-manager spends its core re-deriving the same "cluster is saturated"
-answer K times per task.  The reactor ingests a whole readiness sweep
-before pumping once, and workers coalesce their notices into ``batch``
-envelopes, so the same storm costs one frame and one pump per sweep.
+queued tasks against hundreds of workers).  The reactor ingests a whole
+readiness sweep before pumping once, and workers coalesce their notices
+into ``batch`` envelopes, so the reply storm of K notices per task costs
+one frame and one pump per sweep.  The report also prices the batch
+envelope at 64 workers (same manager, unbatched workers).
 
-The report decomposes the two levers at 64 workers: the batch envelope
-alone (old threaded manager, batching workers) and the reactor alone
-(event-driven manager, unbatched workers).
+The thread-per-connection manager and the FIFO ready queue these numbers
+were once compared against are retired; their last measurements are in
+EXPERIMENTS.md ("Retired baselines").
 """
 
 import multiprocessing as mp
@@ -40,7 +37,6 @@ N_OUTPUTS = 3  # temp outputs per task -> cache_update notices per task
 CORES = 4
 WORKERS_PER_HOST = 16
 SCALES = (1, 16, 64, 128)
-SPEEDUP_FLOOR = 3.0  # acceptance: reactor >= 3x threads at 64+ workers
 
 
 def _host_main(host, port, n, batch_delay, stop_evt):
@@ -55,14 +51,13 @@ def _host_main(host, port, n, batch_delay, stop_evt):
         w.close(timeout=1)
 
 
-def _drain_once(n_workers, network, batch_delay):
+def _drain_once(n_workers, batch_delay):
     """One pre-loaded drain; returns tasks completed per wall second.
 
     The clock starts before the first worker host is forked and stops
-    when the queue drains: connect-time dispatch is dispatch too, and
-    both implementations pay the identical fork cost.
+    when the queue drains: connect-time dispatch is dispatch too.
     """
-    m = Manager(network=network, worker_liveness_timeout=None)
+    m = Manager(worker_liveness_timeout=None)
     try:
         for _ in range(N_TASKS):
             t = Task("noop")
@@ -93,25 +88,15 @@ def _drain_once(n_workers, network, batch_delay):
     return N_TASKS / elapsed
 
 
-def _throughput(n_workers, network, batch_delay, reps=1):
+def _throughput(n_workers, batch_delay, reps=1):
     """Best-of-``reps`` throughput: contention noise only ever subtracts."""
-    return max(_drain_once(n_workers, network, batch_delay) for _ in range(reps))
+    return max(_drain_once(n_workers, batch_delay) for _ in range(reps))
 
 
 def test_manager_throughput(once, bench_report):
     def grid():
-        out = {}
-        for w in SCALES:
-            reps = 2 if w >= 64 else 1
-            out[w] = {
-                "reactor": _throughput(w, "reactor", 0.002, reps),
-                "threads": _throughput(w, "threads", 0.0, reps),
-            }
-        # lever decomposition at 64 workers
-        out["levers"] = {
-            "reactor_nobatch": _throughput(64, "reactor", 0.0),
-            "threads_batch": _throughput(64, "threads", 0.002),
-        }
+        out = {w: _throughput(w, 0.002, reps=2 if w >= 64 else 1) for w in SCALES}
+        out["nobatch"] = _throughput(64, 0.0)
         return out
 
     results = once(grid)
@@ -122,35 +107,12 @@ def test_manager_throughput(once, bench_report):
     print(f"\ndispatch throughput, {N_TASKS} pre-loaded tasks "
           f"x {N_OUTPUTS} outputs:")
     for w in SCALES:
-        r, t = results[w]["reactor"], results[w]["threads"]
-        speedup = r / t
-        bench_report.record_many(
-            {
-                f"reactor_tasks_per_sec_{w}w": round(r, 1),
-                f"threaded_tasks_per_sec_{w}w": round(t, 1),
-                f"speedup_{w}w": round(speedup, 2),
-            }
-        )
-        print(f"  {w:4d} workers: reactor {r:8.1f}/s   "
-              f"threads {t:8.1f}/s   speedup {speedup:5.2f}x")
-    bench_report.record_many(
-        {
-            "reactor_nobatch_tasks_per_sec_64w": round(
-                results["levers"]["reactor_nobatch"], 1
-            ),
-            "threaded_batch_tasks_per_sec_64w": round(
-                results["levers"]["threads_batch"], 1
-            ),
-        }
+        bench_report.record(f"reactor_tasks_per_sec_{w}w", round(results[w], 1))
+        print(f"  {w:4d} workers: {results[w]:8.1f}/s")
+    bench_report.record(
+        "reactor_nobatch_tasks_per_sec_64w", round(results["nobatch"], 1)
     )
-
-    for w in SCALES:
-        if w >= 64:
-            speedup = results[w]["reactor"] / results[w]["threads"]
-            assert speedup >= SPEEDUP_FLOOR, (
-                f"reactor speedup {speedup:.2f}x at {w} workers "
-                f"is below the {SPEEDUP_FLOOR}x floor"
-            )
+    print(f"    64 workers, unbatched notices: {results['nobatch']:8.1f}/s")
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +124,20 @@ FLOOD_TASKS = 600   # tenant t0 pre-loads this many
 SMALL_TASKS = 50    # tenants t1..t3 each submit this many afterwards
 SERVICE_WORKERS = 16
 DAG_CHUNK = 100
-FAIRNESS_CEIL = 0.8  # fair-share small-tenant makespan vs FIFO-starved
+FAIRNESS_CEIL = 0.8  # small-tenant makespan vs the flood tenant's
 
 
-def _service_drain(fair_share):
+def _service_drain():
     """Four client sessions drain against one service-mode manager.
 
     Tenant ``t0`` floods the queue over its session first; the three
-    small tenants then submit their batches, so under FIFO they queue
-    behind the entire flood while deficit round-robin interleaves them
-    at the head.  Workers are the same instant-ack ScriptedWorker fleet
+    small tenants then submit their batches, and deficit round-robin
+    interleaves them at the head instead of queueing them behind the
+    entire flood.  Workers are the same instant-ack ScriptedWorker fleet
     as the dispatch benchmark.  Returns (per-tenant makespans,
     aggregate tasks/sec).
     """
-    m = Manager(network="reactor", worker_liveness_timeout=None,
-                fair_share=fair_share)
+    m = Manager(worker_liveness_timeout=None)
     hosts, stop_evt = [], _CTX.Event()
     try:
         clients = {}
@@ -228,18 +189,10 @@ def _service_drain(fair_share):
 
 
 def test_multi_tenant_service(once, bench_report):
-    def grid():
-        return {
-            "fair": _service_drain(fair_share=True),
-            "fifo": _service_drain(fair_share=False),
-        }
-
-    results = once(grid)
-    fair_ms, fair_tput = results["fair"]
-    fifo_ms, fifo_tput = results["fifo"]
+    makespans, tput = once(_service_drain)
     small = [f"t{i}" for i in range(1, N_TENANTS)]
-    fair_small = sum(fair_ms[n] for n in small) / len(small)
-    fifo_small = sum(fifo_ms[n] for n in small) / len(small)
+    small_ms = sum(makespans[n] for n in small) / len(small)
+    flood_ms = makespans["t0"]
 
     bench_report.record_many(
         {
@@ -247,29 +200,18 @@ def test_multi_tenant_service(once, bench_report):
             "flood_tasks": FLOOD_TASKS,
             "small_tasks_per_tenant": SMALL_TASKS,
             "service_workers": SERVICE_WORKERS,
-            # fair-share lever decomposition: the one knob flipped
-            # between the two runs is the queue discipline
-            "fair_tasks_per_sec": round(fair_tput, 1),
-            "fifo_tasks_per_sec": round(fifo_tput, 1),
-            "fair_small_tenant_makespan_s": round(fair_small, 3),
-            "fifo_small_tenant_makespan_s": round(fifo_small, 3),
-            "fair_flood_makespan_s": round(fair_ms["t0"], 3),
-            "fifo_flood_makespan_s": round(fifo_ms["t0"], 3),
-            "small_tenant_speedup": round(fifo_small / fair_small, 2),
+            "fair_tasks_per_sec": round(tput, 1),
+            "fair_small_tenant_makespan_s": round(small_ms, 3),
+            "fair_flood_makespan_s": round(flood_ms, 3),
         }
     )
     print(f"\nservice mode, {N_TENANTS} tenants "
           f"({FLOOD_TASKS} flood + 3x{SMALL_TASKS} small), "
-          f"{SERVICE_WORKERS} workers:")
-    print(f"  aggregate: fair {fair_tput:8.1f}/s   fifo {fifo_tput:8.1f}/s")
-    print(f"  small-tenant makespan: fair {fair_small:6.3f}s   "
-          f"fifo {fifo_small:6.3f}s   "
-          f"speedup {fifo_small / fair_small:5.2f}x")
+          f"{SERVICE_WORKERS} workers: {tput:8.1f} tasks/s")
+    print(f"  makespan: small tenants {small_ms:6.3f}s   flood {flood_ms:6.3f}s")
 
-    # fair-share must rescue the small tenants from the flood without
-    # tanking aggregate throughput
-    assert fair_small <= FAIRNESS_CEIL * fifo_small, (
-        f"fair-share small-tenant makespan {fair_small:.3f}s is not "
-        f"meaningfully below FIFO's {fifo_small:.3f}s"
+    # the small tenants submitted last yet must not wait out the flood
+    assert small_ms <= FAIRNESS_CEIL * flood_ms, (
+        f"small-tenant makespan {small_ms:.3f}s is not meaningfully below "
+        f"the flood tenant's {flood_ms:.3f}s"
     )
-    assert fair_tput >= 0.5 * fifo_tput

@@ -14,7 +14,7 @@ from repro.core.files import BufferFile, CacheLevel
 from repro.core.naming import Namer, directory_merkle, task_spec_hash
 from repro.core.replica_table import ReplicaTable
 from repro.core.resources import Resources
-from repro.core.scheduler import Scheduler, WorkerView
+from repro.core.scheduler import PlacementIndex, ReadyQueue, Scheduler, WorkerView
 from repro.core.task import Task
 from repro.core.transfer_table import TransferTable
 from repro.protocol import serialization as ser
@@ -93,8 +93,8 @@ def test_bench_scheduler_placement_100_workers(benchmark, bench_report):
     tasks = [_named_task(4, rng, 500) for _ in range(64)]
 
     def place_batch():
-        chosen = [sched.choose_worker(t, views) for t in tasks]
-        return chosen
+        index = PlacementIndex(dict(views))
+        return [sched.choose_worker_indexed(t, index) for t in tasks]
 
     chosen = benchmark(place_batch)
     assert all(c is not None for c in chosen)
@@ -129,23 +129,8 @@ def _bump(view):
     )
 
 
-def _legacy_pump(sched, tasks, views):
-    """The pre-index pump: full sort, then an every-worker scan per task."""
-    views = dict(views)
-    placed = []
-    for t in Scheduler.order_ready(tasks):
-        wid = sched.choose_worker(t, views)
-        if wid is None:
-            continue
-        placed.append((t.task_id, wid))
-        views[wid] = _bump(views[wid])
-    return placed
-
-
 def _indexed_pump(sched, tasks, views):
-    """The incremental pump: ReadyQueue heap + PlacementIndex."""
-    from repro.core.scheduler import PlacementIndex, ReadyQueue
-
+    """The pump's placement loop: ReadyQueue heap + PlacementIndex."""
     queue = ReadyQueue()
     for t in tasks:
         queue.push(t)
@@ -163,19 +148,17 @@ def _indexed_pump(sched, tasks, views):
 
 
 def test_sched_pump(bench_report):
-    """Pump scaling grid: per-pump wall time, legacy scan vs. indexes.
+    """Pump scaling grid: per-pump wall time of the indexed placement loop.
 
     Each cell places every ready task of one pump against a cluster
-    (worker capacity sized so all fit), timing the old sort+scan loop
-    and the heap+index loop over the *same* state — and asserts the
-    placement sequences are identical, so the speedup is measured on
-    provably equivalent decisions.  Acceptance: ≥5× at 200×5000.
+    (worker capacity sized so all fit).  Decision equivalence with the
+    brute-force scan is the equivalence suite's job
+    (``tests/core/test_scheduler_equivalence.py``); the scan's last
+    timings on this grid are in EXPERIMENTS.md ("Retired baselines").
     """
     import time
 
-    grid = [(25, 500), (100, 2000), (200, 5000)]
-    speedups = {}
-    for n_workers, n_tasks in grid:
+    for n_workers, n_tasks in [(25, 500), (100, 2000), (200, 5000)]:
         n_files = n_tasks // 10
         sched, views = _make_scheduler(n_workers, n_files)
         for v in views.values():
@@ -186,25 +169,13 @@ def test_sched_pump(bench_report):
         tasks = _fresh_tasks(n_tasks, n_files)
 
         start = time.perf_counter()
-        legacy = _legacy_pump(sched, tasks, views)
-        legacy_s = time.perf_counter() - start
+        placed = _indexed_pump(sched, tasks, views)
+        elapsed = time.perf_counter() - start
 
-        start = time.perf_counter()
-        indexed = _indexed_pump(sched, tasks, views)
-        indexed_s = time.perf_counter() - start
-
-        assert indexed == legacy, (
-            f"indexed pump diverged from legacy at {n_workers}x{n_tasks}"
+        assert len(placed) == n_tasks
+        bench_report.record(
+            f"indexed_pump_seconds_{n_workers}w_{n_tasks}t", elapsed
         )
-        assert len(legacy) == n_tasks
-        cell = f"{n_workers}w_{n_tasks}t"
-        speedups[cell] = legacy_s / indexed_s
-        bench_report.record(f"legacy_pump_seconds_{cell}", legacy_s)
-        bench_report.record(f"indexed_pump_seconds_{cell}", indexed_s)
-        bench_report.record(f"speedup_{cell}", legacy_s / indexed_s)
-    assert speedups["200w_5000t"] >= 5.0, (
-        f"indexed pump only {speedups['200w_5000t']:.1f}x faster at 200x5000"
-    )
 
 
 def test_bench_transfer_planning(benchmark, bench_report):

@@ -70,6 +70,9 @@ __all__ = [
 NO_SOURCE = "@none"
 #: fixed-source marker for files materialized by a mini task at the worker
 MINITASK_SOURCE = "@minitask"
+#: ceiling in seconds on any exponential retry/requeue backoff delay
+#: (before jitter)
+TRANSFER_BACKOFF_MAX = 30.0
 
 
 def source_kind(source: str) -> str:
@@ -263,11 +266,9 @@ class ControlPlane:
         resource_learning: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         transfer_backoff_base: float = 0.5,
-        transfer_backoff_max: float = 30.0,
         requeue_backoff_base: float = 0.0,
         blocklist_threshold: int = 5,
         rng_seed: int = 0,
-        fair_share: bool = True,
         default_task_quota: Optional[int] = None,
         default_byte_quota: Optional[int] = None,
         memo=None,
@@ -292,10 +293,9 @@ class ControlPlane:
         self.loss_retries = loss_retries
         #: raise instead of failing the task when the loss budget is spent
         self.strict_loss = strict_loss
-        #: exponential-backoff parameters for transfer retries (base=0
-        #: disables the holdoff and restores instant re-planning)
+        #: exponential-backoff base for transfer retries (0 disables
+        #: the holdoff and restores instant re-planning)
         self.transfer_backoff_base = transfer_backoff_base
-        self.transfer_backoff_max = transfer_backoff_max
         #: backoff base for task requeues (loss/sandbox/resource retries);
         #: 0 keeps the historical requeue-immediately behaviour
         self.requeue_backoff_base = requeue_backoff_base
@@ -305,9 +305,6 @@ class ControlPlane:
         #: identically for a given seed)
         self._rng = random.Random(f"{rng_seed}:backoff")
 
-        #: deficit-round-robin across tenants in the ready queue; off
-        #: restores strict global (-priority, seq) order (FIFO baseline)
-        self.fair_share = fair_share
         #: quotas stamped on tenant accounts as they first appear; the
         #: service layer may override per tenant after creation
         self.default_task_quota = default_task_quota
@@ -350,7 +347,7 @@ class ControlPlane:
         self._recovery_backed: set[str] = set()
 
         self.tasks: dict[str, Task] = {}
-        self._ready = ReadyQueue(fair_share=fair_share)
+        self._ready = ReadyQueue()
         #: per-manager task id/sequence counter: two managers in one
         #: process issue identical ``t1, t2, …`` streams (chaos replay)
         self._task_seq = itertools.count(1)
@@ -1411,7 +1408,7 @@ class ControlPlane:
 
     def _backoff_delay(self, base: float, attempt: int) -> float:
         """Exponential backoff with deterministic jitter (50–150%)."""
-        raw = min(self.transfer_backoff_max, base * (2 ** (attempt - 1)))
+        raw = min(TRANSFER_BACKOFF_MAX, base * (2 ** (attempt - 1)))
         return raw * (0.5 + self._rng.random())
 
     def _schedule_pump(self, delay: float) -> None:

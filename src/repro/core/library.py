@@ -112,18 +112,16 @@ class FunctionCall(Task):
     The deserialized return value is available via :meth:`output` once
     the call completes.
 
-    Two result disciplines exist:
-
-    * *inline* (legacy, and the bench baseline): the pickled return
-      value rides the ``task_done`` reply through the manager;
-    * *by reference* (:meth:`set_by_reference`, or any remote
-      submission): the result envelope lands in the executing worker's
-      cache under :data:`RESULT_NAME`-derived content naming and only a
-      ``ResultRef`` travels — ``output()`` then yields a lazy
-      ``ResultProxy``.
+    The result envelope always lands in the executing worker's cache
+    under :data:`RESULT_NAME`-derived content naming; it never rides
+    the ``task_done`` reply.  By reference (:meth:`set_by_reference`,
+    or any remote submission) only a ``ResultRef`` travels and
+    ``output()`` yields a lazy ``ResultProxy``; otherwise the manager
+    pulls the envelope back through the fetch plane and ``output()``
+    is the value itself.
     """
 
-    #: sandbox name of the by-reference result envelope output
+    #: sandbox name of the result envelope output
     RESULT_NAME = "call_result.bin"
 
     def __init__(

@@ -20,11 +20,6 @@ sender thread per worker so large object pushes never stall the lock.
 Application threads interact through the public API
 (declare/submit/wait/fetch) which takes the same lock, so the manager
 is safe to drive from ordinary sequential application code.
-
-``Manager(network="threads")`` retains the historical
-thread-per-connection receive path; it exists as the benchmark
-baseline for ``benchmarks/bench_manager_throughput.py`` and as a
-fallback, and shares all message handling with the reactor.
 """
 
 from __future__ import annotations
@@ -71,7 +66,6 @@ from repro.protocol import serialization as ser
 from repro.protocol.connection import (
     IO_CHUNK,
     SESSION_CLIENT,
-    SESSION_WORKER,
     Connection,
     FrameReassembler,
     ProtocolError,
@@ -89,40 +83,27 @@ log = get_logger(__name__)
 #: per-call non-blocking send flag; 0 where unsupported
 _MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0)
 
+#: seconds before an in-flight result fetch is abandoned and its
+#: orphaned waiters are failed (liveness-sweep hygiene)
+FETCH_TTL = 300.0
+
 
 class ManagerError(RuntimeError):
     """Workflow-level failure raised to the application."""
 
 
-class _WorkerHandle:
-    """Manager-side connection state for one worker.
+class _SenderHandle:
+    """Send channel to one peer (worker or client session).
 
-    Outbound traffic goes through a per-worker sender thread fed by an
+    Outbound traffic goes through a per-peer sender thread fed by an
     outbox of closures, so large object pushes never execute while the
     manager's state lock is held — the lock is only ever taken for
     bookkeeping, which makes reader/sender deadlock impossible.
     """
 
-    _ids = itertools.count(1)
-
-    def __init__(
-        self,
-        conn: Connection,
-        capacity: Resources,
-        transfer_host: str,
-        transfer_port: int,
-    ) -> None:
-        self.worker_id = f"W{next(self._ids):03d}"
+    def __init__(self, conn: Connection) -> None:
         self.conn = conn
-        self.capacity = capacity
-        self.pool = ResourcePool(capacity)
-        self.transfer_host = transfer_host
-        self.transfer_port = transfer_port
-        #: shared with the control plane's WorkerState after admission
-        self.running: set[str] = set()
-        self.libraries: set[str] = set()
         self.alive = True
-        self.last_seen = time.time()
         #: frames buffered during a reactor sweep, flushed as one send
         #: (guarded by the manager's state lock)
         self.pending_frames: list[bytes] = []
@@ -155,41 +136,28 @@ class _WorkerHandle:
         self.outbox.put(None)
 
 
-class _ClientHandle:
-    """Manager-side send channel for one attached client session.
+class _WorkerHandle(_SenderHandle):
+    """Manager-side connection state for one worker."""
 
-    Mirrors the sender-thread shape of :class:`_WorkerHandle` (same
-    ``pending_frames`` / ``wire_lock`` / ``outbox`` surface) so the
-    manager's ``_send`` / ``_flush_pending`` machinery serves clients
-    and workers identically.
-    """
+    _ids = itertools.count(1)
 
-    def __init__(self, conn: Connection) -> None:
-        self.conn = conn
-        self.alive = True
-        self.pending_frames: list[bytes] = []
-        self.wire_lock = threading.Lock()
-        self.outbox: "queue.Queue[Optional[Callable[[Connection], None]]]" = queue.Queue()
-        self._sender = threading.Thread(target=self._send_loop, daemon=True)
-        self._sender.start()
-
-    def _send_loop(self) -> None:
-        while True:
-            fn = self.outbox.get()
-            if fn is None:
-                return
-            try:
-                with self.wire_lock:
-                    fn(self.conn)
-            except (ProtocolError, OSError):
-                self.alive = False
-                return
-
-    def enqueue(self, fn: Callable[[Connection], None]) -> None:
-        self.outbox.put(fn)
-
-    def stop_sender(self) -> None:
-        self.outbox.put(None)
+    def __init__(
+        self,
+        conn: Connection,
+        capacity: Resources,
+        transfer_host: str,
+        transfer_port: int,
+    ) -> None:
+        super().__init__(conn)
+        self.worker_id = f"W{next(self._ids):03d}"
+        self.capacity = capacity
+        self.pool = ResourcePool(capacity)
+        self.transfer_host = transfer_host
+        self.transfer_port = transfer_port
+        #: shared with the control plane's WorkerState after admission
+        self.running: set[str] = set()
+        self.libraries: set[str] = set()
+        self.last_seen = time.time()
 
 
 class _ConnState:
@@ -198,8 +166,8 @@ class _ConnState:
     ``handle``/``client`` are both None until the peer's first frame
     decides its role (REGISTER admits a worker, CLIENT_HELLO a client
     session); ``pending`` holds a control message whose announced bulk
-    payload (``file_data`` content, ``task_done`` result, declared
-    buffer bytes) is still being reassembled.
+    payload (``file_data`` content, declared buffer bytes, a library's
+    function table) is still being reassembled.
     """
 
     __slots__ = ("conn", "frames", "handle", "client", "pending")
@@ -233,12 +201,11 @@ class _LibraryState(LibraryState):
         )
 
 
-def _call_result_name(task: FunctionCall) -> Optional[str]:
-    """Cache name of a call's by-reference result output (None = inline)."""
-    for name, f in task.outputs:
-        if name == FunctionCall.RESULT_NAME:
-            return f.cache_name
-    return None
+def _call_result_name(task: FunctionCall) -> str:
+    """Cache name of a submitted call's result envelope output."""
+    return next(
+        f.cache_name for name, f in task.outputs if name == FunctionCall.RESULT_NAME
+    )
 
 
 class _ClientSession:
@@ -263,7 +230,7 @@ class _ClientSession:
         self.token = uuid.uuid4().hex
         self.tenant = tenant
         self.loopback = False
-        self.handle: Optional[_ClientHandle] = None
+        self.handle: Optional[_SenderHandle] = None
         #: outstanding task ids owned by this session
         self.tasks: set[str] = set()
         #: notices generated while detached, replayed on reattach
@@ -393,7 +360,7 @@ class ManagerService:
                 self.mgr.journal.record_session(
                     sess.token, sess.session_id, tenant
                 )
-        sess.handle = _ClientHandle(state.conn)
+        sess.handle = _SenderHandle(state.conn)
         sess.detached_at = None
         state.client = sess
         mgr = self.mgr
@@ -432,18 +399,17 @@ class ManagerService:
             return
         old.stop_sender()
         old.alive = False
-        sel = getattr(self.mgr, "_sel", None)
-        if sel is not None:
-            try:
-                state = sel.get_key(old.conn.sock).data
-            except (KeyError, ValueError):
-                state = None
-            if isinstance(state, _ConnState):
-                state.client = None
-            try:
-                sel.unregister(old.conn.sock)
-            except (KeyError, ValueError):
-                pass
+        sel = self.mgr._sel
+        try:
+            state = sel.get_key(old.conn.sock).data
+        except (KeyError, ValueError):
+            state = None
+        if isinstance(state, _ConnState):
+            state.client = None
+        try:
+            sel.unregister(old.conn.sock)
+        except (KeyError, ValueError):
+            pass
         old.conn.close()
 
     def client_gone(self, state: _ConnState) -> None:
@@ -535,7 +501,7 @@ class ManagerService:
                 sess.tasks.add(task.task_id)
                 self.by_task[task.task_id] = sess
 
-    def attached_handles(self) -> list[_ClientHandle]:
+    def attached_handles(self) -> list[_SenderHandle]:
         return [s.handle for s in self.sessions.values() if s.handle is not None]
 
     # -- request dispatch ----------------------------------------------
@@ -882,16 +848,15 @@ class ManagerService:
             "outputs": {name: f.cache_name for name, f in task.outputs},
         }
         if isinstance(task, FunctionCall) and task.state == TaskState.DONE:
+            # the value never travels in the notice: consumers get a
+            # ref and resolve (or chain) it through the fetch plane
             name = _call_result_name(task)
-            if name is not None:
-                # the value never travels in the notice: consumers get a
-                # ref and resolve (or chain) it through the fetch plane
-                mgr = self.mgr
-                notice["result_ref"] = ResultRef(
-                    cache_name=name,
-                    size=mgr.sizes.get(name, 0),
-                    holders=tuple(sorted(mgr.replicas.locate(name))),
-                ).to_dict()
+            mgr = self.mgr
+            notice["result_ref"] = ResultRef(
+                cache_name=name,
+                size=mgr.sizes.get(name, 0),
+                holders=tuple(sorted(mgr.replicas.locate(name))),
+            ).to_dict()
         self._notify(sess, notice)
         if not sess.tasks:
             # "nothing outstanding" can be momentary under incremental
@@ -978,10 +943,8 @@ class Manager:
         transfer_backoff_base: float = 0.5,
         requeue_backoff_base: float = 0.0,
         blocklist_threshold: int = 5,
-        network: str = "reactor",
         project_name: str = "repro",
         password: Optional[str] = None,
-        fair_share: bool = True,
         default_task_quota: Optional[int] = None,
         default_byte_quota: Optional[int] = None,
         client_local_root: Optional[str] = None,
@@ -991,12 +954,7 @@ class Manager:
         memo_payload_limit: Optional[int] = None,
         journal_dir: Optional[str] = None,
         recovery_grace: float = 10.0,
-        inline_call_results: bool = False,
-        fetch_ttl: float = 300.0,
     ) -> None:
-        if network not in ("reactor", "threads"):
-            raise ValueError(f"unknown network mode {network!r}")
-        self.network = network
         self._lock = threading.RLock()
         self._t0 = time.time()
         #: persistent memoization store; None disables memoization
@@ -1026,7 +984,6 @@ class Manager:
             requeue_backoff_base=requeue_backoff_base,
             blocklist_threshold=blocklist_threshold,
             rng_seed=seed if seed is not None else 0,
-            fair_share=fair_share,
             default_task_quota=default_task_quota,
             default_byte_quota=default_byte_quota,
             memo=self.memo_store,
@@ -1061,13 +1018,6 @@ class Manager:
         self.namer = Namer(seed=seed)
         self.namer.header_fetcher = self._url_headers
 
-        #: legacy wire discipline: function-call values ride the
-        #: task_done reply through the manager (the bench baseline the
-        #: by-reference result plane is measured against)
-        self.inline_call_results = inline_call_results
-        #: seconds before an in-flight result fetch is abandoned and
-        #: its orphaned waiters are failed (liveness-sweep hygiene)
-        self.fetch_ttl = fetch_ttl
         self.workers: dict[str, _WorkerHandle] = {}
         self._completed: "queue.Queue[Task]" = queue.Queue()
         #: result cache_name -> value-retrieval task (python task, or a
@@ -1091,7 +1041,7 @@ class Manager:
         # pump coalescing while a batch envelope unwraps (under _lock)
         self._defer_pump = False
         self._pump_wanted = False
-        #: reactor-only: set around a whole event sweep so one pump
+        #: set around a whole reactor event sweep so one pump
         #: absorbs every message of the sweep (written/read only by the
         #: reactor thread; request_pump checks thread identity)
         self._reactor_defer = False
@@ -1112,24 +1062,16 @@ class Manager:
                     # about rejoin (their caches re-adopt) or grace ends
                     self.control.begin_recovery(recovery_grace)
                 self.journal.record_meta(port=self.port, project=project_name)
-        self._reactor_thread: Optional[threading.Thread] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        if network == "reactor":
-            self._sel = selectors.DefaultSelector()
-            # self-pipe: lets close() interrupt a pending select()
-            self._wake_r, self._wake_w = socket.socketpair()
-            self._wake_r.setblocking(False)
-            self._sel.register(self._listener, selectors.EVENT_READ, "accept")
-            self._sel.register(self._wake_r, selectors.EVENT_READ, "wake")
-            self._reactor_thread = threading.Thread(
-                target=self._reactor_loop, name="manager-reactor", daemon=True
-            )
-            self._reactor_thread.start()
-        else:
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True
-            )
-            self._accept_thread.start()
+        self._sel = selectors.DefaultSelector()
+        # self-pipe: lets close() interrupt a pending select()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._sel.register(self._listener, selectors.EVENT_READ, "accept")
+        self._sel.register(self._wake_r, selectors.EVENT_READ, "wake")
+        self._reactor_thread = threading.Thread(
+            target=self._reactor_loop, name="manager-reactor", daemon=True
+        )
+        self._reactor_thread.start()
         #: seconds of silence (no message, not even a heartbeat) after
         #: which a worker is declared dead; None disables the reaper
         self.worker_liveness_timeout = worker_liveness_timeout
@@ -1267,14 +1209,10 @@ class Manager:
                 "library": task.library_name,
                 "function": task.function_name,
             }
-            result_name = _call_result_name(task)
-            if result_name is not None:
-                rf = next(
-                    f for n, f in task.outputs if n == FunctionCall.RESULT_NAME
-                )
-                msg["result_name"] = result_name
-                msg["result_level"] = int(rf.cache_level)
-                msg["inputs"] = [f.cache_name for _n, f in task.inputs]
+            rf = next(f for n, f in task.outputs if n == FunctionCall.RESULT_NAME)
+            msg["result_name"] = rf.cache_name
+            msg["result_level"] = int(rf.cache_level)
+            msg["inputs"] = [f.cache_name for _n, f in task.inputs]
             if task.args_name is not None:
                 # remote form: the argument blob was staged as an input,
                 # so nothing but the control frame goes over this hop
@@ -1357,7 +1295,6 @@ class Manager:
             isinstance(task, FunctionCall)
             and task.state == TaskState.DONE
             and not task._output_set
-            and _call_result_name(task) is not None
         ):
             self._publish_proxy(task)
         if self.service.task_delivered(task) is None:
@@ -1373,7 +1310,6 @@ class Manager:
         fresh executions and memo hits alike.
         """
         name = _call_result_name(task)
-        assert name is not None
         ref = ResultRef(
             cache_name=name,
             size=self.sizes.get(name, 0),
@@ -1438,12 +1374,9 @@ class Manager:
         replicas or a digest-verified payload) is known to serve.
         """
         if isinstance(task, FunctionCall):
-            result_name = _call_result_name(task)
-            if result_name is None:
-                return False  # inline mode: the value only ever rode the wire
             if task.by_reference or getattr(task, "session_token", None) is not None:
                 return True
-            return self._finalize_value(task, entry, result_name)
+            return self._finalize_value(task, entry, _call_result_name(task))
         if not isinstance(task, PythonTask):
             return True
         result_name = task.outputs[-1][1].cache_name
@@ -1667,9 +1600,7 @@ class Manager:
         Proxy arguments become ordinary task inputs, so the staging
         planner moves the referenced bytes worker-to-worker (peer
         transfers) and the invocation dereferences them from the local
-        cache — result payloads never route through the manager.  With
-        ``inline_call_results`` the legacy wire discipline is kept:
-        no result output, the pickled value rides the task_done reply.
+        cache — result payloads never route through the manager.
         """
         for ref in scan_refs((task.args, dict(task.kwargs))):
             if any(f.cache_name == ref.cache_name for _n, f in task.inputs):
@@ -1679,11 +1610,8 @@ class Manager:
                     f"proxy argument {ref.cache_name} references an unknown object"
                 )
             task.add_input(self.registry.by_name(ref.cache_name), ref.cache_name)
-        if self.inline_call_results or any(
-            n == FunctionCall.RESULT_NAME for n, _f in task.outputs
-        ):
-            return
-        task.add_output(TempFile(), FunctionCall.RESULT_NAME)
+        if not any(n == FunctionCall.RESULT_NAME for n, _f in task.outputs):
+            task.add_output(TempFile(), FunctionCall.RESULT_NAME)
 
     def wait(self, timeout: Optional[float] = None) -> Optional[Task]:
         """Block until some task completes; None on timeout.
@@ -1925,53 +1853,13 @@ class Manager:
                         break
             handles = list(self.workers.values())
             client_handles = self.service.attached_handles()
-        # stop the receive path first so no reads race the teardown: the
-        # reactor unregisters every selector key before exiting, and only
-        # then are the connections themselves torn down
-        self._closing.set()
-        if self._reactor_thread is not None:
-            self._wake_reactor()
-            self._reactor_thread.join(timeout=10)
-        if self._reaper_thread is not None:
-            self._reaper_thread.join(timeout=10)
-        # flush outboxes outside the lock, then tear connections down
-        for handle in handles:
-            if handle.alive and shutdown_workers:
-                self._send(handle, {"type": M.SHUTDOWN})
-            handle.stop_sender()
-        for handle in handles:
-            handle._sender.join(timeout=10)
-            handle.conn.close()
-        for chandle in client_handles:
-            chandle.stop_sender()
-            chandle._sender.join(timeout=10)
-            chandle.conn.close()
-        for timer in list(self._timers):
-            timer.cancel()
-        self._timers.clear()
+        self._stop_receiving()
         with self._lock:
             self.control.log.emit(self.now(), "workflow_done")
-            try:
-                # shutdown before close: closing the fd alone does not
-                # wake a thread blocked in accept() (legacy accept loop)
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=10)
-        if self._reactor_thread is not None:
-            self._wake_r.close()
-            self._wake_w.close()
-        if self._metrics_dumper is not None:
-            self._metrics_dumper.stop()
-        if self._txn_writer is not None:
-            self._txn_writer.close()
-        if self.journal is not None:
-            self.journal.close()
+            for handle in handles:
+                if handle.alive and shutdown_workers:
+                    self._send(handle, {"type": M.SHUTDOWN})
+        self._teardown(handles + client_handles)
 
     def crash(self) -> None:
         """Die abruptly, as ``kill -9`` would: no workflow GC, no
@@ -1989,38 +1877,41 @@ class Manager:
             self.control.closed = True
             handles = list(self.workers.values())
             client_handles = self.service.attached_handles()
+        self._stop_receiving()
+        self._teardown(handles + client_handles)
+
+    def _stop_receiving(self) -> None:
+        """Stop the receive path so no reads race the teardown: the
+        reactor unregisters every selector key before exiting, and only
+        then are the connections themselves torn down.  Admission is
+        refused once ``control.closed`` is set, so the handles the
+        caller snapshotted under the lock are all there will ever be."""
         self._closing.set()
-        if self._reactor_thread is not None:
-            self._wake_reactor()
-            self._reactor_thread.join(timeout=10)
+        self._wake_reactor()
+        self._reactor_thread.join(timeout=10)
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=10)
-        for handle in handles + list(client_handles):
+
+    def _teardown(self, handles: list[_SenderHandle]) -> None:
+        """Flush every sender outside the lock and close its socket,
+        then release timers, listener, wake pipe and log files."""
+        for handle in handles:
             handle.stop_sender()
+        for handle in handles:
             handle._sender.join(timeout=10)
             handle.conn.close()
         for timer in list(self._timers):
             timer.cancel()
         self._timers.clear()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=10)
-        if self._reactor_thread is not None:
-            self._wake_r.close()
-            self._wake_w.close()
+        self._listener.close()
+        self._wake_r.close()
+        self._wake_w.close()
         if self._metrics_dumper is not None:
             self._metrics_dumper.stop()
-        # the journal and txn log hold only already-fsynced appends; a
-        # real SIGKILL would leave exactly these bytes behind
         if self._txn_writer is not None:
             self._txn_writer.close()
+        # the journal and txn log hold only already-fsynced appends; a
+        # crash() leaves exactly the bytes a real SIGKILL would
         if self.journal is not None:
             self.journal.close()
 
@@ -2061,12 +1952,10 @@ class Manager:
             stale = [
                 name
                 for name, st in self._fetch_states.items()
-                if now - st.started > self.fetch_ttl
+                if now - st.started > FETCH_TTL
             ]
             for name in stale:
-                log.warning(
-                    "fetch of %s abandoned after %.0fs", name, self.fetch_ttl
-                )
+                log.warning("fetch of %s abandoned after %.0fs", name, FETCH_TTL)
                 self._fetch_settle(name, None)
         return stale
 
@@ -2103,21 +1992,18 @@ class Manager:
     def _drop_connection(self, handle: _WorkerHandle) -> None:
         """Force a worker's connection down from any thread.
 
-        In reactor mode only a ``shutdown`` is issued: the fd stays
-        valid, the reactor wakes with EOF readiness and unwinds the
-        connection itself — closing an fd that is still registered in a
-        live selector from another thread would race the event loop.
+        Only a ``shutdown`` is issued: the fd stays valid, the reactor
+        wakes with EOF readiness and unwinds the connection itself —
+        closing an fd that is still registered in a live selector from
+        another thread would race the event loop.
         """
-        if self._reactor_thread is not None:
-            try:
-                handle.conn.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        else:
-            handle.conn.close()  # reader thread unwinds into _on_worker_gone
+        try:
+            handle.conn.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
     def _register_worker(self, conn: Connection, msg: dict) -> _WorkerHandle:
-        """Admission bookkeeping shared by both receive paths."""
+        """Admit a worker: create its handle and tell the control plane."""
         handle = _WorkerHandle(
             conn,
             Resources.from_dict(msg["capacity"]),
@@ -2146,7 +2032,7 @@ class Manager:
             handle.running = state.running
         return handle
 
-    # -- event-driven receive path (the default) ------------------------
+    # -- event-driven receive path ---------------------------------------
 
     def _wake_reactor(self) -> None:
         try:
@@ -2268,21 +2154,23 @@ class Manager:
             mtype = validate(msg)  # WireError unwinds the connection
             if state.handle is None:
                 role = session_kind(mtype)
-                if role == SESSION_CLIENT:
-                    with self._lock:
-                        self.service.hello(state, msg)
-                    continue
-                if role != SESSION_WORKER:
+                if role is None:
                     raise ProtocolError(
                         f"expected a session-opening frame, got {mtype!r}"
                     )
-                state.handle = self._register_worker(state.conn, msg)
+                with self._lock:
+                    if self.control.closed:
+                        # close()/crash() snapshotted the handles they
+                        # release while setting this flag under the lock;
+                        # a peer admitted now would leak its sender thread
+                        raise ProtocolError("manager is closing")
+                    if role == SESSION_CLIENT:
+                        self.service.hello(state, msg)
+                    else:
+                        state.handle = self._register_worker(state.conn, msg)
             elif mtype == M.FILE_DATA and msg.get("found"):
                 state.pending = msg
                 state.frames.expect_bytes(int(msg["size"]))
-            elif mtype == M.TASK_DONE and msg.get("result_size"):
-                state.pending = msg
-                state.frames.expect_bytes(int(msg["result_size"]))
             else:
                 self._dispatch(state.handle, mtype, msg, None)
 
@@ -2342,50 +2230,6 @@ class Manager:
             with self._lock:
                 self.service.client_gone(state)
 
-    # -- legacy threaded receive path (benchmark baseline) ---------------
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._admit, args=(Connection(sock),), daemon=True
-            ).start()
-
-    def _admit(self, conn: Connection) -> None:
-        try:
-            msg = conn.recv_message()
-            if validate(msg) != M.REGISTER:
-                conn.close()
-                return
-        except (ProtocolError, OSError):
-            conn.close()
-            return
-        handle = self._register_worker(conn, msg)
-        reader = threading.Thread(
-            target=self._reader_loop, args=(handle,), daemon=True
-        )
-        reader.start()
-
-    def _reader_loop(self, handle: _WorkerHandle) -> None:
-        try:
-            while True:
-                msg = handle.conn.recv_message()
-                self._m_frames_in.inc()
-                mtype = validate(msg)
-                payload: Optional[bytes] = None
-                if mtype == M.FILE_DATA and msg.get("found"):
-                    payload = handle.conn.recv_bytes(int(msg["size"]))
-                elif mtype == M.TASK_DONE and msg.get("result_size"):
-                    payload = handle.conn.recv_bytes(int(msg["result_size"]))
-                self._dispatch(handle, mtype, msg, payload)
-        except (ProtocolError, OSError):
-            pass
-        with self._lock:
-            self._on_worker_gone(handle)
-
     def _on_worker_message(
         self, handle: _WorkerHandle, mtype: str, msg: dict, payload: Optional[bytes]
     ) -> None:
@@ -2404,8 +2248,7 @@ class Manager:
             if self._pump_wanted:
                 self._pump_wanted = False
                 if not self.control.closed:
-                    # re-defers to the sweep's single pump when the
-                    # reactor is mid-sweep; pumps now in threads mode
+                    # re-defers to the sweep's single pump
                     self.request_pump()
             return
         self._m_messages_in.inc()
@@ -2430,7 +2273,7 @@ class Manager:
             # its sole-holder objects, answer with shutdown when done
             self.control.drain_worker(handle.worker_id)
         elif mtype == M.TASK_DONE:
-            self._on_task_done(handle, msg, payload)
+            self._on_task_done(handle, msg)
         elif mtype == M.LIBRARY_READY:
             self._on_library_ready(handle, msg)
         elif mtype == M.FILE_DATA:
@@ -2456,9 +2299,7 @@ class Manager:
 
     # -- task completion --------------------------------------------------
 
-    def _on_task_done(
-        self, handle: _WorkerHandle, msg: dict, payload: Optional[bytes]
-    ) -> None:
+    def _on_task_done(self, handle: _WorkerHandle, msg: dict) -> None:
         task_id = msg["task_id"]
         if task_id.startswith("lib:"):
             self.control.on_library_failed(handle.worker_id, task_id[len("lib:"):])
@@ -2478,7 +2319,7 @@ class Manager:
         if task is None:
             return  # stale report, or requeued by a retry policy
         if isinstance(task, FunctionCall):
-            self._on_call_done(handle, task, result, msg, payload)
+            self._on_call_done(task, result, msg)
             return
         if isinstance(task, PythonTask) and result.exit_code in (0, 1):
             if task._output_set:
@@ -2507,30 +2348,10 @@ class Manager:
             )
         self.control.complete_task(task, result)
 
-    def _on_call_done(
-        self,
-        handle: _WorkerHandle,
-        task: FunctionCall,
-        result: TaskResult,
-        msg: dict,
-        payload: Optional[bytes],
-    ) -> None:
+    def _on_call_done(self, task: FunctionCall, result: TaskResult, msg: dict) -> None:
         """Route a finished function call by its result discipline."""
-        if payload is not None:
-            # legacy inline result: the pickled value rode the task_done
-            # reply through the manager — counted as a retrieval so the
-            # bench can hold inline against the by-reference plane
-            self.control.count_retrieval(
-                handle.worker_id, f"result:{task.task_id}", len(payload)
-            )
-            self._set_call_output(task, result, payload)
-            self.control.complete_task(task, result)
-            return
-        result_name = _call_result_name(task)
-        if result_name is None or result.exit_code != 0:
-            # an inline call that produced no reply payload (the library
-            # never ran), or a failed invocation: terminal either way
-            if result.exit_code != 0 and not result.failure:
+        if result.exit_code != 0:
+            if not result.failure:
                 result.failure = f"invocation failed (exit {result.exit_code})"
             self.control.complete_task(task, result)
             return
@@ -2545,6 +2366,7 @@ class Manager:
             return
         # loopback value semantics: the application asked for a value,
         # not a proxy, so pull the envelope back like a python result
+        result_name = _call_result_name(task)
         if self.replicas.replica_count(result_name):
             task.result = result
             self._retrieving[result_name] = task
@@ -2562,18 +2384,6 @@ class Manager:
             "result file never produced" + (f": {tail}" if tail else "")
         )
         self.control.complete_task(task, result)
-
-    def _set_call_output(self, task: FunctionCall, result: TaskResult, blob: bytes) -> None:
-        try:
-            decoded = ser.loads(blob)
-        except ser.SerializationError as exc:
-            result.failure = f"result decode failed: {exc}"
-            return
-        if decoded.get("ok"):
-            task.set_output_value(decoded.get("value"))
-        else:
-            result.failure = decoded.get("traceback") or repr(decoded.get("error"))
-            result.exit_code = result.exit_code or 1
 
     def _on_library_ready(self, handle: _WorkerHandle, msg: dict) -> None:
         name = msg["library"]

@@ -16,31 +16,28 @@ This module is *pure policy* — no I/O, no clocks — so the real runtime
   (manager or remote URL) if under its own limit; failing that the
   transfer is deferred, which is what prevents hotspots.
 
-Two implementations of placement coexist, by design:
+Placement ranks eligible workers by ``(-cached_bytes, failure,
+running, id)``.  :meth:`Scheduler.choose_worker_indexed` scores only
+workers holding ≥1 input replica (from :class:`ReplicaTable`'s holder
+index) and compares the best against a least-loaded fallback popped
+from a :class:`PlacementIndex` heap — the same decision as ranking
+every worker (the zero-score fallback is provably equivalent to
+ranking every non-holder) at O(replicas-of-inputs + log W) per task.
+The full O(W·I) scan it is checked against, and the ``(-priority,
+seq)`` sort :class:`ReadyQueue` is checked against, live in
+``tests/core/reference_scheduler.py`` as the equivalence suite's
+oracle.
 
-* :meth:`Scheduler.choose_worker` — the *reference scan*: rank every
-  eligible worker by ``(-cached_bytes, failure, running, id)``.  O(W·I)
-  per task; kept as the decision oracle for the equivalence suite and
-  the benchmark baseline.
-* :meth:`Scheduler.choose_worker_indexed` — the *hot path*: score only
-  workers holding ≥1 input replica (from :class:`ReplicaTable`'s
-  holder index) and compare the best against a least-loaded fallback
-  popped from a :class:`PlacementIndex` heap.  Produces byte-identical
-  decisions (the zero-score fallback is provably equivalent to ranking
-  every non-holder) at O(replicas-of-inputs + log W) per task.
-
-:class:`ReadyQueue` replaces the per-pump full sort of the ready list
-with a lazy-deletion priority heap keyed on ``(-priority, seq)`` —
-``seq`` being the monotonic submission sequence a manager stamps on
-each task (the old ``int(task_id.lstrip("t"))`` key crashed on any
-foreign id and mis-parsed repeated leading ``t``\\ s).
+:class:`ReadyQueue` is a lazy-deletion priority heap keyed on
+``(-priority, seq)`` — ``seq`` being the monotonic submission sequence
+a manager stamps on each task.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional
 
 from repro.core.replica_table import ReplicaTable
 from repro.core.resources import Resources
@@ -119,8 +116,7 @@ class ReadyQueue:
 
     Entries are invalidated lazily: :meth:`discard` drops the task's
     *token* and the stale heap entry is skipped when it surfaces, so
-    removal (task finished, cancelled, failed) is O(1) instead of the
-    old O(n) list rebuild.  Pushing an already-queued task supersedes
+    removal (task finished, cancelled, failed) is O(1).  Pushing an already-queued task supersedes
     its previous entry (latest token wins).
 
     The token counter is also the pump's snapshot clock: entries pushed
@@ -134,15 +130,12 @@ class ReadyQueue:
     round (deficit round robin with a quantum of one task), resuming
     each pump where the previous one left off, so a tenant flooding the
     queue cannot starve a small workflow behind it.  Inside a tenant the
-    order is exactly ``(-priority, seq)``.  With a single tenant — or
-    with ``fair_share=False``, which collapses every task into one
-    bucket — the round-robin ring has one member and the pop order is
-    *identical* to the historical global heap (the single-tenant
-    equivalence test pins this).
+    order is exactly ``(-priority, seq)``.  With a single tenant the
+    round-robin ring has one member and the pop order is global
+    ``(-priority, seq)`` (the single-tenant equivalence test pins this).
     """
 
-    def __init__(self, fair_share: bool = True) -> None:
-        self.fair_share = fair_share
+    def __init__(self) -> None:
         #: tenant -> heap of (-priority, seq, token, task)
         self._heaps: dict[str, list[tuple[float, int, int, Task]]] = {}
         #: round-robin ring of tenants in first-appearance order
@@ -168,9 +161,8 @@ class ReadyQueue:
         """Entries with a token at or beyond this were pushed after now."""
         return self._next_token
 
-    def _tenant_of(self, task: Task) -> str:
-        if not self.fair_share:
-            return ""
+    @staticmethod
+    def _tenant_of(task: Task) -> str:
         return getattr(task, "tenant", "default") or "default"
 
     def push(self, task: Task) -> None:
@@ -342,10 +334,8 @@ class Scheduler:
 
     # -- placement -------------------------------------------------------
 
-    def choose_worker(
-        self,
-        task: Task,
-        workers: Mapping[str, WorkerView],
+    def choose_worker_indexed(
+        self, task: Task, index: PlacementIndex
     ) -> Optional[str]:
         """Pick the worker to run ``task`` on, or None if none fits.
 
@@ -354,48 +344,18 @@ class Scheduler:
         then fewest running tasks (to spread load), then worker id (for
         determinism).  With locality disabled, the locality key is 0.
 
-        This is the *reference scan* — O(workers × inputs) per call.
-        The pump uses :meth:`choose_worker_indexed`, which returns the
-        same decision from the replica-holder index; this path is kept
-        as the oracle for the equivalence suite and benchmarks.
-        """
-        eligible = [
-            w
-            for w in workers.values()
-            if not w.draining and w.can_fit(task.resources)
-        ]
-        if not eligible:
-            return None
-        input_names = task.input_cache_names()
-        failure_score = self.failure_score or (lambda _w: 0)
-
-        def rank(w: WorkerView) -> tuple:
-            score = (
-                self.replicas.cached_bytes_at(w.worker_id, input_names)
-                if self.locality
-                else 0
-            )
-            return (-score, failure_score(w.worker_id), w.running_tasks, w.worker_id)
-
-        return min(eligible, key=rank).worker_id
-
-    def choose_worker_indexed(
-        self, task: Task, index: PlacementIndex
-    ) -> Optional[str]:
-        """Index-backed placement: identical decisions to
-        :meth:`choose_worker`, without scanning every worker.
-
         Scores only the workers holding ≥1 of the task's input bytes
         (candidates from :meth:`ReplicaTable.locality_scores`) and
         compares the best against the least-loaded eligible worker from
-        the index's load heap.  Equivalence argument: every worker
-        outside the candidate set has locality score exactly 0, and for
-        score-0 workers the full rank ``(0, failure, running, id)`` *is*
-        the heap key — the heap minimum therefore ranks at or below
-        every other non-candidate, and comparing it against the best
-        candidate yields the same minimum as the full scan.  (If the
-        heap minimum happens to also be a candidate, its candidate key
-        is ≤ its zero-score key, so the comparison is still exact.)
+        the index's load heap, instead of scanning every worker.
+        Equivalence argument: every worker outside the candidate set
+        has locality score exactly 0, and for score-0 workers the full
+        rank ``(0, failure, running, id)`` *is* the heap key — the heap
+        minimum therefore ranks at or below every other non-candidate,
+        and comparing it against the best candidate yields the same
+        minimum as the full scan.  (If the heap minimum happens to also
+        be a candidate, its candidate key is ≤ its zero-score key, so
+        the comparison is still exact.)
         """
         failure_score = self.failure_score or (lambda _w: 0)
         best_key: Optional[tuple] = None
@@ -525,17 +485,3 @@ class Scheduler:
             if fallback:
                 return min(fallback, key=lambda w: (load(w), w))
         return None
-
-    # -- dispatch ordering ---------------------------------------------
-
-    @staticmethod
-    def order_ready(tasks: Sequence[Task]) -> list[Task]:
-        """Dispatch consideration order: priority desc, then FIFO.
-
-        FIFO position is the submit-time ``seq`` — robust to arbitrary
-        task ids (the old ``int(task_id.lstrip("t"))`` key raised ValueError
-        on any id not of the form ``t<N>`` and mis-parsed ids with
-        repeated leading ``t``\\ s, e.g. ``tt12``).  Unsubmitted tasks
-        all carry seq 0 and keep their input order (stable sort).
-        """
-        return sorted(tasks, key=lambda t: (-t.priority, t.seq))

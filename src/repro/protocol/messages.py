@@ -97,7 +97,9 @@ _SCHEMA: Mapping[str, tuple[str, ...]] = {
     M.SEND_BACK: ("cache_name",),
     M.UNLINK: ("cache_name",),
     M.INSTALL_LIBRARY: ("library", "functions", "payload_size", "task_id"),
-    M.INVOKE: ("task_id", "library", "function", "payload_size"),
+    # "result_name" is the cache name the worker stores the result
+    # envelope under: results travel by reference, never in the reply
+    M.INVOKE: ("task_id", "library", "function", "payload_size", "result_name"),
     M.CANCEL_TASK: ("task_id",),
     M.SHUTDOWN: (),
     # optional "rejoin": True when the worker is reconnecting after its
@@ -165,8 +167,9 @@ CLIENT_KINDS = frozenset(
 def validate(message: dict) -> str:
     """Check a decoded control message; returns its type.
 
-    Raises :class:`WireError` if the type is unknown or any required
-    field is missing.  ``batch`` envelopes are validated recursively
+    Raises :class:`WireError` if the type is unknown, any required
+    field is missing, or a ``task_done`` announces trailing result
+    bytes.  ``batch`` envelopes are validated recursively
     (see :func:`validate_batch`); they live outside ``_SCHEMA`` because
     their one field is structural, not a flat required-key check.
     """
@@ -179,6 +182,13 @@ def validate(message: dict) -> str:
     missing = [f for f in _SCHEMA[mtype] if f not in message]
     if missing:
         raise WireError(f"message {mtype!r} missing fields {missing}")
+    if mtype == M.TASK_DONE and "result_size" in message:
+        # a pre-by-reference worker would follow this frame with raw
+        # result bytes nobody reads, desynchronising the stream
+        raise WireError(
+            "task_done carries retired field 'result_size': results "
+            "travel by reference (cache_update + harvested)"
+        )
     return mtype
 
 
@@ -187,9 +197,8 @@ def validate_batch(message: dict) -> list[dict]:
 
     A batch carries a non-empty list of *payload-free* control
     messages: nesting is rejected, as is any sub-message that announces
-    trailing bytes (``file_data`` with content, ``task_done`` with a
-    result payload) — those must travel as their own frame so bulk
-    streams stay contiguous on the wire.
+    trailing bytes (``file_data`` with content) — those must travel as
+    their own frame so bulk streams stay contiguous on the wire.
     """
     subs = message.get("messages")
     if not isinstance(subs, list) or not subs:

@@ -300,7 +300,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             host=args.host,
             project_name=args.project,
             password=args.password,
-            fair_share=not args.no_fair_share,
             default_task_quota=args.task_quota,
             default_byte_quota=args.byte_quota,
             client_local_root=args.client_local_root,
@@ -472,7 +471,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     run.add_argument("--cores", type=float, default=4)
     run.add_argument("--task-quota", type=int, default=None, help="default per-tenant outstanding-task quota")
     run.add_argument("--byte-quota", type=int, default=None, help="default per-tenant declared-bytes quota")
-    run.add_argument("--no-fair-share", action="store_true", help="FIFO across tenants instead of deficit round-robin")
     run.add_argument(
         "--client-local-root",
         default=None,

@@ -128,7 +128,6 @@ class SimManager:
         transfer_backoff_base: float = 0.5,
         requeue_backoff_base: float = 0.0,
         blocklist_threshold: int = 5,
-        fair_share: bool = True,
         memo_dir: Optional[str] = None,
         memo_store=None,
         memo_opt_out: Optional[Sequence[str]] = None,
@@ -176,7 +175,6 @@ class SimManager:
             requeue_backoff_base=requeue_backoff_base,
             blocklist_threshold=blocklist_threshold,
             rng_seed=seed,
-            fair_share=fair_share,
             memo=self.memo_store,
             memo_opt_out=memo_opt_out,
             journal=self.journal,

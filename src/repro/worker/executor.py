@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import resource
+import signal
 import subprocess
 import time
 from dataclasses import dataclass
@@ -109,7 +110,12 @@ def run_command(
             raw_output, _ = proc.communicate(timeout=timeout)
             exit_code = proc.returncode
         except subprocess.TimeoutExpired:
-            proc.kill()
+            # the child setsid()'d: kill its whole group, or descendants
+            # of the shell hold the output pipe open until they finish
+            try:
+                os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
             raw_output, _ = proc.communicate()
             exit_code = -9
             exceeded.append("wall_time")

@@ -20,7 +20,6 @@ import threading
 from typing import Optional
 
 from repro.core.resources import Resources
-from repro.protocol import serialization as ser
 from repro.protocol.batching import BatchSender
 from repro.protocol.connection import Connection, ProtocolError
 from repro.protocol.messages import M, validate
@@ -101,28 +100,6 @@ class ScriptedWorker:
             self._ack_transfer(msg)
         elif mtype in (M.FETCH_FILE, M.STAGE_MINITASK):
             self._ack_transfer(msg)
-        elif mtype == M.INSTALL_LIBRARY:
-            self._conn.recv_bytes(int(msg["payload_size"]))
-            self._sender.notice(
-                {
-                    "type": M.LIBRARY_READY,
-                    "library": msg["library"],
-                    "task_id": msg["task_id"],
-                }
-            )
-        elif mtype == M.INVOKE:
-            self._conn.recv_bytes(int(msg["payload_size"]))
-            result = ser.dumps({"ok": True, "value": None})
-            self._sender.send(
-                {
-                    "type": M.TASK_DONE,
-                    "task_id": msg["task_id"],
-                    "exit_code": 0,
-                    "output": "",
-                    "result_size": len(result),
-                },
-                result,
-            )
         elif mtype == M.SEND_BACK:
             self._sender.send(
                 {

@@ -733,7 +733,7 @@ class Worker:
                 }
             )
             return
-        result_name = msg.get("result_name")
+        result_name = msg["result_name"]
         input_names = [str(n) for n in msg.get("inputs", [])]
         self._pin(input_names)
         try:
@@ -748,31 +748,16 @@ class Worker:
                     raise RuntimeError(f"argument blob {args_cache} not cached")
                 with open(path, "rb") as f:
                     args_blob = f.read()
-            if result_name is None:
-                # legacy inline result: the envelope rides the reply
-                handle.invoke(task_id, msg["function"], args_blob)
-                result = handle.wait_result(task_id, timeout=self.task_timeout)
-                self._m_invoke.observe(time.monotonic() - invoke_started)
-                self._send(
-                    {
-                        "type": M.TASK_DONE,
-                        "task_id": task_id,
-                        "exit_code": 0,
-                        "output": "",
-                        "result_size": len(result),
-                    },
-                    result,
-                )
-                return
-            # by-reference result: proxy arguments dereference against
-            # this worker's cache, and the envelope lands in the cache
-            # instead of the reply — only metadata returns
+            # proxy arguments dereference against this worker's cache,
+            # and the result envelope lands in the cache instead of the
+            # reply — only metadata returns
             paths = {
                 cn: p for cn in input_names if (p := self._lookup(cn)) is not None
             }
             handle.invoke(task_id, msg["function"], args_blob, paths=paths)
             blob, meta = handle.wait_result_full(task_id, timeout=self.task_timeout)
-            self._m_invoke.observe(time.monotonic() - invoke_started)
+            invoke_seconds = time.monotonic() - invoke_started
+            self._m_invoke.observe(invoke_seconds)
             if meta is None or meta.get("ok"):
                 level = CacheLevel(
                     int(msg.get("result_level", int(CacheLevel.WORKFLOW)))
@@ -792,6 +777,7 @@ class Worker:
                         "exit_code": 0,
                         "output": "",
                         "harvested": [result_name],
+                        "execution_time": invoke_seconds,
                     }
                 )
             else:
@@ -806,6 +792,7 @@ class Worker:
                         "exit_code": 1,
                         "output": tb[-1000:],
                         "failure": tb[-1000:] or "invoke",
+                        "execution_time": invoke_seconds,
                     }
                 )
         except Exception as exc:

@@ -12,6 +12,7 @@ import pytest
 from repro.core.control_plane import (
     MINITASK_SOURCE,
     NO_SOURCE,
+    TRANSFER_BACKOFF_MAX,
     ControlPlane,
     source_kind,
 )
@@ -390,7 +391,7 @@ def test_transfer_failure_exhaustion_fails_waiting_tasks():
     control.on_cache_invalid("wA", "cursed", port.fetches[0].transfer_id)
     control.pump()
     assert len(port.fetches) == 1  # retry is held off by the backoff
-    port.time += control.transfer_backoff_max  # past any jittered delay
+    port.time += TRANSFER_BACKOFF_MAX  # past any jittered delay
     control.pump()
     assert len(port.fetches) == 2  # one retry allowed
     control.on_cache_invalid("wA", "cursed", port.fetches[1].transfer_id)

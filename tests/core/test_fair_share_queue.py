@@ -89,7 +89,7 @@ def drain_ids(q, upto_token=None, stash_every=None):
 def test_single_tenant_order_matches_reference_randomized():
     rng = random.Random(20230601)
     for _round in range(30):
-        fair = ReadyQueue(fair_share=True)
+        fair = ReadyQueue()
         ref = ReferenceQueue()
         tasks = {}
         seq = 0
@@ -115,7 +115,7 @@ def test_single_tenant_order_matches_reference_randomized():
 
 
 def test_single_tenant_respects_priority_then_seq():
-    q = ReadyQueue(fair_share=True)
+    q = ReadyQueue()
     a = make_task("a", 1, priority=0.0)
     b = make_task("b", 2, priority=5.0)
     c = make_task("c", 3, priority=0.0)
@@ -125,7 +125,7 @@ def test_single_tenant_respects_priority_then_seq():
 
 
 def test_snapshot_token_excludes_later_pushes():
-    q = ReadyQueue(fair_share=True)
+    q = ReadyQueue()
     q.push(make_task("a", 1))
     token = q.snapshot_token
     q.push(make_task("b", 2))
@@ -135,7 +135,7 @@ def test_snapshot_token_excludes_later_pushes():
 
 
 def test_fair_share_interleaves_tenants_round_robin():
-    q = ReadyQueue(fair_share=True)
+    q = ReadyQueue()
     seq = 0
     for i in range(6):
         seq += 1
@@ -152,20 +152,8 @@ def test_fair_share_interleaves_tenants_round_robin():
     assert [t for t in order if t.startswith("b")] == [f"b{i}" for i in range(3)]
 
 
-def test_fair_share_disabled_is_global_fifo():
-    q = ReadyQueue(fair_share=False)
-    seq = 0
-    for i in range(4):
-        seq += 1
-        q.push(make_task(f"a{i}", seq, tenant="alice"))
-    for i in range(2):
-        seq += 1
-        q.push(make_task(f"b{i}", seq, tenant="bob"))
-    assert drain_ids(q) == ["a0", "a1", "a2", "a3", "b0", "b1"]
-
-
 def test_ring_position_persists_across_pumps():
-    q = ReadyQueue(fair_share=True)
+    q = ReadyQueue()
     seq = 0
     for i in range(4):
         seq += 1
@@ -187,7 +175,7 @@ def test_ring_position_persists_across_pumps():
 
 
 def test_restore_returns_entry_to_its_tenant_heap():
-    q = ReadyQueue(fair_share=True)
+    q = ReadyQueue()
     a = make_task("a0", 1, tenant="alice")
     b = make_task("b0", 2, tenant="bob")
     q.push(a)
@@ -200,7 +188,7 @@ def test_restore_returns_entry_to_its_tenant_heap():
 
 
 def test_queued_by_tenant_counts_live_entries():
-    q = ReadyQueue(fair_share=True)
+    q = ReadyQueue()
     q.push(make_task("a0", 1, tenant="alice"))
     q.push(make_task("a1", 2, tenant="alice"))
     b = make_task("b0", 3, tenant="bob")

@@ -8,7 +8,7 @@ and the retries-exhausted path that fails consumers instead of looping.
 All through a FakePort with a hand-advanced clock — no sleeps.
 """
 
-from repro.core.control_plane import NO_SOURCE
+from repro.core.control_plane import NO_SOURCE, TRANSFER_BACKOFF_MAX
 from repro.core.files import TempFile
 from repro.core.scheduler import GATE_AVOID, GATE_BANNED, GATE_OK
 from repro.core.task import Task, TaskState
@@ -101,7 +101,7 @@ def test_failed_transfer_backs_off_then_retries():
     assert control._transfer_gate("data", "url:server") == GATE_AVOID
     control.pump()
     assert len(port.fetches) == 1  # no instant retry
-    port.time += control.transfer_backoff_max
+    port.time += TRANSFER_BACKOFF_MAX
     assert control._transfer_gate("data", "url:server") == GATE_OK
     control.pump()
     assert len(port.fetches) == 2
@@ -112,8 +112,8 @@ def test_backoff_delay_grows_and_caps():
     delays = [control._backoff_delay(1.0, attempt) for attempt in range(1, 12)]
     # jitter is 50-150%, so attempt N is bounded by 1.5 * 2^(N-1)
     for attempt, delay in enumerate(delays, start=1):
-        assert delay <= 1.5 * min(control.transfer_backoff_max, 2 ** (attempt - 1))
-        assert delay >= 0.5 * min(1.0 * 2 ** (attempt - 1), control.transfer_backoff_max) * 0.99
+        assert delay <= 1.5 * min(TRANSFER_BACKOFF_MAX, 2 ** (attempt - 1))
+        assert delay >= 0.5 * min(1.0 * 2 ** (attempt - 1), TRANSFER_BACKOFF_MAX) * 0.99
     # deterministic for a fixed seed
     _, control2 = make_control(transfer_backoff_base=1.0)
     assert delays == [control2._backoff_delay(1.0, a) for a in range(1, 12)]

@@ -3,7 +3,7 @@
 from repro.core.files import BufferFile
 from repro.core.replica_table import ReplicaTable
 from repro.core.resources import Resources
-from repro.core.scheduler import Scheduler, WorkerView
+from repro.core.scheduler import PlacementIndex, ReadyQueue, Scheduler, WorkerView
 from repro.core.task import Task
 from repro.core.transfer_table import MANAGER_SOURCE, TransferTable
 
@@ -29,6 +29,13 @@ def named_buffer(data: bytes, name: str) -> BufferFile:
     return f
 
 
+def choose(sched, task, workers):
+    """Placement exactly as the pump asks for it."""
+    return sched.choose_worker_indexed(
+        task, PlacementIndex(dict(workers), sched.failure_score)
+    )
+
+
 def task_with_inputs(*names):
     t = Task("cmd")
     for i, name in enumerate(names):
@@ -45,7 +52,7 @@ def test_placement_prefers_most_cached_bytes():
     rt.add_replica("small", "w1", size=10)
     workers = {w.worker_id: w for w in [worker("w1"), worker("w2"), worker("w3")]}
     t = task_with_inputs("big", "small")
-    assert sched.choose_worker(t, workers) == "w2"
+    assert choose(sched, t, workers) == "w2"
 
 
 def test_placement_skips_workers_without_capacity():
@@ -55,14 +62,14 @@ def test_placement_skips_workers_without_capacity():
     w1.allocated = Resources(cores=4)  # full
     workers = {"w1": w1, "w2": worker("w2")}
     t = task_with_inputs("big")
-    assert sched.choose_worker(t, workers) == "w2"
+    assert choose(sched, t, workers) == "w2"
 
 
 def test_placement_returns_none_when_nothing_fits():
     sched, _, _ = make_sched()
     t = task_with_inputs()
     t.set_resources(Resources(cores=64))
-    assert sched.choose_worker(t, {"w1": worker("w1", cores=4)}) is None
+    assert choose(sched, t, {"w1": worker("w1", cores=4)}) is None
 
 
 def test_placement_skips_draining_workers():
@@ -71,7 +78,7 @@ def test_placement_skips_draining_workers():
     w1 = worker("w1")
     w1.draining = True
     workers = {"w1": w1, "w2": worker("w2")}
-    assert sched.choose_worker(task_with_inputs("f"), workers) == "w2"
+    assert choose(sched, task_with_inputs("f"), workers) == "w2"
 
 
 def test_placement_tie_breaks_by_load_then_id():
@@ -81,14 +88,14 @@ def test_placement_tie_breaks_by_load_then_id():
         "w1": worker("w1", running=0),
         "w3": worker("w3", running=0),
     }
-    assert sched.choose_worker(task_with_inputs(), workers) == "w1"
+    assert choose(sched, task_with_inputs(), workers) == "w1"
 
 
 def test_locality_disabled_ignores_replicas():
     sched, rt, _ = make_sched(locality=False)
     rt.add_replica("big", "w2", size=10**9)
     workers = {"w1": worker("w1", running=0), "w2": worker("w2", running=1)}
-    assert sched.choose_worker(task_with_inputs("big"), workers) == "w1"
+    assert choose(sched, task_with_inputs("big"), workers) == "w1"
 
 
 # -- transfer planning ---------------------------------------------------
@@ -176,9 +183,11 @@ def test_minitask_pseudo_source_always_available():
     assert plan.transfers == [("f1", "@minitask")]
 
 
-def test_order_ready_priority_then_fifo():
-    t1 = Task("a")
-    t2 = Task("b").set_priority(5)
-    t3 = Task("c")
-    ordered = Scheduler.order_ready([t1, t2, t3])
-    assert ordered == [t2, t1, t3]
+def test_ready_queue_priority_then_fifo():
+    q = ReadyQueue()
+    tasks = [Task("a"), Task("b").set_priority(5), Task("c")]
+    for seq, t in enumerate(tasks, 1):
+        t.task_id, t.seq = f"t{seq}", seq
+        q.push(t)
+    t1, t2, t3 = tasks
+    assert [e[3] for e in q.pop_entries(q.snapshot_token)] == [t2, t1, t3]

@@ -10,8 +10,10 @@ Three layers of evidence:
    cluster states (including draining workers and failure scores);
 2. a shadow scheduler wired into real ``SimManager`` workloads that
    cross-checks every live placement decision against the oracle;
-3. ``ReadyQueue`` iteration order vs. ``Scheduler.order_ready``, plus
-   the saturation fast path vs. pure limit arithmetic.
+3. ``ReadyQueue`` iteration order vs. the reference ``order_ready``,
+   plus the saturation fast path vs. pure limit arithmetic.
+
+The brute-force side lives in ``tests/core/reference_scheduler.py``.
 """
 
 import pytest
@@ -31,6 +33,7 @@ from repro.core.task import Task
 from repro.core.transfer_table import MANAGER_SOURCE, TransferTable
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
+from tests.core.reference_scheduler import choose_worker, order_ready
 
 MB = 1_000_000
 worker_ids = [f"w{i}" for i in range(6)]
@@ -87,7 +90,7 @@ def cluster_state(draw):
 @given(cluster_state())
 def test_indexed_placement_matches_reference_scan(state):
     sched, task, views = state
-    expected = sched.choose_worker(task, views)
+    expected = choose_worker(sched, task, views)
     index = PlacementIndex(dict(views), sched.failure_score)
     assert sched.choose_worker_indexed(task, index) == expected
 
@@ -113,8 +116,8 @@ def test_indexed_placement_matches_after_view_updates(state, data):
             )
             views[wid] = v
             index.update(wid, v)
-        assert sched.choose_worker_indexed(task, index) == sched.choose_worker(
-            task, views
+        assert sched.choose_worker_indexed(task, index) == choose_worker(
+            sched, task, views
         )
 
 
@@ -135,7 +138,7 @@ def test_duplicate_input_names_score_like_reference():
         for w in ("w0", "w1", "w2")
     }
     # w0 scores 20 (10 counted twice) > w1's 15
-    assert sched.choose_worker(task, views) == "w0"
+    assert choose_worker(sched, task, views) == "w0"
     assert sched.choose_worker_indexed(task, PlacementIndex(dict(views))) == "w0"
 
 
@@ -148,7 +151,7 @@ def _shadow(monkeypatch):
     orig = Scheduler.choose_worker_indexed
 
     def checking(self, task, index):
-        expected = self.choose_worker(task, dict(index.views))
+        expected = choose_worker(self, task, dict(index.views))
         got = orig(self, task, index)
         assert got == expected, (
             f"indexed placement diverged for {task.task_id}: "
@@ -223,7 +226,7 @@ def test_ready_queue_pops_in_order_ready_order(specs):
     for t in dropped:
         q.discard(t)
     live = [t for t, keep in tasks if keep]
-    expected = Scheduler.order_ready(live)
+    expected = order_ready(live)
     got = [entry[3] for entry in q.pop_entries(q.snapshot_token)]
     assert got == expected
 

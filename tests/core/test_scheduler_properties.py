@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from repro.core.files import BufferFile
 from repro.core.replica_table import ReplicaTable
 from repro.core.resources import Resources
-from repro.core.scheduler import Scheduler, WorkerView
+from repro.core.scheduler import PlacementIndex, Scheduler, WorkerView
 from repro.core.task import Task
 from repro.core.transfer_table import MANAGER_SOURCE, TransferTable
+from tests.core.reference_scheduler import choose_worker
 
 worker_ids = [f"w{i}" for i in range(6)]
 file_names = [f"file-{i}" for i in range(8)]
@@ -61,7 +62,8 @@ def cluster_state(draw):
 @given(cluster_state())
 def test_chosen_worker_always_fits(state):
     sched, task, views = state
-    wid = sched.choose_worker(task, views)
+    wid = sched.choose_worker_indexed(task, PlacementIndex(dict(views)))
+    assert wid == choose_worker(sched, task, views)
     if wid is not None:
         assert views[wid].can_fit(task.resources)
     else:
@@ -129,7 +131,11 @@ def test_peer_always_preferred_over_fixed_source(state):
 def test_placement_deterministic(state, _salt):
     """Same state → same decision (scheduling is a pure function)."""
     sched, task, views = state
-    assert sched.choose_worker(task, views) == sched.choose_worker(task, views)
+    picks = [
+        sched.choose_worker_indexed(task, PlacementIndex(dict(views)))
+        for _ in range(2)
+    ]
+    assert picks[0] == picks[1] == choose_worker(sched, task, views)
     p1 = sched.plan_transfers(task, "w4", {})
     p2 = sched.plan_transfers(task, "w4", {})
     assert p1.transfers == p2.transfers

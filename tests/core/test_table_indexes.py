@@ -9,7 +9,7 @@ Covers the three bugfix satellites of the scheduler-index PR:
 * task and transfer id streams are per-manager/per-table, so two
   managers in one process mint identical sequences (chaos-replay
   determinism) instead of sharing one module-global counter;
-* ``Scheduler.order_ready`` no longer parses task ids (the old
+* ready-queue order never parses task ids (the old
   ``int(task_id.lstrip("t"))`` key crashed on foreign ids and
   mis-parsed ``tt12`` as 12).
 """
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.replica_table import ReplicaTable
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ReadyQueue
 from repro.core.task import Task, TaskState
 from repro.core.transfer_table import TransferTable
 from repro.faults import FaultPlan, SimFaultInjector
@@ -260,10 +260,17 @@ def test_task_identity_assigned_at_submit():
     assert t.state == TaskState.DONE
 
 
-# -- order_ready id robustness ------------------------------------------
+# -- ready-order id robustness ------------------------------------------
 
 
-def test_order_ready_survives_foreign_task_ids():
+def _pop_order(tasks):
+    q = ReadyQueue()
+    for t in tasks:
+        q.push(t)
+    return [e[3].task_id for e in q.pop_entries(q.snapshot_token)]
+
+
+def test_ready_order_survives_foreign_task_ids():
     """Regression: ``int(t.task_id.lstrip("t"))`` raised ValueError for
     any id not of the form ``t<N>`` and parsed ``tt12`` as 12."""
     specs = [("job-7", 3), ("tt12", 1), ("θ", 2), ("t5", 4)]
@@ -273,12 +280,11 @@ def test_order_ready_survives_foreign_task_ids():
         t.task_id = tid
         t.seq = seq
         tasks.append(t)
-    ordered = Scheduler.order_ready(tasks)
-    assert [t.task_id for t in ordered] == ["tt12", "θ", "job-7", "t5"]
+    assert _pop_order(tasks) == ["tt12", "θ", "job-7", "t5"]
 
 
-def test_order_ready_priority_beats_seq():
+def test_ready_order_priority_beats_seq():
     a, b = Task("a"), Task("b")
     a.task_id, a.seq, a.priority = "za", 1, 0.0
     b.task_id, b.seq, b.priority = "zb", 2, 1.0
-    assert [t.task_id for t in Scheduler.order_ready([a, b])] == ["zb", "za"]
+    assert _pop_order([a, b]) == ["zb", "za"]

@@ -2,9 +2,9 @@
 
 The manager's reactor receive path has two special cases the serverless
 model leans on: ``install_library``/``invoke`` commands with trailing
-bulk payloads on the send side, and ``task_done`` frames announcing a
-result payload on the receive side (the reactor must switch its frame
-reassembler into bulk mode mid-stream).  These tests drive both with
+bulk payloads on the send side, and ``file_data`` frames announcing a
+pulled-back result envelope on the receive side (the reactor must switch
+its frame reassembler into bulk mode mid-stream).  These tests drive both with
 real worker processes and real forked library instances, including a
 resident-instance crash while a call is in flight.
 """
@@ -40,14 +40,19 @@ def test_library_deploy_invoke_harvest(cluster):
     assert calls[5].output() == "run-7"
     # every call produced a completion event in the transaction log
     assert len(list(m.log.events("task_end"))) >= len(calls)
+    # and reported how long the invocation took at the worker
+    invoke = m.metrics.snapshot()["library.invoke_seconds"]
+    assert invoke["count"] == len(calls) and invoke["sum"] > 0
 
 
 def test_function_result_larger_than_io_chunk(cluster):
     """A multi-megabyte result rides the bulk path through the reactor.
 
-    The reply's ``task_done`` frame announces ``result_size`` and the
-    payload follows as raw bytes spanning several reactor reads — this
-    is the mid-stream frame→bulk→frame switch.
+    The envelope stays in the worker's cache; the manager pulls it back
+    for this value-mode call with ``send_back``, and the ``file_data``
+    reply announces ``size`` with the payload following as raw bytes
+    spanning several reactor reads — this is the mid-stream
+    frame→bulk→frame switch.
     """
     m = cluster.manager
 

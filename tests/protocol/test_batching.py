@@ -139,15 +139,15 @@ def test_send_with_payload_keeps_bulk_contiguous(conn_pair):
     client, server = conn_pair
     sender = BatchSender(client, max_batch=1000, max_delay=30.0)
     sender.notice(_notice(0))
-    blob = b"result-bytes"
+    blob = b"object-bytes"
     sender.send(
-        {"type": M.TASK_DONE, "task_id": "t", "exit_code": 0,
-         "result_size": len(blob)},
+        {"type": M.FILE_DATA, "cache_name": "x", "found": True,
+         "size": len(blob)},
         blob,
     )
     assert server.recv_message() == _notice(0)  # flushed ahead, bare
     msg = server.recv_message()
-    assert server.recv_bytes(msg["result_size"]) == blob
+    assert server.recv_bytes(msg["size"]) == blob
     sender.close()
 
 

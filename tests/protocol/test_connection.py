@@ -282,6 +282,17 @@ def test_validate_reports_missing_fields():
         validate({"type": M.PUT_FILE, "size": 1, "level": 1})
 
 
+def test_validate_rejects_task_done_with_result_rider():
+    """Results travel by reference: a stale worker announcing trailing
+    result bytes is refused by name before it can desynchronise framing
+    (even a zero-length announcement marks a stale peer)."""
+    done = {"type": M.TASK_DONE, "task_id": "t1", "exit_code": 0}
+    assert validate(done) == M.TASK_DONE
+    for size in (8, 0):
+        with pytest.raises(WireError, match="result_size"):
+            validate({**done, "result_size": size})
+
+
 def test_all_schema_types_validate_with_required_fields():
     from repro.protocol.messages import _SCHEMA
 

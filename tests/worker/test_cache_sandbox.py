@@ -1,6 +1,7 @@
 """Tests for the worker cache, sandboxes, and the task executor."""
 
 import os
+import time
 
 import pytest
 
@@ -207,11 +208,15 @@ def test_run_command_cwd_is_sandbox(tmp_path):
 
 
 def test_run_command_timeout_kills(tmp_path):
+    """The timeout kills the task's whole process group: a descendant of
+    the shell must not keep the output pipe (and the caller) waiting."""
+    started = time.monotonic()
     out = run_command(
-        "sleep 30", str(tmp_path), {}, Resources(cores=1), timeout=0.3
+        "sleep 30; true", str(tmp_path), {}, Resources(cores=1), timeout=0.3
     )
     assert out.exit_code == -9
     assert "wall_time" in out.exceeded
+    assert time.monotonic() - started < 5
 
 
 def test_run_command_disk_exceeded(tmp_path):

@@ -42,8 +42,6 @@ class FakeManager:
                 payload = None
                 if msg.get("type") == M.FILE_DATA and msg.get("found"):
                     payload = self.conn.recv_bytes(int(msg["size"]))
-                elif msg.get("type") == M.TASK_DONE and msg.get("result_size"):
-                    payload = self.conn.recv_bytes(int(msg["result_size"]))
                 with self._lock:
                     self.messages.append((msg, payload))
         except Exception:
