@@ -348,6 +348,11 @@ class ControlPlane:
 
         self.tasks: dict[str, Task] = {}
         self._ready = ReadyQueue()
+        #: parked READY tasks (off the ready heap, see ``_pump_body``):
+        #: task id -> the missing inputs it still waits for, and the
+        #: reverse index cache name -> ids of the tasks waiting for it
+        self._awaiting: dict[str, set[str]] = {}
+        self._parked_on: dict[str, set[str]] = {}
         #: per-manager task id/sequence counter: two managers in one
         #: process issue identical ``t1, t2, …`` streams (chaos replay)
         self._task_seq = itertools.count(1)
@@ -412,6 +417,7 @@ class ControlPlane:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_pump = self.metrics.histogram("pump.latency_seconds")
         self._m_ready_depth = self.metrics.gauge("queue.ready_depth")
+        self._m_parked = self.metrics.gauge("queue.parked")
         self._m_transfers_open = self.metrics.gauge("transfers.in_flight")
         self._m_staging_open = self.metrics.gauge("staging.in_flight")
         self._m_cache_hits = self.metrics.counter("cache.hits")
@@ -510,6 +516,7 @@ class ControlPlane:
         self.replicas.add_replica(cache_name, worker_id, size)
         self.sizes.setdefault(cache_name, size)
         self.fixed_sources.setdefault(cache_name, NO_SOURCE)
+        self._input_appeared(cache_name)
         j = self._j()
         if j is not None:
             j.record_replica(worker_id, cache_name, size)
@@ -830,6 +837,7 @@ class ControlPlane:
         if task.is_done or task.task_id not in self.tasks:
             return False
         if task.state == TaskState.READY:
+            self._unpark(task.task_id)
             self._ready.discard(task)
             self._gc_task_inputs(task)
         elif task.state in (TaskState.DISPATCHED, TaskState.RUNNING):
@@ -844,6 +852,7 @@ class ControlPlane:
             self._gc_task_inputs(task)
         task.state = TaskState.CANCELLED
         task.result = TaskResult(exit_code=-1, failure="cancelled")
+        self._wake_consumers(task)
         self.outstanding -= 1
         acct = self.tenant_account(task.tenant)
         acct.outstanding -= 1
@@ -1005,6 +1014,7 @@ class ControlPlane:
         ):
             ok = True  # the function's exception is delivered through output()
         task.state = TaskState.DONE if ok else TaskState.FAILED
+        self._unpark(task.task_id)
         self._ready.discard(task)
         self._dispatched.pop(task.task_id, None)
         self._drop_stage_index(task)
@@ -1036,6 +1046,7 @@ class ControlPlane:
             if f.cache_name:
                 acct.names.add(f.cache_name)
         self._sync_tenant(acct)
+        self._wake_consumers(task)
         j = self._j()
         if j is not None:
             if task.state == TaskState.DONE:
@@ -1115,6 +1126,47 @@ class ControlPlane:
                 if not tids:
                     del self._dispatched_by_input[name]
 
+    # -- parked ready tasks ---------------------------------------------
+
+    def _park(self, entry: tuple, waiting: list[str]) -> None:
+        """Take a READY task off the heap until its ``waiting`` inputs
+        appear; until then no pump looks at it."""
+        tid = entry[3].task_id
+        self._ready.park(entry)
+        self._awaiting[tid] = set(waiting)
+        for name in waiting:
+            self._parked_on.setdefault(name, set()).add(tid)
+
+    def _unpark(self, task_id: str) -> None:
+        """Forget a parked task's waits and put it back on the heap
+        where it stood (a no-op for a task that is not parked); the
+        next pump judges it afresh — place, park again, or fail."""
+        for name in self._awaiting.pop(task_id, ()):
+            waiters = self._parked_on[name]
+            waiters.discard(task_id)
+            if not waiters:
+                del self._parked_on[name]
+        self._ready.unpark(task_id)
+
+    def _input_appeared(self, cache_name: str) -> None:
+        """A replica of ``cache_name`` exists: tasks parked on it wake
+        once it was the last input they were waiting for."""
+        for tid in self._parked_on.pop(cache_name, ()):
+            names = self._awaiting[tid]
+            names.discard(cache_name)
+            if not names:
+                self._unpark(tid)
+
+    def _wake_consumers(self, task: Task) -> None:
+        """``task`` reached a terminal state: whoever is parked on an
+        output it did not leave behind has nothing to wait for, and the
+        pump must decide between regeneration and failure."""
+        for _, f in task.outputs:
+            name = f.cache_name
+            if name and self.replicas.replica_count(name) == 0:
+                for tid in list(self._parked_on.get(name, ())):
+                    self._unpark(tid)
+
     def fail_tasks_needing(self, cache_name: str, reason: str) -> None:
         """Terminally fail every queued/staged task that needs a dead input."""
         doomed = [
@@ -1167,6 +1219,7 @@ class ControlPlane:
         if j is not None:
             j.record_replica(worker_id, cache_name, size)
         self._mark_stage_dirty(cache_name)
+        self._input_appeared(cache_name)
         for job in self._staging:
             if job.worker_id == worker_id and not job.started:
                 self._advance_staging(job)
@@ -2115,9 +2168,10 @@ class ControlPlane:
             self._m_pump.observe(elapsed)
             self._m_pump_us.observe(elapsed * 1e6)
             self._m_ready_depth.set(len(self._ready))
+            self._m_parked.set(self._ready.parked)
 
     def _pump_body(self) -> None:
-        # 0. memo hits parked at submit complete now, after the submit
+        # 0. memo hits deferred at submit complete now, after the submit
         # path (and the service layer's bookkeeping around it) unwound
         self._drain_memo_complete()
 
@@ -2168,9 +2222,13 @@ class ControlPlane:
                     continue
                 if not self._inputs_obtainable(task):
                     before = len(self._ready)
-                    self._recover_lost_inputs(task)
+                    waiting = self._recover_lost_inputs(task)
                     recovered |= len(self._ready) > before
-                    stash.append(entry)
+                    if task.state == TaskState.READY:
+                        # every missing input now has a live producer:
+                        # no pump can place the task before they all
+                        # deliver or one ends, so it costs none until then
+                        self._park(entry, waiting)
                     continue
                 key = task.library_name if isinstance(task, FunctionCall) else None
                 wid = self.scheduler.choose_worker_indexed(task, get_index(key))
@@ -2242,27 +2300,36 @@ class ControlPlane:
                 return False
         return True
 
-    def _recover_lost_inputs(self, task: Task) -> None:
+    def _recover_lost_inputs(self, task: Task) -> list[str]:
         """Resurrect producers of temp inputs with no surviving replica.
 
         ``worker_left`` regenerates temps that were referenced at loss
         time, but a task submitted (or made ready) afterwards can still
         name a temp whose replicas are all gone — the pump re-triggers
         lineage for those here.  ``_regenerate`` is a no-op while the
-        producer is already queued or running, so repeated pumps don't
-        compound retries.  When lineage is exhausted (producer's retry
-        budget spent, or no producer known) the consumers are failed
-        terminally instead of looping forever.
+        producer is already queued or running.  When lineage is
+        exhausted (producer's retry budget spent, or no producer known)
+        the consumers — ``task`` among them — are failed terminally
+        instead of looping forever.
+
+        Returns the missing inputs that now have a live producer: the
+        names a still-READY ``task`` is parked on until all of them
+        appeared (:meth:`_input_appeared`) or a producer ended without
+        leaving its output (:meth:`_wake_consumers`).
         """
+        waiting = []
         for name in task.input_cache_names():
             if (
                 self.replicas.replica_count(name) == 0
                 and self.fixed_sources.get(name, MANAGER_SOURCE) == NO_SOURCE
             ):
-                if not self._regenerate(name):
+                if self._regenerate(name):
+                    waiting.append(name)
+                else:
                     self.fail_tasks_needing(
                         name, "lineage exhausted: cannot regenerate"
                     )
+        return waiting
 
     def _dispatch(self, task: Task, worker_id: str) -> None:
         state = self.workers[worker_id]

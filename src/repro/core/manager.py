@@ -20,6 +20,12 @@ sender thread per worker so large object pushes never stall the lock.
 Application threads interact through the public API
 (declare/submit/wait/fetch) which takes the same lock, so the manager
 is safe to drive from ordinary sequential application code.
+
+The reactor is also the only thread that runs the scheduling pump: it
+pumps once at the end of each event sweep, and a pump requested from
+any other thread (``submit``, ``cancel``, ``drain_worker``, the reaper,
+backoff timers) is *posted* to it — a flag plus one byte on the wake
+pipe — rather than run on the caller (:meth:`Manager.request_pump`).
 """
 
 from __future__ import annotations
@@ -1038,13 +1044,16 @@ class Manager:
         self._m_batch_fill = m.histogram("net.batch_fill")
         self._m_loop = m.histogram("net.reactor_loop_seconds")
 
-        # pump coalescing while a batch envelope unwraps (under _lock)
-        self._defer_pump = False
+        #: a pump is owed: the reactor runs it at the end of its sweep.
+        #: Set by request_pump from any thread (under _lock); while it is
+        #: True a wake byte is in the pipe or the reactor is mid sweep
         self._pump_wanted = False
-        #: set around a whole reactor event sweep so one pump
-        #: absorbs every message of the sweep (written/read only by the
-        #: reactor thread; request_pump checks thread identity)
+        #: set around a whole reactor event sweep so the frames it (and
+        #: its closing pump) generates leave as one write per worker
+        #: (written/read only by the reactor thread)
         self._reactor_defer = False
+        #: None until the reactor starts: journal restore pumps inline
+        self._reactor_thread: Optional[threading.Thread] = None
         #: live schedule_pump timers, cancelled at close
         self._timers: set[threading.Timer] = set()
         self._closing = threading.Event()
@@ -1066,6 +1075,9 @@ class Manager:
         # self-pipe: lets close() interrupt a pending select()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
+        # wakers hold _lock, which the reactor needs before it can drain
+        # the pipe: a full pipe must never block them
+        self._wake_w.setblocking(False)
         self._sel.register(self._listener, selectors.EVENT_READ, "accept")
         self._sel.register(self._wake_r, selectors.EVENT_READ, "wake")
         self._reactor_thread = threading.Thread(
@@ -1109,18 +1121,27 @@ class Manager:
         return handle is not None and handle.alive
 
     def request_pump(self) -> None:
-        # callers already hold the state lock; pump synchronously — but
-        # while a batch envelope unwraps, or while the reactor is mid
-        # event sweep, coalesce to one pump at the end (the main
-        # throughput lever of the event-driven path: K completions in a
-        # sweep cost one scheduling pass, not K)
-        if self._defer_pump or (
-            self._reactor_defer
-            and threading.current_thread() is self._reactor_thread
-        ):
-            self._pump_wanted = True
+        """Ask for a scheduling pass (callers hold the state lock).
+
+        The reactor is the one pumping thread: it pumps once at the end
+        of each event sweep, so K completions in a sweep — or K submits
+        from an application thread while it sleeps or sweeps — cost one
+        scheduling pass, not K, and the commands that pass issues leave
+        as one write per worker.  A request only raises the flag and,
+        when it comes from another thread, wakes the reactor; the wake
+        is sent on the False→True edge alone, so a burst costs one byte.
+        Only before the reactor runs (journal restore) or after it
+        stopped is there nobody to post to, and the pump runs here.
+        """
+        reactor = self._reactor_thread
+        if reactor is None or not reactor.is_alive():
+            self.control.pump()
             return
-        self.control.pump()
+        if self._pump_wanted:
+            return
+        self._pump_wanted = True
+        if threading.current_thread() is not reactor:
+            self._wake_reactor()
 
     def schedule_pump(self, delay: float) -> None:
         """Wake the control plane after ``delay`` wall seconds.
@@ -1134,7 +1155,7 @@ class Manager:
             self._timers.discard(timer)
             with self._lock:
                 if not self.control.closed:
-                    self.control.pump()
+                    self.request_pump()
 
         timer = threading.Timer(max(0.0, delay), fire)
         timer.daemon = True
@@ -1518,6 +1539,10 @@ class Manager:
 
     def submit(self, task: Task) -> str:
         """Submit a task for execution; returns its id.
+
+        Returns once the task is validated, named and queued (``READY``);
+        placement happens on the reactor's next sweep, so a burst of
+        submits costs one scheduling pass rather than one each.
 
         Routes through the service's loopback session, so in-process
         submissions ride the same quota/accounting path as remote
@@ -2038,6 +2063,8 @@ class Manager:
         try:
             self._wake_w.send(b"\0")
         except OSError:
+            # BlockingIOError: the pipe is full, so a wake is already
+            # pending; anything else: the pipe closed with the manager
             pass
 
     def _reactor_loop(self) -> None:
@@ -2067,6 +2094,10 @@ class Manager:
                         self._pump_wanted = False
                         if not self.control.closed:
                             self.control.pump()
+                        if self._pump_wanted:
+                            # asked for by the pump itself (a requeue, a
+                            # memo completion): owed to the next sweep
+                            self._wake_reactor()
                     # hand each worker's sweep output to its sender as
                     # one write (pump included: defer flag still set)
                     for handle in self.workers.values():
@@ -2234,22 +2265,12 @@ class Manager:
         self, handle: _WorkerHandle, mtype: str, msg: dict, payload: Optional[bytes]
     ) -> None:
         if mtype == M.BATCH:
-            # coalesced payload-free notices (already schema-validated).
-            # Defer pumps until the whole envelope is applied: one pump
-            # absorbs all the state changes instead of one per notice.
+            # coalesced payload-free notices (already schema-validated);
+            # the sweep's single pump absorbs all their state changes
             subs = msg["messages"]
             self._m_batch_fill.observe(len(subs))
-            self._defer_pump = True
-            try:
-                for sub in subs:
-                    self._on_worker_message(handle, sub["type"], sub, None)
-            finally:
-                self._defer_pump = False
-            if self._pump_wanted:
-                self._pump_wanted = False
-                if not self.control.closed:
-                    # re-defers to the sweep's single pump
-                    self.request_pump()
+            for sub in subs:
+                self._on_worker_message(handle, sub["type"], sub, None)
             return
         self._m_messages_in.inc()
         if mtype == M.CACHE_UPDATE:

@@ -26,11 +26,15 @@ ranking every non-holder) at O(replicas-of-inputs + log W) per task.
 The full O(W·I) scan it is checked against, and the ``(-priority,
 seq)`` sort :class:`ReadyQueue` is checked against, live in
 ``tests/core/reference_scheduler.py`` as the equivalence suite's
-oracle.
+oracle.  Within one placement pass the index also remembers request
+shapes that fit no worker, so a full cluster is discovered once per
+pass, not once per queued task (:meth:`PlacementIndex.infeasible`).
 
 :class:`ReadyQueue` is a lazy-deletion priority heap keyed on
 ``(-priority, seq)`` — ``seq`` being the monotonic submission sequence
-a manager stamps on each task.
+a manager stamps on each task.  Tasks that cannot be placed until an
+event arrives can be *parked*: still queued for every observer, but off
+the heap the pump iterates.
 """
 
 from __future__ import annotations
@@ -125,6 +129,15 @@ class ReadyQueue:
     recursive re-pump, preserving the pre-heap "iterate over a sorted
     snapshot" semantics decision-for-decision.
 
+    **Parking.**  A yielded entry the pump cannot act on until an event
+    arrives (an input whose producer has not finished yet) is handed to
+    :meth:`park` instead of :meth:`restore`: the task stays live — it
+    still counts in ``len()``, :meth:`tasks` and
+    :meth:`queued_by_tenant`, and :meth:`discard` still removes it — but
+    it is off the heap, so pumps neither yield nor re-examine it.
+    :meth:`unpark` re-pushes the *same* entry (same ``(-priority, seq,
+    token)``), so the task resumes exactly the place it held.
+
     **Fair share.**  Tasks are bucketed by ``task.tenant`` into one heap
     per tenant, and :meth:`pop_entries` deals one entry per tenant per
     round (deficit round robin with a quantum of one task), resuming
@@ -145,6 +158,8 @@ class ReadyQueue:
         #: the task reference here keeps :meth:`tasks` complete even
         #: while a pump holds popped entries in its local stash.
         self._live: dict[str, tuple[int, Task]] = {}
+        #: task_id -> entry held off the heap until :meth:`unpark`
+        self._parked: dict[str, tuple[float, int, int, Task]] = {}
         self._next_token = 1
 
     def __len__(self) -> int:
@@ -170,6 +185,7 @@ class ReadyQueue:
         token = self._next_token
         self._next_token += 1
         self._live[task.task_id] = (token, task)
+        self._parked.pop(task.task_id, None)  # superseded like a heap entry
         tenant = self._tenant_of(task)
         heap = self._heaps.get(tenant)
         if heap is None:
@@ -180,6 +196,7 @@ class ReadyQueue:
     def discard(self, task: Task) -> None:
         """Drop a task if queued; its heap entry dies lazily."""
         self._live.pop(task.task_id, None)
+        self._parked.pop(task.task_id, None)
 
     def tasks(self) -> list[Task]:
         """Every live queued task (order unspecified)."""
@@ -249,6 +266,24 @@ class ReadyQueue:
         if live is not None and live[0] == token:
             heapq.heappush(self._heaps[self._tenant_of(task)], entry)
 
+    @property
+    def parked(self) -> int:
+        """Live tasks currently held off the heap."""
+        return len(self._parked)
+
+    def park(self, entry: tuple[float, int, int, Task]) -> None:
+        """Hold a yielded entry off the heap until :meth:`unpark`."""
+        _, _, token, task = entry
+        live = self._live.get(task.task_id)
+        if live is not None and live[0] == token:
+            self._parked[task.task_id] = entry
+
+    def unpark(self, task_id: str) -> None:
+        """Return a parked task's entry to the heap (no-op if not parked)."""
+        entry = self._parked.pop(task_id, None)
+        if entry is not None:
+            heapq.heappush(self._heaps[self._tenant_of(entry[3])], entry)
+
 
 class PlacementIndex:
     """Per-pump worker views plus a load heap for fallback placement.
@@ -259,6 +294,15 @@ class PlacementIndex:
     dispatch changes a worker's load; staleness is detected lazily on
     pop by comparing against the live view, so updates are O(log W)
     pushes and queries are amortized O(log W).
+
+    **Infeasible shapes.**  When :meth:`best_fallback` walks the whole
+    heap and finds no view that fits a request, the request's shape is
+    recorded, and :meth:`infeasible` answers every later request that is
+    componentwise ≥ a recorded shape without touching the heap.  The
+    invariant is "no view of this index fits a recorded shape": a bigger
+    request cannot fit where a smaller one does not, and :meth:`update`
+    drops any shape the refreshed view fits, so the answer is exact —
+    not a heuristic — for as long as the index lives (one pump).
     """
 
     def __init__(
@@ -272,6 +316,8 @@ class PlacementIndex:
             (self._fs(wid), v.running_tasks, wid) for wid, v in views.items()
         ]
         heapq.heapify(self._heap)
+        #: minimal request shapes no view fits (see class docstring)
+        self._infeasible: list[Resources] = []
 
     def update(self, worker_id: str, view: Optional[WorkerView]) -> None:
         """Refresh one worker after a dispatch (None = now ineligible)."""
@@ -279,6 +325,10 @@ class PlacementIndex:
             self.views.pop(worker_id, None)
             return
         self.views[worker_id] = view
+        if self._infeasible and not view.draining:
+            self._infeasible = [
+                s for s in self._infeasible if not view.can_fit(s)
+            ]
         heapq.heappush(
             self._heap, (self._fs(worker_id), view.running_tasks, worker_id)
         )
@@ -305,7 +355,21 @@ class PlacementIndex:
             stash.append(heapq.heappop(heap))
         for entry in stash:
             heapq.heappush(heap, entry)
+        if found is None:
+            # every live view was examined and none fits: remember the
+            # shape (dropping recorded ones it makes redundant)
+            self._infeasible = [
+                s for s in self._infeasible if not request.fits_within(s)
+            ]
+            self._infeasible.append(request)
         return found
+
+    def infeasible(self, request: Resources) -> bool:
+        """True when ``request`` is known to fit no view of this index."""
+        for shape in self._infeasible:
+            if shape.fits_within(request):  # request ≥ shape everywhere
+                return True
+        return False
 
 
 class Scheduler:
@@ -356,7 +420,14 @@ class Scheduler:
         minimum as the full scan.  (If the heap minimum happens to also
         be a candidate, its candidate key is ≤ its zero-score key, so
         the comparison is still exact.)
+
+        A request the index already knows fits no view
+        (:meth:`PlacementIndex.infeasible`) returns None before any
+        scoring: locality candidates are looked up in the index's own
+        views, so if no view fits, no candidate does either.
         """
+        if index.infeasible(task.resources):
+            return None
         failure_score = self.failure_score or (lambda _w: 0)
         best_key: Optional[tuple] = None
         best: Optional[str] = None

@@ -33,6 +33,7 @@ __all__ = [
     "LogStatus",
     "replay_status",
     "format_log_status",
+    "format_queue_line",
     "format_tenant_table",
     "main",
 ]
@@ -331,6 +332,24 @@ def format_tenant_table(metrics: dict) -> str:
     return "\n".join(lines)
 
 
+def format_queue_line(metrics: dict) -> str:
+    """Why the queued tasks are queued: no capacity, or no inputs yet.
+
+    ``queue.ready_depth`` counts every READY task; ``queue.parked`` is
+    the part of it whose inputs are still being produced — adding
+    workers drains the rest, never those.  "" without a ready gauge.
+    """
+    depth = metrics.get("queue.ready_depth")
+    if depth is None:
+        return ""
+    ready = int(depth.get("value", 0))
+    parked = int(metrics.get("queue.parked", {}).get("value", 0))
+    return (
+        f"queue: {ready} ready = {ready - parked} waiting for capacity + "
+        f"{parked} parked on inputs not produced yet"
+    )
+
+
 def _format_metrics(path: str) -> str:
     try:
         with open(path) as f:
@@ -338,6 +357,9 @@ def _format_metrics(path: str) -> str:
     except (OSError, json.JSONDecodeError) as exc:
         return f"(metrics unreadable: {exc})"
     lines = []
+    queue_line = format_queue_line(payload.get("metrics", {}))
+    if queue_line:
+        lines.append(queue_line)
     tenant_table = format_tenant_table(payload.get("metrics", {}))
     if tenant_table:
         lines.append(tenant_table)

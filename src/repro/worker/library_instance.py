@@ -13,11 +13,18 @@ instance deserializes the function table once (the expensive
 initialization the model amortizes), then forks one short-lived
 process per invocation, with results flowing back over a shared queue.
 Multiple invocations run concurrently up to ``function_slots``.
+
+The instance leads a process group of its own, which its invocation
+forks inherit: the worker kills the group when it stops the instance or
+finds it dead mid-call, and the instance kills it itself when its worker
+disappears, so user code never runs on with nothing supervising it.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import signal
 import threading
 import time
 import traceback
@@ -104,6 +111,10 @@ def _instance_main(
     Loads the function table once, announces readiness, then forks a
     child per invocation message until told to stop.
     """
+    # own process group, like a task's (executor.py): the worker can
+    # kill the invocation forks together with — or after — the instance
+    os.setsid()
+    worker = os.getppid()
     try:
         functions: dict[str, Callable] = ser.loads_portable(payload)
         _invoke_child._cache = functions  # type: ignore[attr-defined]
@@ -113,6 +124,14 @@ def _instance_main(
         return
     while True:
         try:
+            if not conn.poll(1.0):
+                if os.getppid() != worker:
+                    # the worker died without a stop (killed): no EOF
+                    # arrives — the forks hold the pipe open — and, in
+                    # its own group, nothing that reaps the worker's
+                    # group would reach this process or its forks
+                    os.killpg(0, signal.SIGKILL)
+                continue
             msg = conn.recv()
         except (EOFError, OSError):
             break
@@ -240,6 +259,7 @@ class LibraryInstanceHandle:
                 with self._lock:
                     self._waiters.pop(invocation_id, None)
                     self._in_flight = max(0, self._in_flight - 1)
+                self._kill_group()
                 raise LibraryError(
                     f"library {self.name!r} instance died before invocation "
                     f"{invocation_id} returned"
@@ -283,10 +303,23 @@ class LibraryInstanceHandle:
         if self._proc.is_alive():
             self._proc.terminate()
             self._proc.join(timeout=2)
+        self._kill_group()
         try:
             self._results.put((None, b""))
         except (OSError, ValueError):
             pass
+
+    def _kill_group(self) -> None:
+        """Kill what is left of the instance's process group.
+
+        Invocation forks outlive a dead instance: re-parented to init
+        they would run user code to its end with nothing supervising
+        them, holding every descriptor they inherited from the worker.
+        """
+        try:
+            os.killpg(self._proc.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
+            pass  # the group is already empty (or never formed)
 
 
 def build_payload(functions: dict[str, Callable]) -> bytes:

@@ -431,3 +431,216 @@ def test_library_deploy_retries_when_capacity_frees():
     assert port.launched == [("lib", "wA")]
     control.on_library_ready("wA", "lib")
     assert control.libraries["lib"].state["wA"] == "ready"
+
+
+# -- parking: READY tasks whose inputs are still being produced --------
+
+
+def _temp(control, name):
+    f = TempFile()
+    f.cache_name = name
+    control.declare(f, NO_SOURCE, 0)
+    return f
+
+
+def _count_recoveries(control):
+    """Wrap ``_recover_lost_inputs`` to count how often the pump asks."""
+    calls = []
+    inner = control._recover_lost_inputs
+
+    def counted(task):
+        calls.append(task.task_id)
+        return inner(task)
+
+    control._recover_lost_inputs = counted
+    return calls
+
+
+def _parked_pair(control, port):
+    """A running producer and the consumer parked on its output."""
+    mid = _temp(control, "mid")
+    producer = Task("make").add_output(mid, "out")
+    consumer = Task("use").add_input(mid, "in")
+    control.submit(producer)
+    control.submit(consumer)
+    control.pump()
+    assert producer.state == TaskState.RUNNING
+    assert consumer.state == TaskState.READY
+    assert control._ready.parked == 1
+    return producer, consumer
+
+
+def test_parked_task_costs_no_pump_until_its_input_appears():
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    calls = _count_recoveries(control)
+    producer, consumer = _parked_pair(control, port)
+    assert calls == [consumer.task_id]
+    # still queued as far as every observer is concerned ...
+    assert control.ready_depth == 1
+    assert consumer in control._ready.tasks()
+    assert control._ready.queued_by_tenant() == {"default": 1}
+    assert not control.idle()
+    # ... but pumps no longer look at it
+    for _ in range(5):
+        control.pump()
+    assert calls == [consumer.task_id]
+    snap = control.metrics.snapshot()
+    assert snap["queue.parked"]["value"] == 1
+    assert snap["queue.ready_depth"]["value"] == 1
+    # the replica's arrival wakes it; the ordinary path then places it
+    finish(port, control, producer)
+    assert control._ready.parked == 0
+    control.pump()
+    assert consumer.state == TaskState.RUNNING
+    assert calls == [consumer.task_id]
+    assert control.metrics.snapshot()["queue.parked"]["value"] == 0
+
+
+def test_parked_task_keeps_its_place_in_the_queue():
+    port, control = make_control()
+    add_worker(port, control, "wA", cores=1)
+    producer, consumer = _parked_pair(control, port)
+    later = Task("independent, submitted after the consumer")
+    control.submit(later)
+    finish(port, control, producer)
+    control.pump()
+    # one core: the woken consumer (older seq) goes first
+    assert consumer.state == TaskState.RUNNING
+    assert later.state == TaskState.READY
+
+
+def test_parked_task_fails_when_its_producer_fails():
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    producer, consumer = _parked_pair(control, port)
+    finish(port, control, producer, exit_code=1, register_outputs=False)
+    assert producer.state == TaskState.FAILED
+    assert control._ready.parked == 0  # woken by the terminal state
+    control.pump()
+    assert consumer.state == TaskState.FAILED
+    assert "lineage exhausted" in consumer.result.failure
+
+
+def test_parked_task_fails_when_its_producer_is_cancelled():
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    producer, consumer = _parked_pair(control, port)
+    assert control.cancel(producer)
+    control.pump()
+    assert consumer.state == TaskState.FAILED
+    assert "lineage exhausted" in consumer.result.failure
+
+
+def test_cancelled_parked_task_is_not_resurrected_by_a_wake():
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    producer, consumer = _parked_pair(control, port)
+    assert control.cancel(consumer)
+    assert control._ready.parked == 0 and control.ready_depth == 0
+    finish(port, control, producer)  # wakes "mid": nobody is waiting
+    control.pump()
+    assert consumer.state == TaskState.CANCELLED
+    assert consumer not in port.started
+    assert control.idle()
+
+
+def test_holder_lost_while_consumer_parked_on_another_input():
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    add_worker(port, control, "wB")
+    first = _temp(control, "first")
+    second = _temp(control, "second")
+    p1 = Task("make first").add_output(first, "out")
+    control.submit(p1)
+    control.pump()
+    finish(port, control, p1)
+    p2 = Task("make second").add_output(second, "out")
+    consumer = Task("use both").add_input(first, "a").add_input(second, "b")
+    control.submit(p2)
+    control.submit(consumer)
+    control.pump()
+    assert control._ready.parked == 1  # waiting on "second" only
+    # the only holder of "first" dies (p2 runs elsewhere or is requeued)
+    lost = p1.worker_id
+    port.connected.discard(lost)
+    control.worker_left(lost)
+    assert p1.state == TaskState.READY  # regenerating "first"
+    control.pump()
+    if p2.state != TaskState.RUNNING:
+        control.pump()
+    finish(port, control, p2)
+    # woken by "second", found "first" missing, parked on it instead
+    control.pump()
+    assert consumer.state == TaskState.READY and control._ready.parked == 1
+    finish(port, control, p1)
+    control.pump()
+    assert consumer.state == TaskState.RUNNING
+    finish(port, control, consumer)
+    assert consumer.state == TaskState.DONE
+
+
+def test_a_tenant_that_is_all_parked_takes_no_turns():
+    port, control = make_control()
+    add_worker(port, control, "wA", cores=2)
+    mid = _temp(control, "mid")
+    producer = Task("make").add_output(mid, "out").set_tenant("a")
+    waiting = [
+        Task(f"use {i}").add_input(mid, "in").set_tenant("a") for i in range(3)
+    ]
+    control.submit(producer)
+    for t in waiting:
+        control.submit(t)
+    control.pump()
+    assert control._ready.parked == 3
+    calls = _count_recoveries(control)
+    yielded = []
+    inner = control._ready.pop_entries
+
+    def recording(upto):
+        for entry in inner(upto):
+            yielded.append(entry[3].task_id)
+            yield entry
+
+    control._ready.pop_entries = recording
+    others = [Task(f"b{i}").set_tenant("b") for i in range(3)]
+    for t in others:
+        control.submit(t)
+    control.pump()  # one core left: b0 runs, b1 and b2 wait for capacity
+    assert others[0].state == TaskState.RUNNING
+    finish(port, control, others[0])
+    control.pump()
+    assert others[1].state == TaskState.RUNNING
+    # only tenant b was ever dealt a turn, and nobody re-examined a's
+    assert set(yielded) == {t.task_id for t in others}
+    assert calls == []
+    # a's tasks rejoin the round robin the moment their input exists
+    finish(port, control, others[1])
+    finish(port, control, producer)
+    control.pump()
+    assert waiting[0].state == TaskState.RUNNING
+    assert others[2].state == TaskState.RUNNING
+
+
+def test_journal_restart_requeues_parked_tasks(tmp_path):
+    from repro.core.journal import ControlPlaneJournal
+
+    port, control = make_control(journal=ControlPlaneJournal(str(tmp_path)))
+    add_worker(port, control, "wA")
+    _parked_pair(control, port)
+    control.journal.close()  # the manager dies; parking was never journaled
+
+    port2, control2 = make_control(journal=ControlPlaneJournal(str(tmp_path)))
+    assert control2.restore_from_journal()
+    restored = sorted(control2.tasks.values(), key=lambda t: t.seq)
+    producer, consumer = restored
+    assert [t.state for t in restored] == [TaskState.READY, TaskState.READY]
+    assert control2.ready_depth == 2 and control2._ready.parked == 0
+    add_worker(port2, control2, "wB")
+    control2.pump()
+    assert producer.state == TaskState.RUNNING
+    assert control2._ready.parked == 1
+    finish(port2, control2, producer)
+    control2.pump()
+    assert consumer.state == TaskState.RUNNING
+    control2.journal.close()

@@ -195,3 +195,35 @@ def test_queued_by_tenant_counts_live_entries():
     q.push(b)
     q.discard(b)
     assert q.queued_by_tenant() == {"alice": 2}
+
+
+def test_parked_entries_stay_live_but_are_not_dealt():
+    q = ReadyQueue()
+    tasks = [make_task(f"a{i}", i + 1, tenant="alice") for i in range(3)]
+    bob = make_task("b0", 9, tenant="bob")
+    for t in tasks + [bob]:
+        q.push(t)
+    for entry in list(q.pop_entries(q.snapshot_token)):
+        if entry[3].tenant == "alice":
+            q.park(entry)
+        else:
+            q.restore(entry)
+    # live for every observer, invisible to the deal
+    assert len(q) == 4 and q.parked == 3
+    assert q.queued_by_tenant() == {"alice": 3, "bob": 1}
+    assert {t.task_id for t in q.tasks()} == {"a0", "a1", "a2", "b0"}
+    entries = list(q.pop_entries(q.snapshot_token))
+    assert [e[3].task_id for e in entries] == ["b0"]
+    q.restore(entries[0])
+    # discard and supersede reach a parked entry; unpark of either is a no-op
+    q.discard(tasks[0])
+    q.push(tasks[2])
+    assert q.parked == 1 and len(q) == 3
+    q.unpark("a0")
+    q.unpark("a2")
+    # unpark re-deals the same entry: a1 (seq 2) ahead of re-pushed a2
+    q.unpark("a1")
+    assert q.parked == 0
+    got = [e[3].task_id for e in q.pop_entries(q.snapshot_token)]
+    assert [g for g in got if g.startswith("a")] == ["a1", "a2"]
+    assert sorted(got) == ["a1", "a2", "b0"]

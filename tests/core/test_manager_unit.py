@@ -5,6 +5,8 @@ import pytest
 
 import os
 import queue
+import socket
+import threading
 import time
 
 from repro.core.files import CacheLevel
@@ -204,6 +206,27 @@ def test_run_until_done_times_out_without_workers(manager):
     manager.submit(Task("cmd"))
     with pytest.raises(ManagerError, match="did not finish"):
         manager.run_until_done(timeout=0.3)
+
+
+def test_wake_reactor_never_blocks_on_a_full_pipe(manager):
+    """Wakers hold the state lock the reactor needs before it can drain
+    the wake pipe, so a full pipe must read as "a wake is pending"."""
+    with manager._lock:  # the reactor stalls at the end of its sweep
+        try:
+            while True:
+                manager._wake_w.send(b"\0" * 65536, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            pass
+        waker = threading.Thread(target=manager._wake_reactor, daemon=True)
+        waker.start()
+        waker.join(timeout=2.0)
+        assert not waker.is_alive()
+    # the pending wakes still serve their purpose once the lock is free
+    manager.submit(Task("cmd"))
+    deadline = time.monotonic() + 5.0
+    while manager._pump_wanted and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not manager._pump_wanted
 
 
 # -- client-session hygiene (service mode) ---------------------------

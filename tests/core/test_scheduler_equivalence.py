@@ -39,6 +39,49 @@ MB = 1_000_000
 worker_ids = [f"w{i}" for i in range(6)]
 file_names = [f"file-{i}" for i in range(8)]
 
+CAPACITY = Resources(cores=8, memory=1000, disk=1000, gpus=2)
+
+#: mixed request shapes — zero and fractional cores, and every other
+#: dimension non-zero somewhere — so a shape that fits nowhere can sit
+#: beside one that still does, componentwise-incomparable ones included
+request_shapes = st.builds(
+    Resources,
+    cores=st.sampled_from([0, 0.5, 1, 2, 4, 8]),
+    memory=st.sampled_from([0, 100, 400, 1000]),
+    disk=st.sampled_from([0, 200, 800]),
+    gpus=st.sampled_from([0, 0, 1, 2]),
+)
+
+#: what a worker already has allocated (any dimension may be exhausted)
+allocations = st.builds(
+    Resources,
+    cores=st.sampled_from([0, 1, 4, 6, 7.5, 8]),
+    memory=st.sampled_from([0, 300, 900, 1000]),
+    disk=st.sampled_from([0, 500, 1000]),
+    gpus=st.sampled_from([0, 1, 2]),
+)
+
+
+def _draw_view(draw, wid, draining=False):
+    allocated = draw(allocations)
+    return WorkerView(
+        worker_id=wid,
+        capacity=CAPACITY,
+        allocated=allocated,
+        running_tasks=draw(st.integers(0, 8)),
+        draining=draining,
+    )
+
+
+def _draw_task(draw, names):
+    task = Task("cmd")
+    for i, name in enumerate(names):
+        f = BufferFile(b"x")
+        f.cache_name = name
+        task.inputs.append((f"in{i}", f))
+    task.resources = draw(request_shapes)
+    return task
+
 
 @st.composite
 def cluster_state(draw):
@@ -61,24 +104,14 @@ def cluster_state(draw):
     for name, dest in pairs:
         source = draw(st.sampled_from(worker_ids + [MANAGER_SOURCE]))
         transfers.begin(name, source, dest, size=1)
-    task = Task("cmd")
-    for i, name in enumerate(draw(st.lists(st.sampled_from(file_names), max_size=5))):
-        f = BufferFile(b"x")
-        f.cache_name = name
-        task.inputs.append((f"in{i}", f))
-    task.resources = Resources(cores=draw(st.integers(1, 8)))
+    task = _draw_task(
+        draw, draw(st.lists(st.sampled_from(file_names), max_size=5))
+    )
     views = {}
     for wid in worker_ids:
         if draw(st.booleans()):
             continue  # worker absent
-        allocated = draw(st.integers(0, 8))
-        views[wid] = WorkerView(
-            worker_id=wid,
-            capacity=Resources(cores=8, memory=1000, disk=1000),
-            allocated=Resources(cores=allocated),
-            running_tasks=allocated,
-            draining=draw(st.booleans()),
-        )
+        views[wid] = _draw_view(draw, wid, draining=draw(st.booleans()))
     sched = Scheduler(replicas, transfers, locality=draw(st.booleans()))
     if draw(st.booleans()):
         scores = {w: draw(st.integers(0, 3)) for w in worker_ids}
@@ -107,18 +140,95 @@ def test_indexed_placement_matches_after_view_updates(state, data):
             views.pop(wid, None)
             index.update(wid, None)
         else:
-            allocated = data.draw(st.integers(0, 8))
-            v = WorkerView(
-                worker_id=wid,
-                capacity=Resources(cores=8, memory=1000, disk=1000),
-                allocated=Resources(cores=allocated),
-                running_tasks=allocated,
-            )
+            v = _draw_view(data.draw, wid)
             views[wid] = v
             index.update(wid, v)
         assert sched.choose_worker_indexed(task, index) == choose_worker(
             sched, task, views
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cluster_state(), st.data())
+def test_placement_pass_through_one_index_matches_reference_scan(state, data):
+    """A whole pass — many tasks of mixed shapes through ONE index, as
+    the pump runs it — decides every task like the full scan does.
+
+    This is the exactness claim of the infeasible-shape record: once a
+    shape found no fitting view, every request at least as large is
+    refused without a look, and that must never differ from scanning.
+    Between placements the pass also sees what a pump can see — a
+    dispatch consuming capacity — and what it cannot (capacity freed, a
+    worker leaving or joining), which the record must survive too.
+    """
+    sched, _task, views = state
+    index = PlacementIndex(dict(views), sched.failure_score)
+    for _ in range(data.draw(st.integers(2, 12))):
+        task = _draw_task(
+            data.draw,
+            data.draw(st.lists(st.sampled_from(file_names), max_size=4)),
+        )
+        expected = choose_worker(sched, task, views)
+        assert sched.choose_worker_indexed(task, index) == expected
+        if expected is not None:
+            before = views[expected]
+            views[expected] = WorkerView(
+                worker_id=expected,
+                capacity=before.capacity,
+                allocated=before.allocated + task.resources,
+                running_tasks=before.running_tasks + 1,
+            )
+            index.update(expected, views[expected])
+        event = data.draw(st.sampled_from(["none", "none", "free", "leave"]))
+        wid = data.draw(st.sampled_from(worker_ids))
+        if event == "free":
+            views[wid] = _draw_view(data.draw, wid)
+            index.update(wid, views[wid])
+        elif event == "leave":
+            views.pop(wid, None)
+            index.update(wid, None)
+
+
+def test_infeasible_shape_is_refused_without_a_scan_until_capacity_frees():
+    replicas = ReplicaTable()
+    replicas.add_replica("data", "w0", size=10)
+    sched = Scheduler(replicas, TransferTable())
+    full = Resources(cores=8, memory=1000)
+    views = {
+        w: WorkerView(worker_id=w, capacity=CAPACITY, allocated=full)
+        for w in ("w0", "w1")
+    }
+    index = PlacementIndex(dict(views))
+    walks = []
+    inner = index.best_fallback
+    index.best_fallback = lambda request: walks.append(request) or inner(request)
+
+    def task(**shape):
+        t = Task("cmd")
+        f = BufferFile(b"x")
+        f.cache_name = "data"
+        t.inputs.append(("in", f))
+        t.resources = Resources(**shape)
+        return t
+
+    assert sched.choose_worker_indexed(task(cores=1), index) is None
+    assert len(walks) == 1
+    # same shape, a bigger one, one bigger in another dimension: no walk
+    for shape in ({"cores": 1}, {"cores": 4}, {"cores": 1, "gpus": 1}):
+        assert sched.choose_worker_indexed(task(**shape), index) is None
+    assert len(walks) == 1
+    # a smaller or incomparable request is still looked at, and fits
+    assert sched.choose_worker_indexed(task(cores=0, gpus=1), index) == "w0"
+    assert len(walks) == 2
+    # capacity freed on one worker: the record must not outlive the fact
+    index.update(
+        "w1",
+        WorkerView(
+            worker_id="w1", capacity=CAPACITY, allocated=Resources(cores=6)
+        ),
+    )
+    assert sched.choose_worker_indexed(task(cores=2), index) == "w1"
+    assert sched.choose_worker_indexed(task(cores=4), index) is None
 
 
 def test_duplicate_input_names_score_like_reference():

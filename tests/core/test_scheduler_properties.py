@@ -42,18 +42,28 @@ def cluster_state(draw):
         f = BufferFile(b"x")
         f.cache_name = name
         task.inputs.append((f"in{i}", f))
-    cores = draw(st.integers(1, 8))
-    task.resources = Resources(cores=cores)
+    # mixed request shapes: zero and fractional cores, and memory, disk
+    # and gpus that can each be the dimension that does not fit
+    task.resources = Resources(
+        cores=draw(st.sampled_from([0, 0.5, 1, 2, 4, 8])),
+        memory=draw(st.sampled_from([0, 100, 400, 1000])),
+        disk=draw(st.sampled_from([0, 200, 800])),
+        gpus=draw(st.sampled_from([0, 0, 1, 2])),
+    )
     views = {}
     for wid in worker_ids:
         if draw(st.booleans()):
             continue  # worker absent
-        allocated = draw(st.integers(0, 8))
         views[wid] = WorkerView(
             worker_id=wid,
-            capacity=Resources(cores=8, memory=1000, disk=1000),
-            allocated=Resources(cores=allocated),
-            running_tasks=allocated,
+            capacity=Resources(cores=8, memory=1000, disk=1000, gpus=2),
+            allocated=Resources(
+                cores=draw(st.sampled_from([0, 1, 4, 6, 7.5, 8])),
+                memory=draw(st.sampled_from([0, 300, 900, 1000])),
+                disk=draw(st.sampled_from([0, 500, 1000])),
+                gpus=draw(st.sampled_from([0, 1, 2])),
+            ),
+            running_tasks=draw(st.integers(0, 8)),
         )
     return Scheduler(replicas, transfers), task, views
 

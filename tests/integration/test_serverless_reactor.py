@@ -9,9 +9,14 @@ real worker processes and real forked library instances, including a
 resident-instance crash while a call is in flight.
 """
 
+import os
+import time
+
 from repro.core.library import FunctionCall
 from repro.core.resultref import ResultProxy
 from repro.core.task import Task, TaskState
+
+from tests.procgroup import live_members
 
 from .conftest import Cluster
 from .test_real_runtime import run_all
@@ -70,34 +75,48 @@ def test_function_result_larger_than_io_chunk(cluster):
     assert len(result) == size and result[:2] == b"\xab\xab"
 
 
-def test_library_instance_crash_mid_call(cluster):
+def test_library_instance_crash_mid_call(cluster, tmp_path):
     """Killing the resident instance mid-call fails fast, not at timeout.
 
     The invocation fork SIGKILLs its parent — the resident library
     process — then stalls.  The worker's result wait must detect the
-    death within about a second, report the call failed, and the rest
-    of the runtime must keep working.
+    death within about a second, report the call failed, kill the
+    orphaned fork with the rest of the instance's process group, and
+    the rest of the runtime must keep working.
     """
     m = cluster.manager
+    pgid_file = str(tmp_path / "instance-pgid")
 
-    def suicide():
+    def suicide(pgid_file):
         import os
         import signal
         import time
 
+        with open(pgid_file, "w") as f:
+            f.write(str(os.getpgrp()))
         os.kill(os.getppid(), signal.SIGKILL)  # the resident instance
         time.sleep(30)  # never returns a result
 
     m.create_library("doomed", [suicide])
     m.install_library("doomed")
-    fc = FunctionCall("doomed", "suicide")
+    fc = FunctionCall("doomed", "suicide", pgid_file)
     m.submit(fc)
     run_all(m, timeout=60.0)
     assert fc.state == TaskState.FAILED
     assert "died before invocation" in (fc.result.output or "")
 
+    # the stalled fork did not outlive the call it belonged to: nothing
+    # of the instance's own process group is left running user code
+    with open(pgid_file) as f:
+        pgid = int(f.read())
+    assert pgid != os.getpgrp()
+    deadline = time.monotonic() + 5.0
+    while live_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert live_members(pgid) == []
+
     # a later call against the dead library fails cleanly too
-    fc2 = FunctionCall("doomed", "suicide")
+    fc2 = FunctionCall("doomed", "suicide", pgid_file)
     m.submit(fc2)
     run_all(m, timeout=60.0)
     assert fc2.state == TaskState.FAILED
@@ -108,6 +127,12 @@ def test_library_instance_crash_mid_call(cluster):
     run_all(m, timeout=60.0)
     assert t.state == TaskState.DONE
     assert "survived" in t.result.output
+
+    # with no orphan holding the workers' descriptors, shutdown is
+    # prompt (it used to wait out a 10 s join)
+    started = time.monotonic()
+    cluster.stop()
+    assert time.monotonic() - started < 2.0
 
 
 def test_by_reference_chain_keeps_results_at_workers(cluster):

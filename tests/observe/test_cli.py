@@ -113,7 +113,8 @@ def test_cli_renders_metrics_snapshot(tmp_path, capsys):
         "dumped_at": 0,
         "metrics": {
             "cache.hits": {"type": "counter", "value": 5},
-            "queue.ready_depth": {"type": "gauge", "value": 0, "max": 3},
+            "queue.ready_depth": {"type": "gauge", "value": 7, "max": 9},
+            "queue.parked": {"type": "gauge", "value": 4, "max": 4},
             "pump.latency_seconds": {
                 "type": "histogram", "count": 4, "sum": 0.4, "min": 0.05,
                 "max": 0.2, "mean": 0.1, "p50": 0.1, "p90": 0.2, "p99": 0.2,
@@ -124,6 +125,11 @@ def test_cli_renders_metrics_snapshot(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cache.hits" in out
     assert "queue.ready_depth" in out
+    # "why was it not placed?": capacity vs. inputs still being produced
+    assert (
+        "queue: 7 ready = 3 waiting for capacity + "
+        "4 parked on inputs not produced yet"
+    ) in out
     assert "pump.latency_seconds" in out
 
 

@@ -15,6 +15,7 @@ from repro.worker.library_instance import (
     pack_invocation,
     unpack_result,
 )
+from tests.procgroup import live_members
 
 
 def _square(x):
@@ -101,6 +102,57 @@ def test_function_state_loaded_once():
         assert pid_a != os.getpid() and pid_b != os.getpid()
     finally:
         handle.stop()
+
+
+_HOST_WORKER = """
+import sys, time
+from repro.worker.library_instance import (
+    LibraryInstanceHandle, build_payload, pack_invocation,
+)
+
+def stall():
+    time.sleep(60)
+
+handle = LibraryInstanceHandle("stall", build_payload({"stall": stall}))
+handle.invoke("a", "stall", pack_invocation((), {}))
+print(handle._proc.pid, flush=True)
+time.sleep(60)
+"""
+
+
+def test_instance_and_its_forks_do_not_outlive_a_killed_worker():
+    """A SIGKILLed worker cannot stop its instance, and the instance is
+    in a process group of its own, beyond whatever reaps the worker's:
+    it must notice the orphaning and take its invocation forks with it."""
+    import signal
+    import time
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    host = subprocess.Popen(
+        [sys.executable, "-c", _HOST_WORKER],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+    )
+    try:
+        pgid = int(host.stdout.readline())
+        assert pgid != os.getpgrp()
+        deadline = time.monotonic() + 5.0
+        while len(live_members(pgid)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)  # the instance and its stalled fork
+        assert len(live_members(pgid)) == 2
+    finally:
+        host.kill()
+        host.wait()
+    deadline = time.monotonic() + 5.0
+    while live_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert live_members(pgid) == []
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 # -- pytask runner -----------------------------------------------------------
