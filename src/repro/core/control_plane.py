@@ -457,8 +457,13 @@ class ControlPlane:
         self._m_restored_done = self.metrics.counter("recovery.tasks_restored_done")
         self._m_replayed = self.metrics.counter("recovery.journal_records_replayed")
         self._m_snapshots = self.metrics.counter("journal.snapshots")
+        # records ÷ fsyncs is the group-commit factor (1.0 = none)
+        self._m_journal_records = self.metrics.counter("journal.records")
+        self._m_journal_fsyncs = self.metrics.counter("journal.fsyncs")
+        self._m_records_per_sync = self.metrics.histogram("journal.records_per_sync")
         if journal is not None:
             journal.on_compact = self._on_journal_compact
+            journal.journal.on_sync = self._on_journal_sync
         #: per-source-kind concurrency gauges, created as kinds appear
         self._kind_gauges: dict[str, "object"] = {}
         self._pump_depth = 0
@@ -478,6 +483,12 @@ class ControlPlane:
         if self.journal is None or self._restoring:
             return None
         return self.journal
+
+    def _on_journal_sync(self, records: int) -> None:
+        """One journal fsync made ``records`` appended records durable."""
+        self._m_journal_fsyncs.inc()
+        self._m_journal_records.inc(records)
+        self._m_records_per_sync.observe(records)
 
     def _on_journal_compact(self, lifetime: int) -> None:
         """The journal rolled a compacting snapshot."""

@@ -11,10 +11,11 @@ OxyMake's durable content-addressed state (PAPERS.md):
 
 * :class:`Journal` — the framing layer.  An append-only file of
   length-prefixed JSON records (4-byte big-endian length + UTF-8
-  payload), fsync'd per append, next to an atomically-replaced
-  ``snapshot.json``.  A crash can tear at most the trailing record;
-  replay detects the torn tail, reports it, and truncates it away
-  before the next append.
+  payload), fsync'd per append — or, for the one thread that asked for
+  group commit (the manager's reactor), once per :meth:`Journal.sync` —
+  next to an atomically-replaced ``snapshot.json``.  A crash can tear
+  at most the trailing record; replay detects the torn tail, reports
+  it, and truncates it away before the next append.
 
 * :class:`ControlPlaneJournal` — the domain layer.  Folds the record
   stream into mirrors of the control plane's durable state (declares,
@@ -46,6 +47,7 @@ import base64
 import json
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -120,6 +122,12 @@ class Journal:
         self.pending_records = 0
         #: records appended over the journal's whole life
         self.lifetime_records = 0
+        #: ident of the thread whose appends are group-committed
+        self._group_thread: Optional[int] = None
+        #: records written to the log but not yet covered by an fsync
+        self._unsynced = 0
+        #: called after each fsync with the number of records it covered
+        self.on_sync: Optional[Callable[[int], None]] = None
 
     # -- replay ---------------------------------------------------------
 
@@ -183,16 +191,45 @@ class Journal:
     # -- appending ------------------------------------------------------
 
     def append(self, record: dict) -> None:
-        """Durably append one record (length prefix + JSON + fsync)."""
+        """Durably append one record (length prefix + JSON + fsync).
+
+        On the thread that called :meth:`begin_group_commit` the record
+        is written at once but its fsync is left to that thread's next
+        :meth:`sync`; everywhere else the record is on disk on return.
+        """
         payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
         fh = self._open_for_append()
         fh.write(_LEN.pack(len(payload)) + payload)
         fh.flush()
-        if self._fsync:
-            os.fsync(fh.fileno())
         self._good_offset += _LEN.size + len(payload)
         self.pending_records += 1
         self.lifetime_records += 1
+        self._unsynced += 1
+        if threading.get_ident() != self._group_thread:
+            self.sync()
+
+    def begin_group_commit(self) -> None:
+        """Group-commit the calling thread's appends from now on.
+
+        That thread then owes a :meth:`sync` before it lets anything
+        its records caused be observed (a frame handed to a socket or
+        sender thread, a completion handed to the application).  Every
+        other thread keeps fsync-per-append.
+        """
+        self._group_thread = threading.get_ident()
+
+    def sync(self) -> None:
+        """One fsync for every record appended since the last."""
+        if self._unsynced:
+            if self._fsync:
+                os.fsync(self._fh.fileno())
+            self._mark_synced()
+
+    def _mark_synced(self) -> None:
+        """An fsync (the log's, or a snapshot's) covered what was owed."""
+        covered, self._unsynced = self._unsynced, 0
+        if self._fsync and self.on_sync is not None:
+            self.on_sync(covered)
 
     def _open_for_append(self):
         if self._fh is None:
@@ -226,6 +263,8 @@ class Journal:
             os.fsync(fh.fileno())
         os.replace(tmp, self.snapshot_path)
         self._fsync_dir()
+        if self._unsynced:
+            self._mark_synced()
         if self._fh is not None:
             self._fh.close()
         self._fh = open(self.log_path, "wb")
@@ -246,6 +285,7 @@ class Journal:
 
     def close(self) -> None:
         if self._fh is not None:
+            self.sync()
             self._fh.close()
             self._fh = None
 
@@ -448,6 +488,12 @@ class ControlPlaneJournal:
                     {"op": "replica", "worker": worker, "name": name, "size": size}
                 )
         self.journal.compact(recs)
+
+    def begin_group_commit(self) -> None:
+        self.journal.begin_group_commit()
+
+    def sync(self) -> None:
+        self.journal.sync()
 
     def close(self) -> None:
         self.journal.close()

@@ -79,7 +79,13 @@ from repro.protocol.connection import (
     listen,
     session_kind,
 )
-from repro.protocol.messages import CLIENT_KINDS, M, WireError, validate
+from repro.protocol.messages import (
+    CLIENT_KINDS,
+    INLINE_ARGS_MAX,
+    M,
+    WireError,
+    validate,
+)
 from repro.util.logging import get_logger
 
 __all__ = ["Manager", "ManagerError"]
@@ -136,6 +142,34 @@ class _SenderHandle:
     def enqueue(self, fn: Callable[[Connection], None]) -> None:
         """Queue an outbound operation for the sender thread."""
         self.outbox.put(fn)
+
+    def write(self, blob: bytes) -> None:
+        """Put pre-encoded frames on the wire behind whatever is queued.
+
+        Fast path: when the sender thread is idle (nothing queued,
+        nothing mid-write), the bytes go straight out with one
+        non-blocking ``send`` — no thread wakeup at all.  Any leftover
+        on a full socket buffer, or any contention, falls back to the
+        sender thread, which also preserves ordering behind whatever is
+        already queued.
+        """
+        if self.wire_lock.acquire(blocking=False):
+            try:
+                if self.outbox.empty():
+                    try:
+                        sent = self.conn.sock.send(blob, _MSG_DONTWAIT)
+                    except (BlockingIOError, InterruptedError):
+                        sent = 0
+                    except OSError:
+                        self.alive = False
+                        return
+                    if sent < len(blob):
+                        rest = blob[sent:]
+                        self.enqueue(lambda conn: conn.send_frame(rest))
+                    return
+            finally:
+                self.wire_lock.release()
+        self.enqueue(lambda conn: conn.send_frame(blob))
 
     def stop_sender(self) -> None:
         """Stop the sender thread after flushing queued sends."""
@@ -519,7 +553,7 @@ class ManagerService:
             if mtype == M.DECLARE_FILE:
                 self._declare(sess, msg, payload)
             elif mtype == M.SUBMIT_TASK:
-                self._submit_spec(sess, msg)
+                self._submit_spec(sess, msg, payload)
             elif mtype == M.SUBMIT_DAG:
                 self._submit_dag(sess, msg)
             elif mtype == M.FETCH_RESULT:
@@ -632,10 +666,16 @@ class ManagerService:
 
     # -- submission ------------------------------------------------------
 
-    def _build_task(self, sess: _ClientSession, spec: dict, keymap: dict) -> Task:
+    def _build_task(
+        self,
+        sess: _ClientSession,
+        spec: dict,
+        keymap: dict,
+        payload: Optional[bytes] = None,
+    ) -> Task:
         mgr = self.mgr
         if spec.get("kind") == "call":
-            task: Task = self._build_call(spec)
+            task: Task = self._build_call(spec, payload)
         else:
             task = Task(str(spec["command"]))
         acct = mgr.control.tenant_account(sess.tenant)
@@ -670,14 +710,18 @@ class ManagerService:
         task.set_tenant(sess.tenant)
         return task
 
-    def _build_call(self, spec: dict) -> FunctionCall:
-        """A remote serverless invocation: args travel as a staged blob.
+    def _build_call(self, spec: dict, payload: Optional[bytes]) -> FunctionCall:
+        """A remote serverless invocation; its arguments travel by size.
 
-        The client declared its pickled argument tuple as an ordinary
-        buffer (``args_cache``) and lists it — plus any ``ResultRef``
-        arguments — among the task inputs, so the staging planner moves
-        every byte the invocation needs worker-to-worker.  Remote calls
-        are always by-reference: only a ref comes back.
+        The client pickled its argument tuple.  A small blob (at most
+        ``INLINE_ARGS_MAX``) arrived as the trailing ``payload`` of the
+        ``submit_task`` frame and leaves again on the ``invoke`` frame —
+        the inline form library mode has always used, nothing declared
+        or staged.  A larger one was declared as an ordinary buffer
+        (``args_cache``) and is listed among the task inputs, so the
+        staging planner moves it like any other object.  ``ResultRef``
+        arguments are inputs in both forms.  Remote calls are always
+        by-reference: only a ref comes back.
         """
         mgr = self.mgr
         lib = str(spec["library"])
@@ -689,6 +733,8 @@ class ManagerService:
             raise ManagerError(f"library {lib!r} has no function {fn!r}")
         task = FunctionCall(lib, fn)
         task.set_by_reference()
+        # either way merkle identity hashes the exact argument bytes, so
+        # identical remote calls memo-match across runs and tenants
         args_cache = spec.get("args_cache")
         if args_cache is not None:
             task.args_name = str(args_cache)
@@ -698,9 +744,14 @@ class ManagerService:
                 else None
             )
             if isinstance(f, BufferFile):
-                # merkle identity hashes the exact argument bytes, so
-                # identical remote calls memo-match across runs/tenants
                 task.args_blob = f.data
+        elif payload is not None:
+            if len(payload) > INLINE_ARGS_MAX:
+                raise ManagerError(
+                    f"inline call arguments of {len(payload)} bytes exceed "
+                    f"{INLINE_ARGS_MAX}; declare them as a buffer (args_cache)"
+                )
+            task.args_blob = payload
         return task
 
     def _adopt_name(self, sess: _ClientSession, acct, src: str) -> None:
@@ -759,8 +810,10 @@ class ManagerService:
             },
         )
 
-    def _submit_spec(self, sess: _ClientSession, msg: dict) -> None:
-        task = self._build_task(sess, msg["spec"], {})
+    def _submit_spec(
+        self, sess: _ClientSession, msg: dict, payload: Optional[bytes]
+    ) -> None:
+        task = self._build_task(sess, msg["spec"], {}, payload)
         tid = self._submit(sess, task)
         self._accept(sess, msg.get("ref"), task, tid)
 
@@ -1235,15 +1288,17 @@ class Manager:
             msg["result_level"] = int(rf.cache_level)
             msg["inputs"] = [f.cache_name for _n, f in task.inputs]
             if task.args_name is not None:
-                # remote form: the argument blob was staged as an input,
+                # staged form: the argument blob is one of the inputs,
                 # so nothing but the control frame goes over this hop
                 msg["args_cache"] = task.args_name
                 msg["payload_size"] = 0
                 self._send(handle, msg)
                 return
-            from repro.worker.library_instance import pack_invocation
+            blob = task.args_blob
+            if blob is None:
+                from repro.worker.library_instance import pack_invocation
 
-            blob = pack_invocation(task.args, dict(task.kwargs))
+                blob = pack_invocation(task.args, dict(task.kwargs))
             msg["payload_size"] = len(blob)
             self._send(handle, msg, blob)
             return
@@ -1319,7 +1374,11 @@ class Manager:
         ):
             self._publish_proxy(task)
         if self.service.task_delivered(task) is None:
-            self._completed.put(task)  # loopback (in-process) session
+            # loopback (in-process) session: the application observes
+            # the completion the moment it is queued, so its record
+            # must be on disk first
+            self._commit_journal()
+            self._completed.put(task)
 
     def _publish_proxy(self, task: FunctionCall) -> None:
         """Stamp a completed by-reference call with its lazy result proxy.
@@ -2070,6 +2129,10 @@ class Manager:
     def _reactor_loop(self) -> None:
         """Single-threaded receive path: accept, reassemble, dispatch."""
         sel = self._sel
+        if self.journal is not None:
+            # records this thread journals during a sweep share one
+            # fsync, taken before the sweep's first frame is handed over
+            self.journal.begin_group_commit()
         while not self._closing.is_set():
             events = sel.select(timeout=0.5)
             if self._closing.is_set():
@@ -2233,8 +2296,12 @@ class Manager:
             state.pending = msg
             state.frames.expect_bytes(int(spec["size"]))
             return
-        if mtype == M.CREATE_LIBRARY and int(msg.get("payload_size", 0)) > 0:
-            # the serialized function table follows as one bulk payload
+        if (
+            mtype in (M.CREATE_LIBRARY, M.SUBMIT_TASK)
+            and int(msg.get("payload_size", 0)) > 0
+        ):
+            # the serialized function table, or a call's inline argument
+            # blob, follows as one bulk payload
             state.pending = msg
             state.frames.expect_bytes(int(msg["payload_size"]))
             return
@@ -2544,19 +2611,23 @@ class Manager:
         """Queue a control message (plus optional byte payload).
 
         Callers hold the state lock.  While the reactor is mid event
-        sweep, payload-free frames it generates are buffered on the
-        handle and flushed as a single sender wakeup at sweep end —
-        one ``sendall`` carries every command the sweep produced for
-        that worker.  Any other sender first flushes the buffer, so
-        per-worker wire order always matches issue order.
+        sweep, the frames it generates — payload-free, or trailed by a
+        payload no larger than ``INLINE_ARGS_MAX`` (a call's inline
+        arguments) — are buffered on the handle and flushed as a single
+        sender wakeup at sweep end: one ``sendall`` carries every
+        command the sweep produced for that worker.  Any other sender
+        first flushes the buffer, so per-worker wire order always
+        matches issue order.
         """
         self._m_frames_out.inc()
         if (
-            payload is None
+            (payload is None or len(payload) <= INLINE_ARGS_MAX)
             and self._reactor_defer
             and threading.current_thread() is self._reactor_thread
         ):
             handle.pending_frames.append(encode_frame(message))
+            if payload:
+                handle.pending_frames.append(payload)
             return
         self._flush_pending(handle)
 
@@ -2567,35 +2638,25 @@ class Manager:
 
         handle.enqueue(do)
 
-    @staticmethod
-    def _flush_pending(handle: _WorkerHandle) -> None:
-        """Flush sweep-buffered frames as one write.
+    def _commit_journal(self) -> None:
+        """Group commit: make every journaled record durable.
 
-        Fast path: when the worker's sender thread is idle (nothing
-        queued, nothing mid-write), the frames go straight out with one
-        non-blocking ``send`` — no thread wakeup at all.  Any leftover
-        on a full socket buffer, or any contention, falls back to the
-        sender thread, which also preserves ordering behind whatever is
-        already queued.
+        The durability contract: nothing a client, a worker or the
+        application can observe leaves the manager before the records
+        behind it are on disk.  The reactor journals a whole sweep with
+        one fsync, so every hand-over — a frame to a socket or sender
+        thread, a completion to the application's queue — commits
+        first.  A no-op when nothing was journaled since the last one.
         """
-        if not handle.pending_frames:
-            return
-        blob = b"".join(handle.pending_frames)
-        handle.pending_frames = []
-        if handle.wire_lock.acquire(blocking=False):
-            try:
-                if handle.outbox.empty():
-                    try:
-                        sent = handle.conn.sock.send(blob, _MSG_DONTWAIT)
-                    except (BlockingIOError, InterruptedError):
-                        sent = 0
-                    except OSError:
-                        handle.alive = False
-                        return
-                    if sent < len(blob):
-                        rest = blob[sent:]
-                        handle.enqueue(lambda conn: conn.send_frame(rest))
-                    return
-            finally:
-                handle.wire_lock.release()
-        handle.enqueue(lambda conn: conn.send_frame(blob))
+        if self.journal is not None:
+            self.journal.sync()
+
+    def _flush_pending(self, handle: _SenderHandle) -> None:
+        """Commit the journal, then flush sweep-buffered frames as one
+        write.  Every path that hands a peer anything runs through here
+        first, which is what orders the fsync before the frames."""
+        self._commit_journal()
+        if handle.pending_frames:
+            blob = b"".join(handle.pending_frames)
+            handle.pending_frames = []
+            handle.write(blob)

@@ -34,6 +34,7 @@ __all__ = [
     "replay_status",
     "format_log_status",
     "format_queue_line",
+    "format_disk_lines",
     "format_tenant_table",
     "main",
 ]
@@ -350,6 +351,34 @@ def format_queue_line(metrics: dict) -> str:
     )
 
 
+def format_disk_lines(metrics: dict) -> list[str]:
+    """What the loop is spending on disk, one line per process kind.
+
+    A manager snapshot carries the journal counters: records ÷ fsyncs
+    is the group-commit factor (1.0 means every record paid its own
+    fsync).  A worker snapshot carries ``cache.index_writes``: only
+    worker-lifetime objects may cost one.
+    """
+
+    def value(name: str) -> int:
+        return int(metrics.get(name, {}).get("value", 0))
+
+    lines = []
+    fsyncs = value("journal.fsyncs")
+    if fsyncs:
+        records = value("journal.records")
+        lines.append(
+            f"journal: {records} records in {fsyncs} fsyncs "
+            f"({records / fsyncs:.1f} per sync)"
+        )
+    if "cache.index_writes" in metrics:
+        lines.append(
+            f"cache index: {value('cache.index_writes')} writes "
+            f"({value('cache.objects')} objects cached)"
+        )
+    return lines
+
+
 def _format_metrics(path: str) -> str:
     try:
         with open(path) as f:
@@ -360,6 +389,7 @@ def _format_metrics(path: str) -> str:
     queue_line = format_queue_line(payload.get("metrics", {}))
     if queue_line:
         lines.append(queue_line)
+    lines.extend(format_disk_lines(payload.get("metrics", {})))
     tenant_table = format_tenant_table(payload.get("metrics", {}))
     if tenant_table:
         lines.append(tenant_table)

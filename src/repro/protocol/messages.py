@@ -26,7 +26,22 @@ from __future__ import annotations
 
 from typing import Mapping
 
-__all__ = ["M", "validate", "validate_batch", "WireError", "CLIENT_KINDS"]
+__all__ = [
+    "M",
+    "validate",
+    "validate_batch",
+    "WireError",
+    "CLIENT_KINDS",
+    "INLINE_ARGS_MAX",
+]
+
+#: largest serialized argument blob a function call carries *in* its
+#: ``submit_task`` and ``invoke`` frames (as trailing payload bytes).
+#: Pass-by-reference pays for large objects and is pure overhead below
+#: a size threshold (Pauloski et al., PAPERS.md): a blob up to this
+#: size occupies no cluster storage, a larger one is declared as a
+#: buffer and staged like any other input (``args_cache``).
+INLINE_ARGS_MAX = 64 << 10
 
 
 class WireError(ValueError):
@@ -66,7 +81,7 @@ class M:
     # client -> manager (service mode sessions)
     CLIENT_HELLO = "client_hello"
     DECLARE_FILE = "declare_file"    # + raw buffer bytes follow when size > 0
-    SUBMIT_TASK = "submit_task"
+    SUBMIT_TASK = "submit_task"      # + a call's inline args bytes may follow
     SUBMIT_DAG = "submit_dag"
     FETCH_RESULT = "fetch_result"
     CREATE_LIBRARY = "create_library"  # + serialized function table follows
@@ -123,7 +138,9 @@ _SCHEMA: Mapping[str, tuple[str, ...]] = {
     # client sessions.  ``client_hello`` optionally carries "password"
     # (project auth) and "session" (a token from a previous welcome,
     # for reattach); ``declare_file`` announces trailing buffer bytes
-    # via spec["size"] when the content rides along.
+    # via spec["size"] when the content rides along; ``submit_task``
+    # of a ``kind: "call"`` spec announces its inline argument blob (at
+    # most INLINE_ARGS_MAX bytes) via "payload_size".
     M.CLIENT_HELLO: ("tenant",),
     M.DECLARE_FILE: ("ref", "spec"),
     M.SUBMIT_TASK: ("ref", "spec"),

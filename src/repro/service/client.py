@@ -27,8 +27,8 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.resultref import ResultProxy, ResultRef, scan_refs
 from repro.protocol import serialization as ser
-from repro.protocol.connection import Connection
-from repro.protocol.messages import M
+from repro.protocol.connection import Connection, encode_frame
+from repro.protocol.messages import INLINE_ARGS_MAX, M
 
 __all__ = ["ServiceClient", "ClientError", "main"]
 
@@ -243,32 +243,40 @@ class ServiceClient:
     ) -> dict:
         """Submit one by-reference function call; returns ``task_accepted``.
 
-        Arguments are pickled into a content-addressed buffer the
-        workers stage like any other input — :class:`ResultProxy`
+        The pickled arguments travel by size alone.  A blob of at most
+        ``INLINE_ARGS_MAX`` bytes rides the ``submit_task`` frame as its
+        trailing payload — one write, one reply, and the manager hands
+        the same bytes to the worker on the ``invoke`` frame, so small
+        arguments occupy no cluster storage and are not charged to the
+        tenant's byte quota.  A larger blob is declared first as a
+        content-addressed buffer (``args_cache``) that workers stage
+        like any other input.  Either way :class:`ResultProxy`
         arguments travel as refs, so upstream result bytes move
         worker-to-worker and never through the manager or this client.
         The eventual ``task_result`` notice carries a ``result_ref``;
         turn it into a lazy value with :meth:`result_proxy`.
         """
         blob = ser.dumps({"args": args, "kwargs": kwargs})
-        declared = self.declare_buffer(blob, level="workflow")
-        args_cache = declared["cache_name"]
-        inputs = [[args_cache, args_cache]]
-        for r in scan_refs((args, kwargs)):
-            if r.cache_name != args_cache:
-                inputs.append([r.cache_name, r.cache_name])
-        ref = next(self._refs)
+        inputs = [[r.cache_name, r.cache_name] for r in scan_refs((args, kwargs))]
         spec = {
             "kind": "call",
             "library": library,
             "function": function,
-            "args_cache": args_cache,
             "inputs": inputs,
             "outputs": [],
         }
         if deterministic:
             spec["deterministic"] = True
-        self.conn.send_message({"type": M.SUBMIT_TASK, "ref": ref, "spec": spec})
+        ref = next(self._refs)
+        msg = {"type": M.SUBMIT_TASK, "ref": ref, "spec": spec}
+        if len(blob) <= INLINE_ARGS_MAX:
+            msg["payload_size"] = len(blob)
+            self.conn.send_frame(encode_frame(msg) + blob)
+        else:
+            args_cache = self.declare_buffer(blob, level="workflow")["cache_name"]
+            spec["args_cache"] = args_cache
+            inputs.insert(0, [args_cache, args_cache])
+            self.conn.send_message(msg)
         reply = self._await(M.TASK_ACCEPTED, ref)
         self._accepted += 1
         self.workflow_done = False

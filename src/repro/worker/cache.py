@@ -3,9 +3,10 @@
 Worker storage is organized as a flat cache of data objects, each with
 a unique name assigned by the manager (paper §2.2, Fig. 4).  Objects
 may be regular files or directory trees.  A small JSON index records
-each object's cache level and size so that ``WORKER``-lifetime objects
-survive worker restarts and can serve future workflows, while anything
-shorter-lived is discarded on startup.
+the ``WORKER``-lifetime objects — the only ones that survive a worker
+restart and can serve future workflows — and is rewritten only when
+that set changes.  Anything shorter-lived exists in memory alone, so
+it costs no index write while it lives and is discarded on startup.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class WorkerCache:
 
     With a ``metrics`` registry the cache keeps ``cache.objects`` and
     ``cache.bytes`` gauges current, so a metrics snapshot shows cache
-    occupancy (and its peak) without walking the disk.
+    occupancy (and its peak) without walking the disk, and counts every
+    rewrite of the index in ``cache.index_writes``.
     """
 
     def __init__(self, root: str, metrics=None) -> None:
@@ -62,6 +64,8 @@ class WorkerCache:
         os.makedirs(self.objects_dir, exist_ok=True)
         os.makedirs(self.staging_dir, exist_ok=True)
         self._entries: dict[str, CacheEntry] = {}
+        #: sum of every entry's size, kept current by each mutation
+        self._bytes = 0
         # the worker mutates the cache from its control-message reader
         # thread (unlink, put) and from per-task execution threads
         # (output harvest) concurrently
@@ -69,12 +73,15 @@ class WorkerCache:
         self._staging_seq = 0
         self._g_objects = metrics.gauge("cache.objects") if metrics else None
         self._g_bytes = metrics.gauge("cache.bytes") if metrics else None
+        self._m_index_writes = (
+            metrics.counter("cache.index_writes") if metrics else None
+        )
         self._load_index()
 
     def _sync_metrics(self) -> None:
         if self._g_objects is not None:
             self._g_objects.set(len(self._entries))
-            self._g_bytes.set(self.total_bytes())
+            self._g_bytes.set(self._bytes)
 
     # -- index persistence -----------------------------------------------
 
@@ -98,13 +105,14 @@ class WorkerCache:
             path = os.path.join(self.objects_dir, name)
             meta = index.get(name)
             if meta is not None and meta.get("level") == int(CacheLevel.WORKER):
-                self._entries[name] = CacheEntry(
+                entry = self._entries[name] = CacheEntry(
                     cache_name=name,
                     size=int(meta["size"]),
                     level=CacheLevel.WORKER,
                     last_used=float(meta.get("last_used", 0.0)),
                     is_dir=os.path.isdir(path),
                 )
+                self._bytes += entry.size
             else:
                 self._delete_path(path)
         shutil.rmtree(self.staging_dir, ignore_errors=True)
@@ -113,6 +121,9 @@ class WorkerCache:
         self._sync_metrics()
 
     def _save_index(self) -> None:
+        """Persist the restart-surviving set: exactly what
+        :meth:`_load_index` keeps.  Callers write only when that set
+        changed, so shorter-lived objects never touch the index."""
         with self._lock:
             data = {
                 name: {
@@ -121,11 +132,14 @@ class WorkerCache:
                     "last_used": e.last_used,
                 }
                 for name, e in self._entries.items()
+                if e.level == CacheLevel.WORKER
             }
             tmp = self._index_path() + ".tmp"
             with open(tmp, "w") as f:
                 json.dump(data, f)
             os.replace(tmp, self._index_path())
+            if self._m_index_writes is not None:
+                self._m_index_writes.inc()
 
     # -- queries ------------------------------------------------------
 
@@ -156,7 +170,7 @@ class WorkerCache:
 
     def total_bytes(self) -> int:
         """Bytes currently cached."""
-        return sum(e.size for e in self._entries.values())
+        return self._bytes
 
     def names(self) -> set[str]:
         """All cached object names."""
@@ -203,7 +217,9 @@ class WorkerCache:
                 is_dir=os.path.isdir(dst),
             )
             self._entries[cache_name] = entry
-            self._save_index()
+            self._bytes += entry.size
+            if level == CacheLevel.WORKER:
+                self._save_index()
             self._sync_metrics()
             return entry
 
@@ -229,7 +245,9 @@ class WorkerCache:
             if entry is None:
                 return False
             self._delete_path(self.path_of(cache_name))
-            self._save_index()
+            self._bytes -= entry.size
+            if entry.level == CacheLevel.WORKER:
+                self._save_index()
             self._sync_metrics()
             return True
 

@@ -115,6 +115,10 @@ def test_cli_renders_metrics_snapshot(tmp_path, capsys):
             "cache.hits": {"type": "counter", "value": 5},
             "queue.ready_depth": {"type": "gauge", "value": 7, "max": 9},
             "queue.parked": {"type": "gauge", "value": 4, "max": 4},
+            "journal.records": {"type": "counter", "value": 90},
+            "journal.fsyncs": {"type": "counter", "value": 20},
+            "cache.index_writes": {"type": "counter", "value": 3},
+            "cache.objects": {"type": "gauge", "value": 41, "max": 50},
             "pump.latency_seconds": {
                 "type": "histogram", "count": 4, "sum": 0.4, "min": 0.05,
                 "max": 0.2, "mean": 0.1, "p50": 0.1, "p90": 0.2, "p99": 0.2,
@@ -131,6 +135,9 @@ def test_cli_renders_metrics_snapshot(tmp_path, capsys):
         "4 parked on inputs not produced yet"
     ) in out
     assert "pump.latency_seconds" in out
+    # "what is the loop spending on disk?": group commit and index writes
+    assert "journal: 90 records in 20 fsyncs (4.5 per sync)" in out
+    assert "cache index: 3 writes (41 objects cached)" in out
 
 
 def test_cli_missing_file_is_an_error(tmp_path, capsys):

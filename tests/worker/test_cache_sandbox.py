@@ -1,9 +1,12 @@
 """Tests for the worker cache, sandboxes, and the task executor."""
 
 import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.files import CacheLevel
 from repro.core.resources import Resources
@@ -82,6 +85,33 @@ def test_restart_clears_staging(tmp_path):
         f.write(b"partial download")
     reopened = WorkerCache(root)
     assert os.listdir(reopened.staging_dir) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "remove", "reopen"]),
+            st.integers(0, 5),  # a small name space: re-inserts and misses happen
+            st.integers(0, 64),
+            st.sampled_from(list(CacheLevel)),
+        ),
+        max_size=40,
+    )
+)
+def test_total_bytes_is_the_sum_over_entries(ops):
+    """The running byte total survives any interleaving of inserts,
+    idempotent re-inserts, removes (hits and misses) and restarts."""
+    with tempfile.TemporaryDirectory() as root:
+        cache = WorkerCache(root)
+        for op, n, size, level in ops:
+            if op == "insert":
+                cache.insert_bytes(b"x" * size, f"obj-{n}", level)
+            elif op == "remove":
+                cache.remove(f"obj-{n}")
+            else:
+                cache = WorkerCache(root)
+            assert cache.total_bytes() == sum(e.size for e in cache.entries())
 
 
 def test_illegal_cache_names_rejected(tmp_path):
