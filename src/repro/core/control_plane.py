@@ -21,7 +21,8 @@ Rules of the split:
   scheduling, payload (de)serialization, and result retrieval.
 * The control plane never does I/O and never reads a clock directly;
   time comes from :meth:`RuntimePort.now`, effects go out through the
-  other port methods.
+  other port methods.  (One exception: it reads retained payloads out
+  of the ``MemoStore`` it holds — storage, not a runtime mechanism.)
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ MINITASK_SOURCE = "@minitask"
 #: ceiling in seconds on any exponential retry/requeue backoff delay
 #: (before jitter)
 TRANSFER_BACKOFF_MAX = 30.0
+#: seconds (on the runtime's clock) before an in-flight result fetch is
+#: abandoned and its waiters are failed (orphaned-waiter hygiene)
+FETCH_TTL = 300.0
 
 
 def source_kind(source: str) -> str:
@@ -145,6 +149,14 @@ class RuntimePort(Protocol):
         """Hand a terminal task back to the application layer."""
         ...
 
+    def ask_holder(self, worker_id: str, cache_name: str) -> None:
+        """Ask a live holder to send an object's bytes back to the manager.
+
+        The runtime answers through :meth:`ControlPlane.fetch_reply`
+        with the payload, or ``None`` when the worker denies holding it.
+        """
+        ...
+
     def request_pump(self) -> None:
         """Ask the runtime to (re)run :meth:`ControlPlane.pump` soon."""
         ...
@@ -213,6 +225,29 @@ class StagingJob:
     worker_id: str
     transfer_id: str
     started: bool = False
+
+
+@dataclass
+class _Fetch:
+    """One cache name's in-flight byte resolution (result fetch plane).
+
+    Every requester of the name shares it, so concurrent fetches cost
+    one ``ask_holder``, not one each.
+    """
+
+    #: ``port.now()`` at creation (the TTL backstop measures from here)
+    started: float
+    #: callables ``(worker_id | None, payload | None)``, all served by
+    #: the one reply
+    waiters: list = field(default_factory=list)
+    #: some waiter justifies re-running the producer (is not best-effort)
+    needy: bool = False
+    #: the source being asked; None while parked on lineage regeneration
+    asked: Optional[str] = None
+    #: txn-log category of the open ask: ``@fetch`` or ``@retrieve``
+    category: str = "@fetch"
+    #: holders already asked
+    tried: set = field(default_factory=set)
 
 
 class LibraryState:
@@ -368,6 +403,8 @@ class ControlPlane:
         self._running: dict[str, Task] = {}
         #: tasks whose completion awaits runtime-side retrieval
         self._finishing: dict[str, Task] = {}
+        #: in-flight result fetches by cache name (insertion = age order)
+        self._fetches: dict[str, _Fetch] = {}
         self.workers: dict[str, WorkerState] = {}
 
         self.fixed_sources: dict[str, str] = {}
@@ -527,7 +564,7 @@ class ControlPlane:
         self.replicas.add_replica(cache_name, worker_id, size)
         self.sizes.setdefault(cache_name, size)
         self.fixed_sources.setdefault(cache_name, NO_SOURCE)
-        self._input_appeared(cache_name)
+        self._input_appeared(cache_name, worker_id)
         j = self._j()
         if j is not None:
             j.record_replica(worker_id, cache_name, size)
@@ -746,14 +783,37 @@ class ControlPlane:
 
     def _memo_validate(self, entry) -> Optional[str]:
         """First unsound output cache name of ``entry``, or None if sound."""
-        attach = getattr(self.port, "memo_attach", None)
         for out in entry.outputs:
             if self.replicas.replica_count(out.cache_name) > 0:
                 continue
-            if attach is not None and attach(out.cache_name, out.size, out.md5):
+            if self.memo_attach(out.cache_name, out.md5):
                 continue
             return out.cache_name
         return None
+
+    def memo_attach(self, cache_name: str, md5: Optional[str]) -> bool:
+        """True iff a retained payload can soundly back ``cache_name``.
+
+        Consulted for a memo entry whose replicas are gone.  A payload
+        that fails its digest is dropped on the spot — a corrupt
+        retained copy must never be served.
+        """
+        if self.memo is None or md5 is None:
+            return False
+        if self.memo.verify_payload(cache_name, md5):
+            return True
+        self.memo.drop_payload(cache_name)
+        return False
+
+    def _memo_payload_bytes(self, cache_name: str) -> Optional[bytes]:
+        """A retained payload's bytes, or None if absent/unreadable."""
+        if self.memo is None or not self.memo.has_payload(cache_name):
+            return None
+        try:
+            with open(self.memo.payload_path(cache_name), "rb") as fh:
+                return fh.read()
+        except OSError:
+            return None
 
     def _memo_record(self, task: Task, merkle: str) -> None:
         """Bind a finished task's outputs to its merkle in the store."""
@@ -873,9 +933,14 @@ class ControlPlane:
         return True
 
     def idle(self) -> bool:
-        """True when no submitted task remains in any non-terminal stage."""
+        """True when no submitted task remains in any non-terminal stage
+        and no result fetch is in flight."""
         return not (
-            self._ready or self._dispatched or self._running or self._finishing
+            self._ready
+            or self._dispatched
+            or self._running
+            or self._finishing
+            or self._fetches
         )
 
     @property
@@ -1159,14 +1224,20 @@ class ControlPlane:
                 del self._parked_on[name]
         self._ready.unpark(task_id)
 
-    def _input_appeared(self, cache_name: str) -> None:
-        """A replica of ``cache_name`` exists: tasks parked on it wake
-        once it was the last input they were waiting for."""
+    def _input_appeared(self, cache_name: str, worker_id: str) -> None:
+        """``worker_id`` now holds a replica of ``cache_name``: tasks
+        parked on it wake once it was the last input they were waiting
+        for, and a fetch parked on its regeneration asks the new holder
+        (even one that could not serve the lost copy earlier)."""
         for tid in self._parked_on.pop(cache_name, ()):
             names = self._awaiting[tid]
             names.discard(cache_name)
             if not names:
                 self._unpark(tid)
+        st = self._fetches.get(cache_name)
+        if st is not None and st.asked is None:
+            st.tried.discard(worker_id)
+            self._fetch_advance(cache_name, st)
 
     def _wake_consumers(self, task: Task) -> None:
         """``task`` reached a terminal state: whoever is parked on an
@@ -1230,7 +1301,7 @@ class ControlPlane:
         if j is not None:
             j.record_replica(worker_id, cache_name, size)
         self._mark_stage_dirty(cache_name)
-        self._input_appeared(cache_name)
+        self._input_appeared(cache_name, worker_id)
         for job in self._staging:
             if job.worker_id == worker_id and not job.started:
                 self._advance_staging(job)
@@ -1441,30 +1512,149 @@ class ControlPlane:
             worker=worker_id, file=cache_name, size=size, category="@retrieve",
         )
 
-    def count_fetch(self, worker_id: str, cache_name: str, size: int) -> None:
-        """Account an on-demand result fetch served through the manager.
+    # ------------------------------------------------------------------
+    # the result fetch plane: by-reference bytes resolved on demand
+    # ------------------------------------------------------------------
 
-        Distinct from ``@retrieve`` (eager output bring-back): a fetch
-        moves bytes only when a client or the memo store *dereferences*
-        a result — the by-reference plane's whole point is that this is
-        rare, so it gets its own category for the transaction log.
+    def fetch(self, cache_name: str, waiter, best_effort: bool = False) -> None:
+        """Resolve ``cache_name`` to its bytes for ``waiter``.
+
+        Result bytes stay in worker caches until something dereferences
+        them — a client or application fetch, a value retrieval, the
+        memo store retaining a payload.  ``waiter(worker_id, payload)``
+        is called exactly once: with the serving source and the bytes,
+        or ``(None, None)`` when every source came up empty.  Concurrent
+        requests for one name share a single in-flight resolution.
+        ``best_effort`` waiters (memo retention) never justify
+        re-running the producer.
         """
-        self.transfer_counts["fetch"] += 1
-        self.bytes_by_source["fetch"] += size
-        self._m_fetch_serves.inc()
-        self._m_fetch_bytes.inc(size)
-        self.log.emit(
-            self.port.now(), "transfer_end",
-            worker=worker_id, file=cache_name, size=size, category="@fetch",
-        )
+        st = self._fetches.get(cache_name)
+        fresh = st is None
+        if fresh:
+            st = self._fetches[cache_name] = _Fetch(started=self.port.now())
+        st.waiters.append(waiter)
+        st.needy |= not best_effort
+        if fresh:
+            self._fetch_advance(cache_name, st)
+            if cache_name in self._fetches:
+                self._schedule_pump(FETCH_TTL)  # the pump reaps stragglers
 
-    def count_fetch_retry(self, cache_name: str, worker_id: str, reason: str) -> None:
-        """Record a fetch moving on from a holder that could not serve."""
+    def _fetch_advance(self, name: str, st: _Fetch) -> None:
+        """Ask the next source for ``name``'s bytes.
+
+        Source order: an untried live holder (lowest worker id, so the
+        choice is deterministic), the memo store's retained payload,
+        then lineage regeneration — the fetch parks (``asked=None``)
+        until :meth:`_input_appeared` sees the regenerated replica.
+        With nothing left the fetch settles as unservable.  Each ask
+        opens a ``transfer_start`` that its serve (``transfer_end``) or
+        its holder's failure to serve (``fetch_retried``) closes.
+        """
+        holders = [
+            w
+            for w in self.replicas.locate(name)
+            if self.port.worker_connected(w) and w not in st.tried
+        ]
+        payload = None if holders else self._memo_payload_bytes(name)
+        if holders or payload is not None:
+            st.asked = min(holders) if holders else MANAGER_SOURCE
+            f = self.registry.by_name(name) if name in self.registry else None
+            # a value retrieval is a fetch whose producer awaits the bytes
+            retrieval = getattr(f, "producer_task_id", None) in self._finishing
+            st.category = "@retrieve" if retrieval else "@fetch"
+            self.log.emit(
+                self.port.now(), "transfer_start",
+                worker=st.asked, file=name, size=self.sizes.get(name, 0),
+                category=st.category,
+            )
+            if holders:
+                st.tried.add(st.asked)
+                self.port.ask_holder(st.asked, name)
+            else:
+                self._fetch_settle(name, payload)
+            return
+        if st.needy and name in self.registry and self._regenerate(name):
+            st.asked = None  # parked: the regenerated replica advances it
+            self.port.request_pump()
+            return
+        self._fetch_settle(name, None)
+
+    def fetch_reply(
+        self, worker_id: str, cache_name: str, payload: Optional[bytes]
+    ) -> None:
+        """The runtime's answer to :meth:`RuntimePort.ask_holder`.
+
+        ``payload`` is None when the worker denies holding the object
+        (evicted, corrupt): the fetch moves on to the next source
+        instead of failing every waiter on one holder's say-so.  A
+        runtime without real bytes (the simulator) answers ``b""`` and
+        the declared size is accounted.  A reply from a holder the
+        fetch has already moved on from is ignored.
+        """
+        st = self._fetches.get(cache_name)
+        if st is None or st.asked != worker_id:
+            return
+        if payload is None:
+            self._fetch_retire(cache_name, st, "not_found")
+            self._fetch_advance(cache_name, st)
+        else:
+            self._fetch_settle(cache_name, payload)
+
+    def _fetch_retire(self, name: str, st: _Fetch, reason: str) -> None:
+        """The asked holder will not serve: close its ``transfer_start``."""
         self._m_fetch_retries.inc()
         self.log.emit(
             self.port.now(), "fetch_retried",
-            worker=worker_id, file=cache_name, category=reason,
+            worker=st.asked, file=name, category=reason,
         )
+        st.asked = None
+
+    def _fetch_settle(self, name: str, payload: Optional[bytes]) -> None:
+        """Resolve an in-flight fetch: serve every waiter at once."""
+        st = self._fetches.pop(name)
+        if payload is None:
+            if st.asked is not None:
+                self._fetch_retire(name, st, "abandoned")
+        else:
+            size = len(payload) or self.sizes.get(name, 0)
+            if st.category == "@retrieve":
+                self.count_retrieval(st.asked, name, size)
+            else:
+                # its own category: a fetch moves bytes only when
+                # something *dereferences* a result, which the
+                # by-reference plane exists to make rare
+                self.transfer_counts["fetch"] += 1
+                self.bytes_by_source["fetch"] += size
+                self._m_fetch_serves.inc()
+                self._m_fetch_bytes.inc(size)
+                self.log.emit(
+                    self.port.now(), "transfer_end",
+                    worker=st.asked, file=name, size=size, category="@fetch",
+                )
+        for waiter in st.waiters:
+            waiter(st.asked, payload)
+
+    def reap_fetches(self, ttl: float = FETCH_TTL) -> None:
+        """Fail fetches older than ``ttl`` on the runtime's clock.
+
+        A fetch normally resolves through holder replies, worker-loss
+        retries or regeneration; this is the backstop for the ways
+        those signals can be lost (a reply frame dropped mid-teardown, a
+        regeneration whose producer hangs), so nobody waits on a fetch
+        the manager has forgotten.  Every outermost pump runs it, and
+        the wake-up scheduled here (and by :meth:`fetch`) guarantees
+        one.  A closing runtime passes ``ttl=0``: no waiter may outlive
+        the wires.
+        """
+        now = self.port.now()
+        while self._fetches:
+            # insertion order is age order: the first is the oldest left
+            name, st = next(iter(self._fetches.items()))
+            deadline = st.started + ttl
+            if now < deadline:
+                self._schedule_pump(deadline - now)
+                return
+            self._fetch_settle(name, None)
 
     # ------------------------------------------------------------------
     # failure scoring, backoff and blocklisting (robustness hardening)
@@ -1678,6 +1868,12 @@ class ControlPlane:
                     self.fail_tasks_needing(
                         name, "lost with no recoverable lineage"
                     )
+        # fetches asked of the departed worker move on to the next
+        # holder instead of stranding their waiters until the TTL
+        for name, st in list(self._fetches.items()):
+            if st.asked == worker_id:
+                self._fetch_retire(name, st, "worker_lost")
+                self._fetch_advance(name, st)
         self.port.request_pump()
 
     # ------------------------------------------------------------------
@@ -2172,6 +2368,8 @@ class ControlPlane:
         self._pump_depth = 1
         started = time.perf_counter()
         try:
+            if self._fetches:
+                self.reap_fetches()
             self._pump_body()
         finally:
             self._pump_depth = 0

@@ -260,6 +260,8 @@ def worker_busy(log: EventLog, horizon: Optional[float] = None) -> dict[str, Wor
         "stage_start": ("stage_end", "staging"),
     }
     enders = {v[0]: k for k, v in pairs.items()}
+    # a result fetch whose asked holder never served ends here instead
+    enders["fetch_retried"] = "transfer_start"
     for e in log:
         if e.worker is None:
             continue

@@ -31,6 +31,7 @@ pipe — rather than run on the caller (:meth:`Manager.request_pump`).
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import os
 import queue
@@ -95,9 +96,9 @@ log = get_logger(__name__)
 #: per-call non-blocking send flag; 0 where unsupported
 _MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0)
 
-#: seconds before an in-flight result fetch is abandoned and its
-#: orphaned waiters are failed (liveness-sweep hygiene)
-FETCH_TTL = 300.0
+#: seconds between rewrites of ``metrics_dump_path`` (the daemon's
+#: ``status`` view lags by at most this much)
+METRICS_DUMP_INTERVAL = 1.0
 
 
 class ManagerError(RuntimeError):
@@ -248,6 +249,21 @@ def _call_result_name(task: FunctionCall) -> str:
     )
 
 
+def _value_result_name(task: Task) -> Optional[str]:
+    """Cache name of the result envelope the manager must pull back to
+    hand the application a *value* — a python task's, or a loopback
+    function call's not submitted by reference.  None for everything
+    whose results stay in the cluster (command tasks, by-reference and
+    remote calls)."""
+    if isinstance(task, PythonTask):
+        return task.outputs[-1][1].cache_name
+    if isinstance(task, FunctionCall) and not (
+        task.by_reference or getattr(task, "session_token", None) is not None
+    ):
+        return _call_result_name(task)
+    return None
+
+
 class _ClientSession:
     """One tenant's attachment to a long-lived manager.
 
@@ -287,67 +303,6 @@ class _ClientSession:
         #: manager restart: its pre-crash notices are gone (counted in
         #: ``dropped``) and the next welcome says so
         self.restored = False
-
-
-class _MemoHarvestWaiter:
-    """Adapter retaining a ``send_back`` reply in the memo store.
-
-    Rides the same fetch plane as application fetches, so a result
-    payload coming back for any reason can double as the memo store's
-    retained copy (digest recorded alongside).
-    """
-
-    #: retention is opportunistic: its fetch must never trigger
-    #: lineage regeneration when the replicas are simply gone
-    best_effort = True
-
-    def __init__(self, store, merkle: str, cache_name: str) -> None:
-        self.store = store
-        self.merkle = merkle
-        self.cache_name = cache_name
-
-    def put(self, payload: Optional[bytes]) -> None:
-        if payload is None:
-            return
-        md5 = self.store.store_payload(self.cache_name, payload)
-        self.store.set_output_md5(self.merkle, self.cache_name, md5)
-
-
-class _ClientFetchWaiter:
-    """Adapter forwarding a ``send_back`` reply to an attached client.
-
-    Quacks like the ``queue.Queue`` the in-process fetch path parks on
-    (``put(payload)``), so ``_on_file_data`` serves both without
-    knowing which kind of waiter it is completing.
-    """
-
-    def __init__(self, service: "ManagerService", sess: _ClientSession, cache_name: str) -> None:
-        self.service = service
-        self.sess = sess
-        self.cache_name = cache_name
-
-    def put(self, payload: Optional[bytes]) -> None:
-        self.service._send_file_data(self.sess, self.cache_name, payload)
-
-
-class _FetchState:
-    """One cache name's in-flight byte resolution at the manager.
-
-    Tracks which worker is currently being asked (``asked is None``
-    while parked on lineage regeneration), which holders were already
-    tried, and every waiter sharing the resolution — concurrent fetches
-    of one name cost one ``send_back``, not one per requester.  Waiters
-    quack ``put(payload_or_None)``: ``queue.Queue`` (in-process
-    fetches), :class:`_ClientFetchWaiter`, :class:`_MemoHarvestWaiter`.
-    """
-
-    __slots__ = ("waiters", "asked", "tried", "started")
-
-    def __init__(self) -> None:
-        self.waiters: list = []
-        self.asked: Optional[str] = None
-        self.tried: set[str] = set()
-        self.started = time.monotonic()
 
 
 class ManagerService:
@@ -959,7 +914,9 @@ class ManagerService:
         # (retrying across them if one dies mid-serve), then the memo
         # store's retained payload, then lineage regeneration; only
         # when all three come up empty does the client see found=False
-        mgr._request_payload(name, _ClientFetchWaiter(self, sess, name))
+        mgr.control.fetch(
+            name, lambda _wid, payload: self._send_file_data(sess, name, payload)
+        )
 
     def _send_file_data(
         self, sess: _ClientSession, name: str, payload: Optional[bytes]
@@ -998,7 +955,6 @@ class Manager:
         temp_replica_count: int = 1,
         txn_log_path: Optional[str] = None,
         metrics_dump_path: Optional[str] = None,
-        metrics_dump_interval: float = 5.0,
         transfer_backoff_base: float = 0.5,
         requeue_backoff_base: float = 0.0,
         blocklist_threshold: int = 5,
@@ -1072,22 +1028,13 @@ class Manager:
         self._metrics_dumper: Optional[SnapshotDumper] = None
         if metrics_dump_path is not None:
             self._metrics_dumper = SnapshotDumper(
-                self.control.metrics, metrics_dump_path, metrics_dump_interval
+                self.control.metrics, metrics_dump_path, METRICS_DUMP_INTERVAL
             ).start()
         self.namer = Namer(seed=seed)
         self.namer.header_fetcher = self._url_headers
 
         self.workers: dict[str, _WorkerHandle] = {}
         self._completed: "queue.Queue[Task]" = queue.Queue()
-        #: result cache_name -> value-retrieval task (python task, or a
-        #: loopback function call in value mode) awaiting its payload
-        self._retrieving: dict[str, Task] = {}
-        #: result names whose cache-update must trigger a fetch: the
-        #: worker announced the harvest but the update had not landed yet
-        self._awaiting_result: dict[str, Task] = {}
-        #: in-flight result fetches by cache name — shared waiter lists,
-        #: holder retry on death/denial, regeneration parking
-        self._fetch_states: dict[str, _FetchState] = {}
 
         # network traffic accounting (docs/observability.md "net.*")
         m = self.control.metrics
@@ -1354,6 +1301,11 @@ class Manager:
         if handle is not None and handle.alive:
             self._send(handle, {"type": M.UNLINK, "cache_name": cache_name})
 
+    def ask_holder(self, worker_id: str, cache_name: str) -> None:
+        handle = self.workers.get(worker_id)
+        if handle is not None:
+            self._send(handle, {"type": M.SEND_BACK, "cache_name": cache_name})
+
     def finish_drain(self, worker_id: str) -> None:
         """RuntimePort drain hook: every sole-holder object has migrated
         off the worker, so order it out.  The shutdown travels the
@@ -1400,29 +1352,15 @@ class Manager:
 
     # -- memoization mechanisms (optional RuntimePort hooks) -------------
 
-    def memo_attach(self, cache_name: str, size: int, md5: Optional[str]) -> bool:
-        """True iff a retained payload can soundly back ``cache_name``.
-
-        Called by the control plane while validating a memo entry whose
-        replicas are gone.  A payload that fails its digest is dropped
-        on the spot — a corrupt retained copy must never be served.
-        """
-        store = self.memo_store
-        if store is None or md5 is None:
-            return False
-        if store.verify_payload(cache_name, md5):
-            return True
-        store.drop_payload(cache_name)
-        return False
-
     def memo_persist(self, task: Task, merkle: str, outputs) -> None:
         """Retain small outputs of a freshly recorded entry as payloads.
 
-        Each qualifying output is pulled back from a live replica via
-        the ordinary ``send_back`` path; the waiter stores the bytes and
-        stamps the digest into the store when they arrive.  Best effort:
-        an output that never lands simply keeps ``md5=None`` and the
-        entry stays replica-backed only.
+        Each qualifying output is pulled back from a live replica
+        through the fetch plane — best effort, so retention never
+        re-runs a producer — and the bytes that arrive are stored with
+        their digest stamped into the entry.  An output that never lands
+        simply keeps ``md5=None`` and the entry stays replica-backed
+        only.
         """
         store = self.memo_store
         if store is None:
@@ -1437,61 +1375,36 @@ class Manager:
             ]
             if not holders:
                 continue
-            self._request_payload(
-                out.cache_name, _MemoHarvestWaiter(store, merkle, out.cache_name)
-            )
+
+            def retain(_worker_id, payload, name=out.cache_name) -> None:
+                if payload is not None:
+                    store.set_output_md5(
+                        merkle, name, store.store_payload(name, payload)
+                    )
+
+            self.control.fetch(out.cache_name, retain, True)  # best effort
 
     def memo_finalize(self, task: Task, entry) -> bool:
         """Reconstruct the application-visible value of a memo hit.
 
         Command tasks carry everything in their output files, so they
         always finalize.  A python task's value must be decoded from the
-        retained result payload — without one (or with a recorded
-        exception) the hit is vetoed and the task runs.  Function calls
-        follow the same rule in value (loopback) mode; by-reference and
-        remote calls always finalize — their proxy resolves lazily
-        through the fetch plane, which the validated entry (live
-        replicas or a digest-verified payload) is known to serve.
+        retained result payload — without a digest-verified one (or with
+        a recorded exception) the hit is vetoed and the task runs.
+        Function calls follow the same rule in value (loopback) mode;
+        by-reference and remote calls always finalize — their proxy
+        resolves lazily through the fetch plane, which the validated
+        entry (live replicas or a digest-verified payload) is known to
+        serve.
         """
-        if isinstance(task, FunctionCall):
-            if task.by_reference or getattr(task, "session_token", None) is not None:
-                return True
-            return self._finalize_value(task, entry, _call_result_name(task))
-        if not isinstance(task, PythonTask):
+        result_name = _value_result_name(task)
+        if result_name is None:
             return True
-        result_name = task.outputs[-1][1].cache_name
-        if not self._finalize_value(task, entry, result_name):
-            return False
-        self._retrieving.pop(result_name, None)
-        return True
-
-    def _finalize_value(self, task: Task, entry, result_name: str) -> bool:
-        """Decode a retained result payload into a value-mode task."""
         out = next((o for o in entry.outputs if o.cache_name == result_name), None)
-        if out is None or not self.memo_attach(result_name, out.size, out.md5):
-            return False  # no digest-verified retained copy of the value
-        data = self._memo_payload_bytes(result_name)
-        if data is None:
+        if out is None or not self.control.memo_attach(result_name, out.md5):
             return False
-        try:
-            decoded = ser.loads(data)
-        except ser.SerializationError:
-            return False
-        if not decoded.get("ok"):
-            return False
-        task.set_output_value(decoded.get("value"))
-        return True
-
-    def _memo_payload_bytes(self, cache_name: str) -> Optional[bytes]:
-        """A retained payload's bytes, or None if absent/unreadable."""
-        store = self.memo_store
-        if store is None or not store.has_payload(cache_name):
-            return None
-        try:
-            with open(store.payload_path(cache_name), "rb") as fh:
-                return fh.read()
-        except OSError:
-            return None
+        data = self.control._memo_payload_bytes(result_name)
+        return data is not None and self._decode_value(task, data)
 
     # ------------------------------------------------------------------
     # public API: declarations
@@ -1637,8 +1550,6 @@ class Manager:
             if f.cache_name is None:
                 self.namer.assign(f)
                 self.control.declare_output_file(f)
-        if isinstance(task, PythonTask):
-            self._retrieving[task.outputs[-1][1].cache_name] = task
         return self.control.submit(task)
 
     def _memo_name_outputs(self, task: Task) -> None:
@@ -1674,8 +1585,7 @@ class Manager:
         self.control.declare(pf, MANAGER_SOURCE, len(payload))
         task.inputs.append((task.PAYLOAD_NAME, pf))
         result = TempFile()
-        # named (memo-aware) and declared in _submit_prepared's output
-        # pass; _retrieving is registered there once the name exists
+        # named (memo-aware) and declared in _submit_prepared's output pass
         task.outputs.append((task.RESULT_NAME, result))
 
     def _prepare_function_call(self, task: FunctionCall) -> None:
@@ -1814,7 +1724,9 @@ class Manager:
         """
         waiter: "queue.Queue[Optional[bytes]]" = queue.Queue()
         with self._lock:
-            self._request_payload(cache_name, waiter)
+            self.control.fetch(
+                cache_name, lambda _wid, payload: waiter.put(payload)
+            )
         try:
             data = waiter.get(timeout=timeout)
         except queue.Empty:
@@ -1822,84 +1734,6 @@ class Manager:
         if data is None:
             raise ManagerError(f"no worker holds {cache_name}")
         return data
-
-    # -- the fetch plane --------------------------------------------------
-
-    def _request_payload(self, name: str, waiter=None) -> None:
-        """Ensure the bytes of ``name`` are being fetched; park ``waiter``.
-
-        Concurrent requests for one name share a single in-flight
-        resolution: one ``send_back`` on the wire, every waiter served
-        from the same reply.  Callers hold the state lock.
-        """
-        st = self._fetch_states.get(name)
-        if st is not None:
-            if waiter is not None:
-                st.waiters.append(waiter)
-            return
-        st = self._fetch_states[name] = _FetchState()
-        if waiter is not None:
-            st.waiters.append(waiter)
-        self._fetch_advance(name, st)
-
-    def _fetch_advance(self, name: str, st: _FetchState) -> None:
-        """Ask the next source for ``name``'s bytes.
-
-        Source order: an untried live holder (lowest worker id, so the
-        choice is deterministic), the memo store's retained payload,
-        then lineage regeneration — the fetch parks (``asked=None``)
-        until the regenerated replica's cache-update advances it.  With
-        nothing left the fetch settles as unservable.
-        """
-        holders = [
-            w
-            for w in self.replicas.locate(name)
-            if w in self.workers and w not in st.tried
-        ]
-        if holders:
-            wid = min(holders)
-            st.tried.add(wid)
-            st.asked = wid
-            self._send(self.workers[wid], {"type": M.SEND_BACK, "cache_name": name})
-            return
-        payload = self._memo_payload_bytes(name)
-        if payload is not None:
-            self._fetch_settle(name, payload)
-            return
-        # best-effort waiters (memo retention) never justify re-running
-        # the producer; a value retrieval or an application fetch does
-        needy = name in self._retrieving or any(
-            not getattr(w, "best_effort", False) for w in st.waiters
-        )
-        if needy and name in self.registry and self.control._regenerate(name):
-            st.asked = None  # parked: the regenerated replica advances it
-            self.request_pump()
-            return
-        self._fetch_settle(name, None)
-
-    def _fetch_settle(
-        self, name: str, payload: Optional[bytes], worker_id: str = "@manager"
-    ) -> None:
-        """Resolve an in-flight fetch: serve every waiter at once."""
-        st = self._fetch_states.pop(name, None)
-        if st is None:
-            return
-        if payload is not None and st.waiters:
-            self.control.count_fetch(worker_id, name, len(payload))
-        for waiter in st.waiters:
-            waiter.put(payload)
-        if payload is None:
-            self._fail_retrieval(name)
-
-    def _fail_retrieval(self, name: str) -> None:
-        """Fail a deferred value retrieval whose bytes are unrecoverable."""
-        task = self._retrieving.get(name)
-        if task is None or task.is_done or task.result is None:
-            return  # nothing parked, or not yet a deferred completion
-        self._retrieving.pop(name, None)
-        result = task.result
-        result.failure = result.failure or "result file missing at worker"
-        self.control.finish_deferred(task, result)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -1921,10 +1755,7 @@ class Manager:
                 return
             self.control.closed = True
             # unblock every parked fetcher before the wires go away
-            for st in self._fetch_states.values():
-                for waiter in st.waiters:
-                    waiter.put(None)
-            self._fetch_states.clear()
+            self.control.reap_fetches(ttl=0.0)
             deletions = collect_workflow(self.control.registry, self.control.replicas)
             for wid, names in deletions.items():
                 handle = self.workers.get(wid)
@@ -2021,27 +1852,6 @@ class Manager:
             if self.worker_liveness_timeout is not None:
                 self._reap_stale(time.time())
             self._reap_sessions(time.time())
-            self._reap_fetches(time.monotonic())
-
-    def _reap_fetches(self, now: float) -> list[str]:
-        """Fail fetches stuck past the TTL (orphaned-waiter hygiene).
-
-        A fetch normally resolves or fails through holder replies,
-        worker-loss retries, or regeneration; this sweep is the
-        backstop for the ways those signals can be lost (a reply frame
-        dropped mid-teardown, a regeneration whose producer hangs), so
-        no client ever waits on a fetch the manager has forgotten.
-        """
-        with self._lock:
-            stale = [
-                name
-                for name, st in self._fetch_states.items()
-                if now - st.started > FETCH_TTL
-            ]
-            for name in stale:
-                log.warning("fetch of %s abandoned after %.0fs", name, FETCH_TTL)
-                self._fetch_settle(name, None)
-        return stale
 
     def _find_stale(self, now: float) -> list[_WorkerHandle]:
         """Workers silent past the liveness timeout as of ``now``."""
@@ -2341,7 +2151,12 @@ class Manager:
             return
         self._m_messages_in.inc()
         if mtype == M.CACHE_UPDATE:
-            self._on_cache_update(handle, msg)
+            self.control.on_cache_update(
+                handle.worker_id,
+                msg["cache_name"],
+                int(msg["size"]),
+                msg.get("transfer_id"),
+            )
         elif mtype == M.CACHE_INVALID:
             self.control.on_cache_invalid(
                 handle.worker_id,
@@ -2365,25 +2180,9 @@ class Manager:
         elif mtype == M.LIBRARY_READY:
             self._on_library_ready(handle, msg)
         elif mtype == M.FILE_DATA:
-            self._on_file_data(handle, msg, payload)
-
-    def _on_cache_update(self, handle: _WorkerHandle, msg: dict) -> None:
-        name = msg["cache_name"]
-        self.control.on_cache_update(
-            handle.worker_id, name, int(msg["size"]), msg.get("transfer_id")
-        )
-        # a value-mode task finished before its result replica
-        # registered; now that the replica exists, pull the value back
-        task = self._awaiting_result.pop(name, None)
-        if task is not None:
-            self._request_payload(name)
-        st = self._fetch_states.get(name)
-        if st is not None and st.asked is None:
-            # a fetch parked on lineage regeneration: the regenerated
-            # replica just landed, so the (possibly re-tried) holder
-            # can serve it now
-            st.tried.discard(handle.worker_id)
-            self._fetch_advance(name, st)
+            # the answer to ask_holder; no payload = the worker denies
+            # holding the object
+            self.control.fetch_reply(handle.worker_id, msg["cache_name"], payload)
 
     # -- task completion --------------------------------------------------
 
@@ -2406,27 +2205,35 @@ class Manager:
         task = self.control.on_task_result(handle.worker_id, task_id, result)
         if task is None:
             return  # stale report, or requeued by a retry policy
-        if isinstance(task, FunctionCall):
-            self._on_call_done(task, result, msg)
+        if isinstance(task, FunctionCall) and result.exit_code != 0 and not result.failure:
+            result.failure = f"invocation failed (exit {result.exit_code})"
+        # value-carrying tasks leave a result envelope — a python task
+        # even on exit 1 (the envelope then holds its exception)
+        enveloped = isinstance(task, (PythonTask, FunctionCall)) and (
+            result.exit_code == 0
+            or (result.exit_code == 1 and isinstance(task, PythonTask))
+        )
+        if enveloped and task._output_set:
+            # regeneration rerun: the value (or proxy) was already delivered
+            self.control.complete_task(task, task.result or result)
             return
-        if isinstance(task, PythonTask) and result.exit_code in (0, 1):
-            if task._output_set:
-                # regeneration rerun: the value was already retrieved
-                self.control.complete_task(task, task.result or result)
-                return
-            result_name = task.outputs[-1][1].cache_name
-            if self.replicas.replica_count(result_name):
-                task.result = result
-                self._request_payload(result_name)
-                self.control.complete_task(task, result, defer=True)
-                return  # completion finishes in _on_file_data
-            if result_name in msg.get("harvested", ()):
-                # the worker harvested the result but its cache-update is
-                # still in flight behind this message; defer until it lands
-                task.result = result
-                self._awaiting_result[result_name] = task
-                self.control.complete_task(task, result, defer=True)
-                return
+        result_name = _value_result_name(task) if enveloped else None
+        if result_name is None:
+            # nothing to bring back: outputs stay in worker caches (a
+            # by-reference call's proxy is stamped at delivery)
+            self.control.complete_task(task, result)
+        elif self.replicas.replica_count(result_name) or result_name in msg.get(
+            "harvested", ()
+        ):
+            # the application asked for a value: pull the envelope back
+            # and finish in _value_arrived.  A harvest whose cache-update
+            # is still in flight behind this message parks the fetch
+            # until the replica registers.
+            self.control.complete_task(task, result, defer=True)
+            self.control.fetch(
+                result_name, functools.partial(self._value_arrived, task)
+            )
+        else:
             # no result file anywhere: fail loudly instead of handing the
             # application a DONE task whose output() raises
             tail = (result.output or "").strip()[-500:]
@@ -2434,44 +2241,23 @@ class Manager:
                 f"result file never produced (exit {result.exit_code})"
                 + (f": {tail}" if tail else "")
             )
-        self.control.complete_task(task, result)
+            self.control.complete_task(task, result)
 
-    def _on_call_done(self, task: FunctionCall, result: TaskResult, msg: dict) -> None:
-        """Route a finished function call by its result discipline."""
-        if result.exit_code != 0:
-            if not result.failure:
-                result.failure = f"invocation failed (exit {result.exit_code})"
-            self.control.complete_task(task, result)
+    def _value_arrived(
+        self, task: Task, _worker_id: Optional[str], payload: Optional[bytes]
+    ) -> None:
+        """Fetch-plane waiter of a value retrieval: decode the envelope
+        into the task and finish its deferred completion."""
+        if task.is_done or self.control.closed:
+            # close() fails its fetches only to unblock waiters: the task
+            # stays awaiting its value, as the journal has it
             return
-        if task._output_set:
-            # regeneration rerun: the value was already delivered
-            self.control.complete_task(task, task.result or result)
-            return
-        if task.by_reference or getattr(task, "session_token", None) is not None:
-            # by-reference: the envelope stays in the worker's cache and
-            # only a ref travels — the proxy is stamped at delivery
-            self.control.complete_task(task, result)
-            return
-        # loopback value semantics: the application asked for a value,
-        # not a proxy, so pull the envelope back like a python result
-        result_name = _call_result_name(task)
-        if self.replicas.replica_count(result_name):
-            task.result = result
-            self._retrieving[result_name] = task
-            self._request_payload(result_name)
-            self.control.complete_task(task, result, defer=True)
-            return  # completion finishes in _on_file_data
-        if result_name in msg.get("harvested", ()):
-            task.result = result
-            self._retrieving[result_name] = task
-            self._awaiting_result[result_name] = task
-            self.control.complete_task(task, result, defer=True)
-            return
-        tail = (result.output or "").strip()[-500:]
-        result.failure = result.failure or (
-            "result file never produced" + (f": {tail}" if tail else "")
-        )
-        self.control.complete_task(task, result)
+        result = task.result
+        if payload is None:
+            result.failure = result.failure or "result file missing at worker"
+        else:
+            self._decode_value(task, payload, result)
+        self.control.finish_deferred(task, result)
 
     def _on_library_ready(self, handle: _WorkerHandle, msg: dict) -> None:
         name = msg["library"]
@@ -2479,43 +2265,27 @@ class Manager:
             handle.libraries.add(name)
         self.control.on_library_ready(handle.worker_id, name)
 
-    def _on_file_data(
-        self, handle: Optional[_WorkerHandle], msg: dict, payload: Optional[bytes]
-    ) -> None:
-        name = msg["cache_name"]
-        wid = handle.worker_id if handle is not None else "@manager"
-        if payload is None:
-            # the asked worker denies holding the object (evicted,
-            # corrupt): move the fetch on to the next source instead of
-            # failing every waiter on one holder's say-so
-            st = self._fetch_states.get(name)
-            if st is not None and st.asked == wid:
-                self.control.count_fetch_retry(name, wid, "not_found")
-                st.asked = None
-                self._fetch_advance(name, st)
-                return
-            if st is not None:
-                return  # a stale miss from a superseded source
-            self._fail_retrieval(name)
-            return
-        task = self._retrieving.pop(name, None)
-        if task is not None and not task.is_done and task.result is not None:
-            self.control.count_retrieval(wid, name, len(payload))
-            result = task.result
-            self._decode_value(task, result, payload)
-            self.control.finish_deferred(task, result)
-        self._fetch_settle(name, payload, worker_id=wid)
+    def _decode_value(
+        self, task: Task, payload: bytes, result: Optional[TaskResult] = None
+    ) -> bool:
+        """Decode a result envelope into a value-mode task; True iff it
+        carried a value.
 
-    def _decode_value(self, task: Task, result: TaskResult, payload: bytes) -> None:
-        """Decode a pulled-back result envelope into a value-mode task."""
+        With ``result`` (a live retrieval) an undecodable envelope or a
+        remote exception is recorded on it; without (a memo hit being
+        finalized) the task is left untouched so the hit can be vetoed.
+        """
         try:
             decoded = ser.loads(payload)
         except ser.SerializationError as exc:
-            result.failure = f"result decode failed: {exc}"
-            return
+            if result is not None:
+                result.failure = f"result decode failed: {exc}"
+            return False
         if decoded.get("ok"):
             task.set_output_value(decoded.get("value"))
-            return
+            return True
+        if result is None:
+            return False
         if isinstance(task, PythonTask):
             # exit-1 semantics: the exception is the task's output
             task.set_output_value(None)
@@ -2523,9 +2293,10 @@ class Manager:
             err = decoded.get("error")
             if isinstance(err, BaseException):
                 task.set_output_value(err)
-            return
+            return False
         result.failure = decoded.get("traceback") or repr(decoded.get("error"))
         result.exit_code = result.exit_code or 1
+        return False
 
     def _on_worker_gone(self, handle: _WorkerHandle) -> None:
         if not handle.alive:
@@ -2535,13 +2306,6 @@ class Manager:
         self.workers.pop(handle.worker_id, None)
         handle.stop_sender()
         self.control.worker_left(handle.worker_id)
-        # in-flight fetches asked of the dead worker move on to the
-        # next holder instead of stranding their waiters until timeout
-        for name, st in list(self._fetch_states.items()):
-            if st.asked == handle.worker_id:
-                self.control.count_fetch_retry(name, handle.worker_id, "worker_lost")
-                st.asked = None
-                self._fetch_advance(name, st)
 
     # -- low-level send -------------------------------------------------------
 

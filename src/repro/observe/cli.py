@@ -151,6 +151,9 @@ def replay_status(events: list[Event], runtime: str = "unknown") -> LogStatus:
                     else source_kind(e.category)
                 )
                 st.bytes_by_kind[kind] = st.bytes_by_kind.get(kind, 0) + e.size
+        elif e.kind == "fetch_retried":
+            # the asked holder will not serve: this closes its transfer_start
+            st.transfers_open = max(0, st.transfers_open - 1)
         elif e.kind == "stage_start":
             st.stages_open += 1
         elif e.kind == "stage_end":

@@ -306,7 +306,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             client_session_ttl=args.session_ttl,
             txn_log_path=os.path.join(state_dir, TXN_LOG),
             metrics_dump_path=os.path.join(state_dir, METRICS_FILE),
-            metrics_dump_interval=1.0,
             memo_dir=os.path.abspath(args.memo_dir) if args.memo_dir else None,
             memo_opt_out=args.memo_opt_out or None,
             memo_payload_limit=args.memo_payload_limit,

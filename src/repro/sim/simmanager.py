@@ -58,20 +58,6 @@ class _FileMeta:
     mini: Optional[MiniTaskFile] = None
 
 
-class _SimFetch:
-    """One in-flight on-demand result fetch (sim mirror of the real
-    manager's ``_FetchState``): callbacks waiting on the payload, the
-    holder currently serving (None while parked on regeneration), and
-    the holders already tried."""
-
-    __slots__ = ("callbacks", "asked", "tried")
-
-    def __init__(self) -> None:
-        self.callbacks: list = []
-        self.asked: Optional[str] = None
-        self.tried: set[str] = set()
-
-
 class SimLibrary(LibraryState):
     """Control-plane library state plus the simulated startup delay."""
 
@@ -197,8 +183,6 @@ class SimManager:
 
         self.meta: dict[str, _FileMeta] = {}
         self._retrieval_pending: dict[str, int] = {}
-        #: cache_name -> in-flight on-demand result fetch
-        self._fetch_states: dict[str, _SimFetch] = {}
         self.evictions = 0
         self._pump_scheduled = False
         self._finalized = False
@@ -434,20 +418,6 @@ class SimManager:
                 self.control.replica_evicted(worker_id, victim)
                 self.evictions += 1
         worker.insert(cache_name, size, level, self.sim.now)
-        if self._fetch_states.get(cache_name) is not None:
-            # a fetch parked on lineage regeneration: the regenerated
-            # replica is landing, so the holder can serve it.  Deferred
-            # one event: the replica table records the copy only after
-            # this store returns.
-            self.sim.schedule(0.0, self._poke_fetch, cache_name, worker_id)
-
-    def _poke_fetch(self, cache_name: str, worker_id: str) -> None:
-        if self._crashed:
-            return
-        st = self._fetch_states.get(cache_name)
-        if st is not None and st.asked is None:
-            st.tried.discard(worker_id)
-            self._fetch_advance(cache_name, st)
 
     def delete_replica(self, worker_id: str, cache_name: str) -> None:
         worker = self.cluster.workers.get(worker_id)
@@ -456,6 +426,19 @@ class SimManager:
 
     def deliver(self, task: Task, regenerated: bool) -> None:
         pass  # applications read task state directly after run()
+
+    def ask_holder(self, worker_id: str, cache_name: str) -> None:
+        self.network.start(
+            worker_id,
+            MANAGER_NODE,
+            self.control.sizes.get(cache_name, 0),
+            lambda _t: self._holder_served(worker_id, cache_name),
+        )
+
+    def _holder_served(self, worker_id: str, cache_name: str) -> None:
+        if not self._crashed:
+            # no real bytes exist here: the plane accounts the declared size
+            self.control.fetch_reply(worker_id, cache_name, b"")
 
     # ------------------------------------------------------------------
     # declarations
@@ -702,7 +685,6 @@ class SimManager:
         return (
             self.control.idle()
             and not any(self._retrieval_pending.values())
-            and not self._fetch_states
             and not self.pending_arrivals
             and not self.control.draining
         )
@@ -812,69 +794,14 @@ class SimManager:
     def fetch_result(self, cache_name: str, on_done=None) -> None:
         """Pull a result payload back to the manager on demand.
 
-        The sim mirror of the real manager's by-reference resolution
-        path: bytes stay at workers until a fetch dereferences them.
-        Concurrent fetches of the same name coalesce into one transfer;
-        a holder dying mid-serve retries the remaining holders
-        (``fetch_retried``), and a name with no live replica parks on
-        lineage regeneration.  ``on_done`` is called with the serving
-        worker id, or None when every source is exhausted.
+        Rides the control plane's fetch plane, exactly as the real
+        manager's by-reference resolution does: bytes stay at workers
+        until a fetch dereferences them.  ``on_done`` is called with the
+        serving worker id, or None when every source is exhausted.
         """
-        st = self._fetch_states.get(cache_name)
-        if st is not None:
-            if on_done is not None:
-                st.callbacks.append(on_done)
-            return
-        st = self._fetch_states[cache_name] = _SimFetch()
-        if on_done is not None:
-            st.callbacks.append(on_done)
-        self._fetch_advance(cache_name, st)
-
-    def _fetch_advance(self, name: str, st: _SimFetch) -> None:
-        holders = [
-            w
-            for w in self.replicas.locate(name)
-            if self.worker_connected(w) and w not in st.tried
-        ]
-        if holders:
-            wid = min(holders)  # deterministic source order
-            st.tried.add(wid)
-            st.asked = wid
-            size = self.control.sizes.get(name, 0)
-            self.log.emit(
-                self.sim.now, "transfer_start",
-                worker=wid, file=name, size=size, category="@fetch",
-            )
-            self.network.start(
-                wid,
-                MANAGER_NODE,
-                size,
-                lambda _t, n=name, w=wid: self._fetch_done(n, w),
-            )
-            return
-        if name in self.registry and self.control._regenerate(name):
-            st.asked = None  # parked: store_replica advances it
-            self.request_pump()
-            return
-        self._fetch_settle(name, None)
-
-    def _fetch_done(self, name: str, wid: str) -> None:
-        if self._crashed:
-            return
-        st = self._fetch_states.get(name)
-        if st is None or st.asked != wid:
-            return  # superseded: the fetch moved on while bytes flew
-        self._fetch_settle(name, wid)
-
-    def _fetch_settle(self, name: str, wid: Optional[str]) -> None:
-        st = self._fetch_states.pop(name, None)
-        if st is None:
-            return
-        if wid is not None:
-            self.control.count_fetch(wid, name, self.control.sizes.get(name, 0))
-        for cb in st.callbacks:
-            cb(wid)
-        self.request_pump()
+        self.control.fetch(
+            cache_name, lambda wid, _payload: on_done(wid) if on_done else None
+        )
 
     # -- worker membership ------------------------------------------------
 
@@ -929,13 +856,6 @@ class SimManager:
         if self._crashed:
             return
         self.control.worker_left(worker.worker_id)
-        # fetches being served by the dead worker move on to the next
-        # holder instead of stranding their waiters
-        for name, st in list(self._fetch_states.items()):
-            if st.asked == worker.worker_id:
-                self.control.count_fetch_retry(name, worker.worker_id, "worker_lost")
-                st.asked = None
-                self._fetch_advance(name, st)
 
     # -- crash / restart ---------------------------------------------------
 

@@ -10,6 +10,7 @@ be driven step by step and observed directly.
 import pytest
 
 from repro.core.control_plane import (
+    FETCH_TTL,
     MINITASK_SOURCE,
     NO_SOURCE,
     TRANSFER_BACKOFF_MAX,
@@ -38,6 +39,7 @@ class FakePort:
         self.stored = []       # (worker_id, cache_name, size)
         self.deleted = []      # (worker_id, cache_name)
         self.delivered = []    # (task, regenerated)
+        self.asked = []        # (worker_id, cache_name) send-back requests
 
     def now(self):
         return self.time
@@ -74,6 +76,9 @@ class FakePort:
 
     def deliver(self, task, regenerated):
         self.delivered.append((task, regenerated))
+
+    def ask_holder(self, worker_id, cache_name):
+        self.asked.append((worker_id, cache_name))
 
     def request_pump(self):
         pass  # tests call control.pump() explicitly for determinism
@@ -644,3 +649,177 @@ def test_journal_restart_requeues_parked_tasks(tmp_path):
     control2.pump()
     assert consumer.state == TaskState.RUNNING
     control2.journal.close()
+
+
+# -- the result fetch plane ----------------------------------------------
+
+
+def _produced(control, port, holders=("wA",), name="res"):
+    """A temp produced by a DONE task, with replicas at ``holders``."""
+    for wid in holders:
+        add_worker(port, control, wid)
+    out = _temp(control, name)
+    producer = Task("make").add_output(out, "out")
+    control.submit(producer)
+    control.pump()
+    finish(port, control, producer)
+    for wid in holders:
+        control.register_replica(wid, name, 10)
+    assert producer.state == TaskState.DONE
+    return producer
+
+
+def _waiter(served, tag=None):
+    return lambda wid, payload: served.append((tag, wid, payload))
+
+
+def _fetch_events(control, name="res"):
+    return [
+        (e.kind, e.worker, e.category)
+        for e in control.log
+        if e.file == name
+        and e.kind in ("transfer_start", "transfer_end", "fetch_retried")
+    ]
+
+
+def test_concurrent_fetches_cost_one_ask_and_one_paired_transfer():
+    port, control = make_control()
+    _produced(control, port)
+    served = []
+    control.fetch("res", _waiter(served, "first"))
+    control.fetch("res", _waiter(served, "second"))
+    assert port.asked == [("wA", "res")]
+    assert not control.idle()
+    control.fetch_reply("wA", "res", b"bytes")
+    assert served == [("first", "wA", b"bytes"), ("second", "wA", b"bytes")]
+    assert control.idle()
+    assert _fetch_events(control) == [
+        ("transfer_start", "wA", "@fetch"),
+        ("transfer_end", "wA", "@fetch"),
+    ]
+    assert control.transfer_counts["fetch"] == 1
+    assert control.bytes_by_source["fetch"] == len(b"bytes")
+
+
+def test_fetch_moves_on_when_the_asked_holder_leaves_or_denies():
+    port, control = make_control()
+    _produced(control, port, holders=("wA", "wB", "wC"))
+    served = []
+    control.fetch("res", _waiter(served))
+    port.connected.discard("wA")
+    control.worker_left("wA")
+    assert port.asked == [("wA", "res"), ("wB", "res")]
+    control.fetch_reply("wB", "res", None)
+    assert port.asked[-1] == ("wC", "res")
+    # a stale miss from a holder the fetch already moved on from
+    control.fetch_reply("wB", "res", None)
+    assert len(port.asked) == 3 and not served
+    control.fetch_reply("wC", "res", b"x")
+    assert served == [(None, "wC", b"x")]
+    assert _fetch_events(control) == [
+        ("transfer_start", "wA", "@fetch"),
+        ("fetch_retried", "wA", "worker_lost"),
+        ("transfer_start", "wB", "@fetch"),
+        ("fetch_retried", "wB", "not_found"),
+        ("transfer_start", "wC", "@fetch"),
+        ("transfer_end", "wC", "@fetch"),
+    ]
+    assert control.metrics.snapshot()["fetch.retries"]["value"] == 2
+
+
+def _count_regenerations(control):
+    calls = []
+    inner = control._regenerate
+
+    def counted(name):
+        calls.append(name)
+        return inner(name)
+
+    control._regenerate = counted
+    return calls
+
+
+def test_best_effort_fetch_never_regenerates_but_a_mixed_one_does():
+    port, control = make_control()
+    producer = _produced(control, port)
+    port.connected.discard("wA")
+    control.worker_left("wA")  # the only replica is gone
+    add_worker(port, control, "wB")
+    calls = _count_regenerations(control)
+
+    served = []
+    control.fetch("res", _waiter(served), best_effort=True)
+    assert served == [(None, None, None)] and calls == []
+    assert producer.state == TaskState.DONE
+
+    add_worker(port, control, "wC")
+    control.register_replica("wC", "res", 10)
+    served.clear()
+    control.fetch("res", _waiter(served, "retain"), best_effort=True)
+    control.fetch("res", _waiter(served, "app"))
+    port.connected.discard("wC")
+    control.worker_left("wC")
+    assert calls == ["res"] and not served  # parked on the rerun
+    assert producer.state == TaskState.READY
+
+
+def test_parked_fetch_is_advanced_by_the_regenerated_replica():
+    port, control = make_control()
+    producer = _produced(control, port)
+    served = []
+    control.fetch("res", _waiter(served))
+    control.fetch_reply("wA", "res", None)  # evicted behind our back
+    assert producer.state == TaskState.READY  # lineage rerun, fetch parked
+    assert port.asked == [("wA", "res")]
+    control.replicas.remove_replica("res", "wA")
+    control.pump()
+    finish(port, control, producer)  # registers the fresh copy on wA
+    # wA was tried and could not serve; it is asked again all the same
+    assert port.asked == [("wA", "res"), ("wA", "res")]
+    control.fetch_reply("wA", "res", b"again")
+    assert served == [(None, "wA", b"again")]
+
+
+def test_fetch_ttl_reap_settles_none_exactly_once_on_the_port_clock():
+    port, control = make_control()
+    _produced(control, port)
+    served = []
+    control.fetch("res", _waiter(served))  # wA never answers
+    port.time = FETCH_TTL - 1
+    control.pump()
+    assert not served
+    port.time = FETCH_TTL + 1
+    control.pump()
+    control.pump()
+    assert served == [(None, None, None)]
+    assert control.idle()
+    # the open ask is closed in the log, and a late reply is ignored
+    assert _fetch_events(control)[-1] == ("fetch_retried", "wA", "abandoned")
+    control.fetch_reply("wA", "res", b"late")
+    assert len(served) == 1
+
+
+def test_value_retrieval_rides_the_plane_as_a_paired_retrieve():
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    out = _temp(control, "res")
+    task = Task("value").add_output(out, "out")
+    control.submit(task)
+    control.pump()
+    result = TaskResult(exit_code=0)
+    control.on_task_result("wA", task.task_id, result)
+    control.complete_task(task, result, defer=True)
+    served = []
+    # the harvest's cache-update is still in flight: the fetch parks on
+    # the producer that is about to deliver, then asks the new holder
+    control.fetch("res", _waiter(served))
+    assert port.asked == [] and not served
+    control.register_replica("wA", "res", 10)
+    assert port.asked == [("wA", "res")]
+    control.fetch_reply("wA", "res", b"v")
+    assert _fetch_events(control) == [
+        ("transfer_start", "wA", "@retrieve"),
+        ("transfer_end", "wA", "@retrieve"),
+    ]
+    assert control.transfer_counts["retrieve"] == 1
+    assert not control.transfer_counts["fetch"]

@@ -4,14 +4,13 @@
 import pytest
 
 import os
-import queue
 import socket
 import threading
 import time
 
 from repro.core.files import CacheLevel
 from repro.core.library import FunctionCall
-from repro.core.manager import FETCH_TTL, Manager, ManagerError, _ClientSession
+from repro.core.manager import Manager, ManagerError, _ClientSession
 from repro.core.task import PythonTask, Task
 from repro.core.transfer_table import MANAGER_SOURCE
 
@@ -161,34 +160,6 @@ def test_fetch_bytes_without_replica_raises(manager):
     temp = manager.declare_temp()
     with pytest.raises(ManagerError, match="no worker holds"):
         manager.fetch_bytes(temp)
-
-
-def test_reap_fetches_fails_waiters_parked_past_the_ttl(manager):
-    """The TTL backstop: a fetch parked on a producer that never runs
-    (no workers here) is failed by the liveness sweep, not left waiting."""
-    out = manager.declare_temp()
-    producer = Task("produce")
-    producer.add_output(out, "out")
-    manager.submit(producer)
-    name = out.cache_name
-
-    def park():
-        waiter = queue.Queue()
-        with manager._lock:
-            manager._request_payload(name, waiter)
-        return waiter
-
-    stale = park()
-    st = manager._fetch_states[name]
-    assert st.asked is None and stale.empty()  # parked on regeneration
-    assert manager._reap_fetches(st.started + FETCH_TTL - 1) == []
-    assert manager._reap_fetches(st.started + FETCH_TTL + 1) == [name]
-    assert stale.get_nowait() is None
-    assert name not in manager._fetch_states
-
-    fresh = park()
-    assert manager._reap_fetches(time.monotonic()) == []
-    assert fresh.empty() and name in manager._fetch_states
 
 
 def test_close_idempotent(manager):

@@ -8,8 +8,14 @@ behind two files with the identical header schema and the identical
 timestamps and runtime-assigned identifiers.
 """
 
+import os
+import signal
+import threading
+
 from repro.core.control_plane import source_kind
-from repro.core.task import Task, TaskState
+from repro.core.library import FunctionCall
+from repro.core.task import PythonTask, Task, TaskState
+from repro.observe.cli import replay_status
 from repro.observe.txnlog import (
     TXN_SCHEMA_VERSION,
     load_event_log,
@@ -18,6 +24,7 @@ from repro.observe.txnlog import (
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
 from tests.integration.conftest import Cluster
+from tests.integration.test_service_mode import _proc_for
 
 N_TASKS = 6
 
@@ -173,3 +180,141 @@ def test_both_runtimes_populate_the_same_core_metrics(tmp_path):
         assert misses >= 2
         assert snap["transfers.in_flight"]["max"] >= 1
         assert snap["transfers.in_flight"]["value"] == 0
+
+
+# -- the fetch plane: one implementation, one log shape -------------------
+
+MB = 1_000_000
+
+
+def _fetch_shape(events, name):
+    """Fetch-plane records of one name, workers aliased by appearance."""
+    alias: dict[str, str] = {}
+    return [
+        (e.kind, alias.setdefault(e.worker, f"w{len(alias)}"), e.category)
+        for e in events
+        if e.file == name
+        and (e.kind == "fetch_retried" or e.category == "@fetch")
+    ]
+
+
+def _real_fetch_log(tmp_path):
+    """Produce a replicated temp, fetch it, then fetch it again while
+    the holder being asked dies mid-serve."""
+    path = str(tmp_path / "real_fetch.jsonl")
+    c = Cluster(tmp_path, n_workers=2, temp_replica_count=2, txn_log_path=path)
+    try:
+        m = c.manager
+        out = m.declare_temp()
+        m.submit(Task("echo kept > out").add_output(out, "out"))
+        m.run_until_done(timeout=120)
+        name = out.cache_name
+        c.events.wait_for(
+            lambda: len(m.replicas.locate(name)) == 2,
+            timeout=60,
+            describe="output replicated to both workers",
+        )
+        assert m.fetch_bytes(out) == b"kept\n"
+
+        def asks():
+            return [
+                e for e in m.log.events("transfer_start")
+                if e.file == name and e.category == "@fetch"
+            ]
+
+        # the plane asks the lowest worker id: freeze it so the request
+        # parks there, then kill it
+        proc = _proc_for(c, min(m.replicas.locate(name)))
+        os.kill(proc.pid, signal.SIGSTOP)
+        got = {}
+        t = threading.Thread(
+            target=lambda: got.__setitem__("data", m.fetch_bytes(out)),
+            daemon=True,
+        )
+        try:
+            t.start()
+            c.events.wait_for(lambda: len(asks()) == 2, describe="second ask")
+        finally:
+            os.kill(proc.pid, signal.SIGKILL)
+        t.join(timeout=60)
+        assert got.get("data") == b"kept\n"
+    finally:
+        c.stop()
+    return path, name
+
+
+def _sim_fetch_log(tmp_path):
+    path = str(tmp_path / "sim_fetch.jsonl")
+    cluster = SimCluster()
+    cluster.add_workers(2, cores=4)
+    m = SimManager(cluster, temp_replica_count=2, txn_log_path=path)
+    out = m.declare_temp()
+    m.submit(Task("produce").add_output(out, "out"), 0.5, {"out": 10 * MB})
+    m.run(finalize=False)
+    m.control.pump()
+    m.sim.run()  # drain the replication transfer
+    name = out.cache_name
+    assert len(m.replicas.locate(name)) == 2
+    served = []
+    m.fetch_result(name, served.append)
+    m.run(finalize=False)
+    asked = min(m.replicas.locate(name))
+    m.fetch_result(name, served.append)
+    cluster.remove_worker(asked, at=m.sim.now)  # dies mid-serve
+    m.run()
+    assert served[0] == asked and served[1] not in (None, asked)
+    return path, name
+
+
+def test_fetches_leave_the_same_records_in_both_runtimes(tmp_path):
+    real_path, real_name = _real_fetch_log(tmp_path)
+    sim_path, sim_name = _sim_fetch_log(tmp_path)
+    _h, real_events = read_transactions(real_path, strict=True)
+    _h, sim_events = read_transactions(sim_path, strict=True)
+    real_shape = _fetch_shape(real_events, real_name)
+    assert real_shape == _fetch_shape(sim_events, sim_name)
+    assert real_shape == [
+        ("transfer_start", "w0", "@fetch"),
+        ("transfer_end", "w0", "@fetch"),
+        ("transfer_start", "w0", "@fetch"),
+        ("fetch_retried", "w0", "worker_lost"),
+        ("transfer_start", "w1", "@fetch"),
+        ("transfer_end", "w1", "@fetch"),
+    ]
+    # the retried ask is closed, not left open, in a replayed status
+    assert replay_status(real_events).transfers_open == 0
+    assert replay_status(sim_events).transfers_open == 0
+
+
+def _double(x):
+    return 2 * x
+
+
+def test_real_fetches_and_retrievals_replay_as_closed_transfers(tmp_path):
+    """Every ``@fetch``/``@retrieve`` end has its start, so a replayed
+    status never eats a genuinely open transfer's count."""
+    path = str(tmp_path / "txn.jsonl")
+    c = Cluster(tmp_path, n_workers=2, txn_log_path=path)
+    try:
+        m = c.manager
+        m.create_library("maplib", [_double], function_slots=2)
+        m.install_library("maplib")
+        calls = [FunctionCall("maplib", "_double", i).set_by_reference() for i in range(4)]
+        value = PythonTask(_double, 21)
+        for t in calls + [value]:
+            m.submit(t)
+        m.run_until_done(timeout=120)
+        assert [t.output().resolve() for t in calls] == [0, 2, 4, 6]
+        assert value.output() == 42
+    finally:
+        c.stop()
+    header, events = read_transactions(path, strict=True)
+    for category, expected in (("@fetch", len(calls)), ("@retrieve", 1)):
+        starts = [e for e in events if e.kind == "transfer_start" and e.category == category]
+        ends = [e for e in events if e.kind == "transfer_end" and e.category == category]
+        assert len(starts) == len(ends) == expected
+    assert not [e for e in events if e.kind == "fetch_retried"]
+    status = replay_status(events, runtime=header["runtime"])
+    assert status.transfers_open == 0
+    starts = sum(e.kind == "transfer_start" for e in events)
+    assert status.transfers_done == starts
