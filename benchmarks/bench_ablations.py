@@ -102,8 +102,9 @@ def test_ablation_serverless_vs_plain_tasks(once, bench_report):
         return m.run()
 
     def serverless():
-        # same 5-core workers: one core hosts the resident instance,
-        # four serve calls (the paper's composed resource model)
+        # same 5-core workers: the library holds four cores and its
+        # four slots share them — four calls at once and one core left
+        # for plain tasks (the paper's resource model, §3.4)
         return bgd_workflow(
             n_calls=500, n_workers=50, cores=5, env_mb=89,
             library_startup=startup, call_time_range=work,

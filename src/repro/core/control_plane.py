@@ -257,6 +257,11 @@ class LibraryState:
     serialized function payload, a simulated startup time).  Phases per
     worker: ``staging`` (environment files in flight) → ``starting``
     (instance launching) → ``ready`` | ``failed``.
+
+    ``resources`` is what one instance takes from a worker's pool for as
+    long as it is installed, and the whole charge for everything it
+    runs; ``slots`` is how many calls share that allocation at once
+    (paper §3.4, Fig. 8).
     """
 
     def __init__(
@@ -877,7 +882,13 @@ class ControlPlane:
         for _, f in task.outputs:
             # record lineage for regeneration after replica loss
             setattr(f, "producer_task_id", task.task_id)
-        if self.resource_learning and not task.resources_explicit:
+        if isinstance(task, FunctionCall):
+            lib = self.libraries.get(task.library_name)
+            if lib is not None:
+                # derived, never consulted for placement: one slot's
+                # share of the allocation the library already holds
+                task.resources = lib.resources.scaled(1.0 / lib.slots)
+        elif self.resource_learning and not task.resources_explicit:
             task.resources = self.categories.first_allocation(
                 task.category, task.resources
             )
@@ -962,15 +973,7 @@ class ControlPlane:
         task = self._pop_running(task_id)
         if task is None:
             return None
-        state = self.workers.get(worker_id)
-        if state is not None:
-            state.running.discard(task_id)
-            try:
-                state.pool.release(task_id)
-            except KeyError:
-                pass
-        if isinstance(task, FunctionCall):
-            self._lib_load[(worker_id, task.library_name)] -= 1
+        self._release(task, worker_id)
         # inputs stay pinned until complete_task/_requeue so that output
         # registration cannot evict the inputs the task just consumed
         task.finished_at = self.port.now()
@@ -1141,20 +1144,28 @@ class ControlPlane:
                 )
         self.port.deliver(task, regenerated=regenerated)
 
+    def _release(self, task: Task, worker_id: str) -> None:
+        """Give back what :meth:`_dispatch` took at the worker: a call's
+        slot of its library's allocation, or a task's share of the pool."""
+        state = self.workers.get(worker_id)
+        if state is not None:
+            state.running.discard(task.task_id)
+        if isinstance(task, FunctionCall):
+            key = (worker_id, task.library_name)
+            self._lib_load[key] -= 1
+            if self._lib_load[key] <= 0:
+                del self._lib_load[key]  # the ledger lists busy slots only
+        elif state is not None:
+            try:
+                state.pool.release(task.task_id)
+            except KeyError:
+                pass
+
     def _abort_placement(self, task: Task) -> None:
         """Undo a dispatch: release pool, slots and pins at the worker."""
-        wid = task.worker_id
-        state = self.workers.get(wid or "")
-        if state is None:
-            return
-        try:
-            state.pool.release(task.task_id)
-        except KeyError:
-            pass
-        state.running.discard(task.task_id)
-        if isinstance(task, FunctionCall):
-            self._lib_load[(wid, task.library_name)] -= 1
-        self._unpin(task)
+        if task.worker_id in self.workers:
+            self._release(task, task.worker_id)
+            self._unpin(task)
 
     def _gc_task_inputs(self, task: Task) -> None:
         """Drop input references; collect task-lifetime files at zero."""
@@ -1821,8 +1832,7 @@ class ControlPlane:
             self._drop_stage_index(task)
             self._pop_running(task.task_id)
             self.port.task_preempted(task)
-            if isinstance(task, FunctionCall):
-                self._lib_load[(worker_id, task.library_name)] -= 1
+            self._release(task, worker_id)
             budget = (
                 task.max_retries if self.loss_retries is None else self.loss_retries
             )
@@ -2542,7 +2552,12 @@ class ControlPlane:
 
     def _dispatch(self, task: Task, worker_id: str) -> None:
         state = self.workers[worker_id]
-        state.pool.allocate(task.task_id, task.resources)
+        if isinstance(task, FunctionCall):
+            # a call runs in a slot of the allocation its library took
+            # at deploy time (paper §3.4); the pool is not charged again
+            self._lib_load[(worker_id, task.library_name)] += 1
+        else:
+            state.pool.allocate(task.task_id, task.resources)
         state.running.add(task.task_id)
         task.worker_id = worker_id
         task.state = TaskState.DISPATCHED
@@ -2554,8 +2569,6 @@ class ControlPlane:
                 self._m_cache_hits.inc()
             else:
                 self._m_cache_misses.inc()
-        if isinstance(task, FunctionCall):
-            self._lib_load[(worker_id, task.library_name)] += 1
         for name in task.input_cache_names():
             self._pinned[worker_id][name] += 1
             # reverse index: replica/transfer events touching this name

@@ -12,10 +12,20 @@ libraries, reading datasets) dominates runtime.  TaskVine amortizes it:
   the invocation to the resident instance, which forks to run the
   already-loaded code.
 
-Resource management composes with normal tasks: the instance holds a
-static allocation for as long as it is installed, and each in-flight
-function call consumes its own allocation on top (paper §3.4), so both
-kinds pack into workers alongside plain tasks.
+Resource management (paper §3.4, Fig. 8): **the library owns an
+allocation and its calls share it.**  The LibraryTask's ``resources``
+are taken from the worker's pool once, when the instance is deployed,
+and held for as long as it is installed; ``function_slots`` divides
+that allocation into the number of calls the instance serves at once.
+A FunctionCall is placed on a worker whose instance has a free slot
+and takes nothing further from the pool — the library's allocation is
+the whole charge — so plain tasks pack into whatever the libraries
+left, and a call's dispatch involves no resource arithmetic at all.
+A call's own ``resources`` is derived, not declared: the control plane
+stamps it at submit with one slot's share of the library's allocation
+(``resources / function_slots``) for category accounting and the
+journal, and placement never reads it.  To give calls more room, size
+the library.
 """
 
 from __future__ import annotations
@@ -81,8 +91,9 @@ class LibraryTask(Task):
     One LibraryTask is dispatched per worker during installation; it
     carries the serialized functions (and any attached environment
     files) as inputs, starts the instance, and then runs until removed
-    or until the workflow ends.  ``function_slots`` bounds how many
-    invocations the instance serves concurrently.
+    or until the workflow ends.  ``resources`` is the instance's (and
+    therefore all of its calls') charge against the worker's pool;
+    ``function_slots`` bounds how many invocations share it at once.
     """
 
     def __init__(
@@ -123,6 +134,9 @@ class FunctionCall(Task):
 
     #: sandbox name of the result envelope output
     RESULT_NAME = "call_result.bin"
+    #: a call is placed on a free slot of its library and takes nothing
+    #: from the worker's pool: the library's allocation already paid
+    pool_request = Resources(cores=0)
 
     def __init__(
         self,

@@ -426,7 +426,10 @@ class Scheduler:
         scoring: locality candidates are looked up in the index's own
         views, so if no view fits, no candidate does either.
         """
-        if index.infeasible(task.resources):
+        # what the placement takes from the pool: nothing for a
+        # FunctionCall, whose index holds the workers with a free slot
+        request = task.pool_request
+        if index.infeasible(request):
             return None
         failure_score = self.failure_score or (lambda _w: 0)
         best_key: Optional[tuple] = None
@@ -436,13 +439,13 @@ class Scheduler:
             scores = self.replicas.locality_scores(task.input_cache_names())
             for wid, score in scores.items():
                 view = index.views.get(wid)
-                if view is None or view.draining or not view.can_fit(task.resources):
+                if view is None or view.draining or not view.can_fit(request):
                     continue
                 scored += 1
                 key = (-score, failure_score(wid), view.running_tasks, wid)
                 if best_key is None or key < best_key:
                     best_key, best = key, wid
-        fallback = index.best_fallback(task.resources)
+        fallback = index.best_fallback(request)
         if fallback is not None:
             scored += 1
             view = index.views[fallback]

@@ -165,6 +165,11 @@ class Task:
     #: alias matching the paper's Fig. 3 listing (``t.add_env(...)``)
     add_env = set_env
 
+    @property
+    def pool_request(self) -> Resources:
+        """What placing this task takes from a worker's resource pool."""
+        return self.resources
+
     def set_resources(self, resources: Resources) -> "Task":
         """Declare the full resource allocation for this task."""
         self._check_mutable()

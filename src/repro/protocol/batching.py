@@ -77,6 +77,22 @@ class BatchSender:
             elif len(self._queue) == 1:
                 self._wake.notify()  # start this window's deadline
 
+    def burst(self, messages: list[dict]) -> None:
+        """Queue notices that end a burst and flush the window now.
+
+        For a report someone is waiting on (a ``task_done`` behind the
+        ``cache_update``s of its outputs): the messages leave in one
+        frame together with whatever was queued before them, without
+        waiting out ``max_delay``.
+        """
+        with self._lock:
+            if self.max_delay <= 0:
+                for message in messages:
+                    self._transmit([message])
+                return
+            self._queue.extend(messages)
+            self._flush_locked()
+
     def send(self, message: dict, payload: Optional[bytes] = None) -> None:
         """Send one message immediately, after flushing queued notices."""
         with self._lock:

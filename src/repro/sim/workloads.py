@@ -432,7 +432,9 @@ def bgd_workflow(
     m.create_library(
         "bgd",
         env_files=[env],
-        resources=Resources(cores=1),
+        # the library is the whole charge for its calls: one core per
+        # single-threaded call it runs at once (paper §3.4)
+        resources=Resources(cores=function_slots),
         startup_time=library_startup,
         slots=function_slots,
     )

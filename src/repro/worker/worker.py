@@ -22,7 +22,7 @@ import os
 import threading
 import time
 import traceback
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.files import CacheLevel
 from repro.core.resources import Resources
@@ -374,6 +374,42 @@ class Worker:
             msg["corrupt"] = True
         self._notice(msg)
 
+    def _task_done(
+        self,
+        task_id: str,
+        exit_code: int,
+        output: str,
+        harvested: Sequence[tuple[str, int]] = (),
+        **report,
+    ) -> None:
+        """Report a task's end, now, in one frame.
+
+        The ``cache_update`` of every harvested ``(cache_name, size)``
+        goes first, so the manager has seen the outputs when it reads
+        the ``task_done`` — and the burst is flushed rather than left
+        to the batch window, because the manager (and whoever submitted
+        the task) is waiting on exactly this message.
+        """
+        updates = [
+            {"type": M.CACHE_UPDATE, "cache_name": name, "size": size}
+            for name, size in harvested
+        ]
+        done = {
+            "type": M.TASK_DONE,
+            "task_id": task_id,
+            "exit_code": exit_code,
+            "output": output,
+            **report,
+        }
+        if harvested:
+            done["harvested"] = [name for name, _ in harvested]
+        try:
+            self._sender.burst(updates + [done])
+        except (ProtocolError, OSError):
+            return  # no manager to tell; it requeues what it lost
+        if harvested:
+            self._enforce_cache_bound()
+
     def _count_verify(self, outcome: str, cache_name: str = "") -> None:
         self._m_verify[outcome].inc()
         if outcome == "failed":
@@ -621,15 +657,7 @@ class Worker:
         except SandboxError as exc:
             self._unpin(input_names)
             sandbox.destroy()
-            self._notice(
-                {
-                    "type": M.TASK_DONE,
-                    "task_id": task_id,
-                    "exit_code": 126,
-                    "output": str(exc),
-                    "failure": "sandbox",
-                }
-            )
+            self._task_done(task_id, 126, str(exc), failure="sandbox")
             return
         allocation = Resources.from_dict(msg["resources"])
 
@@ -671,29 +699,19 @@ class Worker:
             failure = f"output harvest failed: {exc}"
         self._unpin(input_names)
         sandbox.destroy()
-        for cache_name, size in harvested:
-            self._cache_update(cache_name, size)
         staging_time = max(0.0, time.time() - staging_started - outcome.execution_time)
         self._m_sandbox.observe(staging_time)
         self._m_exec.observe(outcome.execution_time)
-        # a notice, like the cache updates above: the FIFO batch queue
-        # preserves the harvested-before-done ordering contract
-        self._notice(
-            {
-                "type": M.TASK_DONE,
-                "task_id": task_id,
-                "exit_code": outcome.exit_code,
-                "output": outcome.output,
-                "failure": failure,
-                "exceeded": outcome.exceeded,
-                "measured": outcome.measured.to_dict(),
-                # outputs whose cache updates were sent (in order) just
-                # above on this same connection — the manager can rely
-                # on having seen them before this message
-                "harvested": [name for name, _ in harvested],
-                "execution_time": outcome.execution_time,
-                "staging_time": staging_time,
-            }
+        self._task_done(
+            task_id,
+            outcome.exit_code,
+            outcome.output,
+            harvested,
+            failure=failure,
+            exceeded=outcome.exceeded,
+            measured=outcome.measured.to_dict(),
+            execution_time=outcome.execution_time,
+            staging_time=staging_time,
         )
 
     # -- serverless -----------------------------------------------------
@@ -702,20 +720,11 @@ class Worker:
         name = msg["library"]
         task_id = msg["task_id"]
         try:
-            handle = LibraryInstanceHandle(
-                name, payload, function_slots=int(msg.get("slots", 1))
-            )
-            self._libraries[name] = handle
+            self._libraries[name] = LibraryInstanceHandle(name, payload)
             self._notice({"type": M.LIBRARY_READY, "library": name, "task_id": task_id})
         except Exception as exc:
-            self._notice(
-                {
-                    "type": M.TASK_DONE,
-                    "task_id": task_id,
-                    "exit_code": 1,
-                    "output": f"library install failed: {exc}",
-                    "failure": "library",
-                }
+            self._task_done(
+                task_id, 1, f"library install failed: {exc}", failure="library"
             )
 
     def _handle_invoke(self, msg: dict, payload: bytes) -> None:
@@ -723,19 +732,17 @@ class Worker:
         library = msg["library"]
         handle = self._libraries.get(library)
         if handle is None or not handle.alive():
-            self._notice(
-                {
-                    "type": M.TASK_DONE,
-                    "task_id": task_id,
-                    "exit_code": 1,
-                    "output": f"library {library!r} not running",
-                    "failure": "library",
-                }
+            self._task_done(
+                task_id, 1, f"library {library!r} not running", failure="library"
             )
             return
         result_name = msg["result_name"]
         input_names = [str(n) for n in msg.get("inputs", [])]
         self._pin(input_names)
+        # the invocation's fork writes the result envelope here itself:
+        # the bytes are serialized once, reach the cache by a rename,
+        # and only their size comes back through the worker
+        staged = self.cache.staging_path(result_name)
         try:
             invoke_started = time.monotonic()
             # argument blob: inline invoke payload, or (remote form) a
@@ -748,65 +755,42 @@ class Worker:
                     raise RuntimeError(f"argument blob {args_cache} not cached")
                 with open(path, "rb") as f:
                     args_blob = f.read()
-            # proxy arguments dereference against this worker's cache,
-            # and the result envelope lands in the cache instead of the
-            # reply — only metadata returns
+            # proxy arguments dereference against this worker's cache
             paths = {
                 cn: p for cn in input_names if (p := self._lookup(cn)) is not None
             }
-            handle.invoke(task_id, msg["function"], args_blob, paths=paths)
-            blob, meta = handle.wait_result_full(task_id, timeout=self.task_timeout)
+            handle.invoke(task_id, msg["function"], args_blob, staged, paths)
+            ok, _size, tb = handle.wait(task_id, timeout=self.task_timeout)
             invoke_seconds = time.monotonic() - invoke_started
             self._m_invoke.observe(invoke_seconds)
-            if meta is None or meta.get("ok"):
+            if ok:
                 level = CacheLevel(
                     int(msg.get("result_level", int(CacheLevel.WORKFLOW)))
                 )
-                staged = self.cache.staging_path(result_name)
-                with open(staged, "wb") as f:
-                    f.write(blob)
                 entry = self.cache.insert_from(
                     staged, result_name, level, time.time()
                 )
-                # FIFO notices keep the harvested-before-done contract
-                self._cache_update(result_name, entry.size)
-                self._notice(
-                    {
-                        "type": M.TASK_DONE,
-                        "task_id": task_id,
-                        "exit_code": 0,
-                        "output": "",
-                        "harvested": [result_name],
-                        "execution_time": invoke_seconds,
-                    }
+                self._task_done(
+                    task_id, 0, "", [(result_name, entry.size)],
+                    execution_time=invoke_seconds,
                 )
             else:
                 # a failure envelope is never cached: a cached failure
                 # under a content-addressed name would shadow a later
                 # successful retry (insert_from keeps the existing entry)
-                tb = meta.get("traceback") or ""
-                self._notice(
-                    {
-                        "type": M.TASK_DONE,
-                        "task_id": task_id,
-                        "exit_code": 1,
-                        "output": tb[-1000:],
-                        "failure": tb[-1000:] or "invoke",
-                        "execution_time": invoke_seconds,
-                    }
+                self._task_done(
+                    task_id, 1, tb[-1000:],
+                    failure=tb[-1000:] or "invoke", execution_time=invoke_seconds,
                 )
         except Exception as exc:
-            self._notice(
-                {
-                    "type": M.TASK_DONE,
-                    "task_id": task_id,
-                    "exit_code": 1,
-                    "output": f"{exc}\n{traceback.format_exc()[:1000]}",
-                    "failure": str(exc)[:500] or "invoke",
-                }
+            self._task_done(
+                task_id, 1, f"{exc}\n{traceback.format_exc()[:1000]}",
+                failure=str(exc)[:500] or "invoke",
             )
         finally:
             self._unpin(input_names)
+            if os.path.lexists(staged):  # anything but a cached success
+                os.unlink(staged)
 
     # -- lifecycle ----------------------------------------------------------
 

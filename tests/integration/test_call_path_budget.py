@@ -2,15 +2,21 @@
 
 A remote ``ServiceClient.call`` is meant to cost one round trip, one
 ``INVOKE`` and a handful of journal records; a worker cache object
-that cannot survive a restart is meant to cost no index write.  Each
-test wraps the functions that do that work, runs calls against a
-journaled manager with one real worker, and bounds how often they were
-entered.  None of them reads a clock (the style of
-``tests/core/test_pump_budget.py``), so a slow machine cannot fail
-them and a regression cannot hide behind a fast one.
+that cannot survive a restart is meant to cost no index write; and at
+the worker a call is meant to cost one fork, one file write by the
+fork, one rename and one outbound frame.  Each test wraps the
+functions that do that work, runs calls against a journaled manager
+with one real worker, and bounds how often they were entered.  None of
+them reads a clock (the style of ``tests/core/test_pump_budget.py``),
+so a slow machine cannot fail them and a regression cannot hide behind
+a fast one.
 """
 
 import os
+import select
+import subprocess
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -37,15 +43,19 @@ def _functions():
     def triple(n):
         return n * 3
 
-    return {"add": add, "size": size, "triple": triple}
+    def echo(data):
+        return data
+
+    return {"add": add, "size": size, "triple": triple, "echo": echo}
 
 
 class _Service:
     """A journaled manager, one real worker, one attached client."""
 
-    def __init__(self, tmp_path, **mkw) -> None:
+    def __init__(self, tmp_path, n_workers=1, **mkw) -> None:
         self.cluster = Cluster(
-            tmp_path, n_workers=1, journal_dir=str(tmp_path / "journal"), **mkw
+            tmp_path, n_workers=n_workers,
+            journal_dir=str(tmp_path / "journal"), **mkw,
         )
         self.mgr = self.cluster.manager
         self.clients: list[ServiceClient] = []
@@ -244,6 +254,164 @@ def test_two_tenants_memo_match_on_the_same_small_call(tmp_path):
         assert first["outputs"] == second["outputs"]
     finally:
         svc.stop()
+
+
+# -- the worker's half ----------------------------------------------------
+
+
+class _CountedWorker:
+    """An in-process ``Worker`` on the service's manager, instrumented.
+
+    The worker, its library instance and the invocation forks are all
+    forks of this process, so a wrapper installed here before the
+    library is created is what each of them runs.  ``forks`` is a file
+    the wrapped ``os.fork`` appends a byte to (the instance keeps no
+    inherited descriptor, so a pipe would not survive); everything else
+    is observed in the worker itself.
+    """
+
+    def __init__(self, svc: _Service, tmp_path, monkeypatch) -> None:
+        from repro.worker import library_instance
+        from repro.worker.worker import Worker
+
+        self.fork_log = str(tmp_path / "forks")
+        open(self.fork_log, "wb").close()
+        real_fork = os.fork
+
+        def counting_fork():
+            with open(self.fork_log, "ab") as f:
+                f.write(b"x")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+
+        #: sizes of every read the worker makes on an instance pipe
+        self.pipe_reads: list[int] = []
+        real_read = library_instance._read_exact
+
+        def recording_read(fd, n):
+            self.pipe_reads.append(n)
+            return real_read(fd, n)
+
+        monkeypatch.setattr(library_instance, "_read_exact", recording_read)
+
+        self.worker = Worker(
+            svc.mgr.host, svc.mgr.port, str(tmp_path / "worker-inproc"), cores=2
+        )
+        #: (staged inode, cached inode, staged path) per cache insert
+        self.inserts: list[tuple[int, int, str]] = []
+        cache = self.worker.cache
+        real_insert = cache.insert_from
+
+        def recording_insert(src, cache_name, level, now=0.0):
+            inode = os.stat(src).st_ino
+            entry = real_insert(src, cache_name, level, now)
+            self.inserts.append((inode, os.stat(cache.path_of(cache_name)).st_ino, src))
+            return entry
+
+        cache.insert_from = recording_insert
+        self.byte_inserts = 0
+        real_bytes = cache.insert_bytes
+
+        def counting_bytes(*args, **kwargs):
+            self.byte_inserts += 1
+            return real_bytes(*args, **kwargs)
+
+        cache.insert_bytes = counting_bytes
+
+        #: message types of every frame the worker sends
+        self.frames: list[list[str]] = []
+        sender = self.worker._sender
+        real_transmit = sender._transmit
+
+        def recording_transmit(messages):
+            self.frames.append([m["type"] for m in messages])
+            return real_transmit(messages)
+
+        sender._transmit = recording_transmit
+        self.thread = threading.Thread(target=self.worker.run, daemon=True)
+        self.thread.start()
+        svc.cluster.wait_workers(1)
+
+    def forks(self) -> int:
+        return os.path.getsize(self.fork_log)
+
+
+def test_worker_side_of_a_call_is_one_fork_one_write_one_frame(
+    tmp_path, monkeypatch
+):
+    svc = _Service(tmp_path, n_workers=0)
+    try:
+        counted = _CountedWorker(svc, tmp_path, monkeypatch)
+        client = svc.attach("alice")
+        assert svc.value(client, client.call(LIBRARY, "add", 1, 2)) == 3
+        assert counted.forks() == 2  # the instance, then the warm-up call
+
+        forks = counted.forks()
+        del counted.pipe_reads[:], counted.inserts[:], counted.frames[:]
+        data = os.urandom(48 << 10)  # the result is 48 KiB + envelope
+        notice = svc.notice(client, client.call(LIBRARY, "size", data))
+        assert notice["result_ref"]["size"] < 100  # an int: tiny envelope
+        big = svc.notice(client, client.call(LIBRARY, "echo", data))
+        size = big["result_ref"]["size"]
+        assert size > len(data)
+
+        # exactly one fork per invocation, and it is the instance's
+        assert counted.forks() == forks + 2
+        # the fork wrote the envelope where the worker told it to, and
+        # the worker moved that very file into the cache: same inode,
+        # out of the staging area, no bytes written by the worker
+        assert len(counted.inserts) == 2 and counted.byte_inserts == 0
+        staging = counted.worker.cache.staging_dir
+        for staged_inode, cached_inode, src in counted.inserts:
+            assert staged_inode == cached_inode
+            assert os.path.dirname(src) == staging
+        assert os.listdir(staging) == []
+        cached = counted.worker.cache.path_of(big["result_ref"]["cache_name"])
+        assert os.path.getsize(cached) == size
+        # nothing the size of a result crossed the instance pipe: every
+        # read was a frame header or an atomic (<= PIPE_BUF) reply
+        assert counted.pipe_reads and max(counted.pipe_reads) <= select.PIPE_BUF
+        # per call one outbound frame: the result's cache_update and the
+        # task_done together (heartbeats aside)
+        done = [f for f in counted.frames if M.TASK_DONE in f]
+        assert done == [[M.CACHE_UPDATE, M.TASK_DONE]] * 2
+        assert not [f for f in counted.frames if M.CACHE_UPDATE in f and f not in done]
+        assert client.result_proxy(big).resolve() == data
+    finally:
+        svc.stop()
+
+
+def test_a_failed_call_caches_nothing_and_leaves_no_staging_file(
+    tmp_path, monkeypatch
+):
+    svc = _Service(tmp_path, n_workers=0)
+    try:
+        counted = _CountedWorker(svc, tmp_path, monkeypatch)
+        client = svc.attach("alice")
+        reply = client.call(LIBRARY, "add", 1, "x")  # TypeError in the fork
+        notice = client.wait(reply["task_id"], timeout=60.0)
+        assert notice["exit_code"] == 1 and "TypeError" in notice["failure"]
+        assert counted.inserts == []
+        assert os.listdir(counted.worker.cache.staging_dir) == []
+        assert [f for f in counted.frames if M.TASK_DONE in f] == [[M.TASK_DONE]]
+    finally:
+        svc.stop()
+
+
+def test_worker_imports_no_multiprocessing():
+    """Zero ``multiprocessing`` objects per call, structurally: the
+    worker's whole import closure does not contain the package."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    probe = (
+        "import sys, repro.worker.cli, repro.worker.library_instance\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # -- the worker cache index ----------------------------------------------

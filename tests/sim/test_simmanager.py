@@ -31,6 +31,23 @@ def test_single_task_runs_to_completion():
     assert 5.0 < stats.makespan < 5.5
 
 
+def test_run_on_a_finished_workflow_does_not_advance_time():
+    """``run()`` with nothing to do must not pop whatever event happens
+    to be queued (the engine tests its stop condition after a callback)."""
+    m = SimManager(cluster_with(1))
+    m.submit(Task("one"), duration=2.0)
+    m.run(finalize=False)
+    fired = []
+    m.sim.schedule(100.0, fired.append, "stray")
+    finished = m.sim.now
+    for _ in range(3):  # (the first run left a pump behind at this instant)
+        assert m.run(finalize=False).makespan == 0.0
+    assert m.sim.now == finished and not fired
+    # work submitted later still runs from where the clock stood
+    m.submit(Task("two"), duration=3.0)
+    assert m.run(finalize=False).finished == pytest.approx(finished + 3.0, abs=0.1)
+
+
 def test_tasks_pack_by_cores():
     c = cluster_with(1, cores=4)
     m = SimManager(c)

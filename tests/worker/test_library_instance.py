@@ -29,10 +29,21 @@ def _fail(msg):
 @pytest.fixture()
 def instance():
     handle = LibraryInstanceHandle(
-        "testlib", build_payload({"square": _square, "fail": _fail}), function_slots=2
+        "testlib", build_payload({"square": _square, "fail": _fail})
     )
     yield handle
     handle.stop()
+
+
+def _call(handle, tmp_path, invocation_id, function, *args):
+    """Invoke and wait; ``(ok, envelope bytes, traceback)``."""
+    staging = str(tmp_path / f"{invocation_id}.bin")
+    handle.invoke(invocation_id, function, pack_invocation(args, {}), staging)
+    ok, size, tb = handle.wait(invocation_id, timeout=30)
+    with open(staging, "rb") as f:
+        blob = f.read()
+    assert len(blob) == size
+    return ok, blob, tb
 
 
 def test_instance_announces_functions(instance):
@@ -40,45 +51,71 @@ def test_instance_announces_functions(instance):
     assert instance.alive()
 
 
-def test_invoke_and_wait(instance):
-    instance.invoke("i1", "square", pack_invocation((7,), {}))
-    result = unpack_result(instance.wait_result("i1", timeout=30))
-    assert result == 49
+def test_invoke_and_wait(instance, tmp_path):
+    ok, blob, tb = _call(instance, tmp_path, "i1", "square", 7)
+    assert ok and tb == ""
+    assert unpack_result(blob) == 49
 
 
-def test_concurrent_invocations(instance):
+def test_concurrent_invocations(instance, tmp_path):
     for i in range(4):
-        instance.invoke(f"i{i}", "square", pack_invocation((i,), {}))
-    results = [
-        unpack_result(instance.wait_result(f"i{i}", timeout=30)) for i in range(4)
-    ]
+        instance.invoke(
+            f"i{i}", "square", pack_invocation((i,), {}), str(tmp_path / f"r{i}")
+        )
+    for i in range(4):
+        assert instance.wait(f"i{i}", timeout=30)[0]
+    results = [unpack_result((tmp_path / f"r{i}").read_bytes()) for i in range(4)]
     assert results == [0, 1, 4, 9]
 
 
-def test_remote_exception_reraised(instance):
-    instance.invoke("bad", "fail", pack_invocation(("boom",), {}))
+def test_many_threads_share_one_instance_without_crossed_replies(instance, tmp_path):
+    """Waiters and the reply collector share the handle's tables: more
+    invoking threads than cores, a shortened switch interval, and every
+    thread must get exactly its own results back."""
+    import threading
+
+    wrong = []
+
+    def caller(k):
+        for i in range(15):
+            n = 1000 * k + i
+            ok, blob, _tb = _call(instance, tmp_path, f"t{k}-{i}", "square", n)
+            if not ok or unpack_result(blob) != n * n:
+                wrong.append((k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert instance._waiters == {} and instance._done == {}
+
+
+def test_remote_exception_reraised(instance, tmp_path):
+    ok, blob, tb = _call(instance, tmp_path, "bad", "fail", "boom")
+    assert not ok
+    assert "ValueError: boom" in tb
     with pytest.raises(ValueError, match="boom"):
-        unpack_result(instance.wait_result("bad", timeout=30))
+        unpack_result(blob)
 
 
-def test_unknown_function_rejected_locally(instance):
+def test_unknown_function_rejected_locally(instance, tmp_path):
     with pytest.raises(LibraryError):
-        instance.invoke("x", "nope", pack_invocation((), {}))
+        instance.invoke("x", "nope", pack_invocation((), {}), str(tmp_path / "x"))
 
 
-def test_slot_accounting(instance):
-    assert instance.has_free_slot()
-    instance.invoke("s1", "square", pack_invocation((1,), {}))
-    instance.invoke("s2", "square", pack_invocation((2,), {}))
-    # two slots in flight; full until results are collected
-    instance.wait_result("s1", timeout=30)
-    instance.wait_result("s2", timeout=30)
-    assert instance.has_free_slot()
-
-
-def test_stop_terminates_process(instance):
+def test_stop_terminates_process(instance, tmp_path):
     instance.stop()
     assert not instance.alive()
+    with pytest.raises(LibraryError):
+        instance.invoke("late", "square", pack_invocation((1,), {}), str(tmp_path / "l"))
 
 
 def test_broken_payload_raises():
@@ -86,22 +123,125 @@ def test_broken_payload_raises():
         LibraryInstanceHandle("broken", b"not a pickle")
 
 
-def test_function_state_loaded_once():
+def test_function_state_loaded_once(tmp_path):
     """Initialization happens in the instance, not per invocation."""
     def probe():
         return os.getpid()
 
-    handle = LibraryInstanceHandle("pids", build_payload({"probe": probe}), 2)
+    handle = LibraryInstanceHandle("pids", build_payload({"probe": probe}))
     try:
-        handle.invoke("a", "probe", pack_invocation((), {}))
-        handle.invoke("b", "probe", pack_invocation((), {}))
-        pid_a = unpack_result(handle.wait_result("a", timeout=30))
-        pid_b = unpack_result(handle.wait_result("b", timeout=30))
-        # forked per invocation: distinct pids, neither is the worker's
-        assert pid_a != pid_b
-        assert pid_a != os.getpid() and pid_b != os.getpid()
+        pid_a = unpack_result(_call(handle, tmp_path, "a", "probe")[1])
+        pid_b = unpack_result(_call(handle, tmp_path, "b", "probe")[1])
+        # forked per invocation: distinct pids, neither the worker's
+        # nor the instance's
+        assert len({pid_a, pid_b, os.getpid(), handle.pid}) == 4
     finally:
         handle.stop()
+
+
+def test_invocation_that_dies_without_answering_is_reported(tmp_path):
+    """The instance reaps its forks: one that was killed (or crashed the
+    interpreter) before it could reply fails its call within the reap
+    interval instead of holding the slot until the call times out."""
+    def die():
+        os.kill(os.getpid(), 9)
+
+    handle = LibraryInstanceHandle("dies", build_payload({"die": die}))
+    try:
+        handle.invoke("d", "die", pack_invocation((), {}), str(tmp_path / "d"))
+        ok, size, tb = handle.wait("d", timeout=30)
+        assert not ok and size == 0
+        assert "wait status 9" in tb
+        assert handle.alive()
+    finally:
+        handle.stop()
+
+
+def test_killed_instance_fails_waiters_and_takes_its_forks(tmp_path):
+    import signal
+    import time
+
+    def stall():
+        time.sleep(60)
+
+    handle = LibraryInstanceHandle("stall", build_payload({"stall": stall}))
+    try:
+        handle.invoke("s", "stall", pack_invocation((), {}), str(tmp_path / "s"))
+        deadline = time.monotonic() + 5.0
+        while len(live_members(handle.pid)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        os.kill(handle.pid, signal.SIGKILL)
+        started = time.monotonic()
+        with pytest.raises(LibraryError, match="died"):
+            handle.wait("s", timeout=30)
+        assert time.monotonic() - started < 5.0
+        while live_members(handle.pid) and time.monotonic() - started < 5.0:
+            time.sleep(0.02)  # SIGKILL is sent, not yet delivered
+        assert live_members(handle.pid) == []
+    finally:
+        handle.stop()
+
+
+def test_instance_holds_nothing_of_the_worker_but_pipes_and_stdio(tmp_path):
+    """Whatever the worker has open when it forks the instance — sockets,
+    logs, a task's output pipe — the instance closes at once."""
+    import socket
+
+    held = [open(tmp_path / "log", "w"), socket.socket(), *os.pipe()]
+    handle = LibraryInstanceHandle("fds", build_payload({"square": _square}))
+    try:
+        fd_dir = f"/proc/{handle.pid}/fd"
+        fds = {int(n): os.readlink(f"{fd_dir}/{n}") for n in os.listdir(fd_dir)}
+        extra = {fd: target for fd, target in fds.items() if fd > 2}
+        assert set(fds) - set(extra) == {0, 1, 2}
+        assert len(extra) == 2  # its command and reply pipe ends
+        assert all(target.startswith("pipe:") for target in extra.values())
+        # and what an invocation fork sees is that set minus the
+        # command pipe, plus whatever it opens itself
+        assert _call(handle, tmp_path, "q", "square", 3)[0]
+    finally:
+        handle.stop()
+        for f in held:
+            os.close(f) if isinstance(f, int) else f.close()
+
+
+def test_piped_command_does_not_stall_while_instances_are_forked(tmp_path):
+    """Regression: ``run_command`` reads its child's output to
+    end-of-file; an instance forked between the pipe's creation and the
+    parent closing its write end used to inherit that end and hold the
+    read open for as long as it lived, leaving the task RUNNING until
+    ``task_timeout``."""
+    import threading
+
+    from repro.core.resources import Resources
+    from repro.worker.executor import run_command
+
+    payload = build_payload({"square": _square})
+    outcomes = []
+    installing = threading.Event()
+
+    def tasks():
+        while not installing.is_set() or len(outcomes) < 10:
+            outcomes.append(
+                run_command("echo out", str(tmp_path), {}, Resources(cores=1), timeout=20)
+            )
+
+    runner = threading.Thread(target=tasks)
+    runner.start()
+    handles = []
+    try:
+        for i in range(50):
+            handles.append(LibraryInstanceHandle(f"lib{i}", payload))
+        installing.set()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "a piped task never saw end-of-file"
+        assert all(o.exit_code == 0 and o.output == "out\n" for o in outcomes)
+        assert max(o.execution_time for o in outcomes) < 10.0
+    finally:
+        installing.set()
+        for handle in handles:
+            handle.stop()
+        runner.join(timeout=30)
 
 
 _HOST_WORKER = """
@@ -114,13 +254,13 @@ def stall():
     time.sleep(60)
 
 handle = LibraryInstanceHandle("stall", build_payload({"stall": stall}))
-handle.invoke("a", "stall", pack_invocation((), {}))
-print(handle._proc.pid, flush=True)
+handle.invoke("a", "stall", pack_invocation((), {}), sys.argv[1])
+print(handle.pid, flush=True)
 time.sleep(60)
 """
 
 
-def test_instance_and_its_forks_do_not_outlive_a_killed_worker():
+def test_instance_and_its_forks_do_not_outlive_a_killed_worker(tmp_path):
     """A SIGKILLed worker cannot stop its instance, and the instance is
     in a process group of its own, beyond whatever reaps the worker's:
     it must notice the orphaning and take its invocation forks with it."""
@@ -129,7 +269,7 @@ def test_instance_and_its_forks_do_not_outlive_a_killed_worker():
 
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     host = subprocess.Popen(
-        [sys.executable, "-c", _HOST_WORKER],
+        [sys.executable, "-c", _HOST_WORKER, str(tmp_path / "a.bin")],
         stdout=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
     )
