@@ -11,8 +11,7 @@ turning them off and measuring the cost on representative workloads:
 
 import random
 
-from repro.core.library import FunctionCall
-from repro.core.resources import Resources
+from repro.core.policy import Policy
 from repro.core.task import Task, TaskState
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
@@ -35,7 +34,7 @@ def _locality_workload(locality: bool, seed: int = 0):
     rng = random.Random(seed)
     cluster = SimCluster()
     cluster.add_workers(8, cores=4, disk=4_000_000)
-    m = SimManager(cluster, locality=locality, seed=seed)
+    m = SimManager(cluster, Policy(locality=locality), seed=seed)
     groups = [m.declare_dataset(f"group-{g}", 800 * MB) for g in range(8)]
 
     def submit_one(i: int) -> None:
@@ -131,7 +130,7 @@ def test_ablation_replication_single_vs_double(once, bench_report):
             for i in range(6):
                 cluster.add_worker(cores=2, worker_id=f"w{i}", disk=2_000_000)
             m = SimManager(
-                cluster, temp_replica_count=replicas, max_task_retries=5
+                cluster, Policy(temp_replica_count=replicas), max_task_retries=5
             )
             prev = None
             tasks = []
@@ -171,8 +170,9 @@ def test_ablation_peer_transfers_off(once, bench_report):
         cluster = SimCluster()
         cluster.add_workers(40, cores=4, disk=4_000_000)
         m = SimManager(
-            cluster, worker_transfer_limit=worker_limit,
-            source_transfer_limit=3, seed=0,
+            cluster,
+            Policy(worker_transfer_limit=worker_limit, source_transfer_limit=3),
+            seed=0,
         )
         data = m.declare_dataset("big-env", 1000 * MB)
         for i in range(160):

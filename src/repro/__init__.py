@@ -39,6 +39,7 @@ from repro.core.files import (
 )
 from repro.core.library import FunctionCall, Library, LibraryTask
 from repro.core.manager import Manager, ManagerError
+from repro.core.policy import Policy
 from repro.core.resources import Resources
 from repro.core.task import MiniTask, PythonTask, Task, TaskResult, TaskState
 
@@ -54,6 +55,7 @@ __all__ = [
     "ManagerError",
     "MiniTask",
     "MiniTaskFile",
+    "Policy",
     "PythonTask",
     "Resources",
     "Task",

@@ -40,8 +40,10 @@ from repro.core.files import CacheLevel, File, FileRegistry, MiniTaskFile, TempF
 from repro.core.journal import build_task, file_spec, restore_file, task_spec
 from repro.core.library import FunctionCall
 from repro.core.naming import task_merkle
+from repro.core.policy import Policy
 from repro.core.replica_table import ReplicaTable
 from repro.core.resources import ResourcePool, Resources
+from repro.core.resultref import ResultRef
 from repro.core.scheduler import (
     GATE_AVOID,
     GATE_BANNED,
@@ -162,12 +164,23 @@ class RuntimePort(Protocol):
         ...
 
     def schedule_pump(self, delay: float) -> None:
-        """Ask the runtime to pump after ``delay`` seconds (backoffs).
+        """Ask the runtime to pump after ``delay`` seconds (backoffs,
+        the fetch TTL, the recovery grace poll)."""
+        ...
 
-        Optional: the control plane falls back to :meth:`request_pump`
-        for ports that do not implement it (delays then degrade to
-        best-effort immediate pumps gated by the retry-holdoff checks).
-        """
+    def finish_drain(self, worker_id: str) -> None:
+        """Release a draining worker: nothing references it any more."""
+        ...
+
+    def memo_persist(self, task: Task, merkle: str, outputs) -> None:
+        """Retain a freshly recorded entry's small outputs as payloads
+        (best-effort fetches; a runtime without real bytes does nothing)."""
+        ...
+
+    def decode_value(self, task: Task, payload: bytes) -> bool:
+        """Rebuild a value-carrying task's application-visible value
+        from its result envelope; False leaves the task untouched.  A
+        runtime whose tasks carry no values returns True."""
         ...
 
 
@@ -296,59 +309,35 @@ class ControlPlane:
     def __init__(
         self,
         port: RuntimePort,
-        worker_transfer_limit: Optional[int] = 3,
-        source_transfer_limit: Optional[int] = 100,
-        locality: bool = True,
-        transfer_retries: int = 3,
-        temp_replica_count: int = 1,
-        loss_retries: Optional[int] = None,
-        strict_loss: bool = False,
-        resource_learning: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
-        transfer_backoff_base: float = 0.5,
-        requeue_backoff_base: float = 0.0,
-        blocklist_threshold: int = 5,
-        rng_seed: int = 0,
-        default_task_quota: Optional[int] = None,
-        default_byte_quota: Optional[int] = None,
+        policy: Policy = Policy(),
+        seed: int = 0,
         memo=None,
-        memo_opt_out: Optional[Iterable[str]] = None,
         journal=None,
     ) -> None:
         self.port = port
+        #: the configuration this plane runs with (immutable; what the
+        #: runtimes log at start and journal in the meta record)
+        self.policy = policy
         self.registry = FileRegistry()
         self.replicas = ReplicaTable()
         self.transfers = TransferTable(
-            worker_limit=worker_transfer_limit, source_limit=source_transfer_limit
+            worker_limit=policy.worker_transfer_limit,
+            source_limit=policy.source_transfer_limit,
         )
-        self.scheduler = Scheduler(self.replicas, self.transfers, locality=locality)
+        self.scheduler = Scheduler(
+            self.replicas, self.transfers, locality=policy.locality
+        )
         self.log = EventLog()
         self.categories = CategoryTracker()
-        self.resource_learning = resource_learning
-        self.transfer_retries = transfer_retries
-        #: target replica count for task-produced files (paper §2.2:
-        #: "duplicating items for reliability"); 1 disables replication
-        self.temp_replica_count = max(1, temp_replica_count)
-        #: worker-loss retry budget; None uses each task's ``max_retries``
-        self.loss_retries = loss_retries
-        #: raise instead of failing the task when the loss budget is spent
-        self.strict_loss = strict_loss
-        #: exponential-backoff base for transfer retries (0 disables
-        #: the holdoff and restores instant re-planning)
-        self.transfer_backoff_base = transfer_backoff_base
-        #: backoff base for task requeues (loss/sandbox/resource retries);
-        #: 0 keeps the historical requeue-immediately behaviour
-        self.requeue_backoff_base = requeue_backoff_base
-        #: failure score at which a worker stops receiving new placements
-        self.blocklist_threshold = blocklist_threshold
+        # the knobs read on the submit / transfer-planning / completion
+        # hot paths, bound once; everything else reads ``self.policy``
+        self.resource_learning = policy.resource_learning
+        self.transfer_retries = policy.transfer_retries
+        self.temp_replica_count = max(1, policy.temp_replica_count)
         #: deterministic jitter stream (scoped so chaos runs replay bit-
         #: identically for a given seed)
-        self._rng = random.Random(f"{rng_seed}:backoff")
+        self._rng = random.Random(f"{seed}:backoff")
 
-        #: quotas stamped on tenant accounts as they first appear; the
-        #: service layer may override per tenant after creation
-        self.default_task_quota = default_task_quota
-        self.default_byte_quota = default_byte_quota
         self.tenants: dict[str, TenantAccount] = {}
         self._tenant_gauges: dict[str, dict] = {}
 
@@ -356,8 +345,6 @@ class ControlPlane:
         #: None; policy — consult / serve / invalidate — lives here, the
         #: store is mechanism only
         self.memo = memo
-        #: tenants that opted out of memoization (both lookup and record)
-        self.memo_opt_out: set[str] = set(memo_opt_out or ())
         #: task_id → merkle for in-flight eligible tasks (recorded on DONE)
         self._memo_pending: dict[str, str] = {}
         #: memo-hit tasks awaiting completion at the next pump — deferred
@@ -437,7 +424,7 @@ class ControlPlane:
         #: placements; sole-holder objects migrate to survivors first
         self.draining: set[str] = set()
         #: draining workers whose release was already ordered through
-        #: the port's ``finish_drain`` hook (awaiting the actual leave)
+        #: the port's ``finish_drain`` (awaiting the actual leave)
         self._drain_released: set[str] = set()
         #: per-draining-worker migration accounting for the
         #: ``worker_drained`` event: objects/bytes re-replicated so far
@@ -456,7 +443,7 @@ class ControlPlane:
 
         # observability: instrument handles are resolved once here so the
         # hot paths below touch no registry locks, only the instruments'
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._m_pump = self.metrics.histogram("pump.latency_seconds")
         self._m_ready_depth = self.metrics.gauge("queue.ready_depth")
         self._m_parked = self.metrics.gauge("queue.parked")
@@ -595,8 +582,8 @@ class ControlPlane:
         if acct is None:
             acct = self.tenants[name] = TenantAccount(
                 name=name,
-                task_quota=self.default_task_quota,
-                byte_quota=self.default_byte_quota,
+                task_quota=self.policy.default_task_quota,
+                byte_quota=self.policy.default_byte_quota,
             )
             self._tenant_gauges[name] = {
                 "queued": self.metrics.gauge(f"tenant.{name}.tasks_queued"),
@@ -690,7 +677,41 @@ class ControlPlane:
     # memoization: serve recorded results for deterministic resubmissions
     # ------------------------------------------------------------------
 
-    def memo_renameable(self, f: File) -> bool:
+    def _memo_eligible(self, task: Task) -> bool:
+        """The one eligibility rule: a store is attached, the application
+        asserted determinism, the task produces outputs, and its tenant
+        did not opt out."""
+        return (
+            self.memo is not None
+            and task.deterministic
+            and bool(task.outputs)
+            and task.tenant not in self.policy.memo_opt_out
+        )
+
+    def name_outputs(self, task: Task, namer) -> None:
+        """Name and declare ``task``'s outputs ahead of :meth:`submit`
+        (its inputs are already named), with the runtime's ``namer``.
+
+        The same recipe must map to the same cache names across runs
+        and tenants for memoization to mean anything, so a memo-eligible
+        task's outputs get deterministic ``memo-md5-`` names derived
+        from the task merkle instead of run-salted temp names — and
+        worker-lifetime cache levels, so their replicas survive workflow
+        GC and worker restarts.  Every other unnamed output takes the
+        namer's run-salted name.
+        """
+        merkle = task_merkle(task) if self._memo_eligible(task) else None
+        for _, f in task.outputs:
+            if merkle is not None and self._memo_renameable(f):
+                f.cache_level = CacheLevel.WORKER
+                namer.name_task_output(f, task, merkle)
+            elif f.cache_name is None:
+                namer.assign(f)
+            else:
+                continue
+            self.declare_output_file(f)
+
+    def _memo_renameable(self, f: File) -> bool:
         """True when an output may take a memo-derived cache name.
 
         Unnamed outputs always may.  A declared ``TempFile`` still
@@ -717,16 +738,13 @@ class ControlPlane:
 
         Returns True when the task's recorded outputs were adopted and
         the task is queued for immediate completion (it must then *not*
-        enter the ready queue).  Eligibility: a store is attached, the
-        application asserted determinism, the task produces outputs, and
-        its tenant did not opt out.  Soundness (OxyMake's rule): every
-        recorded output must be backed by a live replica or a payload
-        the adapter md5-verified; otherwise the entry is invalidated and
-        the task runs — a corrupt memo entry is never served.
+        enter the ready queue).  Soundness (OxyMake's rule): every
+        recorded output must be backed by a live replica or a
+        digest-verified retained payload; otherwise the entry is
+        invalidated and the task runs — a corrupt memo entry is never
+        served.
         """
-        if self.memo is None or not task.deterministic or not task.outputs:
-            return False
-        if task.tenant in self.memo_opt_out:
+        if not self._memo_eligible(task):
             return False
         try:
             task.merkle = task_merkle(task)
@@ -752,12 +770,8 @@ class ControlPlane:
                     task=task.task_id, file=bad, category=task.tenant,
                 )
                 entry = None
-        if entry is not None:
-            # adapters that must reconstruct an application-visible value
-            # (PythonTask results) can veto the hit when they cannot
-            finalize = getattr(self.port, "memo_finalize", None)
-            if finalize is not None and not finalize(task, entry):
-                entry = None
+        if entry is not None and not self._memo_value_ok(task, entry):
+            entry = None  # vetoed: the task runs, the entry stays
         if entry is None:
             self._m_memo_misses.inc()
             self.log.emit(
@@ -791,12 +805,32 @@ class ControlPlane:
         for out in entry.outputs:
             if self.replicas.replica_count(out.cache_name) > 0:
                 continue
-            if self.memo_attach(out.cache_name, out.md5):
+            if self._memo_attach(out.cache_name, out.md5):
                 continue
             return out.cache_name
         return None
 
-    def memo_attach(self, cache_name: str, md5: Optional[str]) -> bool:
+    def _memo_value_ok(self, task: Task, entry) -> bool:
+        """Can a sound hit hand the application what it waits for?
+
+        Command tasks carry everything in their output files, and a
+        by-reference call's proxy resolves lazily through the fetch
+        plane, which the validated entry is known to serve.  A task
+        whose *value* the application reads (:meth:`Task.value_output`)
+        needs more: a digest-verified retained payload that the runtime
+        decodes into it — without one (or with a recorded exception)
+        the hit is vetoed and the task runs.
+        """
+        f = task.value_output()
+        if f is None:
+            return True
+        out = next((o for o in entry.outputs if o.cache_name == f.cache_name), None)
+        if out is None or not self._memo_attach(out.cache_name, out.md5):
+            return False
+        data = self._memo_payload_bytes(out.cache_name)
+        return data is not None and self.port.decode_value(task, data)
+
+    def _memo_attach(self, cache_name: str, md5: Optional[str]) -> bool:
         """True iff a retained payload can soundly back ``cache_name``.
 
         Consulted for a memo entry whose replicas are gone.  A payload
@@ -844,11 +878,9 @@ class ControlPlane:
         self.memo.record(
             merkle, kind, command, task.tenant, outputs, now=self.port.now()
         )
-        # adapters may retain small payloads so hits survive every
+        # the runtime may retain small payloads so hits survive every
         # worker cache being gone (daemon restarts, new clusters)
-        persist = getattr(self.port, "memo_persist", None)
-        if persist is not None:
-            persist(task, merkle, outputs)
+        self.port.memo_persist(task, merkle, outputs)
 
     def _drain_memo_complete(self) -> None:
         """Complete memo-hit tasks parked since the last pump."""
@@ -1032,11 +1064,17 @@ class ControlPlane:
 
     def _requeue_holdoff(self, task: Task) -> float:
         """Earliest re-placement time for a requeued task (0 = now)."""
-        if self.requeue_backoff_base <= 0:
+        base = self.policy.requeue_backoff_base
+        if base <= 0:
             return 0.0
-        delay = self._backoff_delay(self.requeue_backoff_base, task.retries_used)
+        delay = self._backoff_delay(base, task.retries_used)
         self._schedule_pump(delay)
         return self.port.now() + delay
+
+    def _loss_budget(self, task: Task) -> int:
+        """How many lost workers / regenerations one task may absorb."""
+        limit = self.policy.loss_retries
+        return task.max_retries if limit is None else limit
 
     def _unpin(self, task: Task) -> None:
         wid = task.worker_id
@@ -1402,8 +1440,9 @@ class ControlPlane:
                     self.port.now(), "file_deleted",
                     worker=source, file=cache_name, category="corrupt",
                 )
-        if attempts <= self.transfer_retries and self.transfer_backoff_base > 0:
-            delay = self._backoff_delay(self.transfer_backoff_base, attempts)
+        base = self.policy.transfer_backoff_base
+        if attempts <= self.transfer_retries and base > 0:
+            delay = self._backoff_delay(base, attempts)
             self._retry_at[key] = self.port.now() + delay
             self._schedule_pump(delay)
         if not self._source_remains(cache_name):
@@ -1514,18 +1553,25 @@ class ControlPlane:
                 self._kind_gauges[kind] = gauge
             gauge.set(by_kind.get(kind, 0))
 
-    def count_retrieval(self, worker_id: str, cache_name: str, size: int) -> None:
-        """Account a completed output retrieval to the manager."""
-        self.transfer_counts["retrieve"] += 1
-        self.bytes_by_source["retrieve"] += size
-        self.log.emit(
-            self.port.now(), "transfer_end",
-            worker=worker_id, file=cache_name, size=size, category="@retrieve",
-        )
-
     # ------------------------------------------------------------------
     # the result fetch plane: by-reference bytes resolved on demand
     # ------------------------------------------------------------------
+
+    def result_ref(self, task: FunctionCall) -> ResultRef:
+        """Publish a completed call's result by reference.
+
+        The value stays in worker caches; what the runtime hands on — a
+        ``task_result`` notice, a lazy ``ResultProxy`` — is this
+        descriptor, whose dereference comes back through :meth:`fetch`.
+        Built once per completion, fresh executions and memo hits alike.
+        """
+        name = task.result_output().cache_name
+        self._m_proxies.inc()
+        return ResultRef(
+            cache_name=name,
+            size=self.sizes.get(name, 0),
+            holders=tuple(sorted(self.replicas.locate(name))),
+        )
 
     def fetch(self, cache_name: str, waiter, best_effort: bool = False) -> None:
         """Resolve ``cache_name`` to its bytes for ``waiter``.
@@ -1584,7 +1630,16 @@ class ControlPlane:
             else:
                 self._fetch_settle(name, payload)
             return
-        if st.needy and name in self.registry and self._regenerate(name):
+        # a retrieval whose holders are all spent settles empty-handed
+        # rather than parking: its producer is not about to deliver, it
+        # is the task waiting for this very fetch (a deadlock until the
+        # TTL) — once the runtime finishes that task, lineage can rerun it
+        if (
+            st.category != "@retrieve"
+            and st.needy
+            and name in self.registry
+            and self._regenerate(name)
+        ):
             st.asked = None  # parked: the regenerated replica advances it
             self.port.request_pump()
             return
@@ -1628,20 +1683,20 @@ class ControlPlane:
                 self._fetch_retire(name, st, "abandoned")
         else:
             size = len(payload) or self.sizes.get(name, 0)
-            if st.category == "@retrieve":
-                self.count_retrieval(st.asked, name, size)
-            else:
-                # its own category: a fetch moves bytes only when
-                # something *dereferences* a result, which the
-                # by-reference plane exists to make rare
-                self.transfer_counts["fetch"] += 1
-                self.bytes_by_source["fetch"] += size
+            # "fetch" is its own category beside "retrieve" (an output
+            # the producer's completion waits for): a fetch moves bytes
+            # only when something *dereferences* a result, which the
+            # by-reference plane exists to make rare
+            kind = st.category.lstrip("@")
+            self.transfer_counts[kind] += 1
+            self.bytes_by_source[kind] += size
+            if kind == "fetch":
                 self._m_fetch_serves.inc()
                 self._m_fetch_bytes.inc(size)
-                self.log.emit(
-                    self.port.now(), "transfer_end",
-                    worker=st.asked, file=name, size=size, category="@fetch",
-                )
+            self.log.emit(
+                self.port.now(), "transfer_end",
+                worker=st.asked, file=name, size=size, category=st.category,
+            )
         for waiter in st.waiters:
             waiter(st.asked, payload)
 
@@ -1685,11 +1740,7 @@ class ControlPlane:
         if self._next_wake > self.port.now() and self._next_wake <= wake:
             return  # an earlier wakeup is already scheduled
         self._next_wake = wake
-        scheduler = getattr(self.port, "schedule_pump", None)
-        if scheduler is not None:
-            scheduler(delay)
-        else:
-            self.port.request_pump()
+        self.port.schedule_pump(delay)
 
     def _transfer_gate(self, cache_name: str, source: str) -> int:
         """Scheduler hook: veto sources that are banned or backing off."""
@@ -1713,7 +1764,7 @@ class ControlPlane:
         score = self.failure_scores[worker_id]
         if (
             worker_id not in self.blocklist
-            and score >= self.blocklist_threshold
+            and score >= self.policy.blocklist_threshold
             and any(
                 wid != worker_id
                 and wid not in self.blocklist
@@ -1833,11 +1884,8 @@ class ControlPlane:
             self._pop_running(task.task_id)
             self.port.task_preempted(task)
             self._release(task, worker_id)
-            budget = (
-                task.max_retries if self.loss_retries is None else self.loss_retries
-            )
-            if task.retries_used >= budget:
-                if self.strict_loss:
+            if task.retries_used >= self._loss_budget(task):
+                if self.policy.strict_loss:
                     raise RuntimeError(
                         f"task {task.task_id} lost {task.retries_used + 1} workers; "
                         "giving up"
@@ -1897,7 +1945,7 @@ class ControlPlane:
         transfers, but receives no new placements; objects it alone
         holds are re-replicated to survivors through the normal
         transfer machinery.  Once nothing references the worker any
-        more, the port's optional ``finish_drain`` hook releases it
+        more, the port's ``finish_drain`` releases it
         (the sim removes it from the cluster, the real manager sends
         SHUTDOWN) and the eventual ``worker_left`` finds every needed
         replica already backed elsewhere — the opposite of a crash,
@@ -1999,9 +2047,7 @@ class ControlPlane:
             size=int(stats.get("bytes", 0)),
             category="stranded" if stranded else None,
         )
-        finish = getattr(self.port, "finish_drain", None)
-        if finish is not None:
-            finish(worker_id)
+        self.port.finish_drain(worker_id)
 
     def record_autoscale(self, direction: str, amount: int = 1) -> None:
         """Log one autoscaler fleet decision (``direction`` up/down)."""
@@ -2244,11 +2290,8 @@ class ControlPlane:
             return True  # still running/queued: its outputs will (re)appear
         if producer.state != TaskState.DONE:
             return False  # failed/cancelled producer cannot be rerun
-        budget = (
-            producer.max_retries if self.loss_retries is None else self.loss_retries
-        )
-        if producer.retries_used >= budget:
-            if self.strict_loss:
+        if producer.retries_used >= self._loss_budget(producer):
+            if self.policy.strict_loss:
                 raise RuntimeError(
                     f"cannot regenerate {cache_name}: producer {producer_id} "
                     "exhausted its retries"

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional, Sequence
 
+from repro.core.files import File
 from repro.core.resources import Resources
 from repro.core.task import Task
 
@@ -164,6 +165,15 @@ class FunctionCall(Task):
         """Keep the result in worker caches; ``output()`` is a proxy."""
         self.by_reference = bool(flag)
         return self
+
+    def result_output(self) -> Optional[File]:
+        """The result envelope output the real manager attaches at
+        submit (None before that, and in the simulator)."""
+        return next((f for n, f in self.outputs if n == self.RESULT_NAME), None)
+
+    def value_output(self) -> Optional[File]:
+        # by reference only a ResultRef travels; the envelope stays put
+        return None if self.by_reference else self.result_output()
 
     def set_output_value(self, value: Any) -> None:
         """Record the function's return value (called by the manager)."""

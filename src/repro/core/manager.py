@@ -62,12 +62,13 @@ from repro.core.files import (
 )
 from repro.core.gc import collect_workflow
 from repro.core.library import FunctionCall, Library
-from repro.core.naming import Namer, task_merkle
+from repro.core.naming import Namer
+from repro.core.policy import Policy
 from repro.core.resources import ResourcePool, Resources
-from repro.core.resultref import ResultProxy, ResultRef, scan_refs
+from repro.core.resultref import ResultProxy, scan_refs
 from repro.core.task import MiniTask, PythonTask, Task, TaskResult, TaskState
 from repro.core.transfer_table import MANAGER_SOURCE, Transfer
-from repro.observe.metrics import MetricsRegistry, SnapshotDumper
+from repro.observe.metrics import SnapshotDumper
 from repro.observe.txnlog import TransactionLogWriter
 from repro.protocol import serialization as ser
 from repro.protocol.connection import (
@@ -240,28 +241,6 @@ class _LibraryState(LibraryState):
             if payload is not None
             else ser.dumps_portable(dict(library.functions))
         )
-
-
-def _call_result_name(task: FunctionCall) -> str:
-    """Cache name of a submitted call's result envelope output."""
-    return next(
-        f.cache_name for name, f in task.outputs if name == FunctionCall.RESULT_NAME
-    )
-
-
-def _value_result_name(task: Task) -> Optional[str]:
-    """Cache name of the result envelope the manager must pull back to
-    hand the application a *value* — a python task's, or a loopback
-    function call's not submitted by reference.  None for everything
-    whose results stay in the cluster (command tasks, by-reference and
-    remote calls)."""
-    if isinstance(task, PythonTask):
-        return task.outputs[-1][1].cache_name
-    if isinstance(task, FunctionCall) and not (
-        task.by_reference or getattr(task, "session_token", None) is not None
-    ):
-        return _call_result_name(task)
-    return None
 
 
 class _ClientSession:
@@ -840,8 +819,9 @@ class ManagerService:
 
     # -- completion and retrieval ----------------------------------------
 
-    def task_delivered(self, task: Task) -> Optional[_ClientSession]:
-        """Route a completed task to its owning remote session.
+    def task_delivered(self, task: Task, ref) -> Optional[_ClientSession]:
+        """Route a completed task to its owning remote session; ``ref``
+        is the ``ResultRef`` of a call that finished by reference.
 
         Returns None when the task belongs to the in-process loopback
         path (the caller then feeds the completion queue as before).
@@ -861,16 +841,10 @@ class ManagerService:
             "output": (r.output or "")[-2000:] if r else "",
             "outputs": {name: f.cache_name for name, f in task.outputs},
         }
-        if isinstance(task, FunctionCall) and task.state == TaskState.DONE:
+        if ref is not None:
             # the value never travels in the notice: consumers get a
             # ref and resolve (or chain) it through the fetch plane
-            name = _call_result_name(task)
-            mgr = self.mgr
-            notice["result_ref"] = ResultRef(
-                cache_name=name,
-                size=mgr.sizes.get(name, 0),
-                holders=tuple(sorted(mgr.replicas.locate(name))),
-            ).to_dict()
+            notice["result_ref"] = ref.to_dict()
         self._notify(sess, notice)
         if not sess.tasks:
             # "nothing outstanding" can be momentary under incremental
@@ -945,31 +919,25 @@ class Manager:
         self,
         port: int = 0,
         host: str = "127.0.0.1",
-        worker_transfer_limit: Optional[int] = 3,
-        source_transfer_limit: Optional[int] = 100,
-        locality: bool = True,
+        policy: Policy = Policy(),
         seed: Optional[int] = None,
-        transfer_retries: int = 3,
-        resource_learning: bool = False,
         worker_liveness_timeout: Optional[float] = 60.0,
-        temp_replica_count: int = 1,
         txn_log_path: Optional[str] = None,
         metrics_dump_path: Optional[str] = None,
-        transfer_backoff_base: float = 0.5,
-        requeue_backoff_base: float = 0.0,
-        blocklist_threshold: int = 5,
         project_name: str = "repro",
         password: Optional[str] = None,
-        default_task_quota: Optional[int] = None,
-        default_byte_quota: Optional[int] = None,
         client_local_root: Optional[str] = None,
         client_session_ttl: Optional[float] = 3600.0,
         memo_dir: Optional[str] = None,
-        memo_opt_out: Optional[Sequence[str]] = None,
         memo_payload_limit: Optional[int] = None,
         journal_dir: Optional[str] = None,
         recovery_grace: float = 10.0,
     ) -> None:
+        # bind first: nothing durable or threaded (journal, txn log,
+        # metrics dumper) may exist before the listener does, or a
+        # taken port would leave a live half-manager behind the OSError
+        self._listener = listen(host, port)
+        self.host, self.port = self._listener.getsockname()
         self._lock = threading.RLock()
         self._t0 = time.time()
         #: persistent memoization store; None disables memoization
@@ -988,23 +956,12 @@ class Manager:
         self.recovery_grace = recovery_grace
         self.control = ControlPlane(
             self,
-            worker_transfer_limit=worker_transfer_limit,
-            source_transfer_limit=source_transfer_limit,
-            locality=locality,
-            transfer_retries=transfer_retries,
-            temp_replica_count=temp_replica_count,
-            resource_learning=resource_learning,
-            metrics=MetricsRegistry(),
-            transfer_backoff_base=transfer_backoff_base,
-            requeue_backoff_base=requeue_backoff_base,
-            blocklist_threshold=blocklist_threshold,
-            rng_seed=seed if seed is not None else 0,
-            default_task_quota=default_task_quota,
-            default_byte_quota=default_byte_quota,
+            policy,
+            seed=seed if seed is not None else 0,
             memo=self.memo_store,
-            memo_opt_out=memo_opt_out,
             journal=self.journal,
         )
+        log.info("manager %s:%d policy %s", self.host, self.port, policy.asdict())
         #: directory remote clients' ``kind="local"`` declarations must
         #: resolve inside; None (the default) disables them entirely
         self.client_local_root = client_local_root
@@ -1058,8 +1015,6 @@ class Manager:
         self._timers: set[threading.Timer] = set()
         self._closing = threading.Event()
 
-        self._listener = listen(host, port)
-        self.host, self.port = self._listener.getsockname()
         #: True when this life restored state journaled by a prior one
         self.recovered = False
         if self.journal is not None:
@@ -1070,7 +1025,9 @@ class Manager:
                     # hold placements until the workers the journal knew
                     # about rejoin (their caches re-adopt) or grace ends
                     self.control.begin_recovery(recovery_grace)
-                self.journal.record_meta(port=self.port, project=project_name)
+                self.journal.record_meta(
+                    port=self.port, project=project_name, policy=policy.asdict()
+                )
         self._sel = selectors.DefaultSelector()
         # self-pipe: lets close() interrupt a pending select()
         self._wake_r, self._wake_w = socket.socketpair()
@@ -1230,7 +1187,7 @@ class Manager:
                 "library": task.library_name,
                 "function": task.function_name,
             }
-            rf = next(f for n, f in task.outputs if n == FunctionCall.RESULT_NAME)
+            rf = task.result_output()
             msg["result_name"] = rf.cache_name
             msg["result_level"] = int(rf.cache_level)
             msg["inputs"] = [f.cache_name for _n, f in task.inputs]
@@ -1319,38 +1276,28 @@ class Manager:
     def deliver(self, task: Task, regenerated: bool) -> None:
         if regenerated:  # regeneration reruns were already delivered
             return
+        ref = None
         if (
             isinstance(task, FunctionCall)
             and task.state == TaskState.DONE
             and not task._output_set
         ):
-            self._publish_proxy(task)
-        if self.service.task_delivered(task) is None:
-            # loopback (in-process) session: the application observes
-            # the completion the moment it is queued, so its record
-            # must be on disk first
+            # finished by reference (fresh execution or memo hit): the
+            # value stays in worker caches and only this ref moves
+            ref = self.control.result_ref(task)
+        if self.service.task_delivered(task, ref) is None:
+            # loopback (in-process) session: ``output()`` hands back a
+            # lazy proxy whose first dereference resolves through the
+            # fetch plane; the application observes the completion the
+            # moment it is queued, so its record must be on disk first
+            if ref is not None:
+                task.set_output_value(
+                    ResultProxy(ref, fetcher=self._fetch_result_bytes)
+                )
             self._commit_journal()
             self._completed.put(task)
 
-    def _publish_proxy(self, task: FunctionCall) -> None:
-        """Stamp a completed by-reference call with its lazy result proxy.
-
-        The value stays in worker caches; ``output()`` hands back a
-        :class:`ResultProxy` whose first dereference resolves through
-        the fetch plane (replica send-back with holder retry, the memo
-        store's retained payload, or lineage regeneration).  Covers
-        fresh executions and memo hits alike.
-        """
-        name = _call_result_name(task)
-        ref = ResultRef(
-            cache_name=name,
-            size=self.sizes.get(name, 0),
-            holders=tuple(sorted(self.replicas.locate(name))),
-        )
-        task.set_output_value(ResultProxy(ref, fetcher=self._fetch_result_bytes))
-        self.control._m_proxies.inc()
-
-    # -- memoization mechanisms (optional RuntimePort hooks) -------------
+    # -- memoization mechanisms ------------------------------------------
 
     def memo_persist(self, task: Task, merkle: str, outputs) -> None:
         """Retain small outputs of a freshly recorded entry as payloads.
@@ -1383,28 +1330,6 @@ class Manager:
                     )
 
             self.control.fetch(out.cache_name, retain, True)  # best effort
-
-    def memo_finalize(self, task: Task, entry) -> bool:
-        """Reconstruct the application-visible value of a memo hit.
-
-        Command tasks carry everything in their output files, so they
-        always finalize.  A python task's value must be decoded from the
-        retained result payload — without a digest-verified one (or with
-        a recorded exception) the hit is vetoed and the task runs.
-        Function calls follow the same rule in value (loopback) mode;
-        by-reference and remote calls always finalize — their proxy
-        resolves lazily through the fetch plane, which the validated
-        entry (live replicas or a digest-verified payload) is known to
-        serve.
-        """
-        result_name = _value_result_name(task)
-        if result_name is None:
-            return True
-        out = next((o for o in entry.outputs if o.cache_name == result_name), None)
-        if out is None or not self.control.memo_attach(result_name, out.md5):
-            return False
-        data = self.control._memo_payload_bytes(result_name)
-        return data is not None and self._decode_value(task, data)
 
     # ------------------------------------------------------------------
     # public API: declarations
@@ -1545,36 +1470,8 @@ class Manager:
                 raise ManagerError(
                     f"input {f.file_id} of task {task.command!r} was not declared"
                 )
-        self._memo_name_outputs(task)
-        for _, f in task.outputs:
-            if f.cache_name is None:
-                self.namer.assign(f)
-                self.control.declare_output_file(f)
+        self.control.name_outputs(task, self.namer)
         return self.control.submit(task)
-
-    def _memo_name_outputs(self, task: Task) -> None:
-        """Content-address a memo-eligible task's unnamed outputs.
-
-        The same recipe must map to the same cache names across runs
-        and tenants for memoization to mean anything, so eligible
-        outputs get deterministic ``memo-md5-`` names derived from the
-        task merkle instead of run-salted temp names — and worker-
-        lifetime cache levels, so their replicas survive workflow GC
-        and worker restarts.
-        """
-        if (
-            self.memo_store is None
-            or not task.deterministic
-            or not task.outputs
-            or task.tenant in self.control.memo_opt_out
-        ):
-            return
-        merkle = task_merkle(task)  # inputs were validated as named above
-        for _, f in task.outputs:
-            if self.control.memo_renameable(f):
-                f.cache_level = CacheLevel.WORKER
-                self.namer.name_task_output(f, task, merkle)
-                self.control.declare_output_file(f)
 
     def _prepare_python_task(self, task: PythonTask) -> None:
         payload = ser.dumps_portable(
@@ -1585,7 +1482,7 @@ class Manager:
         self.control.declare(pf, MANAGER_SOURCE, len(payload))
         task.inputs.append((task.PAYLOAD_NAME, pf))
         result = TempFile()
-        # named (memo-aware) and declared in _submit_prepared's output pass
+        # named (memo-aware) and declared by control.name_outputs
         task.outputs.append((task.RESULT_NAME, result))
 
     def _prepare_function_call(self, task: FunctionCall) -> None:
@@ -2217,7 +2114,8 @@ class Manager:
             # regeneration rerun: the value (or proxy) was already delivered
             self.control.complete_task(task, task.result or result)
             return
-        result_name = _value_result_name(task) if enveloped else None
+        value_file = task.value_output() if enveloped else None
+        result_name = value_file.cache_name if value_file is not None else None
         if result_name is None:
             # nothing to bring back: outputs stay in worker caches (a
             # by-reference call's proxy is stamped at delivery)
@@ -2256,7 +2154,7 @@ class Manager:
         if payload is None:
             result.failure = result.failure or "result file missing at worker"
         else:
-            self._decode_value(task, payload, result)
+            self.decode_value(task, payload, result)
         self.control.finish_deferred(task, result)
 
     def _on_library_ready(self, handle: _WorkerHandle, msg: dict) -> None:
@@ -2265,15 +2163,16 @@ class Manager:
             handle.libraries.add(name)
         self.control.on_library_ready(handle.worker_id, name)
 
-    def _decode_value(
+    def decode_value(
         self, task: Task, payload: bytes, result: Optional[TaskResult] = None
     ) -> bool:
         """Decode a result envelope into a value-mode task; True iff it
         carried a value.
 
         With ``result`` (a live retrieval) an undecodable envelope or a
-        remote exception is recorded on it; without (a memo hit being
-        finalized) the task is left untouched so the hit can be vetoed.
+        remote exception is recorded on it; without (the RuntimePort
+        form: the plane weighing a memo hit) the task is left untouched
+        so the hit can be vetoed.
         """
         try:
             decoded = ser.loads(payload)

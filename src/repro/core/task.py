@@ -239,6 +239,12 @@ class Task:
             names.append(f.cache_name)
         return names
 
+    def value_output(self) -> Optional[File]:
+        """The output whose content is the *value* the application reads
+        back from the task object (``output()``), which the manager must
+        therefore bring home; None when results live in files only."""
+        return None
+
     @property
     def is_done(self) -> bool:
         """True once the task reached a terminal state."""
@@ -282,6 +288,10 @@ class PythonTask(Task):
         """Record the function's return value (called by the manager)."""
         self._output = value
         self._output_set = True
+
+    def value_output(self) -> Optional[File]:
+        # the result envelope the manager attaches at submit
+        return next((f for n, f in self.outputs if n == self.RESULT_NAME), None)
 
     def output(self) -> Any:
         """Return value of the function; raises if not yet complete."""

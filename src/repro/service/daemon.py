@@ -249,6 +249,7 @@ def _supervise(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.core.manager import Manager
+    from repro.core.policy import Policy
 
     state_dir = os.path.abspath(args.state_dir)
     os.makedirs(state_dir, exist_ok=True)
@@ -298,16 +299,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return Manager(
             port=bind_port,
             host=args.host,
+            policy=Policy(
+                default_task_quota=args.task_quota,
+                default_byte_quota=args.byte_quota,
+                memo_opt_out=args.memo_opt_out,
+            ),
             project_name=args.project,
             password=args.password,
-            default_task_quota=args.task_quota,
-            default_byte_quota=args.byte_quota,
             client_local_root=args.client_local_root,
             client_session_ttl=args.session_ttl,
             txn_log_path=os.path.join(state_dir, TXN_LOG),
             metrics_dump_path=os.path.join(state_dir, METRICS_FILE),
             memo_dir=os.path.abspath(args.memo_dir) if args.memo_dir else None,
-            memo_opt_out=args.memo_opt_out or None,
             memo_payload_limit=args.memo_payload_limit,
             journal_dir=journal_dir,
             recovery_grace=args.recovery_grace,

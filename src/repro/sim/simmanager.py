@@ -25,6 +25,8 @@ retry/replication/regeneration — is the production logic.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,7 +40,8 @@ from repro.core.control_plane import (
 from repro.core.events import EventLog, makespan
 from repro.core.files import CacheLevel, File, MiniTaskFile, TempFile, URLFile
 from repro.core.gc import CacheEntryInfo, collect_workflow, plan_eviction
-from repro.core.naming import Namer, task_merkle
+from repro.core.naming import Namer
+from repro.core.policy import Policy
 from repro.core.resources import Resources
 from repro.core.task import MiniTask, Task, TaskResult, TaskState
 from repro.core.transfer_table import MANAGER_SOURCE, Transfer
@@ -103,20 +106,12 @@ class SimManager:
     def __init__(
         self,
         cluster: SimCluster,
-        worker_transfer_limit: Optional[int] = 3,
-        source_transfer_limit: Optional[int] = 100,
-        locality: bool = True,
+        policy: Policy = Policy(),
         seed: int = 0,
         run_nonce: Optional[str] = None,
-        temp_replica_count: int = 1,
         max_task_retries: int = 3,
         txn_log_path: Optional[str] = None,
-        transfer_backoff_base: float = 0.5,
-        requeue_backoff_base: float = 0.0,
-        blocklist_threshold: int = 5,
-        memo_dir: Optional[str] = None,
         memo_store=None,
-        memo_opt_out: Optional[Sequence[str]] = None,
         journal_dir: Optional[str] = None,
         journal_snapshot_every: int = 1024,
         recovery_grace: float = 10.0,
@@ -131,14 +126,10 @@ class SimManager:
 
         self.namer.header_fetcher = _sim_headers
         #: persistent memoization store shared across simulated runs —
-        #: pass an existing ``MemoStore`` (several SimManagers over one
-        #: cluster) or a directory to open one; validation in the sim is
-        #: replica-backed only (no real bytes exist to retain)
+        #: an existing ``MemoStore`` (several SimManagers over one
+        #: cluster); validation in the sim is replica-backed only (no
+        #: real bytes exist to retain)
         self.memo_store = memo_store
-        if self.memo_store is None and memo_dir is not None:
-            from repro.memo.store import MemoStore
-
-            self.memo_store = MemoStore(memo_dir)
         #: durable write-ahead journal shared with the real runtime; a
         #: new SimManager over the same directory models a restarted
         #: manager process recovering mid-workflow
@@ -149,26 +140,17 @@ class SimManager:
             self.journal = ControlPlaneJournal(
                 journal_dir, snapshot_every=journal_snapshot_every
             )
+        # a simulated run is an experiment: a task out of worker-loss
+        # retries aborts it loudly instead of failing quietly
+        policy = dataclasses.replace(
+            policy, loss_retries=max_task_retries, strict_loss=True
+        )
         self.control = ControlPlane(
-            self,
-            worker_transfer_limit=worker_transfer_limit,
-            source_transfer_limit=source_transfer_limit,
-            locality=locality,
-            temp_replica_count=temp_replica_count,
-            loss_retries=max_task_retries,
-            strict_loss=True,
-            transfer_backoff_base=transfer_backoff_base,
-            requeue_backoff_base=requeue_backoff_base,
-            blocklist_threshold=blocklist_threshold,
-            rng_seed=seed,
-            memo=self.memo_store,
-            memo_opt_out=memo_opt_out,
-            journal=self.journal,
+            self, policy, seed=seed, memo=memo_store, journal=self.journal
         )
         #: installed by :class:`repro.faults.sim.SimFaultInjector`; when
         #: set, every outbound transfer asks it for an injected verdict
         self.fault_injector = None
-        self.max_task_retries = max_task_retries
         #: same telemetry artifact as the real manager's, in virtual time
         self._txn_writer: Optional[TransactionLogWriter] = None
         if txn_log_path is not None:
@@ -182,7 +164,6 @@ class SimManager:
             self.control.log.attach(self._txn_writer)
 
         self.meta: dict[str, _FileMeta] = {}
-        self._retrieval_pending: dict[str, int] = {}
         self.evictions = 0
         self._pump_scheduled = False
         self._finalized = False
@@ -204,7 +185,7 @@ class SimManager:
                 # hold placements until the workers the journal knew
                 # about rejoin (their caches re-adopt) or grace ends
                 self.control.begin_recovery(recovery_grace)
-            self.journal.record_meta(project="sim")
+            self.journal.record_meta(project="sim", policy=policy.asdict())
 
         # adopt pre-existing worker-level cache contents (hot cache, Fig 9)
         for worker in cluster.workers.values():
@@ -257,10 +238,6 @@ class SimManager:
     @property
     def tasks_requeued(self) -> int:
         return self.control.tasks_requeued
-
-    @property
-    def temp_replica_count(self) -> int:
-        return self.control.temp_replica_count
 
     # ------------------------------------------------------------------
     # RuntimePort: virtual-time mechanisms behind the control plane
@@ -427,6 +404,12 @@ class SimManager:
     def deliver(self, task: Task, regenerated: bool) -> None:
         pass  # applications read task state directly after run()
 
+    def memo_persist(self, task: Task, merkle: str, outputs) -> None:
+        pass  # no real bytes exist to retain: entries stay replica-backed
+
+    def decode_value(self, task: Task, payload: bytes) -> bool:
+        return True  # simulated tasks carry no values
+
     def ask_holder(self, worker_id: str, cache_name: str) -> None:
         self.network.start(
             worker_id,
@@ -569,30 +552,14 @@ class SimManager:
         task.sim_output_sizes = dict(output_sizes or {})  # type: ignore[attr-defined]
         for _, f in task.inputs:
             self._require_declared(f)
-        if (
-            self.memo_store is not None
-            and task.deterministic
-            and task.outputs
-            and task.tenant not in self.control.memo_opt_out
-        ):
-            # same recipe → same cache names across runs (see the real
-            # manager's _memo_name_outputs); worker level so replicas
-            # survive workflow GC and back later hits
-            merkle = task_merkle(task)
-            for _, f in task.outputs:
-                if self.control.memo_renameable(f):
-                    old = f.cache_name
-                    f.cache_level = CacheLevel.WORKER
-                    self.namer.name_task_output(f, task, merkle)
-                    self.control.declare_output_file(f)
-                    if old is not None and old != f.cache_name:
-                        self.meta[f.cache_name] = self.meta.get(
-                            old, _FileMeta(size=f.size or 0)
-                        )
-        for _, f in task.outputs:
-            if f.cache_name is None:
-                self.namer.assign(f)
-                self.control.declare_output_file(f)
+        before = [f.cache_name for _, f in task.outputs]
+        self.control.name_outputs(task, self.namer)
+        for old, (_, f) in zip(before, task.outputs):
+            if old not in (None, f.cache_name):
+                # memo-renamed: the declared size follows the file
+                self.meta[f.cache_name] = self.meta.get(
+                    old, _FileMeta(size=f.size or 0)
+                )
             self.meta.setdefault(f.cache_name, _FileMeta(size=f.size or 0))
         self.control.submit(task)
         return task
@@ -664,7 +631,7 @@ class SimManager:
                 f"{len(self.control._dispatched)} dispatched "
                 f"({len(self.control._deferred_staging)} waiting on source "
                 f"capacity), {len(self.control._running)} running, "
-                f"{sum(self._retrieval_pending.values())} retrievals outstanding "
+                f"{len(self.control._finishing)} awaiting retrieval "
                 f"at t={self.sim.now:.1f}"
             )
         finished = self.sim.now
@@ -687,7 +654,6 @@ class SimManager:
     def _workflow_done(self) -> bool:
         return (
             self.control.idle()
-            and not any(self._retrieval_pending.values())
             and not self.pending_arrivals
             and not self.control.draining
         )
@@ -742,7 +708,7 @@ class SimManager:
             return
         # register outputs into the simulated caches at their final sizes
         output_sizes = getattr(task, "sim_output_sizes", {})
-        defer = False
+        bring_back = []
         for sandbox_name, f in task.outputs:
             size = output_sizes.get(sandbox_name, self.meta[f.cache_name].size)
             self.meta[f.cache_name].size = size
@@ -750,46 +716,39 @@ class SimManager:
             self.control.sizes[f.cache_name] = size
             self.control.register_replica(wid, f.cache_name, size, store=True)
             if getattr(f, "bring_back", False):
-                defer = True
-                self._retrieval_pending[task.task_id] = (
-                    self._retrieval_pending.get(task.task_id, 0) + 1
-                )
-                self.log.emit(
-                    self.sim.now, "transfer_start",
-                    worker=wid, file=f.cache_name, size=size, category="@retrieve",
-                )
-                self.network.start(
-                    wid,
-                    MANAGER_NODE,
-                    size,
-                    lambda _t, tid=task.task_id, name=f.cache_name, w=wid: (
-                        self._on_retrieved(tid, name, w)
-                    ),
-                )
-        self.control.complete_task(task, result, defer=defer)
+                bring_back.append(f)
+        self.control.complete_task(task, result, defer=bool(bring_back))
+        # shared-storage outputs come home through the fetch plane — a
+        # fetch whose producer awaits it is a ``@retrieve`` — and the
+        # task completes when the last one has arrived
+        waiting = {f.cache_name for f in bring_back}
+        for f in bring_back:
+            self.control.fetch(
+                f.cache_name, functools.partial(self._on_retrieved, task, f, waiting)
+            )
 
-    def _on_retrieved(self, task_id: str, cache_name: str, wid: str) -> None:
-        if self._crashed:
-            return
-        size = self.meta[cache_name].size
-        self.control.count_retrieval(wid, cache_name, size)
-        # the manager now holds the data and can serve downstream readers
-        self.control.fixed_sources[cache_name] = MANAGER_SOURCE
-        f = self.registry.by_name(cache_name) if cache_name in self.registry else None
-        if f is not None and not getattr(f, "keep_at_worker", True):
-            # shared-storage semantics: the result left the cluster
-            worker = self.cluster.workers.get(wid)
-            if worker is not None and worker.remove(cache_name) is not None:
-                self.control.replica_evicted(wid, cache_name)
-        remaining = self._retrieval_pending.get(task_id, 0) - 1
-        self._retrieval_pending[task_id] = remaining
-        if remaining <= 0:
-            self._retrieval_pending.pop(task_id, None)
-            task = self.control.tasks[task_id]
-            if task.state == TaskState.WAITING_RETRIEVAL:
-                self.control.finish_deferred(
-                    task, task.result or TaskResult(exit_code=0)
-                )
+    def _on_retrieved(
+        self, task: Task, f: File, waiting: set, holder: Optional[str], payload
+    ) -> None:
+        """Fetch-plane waiter of one ``bring_back`` output: the
+        shared-storage tail.  No ``payload`` means every source came up
+        empty — the output is lost like any other replica, and lineage
+        regenerates it should a consumer still need it."""
+        name = f.cache_name
+        if payload is not None:
+            # the manager now holds the data and can serve downstream readers
+            self.control.fixed_sources[name] = MANAGER_SOURCE
+            worker = self.cluster.workers.get(holder)
+            if (
+                not getattr(f, "keep_at_worker", True)
+                and worker is not None
+                and worker.remove(name) is not None
+            ):
+                # shared-storage semantics: the result left the cluster
+                self.control.replica_evicted(holder, name)
+        waiting.discard(name)
+        if not waiting:
+            self.control.finish_deferred(task, task.result)
         self.request_pump()
 
     # -- on-demand result fetch plane -------------------------------------

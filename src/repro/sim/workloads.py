@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.library import FunctionCall
+from repro.core.policy import Policy
 from repro.core.resources import Resources
 from repro.core.task import Task
 from repro.sim.cluster import SimCluster, TEN_GBE
@@ -192,19 +193,14 @@ def distribution_workflow(
     cluster = SimCluster(transfer_latency=transfer_latency)
     cluster.add_workers(n_workers, cores=1, disk=10_000_000, up_bps=worker_bps)
     if mode == "url":
-        m = SimManager(
-            cluster, worker_transfer_limit=0, source_transfer_limit=None, seed=seed
-        )
+        policy = Policy(worker_transfer_limit=0, source_transfer_limit=None)
     elif mode == "unmanaged":
-        m = SimManager(
-            cluster, worker_transfer_limit=None, source_transfer_limit=1, seed=seed
-        )
+        policy = Policy(worker_transfer_limit=None, source_transfer_limit=1)
     elif mode == "managed":
-        m = SimManager(
-            cluster, worker_transfer_limit=limit, source_transfer_limit=1, seed=seed
-        )
+        policy = Policy(worker_transfer_limit=limit, source_transfer_limit=1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    m = SimManager(cluster, policy, seed=seed)
     data = m.declare_url(
         "https://data.example/common.bin", file_mb * MB, server_bps=server_bps
     )
@@ -368,8 +364,10 @@ def colmena_workflow(
     # without, every worker hits the shared FS directly
     m = SimManager(
         cluster,
-        worker_transfer_limit=3 if peer_transfers else 0,
-        source_transfer_limit=3 if peer_transfers else None,
+        Policy(
+            worker_transfer_limit=3 if peer_transfers else 0,
+            source_transfer_limit=3 if peer_transfers else None,
+        ),
         seed=seed,
     )
     env_url = m.declare_url(

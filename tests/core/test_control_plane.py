@@ -18,9 +18,12 @@ from repro.core.control_plane import (
     source_kind,
 )
 from repro.core.files import CacheLevel, File, MiniTaskFile, TempFile
+from repro.core.naming import Namer
+from repro.core.policy import Policy
 from repro.core.resources import ResourcePool, Resources
-from repro.core.task import MiniTask, Task, TaskResult, TaskState
+from repro.core.task import MiniTask, PythonTask, Task, TaskResult, TaskState
 from repro.core.transfer_table import MANAGER_SOURCE
+from repro.memo.store import MemoStore
 
 
 class FakePort:
@@ -40,6 +43,10 @@ class FakePort:
         self.deleted = []      # (worker_id, cache_name)
         self.delivered = []    # (task, regenerated)
         self.asked = []        # (worker_id, cache_name) send-back requests
+        self.released = []     # worker ids whose drain completed
+        self.persisted = []    # (task, merkle) recorded memo entries
+        self.decoded = []      # (task, payload) value-decode requests
+        self.decodes = True    # what decode_value answers
 
     def now(self):
         return self.time
@@ -83,10 +90,25 @@ class FakePort:
     def request_pump(self):
         pass  # tests call control.pump() explicitly for determinism
 
+    def schedule_pump(self, delay):
+        pass  # ... and move ``time`` themselves
 
-def make_control(**kwargs):
+    def finish_drain(self, worker_id):
+        self.released.append(worker_id)
+
+    def memo_persist(self, task, merkle, outputs):
+        self.persisted.append((task, merkle))
+
+    def decode_value(self, task, payload):
+        self.decoded.append((task, payload))
+        return self.decodes
+
+
+def make_control(memo=None, journal=None, **knobs):
+    """A plane over a FakePort; keywords other than the memo store and
+    the journal are :class:`Policy` fields."""
     port = FakePort()
-    control = ControlPlane(port, **kwargs)
+    control = ControlPlane(port, Policy(**knobs), memo=memo, journal=journal)
     return port, control
 
 
@@ -823,3 +845,134 @@ def test_value_retrieval_rides_the_plane_as_a_paired_retrieve():
     ]
     assert control.transfer_counts["retrieve"] == 1
     assert not control.transfer_counts["fetch"]
+
+
+def test_retrieval_whose_only_holder_leaves_settles_instead_of_parking():
+    """Its producer is the task *waiting* for the fetch, not one about
+    to deliver: parking on it would hold both until the TTL."""
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    out = _temp(control, "res")
+    task = Task("value").add_output(out, "out")
+    control.submit(task)
+    control.pump()
+    result = TaskResult(exit_code=0)
+    control.on_task_result("wA", task.task_id, result)
+    control.register_replica("wA", "res", 10)
+    control.complete_task(task, result, defer=True)
+    served = []
+    control.fetch("res", _waiter(served))
+    assert port.asked == [("wA", "res")]
+    port.connected.discard("wA")
+    control.worker_left("wA")
+    assert served == [(None, None, None)] and control.idle() is False
+    assert _fetch_events(control) == [
+        ("transfer_start", "wA", "@retrieve"),
+        ("fetch_retried", "wA", "worker_lost"),
+    ]
+    # the runtime's waiter finishes the task; only then can lineage
+    # rerun it for whoever still needs the output
+    control.finish_deferred(task, result)
+    assert task.state == TaskState.DONE and control.idle()
+
+
+# -- memoization: eligibility, naming and veto decided in the plane ------
+
+
+def _memo_plane(tmp_path, **knobs):
+    store = MemoStore(str(tmp_path / "memo"))
+    port, control = make_control(memo=store, **knobs)
+    add_worker(port, control, "wA")
+    return store, port, control
+
+
+def _submit_named(control, task):
+    # what both runtimes do: outputs named by the plane with their Namer
+    control.name_outputs(task, Namer(seed=0, run_nonce="run"))
+    control.submit(task)
+    return task
+
+
+def _value_task(control):
+    """A python task as the real manager prepares it: the result
+    envelope is the output whose content ``output()`` returns."""
+    t = PythonTask(len, "abc").set_deterministic()
+    t.outputs.append((PythonTask.RESULT_NAME, TempFile()))
+    return _submit_named(control, t)
+
+
+def _record(port, control, task):
+    """Run a memo-missed task to completion, so its entry is recorded."""
+    control.pump()
+    finish(port, control, task)
+    assert task.state == TaskState.DONE and port.persisted[-1][0] is task
+    return task.merkle, task.value_output().cache_name
+
+
+@pytest.mark.parametrize(
+    "payload, digest_ok, decodes, served",
+    [
+        (None, True, True, False),      # nothing retained
+        (b"env", False, True, False),   # retained copy fails its digest
+        (b"env", True, False, False),   # the runtime cannot decode it
+        (b"env", True, True, True),
+    ],
+)
+def test_memo_hit_on_a_value_task_needs_a_verified_decodable_payload(
+    tmp_path, payload, digest_ok, decodes, served
+):
+    store, port, control = _memo_plane(tmp_path)
+    merkle, name = _record(port, control, _value_task(control))
+    if payload is not None:
+        md5 = store.store_payload(name, payload)
+        store.set_output_md5(merkle, name, md5 if digest_ok else "0" * 32)
+    port.decodes = decodes
+    again = _value_task(control)
+    assert again.value_output().cache_name == name
+    control.pump()
+    hits = len(control.log.events("memo_hit"))
+    if served:
+        assert hits == 1 and again.state == TaskState.DONE
+        assert port.decoded == [(again, payload)]
+    else:
+        # vetoed, not invalidated: the live replica still backs the
+        # entry, the task just runs to produce its value
+        assert hits == 0 and again.state == TaskState.RUNNING
+        assert not control.log.events("memo_invalidated")
+        assert len(control.log.events("memo_miss")) == 2
+        assert len(port.decoded) == (payload is not None and digest_ok)
+
+
+def test_memo_hit_on_a_command_task_never_asks_for_a_value(tmp_path):
+    _store, port, control = _memo_plane(tmp_path)
+
+    def command():
+        t = Task("sort in > out").set_deterministic().add_output(TempFile(), "out")
+        return _submit_named(control, t)
+
+    first = command()
+    control.pump()
+    finish(port, control, first)
+    again = command()
+    control.pump()
+    assert again.state == TaskState.DONE
+    assert len(control.log.events("memo_hit")) == 1
+    assert port.decoded == [] and port.started == [first]
+
+
+def test_only_memo_eligible_outputs_take_memo_names(tmp_path):
+    _store, _port, control = _memo_plane(tmp_path, memo_opt_out=["alice"])
+
+    def out_name(deterministic=True, tenant="default"):
+        t = Task("make out").set_deterministic(deterministic).set_tenant(tenant)
+        t.add_output(TempFile(), "out")
+        return _submit_named(control, t).outputs[0][1].cache_name
+
+    assert out_name().startswith("memo-md5-")
+    # the opted-out tenant and the impure task keep run-salted names
+    assert "-rnd-run-" in out_name(tenant="alice")
+    assert "-rnd-run-" in out_name(deterministic=False)
+    # ... and without a store nothing is eligible at all
+    _port2, bare = make_control()
+    t = Task("make out").set_deterministic().add_output(TempFile(), "out")
+    assert "-rnd-run-" in _submit_named(bare, t).outputs[0][1].cache_name

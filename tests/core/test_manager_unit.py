@@ -173,6 +173,23 @@ def test_context_manager():
     assert m._closed
 
 
+def test_failed_bind_leaves_nothing_behind(manager, tmp_path):
+    """The daemon retries on another port when its prior one is taken;
+    the abandoned attempt must not leave a metrics-dumper thread racing
+    the real manager's, an open txn log, or a journal directory."""
+    paths = [tmp_path / "journal", tmp_path / "txn.jsonl", tmp_path / "metrics.json"]
+    before = set(threading.enumerate())
+    with pytest.raises(OSError):
+        Manager(
+            port=manager.port,  # occupied by the fixture's manager
+            journal_dir=str(paths[0]),
+            txn_log_path=str(paths[1]),
+            metrics_dump_path=str(paths[2]),
+        )
+    assert set(threading.enumerate()) == before
+    assert not [p.name for p in paths if p.exists()]
+
+
 def test_run_until_done_times_out_without_workers(manager):
     manager.submit(Task("cmd"))
     with pytest.raises(ManagerError, match="did not finish"):

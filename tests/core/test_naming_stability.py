@@ -12,8 +12,12 @@ import pytest
 
 from repro.core.files import BufferFile, CacheLevel, LocalFile, MiniTaskFile, TempFile
 from repro.core.library import FunctionCall
+from repro.core.manager import Manager
 from repro.core.naming import Namer, task_merkle
 from repro.core.task import MiniTask, PythonTask, Task
+from repro.memo.store import MemoStore
+from repro.sim.cluster import SimCluster
+from repro.sim.simmanager import SimManager
 
 
 def two_namers():
@@ -201,3 +205,35 @@ def test_memo_output_names_identical_across_runs():
     assert name_a == name_b
     assert name_a.startswith("memo-md5-")
     assert "aaaaaaaaaaaa" not in name_a  # never run-salted
+
+
+def test_memo_output_names_identical_across_runtimes(tmp_path):
+    """Eligibility and memo naming are one control-plane call both
+    runtimes make with their own Namer, so the same recipe lands on the
+    same names under the real manager and the simulator."""
+
+    def submit_both(deterministic: bool) -> tuple[list[str], list[str]]:
+        def build(declare_temp) -> Task:
+            t = Task("simulate --steps 10").set_deterministic(deterministic)
+            t.add_output(TempFile(), "fresh.out")  # unnamed until submit
+            t.add_output(declare_temp(), "declared.out")  # placeholder name
+            return t
+
+        with Manager(seed=7, memo_dir=str(tmp_path / "real")) as real:
+            real_task = build(real.declare_temp)
+            real.submit(real_task)
+        sim = SimManager(
+            SimCluster(), seed=7, memo_store=MemoStore(str(tmp_path / "sim"))
+        )
+        sim_task = build(sim.declare_temp)
+        sim.submit(sim_task, duration=1.0)
+        return tuple(
+            [f.cache_name for _, f in t.outputs] for t in (real_task, sim_task)
+        )
+
+    real_names, sim_names = submit_both(deterministic=True)
+    assert real_names == sim_names and len(set(real_names)) == 2
+    assert all(n.startswith("memo-md5-") for n in real_names)
+    # the impure twin keeps its run-salted names in both
+    real_names, sim_names = submit_both(deterministic=False)
+    assert all("-rnd-" in n for n in real_names + sim_names)

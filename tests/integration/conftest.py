@@ -1,5 +1,6 @@
 """Fixtures for end-to-end tests of the real multi-process runtime."""
 
+import dataclasses
 import multiprocessing as mp
 import threading
 import time
@@ -7,9 +8,11 @@ import time
 import pytest
 
 from repro.core.manager import Manager
+from repro.core.policy import Policy
 
 #: spawn avoids inheriting the manager's threads/locks into workers
 _CTX = mp.get_context("spawn")
+_POLICY_FIELDS = {f.name for f in dataclasses.fields(Policy)}
 
 
 class EventWaiter:
@@ -91,7 +94,9 @@ class Cluster:
         self, tmp_path, n_workers=2, cores=4, memory=2000, disk=2000,
         fault_configs=None, reconnect=0.0, **mkw,
     ):
-        self.manager = Manager(**mkw)
+        # Policy fields among the keywords travel as the manager's policy
+        knobs = {k: mkw.pop(k) for k in list(mkw) if k in _POLICY_FIELDS}
+        self.manager = Manager(policy=Policy(**knobs), **mkw)
         self.events = EventWaiter(self.manager)
         self.tmp_path = tmp_path
         self.fault_configs = fault_configs or {}

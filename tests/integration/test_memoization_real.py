@@ -7,10 +7,6 @@ corrupt or missing payloads and require observable invalidation plus
 regeneration: wrong bytes are never served.
 """
 
-import hashlib
-
-import pytest
-
 from repro.core.task import PythonTask, Task
 from repro.memo.store import MemoStore
 

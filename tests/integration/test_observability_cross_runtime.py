@@ -14,6 +14,7 @@ import threading
 
 from repro.core.control_plane import source_kind
 from repro.core.library import FunctionCall
+from repro.core.policy import Policy
 from repro.core.task import PythonTask, Task, TaskState
 from repro.observe.cli import replay_status
 from repro.observe.txnlog import (
@@ -247,7 +248,7 @@ def _sim_fetch_log(tmp_path):
     path = str(tmp_path / "sim_fetch.jsonl")
     cluster = SimCluster()
     cluster.add_workers(2, cores=4)
-    m = SimManager(cluster, temp_replica_count=2, txn_log_path=path)
+    m = SimManager(cluster, Policy(temp_replica_count=2), txn_log_path=path)
     out = m.declare_temp()
     m.submit(Task("produce").add_output(out, "out"), 0.5, {"out": 10 * MB})
     m.run(finalize=False)

@@ -359,3 +359,38 @@ def test_fetch_regenerates_results_lost_with_their_worker(tmp_path):
         assert regenerated
     finally:
         c.stop()
+
+
+def test_small_tenant_sessions_are_not_queued_behind_a_flood():
+    """Fair share through real client sessions: a tenant that floods the
+    queue first does not make later, smaller tenants wait it out.  (The
+    assertion the retired multi-tenant throughput bench carried, by
+    dispatch *order* instead of wall time.)"""
+    from repro.core.manager import Manager
+    from repro.worker.scripted import ScriptedWorker
+
+    flood, small, tenants = 200, 15, ("t1", "t2")
+    spec = {"command": "noop", "inputs": [], "outputs": ["out0"]}
+    mgr = Manager(worker_liveness_timeout=None)
+    worker = None
+    clients = {n: ServiceClient(mgr.host, mgr.port, n) for n in ("t0",) + tenants}
+    try:
+        clients["t0"].submit_dag([spec] * flood)
+        for name in tenants:
+            clients[name].submit_dag([spec] * small)
+        worker = ScriptedWorker(mgr.host, mgr.port, cores=4)  # acks instantly
+        for c in clients.values():
+            c.run_until_done(timeout=60)
+        with mgr._lock:
+            order = [mgr.tasks[e.task].tenant for e in mgr.log.events("task_start")]
+    finally:
+        for c in clients.values():
+            c.close()
+        mgr.close(shutdown_workers=False)
+        if worker is not None:
+            worker.close(timeout=2)
+    assert len(order) == flood + small * len(tenants)
+    last_small = max(i for i, tenant in enumerate(order) if tenant != "t0")
+    # deficit round-robin deals the three tenants in turn, so the small
+    # ones are through after ~3 x 15 starts — FIFO would put them last
+    assert last_small < len(order) // 2

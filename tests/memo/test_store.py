@@ -1,7 +1,6 @@
 """Unit tests for the disk-backed memo store and its CLI."""
 
 import json
-import os
 
 import pytest
 

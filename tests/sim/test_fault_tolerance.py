@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.policy import Policy
 from repro.core.task import Task, TaskState
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
@@ -64,7 +65,7 @@ def test_replication_keeps_temp_alive_across_loss():
     c = SimCluster()
     for i in range(3):
         c.add_worker(cores=4, worker_id=f"w{i}")
-    m = SimManager(c, temp_replica_count=2)
+    m = SimManager(c, Policy(temp_replica_count=2))
     temp = m.declare_temp()
     producer = Task("produce").add_output(temp, "out")
     m.submit(producer, duration=1.0, output_sizes={"out": 5 * MB})

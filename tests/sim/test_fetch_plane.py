@@ -7,7 +7,10 @@ dying mid-serve retries the remaining holders, and a name whose
 replicas vanished regenerates through lineage before serving.
 """
 
+from repro.core.policy import Policy
 from repro.core.task import Task, TaskState
+from repro.observe.cli import replay_status
+from repro.observe.txnlog import read_transactions
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
 
@@ -61,7 +64,7 @@ def test_fetch_retries_surviving_holder_when_the_asked_worker_dies():
     c = SimCluster()
     c.add_worker(worker_id="w0")
     c.add_worker(worker_id="w1")
-    m = SimManager(c, temp_replica_count=2)
+    m = SimManager(c, Policy(temp_replica_count=2))
     name = _produce(m, size=10 * MB)
     m.control.pump()
     m.sim.run()  # drain the replication transfer
@@ -112,3 +115,86 @@ def test_fetch_of_an_unservable_name_settles_none():
     m.run(finalize=False)
     assert served == [None]
     assert not m.control.transfer_counts.get("fetch")
+
+
+# -- bring_back outputs: the shared-storage retrieval rides the plane ----
+
+
+def _retrieves(m, kind):
+    return [e for e in m.log.events(kind) if e.category == "@retrieve"]
+
+
+def test_bring_back_retrievals_are_paired_in_the_txn_log(tmp_path):
+    path = str(tmp_path / "txn.jsonl")
+    c = SimCluster()
+    c.add_workers(2, cores=2)
+    m = SimManager(c, txn_log_path=path)
+    outs = [m.declare_output(size=5 * MB, bring_back=True) for _ in range(3)]
+    tasks = [Task(f"emit {i}").add_output(o, "o") for i, o in enumerate(outs)]
+    # a second, kept-at-worker output on one of them: the task waits for both
+    kept = m.declare_output(size=MB, bring_back=True, keep_at_worker=True)
+    tasks[0].add_output(kept, "kept")
+    for t in tasks:
+        m.submit(t, duration=1.0)
+    stats = m.run(finalize=False)
+    assert all(t.state == TaskState.DONE for t in tasks)
+    # shared-storage semantics: the manager now sources every output,
+    # and only the kept one still has its worker copy
+    assert all(m.fixed_sources[o.cache_name] == "@manager" for o in outs + [kept])
+    assert [bool(m.replicas.locate(o.cache_name)) for o in outs + [kept]] == [
+        False, False, False, True,
+    ]
+    m.finalize()
+    assert stats.transfer_counts["retrieve"] == 4
+    assert stats.bytes_by_source["retrieve"] == 16 * MB
+    _header, events = read_transactions(path, strict=True)
+    starts = [e for e in events if e.kind == "transfer_start" and e.category == "@retrieve"]
+    ends = [e for e in events if e.kind == "transfer_end" and e.category == "@retrieve"]
+    assert len(starts) == len(ends) == 4
+    assert replay_status(events).transfers_open == 0
+
+
+def _slow_home_link():
+    """10 MB takes 10 s to reach the manager; peers move it in ~10 ms."""
+    c = SimCluster(manager_down_bps=1e6)
+    for wid in ("w0", "w1"):
+        c.add_worker(worker_id=wid)
+    return c
+
+
+def test_retrieval_moves_to_another_holder_when_the_asked_one_crashes():
+    c = _slow_home_link()
+    m = SimManager(c, Policy(temp_replica_count=2))
+    out = m.declare_output(size=10 * MB, bring_back=True, keep_at_worker=True)
+    t = Task("emit").add_output(out, "o")
+    m.submit(t, duration=1.0)
+    c.remove_worker("w0", at=3.0)  # replicated by then, still retrieving
+    m.run()
+    assert t.state == TaskState.DONE and t.retries_used == 0
+    assert [(e.worker, e.category) for e in m.log.events("fetch_retried")] == [
+        ("w0", "worker_lost")
+    ]
+    assert [e.worker for e in _retrieves(m, "transfer_start")] == ["w0", "w1"]
+    assert [e.worker for e in _retrieves(m, "transfer_end")] == ["w1"]
+    assert m.control.transfer_counts["retrieve"] == 1
+
+
+def test_retrieval_with_no_holder_left_regenerates_the_output():
+    """The sole holder dies mid-retrieval: the task is not left in
+    WAITING_RETRIEVAL (nor the run stalled until the fetch TTL) — it
+    finishes without its output, and lineage reruns it for the consumer."""
+    c = _slow_home_link()
+    m = SimManager(c)
+    out = m.declare_output(size=10 * MB, bring_back=True)
+    producer = Task("emit").add_output(out, "o")
+    consumer = Task("use").add_input(out, "i")
+    m.submit(producer, duration=1.0)
+    m.submit(consumer, duration=5.0)  # running beside the replica when w0 dies
+    c.remove_worker("w0", at=3.0)
+    stats = m.run()
+    assert producer.state == consumer.state == TaskState.DONE
+    assert stats.finished < 60.0
+    assert [e.task for e in m.log.events("file_regenerated")] == [producer.task_id]
+    assert [e.worker for e in _retrieves(m, "transfer_start")] == ["w0", "w1"]
+    assert [e.worker for e in _retrieves(m, "transfer_end")] == ["w1"]
+    assert m.fixed_sources[out.cache_name] == "@manager"

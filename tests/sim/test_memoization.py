@@ -7,8 +7,7 @@ observably invalidated (``memo_invalidated``) and the task actually
 runs again — a stale binding is never served.
 """
 
-import pytest
-
+from repro.core.policy import Policy
 from repro.core.task import Task, TaskState
 from repro.memo.store import MemoStore
 from repro.sim.cluster import SimCluster
@@ -85,7 +84,9 @@ def test_cross_tenant_hit(tmp_path):
 def test_opted_out_tenant_never_hits_or_records(tmp_path):
     cluster = cluster_with()
     store = MemoStore(tmp_path / "memo")
-    m = SimManager(cluster, memo_store=store, memo_opt_out=["alice"])
+    m = SimManager(
+        cluster, Policy(memo_opt_out=["alice"]), memo_store=store
+    )
     deterministic_batch(m, n=2, tenant="alice")
     m.run(finalize=False)
     assert len(store) == 0

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import peak_transfer_concurrency
+from repro.core.policy import Policy
 from repro.core.task import Task, TaskState
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
@@ -51,8 +52,10 @@ def test_property_source_concurrency_bounded(
     cluster.add_workers(n_workers, cores=4)
     m = SimManager(
         cluster,
-        worker_transfer_limit=worker_limit,
-        source_transfer_limit=source_limit,
+        Policy(
+            worker_transfer_limit=worker_limit,
+            source_transfer_limit=source_limit,
+        ),
     )
     files = [
         m.declare_dataset(f"popular-{i}", file_size) for i in range(n_files)
@@ -84,7 +87,7 @@ def test_property_peer_fanout_bounded(n_workers, depth, width, worker_limit):
     """
     cluster = SimCluster()
     cluster.add_workers(n_workers, cores=2)
-    m = SimManager(cluster, worker_transfer_limit=worker_limit)
+    m = SimManager(cluster, Policy(worker_transfer_limit=worker_limit))
     prev_outputs = []
     for stage in range(depth):
         outputs = []
@@ -105,7 +108,7 @@ def test_manager_pushes_throttled_under_cold_start():
     """Deterministic spot check: 8 cold workers, manager capped at 2."""
     cluster = SimCluster()
     cluster.add_workers(8, cores=1)
-    m = SimManager(cluster, source_transfer_limit=2)
+    m = SimManager(cluster, Policy(source_transfer_limit=2))
     shared = m.declare_dataset("cold-input", 2_000_000)
     for i in range(8):
         t = Task(f"t{i}")
