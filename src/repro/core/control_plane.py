@@ -27,12 +27,15 @@ Rules of the split:
 
 from __future__ import annotations
 
+import bisect
 import collections
+import functools
+import heapq
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 from repro.core.categories import CategoryTracker
 from repro.core.events import EventLog
@@ -54,7 +57,13 @@ from repro.core.scheduler import (
     WorkerView,
 )
 from repro.core.task import PythonTask, Task, TaskResult, TaskState
-from repro.core.transfer_table import MANAGER_SOURCE, Transfer, TransferTable
+from repro.core.transfer_table import (
+    MANAGER_SOURCE,
+    MINITASK_SOURCE,
+    Transfer,
+    TransferTable,
+    source_kind,
+)
 from repro.observe.metrics import MetricsRegistry
 
 __all__ = [
@@ -71,25 +80,12 @@ __all__ = [
 
 #: fixed-source marker for files that only ever exist at workers (temps)
 NO_SOURCE = "@none"
-#: fixed-source marker for files materialized by a mini task at the worker
-MINITASK_SOURCE = "@minitask"
 #: ceiling in seconds on any exponential retry/requeue backoff delay
 #: (before jitter)
 TRANSFER_BACKOFF_MAX = 30.0
 #: seconds (on the runtime's clock) before an in-flight result fetch is
 #: abandoned and its waiters are failed (orphaned-waiter hygiene)
 FETCH_TTL = 300.0
-
-
-def source_kind(source: str) -> str:
-    """Classify a transfer source key for accounting and figures."""
-    if source == MANAGER_SOURCE:
-        return "manager"
-    if source.startswith("url:"):
-        return "url"
-    if source == MINITASK_SOURCE:
-        return "stage"
-    return "peer"
 
 
 class RuntimePort(Protocol):
@@ -230,7 +226,39 @@ class TenantAccount:
         return max(0, self.task_quota - self.outstanding)
 
 
-@dataclass
+@dataclass(eq=False)
+class _Stage:
+    """One consumer's inputs on their way to one worker: a dispatched
+    task, a library deployment or a mini-task job, until it starts.
+
+    A stage is re-planned when something its last plan waited for
+    changed, never on a schedule of its own: ``ControlPlane`` indexes it
+    by the inputs it consumes and by the names it found no free source
+    for, and the events that touch those mark it dirty for the next
+    pump (see ``ControlPlane._advance``).
+    """
+
+    #: re-plan order inside a pump — tasks in dispatch order, then
+    #: deployments library by library, then jobs in creation order
+    order: tuple
+    #: whose ``input_cache_names()`` must all be present at the worker
+    consumer: Task
+    worker_id: str
+    #: called once, when every input is present
+    start: Callable[[], None]
+    #: inputs the last plan deferred (no source with a free slot), and
+    #: the manager/URL sources among those that serve them
+    deferred: Sequence[str] = ()
+    behind: Sequence[str] = ()
+    #: False once started or abandoned; stale references are skipped
+    live: bool = True
+
+
+#: ``_Stage.order`` ranks: the order the every-pump scans ran in
+_TASK_STAGE, _LIBRARY_STAGE, _JOB_STAGE = 0, 1, 2
+
+
+@dataclass(eq=False)
 class StagingJob:
     """A pending mini-task materialization at one worker."""
 
@@ -238,6 +266,8 @@ class StagingJob:
     worker_id: str
     transfer_id: str
     started: bool = False
+    #: the wait for the mini task's own inputs; done once ``started``
+    stage: Optional[_Stage] = field(default=None, repr=False)
 
 
 @dataclass
@@ -291,8 +321,9 @@ class LibraryState:
         self.installed = False
         #: worker_id -> "staging" | "starting" | "ready" | "failed"
         self.state: dict[str, str] = {}
-        #: internal pseudo-tasks used for environment staging, by worker
-        self.staging_tasks: dict[str, Task] = {}
+        #: deployments whose environment files are still being staged,
+        #: by worker (the control plane's ``_Stage`` over a pseudo-task)
+        self.stages: dict[str, _Stage] = {}
 
 
 class ControlPlane:
@@ -384,14 +415,27 @@ class ControlPlane:
         #: process issue identical ``t1, t2, …`` streams (chaos replay)
         self._task_seq = itertools.count(1)
         self._dispatched: dict[str, Task] = {}
-        #: incremental staging indexes: which dispatched tasks consume a
-        #: cache name, which are dirty (an input-touching replica or
-        #: transfer event arrived), and which last planned a deferral
-        #: (waiting on source capacity / gate holdoffs, re-planned every
-        #: pump since no input event announces a freed slot)
-        self._dispatched_by_input: dict[str, set[str]] = {}
-        self._stage_dirty: set[str] = set()
-        self._deferred_staging: set[str] = set()
+        #: waiting stages, indexed by what can change their plan (see
+        #: :meth:`_advance`): every stage by the inputs it consumes and
+        #: the worker it stages them to; the ones whose last plan
+        #: deferred an input queue up, oldest first as ``(order,
+        #: stage)``, under that input's name and behind the manager/URL
+        #: source that serves it; ``_stage_dirty`` is what the next
+        #: pump re-plans outright, ``_slot_offers`` the ``(source, name
+        #: | None)`` slots that opened since the last one — a holder's
+        #: for a name, or a manager/URL source's for its whole queue —
+        #: which it hands down the queue for as long as they last.  Only
+        #: a stage deferred behind a retry back-off — a gate that opens
+        #: with time, not with an event — is re-planned on every pump
+        #: until it is not.
+        self._stage_seq = itertools.count()
+        self._task_stages: dict[str, _Stage] = {}
+        self._consumers: dict[str, dict[str, set[_Stage]]] = {}
+        self._deferred_on: dict[str, list[tuple[tuple, _Stage]]] = {}
+        self._slot_queue: dict[str, list[tuple[tuple, _Stage]]] = {}
+        self._stage_dirty: set[_Stage] = set()
+        self._slot_offers: set[tuple[str, Optional[str]]] = set()
+        self._deferred_staging: set[_Stage] = set()
         self._running: dict[str, Task] = {}
         #: tasks whose completion awaits runtime-side retrieval
         self._finishing: dict[str, Task] = {}
@@ -403,7 +447,12 @@ class ControlPlane:
         self.sizes: dict[str, int] = {}
         self.libraries: dict[str, LibraryState] = {}
         self._lib_load: collections.Counter = collections.Counter()
-        self._staging: list[StagingJob] = []
+        #: workers an installed library did not fit on, and those among
+        #: them whose pool gave something back since the last pump
+        self._undeployed: set[str] = set()
+        self._deploy_retry: set[str] = set()
+        #: mini-task jobs by worker and transfer id, oldest first
+        self._staging: dict[str, dict[str, StagingJob]] = {}
         self._pinned: dict[str, collections.Counter] = collections.defaultdict(
             collections.Counter
         )
@@ -414,6 +463,9 @@ class ControlPlane:
         self._transfer_attempts: collections.Counter = collections.Counter()
         #: earliest next-attempt time per (cache_name, source) (backoff)
         self._retry_at: dict[tuple[str, str], float] = {}
+        #: latest such time per cache name: while it is ahead, a stage
+        #: deferred on the name may be waiting for the clock alone
+        self._retry_until: dict[str, float] = {}
         #: per-worker failure score: grows on failures/corruption it
         #: served, shrinks on successes; at blocklist_threshold the
         #: worker stops receiving placements and is avoided as a source
@@ -788,7 +840,7 @@ class ControlPlane:
                 self.registry.by_name(name).size = out.size
             if self.replicas.replica_count(name) == 0:
                 # payload-backed: the manager serves the bytes itself
-                self.fixed_sources[name] = MANAGER_SOURCE
+                self.set_fixed_source(name, MANAGER_SOURCE)
             saved += out.size
         self.memo.touch(entry.merkle, now)
         self._m_memo_hits.inc()
@@ -961,7 +1013,7 @@ class ControlPlane:
                 self.port.cancel_task(task)
             self._abort_placement(task)
             self._dispatched.pop(task.task_id, None)
-            self._drop_stage_index(task)
+            self._unstage(task)
             self._pop_running(task.task_id)
             self._gc_task_inputs(task)
         task.state = TaskState.CANCELLED
@@ -1049,7 +1101,7 @@ class ControlPlane:
 
     def _requeue(self, task: Task, reason: str = "retry") -> None:
         self._unpin(task)
-        self._drop_stage_index(task)
+        self._unstage(task)
         task.retries_used += 1
         task.state = TaskState.READY
         task.worker_id = None
@@ -1134,7 +1186,7 @@ class ControlPlane:
         self._unpark(task.task_id)
         self._ready.discard(task)
         self._dispatched.pop(task.task_id, None)
-        self._drop_stage_index(task)
+        self._unstage(task)
         self._pop_running(task.task_id)
         self._finishing.pop(task.task_id, None)
         self.outstanding -= 1
@@ -1198,6 +1250,8 @@ class ControlPlane:
                 state.pool.release(task.task_id)
             except KeyError:
                 pass
+            if worker_id in self._undeployed:
+                self._deploy_retry.add(worker_id)
 
     def _abort_placement(self, task: Task) -> None:
         """Undo a dispatch: release pool, slots and pins at the worker."""
@@ -1221,35 +1275,151 @@ class ControlPlane:
                     )
                 self._mark_stage_dirty(name)
 
-    # -- staging dirty-set maintenance ---------------------------------
+    # -- waiting stages: who wakes them ---------------------------------
 
     def _mark_stage_dirty(self, cache_name: str) -> None:
-        """A replica/transfer event touched ``cache_name``: re-plan the
-        dispatched tasks that consume it on the next pump."""
-        tids = self._dispatched_by_input.get(cache_name)
-        if tids is None:
-            return
-        tids &= self._dispatched.keys()  # prune tasks that moved on
-        if tids:
-            self._stage_dirty |= tids
+        """A replica of ``cache_name`` vanished, a transfer of it failed
+        or its fixed source changed: re-plan every stage consuming it."""
+        for stages in self._consumers.get(cache_name, {}).values():
+            self._stage_dirty |= stages
+
+    def _slot_freed(self, source: str) -> None:
+        """A transfer served by ``source`` ended: a stage deferred on a
+        name it can serve may take the slot (:meth:`_slot_takers`)."""
+        if source in self._slot_queue:
+            self._slot_offers.add((source, None))
+        elif source_kind(source) == "peer":
+            for name in self._deferred_on:
+                if self.replicas.has_replica(name, source):
+                    self._slot_offers.add((source, name))
+
+    def _slot_takers(self, source: str, name: Optional[str]):
+        """The stages ``source`` has a slot to offer — those deferred on
+        ``name``, or all queued behind a manager/URL source — oldest
+        first, one at a time and only while it has one to give: often
+        hundreds wait (one per queued task, or a fleet behind one
+        common file), and a slot serves the first that takes it."""
+        if name is None:
+            queue = self._slot_queue.get(source, ())
         else:
-            del self._dispatched_by_input[cache_name]
+            queue = self._deferred_on.get(name, ())
+        for entry in tuple(queue):
+            if not self.transfers.source_available(source):
+                return
+            yield entry
 
-    def _mark_all_stage_dirty(self) -> None:
-        """Cluster-membership change: re-plan every dispatched task."""
-        self._stage_dirty |= self._dispatched.keys()
+    def _woken(self, stage: _Stage) -> bool:
+        """True when something ``stage`` waits for changed since it was
+        last planned (or only the clock can tell)."""
+        if stage in self._stage_dirty or stage in self._deferred_staging:
+            return True
+        return any(
+            (source in stage.behind if name is None else name in stage.deferred)
+            and self.transfers.source_available(source)
+            for source, name in self._slot_offers
+        )
 
-    def _drop_stage_index(self, task: Task) -> None:
-        """Remove a task leaving DISPATCHED from the staging indexes."""
-        tid = task.task_id
-        self._stage_dirty.discard(tid)
-        self._deferred_staging.discard(tid)
-        for name in task.input_cache_names():
-            tids = self._dispatched_by_input.get(name)
-            if tids is not None:
-                tids.discard(tid)
-                if not tids:
-                    del self._dispatched_by_input[name]
+    def _open_stage(
+        self, order: tuple, consumer: Task, worker_id: str, start: Callable[[], None]
+    ) -> _Stage:
+        """Index a new stage of ``consumer``'s inputs to ``worker_id``;
+        the caller records it where it will be found, then advances it."""
+        stage = _Stage((*order, next(self._stage_seq)), consumer, worker_id, start)
+        for name in consumer.input_cache_names():
+            self._consumers.setdefault(name, {}).setdefault(worker_id, set()).add(stage)
+        return stage
+
+    def _close_stage(self, stage: _Stage) -> None:
+        """Take a stage that starts, or is abandoned, out of every index."""
+        if not stage.live:
+            return
+        stage.live = False
+        self._stage_dirty.discard(stage)
+        self._set_deferred(stage, ())
+        wid = stage.worker_id
+        for name in set(stage.consumer.input_cache_names()):
+            by_worker = self._consumers[name]
+            by_worker[wid].discard(stage)
+            if not by_worker[wid]:
+                del by_worker[wid]
+                if not by_worker:
+                    del self._consumers[name]
+
+    def _set_deferred(self, stage: _Stage, names: Sequence[str]) -> None:
+        """Re-queue ``stage`` under the inputs its plan found no free
+        source for; it stays on the every-pump list only while one of
+        them is behind a retry back-off, which no event ends."""
+        if not names and not stage.deferred:
+            return
+        entry = (stage.order, stage)
+        for index, keys in (
+            (self._deferred_on, stage.deferred),
+            (self._slot_queue, stage.behind),
+        ):
+            for key in keys:
+                queue = index[key]
+                del queue[bisect.bisect_left(queue, entry)]
+                if not queue:
+                    del index[key]
+        stage.deferred = list(dict.fromkeys(names))
+        fixed = {self.fixed_sources.get(name, MANAGER_SOURCE) for name in names}
+        stage.behind = [s for s in fixed if source_kind(s) in ("manager", "url")]
+        for name in stage.deferred:
+            bisect.insort(self._deferred_on.setdefault(name, []), entry)
+        for source in stage.behind:
+            bisect.insort(self._slot_queue.setdefault(source, []), entry)
+        now = self.port.now()
+        if any(self._retry_until.get(name, 0.0) > now for name in names):
+            self._deferred_staging.add(stage)
+        else:
+            self._deferred_staging.discard(stage)
+
+    def _replan_woken(self) -> None:
+        """The pump's staging step: plan the stages something woke since
+        the last pump (plus those behind a retry back-off, which only
+        the clock ends), in the order the every-pump scans had — tasks
+        as dispatched; then, library by library, deployments that did
+        not fit earlier (plain tasks held the cores at install time) and
+        deployments waiting on environment files; then mini-task jobs
+        waiting on their own inputs.  Slot offers are handed down their
+        queues lazily, merged into that same order."""
+        woken = self._stage_dirty | self._deferred_staging
+        work: list[tuple] = [(stage.order, stage) for stage in woken]
+        self._stage_dirty.clear()
+        if self._deploy_retry:
+            joined = {wid: n for n, wid in enumerate(self.workers)}
+            for wid in self._deploy_retry:
+                for i, lib in enumerate(self.libraries.values()):
+                    if lib.installed and wid not in lib.state:
+                        order = (_LIBRARY_STAGE, i, 0, joined[wid])
+                        work.append((order, (lib, wid)))
+            # a deployment that still does not fit re-enters ``_undeployed``
+            self._undeployed -= self._deploy_retry
+            self._deploy_retry.clear()
+        work.sort(key=lambda item: item[0])
+        offers, self._slot_offers = self._slot_offers, set()
+        planned = set()
+        for _, item in heapq.merge(
+            work, *itertools.starmap(self._slot_takers, offers)
+        ):
+            if not isinstance(item, _Stage):
+                self._deploy_library(*item)
+            elif item.live and item not in planned:
+                planned.add(item)
+                self._advance(item)
+
+    def _unstage(self, task: Task) -> None:
+        """``task`` left DISPATCHED: its stage, if it waited, is over."""
+        stage = self._task_stages.pop(task.task_id, None)
+        if stage is not None:
+            self._close_stage(stage)
+
+    def set_fixed_source(self, cache_name: str, source: str) -> None:
+        """``cache_name`` is served by ``source`` from now on (the bytes
+        came home to the manager); stages that found no source for it
+        plan again."""
+        self.fixed_sources[cache_name] = source
+        self._mark_stage_dirty(cache_name)
 
     # -- parked ready tasks ---------------------------------------------
 
@@ -1274,10 +1444,17 @@ class ControlPlane:
         self._ready.unpark(task_id)
 
     def _input_appeared(self, cache_name: str, worker_id: str) -> None:
-        """``worker_id`` now holds a replica of ``cache_name``: tasks
-        parked on it wake once it was the last input they were waiting
-        for, and a fetch parked on its regeneration asks the new holder
-        (even one that could not serve the lost copy earlier)."""
+        """``worker_id`` now holds a replica of ``cache_name``: the
+        stages consuming it there and the stages anywhere that found no
+        free source for it plan again; tasks parked on it wake once it
+        was the last input they were waiting for; and a fetch parked on
+        its regeneration asks the new holder (even one that could not
+        serve the lost copy earlier)."""
+        here = self._consumers.get(cache_name)
+        if here is not None and worker_id in here:
+            self._stage_dirty |= here[worker_id]
+        if cache_name in self._deferred_on:
+            self._slot_offers.add((worker_id, cache_name))
         for tid in self._parked_on.pop(cache_name, ()):
             names = self._awaiting[tid]
             names.discard(cache_name)
@@ -1349,11 +1526,14 @@ class ControlPlane:
         j = self._j()
         if j is not None:
             j.record_replica(worker_id, cache_name, size)
-        self._mark_stage_dirty(cache_name)
         self._input_appeared(cache_name, worker_id)
-        for job in self._staging:
-            if job.worker_id == worker_id and not job.started:
-                self._advance_staging(job)
+        # a mini-task job at this worker does not wait for the pump: it
+        # plans again at once (and may take the slot this arrival freed)
+        jobs = self._staging.get(worker_id)
+        for job in list(jobs.values()) if jobs else ():
+            if job.stage.live and self._woken(job.stage):
+                self._stage_dirty.discard(job.stage)
+                self._advance(job.stage)
 
     def replica_evicted(self, worker_id: str, cache_name: str) -> None:
         """A worker dropped a replica on its own (cache pressure)."""
@@ -1414,11 +1594,12 @@ class ControlPlane:
         except KeyError:
             record = None  # stale report (worker departed mid-flight)
         self._sync_transfer_gauges()
-        self._staging = [j for j in self._staging if j.transfer_id != transfer_id]
+        self._drop_job(worker_id, transfer_id)
         if record is None:
             self.port.request_pump()
             return
         source = record.source
+        self._slot_freed(source)
         key = (cache_name, source)
         self._transfer_attempts[key] += 1
         attempts = self._transfer_attempts[key]
@@ -1444,6 +1625,9 @@ class ControlPlane:
         if attempts <= self.transfer_retries and base > 0:
             delay = self._backoff_delay(base, attempts)
             self._retry_at[key] = self.port.now() + delay
+            self._retry_until[cache_name] = max(
+                self._retry_at[key], self._retry_until.get(cache_name, 0.0)
+            )
             self._schedule_pump(delay)
         if not self._source_remains(cache_name):
             if self.fixed_sources.get(cache_name) == NO_SOURCE:
@@ -1492,6 +1676,7 @@ class ControlPlane:
         except KeyError:
             return None
         self._sync_transfer_gauges()
+        self._slot_freed(record.source)
         # a delivered transfer clears the (object, source) failure budget
         # and redeems part of the serving worker's failure score
         key = (record.cache_name, record.source)
@@ -1509,9 +1694,7 @@ class ControlPlane:
             self._m_drain_bytes.inc(record.size)
         reported = size if size is not None else record.size
         if record.source == MINITASK_SOURCE:
-            self._staging = [
-                j for j in self._staging if j.transfer_id != transfer_id
-            ]
+            self._drop_job(record.dest_worker, transfer_id)
             self.transfer_counts["stage"] += 1
             self.log.emit(
                 self.port.now(), "stage_end",
@@ -1533,25 +1716,23 @@ class ControlPlane:
 
         Derived (not incremented) so cancellation paths — a departed
         worker dropping its in-flight transfers — can never leak a
-        phantom open transfer into the metrics.  Per-source gauges are
-        keyed by source *kind* to keep cardinality bounded; peaks land
-        in each gauge's ``max``.
+        phantom open transfer into the metrics: the counts are the
+        table's own, kept by the ``begin``/``complete`` every path goes
+        through.  Per-source gauges are keyed by source *kind* to keep
+        cardinality bounded; peaks land in each gauge's ``max``.
         """
-        by_kind: collections.Counter = collections.Counter()
-        staging = 0
-        for t in self.transfers.active():
-            if t.source == MINITASK_SOURCE:
-                staging += 1
-            else:
-                by_kind[source_kind(t.source)] += 1
+        loads = self.transfers.kind_loads()
+        staging = loads.get("stage", 0)
         self._m_transfers_open.set(len(self.transfers) - staging)
         self._m_staging_open.set(staging)
-        for kind in set(self._kind_gauges) | set(by_kind):
+        for kind, load in loads.items():
+            if kind == "stage":
+                continue
             gauge = self._kind_gauges.get(kind)
             if gauge is None:
                 gauge = self.metrics.gauge(f"transfers.per_source.{kind}")
                 self._kind_gauges[kind] = gauge
-            gauge.set(by_kind.get(kind, 0))
+            gauge.set(load)
 
     # ------------------------------------------------------------------
     # the result fetch plane: by-reference bytes resolved on demand
@@ -1773,6 +1954,11 @@ class ControlPlane:
             )
         ):
             self.blocklist.add(worker_id)
+            # stages waiting for a slot at this holder may now fall
+            # through to the fixed source instead
+            for name, queue in self._deferred_on.items():
+                if self.replicas.has_replica(name, worker_id):
+                    self._stage_dirty.update(stage for _, stage in queue)
             self._m_blocklisted.inc()
             self.log.emit(
                 self.port.now(), "worker_blocklist",
@@ -1839,7 +2025,6 @@ class ControlPlane:
         for lib in self.libraries.values():
             if lib.installed:
                 self._deploy_library(lib, worker_id)
-        self._mark_all_stage_dirty()
         self.port.request_pump()
         return state
 
@@ -1863,7 +2048,11 @@ class ControlPlane:
             self._mark_stage_dirty(name)
         for record in cancelled:
             self._mark_stage_dirty(record.cache_name)
-        self._staging = [j for j in self._staging if j.worker_id != worker_id]
+            self._slot_freed(record.source)
+        for transfer_id in list(self._staging.get(worker_id, ())):
+            self._drop_job(worker_id, transfer_id)
+        self._undeployed.discard(worker_id)
+        self._deploy_retry.discard(worker_id)
         self._pinned.pop(worker_id, None)
         for lib in self.libraries.values():
             if lib.state.pop(worker_id, None) == "ready":
@@ -1872,7 +2061,9 @@ class ControlPlane:
                     worker=worker_id, task=f"{lib.name}@{worker_id}",
                     category="library",
                 )
-            lib.staging_tasks.pop(worker_id, None)
+            stage = lib.stages.pop(worker_id, None)
+            if stage is not None:
+                self._close_stage(stage)
         lost_tasks = [
             t
             for t in list(self._dispatched.values()) + list(self._running.values())
@@ -1880,7 +2071,7 @@ class ControlPlane:
         ]
         for task in lost_tasks:
             self._dispatched.pop(task.task_id, None)
-            self._drop_stage_index(task)
+            self._unstage(task)
             self._pop_running(task.task_id)
             self.port.task_preempted(task)
             self._release(task, worker_id)
@@ -2509,38 +2700,16 @@ class ControlPlane:
             for entry in stash:
                 self._ready.restore(entry)
 
-        # 2. input staging for dispatched tasks — only those whose
-        # inputs saw a replica/transfer event since the last pump, plus
-        # those waiting on source capacity or a gate holdoff (no event
-        # announces a freed slot or an expired backoff)
-        recheck = self._stage_dirty
-        self._stage_dirty = set()
-        recheck |= self._deferred_staging
-        if recheck:
-            for tid in list(self._dispatched):
-                if tid in recheck:
-                    task = self._dispatched.get(tid)
-                    if task is not None:
-                        self._stage_inputs(task)
+        # 2. staging: re-plan the stages something woke since the last pump
+        if (
+            self._stage_dirty
+            or self._slot_offers
+            or self._deferred_staging
+            or self._deploy_retry
+        ):
+            self._replan_woken()
 
-        # 3. library deployments: start ones that could not fit earlier
-        # (e.g. plain tasks held every core at install time) and advance
-        # ones still waiting on environment files
-        for lib in self.libraries.values():
-            if lib.installed:
-                for wid in list(self.workers):
-                    if wid not in lib.state:
-                        self._deploy_library(lib, wid)
-            for wid, phase in list(lib.state.items()):
-                if phase == "staging":
-                    self._advance_library(lib, wid)
-
-        # 4. mini-task staging jobs waiting on their own inputs
-        for job in list(self._staging):
-            if not job.started:
-                self._advance_staging(job)
-
-        # 5. graceful drains: re-kick migrations, release finished ones
+        # 3. graceful drains: re-kick migrations, release finished ones
         if self.draining:
             self._advance_drains()
 
@@ -2607,42 +2776,48 @@ class ControlPlane:
         self._dispatched[task.task_id] = task
         # hit/miss is judged once, at placement: did locality put the
         # task where its inputs already live, or must bytes move?
-        for name in task.input_cache_names():
-            if self.replicas.has_replica(name, worker_id):
-                self._m_cache_hits.inc()
-            else:
-                self._m_cache_misses.inc()
-        for name in task.input_cache_names():
-            self._pinned[worker_id][name] += 1
-            # reverse index: replica/transfer events touching this name
-            # mark the task for a staging re-plan on the next pump
-            self._dispatched_by_input.setdefault(name, set()).add(task.task_id)
-        self._stage_inputs(task)
+        names = task.input_cache_names()
+        hits = sum(self.replicas.has_replica(name, worker_id) for name in names)
+        self._m_cache_hits.inc(hits)
+        self._m_cache_misses.inc(len(names) - hits)
+        pinned = self._pinned[worker_id]
+        for name in names:
+            pinned[name] += 1
+        if hits == len(names):
+            self._start_execution(task)
+            return
+        stage = self._task_stages[task.task_id] = self._open_stage(
+            (_TASK_STAGE,),
+            task,
+            worker_id,
+            functools.partial(self._start_execution, task),
+        )
+        self._advance(stage)
 
     def pinned_at(self, worker_id: str) -> set[str]:
         """Cache names pinned by dispatched/running tasks at a worker."""
         return {n for n, c in self._pinned[worker_id].items() if c > 0}
 
-    def _stage_inputs(self, task: Task) -> None:
-        wid = task.worker_id
-        assert wid is not None
-        if isinstance(task, FunctionCall) and not task.inputs:
-            self._deferred_staging.discard(task.task_id)
-            self._start_execution(task)
-            return
-        plan = self.scheduler.plan_transfers(task, wid, self.fixed_sources)
+    def _advance(self, stage: _Stage) -> None:
+        """Plan the stage's missing inputs; start it when none is.
+
+        Until then the stage waits, and is planned again only after an
+        event that can change the plan: a replica of an input landing
+        at its worker, vanishing anywhere, or a transfer of it failing
+        (:meth:`_input_appeared`, :meth:`_mark_stage_dirty`); and, for
+        an input no source had a free slot for, a new replica anywhere,
+        a transfer ending at a source that can serve it
+        (:meth:`_slot_freed`) or a holder being blocklisted.
+        """
+        wid = stage.worker_id
+        plan = self.scheduler.plan_transfers(stage.consumer, wid, self.fixed_sources)
         for cache_name, source in plan.transfers:
             self._start_transfer(cache_name, source, wid)
-        # a deferred input has no event that announces its unblocking
-        # (a freed source slot / an expired peer-gate holdoff), so the
-        # task stays on the every-pump recheck list until the plan is
-        # deferral-free
-        if plan.deferred:
-            self._deferred_staging.add(task.task_id)
+        if plan.transfers or plan.pending or plan.deferred:
+            self._set_deferred(stage, plan.deferred)
         else:
-            self._deferred_staging.discard(task.task_id)
-        if all(self.replicas.has_replica(n, wid) for n in task.input_cache_names()):
-            self._start_execution(task)
+            self._close_stage(stage)
+            stage.start()
 
     def _start_transfer(self, cache_name: str, source: str, dst_wid: str) -> None:
         size = self.sizes.get(cache_name, 0)
@@ -2654,8 +2829,14 @@ class ControlPlane:
             job = StagingJob(
                 file=f, worker_id=dst_wid, transfer_id=record.transfer_id
             )
-            self._staging.append(job)
-            self._advance_staging(job)
+            self._staging.setdefault(dst_wid, {})[record.transfer_id] = job
+            job.stage = self._open_stage(
+                (_JOB_STAGE,),
+                f.mini_task,
+                dst_wid,
+                functools.partial(self._run_minitask, job),
+            )
+            self._advance(job.stage)
             return
         self.log.emit(
             self.port.now(), "transfer_start",
@@ -2671,26 +2852,28 @@ class ControlPlane:
         else:
             self.port.send_fetch(record, level)
 
-    def _advance_staging(self, job: StagingJob) -> None:
-        wid = job.worker_id
-        mini = job.file.mini_task
-        missing = [
-            n for n in mini.input_cache_names() if not self.replicas.has_replica(n, wid)
-        ]
-        if missing:
-            plan = self.scheduler.plan_transfers(mini, wid, self.fixed_sources)
-            for cache_name, source in plan.transfers:
-                self._start_transfer(cache_name, source, wid)
-            return
+    def _run_minitask(self, job: StagingJob) -> None:
         job.started = True
         self.log.emit(
-            self.port.now(), "stage_start", worker=wid, file=job.file.cache_name
+            self.port.now(), "stage_start",
+            worker=job.worker_id, file=job.file.cache_name,
         )
         self.port.run_minitask(job)
 
+    def _drop_job(self, worker_id: str, transfer_id: str) -> None:
+        """Forget the mini-task job (if it is one) behind a transfer to
+        ``worker_id`` that ended, failed, or lost its worker."""
+        jobs = self._staging.get(worker_id)
+        if jobs is None or transfer_id not in jobs:
+            return
+        job = jobs.pop(transfer_id)
+        if not jobs:
+            del self._staging[worker_id]
+        self._close_stage(job.stage)
+
     def on_stage_done(self, job: StagingJob) -> None:
         """A runtime-timed mini-task materialization finished (simulator)."""
-        if job not in self._staging:
+        if self._staging.get(job.worker_id, {}).get(job.transfer_id) is not job:
             return  # the worker departed; the job was already dropped
         record = self._finish_transfer(job.transfer_id)
         if record is None:
@@ -2704,7 +2887,7 @@ class ControlPlane:
         if task.state != TaskState.DISPATCHED:
             return
         self._dispatched.pop(task.task_id, None)
-        self._drop_stage_index(task)
+        self._unstage(task)
         self._running[task.task_id] = task
         acct = self.tenant_account(task.tenant)
         acct.running += 1
@@ -2734,30 +2917,25 @@ class ControlPlane:
             return
         state = self.workers[worker_id]
         if not state.pool.can_fit(lib.resources):
-            return  # retried if the worker rejoins with room / never, by design
+            # tried again once this worker's pool gives something back
+            self._undeployed.add(worker_id)
+            return
         state.pool.allocate(f"lib:{lib.name}", lib.resources)
         lib.state[worker_id] = "staging"
         pseudo = Task(f"deploy:{lib.name}")
         for i, f in enumerate(lib.env_files):
             pseudo.inputs.append((f"env{i}", f))
         pseudo.worker_id = worker_id
-        lib.staging_tasks[worker_id] = pseudo
-        self._advance_library(lib, worker_id)
+        stage = lib.stages[worker_id] = self._open_stage(
+            (_LIBRARY_STAGE, list(self.libraries).index(lib.name), 1),
+            pseudo,
+            worker_id,
+            functools.partial(self._launch_library, lib, worker_id),
+        )
+        self._advance(stage)
 
-    def _advance_library(self, lib: LibraryState, worker_id: str) -> None:
-        pseudo = lib.staging_tasks.get(worker_id)
-        if pseudo is None:
-            return
-        missing = [
-            n
-            for n in pseudo.input_cache_names()
-            if not self.replicas.has_replica(n, worker_id)
-        ]
-        if missing:
-            plan = self.scheduler.plan_transfers(pseudo, worker_id, self.fixed_sources)
-            for cache_name, source in plan.transfers:
-                self._start_transfer(cache_name, source, worker_id)
-            return
+    def _launch_library(self, lib: LibraryState, worker_id: str) -> None:
+        del lib.stages[worker_id]
         lib.state[worker_id] = "starting"
         self.log.emit(
             self.port.now(), "task_start",
@@ -2782,6 +2960,9 @@ class ControlPlane:
         if lib is None:
             return
         lib.state[worker_id] = "failed"
+        stage = lib.stages.pop(worker_id, None)
+        if stage is not None:
+            self._close_stage(stage)
         self.log.emit(
             self.port.now(), "library_failed", worker=worker_id, category=name
         )
@@ -2791,4 +2972,6 @@ class ControlPlane:
                 state.pool.release(f"lib:{name}")
             except KeyError:
                 pass
+            if worker_id in self._undeployed:
+                self._deploy_retry.add(worker_id)
         self.port.request_pump()

@@ -25,10 +25,29 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-__all__ = ["Transfer", "TransferTable", "MANAGER_SOURCE"]
+__all__ = [
+    "Transfer",
+    "TransferTable",
+    "MANAGER_SOURCE",
+    "MINITASK_SOURCE",
+    "source_kind",
+]
 
 #: pseudo-source id for transfers served by the manager process
 MANAGER_SOURCE = "@manager"
+#: pseudo-source id for files materialized by a mini task at the worker
+MINITASK_SOURCE = "@minitask"
+
+
+def source_kind(source: str) -> str:
+    """Classify a transfer source key for accounting and figures."""
+    if source == MANAGER_SOURCE:
+        return "manager"
+    if source.startswith("url:"):
+        return "url"
+    if source == MINITASK_SOURCE:
+        return "stage"
+    return "peer"
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +82,9 @@ class TransferTable:
         self._source_limit = source_limit
         self._by_id: dict[str, Transfer] = {}
         self._load_by_source: dict[str, int] = {}
+        #: in-flight count per :func:`source_kind`; a kind once seen
+        #: stays (at zero) so its gauge is reset, not forgotten
+        self._load_by_kind: dict[str, int] = {}
         self._inbound: dict[tuple[str, str], str] = {}
         #: sources currently at (or over) their concurrency limit
         self._saturated: set[str] = set()
@@ -120,6 +142,11 @@ class TransferTable:
         """Transfers currently being served by ``source``."""
         return self._load_by_source.get(source, 0)
 
+    def kind_loads(self) -> dict[str, int]:
+        """In-flight transfers per source kind seen so far — O(1) to
+        maintain, so per-kind gauges need no walk of :meth:`active`."""
+        return self._load_by_kind
+
     def source_available(self, source: str) -> bool:
         """True if ``source`` may serve one more transfer — O(1).
 
@@ -171,6 +198,8 @@ class TransferTable:
         )
         self._by_id[t.transfer_id] = t
         self._load_by_source[source] = self._load_by_source.get(source, 0) + 1
+        kind = source_kind(source)
+        self._load_by_kind[kind] = self._load_by_kind.get(kind, 0) + 1
         if not self._computed_available(source):
             self._saturated.add(source)
         self._inbound[key] = t.transfer_id
@@ -184,6 +213,7 @@ class TransferTable:
             self._load_by_source[t.source] = load
         else:
             self._load_by_source.pop(t.source, None)
+        self._load_by_kind[source_kind(t.source)] -= 1
         if t.source in self._saturated and self._computed_available(t.source):
             self._saturated.discard(t.source)
         self._inbound.pop((t.cache_name, t.dest_worker), None)

@@ -56,6 +56,8 @@ class SimWorker:
         #: bytes of local storage available for the cache
         self.disk_capacity = disk_capacity
         self.cache: dict[str, CacheObject] = {}
+        #: running total of ``cache``'s sizes, kept by insert/remove/clear
+        self._cache_bytes = 0
         #: names of libraries with a ready instance on this worker
         self.libraries: set[str] = set()
         self.joined_at: Optional[float] = None
@@ -63,7 +65,7 @@ class SimWorker:
 
     def cache_bytes(self) -> int:
         """Total bytes currently cached."""
-        return sum(o.size for o in self.cache.values())
+        return self._cache_bytes
 
     def has(self, cache_name: str) -> bool:
         """True if the object is present in the cache."""
@@ -74,6 +76,7 @@ class SimWorker:
         obj = self.cache.get(cache_name)
         if obj is None:
             self.cache[cache_name] = CacheObject(cache_name, size, level, now)
+            self._cache_bytes += size
         else:
             obj.last_used = now
             # a later declaration may extend the lifetime of a shared object
@@ -88,7 +91,15 @@ class SimWorker:
 
     def remove(self, cache_name: str) -> Optional[CacheObject]:
         """Drop an object from the cache; returns it if present."""
-        return self.cache.pop(cache_name, None)
+        obj = self.cache.pop(cache_name, None)
+        if obj is not None:
+            self._cache_bytes -= obj.size
+        return obj
+
+    def clear_cache(self) -> None:
+        """Lose every cached object (the worker left the cluster)."""
+        self.cache.clear()
+        self._cache_bytes = 0
 
 
 class SimCluster:
@@ -175,7 +186,7 @@ class SimCluster:
         if not worker.connected:
             return
         worker.connected = False
-        worker.cache.clear()
+        worker.clear_cache()
         worker.libraries.clear()
         for holder in list(worker.pool.holders()):
             worker.pool.release(holder)

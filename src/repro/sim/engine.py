@@ -20,11 +20,10 @@ __all__ = ["Simulation", "EventHandle"]
 class EventHandle:
     """A scheduled callback that can be cancelled before it fires."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callable, args: tuple):
+    def __init__(self, time: float, callback: Callable, args: tuple):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -33,16 +32,15 @@ class EventHandle:
         """Prevent the callback from running (idempotent)."""
         self.cancelled = True
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulation:
     """A deterministic virtual-time event loop."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[EventHandle] = []
+        #: heap of ``(time, seq, handle)``: ``seq`` is unique, so the
+        #: tuples order in C without ever comparing two handles
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
@@ -54,8 +52,8 @@ class Simulation:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        handle = EventHandle(self.now + delay, next(self._seq), callback, args)
-        heapq.heappush(self._queue, handle)
+        handle = EventHandle(self.now + delay, callback, args)
+        heapq.heappush(self._queue, (handle.time, next(self._seq), handle))
         return handle
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> EventHandle:
@@ -75,15 +73,17 @@ class Simulation:
         Returns the virtual time when the run stopped.
         """
         processed = 0
-        while self._queue:
-            if self._queue[0].cancelled:
-                heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, event = queue[0]
+            if event.cancelled:
+                heapq.heappop(queue)
                 continue
-            if until is not None and self._queue[0].time > until:
+            if until is not None and time > until:
                 self.now = until
                 return self.now
-            event = heapq.heappop(self._queue)
-            self.now = event.time
+            heapq.heappop(queue)
+            self.now = time
             event.callback(*event.args)
             processed += 1
             if stop_when is not None and stop_when():
@@ -96,4 +96,4 @@ class Simulation:
 
     def pending(self) -> int:
         """Number of not-yet-cancelled scheduled events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)

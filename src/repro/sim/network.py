@@ -8,19 +8,22 @@ endpoint::
 
 Rates are recomputed whenever a transfer starts or finishes, and each
 transfer's remaining bytes are advanced between recomputations, so the
-completion time integrates the varying rate exactly.  This simple
-endpoint-fair model is what makes the paper's hotspot phenomena emerge
-naturally: 500 workers pulling from one URL server each get 1/500 of
-its uplink (Fig. 11a); an unsupervised peer swarm saturates whichever
-worker everyone chose (Fig. 11b); a per-source limit of 3 keeps every
-stream near full rate (Fig. 11c).
+completion time integrates the varying rate exactly.  A change costs
+O(active flows) arithmetic and *one* scheduled event: only the earliest
+finisher holds a timer, since its completion is the next change and
+re-derives everyone else's anyway.  This simple endpoint-fair model is
+what makes the paper's hotspot phenomena emerge naturally: 500 workers
+pulling from one URL server each get 1/500 of its uplink (Fig. 11a); an
+unsupervised peer swarm saturates whichever worker everyone chose
+(Fig. 11b); a per-source limit of 3 keeps every stream near full rate
+(Fig. 11c).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.sim.engine import EventHandle, Simulation
@@ -54,13 +57,11 @@ class NetTransfer:
     started_at: float
     #: current fair-share rate, bytes/second
     rate: float = 0.0
-    #: scheduled completion event under the current rate
-    _event: Optional[EventHandle] = field(default=None, repr=False)
     finished_at: Optional[float] = None
 
 
 class Network:
-    """Tracks active transfers and keeps their finish events consistent."""
+    """Tracks active transfers and keeps the next completion scheduled."""
 
     def __init__(self, sim: Simulation, latency: float = 0.0) -> None:
         self.sim = sim
@@ -68,6 +69,8 @@ class Network:
         self._active: dict[int, NetTransfer] = {}
         self._ids = itertools.count(1)
         self._last_update = 0.0
+        #: the one pending completion event: the earliest finisher's
+        self._timer: Optional[EventHandle] = None
         #: fixed per-transfer setup delay (connection establishment,
         #: manager round-trips) before bytes start flowing
         self.latency = latency
@@ -93,7 +96,7 @@ class Network:
 
         In-flight transfers are advanced to the current instant first so
         bytes already moved at the old rate stay moved; then every
-        active flow's rate and finish event are recomputed.
+        active flow's rate and the next completion are recomputed.
         """
         node = self.nodes[name]
         self._advance()
@@ -101,7 +104,7 @@ class Network:
             node.up_bps = up_bps
         if down_bps is not None:
             node.down_bps = down_bps
-        self._reschedule_all()
+        self._rearm()
 
     def start(
         self,
@@ -136,7 +139,7 @@ class Network:
         t.src.active_out += 1
         t.dst.active_in += 1
         self._active[t.transfer_id] = t
-        self._reschedule_all()
+        self._rearm()
 
     def active_count(self) -> int:
         """Number of in-flight transfers."""
@@ -158,40 +161,52 @@ class Network:
                 t.remaining = max(0.0, t.remaining - t.rate * dt)
         self._last_update = self.sim.now
 
-    def _reschedule_all(self) -> None:
-        """Recompute rates and re-arm completion events for all transfers."""
+    def _rearm(self) -> None:
+        """Recompute every rate; time the earliest finisher.
+
+        Flows finishing at the same instant complete in activation
+        order (the first keeps the timer, and its completion re-arms
+        for the next at zero delay).  A stalled flow (rate 0, bytes
+        left) is skipped: it has no finish time until the next change.
+        """
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        now = self.sim.now
+        first: Optional[NetTransfer] = None
+        first_eta = first_due = 0.0
         for t in self._active.values():
             t.rate = self._fair_rate(t)
-            if t._event is not None:
-                t._event.cancel()
             if t.rate <= 0:
-                if t.remaining <= 0:
-                    t._event = self.sim.schedule(0.0, self._finish, t.transfer_id)
-                else:
-                    t._event = None  # stalled; re-armed on next change
-                continue
-            eta = t.remaining / t.rate
-            if not math.isfinite(eta):
-                raise RuntimeError(f"non-finite transfer eta for {t}")
-            t._event = self.sim.schedule(eta, self._finish, t.transfer_id)
+                if t.remaining > 0:
+                    continue
+                eta = 0.0
+            else:
+                eta = t.remaining / t.rate
+                if not math.isfinite(eta):
+                    raise RuntimeError(f"non-finite transfer eta for {t}")
+            # compared as the clock will read it: two ETAs a float apart
+            # can land on one instant, and then activation order decides
+            due = now + eta
+            if first is None or due < first_due:
+                first, first_eta, first_due = t, eta, due
+        if first is not None:
+            self._timer = self.sim.schedule(first_eta, self._finish, first)
 
-    def _finish(self, transfer_id: int) -> None:
-        t = self._active.get(transfer_id)
-        if t is None:
-            return
+    def _finish(self, t: NetTransfer) -> None:
         self._advance()
         # a sliver below a millibyte — or one whose ETA underflows the
         # float tick at the current timestamp — counts as delivered;
         # without the ETA check a sub-ulp delay livelocks the clock
         eta = t.remaining / t.rate if t.rate > 0 else float("inf")
         if t.remaining > 1e-3 and (self.sim.now + eta) > self.sim.now:
-            t._event = self.sim.schedule(eta, self._finish, t.transfer_id)
+            self._rearm()
             return
-        del self._active[transfer_id]
+        del self._active[t.transfer_id]
         t.src.active_out -= 1
         t.dst.active_in -= 1
         t.finished_at = self.sim.now
         self.completed_transfers += 1
         self.bytes_moved += t.size
-        self._reschedule_all()
+        self._rearm()
         t.on_complete(t)

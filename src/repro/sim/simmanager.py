@@ -629,7 +629,7 @@ class SimManager:
             raise RuntimeError(
                 f"workflow stalled: {len(self.control._ready)} ready, "
                 f"{len(self.control._dispatched)} dispatched "
-                f"({len(self.control._deferred_staging)} waiting on source "
+                f"({len(self.control._deferred_on)} inputs waiting on source "
                 f"capacity), {len(self.control._running)} running, "
                 f"{len(self.control._finishing)} awaiting retrieval "
                 f"at t={self.sim.now:.1f}"
@@ -737,7 +737,7 @@ class SimManager:
         name = f.cache_name
         if payload is not None:
             # the manager now holds the data and can serve downstream readers
-            self.control.fixed_sources[name] = MANAGER_SOURCE
+            self.control.set_fixed_source(name, MANAGER_SOURCE)
             worker = self.cluster.workers.get(holder)
             if (
                 not getattr(f, "keep_at_worker", True)

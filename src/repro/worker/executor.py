@@ -1,18 +1,19 @@
 """Task execution with resource enforcement (paper §2.1).
 
 Each task runs as a subprocess inside its sandbox with the declared
-resource allocation *enforced*: memory via ``RLIMIT_AS``, and disk by
-measuring sandbox usage after execution.  A task that exceeds its
-allocation is reported with the offending dimensions so the manager
-can retry it with a larger allocation or fail it, per the user's
+resource allocation *enforced*: memory via ``RLIMIT_AS`` (and runaway
+CPU via ``RLIMIT_CPU``), set by the task's own shell before the command
+runs, and disk by measuring sandbox usage after execution.  A task that
+exceeds its allocation is reported with the offending dimensions so the
+manager can retry it with a larger allocation or fail it, per the user's
 configuration — this is what lets a worker pack many small tasks
 without one rogue task taking down its neighbours.
 """
 
 from __future__ import annotations
 
+import math
 import os
-import resource
 import signal
 import subprocess
 import time
@@ -45,25 +46,26 @@ class ExecutionOutcome:
     measured: Resources
 
 
-def _limit_preexec(memory_mb: int, wall_seconds: Optional[float]):
-    """Build a ``preexec_fn`` installing rlimits in the child."""
+def _with_limits(command: str, allocation: Resources, timeout: Optional[float]) -> str:
+    """Prefix ``command`` with the ``ulimit`` calls that enforce its
+    allocation, for the ``sh -c`` that runs it.
 
-    def apply() -> None:
-        os.setsid()  # own process group: kill() reaps grandchildren too
-        if memory_mb > 0:
-            limit = memory_mb * 1_000_000
-            try:
-                resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-            except (ValueError, OSError):
-                pass
-        if wall_seconds is not None and wall_seconds > 0:
-            cpu = int(wall_seconds) + 1
-            try:
-                resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
-            except (ValueError, OSError):
-                pass
-
-    return apply
+    The worker is multi-threaded, so no Python may run between its fork
+    and the exec (a hook there can deadlock the child, and forces
+    ``subprocess`` onto its slow fork path): the shell sets its own
+    limits, and everything it starts inherits them.  A limit the kernel
+    refuses is silently skipped.
+    """
+    limits = []
+    if allocation.memory > 0:
+        # RLIMIT_AS; ``ulimit -v`` counts KiB
+        limits.append(f"ulimit -v {allocation.memory * 1_000_000 // 1024}")
+    if timeout is not None and timeout > 0:
+        # CPU seconds add up over threads: a task using all its cores
+        # for the whole wall-clock budget must not be SIGXCPU-killed
+        cores = max(1, math.ceil(allocation.cores))
+        limits.append(f"ulimit -t {(int(timeout) + 1) * cores}")
+    return "".join(f"{limit} 2>/dev/null; " for limit in limits) + command
 
 
 def run_command(
@@ -96,13 +98,14 @@ def run_command(
     exceeded: list[str] = []
     try:
         proc = subprocess.Popen(
-            command,
+            _with_limits(command, allocation, timeout),
             shell=True,
             cwd=cwd,
             env=full_env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
-            preexec_fn=_limit_preexec(allocation.memory, timeout),
+            # own session and process group: kill() reaps grandchildren too
+            start_new_session=True,
         )
         if on_start is not None:
             on_start(proc)
@@ -110,7 +113,7 @@ def run_command(
             raw_output, _ = proc.communicate(timeout=timeout)
             exit_code = proc.returncode
         except subprocess.TimeoutExpired:
-            # the child setsid()'d: kill its whole group, or descendants
+            # the child leads its own group: kill all of it, or descendants
             # of the shell hold the output pipe open until they finish
             try:
                 os.killpg(os.getpgid(proc.pid), signal.SIGKILL)

@@ -13,11 +13,12 @@ from collections import Counter
 
 import pytest
 
-from repro.core.control_plane import ControlPlane
+from repro.core.control_plane import _JOB_STAGE, ControlPlane
 from repro.core.manager import Manager
-from repro.core.scheduler import PlacementIndex
+from repro.core.scheduler import PlacementIndex, Scheduler
 from repro.core.task import Task, TaskState
 from repro.sim.cluster import SimCluster
+from repro.sim.engine import Simulation
 from repro.sim.simmanager import SimManager
 from repro.sim.workloads import (
     blast_cluster,
@@ -153,3 +154,58 @@ def test_fan_in_tasks_are_examined_when_their_inputs_change(monkeypatch):
     assert len(merges) == 64
     assert set(calls) <= {t.task_id for t in merges}
     assert all(1 <= calls[t.task_id] <= 2 for t in merges)
+
+
+# -- an event costs what it changed ---------------------------------------
+
+
+def _counting(monkeypatch, counts, cls, name, key=None):
+    inner = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        counts[key(self, *args) if key else name] += 1
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+
+
+def test_blast_on_100_workers_pays_per_event_not_per_fleet(monkeypatch):
+    """Fig. 9's shape, cold then hot, 2 × 560 tasks.  Before: every
+    network change re-pushed one event per active flow (258 951 events),
+    every pump re-planned every unstarted mini-task job (51 400 for 200
+    jobs) and every task deferred behind the manager's 100 slots
+    (101 440 plans, 90 per task)."""
+    counts = Counter()
+    _counting(monkeypatch, counts, Simulation, "schedule")
+    _counting(monkeypatch, counts, Scheduler, "plan_transfers")
+    _counting(
+        monkeypatch, counts, ControlPlane, "_advance",
+        key=lambda self, stage: ("advance", stage.order[0]),
+    )
+    cluster = blast_cluster(100)
+    cold = blast_workflow(cluster, n_tasks=560, seed=7)
+    hot = blast_workflow(cluster, n_tasks=560, seed=7)
+    assert cold.tasks_done == hot.tasks_done == 560
+    jobs = len(cold.log.events("stage_start"))
+    assert jobs == 200 and not hot.log.events("stage_start")
+    assert counts["schedule"] <= 10_000
+    assert counts["plan_transfers"] <= 101_440 // 3
+    assert counts[("advance", _JOB_STAGE)] <= 10 * jobs
+
+
+def test_plans_per_task_do_not_grow_with_the_fleet(monkeypatch):
+    """The same workload per worker (six BLAST tasks each, cold then
+    hot) on 50 and on 200 workers: a task is planned when it is placed
+    and when something it waits for happens, however many others wait
+    (33 and 191 plans per task before)."""
+    counts = Counter()
+    _counting(monkeypatch, counts, Scheduler, "plan_transfers")
+    per_task = {}
+    for workers in (50, 200):
+        counts.clear()
+        cluster = blast_cluster(workers)
+        for _ in range(2):
+            assert blast_workflow(cluster, n_tasks=6 * workers, seed=7).tasks_done
+        per_task[workers] = counts["plan_transfers"] / (12 * workers)
+    assert per_task[200] <= 1.5 * per_task[50]
+    assert per_task[200] < 8

@@ -10,18 +10,26 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.core.control_plane import ControlPlane
+from repro.core.policy import Policy
 from repro.core.replica_table import ReplicaTable
-from repro.core.transfer_table import MANAGER_SOURCE, TransferTable
+from repro.core.transfer_table import MANAGER_SOURCE, MINITASK_SOURCE, source_kind
 
 WORKERS = [f"w{i}" for i in range(4)]
 FILES = [f"f{i}" for i in range(6)]
+SOURCES = WORKERS + [MANAGER_SOURCE, "url:host", MINITASK_SOURCE]
 
 
 class TableMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.replicas = ReplicaTable()
-        self.transfers = TransferTable(worker_limit=2, source_limit=3)
+        # the table of a control plane (which nothing else drives here),
+        # so the gauges it derives from the table can be held to it
+        self.control = ControlPlane(
+            port=None, policy=Policy(worker_transfer_limit=2, source_transfer_limit=3)
+        )
+        self.transfers = self.control.transfers
         self.model_replicas: set[tuple[str, str]] = set()
         self.active_ids: list[str] = []
 
@@ -61,7 +69,7 @@ class TableMachine(RuleBasedStateMachine):
 
     @rule(
         name=st.sampled_from(FILES),
-        source=st.sampled_from(WORKERS + [MANAGER_SOURCE]),
+        source=st.sampled_from(SOURCES),
         dest=st.sampled_from(WORKERS),
     )
     def begin_transfer(self, name, source, dest):
@@ -107,6 +115,24 @@ class TableMachine(RuleBasedStateMachine):
             by_source[t.source] = by_source.get(t.source, 0) + 1
         for source, count in by_source.items():
             assert self.transfers.source_load(source) == count
+
+    @invariant()
+    def transfer_gauges_match_a_recount_of_active(self):
+        """The gauges read the table's own per-kind counters; whatever
+        path closed a transfer (``complete`` or a departed worker's
+        ``cancel_for_worker``), they equal a walk of ``active()``."""
+        self.control._sync_transfer_gauges()
+        recount = {}
+        for t in self.transfers.active():
+            kind = source_kind(t.source)
+            recount[kind] = recount.get(kind, 0) + 1
+        gauges = self.control.metrics.snapshot()
+        staging = recount.pop("stage", 0)
+        assert gauges["staging.in_flight"]["value"] == staging
+        assert gauges["transfers.in_flight"]["value"] == sum(recount.values())
+        for kind in ("manager", "url", "peer"):
+            gauge = gauges.get(f"transfers.per_source.{kind}")
+            assert (gauge["value"] if gauge else 0) == recount.get(kind, 0)
 
     @invariant()
     def limits_never_exceeded_by_begin_rule(self):

@@ -252,3 +252,145 @@ def test_latency_setup_consumes_no_bandwidth():
     # setup 5 s, then both share 100 B/s: 2 s each
     assert done["x"] == pytest.approx(7.0)
     assert done["y"] == pytest.approx(7.0)
+
+
+# -- one timer, same finish times ------------------------------------------
+
+
+def test_simultaneous_finishers_complete_in_activation_order():
+    sim, net = make_net(src=100.0, a=100.0, b=100.0, c=100.0)
+    order = []
+    for dst in "cab":  # activation order, not name order
+        net.start("src", dst, 100.0, lambda t, d=dst: order.append((d, sim.now)))
+    sim.run()
+    assert [d for d, _ in order] == ["c", "a", "b"]
+    assert len({when for _, when in order}) == 1
+
+
+def test_zero_bandwidth_stalls_a_flow_until_it_is_restored():
+    sim, net = make_net(a=100.0, b=100.0, c=100.0)
+    done = {}
+    net.start("a", "b", 1000.0, lambda t: done.update(ab=sim.now))
+    net.start("c", "b", 100.0, lambda t: done.update(cb=sim.now))
+    sim.schedule(1.0, net.set_bandwidth, "a", 0.0)
+    sim.run()
+    # a→b moved 50 bytes, then stalled: it holds no timer, keeps its
+    # share of b's downlink, and the other flow finishes around it
+    assert done == {"cb": 2.0}
+    assert net.active_count() == 1 and sim.pending() == 0
+    sim.schedule(0.0, net.set_bandwidth, "a", 100.0)
+    sim.run()
+    assert done["ab"] == pytest.approx(2.0 + 950.0 / 100.0)
+    assert net.active_count() == 0
+
+
+def _flows_with_a_sliver(network_cls):
+    """Three flows off one source; the first's timer fires with bytes
+    still to move.  Rounding alone leaves a sliver only on a half-ulp
+    tie, so the test leaves one by hand: 40 bytes that the arithmetic
+    "lost" after the timer was armed."""
+    sim = Simulation()
+    net = network_cls(sim)
+    for name in ("src", "a", "b", "c"):
+        net.add_node(name, 300.0)
+    done = []
+    flows = [
+        net.start("src", dst, size, lambda t: done.append((t.dst.name, sim.now)))
+        for dst, size in (("a", 100.0), ("b", 103.0), ("c", 500.0))
+    ]
+    flows[0].remaining += 40.0
+    sim.run()
+    return net, done
+
+
+def test_sliver_rearm_goes_through_the_one_timer():
+    from tests.sim.reference_network import PerFlowEventNetwork
+
+    reference, expected = _flows_with_a_sliver(PerFlowEventNetwork)
+    assert reference.sliver_rearms == 1, "the scenario must reach the sliver path"
+    net, done = _flows_with_a_sliver(Network)
+    # "a" is due at t=1.0 with 40 bytes left, which take 0.4 s more at
+    # its third of the uplink; "b" (t=1.03) finishes in between
+    assert [name for name, _ in done] == ["b", "a", "c"]
+    assert done == expected
+    assert net.active_count() == 0 and net.sim.pending() == 0
+
+
+NODES = ["n0", "n1", "n2", "n3"]
+_bps = st.sampled_from([0.0, 10.0, 100.0, 1.25e9])
+_op = st.one_of(
+    st.tuples(
+        st.just("start"),
+        st.sampled_from(NODES),
+        st.sampled_from(NODES),
+        st.floats(min_value=0, max_value=1e10),
+    ),
+    st.tuples(st.just("bandwidth"), st.sampled_from(NODES), _bps, _bps),
+)
+
+
+def _replay(network_cls, latency, schedule):
+    sim = Simulation()
+    net = network_cls(sim, latency=latency)
+    for name in NODES:
+        net.add_node(name, 100.0)
+    done = []
+    for i, (at, op) in enumerate(schedule):
+        if op[0] == "start":
+            _, src, dst, size = op
+            sim.schedule(
+                at, net.start, src, dst, size, lambda t, i=i: done.append((i, sim.now))
+            )
+        else:
+            _, node, up, down = op
+            sim.schedule(at, net.set_bandwidth, node, up, down)
+    # every link comes back at the end, so no flow stays stalled
+    for name in NODES:
+        sim.schedule(1e6, net.set_bandwidth, name, 100.0, 100.0)
+    sim.run()
+    return net, done
+
+
+@given(
+    st.sampled_from([0.0, 0.25]),
+    st.lists(
+        st.tuples(st.floats(min_value=0, max_value=5e4), _op), min_size=1, max_size=25
+    ),
+)
+def test_property_one_timer_finishes_when_per_flow_events_did(latency, schedule):
+    """Same starts, same ``set_bandwidth`` calls: every transfer
+    completes at the very instant — ``==``, not ``approx`` — and in the
+    very order the per-flow-event model completed it."""
+    from tests.sim.reference_network import PerFlowEventNetwork
+
+    reference, expected = _replay(PerFlowEventNetwork, latency, schedule)
+    net, done = _replay(Network, latency, schedule)
+    assert done == expected
+    assert net.bytes_moved == reference.bytes_moved
+    assert net.active_count() == 0
+
+
+def test_a_network_change_schedules_one_event_whatever_is_in_flight(monkeypatch):
+    """Counted, not timed: 40 flows in flight, and a start, a
+    ``set_bandwidth`` or a completion each arm one timer — not forty."""
+    scheduled = []
+    schedule = Simulation.schedule
+
+    def counted(self, *args):
+        scheduled.append(args[1])
+        return schedule(self, *args)
+
+    monkeypatch.setattr(Simulation, "schedule", counted)
+    sim = Simulation()
+    net = Network(sim)
+    net.add_node("src", 1000.0)
+    for i in range(40):
+        net.add_node(f"w{i}", 1000.0)
+        net.start("src", f"w{i}", 100.0 * (i + 1), lambda t: None)
+    assert len(scheduled) == 40
+    net.set_bandwidth("src", up_bps=500.0)
+    assert len(scheduled) == 41
+    sim.run()
+    # each completion re-arms for the next finisher; the last has none
+    assert len(scheduled) == 41 + 39
+    assert net.completed_transfers == 40 and sim.pending() == 0

@@ -1,12 +1,15 @@
 """Integration tests for the simulated TaskVine runtime."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.events import task_rows, worker_busy
+from repro.core.files import CacheLevel
 from repro.core.library import FunctionCall
 from repro.core.resources import Resources
 from repro.core.task import Task, TaskState
-from repro.sim.cluster import SimCluster
+from repro.sim.cluster import SimCluster, SimWorker
 from repro.sim.simmanager import SimManager
 
 MB = 1_000_000
@@ -222,6 +225,7 @@ def test_eviction_frees_space_for_new_objects():
     worker = next(iter(c.workers.values()))
     assert stats.evictions >= 1
     assert worker.cache_bytes() <= 250 * MB
+    assert worker.cache_bytes() == sum(o.size for o in worker.cache.values())
 
 
 def test_worker_joining_mid_run_is_used():
@@ -302,3 +306,30 @@ def test_undeclared_input_rejected():
     foreign = BufferFile(b"x")
     with pytest.raises(RuntimeError):
         m.submit(Task("x").add_input(foreign, "f"), duration=1.0)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("insert"), st.integers(0, 7), st.integers(0, 10**9)
+            ),
+            st.tuples(st.just("remove"), st.integers(0, 7), st.just(0)),
+            st.tuples(st.just("leave"), st.just(0), st.just(0)),
+        ),
+        max_size=60,
+    )
+)
+def test_property_cache_bytes_is_the_sum_of_what_is_cached(ops):
+    """The running total ``store_replica`` reads on every insert equals
+    a recount after any mix of inserts (repeats keep the first size),
+    removals (evictions are removals) and departures."""
+    worker = SimWorker("w", Resources(cores=1), disk_capacity=10**12)
+    for op, key, size in ops:
+        if op == "insert":
+            worker.insert(f"f{key}", size, CacheLevel.WORKFLOW, now=0.0)
+        elif op == "remove":
+            worker.remove(f"f{key}")
+        else:
+            worker.clear_cache()
+        assert worker.cache_bytes() == sum(o.size for o in worker.cache.values())

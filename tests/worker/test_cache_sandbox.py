@@ -272,6 +272,72 @@ def test_run_command_memory_limit(tmp_path):
     assert out.exit_code != 0
 
 
+def test_run_command_never_runs_python_between_fork_and_exec(tmp_path, monkeypatch):
+    """The worker is multi-threaded: ``preexec_fn`` may deadlock the
+    child before ``exec`` (and forces the slow fork path), so limits and
+    the new session must come without it."""
+    import subprocess
+
+    seen = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        seen.append(kwargs)
+        return real_popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    out = run_command(
+        "echo ok", str(tmp_path), {}, Resources(cores=1, memory=100), timeout=5
+    )
+    assert out.output.strip() == "ok"
+    assert [kw.get("preexec_fn") for kw in seen] == [None]
+    assert seen[0]["start_new_session"] is True
+
+
+def test_run_command_limits_are_what_the_task_sees(tmp_path):
+    """Clock-free: the task's own shell reports the limits it runs under."""
+    out = run_command(
+        "ulimit -v; ulimit -t", str(tmp_path), {},
+        Resources(cores=1, memory=300), timeout=600,
+    )
+    assert out.output.split() == [str(300 * 1_000_000 // 1024), "601"]
+
+
+def test_run_command_cpu_limit_scales_with_cores(tmp_path):
+    """CPU seconds add up over threads: a 4-core task may burn four
+    times its wall-clock budget before that budget is spent (it used to
+    be SIGXCPU-killed, exit -24, a quarter of the way in)."""
+    for cores, expected in ((4, 4 * 601), (2.5, 3 * 601), (0.5, 601)):
+        out = run_command(
+            "ulimit -t", str(tmp_path), {}, Resources(cores=cores), timeout=600
+        )
+        assert out.output.strip() == str(expected)
+
+
+def test_run_command_without_limits_leaves_them_alone(tmp_path):
+    mine = run_command("ulimit -v; ulimit -t", str(tmp_path), {}, Resources(cores=1))
+    import subprocess
+
+    inherited = subprocess.run(
+        "ulimit -v; ulimit -t", shell=True, capture_output=True, text=True
+    )
+    assert mine.output == inherited.stdout
+
+
+def test_run_command_refused_limit_is_ignored(tmp_path):
+    """Raising a limit above the inherited hard limit fails in the
+    kernel; the task still runs, and sees no noise from the attempt."""
+    out = run_command(
+        "ulimit -t 5; "
+        "python3 -c \"from repro.worker.executor import run_command;"
+        "from repro.core.resources import Resources;"
+        "o = run_command('echo ran', '.', {}, Resources(cores=1), timeout=600);"
+        "print(o.exit_code, o.output.strip())\"",
+        str(tmp_path), {}, Resources(cores=1),
+    )
+    assert out.output.strip() == "0 ran"
+
+
 def test_run_command_bad_spawn(tmp_path):
     out = run_command("echo x", str(tmp_path / "missing-dir"), {}, Resources())
     assert out.exit_code == 127
