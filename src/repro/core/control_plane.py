@@ -9,7 +9,7 @@ and the discrete-event :class:`~repro.sim.simmanager.SimManager`.  This
 module extracts the policy into a single runtime-agnostic state machine,
 :class:`ControlPlane`, expressed against a small :class:`RuntimePort`
 protocol that each runtime implements with its own mechanisms (sockets
-and sender threads, or simulated networks and virtual clocks).
+on one reactor loop, or simulated networks and virtual clocks).
 
 Rules of the split:
 

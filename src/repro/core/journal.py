@@ -212,8 +212,8 @@ class Journal:
         """Group-commit the calling thread's appends from now on.
 
         That thread then owes a :meth:`sync` before it lets anything
-        its records caused be observed (a frame handed to a socket or
-        sender thread, a completion handed to the application).  Every
+        its records caused be observed (a frame offered to a socket, a
+        completion handed to the application).  Every
         other thread keeps fsync-per-append.
         """
         self._group_thread = threading.get_ident()

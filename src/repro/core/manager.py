@@ -1,31 +1,35 @@
-"""The TaskVine manager: event-driven socket adapter over the control plane.
+"""The TaskVine manager: what the frames mean, over one transport loop.
 
 All *policy* — placement, transfer planning, replica and staging state
 machines, retry/replication/regeneration — lives in
 :class:`~repro.core.control_plane.ControlPlane`; this module only
 provides the real runtime's *mechanisms* as a
-:class:`~repro.core.control_plane.RuntimePort`: socket connections and
-per-worker sender threads, wire message encoding, payload
-(de)serialization, and result retrieval back to the application.  The
-simulator drives the very same control plane with virtual-time
-mechanisms, so any behavioural change belongs in ``control_plane.py``,
-never here.
+:class:`~repro.core.control_plane.RuntimePort`: wire message encoding,
+payload (de)serialization, client sessions, and result retrieval back
+to the application.  The simulator drives the very same control plane
+with virtual-time mechanisms, so any behavioural change belongs in
+``control_plane.py``, never here.
 
-Concurrency model: a single ``selectors``-based *reactor* thread owns
-the entire receive path — it accepts workers, reassembles frames from
-non-blocking reads (:class:`~repro.protocol.connection.FrameReassembler`),
-unwraps ``batch`` envelopes, and feeds complete messages to the control
-plane under the state lock.  Outbound commands still go through one
-sender thread per worker so large object pushes never stall the lock.
+Concurrency model: one :class:`~repro.core.reactor.Reactor` thread owns
+every socket and every clock of the manager.  It accepts workers and
+clients, reassembles their frames and hands complete messages to
+:meth:`Manager.peer_message`, which feeds the control plane under the
+state lock; it drains one outbound FIFO per peer with non-blocking
+sends; and its deadline heap runs the back-off wake-ups, the liveness
+sweep, session reaping and the metrics dump.  Nothing here reads or
+writes a socket: a command is encoded and appended to its peer's FIFO
+(:meth:`Manager._send`), from whichever thread holds the state lock.
 Application threads interact through the public API
 (declare/submit/wait/fetch) which takes the same lock, so the manager
 is safe to drive from ordinary sequential application code.
 
 The reactor is also the only thread that runs the scheduling pump: it
-pumps once at the end of each event sweep, and a pump requested from
-any other thread (``submit``, ``cancel``, ``drain_worker``, the reaper,
-backoff timers) is *posted* to it — a flag plus one byte on the wake
+pumps once per sweep, in :meth:`Manager.before_write`, and a pump
+requested from any other thread (``submit``, ``cancel``,
+``drain_worker``) is *posted* to it — a flag plus one byte on the wake
 pipe — rather than run on the caller (:meth:`Manager.request_pump`).
+The same call then makes the sweep's journal records durable, so the
+frames the sweep queued leave only after the fsync that covers them.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ import functools
 import itertools
 import os
 import queue
-import selectors
-import socket
 import tempfile
 import threading
 import time
@@ -64,18 +66,15 @@ from repro.core.gc import collect_workflow
 from repro.core.library import FunctionCall, Library
 from repro.core.naming import Namer
 from repro.core.policy import Policy
+from repro.core.reactor import FileBody, Peer, Reactor
 from repro.core.resources import ResourcePool, Resources
 from repro.core.resultref import ResultProxy, scan_refs
 from repro.core.task import MiniTask, PythonTask, Task, TaskResult, TaskState
 from repro.core.transfer_table import MANAGER_SOURCE, Transfer
-from repro.observe.metrics import SnapshotDumper
 from repro.observe.txnlog import TransactionLogWriter
 from repro.protocol import serialization as ser
 from repro.protocol.connection import (
-    IO_CHUNK,
     SESSION_CLIENT,
-    Connection,
-    FrameReassembler,
     ProtocolError,
     encode_frame,
     listen,
@@ -94,103 +93,32 @@ __all__ = ["Manager", "ManagerError"]
 
 log = get_logger(__name__)
 
-#: per-call non-blocking send flag; 0 where unsupported
-_MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0)
-
 #: seconds between rewrites of ``metrics_dump_path`` (the daemon's
 #: ``status`` view lags by at most this much)
 METRICS_DUMP_INTERVAL = 1.0
+
+#: seconds ``close()`` gives the queued farewells (unlinks, shutdowns,
+#: notices) to leave before the connections are dropped regardless
+CLOSE_DRAIN_SECONDS = 10.0
 
 
 class ManagerError(RuntimeError):
     """Workflow-level failure raised to the application."""
 
 
-class _SenderHandle:
-    """Send channel to one peer (worker or client session).
-
-    Outbound traffic goes through a per-peer sender thread fed by an
-    outbox of closures, so large object pushes never execute while the
-    manager's state lock is held — the lock is only ever taken for
-    bookkeeping, which makes reader/sender deadlock impossible.
-    """
-
-    def __init__(self, conn: Connection) -> None:
-        self.conn = conn
-        self.alive = True
-        #: frames buffered during a reactor sweep, flushed as one send
-        #: (guarded by the manager's state lock)
-        self.pending_frames: list[bytes] = []
-        #: held by whoever is writing the socket, so the reactor's
-        #: opportunistic direct writes can never interleave with a
-        #: sender-thread operation mid-stream
-        self.wire_lock = threading.Lock()
-        self.outbox: "queue.Queue[Optional[Callable[[Connection], None]]]" = queue.Queue()
-        self._sender = threading.Thread(target=self._send_loop, daemon=True)
-        self._sender.start()
-
-    def _send_loop(self) -> None:
-        while True:
-            fn = self.outbox.get()
-            if fn is None:
-                return
-            try:
-                with self.wire_lock:
-                    fn(self.conn)
-            except (ProtocolError, OSError):
-                self.alive = False
-                return
-
-    def enqueue(self, fn: Callable[[Connection], None]) -> None:
-        """Queue an outbound operation for the sender thread."""
-        self.outbox.put(fn)
-
-    def write(self, blob: bytes) -> None:
-        """Put pre-encoded frames on the wire behind whatever is queued.
-
-        Fast path: when the sender thread is idle (nothing queued,
-        nothing mid-write), the bytes go straight out with one
-        non-blocking ``send`` — no thread wakeup at all.  Any leftover
-        on a full socket buffer, or any contention, falls back to the
-        sender thread, which also preserves ordering behind whatever is
-        already queued.
-        """
-        if self.wire_lock.acquire(blocking=False):
-            try:
-                if self.outbox.empty():
-                    try:
-                        sent = self.conn.sock.send(blob, _MSG_DONTWAIT)
-                    except (BlockingIOError, InterruptedError):
-                        sent = 0
-                    except OSError:
-                        self.alive = False
-                        return
-                    if sent < len(blob):
-                        rest = blob[sent:]
-                        self.enqueue(lambda conn: conn.send_frame(rest))
-                    return
-            finally:
-                self.wire_lock.release()
-        self.enqueue(lambda conn: conn.send_frame(blob))
-
-    def stop_sender(self) -> None:
-        """Stop the sender thread after flushing queued sends."""
-        self.outbox.put(None)
-
-
-class _WorkerHandle(_SenderHandle):
-    """Manager-side connection state for one worker."""
+class _WorkerHandle:
+    """Manager-side state of one admitted worker."""
 
     _ids = itertools.count(1)
 
     def __init__(
         self,
-        conn: Connection,
+        peer: Peer,
         capacity: Resources,
         transfer_host: str,
         transfer_port: int,
     ) -> None:
-        super().__init__(conn)
+        self.peer = peer
         self.worker_id = f"W{next(self._ids):03d}"
         self.capacity = capacity
         self.pool = ResourcePool(capacity)
@@ -198,28 +126,7 @@ class _WorkerHandle(_SenderHandle):
         self.transfer_port = transfer_port
         #: shared with the control plane's WorkerState after admission
         self.running: set[str] = set()
-        self.libraries: set[str] = set()
         self.last_seen = time.time()
-
-
-class _ConnState:
-    """Reactor-side receive state for one inbound connection.
-
-    ``handle``/``client`` are both None until the peer's first frame
-    decides its role (REGISTER admits a worker, CLIENT_HELLO a client
-    session); ``pending`` holds a control message whose announced bulk
-    payload (``file_data`` content, declared buffer bytes, a library's
-    function table) is still being reassembled.
-    """
-
-    __slots__ = ("conn", "frames", "handle", "client", "pending")
-
-    def __init__(self, conn: Connection) -> None:
-        self.conn = conn
-        self.frames = FrameReassembler()
-        self.handle: Optional[_WorkerHandle] = None
-        self.client: Optional["_ClientSession"] = None
-        self.pending: Optional[dict] = None
 
 
 class _LibraryState(LibraryState):
@@ -265,7 +172,8 @@ class _ClientSession:
         self.token = uuid.uuid4().hex
         self.tenant = tenant
         self.loopback = False
-        self.handle: Optional[_SenderHandle] = None
+        #: the attached connection; set and cleared on the reactor thread
+        self.peer: Optional[Peer] = None
         #: outstanding task ids owned by this session
         self.tasks: set[str] = set()
         #: notices generated while detached, replayed on reattach
@@ -313,20 +221,24 @@ class ManagerService:
 
     # -- admission -----------------------------------------------------
 
-    def hello(self, state: _ConnState, msg: dict) -> None:
+    def hello(self, peer: Peer, msg: dict) -> None:
         """Authenticate and attach (or reattach) a client connection."""
         tenant = str(msg["tenant"])
         if self.password is not None and msg.get("password") != self.password:
-            self._reject_conn(state.conn, "auth", f"bad password for tenant {tenant!r}")
+            self._reject_conn(peer, "auth", f"bad password for tenant {tenant!r}")
             return
         token = msg.get("session")
         if token is not None:
             sess = self.sessions.get(token)
             if sess is None or sess.tenant != tenant:
-                self._reject_conn(state.conn, "session", "unknown session token")
+                self._reject_conn(peer, "session", "unknown session token")
                 return
-            if sess.handle is not None:
-                self._displace(sess)  # the new attachment wins
+            if sess.peer is not None:
+                # the new attachment wins.  The stale connection is
+                # disowned first, so neither the frames it still has in
+                # flight nor its close can reach the session
+                sess.peer.owner = None
+                sess.peer.close()
         else:
             sess = _ClientSession(tenant)
             self.sessions[sess.token] = sess
@@ -334,16 +246,16 @@ class ManagerService:
                 self.mgr.journal.record_session(
                     sess.token, sess.session_id, tenant
                 )
-        sess.handle = _SenderHandle(state.conn)
+        sess.peer = peer
         sess.detached_at = None
-        state.client = sess
+        peer.owner = sess
         mgr = self.mgr
         mgr.control.tenant_account(tenant)
         mgr.control.log.emit(
             mgr.now(), "client_attach", worker=sess.session_id, category=tenant
         )
         mgr._send(
-            sess.handle,
+            peer,
             {
                 "type": M.WELCOME,
                 "session": sess.token,
@@ -356,50 +268,11 @@ class ManagerService:
         )
         sess.restored = False
         while sess.buffered:
-            mgr._send(sess.handle, sess.buffered.popleft())
+            mgr._send(peer, sess.buffered.popleft())
 
-    def _displace(self, sess: _ClientSession) -> None:
-        """Tear down the old attachment of a session that is reattaching.
-
-        The stale connection is fully disowned here, on the reactor
-        thread that owns the selector: its conn-state stops pointing at
-        the session (so its eventual EOF cannot detach the new
-        attachment, and frames it has in flight can no longer reach
-        the session), and the socket is unregistered and closed.
-        """
-        old = sess.handle
-        sess.handle = None
-        if old is None:
-            return
-        old.stop_sender()
-        old.alive = False
-        sel = self.mgr._sel
-        try:
-            state = sel.get_key(old.conn.sock).data
-        except (KeyError, ValueError):
-            state = None
-        if isinstance(state, _ConnState):
-            state.client = None
-        try:
-            sel.unregister(old.conn.sock)
-        except (KeyError, ValueError):
-            pass
-        old.conn.close()
-
-    def client_gone(self, state: _ConnState) -> None:
-        """EOF/teardown on a client connection: detach, keep the workflow.
-
-        Only the connection that owns the session's *current* handle may
-        detach it — the EOF of a socket displaced by a reattach must not
-        touch the live attachment.
-        """
-        sess, state.client = state.client, None
-        if sess is None:
-            return
-        if sess.handle is None or sess.handle.conn is not state.conn:
-            return  # a displaced (stale) socket died; the session lives on
-        sess.handle.stop_sender()
-        sess.handle = None
+    def client_gone(self, sess: _ClientSession) -> None:
+        """The session's connection closed: detach, keep the workflow."""
+        sess.peer = None
         sess.detached_at = time.time()
         mgr = self.mgr
         mgr.control.log.emit(
@@ -417,7 +290,7 @@ class ManagerService:
         expired = [
             s
             for s in self.sessions.values()
-            if s.handle is None
+            if s.peer is None
             and not s.tasks
             and s.detached_at is not None
             and now - s.detached_at > ttl
@@ -475,9 +348,6 @@ class ManagerService:
                 sess.tasks.add(task.task_id)
                 self.by_task[task.task_id] = sess
 
-    def attached_handles(self) -> list[_SenderHandle]:
-        return [s.handle for s in self.sessions.values() if s.handle is not None]
-
     # -- request dispatch ----------------------------------------------
 
     def handle_message(
@@ -512,17 +382,19 @@ class ManagerService:
         frame = {"type": M.CLIENT_REJECT, "reason": f"{code}: {detail}"}
         if ref is not None:
             frame["ref"] = ref
-        if sess.handle is not None:
-            mgr._send(sess.handle, frame)
+        self._reply(sess, frame)
 
-    def _reject_conn(self, conn: Connection, code: str, detail: str) -> None:
-        # pre-auth rejects have no session/handle yet: answer directly
-        # on the reactor thread (one tiny frame on an empty socket)
+    def _reply(self, sess: _ClientSession, frame: dict, payload=None) -> None:
+        """Answer a request on the session's connection, if it still has one."""
+        if sess.peer is not None:
+            self.mgr._send(sess.peer, frame, payload)
+
+    def _reject_conn(self, peer: Peer, code: str, detail: str) -> None:
+        """Refuse a connection before it has a session: the reject is
+        the last thing it is sent, and it is closed once that left."""
         self.mgr.control.log.emit(self.mgr.now(), "client_rejected", category=code)
-        try:
-            conn.send_message({"type": M.CLIENT_REJECT, "reason": f"{code}: {detail}"})
-        except (ProtocolError, OSError):
-            pass
+        frame = {"type": M.CLIENT_REJECT, "reason": f"{code}: {detail}"}
+        peer.send(encode_frame(frame), last=True)
 
     # -- declarations ---------------------------------------------------
 
@@ -557,17 +429,16 @@ class ManagerService:
             # existing replicas serve it, nothing moves again
             mgr.control.tenant_cache_hit(sess.tenant, name, size)
         mgr.control.tenant_add_name(sess.tenant, name)
-        if sess.handle is not None:
-            mgr._send(
-                sess.handle,
-                {
-                    "type": M.FILE_DECLARED,
-                    "ref": msg.get("ref"),
-                    "cache_name": name,
-                    "cache_hit": hit,
-                    "size": size,
-                },
-            )
+        self._reply(
+            sess,
+            {
+                "type": M.FILE_DECLARED,
+                "ref": msg.get("ref"),
+                "cache_name": name,
+                "cache_hit": hit,
+                "size": size,
+            },
+        )
 
     def _local_path(self, sess: _ClientSession, path: str) -> str:
         """Resolve a ``kind="local"`` declaration path for one session.
@@ -732,10 +603,8 @@ class ManagerService:
         return self._submit(self.loopback, task)
 
     def _accept(self, sess: _ClientSession, ref, task: Task, tid: str) -> None:
-        if sess.handle is None:
-            return
-        self.mgr._send(
-            sess.handle,
+        self._reply(
+            sess,
             {
                 "type": M.TASK_ACCEPTED,
                 "ref": ref,
@@ -806,16 +675,15 @@ class ManagerService:
                 payload=payload,
             )
             mgr.control.install_library(name)
-        if sess.handle is not None:
-            mgr._send(
-                sess.handle,
-                {
-                    "type": M.LIBRARY_CREATED,
-                    "ref": msg.get("ref"),
-                    "library": name,
-                    "functions": names,
-                },
-            )
+        self._reply(
+            sess,
+            {
+                "type": M.LIBRARY_CREATED,
+                "ref": msg.get("ref"),
+                "library": name,
+                "functions": names,
+            },
+        )
 
     # -- completion and retrieval ----------------------------------------
 
@@ -865,8 +733,8 @@ class ManagerService:
         return sess
 
     def _notify(self, sess: _ClientSession, frame: dict) -> None:
-        if sess.handle is not None and sess.handle.alive:
-            self.mgr._send(sess.handle, frame)
+        if sess.peer is not None:
+            self.mgr._send(sess.peer, frame)
         else:
             if len(sess.buffered) == sess.buffered.maxlen:
                 sess.dropped += 1  # deque evicts the oldest notice
@@ -895,19 +763,17 @@ class ManagerService:
     def _send_file_data(
         self, sess: _ClientSession, name: str, payload: Optional[bytes]
     ) -> None:
-        if sess.handle is None or not sess.handle.alive:
-            return  # detached: the replica stays fetchable on reattach
         frame = {
             "type": M.FILE_DATA,
             "cache_name": name,
             "found": payload is not None,
             "size": len(payload or b""),
         }
-        self.mgr._send(sess.handle, frame, payload if payload else None)
+        # detached meanwhile: the replica stays fetchable on reattach
+        self._reply(sess, frame, payload)
 
     def _detach(self, sess: _ClientSession) -> None:
-        if sess.handle is not None:
-            self.mgr._send(sess.handle, {"type": M.DETACHED, "session": sess.token})
+        self._reply(sess, {"type": M.DETACHED, "session": sess.token})
         # the client closes its end after the ack; the reactor's EOF
         # unwind then runs client_gone(), which buffers further notices
 
@@ -933,11 +799,14 @@ class Manager:
         journal_dir: Optional[str] = None,
         recovery_grace: float = 10.0,
     ) -> None:
-        # bind first: nothing durable or threaded (journal, txn log,
-        # metrics dumper) may exist before the listener does, or a
-        # taken port would leave a live half-manager behind the OSError
-        self._listener = listen(host, port)
-        self.host, self.port = self._listener.getsockname()
+        # bind first: nothing durable or threaded (journal, txn log)
+        # may exist before the listener does, or a taken port would
+        # leave a live half-manager behind the OSError
+        listener = listen(host, port)
+        self.host, self.port = listener.getsockname()
+        #: the one thread that touches a socket or a clock; started at
+        #: the end of construction (journal restore pumps inline)
+        self.reactor = Reactor(listener, self)
         self._lock = threading.RLock()
         self._t0 = time.time()
         #: persistent memoization store; None disables memoization
@@ -982,11 +851,7 @@ class Manager:
                 resume=self.journal is not None and self.journal.recovered,
             )
             self.control.log.attach(self._txn_writer)
-        self._metrics_dumper: Optional[SnapshotDumper] = None
-        if metrics_dump_path is not None:
-            self._metrics_dumper = SnapshotDumper(
-                self.control.metrics, metrics_dump_path, METRICS_DUMP_INTERVAL
-            ).start()
+        self._metrics_dump_path = metrics_dump_path
         self.namer = Namer(seed=seed)
         self.namer.header_fetcher = self._url_headers
 
@@ -1000,20 +865,15 @@ class Manager:
         self._m_messages_in = m.counter("net.messages_in")
         self._m_batch_fill = m.histogram("net.batch_fill")
         self._m_loop = m.histogram("net.reactor_loop_seconds")
+        self._m_queued = m.gauge("net.outbound_queued_bytes")
 
         #: a pump is owed: the reactor runs it at the end of its sweep.
         #: Set by request_pump from any thread (under _lock); while it is
         #: True a wake byte is in the pipe or the reactor is mid sweep
         self._pump_wanted = False
-        #: set around a whole reactor event sweep so the frames it (and
-        #: its closing pump) generates leave as one write per worker
-        #: (written/read only by the reactor thread)
-        self._reactor_defer = False
-        #: None until the reactor starts: journal restore pumps inline
-        self._reactor_thread: Optional[threading.Thread] = None
-        #: live schedule_pump timers, cancelled at close
-        self._timers: set[threading.Timer] = set()
-        self._closing = threading.Event()
+        #: cache name of a declared directory -> the one tar every push
+        #: of it streams (removed at close)
+        self._packed: dict[str, str] = {}
 
         #: True when this life restored state journaled by a prior one
         self.recovered = False
@@ -1028,28 +888,25 @@ class Manager:
                 self.journal.record_meta(
                     port=self.port, project=project_name, policy=policy.asdict()
                 )
-        self._sel = selectors.DefaultSelector()
-        # self-pipe: lets close() interrupt a pending select()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        # wakers hold _lock, which the reactor needs before it can drain
-        # the pipe: a full pipe must never block them
-        self._wake_w.setblocking(False)
-        self._sel.register(self._listener, selectors.EVENT_READ, "accept")
-        self._sel.register(self._wake_r, selectors.EVENT_READ, "wake")
-        self._reactor_thread = threading.Thread(
-            target=self._reactor_loop, name="manager-reactor", daemon=True
-        )
-        self._reactor_thread.start()
         #: seconds of silence (no message, not even a heartbeat) after
-        #: which a worker is declared dead; None disables the reaper
+        #: which a worker is declared dead; None disables the sweep
         self.worker_liveness_timeout = worker_liveness_timeout
-        self._reaper_thread: Optional[threading.Thread] = None
-        if worker_liveness_timeout is not None or client_session_ttl is not None:
-            self._reaper_thread = threading.Thread(
-                target=self._reaper_loop, daemon=True
+        timeouts = [
+            t for t in (worker_liveness_timeout, client_session_ttl) if t is not None
+        ]
+        if timeouts:
+            interval = max(1.0, min(timeouts) / 4)
+            self.reactor.call_later(interval, self._liveness_sweep, every=interval)
+        if metrics_dump_path is not None:
+            self.reactor.call_later(
+                METRICS_DUMP_INTERVAL, self._dump_metrics, every=METRICS_DUMP_INTERVAL
             )
-            self._reaper_thread.start()
+        if self.journal is not None:
+            # records the reactor journals during a sweep share one
+            # fsync, taken in before_write ahead of the sweep's frames
+            # (due on the first sweep, before any peer can be read)
+            self.reactor.call_later(0.0, self.journal.begin_group_commit)
+        self.reactor.start()
 
     # -- control-plane state views (single source of truth) --------------
 
@@ -1074,8 +931,7 @@ class Manager:
         return time.time() - self._t0
 
     def worker_connected(self, worker_id: str) -> bool:
-        handle = self.workers.get(worker_id)
-        return handle is not None and handle.alive
+        return worker_id in self.workers
 
     def request_pump(self) -> None:
         """Ask for a scheduling pass (callers hold the state lock).
@@ -1090,15 +946,14 @@ class Manager:
         Only before the reactor runs (journal restore) or after it
         stopped is there nobody to post to, and the pump runs here.
         """
-        reactor = self._reactor_thread
-        if reactor is None or not reactor.is_alive():
+        if not self.reactor.running:
             self.control.pump()
             return
         if self._pump_wanted:
             return
         self._pump_wanted = True
-        if threading.current_thread() is not reactor:
-            self._wake_reactor()
+        if not self.reactor.on_loop():
+            self.reactor.wake()
 
     def schedule_pump(self, delay: float) -> None:
         """Wake the control plane after ``delay`` wall seconds.
@@ -1107,28 +962,14 @@ class Manager:
         needs a pump when its holdoff expires even if no worker message
         arrives in the meantime.
         """
+        self.reactor.call_later(delay, self._timed_pump)
 
-        def fire() -> None:
-            self._timers.discard(timer)
-            with self._lock:
-                if not self.control.closed:
-                    self.request_pump()
-
-        timer = threading.Timer(max(0.0, delay), fire)
-        timer.daemon = True
-        self._timers.add(timer)
-        timer.start()
-
-    def push_object(self, record: Transfer, level: CacheLevel) -> None:
-        handle = self.workers.get(record.dest_worker)
-        if handle is None:
-            return
-        self._send_object(handle, record.cache_name, level, record.transfer_id)
+    def _timed_pump(self) -> None:
+        with self._lock:
+            if not self.control.closed:
+                self.request_pump()
 
     def send_fetch(self, record: Transfer, level: CacheLevel) -> None:
-        handle = self.workers.get(record.dest_worker)
-        if handle is None:
-            return
         if record.source.startswith("url:"):
             f = self.registry.by_name(record.cache_name)
             assert isinstance(f, URLFile)
@@ -1140,8 +981,8 @@ class Manager:
                 "host": src.transfer_host,
                 "port": src.transfer_port,
             }
-        self._send(
-            handle,
+        self._tell(
+            record.dest_worker,
             {
                 "type": M.FETCH_FILE,
                 "cache_name": record.cache_name,
@@ -1152,9 +993,6 @@ class Manager:
         )
 
     def run_minitask(self, job: StagingJob) -> None:
-        handle = self.workers.get(job.worker_id)
-        if handle is None:
-            return
         mini = job.file.mini_task
         spec = {
             "command": mini.command,
@@ -1165,8 +1003,8 @@ class Manager:
             "env": mini.env,
             "resources": mini.resources.to_dict(),
         }
-        self._send(
-            handle,
+        self._tell(
+            job.worker_id,
             {
                 "type": M.STAGE_MINITASK,
                 "cache_name": job.file.cache_name,
@@ -1177,9 +1015,7 @@ class Manager:
         )
 
     def start_task(self, task: Task) -> None:
-        handle = self.workers.get(task.worker_id or "")
-        if handle is None:
-            return
+        worker_id = task.worker_id or ""
         if isinstance(task, FunctionCall):
             msg = {
                 "type": M.INVOKE,
@@ -1196,7 +1032,7 @@ class Manager:
                 # so nothing but the control frame goes over this hop
                 msg["args_cache"] = task.args_name
                 msg["payload_size"] = 0
-                self._send(handle, msg)
+                self._tell(worker_id, msg)
                 return
             blob = task.args_blob
             if blob is None:
@@ -1204,10 +1040,10 @@ class Manager:
 
                 blob = pack_invocation(task.args, dict(task.kwargs))
             msg["payload_size"] = len(blob)
-            self._send(handle, msg, blob)
+            self._tell(worker_id, msg, blob)
             return
-        self._send(
-            handle,
+        self._tell(
+            worker_id,
             {
                 "type": M.EXECUTE,
                 "task_id": task.task_id,
@@ -1223,20 +1059,17 @@ class Manager:
         )
 
     def cancel_task(self, task: Task) -> None:
-        handle = self.workers.get(task.worker_id or "")
-        if handle is not None:
-            self._send(handle, {"type": M.CANCEL_TASK, "task_id": task.task_id})
+        self._tell(
+            task.worker_id or "", {"type": M.CANCEL_TASK, "task_id": task.task_id}
+        )
 
     def task_preempted(self, task: Task) -> None:
         pass  # nothing buffered outside the control plane for a lost task
 
     def launch_library(self, lib: LibraryState, worker_id: str) -> None:
         assert isinstance(lib, _LibraryState)
-        handle = self.workers.get(worker_id)
-        if handle is None:
-            return
-        self._send(
-            handle,
+        self._tell(
+            worker_id,
             {
                 "type": M.INSTALL_LIBRARY,
                 "library": lib.library.name,
@@ -1254,14 +1087,10 @@ class Manager:
         pass  # real workers persist to disk before reporting cache-update
 
     def delete_replica(self, worker_id: str, cache_name: str) -> None:
-        handle = self.workers.get(worker_id)
-        if handle is not None and handle.alive:
-            self._send(handle, {"type": M.UNLINK, "cache_name": cache_name})
+        self._tell(worker_id, {"type": M.UNLINK, "cache_name": cache_name})
 
     def ask_holder(self, worker_id: str, cache_name: str) -> None:
-        handle = self.workers.get(worker_id)
-        if handle is not None:
-            self._send(handle, {"type": M.SEND_BACK, "cache_name": cache_name})
+        self._tell(worker_id, {"type": M.SEND_BACK, "cache_name": cache_name})
 
     def finish_drain(self, worker_id: str) -> None:
         """RuntimePort drain hook: every sole-holder object has migrated
@@ -1269,9 +1098,7 @@ class Manager:
         normal command path; the worker's run loop exits on it, the
         socket closes, and ``_on_worker_gone`` → ``worker_left`` then
         finds every needed replica already backed by a survivor."""
-        handle = self.workers.get(worker_id)
-        if handle is not None and handle.alive:
-            self._send(handle, {"type": M.SHUTDOWN})
+        self._tell(worker_id, {"type": M.SHUTDOWN})
 
     def deliver(self, task: Task, regenerated: bool) -> None:
         if regenerated:  # regeneration reruns were already delivered
@@ -1294,7 +1121,8 @@ class Manager:
                 task.set_output_value(
                     ResultProxy(ref, fetcher=self._fetch_result_bytes)
                 )
-            self._commit_journal()
+            if self.journal is not None:
+                self.journal.sync()
             self._completed.put(task)
 
     # -- memoization mechanisms ------------------------------------------
@@ -1341,7 +1169,21 @@ class Manager:
         with self._lock:
             self.namer.assign(f)
             self.control.declare(f, MANAGER_SOURCE, f.size or self._local_size(f.path))
+            if os.path.isdir(f.path):
+                self._tar_of(f)  # packed here, once, not per destination
         return f
+
+    def _tar_of(self, f: LocalFile) -> str:
+        """The one tar every push of a declared directory streams,
+        packed on first use (callers hold the state lock)."""
+        tar_path = self._packed.get(f.cache_name)
+        if tar_path is None:
+            from repro.worker.transfers import pack_directory
+
+            with tempfile.NamedTemporaryFile(suffix=".tar", delete=False) as tf:
+                tar_path = self._packed[f.cache_name] = tf.name
+            pack_directory(f.path, tar_path)
+        return tar_path
 
     @staticmethod
     def _local_size(path: str) -> int:
@@ -1646,7 +1488,12 @@ class Manager:
             return self.control.drain_worker(worker_id)
 
     def close(self, shutdown_workers: bool = True) -> None:
-        """Garbage-collect workflow files and release all connections."""
+        """Garbage-collect workflow files and release all connections.
+
+        The unlinks, shutdowns and notices queued here are the last
+        things the peers are sent: the reactor writes them out (against
+        one deadline for the whole fleet) and then drops every socket.
+        """
         with self._lock:
             if self.control.closed:
                 return
@@ -1655,27 +1502,20 @@ class Manager:
             self.control.reap_fetches(ttl=0.0)
             deletions = collect_workflow(self.control.registry, self.control.replicas)
             for wid, names in deletions.items():
-                handle = self.workers.get(wid)
-                if handle is None or not handle.alive:
-                    continue
                 for name in names:
-                    try:
-                        self._send(handle, {"type": M.UNLINK, "cache_name": name})
-                    except (ProtocolError, OSError):
-                        break
-            handles = list(self.workers.values())
-            client_handles = self.service.attached_handles()
-        self._stop_receiving()
-        with self._lock:
+                    self._tell(wid, {"type": M.UNLINK, "cache_name": name})
             self.control.log.emit(self.now(), "workflow_done")
-            for handle in handles:
-                if handle.alive and shutdown_workers:
-                    self._send(handle, {"type": M.SHUTDOWN})
-        self._teardown(handles + client_handles)
+            if shutdown_workers:
+                for wid in self.workers:
+                    self._tell(wid, {"type": M.SHUTDOWN})
+            # under the lock: admission is refused once ``closed`` is
+            # set, and no message is handed over once this returns
+            self.reactor.stop(drain=CLOSE_DRAIN_SECONDS)
+        self._teardown()
 
     def crash(self) -> None:
         """Die abruptly, as ``kill -9`` would: no workflow GC, no
-        SHUTDOWN to workers, no farewell events.
+        SHUTDOWN to workers, no farewell events, nothing queued sent.
 
         Connections are simply severed — workers with a
         ``--reconnect`` window will back off and re-register with the
@@ -1687,39 +1527,19 @@ class Manager:
             if self.control.closed:
                 return
             self.control.closed = True
-            handles = list(self.workers.values())
-            client_handles = self.service.attached_handles()
-        self._stop_receiving()
-        self._teardown(handles + client_handles)
+            self.reactor.stop()
+        self._teardown()
 
-    def _stop_receiving(self) -> None:
-        """Stop the receive path so no reads race the teardown: the
-        reactor unregisters every selector key before exiting, and only
-        then are the connections themselves torn down.  Admission is
-        refused once ``control.closed`` is set, so the handles the
-        caller snapshotted under the lock are all there will ever be."""
-        self._closing.set()
-        self._wake_reactor()
-        self._reactor_thread.join(timeout=10)
-        if self._reaper_thread is not None:
-            self._reaper_thread.join(timeout=10)
-
-    def _teardown(self, handles: list[_SenderHandle]) -> None:
-        """Flush every sender outside the lock and close its socket,
-        then release timers, listener, wake pipe and log files."""
-        for handle in handles:
-            handle.stop_sender()
-        for handle in handles:
-            handle._sender.join(timeout=10)
-            handle.conn.close()
-        for timer in list(self._timers):
-            timer.cancel()
-        self._timers.clear()
-        self._listener.close()
-        self._wake_r.close()
-        self._wake_w.close()
-        if self._metrics_dumper is not None:
-            self._metrics_dumper.stop()
+    def _teardown(self) -> None:
+        """Wait for the reactor to release every socket and timer, then
+        the files this life held open."""
+        self.reactor.join(timeout=CLOSE_DRAIN_SECONDS + 10)
+        for tar_path in self._packed.values():
+            try:
+                os.unlink(tar_path)
+            except OSError:
+                pass
+        self._dump_metrics()
         if self._txn_writer is not None:
             self._txn_writer.close()
         # the journal and txn log hold only already-fsynced appends; a
@@ -1737,32 +1557,37 @@ class Manager:
     # worker admission and message handling
     # ------------------------------------------------------------------
 
-    def _reaper_loop(self) -> None:
-        """Reap silent workers and long-abandoned client sessions."""
-        timeouts = [
-            t
-            for t in (self.worker_liveness_timeout, self.client_session_ttl)
-            if t is not None
-        ]
-        interval = max(1.0, min(timeouts) / 4) if timeouts else 15.0
-        while not self._closing.wait(interval):
-            if self.worker_liveness_timeout is not None:
-                self._reap_stale(time.time())
-            self._reap_sessions(time.time())
+    def _liveness_sweep(self) -> None:
+        """Reap silent workers and long-abandoned client sessions (a
+        repeating reactor timer)."""
+        now = time.time()
+        if self.worker_liveness_timeout is not None:
+            self._reap_stale(now)
+        self._reap_sessions(now)
+
+    def _dump_metrics(self) -> None:
+        """Rewrite ``metrics_dump_path`` (a repeating reactor timer, and
+        once more at close so a short life leaves a full snapshot)."""
+        if self._metrics_dump_path is not None:
+            try:
+                self.control.metrics.dump(self._metrics_dump_path)
+            except OSError:
+                pass  # the directory vanished under a dying daemon
 
     def _find_stale(self, now: float) -> list[_WorkerHandle]:
         """Workers silent past the liveness timeout as of ``now``."""
         with self._lock:
             return [
                 h for h in self.workers.values()
-                if h.alive and now - h.last_seen > self.worker_liveness_timeout
+                if now - h.last_seen > self.worker_liveness_timeout
             ]
 
     def _reap_stale(self, now: float) -> list[str]:
         """Declare every stale worker dead; returns their ids.
 
-        Split from the reaper thread's sleep loop so liveness handling
-        is testable against a pinned clock.
+        Takes its clock as an argument so liveness handling is testable
+        against a pinned one.  The reactor closes the connection and
+        unwinds it like any other departure.
         """
         stale = self._find_stale(now)
         for handle in stale:
@@ -1770,7 +1595,7 @@ class Manager:
                 "worker %s silent for %.0fs; declaring it dead",
                 handle.worker_id, now - handle.last_seen,
             )
-            self._drop_connection(handle)
+            handle.peer.close()
         return [h.worker_id for h in stale]
 
     def _reap_sessions(self, now: float) -> list[str]:
@@ -1780,23 +1605,10 @@ class Manager:
         with self._lock:
             return self.service.reap_sessions(now, self.client_session_ttl)
 
-    def _drop_connection(self, handle: _WorkerHandle) -> None:
-        """Force a worker's connection down from any thread.
-
-        Only a ``shutdown`` is issued: the fd stays valid, the reactor
-        wakes with EOF readiness and unwinds the connection itself —
-        closing an fd that is still registered in a live selector from
-        another thread would race the event loop.
-        """
-        try:
-            handle.conn.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-
-    def _register_worker(self, conn: Connection, msg: dict) -> _WorkerHandle:
+    def _register_worker(self, peer: Peer, msg: dict) -> _WorkerHandle:
         """Admit a worker: create its handle and tell the control plane."""
         handle = _WorkerHandle(
-            conn,
+            peer,
             Resources.from_dict(msg["capacity"]),
             msg.get("transfer_host", "127.0.0.1"),
             int(msg["transfer_port"]),
@@ -1823,159 +1635,74 @@ class Manager:
             handle.running = state.running
         return handle
 
-    # -- event-driven receive path ---------------------------------------
+    # -- reactor handler: what the transport hands over ----------------------
 
-    def _wake_reactor(self) -> None:
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:
-            # BlockingIOError: the pipe is full, so a wake is already
-            # pending; anything else: the pipe closed with the manager
-            pass
+    def before_write(self) -> None:
+        """Once per reactor sweep, after its reads and timers: run the
+        pump the sweep owes, then make the sweep's journal records
+        durable — the one gate in front of every socket write."""
+        with self._lock:
+            if self._pump_wanted:
+                self._pump_wanted = False
+                if not self.control.closed:
+                    self.control.pump()
+                if self._pump_wanted:
+                    # asked for by the pump itself (a requeue, a memo
+                    # completion): owed to the next sweep
+                    self.reactor.wake()
+            if self.journal is not None:
+                self.journal.sync()
 
-    def _reactor_loop(self) -> None:
-        """Single-threaded receive path: accept, reassemble, dispatch."""
-        sel = self._sel
-        if self.journal is not None:
-            # records this thread journals during a sweep share one
-            # fsync, taken before the sweep's first frame is handed over
-            self.journal.begin_group_commit()
-        while not self._closing.is_set():
-            events = sel.select(timeout=0.5)
-            if self._closing.is_set():
-                break
-            if not events:
-                continue
-            started = time.monotonic()
-            self._reactor_defer = True
-            try:
-                for key, _mask in events:
-                    if key.data == "accept":
-                        self._reactor_accept()
-                    elif key.data == "wake":
-                        try:
-                            self._wake_r.recv(4096)
-                        except OSError:
-                            pass
-                    else:
-                        self._reactor_service(key.data)
+    def sweep_done(self, seconds: float) -> None:
+        self._m_queued.set(self.reactor.queued_bytes)
+        self._m_loop.observe(seconds)
+
+    def peer_message(self, peer: Peer, msg: dict, payload: Optional[bytes]) -> None:
+        """Route one inbound frame, or a frame and the bulk it announced."""
+        owner = peer.owner
+        if payload is not None:
+            if isinstance(owner, _ClientSession):
                 with self._lock:
-                    if self._pump_wanted:
-                        self._pump_wanted = False
-                        if not self.control.closed:
-                            self.control.pump()
-                        if self._pump_wanted:
-                            # asked for by the pump itself (a requeue, a
-                            # memo completion): owed to the next sweep
-                            self._wake_reactor()
-                    # hand each worker's sweep output to its sender as
-                    # one write (pump included: defer flag still set)
-                    for handle in self.workers.values():
-                        self._flush_pending(handle)
-                    for chandle in self.service.attached_handles():
-                        self._flush_pending(chandle)
-            finally:
-                self._reactor_defer = False
-            self._m_loop.observe(time.monotonic() - started)
-        # teardown: unregister every key; close only unadmitted sockets
-        # (admitted workers' connections are torn down by close() after
-        # their sender threads flush)
-        for key in list(sel.get_map().values()):
-            try:
-                sel.unregister(key.fileobj)
-            except (KeyError, ValueError):
-                pass
-            if (
-                isinstance(key.data, _ConnState)
-                and key.data.handle is None
-                and key.data.client is None
-            ):
-                key.data.conn.close()
-        sel.close()
-
-    def _reactor_accept(self) -> None:
-        try:
-            sock, _addr = self._listener.accept()
-        except OSError:
-            return
-        conn = Connection(sock)
-        self._sel.register(sock, selectors.EVENT_READ, _ConnState(conn))
-
-    def _reactor_service(self, state: _ConnState) -> None:
-        """Drain one readable connection (bounded, then back to select).
-
-        The per-call read budget keeps one fast sender from starving
-        other connections; epoll is level-triggered, so leftover bytes
-        re-report readiness on the next loop.
-        """
-        try:
-            for _ in range(64):
-                data = state.conn.recv_ready()
-                if data is None:
-                    return  # nothing more right now
-                state.frames.feed(data)
-                self._reactor_drain(state)
-                if data == b"":
-                    self._reactor_close(state)
-                    return
-                if len(data) < IO_CHUNK:
-                    # short read: the socket is almost surely drained —
-                    # skip the would-be-EAGAIN recv; epoll is level-
-                    # triggered, so any leftover re-reports readiness
-                    return
-        except (ProtocolError, WireError, OSError) as exc:
-            if state.handle is not None:
-                log.warning(
-                    "dropping worker %s: %s", state.handle.worker_id, exc
-                )
-            self._reactor_close(state)
-
-    def _reactor_drain(self, state: _ConnState) -> None:
-        """Dispatch every complete item the reassembler can yield."""
-        while True:
-            item = state.frames.next_item()
-            if item is None:
-                return
-            kind, value = item
-            if kind == "bytes":
-                msg, state.pending = state.pending, None
-                if state.client is not None:
-                    with self._lock:
-                        self.service.handle_message(
-                            state.client, msg["type"], msg, value
-                        )
-                else:
-                    self._dispatch(state.handle, msg["type"], msg, value)
-                continue
-            msg = value
-            self._m_frames_in.inc()
-            if state.client is not None:
-                self._client_frame(state, msg)
-                continue
-            mtype = validate(msg)  # WireError unwinds the connection
-            if state.handle is None:
-                role = session_kind(mtype)
-                if role is None:
-                    raise ProtocolError(
-                        f"expected a session-opening frame, got {mtype!r}"
-                    )
-                with self._lock:
-                    if self.control.closed:
-                        # close()/crash() snapshotted the handles they
-                        # release while setting this flag under the lock;
-                        # a peer admitted now would leak its sender thread
-                        raise ProtocolError("manager is closing")
-                    if role == SESSION_CLIENT:
-                        self.service.hello(state, msg)
-                    else:
-                        state.handle = self._register_worker(state.conn, msg)
-            elif mtype == M.FILE_DATA and msg.get("found"):
-                state.pending = msg
-                state.frames.expect_bytes(int(msg["size"]))
+                    self.service.handle_message(owner, msg["type"], msg, payload)
             else:
-                self._dispatch(state.handle, mtype, msg, None)
+                self._dispatch(owner, msg["type"], msg, payload)
+            return
+        self._m_frames_in.inc()
+        if isinstance(owner, _ClientSession):
+            self._client_frame(peer, owner, msg)
+            return
+        mtype = validate(msg)  # WireError unwinds the connection
+        if owner is None:
+            role = session_kind(mtype)
+            if role is None:
+                raise ProtocolError(
+                    f"expected a session-opening frame, got {mtype!r}"
+                )
+            with self._lock:
+                if self.control.closed:
+                    raise ProtocolError("manager is closing")
+                if role == SESSION_CLIENT:
+                    self.service.hello(peer, msg)
+                else:
+                    peer.owner = self._register_worker(peer, msg)
+        elif mtype == M.FILE_DATA and msg.get("found"):
+            peer.expect_payload(msg, int(msg["size"]))
+        else:
+            self._dispatch(owner, mtype, msg, None)
 
-    def _client_frame(self, state: _ConnState, msg: dict) -> None:
+    def peer_closed(self, peer: Peer, error: Optional[Exception]) -> None:
+        """A connection ended — EOF, a read error, a write error or a
+        liveness reap all arrive here, once."""
+        owner = peer.owner
+        with self._lock:
+            if isinstance(owner, _WorkerHandle):
+                if error is not None:
+                    log.warning("dropping worker %s: %s", owner.worker_id, error)
+                self._on_worker_gone(owner)
+            elif isinstance(owner, _ClientSession):
+                self.service.client_gone(owner)
+
+    def _client_frame(self, peer: Peer, sess: _ClientSession, msg: dict) -> None:
         """Validate and route one frame from an attached client.
 
         Protocol violations on a client session answer with a
@@ -1984,7 +1711,6 @@ class Manager:
         request.  (Workers keep the strict unwind: their frames come
         from manager-trusted code.)
         """
-        sess = state.client
         self._m_messages_in.inc()
         try:
             mtype = validate(msg)
@@ -2000,8 +1726,7 @@ class Manager:
             and spec.get("kind", "buffer") == "buffer"
             and int(spec.get("size", 0)) > 0
         ):
-            state.pending = msg
-            state.frames.expect_bytes(int(spec["size"]))
+            peer.expect_payload(msg, int(spec["size"]))
             return
         if (
             mtype in (M.CREATE_LIBRARY, M.SUBMIT_TASK)
@@ -2009,8 +1734,7 @@ class Manager:
         ):
             # the serialized function table, or a call's inline argument
             # blob, follows as one bulk payload
-            state.pending = msg
-            state.frames.expect_bytes(int(msg["payload_size"]))
+            peer.expect_payload(msg, int(msg["payload_size"]))
             return
         with self._lock:
             self.service.handle_message(sess, mtype, msg, None)
@@ -2021,19 +1745,6 @@ class Manager:
         handle.last_seen = time.time()
         with self._lock:
             self._on_worker_message(handle, mtype, msg, payload)
-
-    def _reactor_close(self, state: _ConnState) -> None:
-        try:
-            self._sel.unregister(state.conn.sock)
-        except (KeyError, ValueError):
-            pass
-        state.conn.close()
-        if state.handle is not None:
-            with self._lock:
-                self._on_worker_gone(state.handle)
-        elif state.client is not None:
-            with self._lock:
-                self.service.client_gone(state)
 
     def _on_worker_message(
         self, handle: _WorkerHandle, mtype: str, msg: dict, payload: Optional[bytes]
@@ -2075,7 +1786,7 @@ class Manager:
         elif mtype == M.TASK_DONE:
             self._on_task_done(handle, msg)
         elif mtype == M.LIBRARY_READY:
-            self._on_library_ready(handle, msg)
+            self.control.on_library_ready(handle.worker_id, msg["library"])
         elif mtype == M.FILE_DATA:
             # the answer to ask_holder; no payload = the worker denies
             # holding the object
@@ -2157,12 +1868,6 @@ class Manager:
             self.decode_value(task, payload, result)
         self.control.finish_deferred(task, result)
 
-    def _on_library_ready(self, handle: _WorkerHandle, msg: dict) -> None:
-        name = msg["library"]
-        if name in self.control.libraries:
-            handle.libraries.add(name)
-        self.control.on_library_ready(handle.worker_id, name)
-
     def decode_value(
         self, task: Task, payload: bytes, result: Optional[TaskResult] = None
     ) -> bool:
@@ -2198,128 +1903,94 @@ class Manager:
         return False
 
     def _on_worker_gone(self, handle: _WorkerHandle) -> None:
-        if not handle.alive:
-            return
-        handle.alive = False
         log.warning("worker %s disconnected", handle.worker_id)
         self.workers.pop(handle.worker_id, None)
-        handle.stop_sender()
         self.control.worker_left(handle.worker_id)
 
     # -- low-level send -------------------------------------------------------
 
-    def _send_object(
-        self, handle: _WorkerHandle, cache_name: str, level: CacheLevel, transfer_id: str
-    ) -> None:
-        """Push a manager-held object (buffer or local path) to a worker."""
+    def push_object(self, record: Transfer, level: CacheLevel) -> None:
+        """Push a manager-held object (buffer, local path, retained
+        memo payload) to a worker.
+
+        A file source is opened here, when the push is queued, and
+        streamed by the reactor; one that cannot be read fails this
+        transfer the way the worker's own ``cache_invalid`` would —
+        after the planning pass that asked for it — and leaves the
+        worker's channel alone.
+        """
+        handle = self.workers.get(record.dest_worker)
+        if handle is None:
+            return
+        cache_name = record.cache_name
         f = self.registry.by_name(cache_name)
         header = {
             "type": M.PUT_FILE,
             "cache_name": cache_name,
             "level": int(level),
-            "transfer_id": transfer_id,
+            "transfer_id": record.transfer_id,
         }
         if isinstance(f, BufferFile):
             header["size"] = len(f.data)
-            self._send(handle, header, f.data)
-        elif isinstance(f, LocalFile):
+            self._send(handle.peer, header, f.data)
+            return
+        if isinstance(f, LocalFile):
             path = f.path
-
-            def push(conn: Connection) -> None:
-                # runs on the sender thread: packing and streaming large
-                # objects must not stall the manager's state lock
-                if os.path.isdir(path):
-                    from repro.worker.transfers import pack_directory
-
-                    with tempfile.NamedTemporaryFile(suffix=".tar", delete=False) as tf:
-                        tar_path = tf.name
-                    try:
-                        pack_directory(path, tar_path)
-                        size = os.path.getsize(tar_path)
-                        header["size"] = size
-                        header["format"] = "tar"
-                        conn.send_message(header)
-                        conn.send_file(tar_path, size)
-                    finally:
-                        os.unlink(tar_path)
-                else:
-                    size = os.path.getsize(path)
-                    header["size"] = size
-                    conn.send_message(header)
-                    conn.send_file(path, size)
-
-            self._m_frames_out.inc()
-            self._flush_pending(handle)
-            handle.enqueue(push)
         elif self.memo_store is not None and self.memo_store.has_payload(cache_name):
             # memo-hit output with no live replica: the manager serves
             # the retained payload (validated at hit time) like a buffer
             path = self.memo_store.payload_path(cache_name)
-
-            def push_payload(conn: Connection) -> None:
-                size = os.path.getsize(path)
-                header["size"] = size
-                conn.send_message(header)
-                conn.send_file(path, size)
-
-            self._m_frames_out.inc()
-            self._flush_pending(handle)
-            handle.enqueue(push_payload)
         else:
             raise ManagerError(
                 f"{type(f).__name__} {cache_name} cannot be manager-sourced"
             )
+        try:
+            if os.path.isdir(path):
+                path = self._tar_of(f)
+                header["format"] = "tar"
+            fh = open(path, "rb")
+            header["size"] = os.fstat(fh.fileno()).st_size
+        except OSError as exc:
+            self.reactor.call_later(
+                0.0,
+                functools.partial(
+                    self._push_failed, record, f"cannot read {path}: {exc}"
+                ),
+            )
+            return
+        self._send(handle.peer, header, FileBody(fh, header["size"]))
 
-    def _send(self, handle: _WorkerHandle, message: dict, payload: Optional[bytes] = None) -> None:
-        """Queue a control message (plus optional byte payload).
+    def _push_failed(self, record: Transfer, reason: str) -> None:
+        with self._lock:
+            if not self.control.closed:
+                log.warning(
+                    "push of %s to %s failed: %s",
+                    record.cache_name, record.dest_worker, reason,
+                )
+                self.control.on_cache_invalid(
+                    record.dest_worker, record.cache_name, record.transfer_id, reason
+                )
 
-        Callers hold the state lock.  While the reactor is mid event
-        sweep, the frames it generates — payload-free, or trailed by a
-        payload no larger than ``INLINE_ARGS_MAX`` (a call's inline
-        arguments) — are buffered on the handle and flushed as a single
-        sender wakeup at sweep end: one ``sendall`` carries every
-        command the sweep produced for that worker.  Any other sender
-        first flushes the buffer, so per-worker wire order always
-        matches issue order.
+    def _tell(self, worker_id: str, message: dict, payload=None) -> None:
+        """Send a command to a worker, if it is still here."""
+        handle = self.workers.get(worker_id)
+        if handle is not None:
+            self._send(handle.peer, message, payload)
+
+    def _send(
+        self, peer: Peer, message: dict, payload: "bytes | FileBody | None" = None
+    ) -> None:
+        """Queue a control message (plus the bytes or file it announces)
+        behind whatever the peer is already owed.
+
+        Callers hold the state lock, so per-peer wire order is issue
+        order.  Nothing is written here: the reactor writes each FIFO
+        after its sweep's ``before_write``, which is what orders the
+        journal's fsync before the frames, and one ``send`` carries
+        every command a sweep produced for that peer.
         """
         self._m_frames_out.inc()
-        if (
-            (payload is None or len(payload) <= INLINE_ARGS_MAX)
-            and self._reactor_defer
-            and threading.current_thread() is self._reactor_thread
-        ):
-            handle.pending_frames.append(encode_frame(message))
-            if payload:
-                handle.pending_frames.append(payload)
-            return
-        self._flush_pending(handle)
-
-        def do(conn: Connection) -> None:
-            conn.send_message(message)
-            if payload is not None:
-                conn.send_bytes(payload)
-
-        handle.enqueue(do)
-
-    def _commit_journal(self) -> None:
-        """Group commit: make every journaled record durable.
-
-        The durability contract: nothing a client, a worker or the
-        application can observe leaves the manager before the records
-        behind it are on disk.  The reactor journals a whole sweep with
-        one fsync, so every hand-over — a frame to a socket or sender
-        thread, a completion to the application's queue — commits
-        first.  A no-op when nothing was journaled since the last one.
-        """
-        if self.journal is not None:
-            self.journal.sync()
-
-    def _flush_pending(self, handle: _SenderHandle) -> None:
-        """Commit the journal, then flush sweep-buffered frames as one
-        write.  Every path that hands a peer anything runs through here
-        first, which is what orders the fsync before the frames."""
-        self._commit_journal()
-        if handle.pending_frames:
-            blob = b"".join(handle.pending_frames)
-            handle.pending_frames = []
-            handle.write(blob)
+        if payload:
+            peer.send(encode_frame(message), payload)
+        else:
+            peer.send(encode_frame(message))

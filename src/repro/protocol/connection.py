@@ -35,9 +35,6 @@ MAX_MESSAGE_SIZE = 64 << 20
 #: chunk size for streaming file content through the socket
 IO_CHUNK = 1 << 20
 
-#: per-call non-blocking flag; 0 where unsupported (plain recv then)
-_MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0)
-
 
 class ProtocolError(ConnectionError):
     """Malformed frame, unexpected EOF, or oversized message."""
@@ -155,23 +152,6 @@ class Connection:
                     )
                 f.write(chunk)
                 remaining -= len(chunk)
-
-    # -- non-blocking reads (reactor path) -----------------------------
-
-    def recv_ready(self, max_bytes: int = IO_CHUNK) -> Optional[bytes]:
-        """One non-blocking read for event-driven callers.
-
-        Returns up to ``max_bytes`` of available data, ``b""`` on EOF,
-        or ``None`` when the socket has nothing to deliver right now (a
-        spurious readiness wakeup).  ``MSG_DONTWAIT`` makes this single
-        call non-blocking without flipping the socket itself, so writer
-        threads sharing the connection keep ordinary blocking ``sendall``
-        semantics.
-        """
-        try:
-            return self.sock.recv(max_bytes, _MSG_DONTWAIT)
-        except (BlockingIOError, InterruptedError):
-            return None
 
     # -- internals -------------------------------------------------------
 

@@ -4,9 +4,9 @@ The reactor journals a whole event sweep with one fsync.  The contract
 that makes that safe: nothing a client, a worker or the application can
 observe leaves the manager before the records behind it are on disk.
 These tests put every journal append, every fsync of the journal's file
-and every hand-over of frames to a socket or sender thread on one
-global timeline, drive submits and completions through a real reactor,
-and check the order — no clocks, only sequence.
+and every frame offered to a socket on one global timeline, drive
+submits and completions through a real reactor, and check the order —
+no clocks, only sequence.
 """
 
 import json
@@ -18,7 +18,8 @@ import threading
 import pytest
 
 from repro.core.journal import Journal
-from repro.core.manager import Manager, _SenderHandle
+from repro.core.manager import Manager
+from repro.core.reactor import Reactor
 from repro.protocol.messages import M
 from repro.service.client import ClientError, ServiceClient
 from repro.worker.scripted import ScriptedWorker
@@ -26,21 +27,35 @@ from repro.worker.scripted import ScriptedWorker
 _LEN = struct.Struct(">I")
 
 
-def _frames(blob: bytes) -> list:
-    """Decode a coalesced write: frames, some trailed by a small payload."""
-    out, offset = [], 0
-    while offset < len(blob):
-        (length,) = _LEN.unpack_from(blob, offset)
-        offset += _LEN.size
-        frame = json.loads(blob[offset : offset + length])
-        offset += length
-        if frame["type"] == M.PUT_FILE or frame.get("found"):
-            offset += int(frame["size"])
-        else:
-            offset += int(frame.get("payload_size", 0))
-        out.append(frame)
-    assert offset == len(blob)
-    return out
+class _WireStream:
+    """The frames one socket has been offered, decoded once each.
+
+    A frame is first offered whole (it is one FIFO item), but what the
+    socket did not take is offered again from wherever ``send``
+    stopped — mid-frame, or inside a payload; absolute stream offsets
+    sort that out.
+    """
+
+    def __init__(self) -> None:
+        self.sent = 0  # bytes the socket has taken
+        self.seen = 0  # offset up to which frames are decoded (>= sent)
+
+    def offered(self, data: bytes) -> list:
+        """Frames that begin in ``data`` and were not offered before."""
+        out, offset = [], self.seen - self.sent
+        while offset + _LEN.size <= len(data):
+            (length,) = _LEN.unpack_from(data, offset)
+            end = offset + _LEN.size + length
+            assert end <= len(data), "a frame is first offered whole"
+            frame = json.loads(data[offset + _LEN.size : end])
+            if frame["type"] == M.PUT_FILE or frame.get("found"):
+                end += int(frame["size"])
+            else:
+                end += int(frame.get("payload_size", 0))
+            out.append(frame)
+            offset = end
+            self.seen = self.sent + end
+        return out
 
 
 class _Timeline:
@@ -69,19 +84,20 @@ class _Timeline:
 
         monkeypatch.setattr(os, "fsync", fsync)
 
-        inner_write, inner_enqueue = _SenderHandle.write, _SenderHandle.enqueue
+        # the reactor's one socket-write point: a frame is handed over
+        # the first time any of its bytes is offered to the socket
+        inner_write = Reactor._write
+        streams: dict = {}
 
-        def write(handle, blob):
-            for frame in _frames(blob):
+        def write(sock, data):
+            stream = streams.setdefault(sock, _WireStream())
+            for frame in stream.offered(bytes(data)):
                 self._add("handover", frame, None)
-            return inner_write(handle, blob)
+            sent = inner_write(sock, data)
+            stream.sent += sent
+            return sent
 
-        def enqueue(handle, fn):
-            self._add("handover", {"type": "@sender-thread"}, None)
-            return inner_enqueue(handle, fn)
-
-        monkeypatch.setattr(_SenderHandle, "write", write)
-        monkeypatch.setattr(_SenderHandle, "enqueue", enqueue)
+        monkeypatch.setattr(Reactor, "_write", staticmethod(write))
 
         timeline = self
 
@@ -168,7 +184,7 @@ def test_one_fsync_per_sweep_that_journaled_and_none_otherwise(journaled):
     for _ in range(3):
         with pytest.raises(ClientError):
             client.fetch("temp-never-declared", timeout=5.0)
-    reactor = mgr._reactor_thread
+    reactor = mgr.reactor.thread
     sweeps, records, fsyncs = [], 0, 0
     for kind, _what, thread in timeline.snapshot():
         if kind == "append" and thread is reactor:

@@ -202,10 +202,10 @@ def test_wake_reactor_never_blocks_on_a_full_pipe(manager):
     with manager._lock:  # the reactor stalls at the end of its sweep
         try:
             while True:
-                manager._wake_w.send(b"\0" * 65536, socket.MSG_DONTWAIT)
+                manager.reactor._wake_w.send(b"\0" * 65536, socket.MSG_DONTWAIT)
         except BlockingIOError:
             pass
-        waker = threading.Thread(target=manager._wake_reactor, daemon=True)
+        waker = threading.Thread(target=manager.reactor.wake, daemon=True)
         waker.start()
         waker.join(timeout=2.0)
         assert not waker.is_alive()

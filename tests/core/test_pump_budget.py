@@ -63,7 +63,7 @@ def test_library_mode_submits_never_pump_on_the_caller(manager):
     _wait_for(lambda: not manager._pump_wanted, "the posted pump")
     me = threading.current_thread()
     assert me not in pumps
-    assert set(pumps) == {manager._reactor_thread}
+    assert set(pumps) == {manager.reactor.thread}
     # one pump per sweep, however many submits the sweep absorbed
     # (about 5 % of submits in practice; one per submit before)
     assert 0 < len(pumps) < 1000
@@ -102,7 +102,7 @@ def test_off_reactor_requests_are_served_by_the_reactor(manager):
         served(lambda: manager.schedule_pump(0.01), "schedule_pump")
     finally:
         worker.close()
-    assert set(pumps) == {manager._reactor_thread}
+    assert set(pumps) == {manager.reactor.thread}
 
 
 def test_full_cluster_walks_the_load_heap_once_per_pass(monkeypatch):

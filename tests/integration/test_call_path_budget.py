@@ -111,10 +111,10 @@ def _record_worker_frames(mgr) -> list:
     sent: list = []
     inner = mgr._send
 
-    def _send(handle, message, payload=None):
-        if hasattr(handle, "worker_id"):
+    def _send(peer, message, payload=None):
+        if hasattr(peer.owner, "worker_id"):
             sent.append(message["type"])
-        return inner(handle, message, payload)
+        return inner(peer, message, payload)
 
     mgr._send = _send
     return sent

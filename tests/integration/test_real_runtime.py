@@ -1,6 +1,6 @@
 """End-to-end tests: Manager + real worker processes on one machine."""
 
-
+import os
 
 from repro.core.files import CacheLevel
 from repro.core.library import FunctionCall
@@ -60,17 +60,41 @@ def test_local_file_and_env(cluster, tmp_path):
     assert t.result.output.strip() == "value: 42"
 
 
-def test_local_directory_input(cluster, tmp_path):
+def test_local_directory_input(cluster, tmp_path, monkeypatch):
+    from repro.worker import transfers
+
+    packs = []
+    inner = transfers.pack_directory
+
+    def pack_directory(src, dest):
+        packs.append(dest)
+        return inner(src, dest)
+
+    monkeypatch.setattr(transfers, "pack_directory", pack_directory)
     m = cluster.manager
     d = tmp_path / "tree"
     (d / "sub").mkdir(parents=True)
     (d / "sub" / "inner.txt").write_text("deep")
     f = m.declare_local(str(d))
-    t = Task("cat tree/sub/inner.txt")
-    t.add_input(f, "tree")
-    m.submit(t)
+    # whole-worker tasks placed by one pump: both workers are pushed the
+    # tree by the manager (no replica exists yet for a peer to serve)
+    tasks = [Task("cat tree/sub/inner.txt") for _ in range(2)]
+    with m._lock:
+        for t in tasks:
+            t.add_input(f, "tree")
+            t.set_resources(Resources(cores=4))
+            m.submit(t)
     run_all(m)
-    assert t.result.output.strip() == "deep"
+    assert [t.result.output.strip() for t in tasks] == ["deep", "deep"]
+    pushes = [
+        e.worker for e in m.log.events("transfer_start")
+        if e.file == f.cache_name and e.category == "@manager"
+    ]
+    assert len(set(pushes)) == 2
+    # packed once, by declare_local, however many destinations it went to
+    assert len(packs) == 1 and os.path.exists(packs[0])
+    cluster.stop()
+    assert not os.path.exists(packs[0])  # and removed with the manager
 
 
 def test_failing_task_reports_exit_code(cluster):
