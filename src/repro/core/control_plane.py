@@ -18,7 +18,7 @@ Rules of the split:
   replicated, regenerated or collected — it belongs in this file, and
   both runtimes pick it up automatically.
 * Adapters own *mechanisms only*: wire formats, threads, virtual-time
-  scheduling, payload (de)serialization, and result retrieval.
+  scheduling and payload (de)serialization.
 * The control plane never does I/O and never reads a clock directly;
   time comes from :meth:`RuntimePort.now`, effects go out through the
   other port methods.  (One exception: it reads retained payloads out
@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
+from repro.core.autoscale import Autoscaler
 from repro.core.categories import CategoryTracker
 from repro.core.events import EventLog
 from repro.core.files import CacheLevel, File, FileRegistry, MiniTaskFile, TempFile
@@ -122,11 +123,8 @@ class RuntimePort(Protocol):
         ...
 
     def cancel_task(self, task: Task) -> None:
-        """Abort a running task at its (still live) worker."""
-        ...
-
-    def task_preempted(self, task: Task) -> None:
-        """The task's worker vanished; discard any pending completion."""
+        """Abort a task at its worker and discard any completion still
+        pending from it; a no-op when the worker is already gone."""
         ...
 
     def launch_library(self, lib: "LibraryState", worker_id: str) -> None:
@@ -143,8 +141,11 @@ class RuntimePort(Protocol):
         """Remove a garbage-collected object from the worker's cache."""
         ...
 
-    def deliver(self, task: Task, regenerated: bool) -> None:
-        """Hand a terminal task back to the application layer."""
+    def deliver(
+        self, task: Task, regenerated: bool, ref: Optional[ResultRef]
+    ) -> None:
+        """Hand a terminal task back to the application layer; ``ref``
+        describes the result of a call that finished by reference."""
         ...
 
     def ask_holder(self, worker_id: str, cache_name: str) -> None:
@@ -173,10 +174,15 @@ class RuntimePort(Protocol):
         (best-effort fetches; a runtime without real bytes does nothing)."""
         ...
 
-    def decode_value(self, task: Task, payload: bytes) -> bool:
+    def decode_value(
+        self, task: Task, payload: bytes, result: Optional[TaskResult] = None
+    ) -> bool:
         """Rebuild a value-carrying task's application-visible value
-        from its result envelope; False leaves the task untouched.  A
-        runtime whose tasks carry no values returns True."""
+        from its result envelope; True iff it carried one.  With
+        ``result`` (a live retrieval) an undecodable envelope or a
+        remote exception is recorded on it; without (a memo hit being
+        weighed) False leaves the task untouched.  A runtime whose
+        tasks carry no values returns True."""
         ...
 
 
@@ -291,6 +297,17 @@ class _Fetch:
     category: str = "@fetch"
     #: holders already asked
     tried: set = field(default_factory=set)
+
+
+@dataclass(eq=False)
+class _Retrieval:
+    """One ended attempt whose completion waits for outputs to come
+    home: the value the application reads from the task, and every
+    output declared ``bring_back``."""
+
+    task: Task
+    #: cache names still on their way; the last arrival finishes the task
+    awaited: set
 
 
 class LibraryState:
@@ -437,8 +454,8 @@ class ControlPlane:
         self._slot_offers: set[tuple[str, Optional[str]]] = set()
         self._deferred_staging: set[_Stage] = set()
         self._running: dict[str, Task] = {}
-        #: tasks whose completion awaits runtime-side retrieval
-        self._finishing: dict[str, Task] = {}
+        #: ended attempts whose completion awaits outputs coming home
+        self._finishing: dict[str, _Retrieval] = {}
         #: in-flight result fetches by cache name (insertion = age order)
         self._fetches: dict[str, _Fetch] = {}
         self.workers: dict[str, WorkerState] = {}
@@ -940,9 +957,12 @@ class ControlPlane:
             pending, self._memo_complete = self._memo_complete, []
             for task in pending:
                 if not task.is_done:
-                    self.complete_task(
-                        task, TaskResult(exit_code=0, output="memo")
-                    )
+                    # a hit is not an attempt: its outputs were adopted
+                    # where they are, and nothing waits to come home
+                    self._gc_task_inputs(task)
+                    self._settle_outputs(task, None)
+                    self._finish_task(task, TaskResult(exit_code=0, output="memo"))
+                    self.port.request_pump()
 
     # ------------------------------------------------------------------
     # task lifecycle: submission, cancellation, completion
@@ -1016,6 +1036,9 @@ class ControlPlane:
             self._unstage(task)
             self._pop_running(task.task_id)
             self._gc_task_inputs(task)
+        else:
+            # awaiting retrieval: whatever still comes home finds no one
+            self._finishing.pop(task.task_id, None)
         task.state = TaskState.CANCELLED
         task.result = TaskResult(exit_code=-1, failure="cancelled")
         self._wake_consumers(task)
@@ -1023,7 +1046,7 @@ class ControlPlane:
         acct = self.tenant_account(task.tenant)
         acct.outstanding -= 1
         self._sync_tenant(acct)
-        self.port.deliver(task, regenerated=False)
+        self.port.deliver(task, False, None)
         self.port.request_pump()
         return True
 
@@ -1049,9 +1072,9 @@ class ControlPlane:
         """A worker reported a task attempt's outcome.
 
         Releases the placement, applies the sandbox/resource retry
-        policies, and returns the task if it is ready to complete (the
-        adapter then decodes payloads / registers outputs and calls
-        :meth:`complete_task`).  Returns None for stale reports and for
+        policies, and returns the task if the attempt stands (it is
+        then :meth:`complete_task`'s — see :meth:`attempt_ended`, which
+        pairs the two).  Returns None for stale reports and for
         attempts that were requeued by a retry policy.
         """
         task = self._pop_running(task_id)
@@ -1102,17 +1125,26 @@ class ControlPlane:
     def _requeue(self, task: Task, reason: str = "retry") -> None:
         self._unpin(task)
         self._unstage(task)
+        self._retry(task, "task_requeued", category=reason)
+        self.port.request_pump()
+
+    def _retry(self, task: Task, kind: str, **fields) -> None:
+        """Put ``task`` back on the ready queue for one more attempt,
+        logged as a ``kind`` event — the core every re-run shares: a
+        retry policy's, a lost worker's, a lost result's, a lost
+        output's regeneration.  What differs (unpinning, ledgers, input
+        references) stays with the caller."""
         task.retries_used += 1
         task.state = TaskState.READY
         task.worker_id = None
         task.not_before = self._requeue_holdoff(task)
         self._ready.push(task)
-        self._m_requeues.inc()
+        self.tasks_requeued += 1
+        (self._m_regens if kind == "file_regenerated" else self._m_requeues).inc()
         self.log.emit(
-            self.port.now(), "task_requeued",
-            task=task.task_id, category=reason, size=task.retries_used,
+            self.port.now(), kind,
+            task=task.task_id, size=task.retries_used, **fields,
         )
-        self.port.request_pump()
 
     def _requeue_holdoff(self, task: Task) -> float:
         """Earliest re-placement time for a requeued task (0 = now)."""
@@ -1136,30 +1168,170 @@ class ControlPlane:
         for name in task.input_cache_names():
             pinned[name] -= 1
 
-    def complete_task(self, task: Task, result: TaskResult, defer: bool = False) -> None:
-        """Finish a task whose outputs are registered (or being retrieved).
+    def attempt_ended(
+        self,
+        worker_id: str,
+        task_id: str,
+        result: TaskResult,
+        harvested: Sequence[str] = (),
+        produced: Iterable[tuple[str, int]] = (),
+    ) -> None:
+        """A worker said an attempt ended: everything from here to the
+        application hearing of it is decided below, once for every
+        runtime.
 
-        With ``defer`` the task parks in ``WAITING_RETRIEVAL`` until the
-        adapter calls :meth:`finish_deferred` (result value coming back
-        over the wire, bring-back transfers still in flight).
+        ``harvested`` names outputs the worker collected whose
+        cache-update may still be in flight behind the report;
+        ``produced`` lists ``(cache name, size)`` of outputs the runtime
+        has not announced at all (a simulated worker sends no
+        cache-update), registered once the retry policies let the
+        attempt stand.
+        """
+        task = self.on_task_result(worker_id, task_id, result)
+        if task is None:
+            return  # stale report, or requeued by a retry policy
+        for name, size in produced:
+            self.sizes[name] = size
+            if name in self.registry:
+                self.registry.by_name(name).size = size
+            self.register_replica(worker_id, name, size, store=True)
+        self.complete_task(task, result, harvested)
+
+    def complete_task(
+        self, task: Task, result: TaskResult, harvested: Sequence[str] = ()
+    ) -> None:
+        """Finish an attempt that stands and whose outputs are registered.
+
+        The completion waits (``WAITING_RETRIEVAL``) for the outputs
+        that must come home first: the value the application reads from
+        the task — when the attempt left its envelope and no earlier
+        run delivered it — and every output declared ``bring_back``.
+        Each rides the fetch plane; the last arrival finishes the task
+        (:meth:`_retrieved`), and one that every source came up empty
+        for sends the task back for another attempt
+        (:meth:`_result_lost`).
         """
         self._unpin(task)
         self._gc_task_inputs(task)
-        for _, f in task.outputs:
-            if f.cache_name and self.replicas.replica_count(f.cache_name) > 0:
-                self._ensure_replication(f.cache_name)
-        if defer:
-            task.state = TaskState.WAITING_RETRIEVAL
-            task.result = result
-            self._finishing[task.task_id] = task
-        else:
-            self._finish_task(task, result)
+        if (
+            result.exit_code != 0
+            and not result.failure
+            and isinstance(task, FunctionCall)
+        ):
+            result.failure = f"invocation failed (exit {result.exit_code})"
+        value = task.value_output()
+        if value is not None:
+            # value-carrying tasks leave a result envelope — a python
+            # task even on exit 1 (the envelope then holds its exception)
+            if result.exit_code != 0 and not (
+                result.exit_code == 1 and isinstance(task, PythonTask)
+            ):
+                value = None
+            elif task._output_set:
+                # regeneration re-run: the value was delivered already
+                value, result = None, task.result or result
+        awaited = self._settle_outputs(task, value)
+        if awaited is not None:
+            missing = next(
+                (
+                    f.cache_name
+                    for f in awaited
+                    if not self.replicas.replica_count(f.cache_name)
+                    and f.cache_name not in harvested
+                ),
+                None,
+            )
+            if missing is None:
+                self._await_outputs(task, result, awaited)
+                return
+            # fail loudly instead of handing the application a DONE
+            # task whose output is nowhere
+            tail = (result.output or "").strip()[-500:]
+            result.failure = result.failure or (
+                f"output {missing} never produced (exit {result.exit_code})"
+                + (f": {tail}" if tail else "")
+            )
+        self._finish_task(task, result)
         self.port.request_pump()
 
-    def finish_deferred(self, task: Task, result: TaskResult) -> None:
-        """Complete a task that was parked pending retrieval."""
-        self._finishing.pop(task.task_id, None)
-        self._finish_task(task, result)
+    def _await_outputs(self, task: Task, result: TaskResult, awaited: list) -> None:
+        """Park ``task`` until every ``awaited`` output came home."""
+        task.state = TaskState.WAITING_RETRIEVAL
+        task.result = result
+        waiting = self._finishing[task.task_id] = _Retrieval(
+            task, {f.cache_name for f in awaited}
+        )
+        self.port.request_pump()
+        for f in awaited:
+            # a harvest whose cache-update is still in flight parks the
+            # fetch until the replica registers
+            self.fetch(f.cache_name, functools.partial(self._retrieved, waiting, f))
+
+    def _settle_outputs(self, task: Task, value: Optional[File]) -> Optional[list]:
+        """Top up the replication of the outputs ``task`` left behind;
+        returns those its completion must bring home — ``value`` and
+        every ``bring_back`` output — or None (the usual case)."""
+        awaited = None
+        for _, f in task.outputs:
+            name = f.cache_name
+            if name and self.replicas.replica_count(name) > 0:
+                self._ensure_replication(name)
+            if f is value or f.bring_back:
+                if awaited is None:
+                    awaited = []
+                awaited.append(f)
+        return awaited
+
+    def _retrieved(
+        self, waiting: _Retrieval, f: File, holder: Optional[str], payload
+    ) -> None:
+        """Fetch-plane waiter of one output a completion waits for."""
+        task = waiting.task
+        if self.closed or self._finishing.get(task.task_id) is not waiting:
+            # a closing runtime fails its fetches only to unblock
+            # waiters (the task stays awaiting, as the journal has it);
+            # otherwise the attempt was settled without this output
+            return
+        name = f.cache_name
+        if payload is None:
+            self._result_lost(task, name)
+            return
+        if f.bring_back:
+            # shared-storage mode (paper Fig. 13a): the manager holds
+            # the data now and serves downstream readers; the result
+            # left the cluster unless asked to stay
+            self.set_fixed_source(name, MANAGER_SOURCE)
+            if not f.keep_at_worker and self.replicas.has_replica(name, holder):
+                self.port.delete_replica(holder, name)
+                self.replica_evicted(holder, name)
+        else:
+            self.port.decode_value(task, payload, task.result)
+        waiting.awaited.discard(name)
+        if not waiting.awaited:
+            self._finish_task(task, task.result)
+        self.port.request_pump()
+
+    def _result_lost(self, task: Task, cache_name: str) -> None:
+        """Every source of an output the completion waited for came up
+        empty (its last holder left mid-retrieval).  A completion counts
+        only while something backs it (OxyMake's rule), so this one is
+        an attempt to repeat: the task re-runs within its loss budget,
+        holding its inputs again, and fails naming the object beyond it.
+        """
+        del self._finishing[task.task_id]
+        if task.retries_used < self._loss_budget(task):
+            self._retry(task, "task_requeued", category="result_lost")
+            self._reclaim_inputs(task)
+        elif self.policy.strict_loss:
+            raise RuntimeError(
+                f"task {task.task_id} lost its result {cache_name} "
+                f"{task.retries_used + 1} times; giving up"
+            )
+        else:
+            task.result.failure = task.result.failure or (
+                f"result {cache_name} lost with its last holder"
+            )
+            self._finish_task(task, task.result)
         self.port.request_pump()
 
     def _pop_running(self, task_id: str) -> Optional[Task]:
@@ -1177,8 +1349,8 @@ class ControlPlane:
         task.result = result
         ok = result.ok
         if (
-            isinstance(task, PythonTask)
-            and result.exit_code == 1
+            result.exit_code == 1
+            and isinstance(task, PythonTask)
             and task._output_set
         ):
             ok = True  # the function's exception is delivered through output()
@@ -1232,7 +1404,17 @@ class ControlPlane:
                     task.task_id,
                     result.failure or f"exit {result.exit_code}",
                 )
-        self.port.deliver(task, regenerated=regenerated)
+        ref = None
+        if (
+            isinstance(task, FunctionCall)
+            and task.state == TaskState.DONE
+            and not regenerated
+            and not task._output_set
+        ):
+            # finished by reference (fresh execution or memo hit): the
+            # value stays in worker caches and only this ref moves
+            ref = self.result_ref(task)
+        self.port.deliver(task, regenerated, ref)
 
     def _release(self, task: Task, worker_id: str) -> None:
         """Give back what :meth:`_dispatch` took at the worker: a call's
@@ -1738,7 +1920,7 @@ class ControlPlane:
     # the result fetch plane: by-reference bytes resolved on demand
     # ------------------------------------------------------------------
 
-    def result_ref(self, task: FunctionCall) -> ResultRef:
+    def result_ref(self, task: FunctionCall) -> Optional[ResultRef]:
         """Publish a completed call's result by reference.
 
         The value stays in worker caches; what the runtime hands on — a
@@ -1746,7 +1928,10 @@ class ControlPlane:
         descriptor, whose dereference comes back through :meth:`fetch`.
         Built once per completion, fresh executions and memo hits alike.
         """
-        name = task.result_output().cache_name
+        out = task.result_output()
+        if out is None:
+            return None  # a runtime whose calls leave no envelope
+        name = out.cache_name
         self._m_proxies.inc()
         return ResultRef(
             cache_name=name,
@@ -1796,9 +1981,8 @@ class ControlPlane:
         payload = None if holders else self._memo_payload_bytes(name)
         if holders or payload is not None:
             st.asked = min(holders) if holders else MANAGER_SOURCE
-            f = self.registry.by_name(name) if name in self.registry else None
-            # a value retrieval is a fetch whose producer awaits the bytes
-            retrieval = getattr(f, "producer_task_id", None) in self._finishing
+            # a retrieval is a fetch whose producer's completion awaits it
+            retrieval = self._awaited_by(name) is not None
             st.category = "@retrieve" if retrieval else "@fetch"
             self.log.emit(
                 self.port.now(), "transfer_start",
@@ -1814,7 +1998,7 @@ class ControlPlane:
         # a retrieval whose holders are all spent settles empty-handed
         # rather than parking: its producer is not about to deliver, it
         # is the task waiting for this very fetch (a deadlock until the
-        # TTL) — once the runtime finishes that task, lineage can rerun it
+        # TTL) — :meth:`_result_lost` sends it back for another attempt
         if (
             st.category != "@retrieve"
             and st.needy
@@ -1825,6 +2009,14 @@ class ControlPlane:
             self.port.request_pump()
             return
         self._fetch_settle(name, None)
+
+    def _awaited_by(self, name: str) -> Optional[_Retrieval]:
+        """The ended attempt whose completion waits for ``name``."""
+        f = self.registry.by_name(name) if name in self.registry else None
+        waiting = self._finishing.get(getattr(f, "producer_task_id", None))
+        if waiting is not None and name in waiting.awaited:
+            return waiting
+        return None
 
     def fetch_reply(
         self, worker_id: str, cache_name: str, payload: Optional[bytes]
@@ -2073,7 +2265,7 @@ class ControlPlane:
             self._dispatched.pop(task.task_id, None)
             self._unstage(task)
             self._pop_running(task.task_id)
-            self.port.task_preempted(task)
+            self.port.cancel_task(task)  # discards its pending completion
             self._release(task, worker_id)
             if task.retries_used >= self._loss_budget(task):
                 if self.policy.strict_loss:
@@ -2086,17 +2278,7 @@ class ControlPlane:
                     task, TaskResult(exit_code=-1, failure="worker lost")
                 )
                 continue
-            task.retries_used += 1
-            task.worker_id = None
-            task.state = TaskState.READY
-            task.not_before = self._requeue_holdoff(task)
-            self._ready.push(task)
-            self.tasks_requeued += 1
-            self._m_requeues.inc()
-            self.log.emit(
-                self.port.now(), "task_requeued",
-                task=task.task_id, category="worker_lost", size=task.retries_used,
-            )
+            self._retry(task, "task_requeued", category="worker_lost")
         # a departed worker's failure history must not poison a future
         # worker that happens to reuse the id
         self.blocklist.discard(worker_id)
@@ -2123,6 +2305,11 @@ class ControlPlane:
             if st.asked == worker_id:
                 self._fetch_retire(name, st, "worker_lost")
                 self._fetch_advance(name, st)
+            elif st.asked is None:
+                waiting = self._awaited_by(name)
+                if waiting is not None and waiting.task.worker_id == worker_id:
+                    # parked on a cache-update that will never come
+                    self._fetch_settle(name, None)
         self.port.request_pump()
 
     # ------------------------------------------------------------------
@@ -2179,21 +2366,11 @@ class ControlPlane:
             for t in self.transfers.active()
             if t.dest_worker not in self.draining
         }
+        candidates = self._emptiest_survivors((worker_id,))
         for name in self._drain_sole_names(worker_id):
             if name in incoming:
                 pending += 1
                 continue
-            candidates = sorted(
-                (
-                    wid
-                    for wid in self.workers
-                    if wid != worker_id
-                    and self.port.worker_connected(wid)
-                    and wid not in self.draining
-                    and wid not in self.blocklist
-                ),
-                key=lambda wid: (self._cached_bytes(wid), wid),
-            )
             if not candidates:
                 continue  # stranded: no survivor exists to take it
             if not self.transfers.source_available(worker_id):
@@ -2214,7 +2391,7 @@ class ControlPlane:
             pending = self._replicate_for_drain(worker_id)
             if state.running or pending:
                 continue
-            if any(t.worker_id == worker_id for t in self._finishing.values()):
+            if any(r.task.worker_id == worker_id for r in self._finishing.values()):
                 continue  # output retrieval still in flight
             if any(
                 t.source == worker_id or t.dest_worker == worker_id
@@ -2240,15 +2417,43 @@ class ControlPlane:
         )
         self.port.finish_drain(worker_id)
 
-    def record_autoscale(self, direction: str, amount: int = 1) -> None:
-        """Log one autoscaler fleet decision (``direction`` up/down)."""
-        if direction == "up":
-            self._m_scale_up.inc(amount)
-        else:
-            self._m_scale_down.inc(amount)
+    def autoscale_tick(self, scaler: Autoscaler) -> tuple[int, int]:
+        """Size the fleet to the ready queue, once.
+
+        ``scaler`` answers how many workers the fleet — connected and
+        not already draining — should gain or lose for the current
+        queue depth.  Growth is the runtime's to carry out: the first
+        number returned is how many workers to start.  Shrinking is
+        decided and begun here: the emptiest workers (fewest running
+        tasks, then fewest cached bytes, then lowest id) are drained,
+        and the second number is how many.  Either decision is logged
+        as an ``autoscale`` event.
+        """
+        fleet = [
+            wid
+            for wid in self.workers
+            if self.port.worker_connected(wid) and wid not in self.draining
+        ]
+        delta = scaler.decide(self.port.now(), self.ready_depth, len(fleet))
+        if delta == 0:
+            return 0, 0
+        if delta > 0:
+            self._m_scale_up.inc(delta)
+            self.log.emit(self.port.now(), "autoscale", size=delta, category="up")
+            return delta, 0
+        victims = sorted(
+            fleet,
+            key=lambda wid: (
+                len(self.workers[wid].running), self._cached_bytes(wid), wid
+            ),
+        )[:-delta]
+        self._m_scale_down.inc(len(victims))
         self.log.emit(
-            self.port.now(), "autoscale", size=amount, category=direction
+            self.port.now(), "autoscale", size=len(victims), category="down"
         )
+        for wid in victims:
+            self.drain_worker(wid)
+        return 0, len(victims)
 
     # ------------------------------------------------------------------
     # crash recovery: journal restore + rejoin grace window
@@ -2488,10 +2693,6 @@ class ControlPlane:
                     "exhausted its retries"
                 )
             return False  # budget spent: consumers must fail, not loop
-        producer.retries_used += 1
-        producer.state = TaskState.READY
-        producer.worker_id = None
-        producer.not_before = self._requeue_holdoff(producer)
         self.done_count -= 1
         self.outstanding += 1
         acct = self.tenant_account(producer.tenant)
@@ -2500,22 +2701,23 @@ class ControlPlane:
         acct.regens += 1
         self._tenant_gauges[producer.tenant]["regens"].inc()
         self._sync_tenant(acct)
-        self.tasks_requeued += 1
-        self._m_regens.inc()
         self._regenerated.add(producer.task_id)
-        self.log.emit(
-            self.port.now(), "file_regenerated",
-            task=producer.task_id, file=cache_name, size=producer.retries_used,
-        )
+        self._retry(producer, "file_regenerated", file=cache_name)
+        return self._reclaim_inputs(producer)
+
+    def _reclaim_inputs(self, task: Task) -> bool:
+        """A finished attempt gave up its input references (and its
+        task-lifetime inputs were collected): take them again for the
+        re-run, regenerating those lost meanwhile.  False when one of
+        them is unrecoverable."""
         ok = True
-        for name in producer.input_cache_names():
+        for name in task.input_cache_names():
             self._input_refs[name] += 1
             if (
                 self.replicas.replica_count(name) == 0
                 and self.fixed_sources.get(name) == NO_SOURCE
             ):
                 ok &= self._regenerate(name)
-        self._ready.push(producer)
         return ok
 
     def _ensure_replication(self, cache_name: str) -> None:
@@ -2532,18 +2734,11 @@ class ControlPlane:
         needed = self.temp_replica_count - len(have)
         if needed <= 0 or not have:
             return
-        candidates = sorted(
-            (
-                wid
-                for wid in self.workers
-                if self.port.worker_connected(wid)
-                and wid not in have
-                and wid not in self.blocklist
-                and wid not in self.draining
-                and not self.transfers.in_flight(cache_name, wid)
-            ),
-            key=lambda wid: (self._cached_bytes(wid), wid),
-        )
+        candidates = [
+            wid
+            for wid in self._emptiest_survivors(have)
+            if not self.transfers.in_flight(cache_name, wid)
+        ]
         # serve from a holder that is not under suspicion — nor on its
         # way out of the cluster — when possible
         trusted = [
@@ -2556,6 +2751,22 @@ class ControlPlane:
             if not self.transfers.source_available(source):
                 break
             self._start_transfer(cache_name, source, wid)
+
+    def _emptiest_survivors(self, holders) -> list[str]:
+        """Where another copy of what ``holders`` have may go: connected
+        workers other than them, not on their way out and not under
+        suspicion, emptiest cache first."""
+        return sorted(
+            (
+                wid
+                for wid in self.workers
+                if wid not in holders
+                and self.port.worker_connected(wid)
+                and wid not in self.draining
+                and wid not in self.blocklist
+            ),
+            key=lambda wid: (self._cached_bytes(wid), wid),
+        )
 
     def _cached_bytes(self, worker_id: str) -> int:
         return self.replicas.bytes_at(worker_id)  # O(1) incremental index

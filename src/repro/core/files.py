@@ -84,6 +84,12 @@ class File:
 
     #: short tag used in cache-name prefixes and traces
     kind = "file"
+    #: shared-storage mode (paper Fig. 13a), set per file by the
+    #: simulator's ``declare_output``: the producing task completes only
+    #: once this output came home to the manager, which serves it from
+    #: then on; the worker copy is dropped unless ``keep_at_worker``
+    bring_back = False
+    keep_at_worker = False
 
     def __init__(self, cache: "CacheLevel | str" = CacheLevel.WORKFLOW) -> None:
         self.file_id: str = f"f{next(_file_ids)}"
@@ -184,6 +190,8 @@ class MiniTaskFile(File):
     """
 
     kind = "minitask"
+    #: virtual seconds one materialization takes (simulator only)
+    stage_time = 0.0
 
     def __init__(self, mini_task: "Task", cache: "CacheLevel | str" = CacheLevel.WORKFLOW):
         super().__init__(cache)

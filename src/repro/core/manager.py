@@ -5,7 +5,7 @@ machines, retry/replication/regeneration — lives in
 :class:`~repro.core.control_plane.ControlPlane`; this module only
 provides the real runtime's *mechanisms* as a
 :class:`~repro.core.control_plane.RuntimePort`: wire message encoding,
-payload (de)serialization, client sessions, and result retrieval back
+payload (de)serialization, client sessions, and result delivery back
 to the application.  The simulator drives the very same control plane
 with virtual-time mechanisms, so any behavioural change belongs in
 ``control_plane.py``, never here.
@@ -1063,9 +1063,6 @@ class Manager:
             task.worker_id or "", {"type": M.CANCEL_TASK, "task_id": task.task_id}
         )
 
-    def task_preempted(self, task: Task) -> None:
-        pass  # nothing buffered outside the control plane for a lost task
-
     def launch_library(self, lib: LibraryState, worker_id: str) -> None:
         assert isinstance(lib, _LibraryState)
         self._tell(
@@ -1100,18 +1097,9 @@ class Manager:
         finds every needed replica already backed by a survivor."""
         self._tell(worker_id, {"type": M.SHUTDOWN})
 
-    def deliver(self, task: Task, regenerated: bool) -> None:
+    def deliver(self, task: Task, regenerated: bool, ref) -> None:
         if regenerated:  # regeneration reruns were already delivered
             return
-        ref = None
-        if (
-            isinstance(task, FunctionCall)
-            and task.state == TaskState.DONE
-            and not task._output_set
-        ):
-            # finished by reference (fresh execution or memo hit): the
-            # value stays in worker caches and only this ref moves
-            ref = self.control.result_ref(task)
         if self.service.task_delivered(task, ref) is None:
             # loopback (in-process) session: ``output()`` hands back a
             # lazy proxy whose first dereference resolves through the
@@ -1480,9 +1468,9 @@ class Manager:
         """Gracefully drain one worker (elastic scale-down surface).
 
         Manager-initiated twin of the worker's ``draining`` announce:
-        the fleet supervisor / autoscaler calls this to shrink the
-        fleet without losing sole-holder cache objects.  Returns False
-        when the worker is unknown or already draining.
+        a fleet supervisor calls this to retire a worker without losing
+        its sole-holder cache objects.  Returns False when the worker
+        is unknown or already draining.
         """
         with self._lock:
             return self.control.drain_worker(worker_id)
@@ -1810,63 +1798,9 @@ class Manager:
             execution_time=float(msg.get("execution_time", 0.0)),
             staging_time=float(msg.get("staging_time", 0.0)),
         )
-        task = self.control.on_task_result(handle.worker_id, task_id, result)
-        if task is None:
-            return  # stale report, or requeued by a retry policy
-        if isinstance(task, FunctionCall) and result.exit_code != 0 and not result.failure:
-            result.failure = f"invocation failed (exit {result.exit_code})"
-        # value-carrying tasks leave a result envelope — a python task
-        # even on exit 1 (the envelope then holds its exception)
-        enveloped = isinstance(task, (PythonTask, FunctionCall)) and (
-            result.exit_code == 0
-            or (result.exit_code == 1 and isinstance(task, PythonTask))
+        self.control.attempt_ended(
+            handle.worker_id, task_id, result, msg.get("harvested", ())
         )
-        if enveloped and task._output_set:
-            # regeneration rerun: the value (or proxy) was already delivered
-            self.control.complete_task(task, task.result or result)
-            return
-        value_file = task.value_output() if enveloped else None
-        result_name = value_file.cache_name if value_file is not None else None
-        if result_name is None:
-            # nothing to bring back: outputs stay in worker caches (a
-            # by-reference call's proxy is stamped at delivery)
-            self.control.complete_task(task, result)
-        elif self.replicas.replica_count(result_name) or result_name in msg.get(
-            "harvested", ()
-        ):
-            # the application asked for a value: pull the envelope back
-            # and finish in _value_arrived.  A harvest whose cache-update
-            # is still in flight behind this message parks the fetch
-            # until the replica registers.
-            self.control.complete_task(task, result, defer=True)
-            self.control.fetch(
-                result_name, functools.partial(self._value_arrived, task)
-            )
-        else:
-            # no result file anywhere: fail loudly instead of handing the
-            # application a DONE task whose output() raises
-            tail = (result.output or "").strip()[-500:]
-            result.failure = result.failure or (
-                f"result file never produced (exit {result.exit_code})"
-                + (f": {tail}" if tail else "")
-            )
-            self.control.complete_task(task, result)
-
-    def _value_arrived(
-        self, task: Task, _worker_id: Optional[str], payload: Optional[bytes]
-    ) -> None:
-        """Fetch-plane waiter of a value retrieval: decode the envelope
-        into the task and finish its deferred completion."""
-        if task.is_done or self.control.closed:
-            # close() fails its fetches only to unblock waiters: the task
-            # stays awaiting its value, as the journal has it
-            return
-        result = task.result
-        if payload is None:
-            result.failure = result.failure or "result file missing at worker"
-        else:
-            self.decode_value(task, payload, result)
-        self.control.finish_deferred(task, result)
 
     def decode_value(
         self, task: Task, payload: bytes, result: Optional[TaskResult] = None

@@ -71,7 +71,7 @@ class SimFaultInjector:
             self.sim.schedule_at(d.at, self._crash, d.worker, "disconnect")
         for mc in self.plan.manager_crashes:
             if mc.at is not None:
-                self.sim.schedule_at(mc.at, self._crash_manager)
+                self._crash_manager(max(0.0, mc.at - self.sim.now))
             else:
                 self._after_mgr_crashes.append(mc)
         if self._after_crashes or self._after_mgr_crashes:
@@ -120,12 +120,11 @@ class SimFaultInjector:
             worker_id, up_bps=node.up_bps * factor, down_bps=node.down_bps * factor
         )
 
-    def _crash_manager(self) -> None:
-        if self.manager._crashed:
-            return
+    def _crash_manager(self, delay: float) -> None:
         # no note_fault: a dying manager records nothing — the fault's
-        # evidence is the journal replay the next life performs
-        self.manager.crash()
+        # evidence is the journal replay the next life performs.  As a
+        # callback of the life it ends, a second crash is never heard.
+        self.manager.schedule(delay, self.manager.crash)
 
     def _count_task_ends(self, e: Event) -> None:
         # EventLog sinks run inline under emit and must not re-enter the
@@ -142,7 +141,7 @@ class SimFaultInjector:
         for mc in self._after_mgr_crashes:
             if self._total_task_ends >= mc.after_tasks and mc not in self._mgr_fired:
                 self._mgr_fired.add(mc)
-                self.sim.schedule(0.0, self._crash_manager)
+                self._crash_manager(0.0)
 
     # -- transfer interception -----------------------------------------
 

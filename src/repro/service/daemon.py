@@ -28,6 +28,7 @@ manager crash into a recovery instead of an outage.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import signal
@@ -113,98 +114,6 @@ def _spawn_worker(
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-
-
-class _FleetAutoscaler(threading.Thread):
-    """Background fleet supervisor for ``run --autoscale``.
-
-    Periodically sizes the local worker pool to the manager's ready
-    queue using the shared :class:`~repro.sim.workloads.Autoscaler`
-    policy (the same one the sim driver uses, see docs/elasticity.md).
-    Scale-up spawns fresh worker subprocesses; scale-down picks the
-    emptiest connected workers (fewest running tasks, fewest cached
-    bytes) and drains them gracefully through the control plane, so
-    sole-holder cache objects migrate to survivors before the worker
-    processes are ordered to exit.
-    """
-
-    def __init__(
-        self,
-        mgr,
-        state_dir: str,
-        args: argparse.Namespace,
-        procs: list,
-        next_index: int,
-    ) -> None:
-        super().__init__(daemon=True, name="fleet-autoscaler")
-        from repro.sim.workloads import Autoscaler
-
-        self.mgr = mgr
-        self.state_dir = state_dir
-        self.args = args
-        #: live worker subprocesses (shared with the run loop's shutdown
-        #: path; exited processes are pruned each tick)
-        self.procs = procs
-        self._next_index = next_index
-        self.policy = Autoscaler(
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            tasks_per_worker=args.tasks_per_worker,
-            cooldown=2.0 * args.scale_interval,
-        )
-        self._stop = threading.Event()
-
-    def stop(self) -> None:
-        self._stop.set()
-
-    def run(self) -> None:
-        while not self._stop.wait(self.args.scale_interval):
-            try:
-                self._tick()
-            except Exception:  # autoscaling must never kill the service
-                import traceback
-
-                traceback.print_exc(file=sys.stderr)
-
-    def _tick(self) -> None:
-        self.procs[:] = [p for p in self.procs if p.poll() is None]
-        mgr = self.mgr
-        with mgr._lock:
-            control = mgr.control
-            fleet = sorted(
-                wid for wid in control.workers if wid not in control.draining
-            )
-            delta = self.policy.decide(
-                time.monotonic(), control.ready_depth, len(fleet)
-            )
-            if delta < 0:
-                victims = sorted(
-                    fleet,
-                    key=lambda wid: (
-                        len(control.workers[wid].running),
-                        control.replicas.bytes_at(wid),
-                        wid,
-                    ),
-                )[: -delta]
-                control.record_autoscale("down", len(victims))
-                for wid in victims:
-                    control.drain_worker(wid)
-            elif delta > 0:
-                control.record_autoscale("up", delta)
-        if delta > 0:
-            # subprocess launches are slow: do them outside the lock
-            for _ in range(delta):
-                self.procs.append(
-                    _spawn_worker(
-                        self.state_dir,
-                        self._next_index,
-                        mgr.host,
-                        mgr.port,
-                        self.args.cores,
-                        reconnect=self.args.worker_reconnect,
-                    )
-                )
-                self._next_index += 1
 
 
 def _supervise(args: argparse.Namespace, argv: list[str]) -> int:
@@ -340,12 +249,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         for i in range(args.workers)
     ]
-    fleet: Optional[_FleetAutoscaler] = None
     if args.autoscale:
-        fleet = _FleetAutoscaler(
-            mgr, state_dir, args, workers, next_index=args.workers
+        from repro.core.autoscale import Autoscaler
+
+        scaler = Autoscaler(
+            min_workers=args.min_workers,
+            max_workers=args.max_workers,
+            tasks_per_worker=args.tasks_per_worker,
+            cooldown=2.0 * args.scale_interval,
         )
-        fleet.start()
+        spawned = itertools.count(args.workers)
+
+        def autoscale() -> None:
+            """Size the local fleet to the ready queue (see
+            docs/elasticity.md): the control plane decides, and drains
+            what leaves; the processes it asks for are started here."""
+            workers[:] = [p for p in workers if p.poll() is None]
+            with mgr._lock:
+                add, _drained = mgr.control.autoscale_tick(scaler)
+            # subprocess launches are slow: do them outside the lock
+            for _ in range(add):
+                workers.append(
+                    _spawn_worker(
+                        state_dir, next(spawned), mgr.host, mgr.port, args.cores,
+                        reconnect=args.worker_reconnect,
+                    )
+                )
+
+        mgr.reactor.call_later(
+            args.scale_interval, autoscale, every=args.scale_interval
+        )
     state_path = os.path.join(state_dir, STATE_FILE)
     with open(state_path, "w") as f:
         json.dump(
@@ -368,8 +301,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         stop.wait()
     finally:
-        if fleet is not None:
-            fleet.stop()
         # close() sends SHUTDOWN to connected workers; give the
         # subprocesses a moment to honor it before escalating
         mgr.close(shutdown_workers=True)

@@ -26,7 +26,6 @@ retry/replication/regeneration — is the production logic.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,15 +49,6 @@ from repro.sim.cluster import MANAGER_NODE, SimCluster, SimWorker
 from repro.util.hashing import hash_bytes
 
 __all__ = ["SimManager", "SimLibrary", "SimRunStats", "NO_SOURCE"]
-
-
-@dataclass
-class _FileMeta:
-    """Simulation metadata for one cache name."""
-
-    size: int
-    stage_time: float = 0.0
-    mini: Optional[MiniTaskFile] = None
 
 
 class SimLibrary(LibraryState):
@@ -163,7 +153,6 @@ class SimManager:
             )
             self.control.log.attach(self._txn_writer)
 
-        self.meta: dict[str, _FileMeta] = {}
         self.evictions = 0
         self._pump_scheduled = False
         self._finalized = False
@@ -171,17 +160,14 @@ class SimManager:
         #: submitted; run() must not mistake an arrival gap (everything
         #: submitted so far done, more on the way) for completion
         self.pending_arrivals = 0
-        #: set by :meth:`crash`; every scheduled callback belonging to
-        #: this manager life becomes a no-op once it is set
+        #: set by :meth:`crash`: no callback of this manager life runs
+        #: once it is (:meth:`_run`)
         self._crashed = False
         #: True when this life restored state journaled by a prior one
         self.recovered = False
         if self.journal is not None:
             if self.control.restore_from_journal():
                 self.recovered = True
-                # rebuild the sim-only size metadata from restored state
-                for name, size in self.control.sizes.items():
-                    self.meta.setdefault(name, _FileMeta(size=size))
                 # hold placements until the workers the journal knew
                 # about rejoin (their caches re-adopt) or grace ends
                 self.control.begin_recovery(recovery_grace)
@@ -194,7 +180,7 @@ class SimManager:
             else:
                 for name, size in self._adoptable_cache(worker):
                     self.control.adopt_replica(worker.worker_id, name, size)
-        cluster.join_callbacks.append(self._on_worker_join)
+        cluster.join_callbacks.append(self._join)
         cluster.leave_callbacks.append(self._on_worker_leave)
 
     # -- control-plane state views (single source of truth) --------------
@@ -250,23 +236,32 @@ class SimManager:
         worker = self.cluster.workers.get(worker_id)
         return worker is not None and worker.connected
 
+    def schedule(self, delay: float, fn, *args):
+        """Run ``fn(*args)`` after ``delay`` virtual seconds as a
+        callback of this manager life (see :meth:`_run`)."""
+        return self.sim.schedule(delay, self._run, fn, *args)
+
+    def _run(self, fn, *args) -> None:
+        """Every callback of this manager life — scheduled, or fired by
+        the network — arrives through here; a crashed life hears none
+        (its worker finished, its bytes landed, but no manager was
+        alive to be told: the restarted life starts over from READY)."""
+        if not self._crashed:
+            fn(*args)
+
     def request_pump(self) -> None:
         """Coalesce pump requests into one zero-delay event."""
-        if self._crashed:
-            return
         if not self._pump_scheduled:
             self._pump_scheduled = True
-            self.sim.schedule(0.0, self._fire_coalesced_pump)
+            self.schedule(0.0, self._fire_coalesced_pump)
 
     def _fire_coalesced_pump(self) -> None:
         self._pump_scheduled = False
-        if self._crashed:
-            return
         self.control.pump()
 
     def schedule_pump(self, delay: float) -> None:
         """Wake the control plane after ``delay`` virtual seconds."""
-        self.sim.schedule(max(0.0, delay), self.request_pump)
+        self.schedule(max(0.0, delay), self.request_pump)
 
     def _start_network_transfer(self, record: Transfer) -> None:
         if record.source not in self.network.nodes:
@@ -281,7 +276,9 @@ class SimManager:
                 record.source,
                 record.dest_worker,
                 record.size,
-                lambda _t, tid=record.transfer_id: self._transfer_complete(tid),
+                lambda _t: self._run(
+                    self.control.on_transfer_complete, record.transfer_id
+                ),
             )
             return
         mode, fraction = verdict
@@ -292,7 +289,7 @@ class SimManager:
                 record.source,
                 record.dest_worker,
                 record.size,
-                lambda _t, r=record: self._transfer_faulted(r, corrupt=True),
+                lambda _t: self._run(self._transfer_faulted, record, True),
             )
         else:
             # the connection dies partway: only a fraction of the bytes
@@ -301,17 +298,10 @@ class SimManager:
                 record.source,
                 record.dest_worker,
                 record.size * fraction,
-                lambda _t, r=record: self._transfer_faulted(r, corrupt=False),
+                lambda _t: self._run(self._transfer_faulted, record, False),
             )
 
-    def _transfer_complete(self, transfer_id: str) -> None:
-        if self._crashed:
-            return
-        self.control.on_transfer_complete(transfer_id)
-
     def _transfer_faulted(self, record: Transfer, corrupt: bool) -> None:
-        if self._crashed:
-            return
         try:
             self.transfers.get(record.transfer_id)
         except KeyError:
@@ -339,19 +329,13 @@ class SimManager:
         self._start_network_transfer(record)
 
     def run_minitask(self, job: StagingJob) -> None:
-        stage_time = self.meta[job.file.cache_name].stage_time
-        self.sim.schedule(stage_time, self._stage_done, job)
-
-    def _stage_done(self, job: StagingJob) -> None:
-        if self._crashed:
-            return
-        self.control.on_stage_done(job)
+        self.schedule(job.file.stage_time, self.control.on_stage_done, job)
 
     def start_task(self, task: Task) -> None:
         worker = self.cluster.workers[task.worker_id]
         for name in task.input_cache_names():
             worker.touch(name, self.sim.now)
-        task._sim_finish_event = self.sim.schedule(  # type: ignore[attr-defined]
+        task._sim_finish_event = self.schedule(  # type: ignore[attr-defined]
             task.sim_duration, self._finish_execution, task  # type: ignore[attr-defined]
         )
 
@@ -360,18 +344,11 @@ class SimManager:
         if event is not None:
             event.cancel()
 
-    def task_preempted(self, task: Task) -> None:
-        event = getattr(task, "_sim_finish_event", None)
-        if event is not None:
-            event.cancel()
-
     def launch_library(self, lib: LibraryState, worker_id: str) -> None:
         assert isinstance(lib, SimLibrary)
-        self.sim.schedule(lib.startup_time, self._library_up, lib, worker_id)
+        self.schedule(lib.startup_time, self._library_up, lib, worker_id)
 
     def _library_up(self, lib: "SimLibrary", worker_id: str) -> None:
-        if self._crashed:
-            return
         # the control plane ignores stale reports (worker left meanwhile)
         self.control.on_library_ready(worker_id, lib.name)
         worker = self.cluster.workers.get(worker_id)
@@ -401,13 +378,13 @@ class SimManager:
         if worker is not None:
             worker.remove(cache_name)
 
-    def deliver(self, task: Task, regenerated: bool) -> None:
+    def deliver(self, task: Task, regenerated: bool, ref) -> None:
         pass  # applications read task state directly after run()
 
     def memo_persist(self, task: Task, merkle: str, outputs) -> None:
         pass  # no real bytes exist to retain: entries stay replica-backed
 
-    def decode_value(self, task: Task, payload: bytes) -> bool:
+    def decode_value(self, task: Task, payload: bytes, result=None) -> bool:
         return True  # simulated tasks carry no values
 
     def ask_holder(self, worker_id: str, cache_name: str) -> None:
@@ -415,13 +392,9 @@ class SimManager:
             worker_id,
             MANAGER_NODE,
             self.control.sizes.get(cache_name, 0),
-            lambda _t: self._holder_served(worker_id, cache_name),
-        )
-
-    def _holder_served(self, worker_id: str, cache_name: str) -> None:
-        if not self._crashed:
             # no real bytes exist here: the plane accounts the declared size
-            self.control.fetch_reply(worker_id, cache_name, b"")
+            lambda _t: self._run(self.control.fetch_reply, worker_id, cache_name, b""),
+        )
 
     # ------------------------------------------------------------------
     # declarations
@@ -447,7 +420,6 @@ class SimManager:
             self.namer.assign(f)
         f.size = size
         self.control.declare(f, source, size)
-        self.meta[f.cache_name] = _FileMeta(size=size)
         return f
 
     def declare_url(
@@ -464,7 +436,6 @@ class SimManager:
         self.namer.assign(f)
         f.size = size
         self.control.declare(f, source, size)
-        self.meta[f.cache_name] = _FileMeta(size=size)
         return f
 
     def declare_minitask(
@@ -482,10 +453,8 @@ class SimManager:
         f = MiniTaskFile(mini, cache)
         self.namer.assign(f)
         f.size = output_size
+        f.stage_time = stage_time
         self.control.declare(f, MINITASK_SOURCE, output_size)
-        self.meta[f.cache_name] = _FileMeta(
-            size=output_size, stage_time=stage_time, mini=f
-        )
         return f
 
     def declare_untar(
@@ -508,7 +477,6 @@ class SimManager:
         self.namer.assign(f)
         f.size = size
         self.control.declare(f, NO_SOURCE, size)
-        self.meta[f.cache_name] = _FileMeta(size=size)
         return f
 
     def declare_output(
@@ -524,11 +492,10 @@ class SimManager:
         """
         f = File(CacheLevel.WORKFLOW)
         self.namer.assign(f)
-        f.bring_back = bring_back  # type: ignore[attr-defined]
-        f.keep_at_worker = keep_at_worker  # type: ignore[attr-defined]
+        f.bring_back = bring_back
+        f.keep_at_worker = keep_at_worker
         f.size = size
         self.control.declare(f, NO_SOURCE, size)
-        self.meta[f.cache_name] = _FileMeta(size=size)
         return f
 
     # ------------------------------------------------------------------
@@ -552,20 +519,12 @@ class SimManager:
         task.sim_output_sizes = dict(output_sizes or {})  # type: ignore[attr-defined]
         for _, f in task.inputs:
             self._require_declared(f)
-        before = [f.cache_name for _, f in task.outputs]
         self.control.name_outputs(task, self.namer)
-        for old, (_, f) in zip(before, task.outputs):
-            if old not in (None, f.cache_name):
-                # memo-renamed: the declared size follows the file
-                self.meta[f.cache_name] = self.meta.get(
-                    old, _FileMeta(size=f.size or 0)
-                )
-            self.meta.setdefault(f.cache_name, _FileMeta(size=f.size or 0))
         self.control.submit(task)
         return task
 
     def _require_declared(self, f: File) -> None:
-        if f.cache_name is None or f.cache_name not in self.meta:
+        if f.cache_name is None or f.cache_name not in self.control.fixed_sources:
             raise RuntimeError(
                 f"file {f.file_id} ({f.source_description()}) was not declared "
                 "through this manager"
@@ -690,66 +649,22 @@ class SimManager:
             self._txn_writer.close()
 
     # ------------------------------------------------------------------
-    # execution and retrieval mechanisms
+    # execution mechanism
     # ------------------------------------------------------------------
 
     def _finish_execution(self, task: Task) -> None:
-        if self._crashed:
-            # the worker finished, but no manager was alive to hear the
-            # TASK_DONE: the restarted life re-dispatches from READY
-            return
         if task.state != TaskState.RUNNING:
             return  # stale completion: the task was requeued after a loss
-        wid = task.worker_id
-        assert wid is not None
-        result = TaskResult(exit_code=0)
-        got = self.control.on_task_result(wid, task.task_id, result)
-        if got is None:
-            return
-        # register outputs into the simulated caches at their final sizes
-        output_sizes = getattr(task, "sim_output_sizes", {})
-        bring_back = []
-        for sandbox_name, f in task.outputs:
-            size = output_sizes.get(sandbox_name, self.meta[f.cache_name].size)
-            self.meta[f.cache_name].size = size
-            f.size = size
-            self.control.sizes[f.cache_name] = size
-            self.control.register_replica(wid, f.cache_name, size, store=True)
-            if getattr(f, "bring_back", False):
-                bring_back.append(f)
-        self.control.complete_task(task, result, defer=bool(bring_back))
-        # shared-storage outputs come home through the fetch plane — a
-        # fetch whose producer awaits it is a ``@retrieve`` — and the
-        # task completes when the last one has arrived
-        waiting = {f.cache_name for f in bring_back}
-        for f in bring_back:
-            self.control.fetch(
-                f.cache_name, functools.partial(self._on_retrieved, task, f, waiting)
-            )
-
-    def _on_retrieved(
-        self, task: Task, f: File, waiting: set, holder: Optional[str], payload
-    ) -> None:
-        """Fetch-plane waiter of one ``bring_back`` output: the
-        shared-storage tail.  No ``payload`` means every source came up
-        empty — the output is lost like any other replica, and lineage
-        regenerates it should a consumer still need it."""
-        name = f.cache_name
-        if payload is not None:
-            # the manager now holds the data and can serve downstream readers
-            self.control.set_fixed_source(name, MANAGER_SOURCE)
-            worker = self.cluster.workers.get(holder)
-            if (
-                not getattr(f, "keep_at_worker", True)
-                and worker is not None
-                and worker.remove(name) is not None
-            ):
-                # shared-storage semantics: the result left the cluster
-                self.control.replica_evicted(holder, name)
-        waiting.discard(name)
-        if not waiting:
-            self.control.finish_deferred(task, task.result)
-        self.request_pump()
+        # a simulated worker announces nothing: the outputs enter its
+        # cache, at their final sizes, as the attempt is accepted
+        sizes = self.control.sizes
+        produced = [
+            (f.cache_name, task.sim_output_sizes.get(sandbox_name, sizes[f.cache_name]))
+            for sandbox_name, f in task.outputs
+        ]
+        self.control.attempt_ended(
+            task.worker_id, task.task_id, TaskResult(exit_code=0), produced=produced
+        )
 
     # -- on-demand result fetch plane -------------------------------------
 
@@ -778,10 +693,6 @@ class SimManager:
         """
         self.cluster.remove_worker(worker_id, at=self.sim.now)
 
-    def drain_worker(self, worker_id: str) -> bool:
-        """Gracefully drain one simulated worker (autoscaler surface)."""
-        return self.control.drain_worker(worker_id)
-
     @staticmethod
     def _worker_level_cache(worker: SimWorker) -> list[tuple[str, int]]:
         """Pre-existing worker-lifetime cache entries to adopt."""
@@ -804,19 +715,11 @@ class SimManager:
         return self._worker_level_cache(worker)
 
     def _join(self, worker: SimWorker) -> None:
-        cached = self._adoptable_cache(worker)
-        for name, size in cached:
-            self.meta.setdefault(name, _FileMeta(size=size))
-        self.control.worker_joined(worker.worker_id, worker.pool, cached=cached)
-
-    def _on_worker_join(self, worker: SimWorker) -> None:
-        if self._crashed:
-            return
-        self._join(worker)
+        self.control.worker_joined(
+            worker.worker_id, worker.pool, cached=self._adoptable_cache(worker)
+        )
 
     def _on_worker_leave(self, worker: SimWorker) -> None:
-        if self._crashed:
-            return
         self.control.worker_left(worker.worker_id)
 
     # -- crash / restart ---------------------------------------------------
@@ -824,8 +727,8 @@ class SimManager:
     def crash(self) -> None:
         """Model this manager process dying abruptly (``kill -9``).
 
-        Every scheduled callback belonging to this life becomes a no-op,
-        cluster membership callbacks are detached, and the journal and
+        No callback of this life runs any more (:meth:`_run`), cluster
+        membership callbacks are detached, and the journal and
         transaction-log handles are dropped with no graceful
         finalization — leaving exactly the on-disk state a restarted
         :class:`SimManager` over the same ``journal_dir`` must recover
@@ -834,7 +737,7 @@ class SimManager:
         """
         self._crashed = True
         for callbacks, cb in (
-            (self.cluster.join_callbacks, self._on_worker_join),
+            (self.cluster.join_callbacks, self._join),
             (self.cluster.leave_callbacks, self._on_worker_leave),
         ):
             try:

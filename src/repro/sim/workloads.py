@@ -25,11 +25,11 @@ scenarios of ROADMAP item 5.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.autoscale import Autoscaler
 from repro.core.library import FunctionCall
 from repro.core.policy import Policy
 from repro.core.resources import Resources
@@ -566,72 +566,13 @@ def streaming_genome_workload(
     )
 
 
-class Autoscaler:
-    """Fleet-size policy: target workers as a function of queue depth.
-
-    Pure and runtime-agnostic — both :class:`SimAutoscaleDriver` and
-    the ``repro-service`` daemon's fleet thread evaluate it.  The
-    target is ``ceil(ready_depth / tasks_per_worker)`` clamped to
-    ``[min_workers, max_workers]``; scale-up is prompt (queued work is
-    waiting), scale-down only fires when the fleet exceeds the target
-    by the hysteresis band, and any decision starts a cooldown that
-    suppresses further ones — the classic anti-flap pair.
-    """
-
-    def __init__(
-        self,
-        min_workers: int = 1,
-        max_workers: int = 32,
-        tasks_per_worker: float = 4.0,
-        hysteresis: float = 0.25,
-        cooldown: float = 30.0,
-    ) -> None:
-        if min_workers < 1 or max_workers < min_workers:
-            raise ValueError("need 1 <= min_workers <= max_workers")
-        if tasks_per_worker <= 0:
-            raise ValueError("tasks_per_worker must be positive")
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.tasks_per_worker = tasks_per_worker
-        self.hysteresis = hysteresis
-        self.cooldown = cooldown
-        self._last_action: Optional[float] = None
-
-    def target(self, ready_depth: int) -> int:
-        """The clamped ideal fleet size for one queue-depth sample."""
-        want = math.ceil(ready_depth / self.tasks_per_worker)
-        return max(self.min_workers, min(self.max_workers, want))
-
-    def decide(self, now: float, ready_depth: int, current: int) -> int:
-        """Workers to add (>0), drain (<0), or leave alone (0)."""
-        if (
-            self._last_action is not None
-            and now - self._last_action < self.cooldown
-        ):
-            return 0
-        want = self.target(ready_depth)
-        delta = want - current
-        if delta > 0:
-            delta = min(delta, self.max_workers - current)
-        elif delta < 0:
-            # hysteresis: tolerate a modest surplus before draining
-            band = max(1, int(self.hysteresis * max(current, 1)))
-            if current - want < band:
-                return 0
-            delta = max(delta, self.min_workers - current)
-        if delta != 0:
-            self._last_action = now
-        return delta
-
-
 class SimAutoscaleDriver:
-    """Applies an :class:`Autoscaler` to a simulated cluster.
+    """Ticks the control plane's autoscaler on a simulated cluster.
 
-    Samples ready-queue depth every ``interval`` virtual seconds;
-    scale-up adds workers to the cluster, scale-down gracefully drains
-    the emptiest ones (fewest running tasks, then fewest cached bytes)
-    through :meth:`ControlPlane.drain_worker`.  Every decision lands in
-    the transaction log as an ``autoscale`` event.
+    Every ``interval`` virtual seconds the plane sizes the fleet to its
+    ready queue (:meth:`ControlPlane.autoscale_tick`: which workers
+    drain is its decision, logged as an ``autoscale`` event); this
+    driver adds the workers it asks for and re-arms the clock.
     """
 
     def __init__(
@@ -651,52 +592,21 @@ class SimAutoscaleDriver:
         self.memory = memory
         self.disk = disk
         self.prefix = prefix
-        self._spawned = 0
+        #: workers added / drains begun so far
         self.joins = 0
         self.drains = 0
-        manager.sim.schedule(interval, self._tick)
-
-    def _fleet(self) -> list:
-        draining = self.m.control.draining
-        return [
-            w
-            for w in self.m.cluster.connected_workers()
-            if w.worker_id not in draining
-        ]
+        manager.schedule(interval, self._tick)
 
     def _tick(self) -> None:
-        if self.m._crashed:
-            return
-        control = self.m.control
-        fleet = self._fleet()
-        delta = self.policy.decide(
-            self.m.sim.now, control.ready_depth, len(fleet)
-        )
-        if delta > 0:
-            control.record_autoscale("up", delta)
-            for _ in range(delta):
-                self._spawned += 1
-                self.m.cluster.add_worker(
-                    worker_id=f"{self.prefix}{self._spawned:03d}",
-                    cores=self.cores,
-                    memory=self.memory,
-                    disk=self.disk,
-                    at=self.m.sim.now,
-                )
-                self.joins += 1
-        elif delta < 0:
-            control.record_autoscale("down", -delta)
-            victims = sorted(
-                fleet,
-                key=lambda w: (
-                    len(control.workers[w.worker_id].running)
-                    if w.worker_id in control.workers
-                    else 0,
-                    control.replicas.bytes_at(w.worker_id),
-                    w.worker_id,
-                ),
+        add, drained = self.m.control.autoscale_tick(self.policy)
+        for _ in range(add):
+            self.joins += 1
+            self.m.cluster.add_worker(
+                worker_id=f"{self.prefix}{self.joins:03d}",
+                cores=self.cores,
+                memory=self.memory,
+                disk=self.disk,
+                at=self.m.sim.now,
             )
-            for w in victims[: -delta]:
-                if control.drain_worker(w.worker_id):
-                    self.drains += 1
-        self.m.sim.schedule(self.interval, self._tick)
+        self.drains += drained
+        self.m.schedule(self.interval, self._tick)

@@ -66,8 +66,9 @@ def unpack_directory(tar_path: str, dest_dir: str) -> None:
         tar.extractall(dest_dir, filter="data")
 
 
-def verify_outcome(cache_name: str, path: str) -> str:
+def verify_outcome(cache_name: str, path: str, digest: Optional[str] = None) -> str:
     """Verify a received object; returns "passed", "skipped" or "failed".
+    ``digest`` is the file's md5 when the caller already measured it.
 
     Only names of the form ``file-md5-<digest>`` / ``buffer-md5-<digest>``
     embed a content hash; all other names (url-meta, task-spec, random)
@@ -83,7 +84,7 @@ def verify_outcome(cache_name: str, path: str) -> str:
                 return "skipped"
             return (
                 "passed"
-                if hash_file(path) == cache_name[len(prefix):]
+                if (digest or hash_file(path)) == cache_name[len(prefix):]
                 else "failed"
             )
     return "skipped"
@@ -290,9 +291,12 @@ def fetch_from_peer(
                 on_verify(outcome)
         else:
             conn.recv_to_file(dest_path, size)
-            outcome = verify_outcome(cache_name, dest_path)
+            # one pass over the bytes, compared against both the digest
+            # the sender measured and the one the name embeds
+            digest = hash_file(dest_path) if transit_md5 is not None else None
+            outcome = verify_outcome(cache_name, dest_path, digest)
             if transit_md5 is not None:
-                if hash_file(dest_path) != transit_md5:
+                if digest != transit_md5:
                     outcome = "failed"
                 elif outcome == "skipped":
                     outcome = "passed"

@@ -19,6 +19,7 @@ worker's cache to peers on a separate port.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 import traceback
@@ -587,17 +588,31 @@ class Worker:
         self.cache.remove(msg["cache_name"])
 
     def _handle_cancel(self, msg: dict) -> None:
-        """Kill a running task's whole process group (it setsid'd)."""
-        import signal
-
         with self._procs_lock:
             proc = self._procs.get(msg["task_id"])
-        if proc is None:
-            return
+        if proc is not None:
+            self._kill_group(proc)
+
+    @staticmethod
+    def _kill_group(proc) -> None:
+        """Kill a command's whole process group (it leads its own
+        session, so nothing else would: a shell's children outlive it)."""
         try:
-            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+            os.killpg(proc.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             pass
+
+    def _track(self, key: str):
+        """``run_command``'s ``on_start`` hook: list the process under
+        ``key`` for :meth:`_handle_cancel` and :meth:`shutdown`."""
+
+        def register(proc) -> None:
+            with self._procs_lock:
+                self._procs[key] = proc
+            if self._stop.is_set():
+                self._kill_group(proc)  # started while shutting down
+
+        return register
 
     # -- mini-task staging ------------------------------------------------
 
@@ -618,6 +633,7 @@ class Worker:
                 spec.get("env", {}),
                 Resources.from_dict(spec.get("resources", {})),
                 timeout=self.task_timeout,
+                on_start=self._track(sandbox.task_id),
             )
             if outcome.exit_code != 0:
                 raise SandboxError(
@@ -631,6 +647,8 @@ class Worker:
         except (SandboxError, OSError) as exc:
             self._cache_invalid(cache_name, str(exc), transfer_id)
         finally:
+            with self._procs_lock:
+                self._procs.pop(sandbox.task_id, None)
             self._unpin(input_names)
             sandbox.destroy()
 
@@ -660,11 +678,6 @@ class Worker:
             self._task_done(task_id, 126, str(exc), failure="sandbox")
             return
         allocation = Resources.from_dict(msg["resources"])
-
-        def register(proc):
-            with self._procs_lock:
-                self._procs[task_id] = proc
-
         outcome = run_command(
             msg["command"],
             sandbox.path,
@@ -672,7 +685,7 @@ class Worker:
             allocation,
             sandbox_usage=sandbox.disk_usage,
             timeout=self.task_timeout,
-            on_start=register,
+            on_start=self._track(task_id),
         )
         with self._procs_lock:
             self._procs.pop(task_id, None)
@@ -795,10 +808,16 @@ class Worker:
     # -- lifecycle ----------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop libraries, the peer server, and the command channel."""
+        """Kill what is running, then stop libraries, the peer server
+        and the command channel: ordered out, or with the manager lost
+        past the reconnect window, nobody is left to hear a result."""
         if self._stop.is_set():
             return
         self._stop.set()
+        with self._procs_lock:
+            running = list(self._procs.values())
+        for proc in running:
+            self._kill_group(proc)
         for handle in self._libraries.values():
             handle.stop()
         self._libraries.clear()

@@ -9,12 +9,14 @@ be driven step by step and observed directly.
 
 import pytest
 
+from repro.core.autoscale import Autoscaler
 from repro.core.control_plane import (
     FETCH_TTL,
     MINITASK_SOURCE,
     NO_SOURCE,
     TRANSFER_BACKOFF_MAX,
     ControlPlane,
+    LibraryState,
     source_kind,
 )
 from repro.core.files import CacheLevel, File, MiniTaskFile, TempFile
@@ -24,6 +26,7 @@ from repro.core.resources import ResourcePool, Resources
 from repro.core.task import MiniTask, PythonTask, Task, TaskResult, TaskState
 from repro.core.transfer_table import MANAGER_SOURCE
 from repro.memo.store import MemoStore
+from tests.plane_invariants import violations
 
 
 class FakePort:
@@ -37,11 +40,11 @@ class FakePort:
         self.minitasks = []    # StagingJob
         self.started = []      # Task
         self.cancelled = []    # Task
-        self.preempted = []    # Task
         self.launched = []     # (lib name, worker_id)
         self.stored = []       # (worker_id, cache_name, size)
         self.deleted = []      # (worker_id, cache_name)
         self.delivered = []    # (task, regenerated)
+        self.refs = []         # ResultRef of each call delivered by reference
         self.asked = []        # (worker_id, cache_name) send-back requests
         self.released = []     # worker ids whose drain completed
         self.persisted = []    # (task, merkle) recorded memo entries
@@ -69,9 +72,6 @@ class FakePort:
     def cancel_task(self, task):
         self.cancelled.append(task)
 
-    def task_preempted(self, task):
-        self.preempted.append(task)
-
     def launch_library(self, lib, worker_id):
         self.launched.append((lib.name, worker_id))
 
@@ -81,8 +81,10 @@ class FakePort:
     def delete_replica(self, worker_id, cache_name):
         self.deleted.append((worker_id, cache_name))
 
-    def deliver(self, task, regenerated):
+    def deliver(self, task, regenerated, ref):
         self.delivered.append((task, regenerated))
+        if ref is not None:
+            self.refs.append(ref)
 
     def ask_holder(self, worker_id, cache_name):
         self.asked.append((worker_id, cache_name))
@@ -99,8 +101,10 @@ class FakePort:
     def memo_persist(self, task, merkle, outputs):
         self.persisted.append((task, merkle))
 
-    def decode_value(self, task, payload):
+    def decode_value(self, task, payload, result=None):
         self.decoded.append((task, payload))
+        if self.decodes and result is not None:
+            task.set_output_value(payload)  # a live retrieval delivers
         return self.decodes
 
 
@@ -821,24 +825,46 @@ def test_fetch_ttl_reap_settles_none_exactly_once_on_the_port_clock():
     assert len(served) == 1
 
 
-def test_value_retrieval_rides_the_plane_as_a_paired_retrieve():
-    port, control = make_control()
+# -- how an attempt ends: one entry point, both runtimes -------------------
+
+
+def _running_value_task(**knobs):
+    """A python task as the real manager prepares it (its result
+    envelope is the output ``output()`` reads), running at wA."""
+    port, control = make_control(**knobs)
     add_worker(port, control, "wA")
-    out = _temp(control, "res")
-    task = Task("value").add_output(out, "out")
+    task = PythonTask(len, "abc")
+    task.outputs.append((PythonTask.RESULT_NAME, _temp(control, "res")))
     control.submit(task)
     control.pump()
-    result = TaskResult(exit_code=0)
-    control.on_task_result("wA", task.task_id, result)
-    control.complete_task(task, result, defer=True)
-    served = []
-    # the harvest's cache-update is still in flight: the fetch parks on
-    # the producer that is about to deliver, then asks the new holder
-    control.fetch("res", _waiter(served))
-    assert port.asked == [] and not served
-    control.register_replica("wA", "res", 10)
+    assert task.state == TaskState.RUNNING
+    return port, control, task
+
+
+def _ended(control, task, exit_code=0, announced=True, **report):
+    """What a runtime does with a worker's report: announce the outputs
+    that were cached, then hand the attempt to the plane."""
+    if announced:
+        control.on_cache_update(task.worker_id, "res", 10)
+    control.attempt_ended(
+        task.worker_id, task.task_id, TaskResult(exit_code=exit_code), **report
+    )
+
+
+def test_value_retrieval_rides_the_plane_as_a_paired_retrieve():
+    port, control, task = _running_value_task()
+    # the harvest's cache-update is still in flight behind the report:
+    # the retrieval parks on it, then asks the new holder
+    _ended(control, task, announced=False, harvested=["res"])
+    assert task.state == TaskState.WAITING_RETRIEVAL
+    assert port.asked == [] and not control.idle()
+    assert violations(control) == []
+    control.on_cache_update("wA", "res", 10)
     assert port.asked == [("wA", "res")]
     control.fetch_reply("wA", "res", b"v")
+    assert task.state == TaskState.DONE and task.output() == b"v"
+    assert port.decoded == [(task, b"v")] and port.delivered == [(task, False)]
+    assert control.idle()
     assert _fetch_events(control) == [
         ("transfer_start", "wA", "@retrieve"),
         ("transfer_end", "wA", "@retrieve"),
@@ -847,33 +873,220 @@ def test_value_retrieval_rides_the_plane_as_a_paired_retrieve():
     assert not control.transfer_counts["fetch"]
 
 
-def test_retrieval_whose_only_holder_leaves_settles_instead_of_parking():
-    """Its producer is the task *waiting* for the fetch, not one about
-    to deliver: parking on it would hold both until the TTL."""
-    port, control = make_control()
-    add_worker(port, control, "wA")
-    out = _temp(control, "res")
-    task = Task("value").add_output(out, "out")
-    control.submit(task)
-    control.pump()
-    result = TaskResult(exit_code=0)
-    control.on_task_result("wA", task.task_id, result)
-    control.register_replica("wA", "res", 10)
-    control.complete_task(task, result, defer=True)
-    served = []
-    control.fetch("res", _waiter(served))
+def test_an_awaited_output_that_exists_nowhere_fails_the_task_naming_it():
+    port, control, task = _running_value_task()
+    _ended(control, task, announced=False)  # neither cached nor harvested
+    assert task.state == TaskState.FAILED
+    assert "output res never produced (exit 0)" in task.result.failure
+    assert port.asked == [] and control.idle()
+
+
+def test_an_attempt_that_left_no_envelope_waits_for_none():
+    port, control, task = _running_value_task()
+    _ended(control, task, exit_code=2, announced=False)
+    assert task.state == TaskState.FAILED and port.asked == []
+    assert task.result.failure is None and task.result.exit_code == 2
+
+
+def _holder_leaves_mid_retrieval(**knobs):
+    port, control, task = _running_value_task(**knobs)
+    _ended(control, task)
     assert port.asked == [("wA", "res")]
     port.connected.discard("wA")
     control.worker_left("wA")
-    assert served == [(None, None, None)] and control.idle() is False
+    return port, control, task
+
+
+def test_retrieval_whose_only_holder_leaves_settles_instead_of_parking():
+    """Its producer is the task *waiting* for the fetch, not one about
+    to deliver (parking on it would hold both until the TTL), and a
+    completion nothing backs is an attempt to repeat, not an outcome."""
+    port, control, task = _holder_leaves_mid_retrieval()
+    assert task.state == TaskState.READY and task.retries_used == 1
+    assert not control._finishing and not control._fetches
+    assert port.delivered == [] and violations(control) == []
+    assert [(e.category, e.size) for e in control.log.events("task_requeued")] == [
+        ("result_lost", 1)
+    ]
     assert _fetch_events(control) == [
         ("transfer_start", "wA", "@retrieve"),
         ("fetch_retried", "wA", "worker_lost"),
     ]
-    # the runtime's waiter finishes the task; only then can lineage
-    # rerun it for whoever still needs the output
-    control.finish_deferred(task, result)
-    assert task.state == TaskState.DONE and control.idle()
+    # the second attempt runs elsewhere and delivers once
+    add_worker(port, control, "wB")
+    control.pump()
+    assert task.state == TaskState.RUNNING and task.worker_id == "wB"
+    _ended(control, task)
+    control.fetch_reply("wB", "res", b"again")
+    assert task.state == TaskState.DONE and task.output() == b"again"
+    assert port.delivered == [(task, False)] and control.idle()
+
+
+def test_a_lost_result_takes_its_inputs_again_for_the_rerun():
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    payload = declared(control, "payload", cache=CacheLevel.TASK)
+    task = PythonTask(len, "abc")
+    task.inputs.append(("in", payload))
+    task.outputs.append((PythonTask.RESULT_NAME, _temp(control, "res")))
+    control.submit(task)
+    control.pump()
+    control.on_cache_update("wA", "payload", 100, port.pushes[0].transfer_id)
+    control.pump()
+    _ended(control, task)
+    # the attempt is over: its task-lifetime input was collected
+    assert control._input_refs["payload"] == 0
+    assert ("wA", "payload") in port.deleted
+    add_worker(port, control, "wB")
+    port.connected.discard("wA")
+    control.worker_left("wA")
+    assert task.state == TaskState.READY and control._input_refs["payload"] == 1
+    control.pump()
+    assert [r.dest_worker for r in port.pushes] == ["wA", "wB"]
+
+
+def test_a_lost_result_beyond_the_loss_budget_fails_naming_the_object():
+    port, control, task = _holder_leaves_mid_retrieval(loss_retries=0)
+    assert task.state == TaskState.FAILED and task.retries_used == 0
+    assert task.result.failure == "result res lost with its last holder"
+    assert port.delivered == [(task, False)] and control.idle()
+    with pytest.raises(RuntimeError, match="lost its result res 1 times"):
+        _holder_leaves_mid_retrieval(loss_retries=0, strict_loss=True)
+
+
+def test_a_retrieval_parked_on_a_cache_update_that_never_comes_is_a_lost_result():
+    port, control, task = _running_value_task()
+    _ended(control, task, announced=False, harvested=["res"])
+    assert task.state == TaskState.WAITING_RETRIEVAL and port.asked == []
+    port.connected.discard("wA")
+    control.worker_left("wA")
+    assert task.state == TaskState.READY and task.retries_used == 1
+
+
+def test_a_rerun_of_a_task_whose_value_was_delivered_fetches_nothing():
+    port, control, task = _running_value_task()
+    _ended(control, task)
+    control.fetch_reply("wA", "res", b"v")
+    consumer = Task("use").add_input(task.outputs[0][1], "in")
+    control.submit(consumer)
+    control.replica_evicted("wA", "res")  # lost before the consumer ran
+    control.pump()
+    assert task.state == TaskState.RUNNING and task.retries_used == 1
+    _ended(control, task)
+    assert task.state == TaskState.DONE and task.output() == b"v"
+    assert port.asked == [("wA", "res")] and len(port.decoded) == 1
+    assert port.delivered == [(task, False), (task, True)]
+
+
+def test_a_cancel_while_the_value_is_on_its_way_leaves_nothing_waiting():
+    port, control, task = _running_value_task()
+    _ended(control, task)
+    assert control.cancel(task) and task.state == TaskState.CANCELLED
+    assert violations(control) == []
+    control.fetch_reply("wA", "res", b"late")
+    assert task.state == TaskState.CANCELLED and control.idle()
+    assert port.delivered == [(task, False)]
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_a_bring_back_output_comes_home_before_its_task_is_done(keep):
+    """Shared-storage mode (paper Fig. 13a), decided in the plane."""
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    out = declared(control, "res", NO_SOURCE)
+    out.bring_back, out.keep_at_worker = True, keep
+    task = Task("emit").add_output(out, "o")
+    control.submit(task)
+    control.pump()
+    control.attempt_ended(
+        "wA", task.task_id, TaskResult(exit_code=0), produced=[("res", 7)]
+    )
+    assert port.stored == [("wA", "res", 7)] and control.sizes["res"] == 7
+    assert task.state == TaskState.WAITING_RETRIEVAL
+    assert port.asked == [("wA", "res")]
+    control.fetch_reply("wA", "res", b"")
+    assert task.state == TaskState.DONE
+    # the manager serves it from now on; the worker copy left the cluster
+    assert control.fixed_sources["res"] == MANAGER_SOURCE
+    assert control.replicas.has_replica("res", "wA") is keep
+    assert (("wA", "res") in port.deleted) is not keep
+
+
+def test_a_call_finished_by_reference_is_delivered_with_its_ref():
+    from repro.core.library import FunctionCall
+
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    call = FunctionCall("lib", "f").set_by_reference()
+    call.outputs.append((FunctionCall.RESULT_NAME, _temp(control, "res")))
+    control.libraries["lib"] = LibraryState("lib")
+    control.install_library("lib")
+    control.on_library_ready("wA", "lib")
+    control.submit(call)
+    control.pump()
+    _ended(control, call)
+    assert call.state == TaskState.DONE and port.asked == []
+    (ref,) = port.refs
+    assert (ref.cache_name, ref.size, ref.holders) == ("res", 10, ("wA",))
+    # a failed one has no result to refer to, and says why
+    again = FunctionCall("lib", "f").set_by_reference()
+    again.outputs.append((FunctionCall.RESULT_NAME, _temp(control, "res2")))
+    control.submit(again)
+    control.pump()
+    _ended(control, again, exit_code=3, announced=False)
+    assert again.state == TaskState.FAILED and len(port.refs) == 1
+    assert again.result.failure == "invocation failed (exit 3)"
+
+
+# -- the autoscale tick: one rule, ticked by either runtime ---------------
+
+
+def _autoscaled(n_workers, **scaler):
+    port, control = make_control()
+    for i in range(n_workers):
+        add_worker(port, control, f"w{i}", cores=1)
+    return port, control, Autoscaler(tasks_per_worker=1, cooldown=10.0, **scaler)
+
+
+def _autoscale_events(control):
+    return [(e.category, e.size) for e in control.log.events("autoscale")]
+
+
+def test_a_deep_ready_queue_asks_the_runtime_for_workers():
+    port, control, scaler = _autoscaled(1, max_workers=4)
+    for i in range(6):
+        control.submit(Task(f"t{i}"))
+    assert control.autoscale_tick(scaler) == (3, 0)  # clamped to max_workers
+    assert _autoscale_events(control) == [("up", 3)]
+    assert control.metrics.snapshot()["elastic.scale_up"]["value"] == 3
+    # inside the policy's cooldown nothing happens
+    port.time = 9.0
+    assert control.autoscale_tick(scaler) == (0, 0)
+    assert _autoscale_events(control) == [("up", 3)]
+
+
+def test_an_idle_fleet_drains_its_emptiest_workers():
+    port, control, scaler = _autoscaled(5, min_workers=1, hysteresis=0.0)
+    busy = Task("busy")
+    control.submit(busy)
+    control.pump()
+    assert busy.worker_id == "w0"
+    control.register_replica("w1", "a", 300)
+    control.register_replica("w2", "b", 100)
+    control.drain_worker("w4")  # already on its way out: not fleet
+    port.released.clear()
+    port.time = 100.0
+    # the queue is empty: 4 → 1, by fewest running tasks, then fewest
+    # cached bytes, then lowest id — never one already draining
+    assert control.autoscale_tick(scaler) == (0, 3)
+    drained = [e.worker for e in control.log.events("worker_drain")]
+    assert drained == ["w4", "w3", "w2", "w1"]
+    assert _autoscale_events(control) == [("down", 3)]
+    assert control.metrics.snapshot()["elastic.scale_down"]["value"] == 3
+    assert control.draining == {"w1", "w2", "w3", "w4"}
+    # the survivor is the one doing work; a second tick finds the floor
+    port.time = 200.0
+    assert control.autoscale_tick(scaler) == (0, 0)
 
 
 # -- memoization: eligibility, naming and veto decided in the plane ------
@@ -905,8 +1118,11 @@ def _record(port, control, task):
     """Run a memo-missed task to completion, so its entry is recorded."""
     control.pump()
     finish(port, control, task)
+    name = task.value_output().cache_name
+    control.fetch_reply("wA", name, b"live")  # its value comes home
     assert task.state == TaskState.DONE and port.persisted[-1][0] is task
-    return task.merkle, task.value_output().cache_name
+    port.decoded.clear()
+    return task.merkle, name
 
 
 @pytest.mark.parametrize(

@@ -431,3 +431,56 @@ def test_large_file_round_trip(cluster, tmp_path):
     run_all(m)
     assert t.state == TaskState.DONE
     assert m.fetch_bytes(out, timeout=120) == payload
+
+
+def test_a_worker_told_to_shut_down_leaves_nothing_running(tmp_path):
+    """Every command leads its own session, so nothing but the worker
+    can end it: on SHUTDOWN the running task and the running mini task
+    die with their whole process groups."""
+    import subprocess
+    import sys
+    import time
+
+    from repro.core.manager import Manager
+    from repro.core.task import MiniTask
+    from tests.procgroup import live_members
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    task_pid, stage_pid = tmp_path / "task.pid", tmp_path / "stage.pid"
+    m = Manager()
+    worker = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.worker.cli",
+            "--manager", f"{m.host}:{m.port}",
+            "--workdir", str(tmp_path / "w"),
+        ],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+    )
+    try:
+        m.submit(Task(f"echo $$ > {task_pid}; sleep 37"))
+        staged = m.declare_minitask(MiniTask(f"echo $$ > {stage_pid}; sleep 37"))
+        m.submit(Task("cat staged").add_input(staged, "staged"))
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and not all(
+            p.exists() and p.read_text().strip() for p in (task_pid, stage_pid)
+        ):
+            time.sleep(0.05)
+        groups = [int(p.read_text()) for p in (task_pid, stage_pid)]
+        # the shell and its sleep: the child is what a kill of the
+        # leader alone would orphan
+        assert all(len(live_members(g)) == 2 for g in groups)
+        m.close()
+        worker.wait(timeout=15)
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and any(live_members(g) for g in groups):
+            time.sleep(0.02)
+        assert [live_members(g) for g in groups] == [[], []]
+    finally:
+        m.close()
+        worker.kill()
+        for path in (task_pid, stage_pid):
+            if path.exists():
+                try:
+                    os.killpg(int(path.read_text()), 9)
+                except (ProcessLookupError, ValueError):
+                    pass

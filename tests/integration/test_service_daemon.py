@@ -186,3 +186,78 @@ def test_run_reclaims_stale_state_dir(tmp_path):
         run_cli(
             "repro.service.daemon", "stop", "--state-dir", state_dir, "--quiet-missing"
         )
+
+
+def _txn_events(state_dir, kind):
+    with open(os.path.join(state_dir, TXN_LOG)) as f:
+        records = [json.loads(line) for line in f if line.strip()]
+    return [r for r in records if r.get("kind") == kind]
+
+
+def _processes_under(state_dir):
+    """Pids whose command line names ``state_dir`` (the local fleet)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/cmdline", "rb") as f:
+                    if state_dir.encode() in f.read():
+                        pids.append(int(entry))
+            except OSError:
+                pass  # exited while we looked
+    return pids
+
+
+def test_autoscale_grows_under_a_burst_then_drains_the_idle_fleet(tmp_path):
+    """``run --autoscale``: the control plane's tick, armed on the
+    manager's own loop, spawns workers for a deep queue and gracefully
+    drains the surplus once it is empty."""
+    from repro.service.client import ServiceClient
+
+    state_dir = str(tmp_path / "svc")
+    proc = run_cli(
+        "repro.service.daemon", "run", "--state-dir", state_dir,
+        "--workers", "1", "--cores", "1",
+        "--autoscale", "--min-workers", "1", "--max-workers", "3",
+        "--tasks-per-worker", "1", "--scale-interval", "0.5",
+        "--detach",
+    )
+    assert proc.returncode == 0, proc.stderr
+    try:
+        state = wait_state(state_dir)
+        with ServiceClient(state["host"], state["port"], "alice") as client:
+            for _ in range(8):
+                client.submit("sleep 1")
+            notices = client.run_until_done(timeout=90)
+        assert [n["state"] for n in notices] == ["done"] * 8
+
+        def decided(direction):
+            return sum(
+                e["size"]
+                for e in _txn_events(state_dir, "autoscale")
+                if e["category"] == direction
+            )
+
+        # 7 tasks queued behind one 1-core worker: the fleet grows (to
+        # its ceiling, unless a tick caught the burst half submitted)
+        grown = decided("up")
+        assert 1 <= grown <= 2
+        assert _txn_events(state_dir, "autoscale")[0]["category"] == "up"
+        deadline = time.time() + 30
+        while len(_txn_events(state_dir, "worker_drained")) < grown:
+            assert time.time() < deadline, "the idle fleet never drained"
+            time.sleep(0.2)
+        # ... and shrinks back to its floor, each departure a drain
+        assert decided("up") == decided("down") == grown
+        assert len(_txn_events(state_dir, "worker_drain")) == grown
+        # the tick is a deadline of the manager's loop, not a thread of
+        # its own: the daemon is its main thread plus the reactor
+        threads = os.listdir(f"/proc/{state['pid']}/task")
+        assert len(threads) == 2, threads
+        stop = run_cli("repro.service.daemon", "stop", "--state-dir", state_dir)
+        assert stop.returncode == 0, stop.stderr
+        assert _processes_under(state_dir) == []
+    finally:
+        run_cli(
+            "repro.service.daemon", "stop", "--state-dir", state_dir, "--quiet-missing"
+        )

@@ -92,3 +92,82 @@ def test_heartbeats_keep_idle_workers_alive(tmp_path):
         assert t.state == TaskState.DONE
     finally:
         c.stop()
+
+
+def test_result_lost_between_task_done_and_send_back_reruns_the_task(tmp_path):
+    """A worker reports a python task done, then dies before it sends
+    the result back: the completion nothing backs is repeated on the
+    next worker, not failed ("result file missing at worker")."""
+    import threading
+
+    from repro.core.manager import Manager
+    from repro.core.task import PythonTask
+    from repro.protocol.connection import ProtocolError
+    from repro.protocol.messages import M
+    from tests.integration.conftest import EventWaiter, _worker_main, _CTX
+    from tests.integration.test_liveness_stub import _register_stub
+
+    m = Manager()
+    events = EventWaiter(m)
+    conn = _register_stub(m, events)
+
+    def dying_worker():
+        try:
+            while True:
+                msg = conn.recv_message()
+                if msg["type"] == M.PUT_FILE:
+                    conn.recv_bytes(int(msg["size"]))
+                    conn.send_message(
+                        {
+                            "type": M.CACHE_UPDATE,
+                            "cache_name": msg["cache_name"],
+                            "size": msg["size"],
+                            "transfer_id": msg["transfer_id"],
+                        }
+                    )
+                elif msg["type"] == M.EXECUTE:
+                    (_sandbox, result_name, _level), = msg["outputs"]
+                    conn.send_message(
+                        {"type": M.CACHE_UPDATE, "cache_name": result_name, "size": 10}
+                    )
+                    conn.send_message(
+                        {
+                            "type": M.TASK_DONE,
+                            "task_id": msg["task_id"],
+                            "exit_code": 0,
+                            "harvested": [result_name],
+                        }
+                    )
+                elif msg["type"] == M.SEND_BACK:
+                    return  # dies with the only copy of the result
+        except (ProtocolError, OSError):
+            pass
+        finally:
+            conn.close()
+
+    stub = threading.Thread(target=dying_worker, daemon=True)
+    stub.start()
+    real = None
+    try:
+        task = PythonTask(len, "abc")
+        m.submit(task)
+        events.wait_event(
+            "task_requeued", lambda e: e.category == "result_lost", timeout=20
+        )
+        assert task.state == TaskState.READY and task.retries_used == 1
+        real = _CTX.Process(
+            target=_worker_main,
+            args=(m.host, m.port, str(tmp_path / "w"), 2, 500, 500),
+        )
+        real.start()
+        done = m.wait(timeout=60)
+        assert done is task and task.state == TaskState.DONE
+        assert task.output() == 3 and task.retries_used == 1
+        assert m.wait(timeout=0.2) is None  # delivered exactly once
+    finally:
+        m.close()
+        stub.join(timeout=5)
+        if real is not None:
+            real.join(timeout=10)
+            if real.is_alive():
+                real.kill()

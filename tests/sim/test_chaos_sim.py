@@ -114,6 +114,18 @@ def test_chaos_makespan_costs_more_than_fault_free():
     assert not clean.log.events("fault_injected")
 
 
+def test_chaos_with_membership_churn_completes_every_drain_it_ordered():
+    """The hostile plan plus elastic churn — a mid-run join that is
+    itself crashed soon after, a graceful drain racing the chaos."""
+    plan = _hostile_plan(42).join("w8", at=1.5).drain("w4", at=2.5).crash("w8", at=4.0)
+    _, stats, tasks = _run_chaos(42, plan)
+    assert all(t.state == TaskState.DONE for t in tasks)
+    assert [e.worker for e in stats.log.events("worker_drain")] == ["w4"]
+    assert [e.worker for e in stats.log.events("worker_drained")] == ["w4"]
+    assert any(e.worker == "w8" for e in stats.log.events("worker_join"))
+    assert stats.log.events()[-1].kind == "workflow_done"
+
+
 def _normalized(events):
     """Events with run-scoped cache-name nonces aliased by appearance.
 

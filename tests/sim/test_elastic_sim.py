@@ -195,6 +195,32 @@ def test_autoscale_streaming_matches_static():
     assert scaled.outputs == static.outputs
 
 
+def test_a_kill_regenerates_what_a_drain_migrates():
+    """The same workers leave the same stream at the same instants,
+    announced or not: a drain pays up front in bytes re-replicated, a
+    crash afterwards in producers re-run — and the outputs agree."""
+    departures = [("w0", 20.0), ("w1", 35.0)]
+    runs = {}
+    for kind in ("drain", "crash"):
+        plan = FaultPlan(seed=11)
+        for worker, at in departures:
+            getattr(plan, kind)(worker, at=at)
+        m = _build(4, seed=11)
+        runs[kind] = (m, _stream(m, plan=plan))
+
+    def count(kind, name):
+        return m_of[kind].metrics.counter(name).value
+
+    m_of = {kind: m for kind, (m, _result) in runs.items()}
+    assert count("drain", "elastic.drain_bytes_replicated") > 0
+    assert count("crash", "elastic.drain_bytes_replicated") == 0
+    assert count("crash", "recovery.regenerations") > count(
+        "drain", "recovery.regenerations"
+    )
+    assert count("crash", "recovery.requeues") >= count("drain", "recovery.requeues")
+    assert runs["crash"][1].outputs == runs["drain"][1].outputs
+
+
 # ---------------------------------------------------------------------------
 # per-seed determinism
 # ---------------------------------------------------------------------------

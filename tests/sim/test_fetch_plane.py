@@ -7,6 +7,8 @@ dying mid-serve retries the remaining holders, and a name whose
 replicas vanished regenerates through lineage before serving.
 """
 
+import pytest
+
 from repro.core.policy import Policy
 from repro.core.task import Task, TaskState
 from repro.observe.cli import replay_status
@@ -181,8 +183,8 @@ def test_retrieval_moves_to_another_holder_when_the_asked_one_crashes():
 
 def test_retrieval_with_no_holder_left_regenerates_the_output():
     """The sole holder dies mid-retrieval: the task is not left in
-    WAITING_RETRIEVAL (nor the run stalled until the fetch TTL) — it
-    finishes without its output, and lineage reruns it for the consumer."""
+    WAITING_RETRIEVAL (nor the run stalled until the fetch TTL) — a
+    completion nothing backs is an attempt to repeat, so it re-runs."""
     c = _slow_home_link()
     m = SimManager(c)
     out = m.declare_output(size=10 * MB, bring_back=True)
@@ -194,7 +196,21 @@ def test_retrieval_with_no_holder_left_regenerates_the_output():
     stats = m.run()
     assert producer.state == consumer.state == TaskState.DONE
     assert stats.finished < 60.0
-    assert [e.task for e in m.log.events("file_regenerated")] == [producer.task_id]
+    assert [
+        e.task for e in m.log.events("task_requeued") if e.category == "result_lost"
+    ] == [producer.task_id]
     assert [e.worker for e in _retrieves(m, "transfer_start")] == ["w0", "w1"]
     assert [e.worker for e in _retrieves(m, "transfer_end")] == ["w1"]
     assert m.fixed_sources[out.cache_name] == "@manager"
+
+
+def test_a_result_lost_beyond_the_loss_budget_aborts_the_simulated_run():
+    """The experiment's rule for a lost worker, applied to a lost result."""
+    c = _slow_home_link()
+    m = SimManager(c, max_task_retries=0)
+    out = m.declare_output(size=10 * MB, bring_back=True)
+    m.submit(Task("emit").add_output(out, "o"), duration=1.0)
+    c.remove_worker("w0", at=3.0)
+    with pytest.raises(RuntimeError, match="lost its result .* 1 times"):
+        m.run()
+

@@ -116,7 +116,7 @@ def test_lost_replicas_invalidate_and_regenerate(tmp_path):
     store = MemoStore(tmp_path / "memo")
     cold = SimManager(cluster_with(), memo_store=store)
     tasks = deterministic_batch(cold)
-    cold.run(finalize=False)
+    cold_stats = cold.run(finalize=False)
     recorded = sorted(store.get(t.merkle).output_names()[0] for t in tasks)
 
     fresh_cluster = cluster_with()  # empty worker caches
@@ -127,13 +127,15 @@ def test_lost_replicas_invalidate_and_regenerate(tmp_path):
     assert len(events(warm, "memo_invalidated")) == 4
     assert not events(warm, "memo_hit")
     assert len(events(warm, "task_start")) == 4  # really executed
-    assert stats.makespan >= 5.0
+    # ... at the cold run's price: an invalidated entry buys nothing
+    assert stats.makespan >= 0.9 * cold_stats.makespan >= 0.9 * 5.0
     # re-recorded under the same deterministic names: a third run hits
     assert sorted(store.get(t.merkle).output_names()[0] for t in tasks2) == recorded
     third = SimManager(fresh_cluster, memo_store=store)
     tasks3 = deterministic_batch(third)
     third.run(finalize=False)
     assert len(events(third, "memo_hit")) == 4
+    assert not events(third, "task_start")
 
 
 def test_corrupt_entry_is_never_served(tmp_path):

@@ -86,6 +86,44 @@ def test_content_verification_accepts_match(served_objects, tmp_path):
     assert dest.read_bytes() == data
 
 
+@pytest.mark.parametrize(
+    "named, tamper, outcome",
+    [
+        (True, None, "passed"),      # name digest and transit digest agree
+        (False, None, "passed"),     # opaque name: the transit digest alone
+        (True, "corrupt", "failed"),
+        (False, "corrupt", "failed"),
+    ],
+)
+def test_a_received_file_is_hashed_once(
+    served_objects, tmp_path, monkeypatch, named, tamper, outcome
+):
+    """The digest the name embeds and the one the sender measured are
+    both checked against a single pass over the received bytes."""
+    from repro.worker import transfers
+
+    server, objects, add_file, _ = served_objects
+    data = b"bytes worth hashing" * 50
+    name = f"file-md5-{hash_bytes(data)}" if named else "temp-rnd-1"
+    add_file(name, data)
+    server.tamper = lambda _name: tamper
+    dest = str(tmp_path / "got")
+    hashed = []
+    real = transfers.hash_file
+    monkeypatch.setattr(
+        transfers, "hash_file", lambda path: hashed.append(path) or real(path)
+    )
+    seen = []
+    if outcome == "failed":
+        with pytest.raises(TransferFailed, match="verification"):
+            fetch_from_peer(server.host, server.port, name, dest, on_verify=seen.append)
+        assert not os.path.exists(dest)
+    else:
+        fetch_from_peer(server.host, server.port, name, dest, on_verify=seen.append)
+    assert seen == [outcome]
+    assert hashed.count(dest) == 1
+
+
 def test_verify_content_name_semantics(tmp_path):
     p = tmp_path / "f"
     p.write_bytes(b"abc")
