@@ -40,7 +40,17 @@ from typing import Callable, Iterable, Optional, Protocol, Sequence
 from repro.core.autoscale import Autoscaler
 from repro.core.categories import CategoryTracker
 from repro.core.events import EventLog
-from repro.core.files import CacheLevel, File, FileRegistry, MiniTaskFile, TempFile
+from repro.core.files import (
+    BufferFile,
+    CacheLevel,
+    File,
+    FileRegistry,
+    LocalFile,
+    MiniTaskFile,
+    TempFile,
+    URLFile,
+)
+from repro.core.gc import collect_task_inputs, collect_workflow
 from repro.core.journal import build_task, file_spec, restore_file, task_spec
 from repro.core.library import FunctionCall
 from repro.core.naming import task_merkle
@@ -64,6 +74,7 @@ from repro.core.transfer_table import (
     Transfer,
     TransferTable,
     source_kind,
+    url_source,
 )
 from repro.observe.metrics import MetricsRegistry
 
@@ -71,6 +82,7 @@ __all__ = [
     "NO_SOURCE",
     "MINITASK_SOURCE",
     "source_kind",
+    "ManagerError",
     "RuntimePort",
     "WorkerState",
     "StagingJob",
@@ -89,6 +101,27 @@ TRANSFER_BACKOFF_MAX = 30.0
 FETCH_TTL = 300.0
 
 
+class ManagerError(RuntimeError):
+    """Workflow-level failure raised to the application: a declaration
+    or submission the manager refuses, a result it cannot produce."""
+
+
+def _fixed_source(f: File) -> str:
+    """The one source that serves a declared file for the whole run,
+    which follows from what kind of file it is."""
+    if isinstance(f, (BufferFile, LocalFile)):
+        return MANAGER_SOURCE  # the manager holds the bytes, or reads the path
+    if isinstance(f, URLFile):
+        return url_source(f.url)
+    if isinstance(f, MiniTaskFile):
+        return MINITASK_SOURCE
+    if isinstance(f, TempFile):
+        return NO_SOURCE  # exists only at workers, once produced
+    raise ManagerError(
+        f"file {f.file_id} ({f.source_description()}) names no source to serve it"
+    )
+
+
 class RuntimePort(Protocol):
     """Mechanisms a runtime provides to the control plane.
 
@@ -100,10 +133,6 @@ class RuntimePort(Protocol):
 
     def now(self) -> float:
         """Current time on the runtime's clock (wall or virtual)."""
-        ...
-
-    def worker_connected(self, worker_id: str) -> bool:
-        """True while the worker can receive commands."""
         ...
 
     def push_object(self, record: Transfer, level: CacheLevel) -> None:
@@ -141,11 +170,10 @@ class RuntimePort(Protocol):
         """Remove a garbage-collected object from the worker's cache."""
         ...
 
-    def deliver(
-        self, task: Task, regenerated: bool, ref: Optional[ResultRef]
-    ) -> None:
-        """Hand a terminal task back to the application layer; ``ref``
-        describes the result of a call that finished by reference."""
+    def deliver(self, task: Task, ref: Optional[ResultRef]) -> None:
+        """Hand a terminal task back to the application layer, once;
+        ``ref`` describes the result of a call that finished by
+        reference."""
         ...
 
     def ask_holder(self, worker_id: str, cache_name: str) -> None:
@@ -170,8 +198,10 @@ class RuntimePort(Protocol):
         ...
 
     def memo_persist(self, task: Task, merkle: str, outputs) -> None:
-        """Retain a freshly recorded entry's small outputs as payloads
-        (best-effort fetches; a runtime without real bytes does nothing)."""
+        """Retain each of ``outputs`` — the ones of a freshly recorded
+        entry the plane found worth a payload — by fetching it
+        best-effort and storing the bytes that arrive (a runtime
+        without real bytes does nothing)."""
         ...
 
     def decode_value(
@@ -404,7 +434,7 @@ class ControlPlane:
         #: .ControlPlaneJournal``) or None; every state transition that
         #: must survive a manager crash is appended through ``_j()``
         self.journal = journal
-        #: True while :meth:`restore_from_journal` replays — replayed
+        #: True while :meth:`_restore_from_journal` replays — replayed
         #: transitions must not be re-appended to the journal
         self._restoring = False
         #: recovery grace window: after a restart the pump holds new
@@ -599,8 +629,17 @@ class ControlPlane:
     # declarations
     # ------------------------------------------------------------------
 
-    def declare(self, f: File, source: str, size: Optional[int] = None) -> File:
-        """Register a named file with its fixed source and size."""
+    def declare(
+        self, f: File, size: Optional[int] = None, source: Optional[str] = None
+    ) -> File:
+        """Register a named file and the fixed source that serves it.
+
+        The source follows from the file's class (:func:`_fixed_source`);
+        only a plain :class:`File` — the simulator's stand-in for
+        content — has to name one.
+        """
+        if source is None:
+            source = _fixed_source(f)
         canonical = self.registry.register(f)
         self.fixed_sources[f.cache_name] = source
         self.sizes[f.cache_name] = size if size is not None else (f.size or 0)
@@ -692,17 +731,6 @@ class ControlPlane:
             j.record_quota(tenant, task_quota, byte_quota)
         return acct
 
-    def tenant_submit_blocked(self, tenant: str) -> Optional[str]:
-        """Reason a submit for ``tenant`` must be refused, or None."""
-        acct = self.tenant_account(tenant)
-        headroom = acct.task_headroom()
-        if headroom is not None and headroom <= 0:
-            return (
-                f"task quota exceeded: {acct.outstanding} outstanding "
-                f"of {acct.task_quota} allowed"
-            )
-        return None
-
     def tenant_charge_bytes(self, tenant: str, nbytes: int) -> Optional[str]:
         """Charge declared bytes against the tenant's byte quota.
 
@@ -757,9 +785,9 @@ class ControlPlane:
             and task.tenant not in self.policy.memo_opt_out
         )
 
-    def name_outputs(self, task: Task, namer) -> None:
-        """Name and declare ``task``'s outputs ahead of :meth:`submit`
-        (its inputs are already named), with the runtime's ``namer``.
+    def _name_outputs(self, task: Task, namer) -> None:
+        """Name and declare an admitted ``task``'s outputs (its inputs
+        are already named), with the runtime's ``namer``.
 
         The same recipe must map to the same cache names across runs
         and tenants for memoization to mean anything, so a memo-eligible
@@ -947,9 +975,19 @@ class ControlPlane:
         self.memo.record(
             merkle, kind, command, task.tenant, outputs, now=self.port.now()
         )
-        # the runtime may retain small payloads so hits survive every
-        # worker cache being gone (daemon restarts, new clusters)
-        self.port.memo_persist(task, merkle, outputs)
+        # small outputs are worth retaining as payloads, so hits survive
+        # every worker cache being gone (daemon restarts, new clusters);
+        # one nobody live holds could only be had by re-running the task
+        self.port.memo_persist(
+            task,
+            merkle,
+            [
+                out
+                for out in outputs
+                if out.size <= self.memo.payload_limit
+                and any(w in self.workers for w in self.replicas.locate(out.cache_name))
+            ],
+        )
 
     def _drain_memo_complete(self) -> None:
         """Complete memo-hit tasks parked since the last pump."""
@@ -968,8 +1006,18 @@ class ControlPlane:
     # task lifecycle: submission, cancellation, completion
     # ------------------------------------------------------------------
 
-    def submit(self, task: Task) -> str:
-        """Accept a validated, fully-named task into the ready queue.
+    def _declared(self, f: File) -> bool:
+        return f.cache_name is not None and f.cache_name in self.fixed_sources
+
+    def submit(self, task: Task, namer=None) -> str:
+        """Admit a task into the ready queue, or refuse it.
+
+        Refused, with :class:`ManagerError` and nothing recorded: a
+        task submitted before, one naming an input nobody declared, and
+        one whose tenant already has its quota of tasks outstanding.
+        An admitted task's outputs are named and declared with the
+        runtime's ``namer`` (:meth:`_name_outputs`; without one they
+        must be already).
 
         Submission stamps the task's identity: a monotonic per-manager
         ``seq`` (the FIFO key the scheduler orders by) and, unless the
@@ -978,6 +1026,24 @@ class ControlPlane:
         ready queue: its outputs are adopted and it completes at the
         next pump without dispatching.
         """
+        if task.state != TaskState.CREATED:
+            raise ManagerError(f"task {task.task_id} already submitted")
+        for _, f in task.inputs:
+            if not self._declared(f):
+                # ids are assigned below, so name the command here
+                raise ManagerError(
+                    f"input {f.file_id} ({f.source_description()}) of task "
+                    f"{task.command!r} was not declared"
+                )
+        acct = self.tenant_account(task.tenant)
+        headroom = acct.task_headroom()
+        if headroom is not None and headroom <= 0:
+            raise ManagerError(
+                f"task quota exceeded: {acct.outstanding} outstanding "
+                f"of {acct.task_quota} allowed"
+            )
+        if namer is not None:
+            self._name_outputs(task, namer)
         task.seq = next(self._task_seq)
         if task.task_id is None:
             task.task_id = f"t{task.seq}"
@@ -985,7 +1051,7 @@ class ControlPlane:
             self._input_refs[f.cache_name] += 1
         for _, f in task.outputs:
             # record lineage for regeneration after replica loss
-            setattr(f, "producer_task_id", task.task_id)
+            f.producer_task_id = task.task_id
         if isinstance(task, FunctionCall):
             lib = self.libraries.get(task.library_name)
             if lib is not None:
@@ -1006,12 +1072,11 @@ class ControlPlane:
                 task.seq,
                 task.tenant,
                 task_spec(task),
-                getattr(task, "session_token", None),
+                task.session_token,
             )
         if not self._memo_try_hit(task):
             self._ready.push(task)
         self.outstanding += 1
-        acct = self.tenant_account(task.tenant)
         acct.submitted += 1
         acct.outstanding += 1
         self._sync_tenant(acct)
@@ -1027,9 +1092,7 @@ class ControlPlane:
             self._ready.discard(task)
             self._gc_task_inputs(task)
         elif task.state in (TaskState.DISPATCHED, TaskState.RUNNING):
-            if task.state == TaskState.RUNNING and self.port.worker_connected(
-                task.worker_id or ""
-            ):
+            if task.state == TaskState.RUNNING and task.worker_id in self.workers:
                 self.port.cancel_task(task)
             self._abort_placement(task)
             self._dispatched.pop(task.task_id, None)
@@ -1046,7 +1109,7 @@ class ControlPlane:
         acct = self.tenant_account(task.tenant)
         acct.outstanding -= 1
         self._sync_tenant(acct)
-        self.port.deliver(task, False, None)
+        self.port.deliver(task, None)
         self.port.request_pump()
         return True
 
@@ -1404,17 +1467,18 @@ class ControlPlane:
                     task.task_id,
                     result.failure or f"exit {result.exit_code}",
                 )
+        if regenerated:
+            return  # the application heard of this task when it first ended
         ref = None
         if (
             isinstance(task, FunctionCall)
             and task.state == TaskState.DONE
-            and not regenerated
             and not task._output_set
         ):
             # finished by reference (fresh execution or memo hit): the
             # value stays in worker caches and only this ref moves
             ref = self.result_ref(task)
-        self.port.deliver(task, regenerated, ref)
+        self.port.deliver(task, ref)
 
     def _release(self, task: Task, worker_id: str) -> None:
         """Give back what :meth:`_dispatch` took at the worker: a call's
@@ -1443,13 +1507,12 @@ class ControlPlane:
 
     def _gc_task_inputs(self, task: Task) -> None:
         """Drop input references; collect task-lifetime files at zero."""
-        for name in task.input_cache_names():
+        names = task.input_cache_names()
+        for name in names:
             self._input_refs[name] -= 1
-            if (
-                self._input_refs[name] <= 0
-                and name in self.registry
-                and self.registry.by_name(name).cache_level == CacheLevel.TASK
-            ):
+        doomed = collect_task_inputs(names, self.registry, self._input_refs)
+        for name in names:  # attachment order, not the set's
+            if name in doomed:
                 for holder in self.replicas.forget_name(name):
                     self.port.delete_replica(holder, name)
                     self.log.emit(
@@ -1838,15 +1901,13 @@ class ControlPlane:
         return False
 
     def on_transfer_complete(self, transfer_id: str) -> None:
-        """A runtime-tracked transfer delivered its bytes (simulator path)."""
+        """A runtime-timed transfer or mini-task materialization
+        delivered its object (simulator path)."""
         record = self._finish_transfer(transfer_id)
         if record is None:
-            return  # cancelled (e.g. destination worker departed mid-flight)
-        if self.port.worker_connected(record.dest_worker):
-            size = self.sizes.get(record.cache_name, record.size)
-            self.register_replica(
-                record.dest_worker, record.cache_name, size, store=True
-            )
+            return  # cancelled: an endpoint departed mid-flight
+        size = self.sizes.get(record.cache_name, record.size)
+        self.register_replica(record.dest_worker, record.cache_name, size, store=True)
         self.port.request_pump()
 
     def _finish_transfer(
@@ -1976,7 +2037,7 @@ class ControlPlane:
         holders = [
             w
             for w in self.replicas.locate(name)
-            if self.port.worker_connected(w) and w not in st.tried
+            if w in self.workers and w not in st.tried
         ]
         payload = None if holders else self._memo_payload_bytes(name)
         if holders or payload is not None:
@@ -2013,7 +2074,7 @@ class ControlPlane:
     def _awaited_by(self, name: str) -> Optional[_Retrieval]:
         """The ended attempt whose completion waits for ``name``."""
         f = self.registry.by_name(name) if name in self.registry else None
-        waiting = self._finishing.get(getattr(f, "producer_task_id", None))
+        waiting = self._finishing.get(f.producer_task_id) if f is not None else None
         if waiting is not None and name in waiting.awaited:
             return waiting
         return None
@@ -2139,9 +2200,7 @@ class ControlPlane:
             worker_id not in self.blocklist
             and score >= self.policy.blocklist_threshold
             and any(
-                wid != worker_id
-                and wid not in self.blocklist
-                and self.port.worker_connected(wid)
+                wid != worker_id and wid not in self.blocklist
                 for wid in self.workers
             )
         ):
@@ -2429,11 +2488,7 @@ class ControlPlane:
         and the second number is how many.  Either decision is logged
         as an ``autoscale`` event.
         """
-        fleet = [
-            wid
-            for wid in self.workers
-            if self.port.worker_connected(wid) and wid not in self.draining
-        ]
+        fleet = [wid for wid in self.workers if wid not in self.draining]
         delta = scaler.decide(self.port.now(), self.ready_depth, len(fleet))
         if delta == 0:
             return 0, 0
@@ -2459,7 +2514,16 @@ class ControlPlane:
     # crash recovery: journal restore + rejoin grace window
     # ------------------------------------------------------------------
 
-    def restore_from_journal(self) -> bool:
+    def recover(self, grace: float) -> bool:
+        """Begin this manager life where a prior one left off: replay
+        its journal and open the rejoin grace window.  False (and
+        nothing done) when there is no journal or it holds no state."""
+        if not self._restore_from_journal():
+            return False
+        self._begin_recovery(grace)
+        return True
+
+    def _restore_from_journal(self) -> bool:
         """Rebuild durable state from the journal of a prior manager life.
 
         Replays declares, tenant ledgers and task records into the live
@@ -2554,7 +2618,7 @@ class ControlPlane:
         if rec.get("session"):
             task.session_token = rec["session"]
         for _, f in task.outputs:
-            setattr(f, "producer_task_id", tid)
+            f.producer_task_id = tid
         self.tasks[tid] = task
         if failed_rec is not None:
             task.state = TaskState.FAILED
@@ -2586,9 +2650,7 @@ class ControlPlane:
             self._m_resumed.inc()
         self._sync_tenant(acct)
 
-    def begin_recovery(
-        self, grace: float = 10.0, expected_workers: Optional[int] = None
-    ) -> None:
+    def _begin_recovery(self, grace: float) -> None:
         """Open the rejoin grace window after a journal restore.
 
         The pump holds all placements until every worker the journal
@@ -2596,12 +2658,8 @@ class ControlPlane:
         ``grace`` elapsed, whichever is first; then
         :meth:`_finish_recovery` settles what survived.
         """
-        if expected_workers is None:
-            expected_workers = (
-                len(self.journal.known_workers()) if self.journal else 0
-            )
         self._recovering = True
-        self._recovery_expected = expected_workers
+        self._recovery_expected = len(self.journal.known_workers())
         self._recovery_joined = 0
         self._recovery_deadline = self.port.now() + max(0.0, grace)
         self.port.request_pump()
@@ -2657,6 +2715,42 @@ class ControlPlane:
             f"workers={self._recovery_joined}/{self._recovery_expected}",
         )
 
+    def end_workflow(self) -> None:
+        """The workflow is over: stop the libraries and delete what was
+        to live no longer than it (paper §2.2 — ``TASK``/``WORKFLOW``
+        files go "at the conclusion of the workflow", ``WORKER`` ones
+        stay for the next).  The plane is ``closed`` from here on: it
+        pumps nothing, and whoever still waits on a fetch hears that it
+        came up empty before the runtime's wires go away.
+        """
+        self.closed = True
+        self.reap_fetches(ttl=0.0)
+        for lib in self.libraries.values():
+            for worker_id, phase in lib.state.items():
+                if phase == "ready":
+                    self.log.emit(
+                        self.port.now(), "task_end",
+                        worker=worker_id, task=f"{lib.name}@{worker_id}",
+                        category="library",
+                    )
+                self._free_library(lib.name, worker_id)
+            lib.state.clear()
+        deletions = collect_workflow(self.registry, self.replicas)
+        # a fixed order — worker by worker, each in declaration order —
+        # keeps the log of a seeded run replayable
+        declared = self.registry.in_declaration_order(
+            set().union(*deletions.values())
+        )
+        rank = {name: i for i, name in enumerate(declared)}
+        for worker_id in sorted(deletions):
+            for name in sorted(deletions[worker_id], key=rank.__getitem__):
+                self.port.delete_replica(worker_id, name)
+                self.log.emit(
+                    self.port.now(), "file_deleted", worker=worker_id, file=name
+                )
+                self.replicas.remove_replica(name, worker_id)
+        self.log.emit(self.port.now(), "workflow_done")
+
     # ------------------------------------------------------------------
     # fault recovery: regeneration and replication (paper §2.2/§3.2)
     # ------------------------------------------------------------------
@@ -2678,7 +2772,7 @@ class ControlPlane:
         if self.fixed_sources.get(cache_name) != NO_SOURCE:
             return True  # refetchable: normal transfer planning recovers it
         f = self.registry.by_name(cache_name) if cache_name in self.registry else None
-        producer_id = getattr(f, "producer_task_id", None)
+        producer_id = f.producer_task_id if f is not None else None
         producer = self.tasks.get(producer_id) if producer_id else None
         if producer is None:
             return False  # no lineage known: nothing can rebuild this
@@ -2753,15 +2847,14 @@ class ControlPlane:
             self._start_transfer(cache_name, source, wid)
 
     def _emptiest_survivors(self, holders) -> list[str]:
-        """Where another copy of what ``holders`` have may go: connected
-        workers other than them, not on their way out and not under
+        """Where another copy of what ``holders`` have may go: workers
+        other than them, not on their way out and not under
         suspicion, emptiest cache first."""
         return sorted(
             (
                 wid
                 for wid in self.workers
                 if wid not in holders
-                and self.port.worker_connected(wid)
                 and wid not in self.draining
                 and wid not in self.blocklist
             ),
@@ -2778,7 +2871,7 @@ class ControlPlane:
     def _view_of(self, worker_id: str, library: Optional[str]) -> Optional[WorkerView]:
         """Current scheduler view of one worker, or None if ineligible."""
         state = self.workers.get(worker_id)
-        if state is None or not self.port.worker_connected(worker_id):
+        if state is None:
             return None
         if worker_id in self.blocklist:
             return None  # repeat offender: no new placements
@@ -3082,18 +3175,6 @@ class ControlPlane:
             del self._staging[worker_id]
         self._close_stage(job.stage)
 
-    def on_stage_done(self, job: StagingJob) -> None:
-        """A runtime-timed mini-task materialization finished (simulator)."""
-        if self._staging.get(job.worker_id, {}).get(job.transfer_id) is not job:
-            return  # the worker departed; the job was already dropped
-        record = self._finish_transfer(job.transfer_id)
-        if record is None:
-            return
-        if self.port.worker_connected(job.worker_id):
-            size = self.sizes.get(record.cache_name, record.size)
-            self.register_replica(job.worker_id, job.file.cache_name, size, store=True)
-        self.port.request_pump()
-
     def _start_execution(self, task: Task) -> None:
         if task.state != TaskState.DISPATCHED:
             return
@@ -3118,6 +3199,12 @@ class ControlPlane:
     def install_library(self, name: str) -> None:
         """Deploy a created library to every current and future worker."""
         lib = self.libraries[name]
+        for f in lib.env_files:
+            if not self._declared(f):
+                raise ManagerError(
+                    f"environment file {f.file_id} ({f.source_description()}) "
+                    f"of library {name!r} was not declared"
+                )
         lib.installed = True
         for wid in list(self.workers):
             self._deploy_library(lib, wid)
@@ -3177,12 +3264,17 @@ class ControlPlane:
         self.log.emit(
             self.port.now(), "library_failed", worker=worker_id, category=name
         )
+        self._free_library(name, worker_id)
+        if worker_id in self._undeployed:
+            self._deploy_retry.add(worker_id)
+        self.port.request_pump()
+
+    def _free_library(self, name: str, worker_id: str) -> None:
+        """Give back what an instance of ``name`` holds of the worker's
+        pool (nothing, if it never got that far or the worker is gone)."""
         state = self.workers.get(worker_id)
         if state is not None:
             try:
                 state.pool.release(f"lib:{name}")
             except KeyError:
                 pass
-            if worker_id in self._undeployed:
-                self._deploy_retry.add(worker_id)
-        self.port.request_pump()

@@ -90,6 +90,9 @@ class File:
     #: then on; the worker copy is dropped unless ``keep_at_worker``
     bring_back = False
     keep_at_worker = False
+    #: id of the task that produces this file, stamped at its submit:
+    #: the lineage a lost replica is regenerated through
+    producer_task_id: Optional[str] = None
 
     def __init__(self, cache: "CacheLevel | str" = CacheLevel.WORKFLOW) -> None:
         self.file_id: str = f"f{next(_file_ids)}"
@@ -173,11 +176,6 @@ class TempFile(File):
     """
 
     kind = "temp"
-
-    def __init__(self, cache: "CacheLevel | str" = CacheLevel.WORKFLOW):
-        super().__init__(cache)
-        #: task id of the producer once the file is bound as an output
-        self.producer_task_id: Optional[str] = None
 
 
 class MiniTaskFile(File):

@@ -325,27 +325,6 @@ class ControlPlaneJournal:
         """True when a prior manager life left durable state behind."""
         return bool(self.declares or self.submits or self.sessions)
 
-    def pending_tasks(self) -> list[dict]:
-        """Submit records with no terminal outcome, in seq order."""
-        return sorted(
-            (
-                rec
-                for tid, rec in self.submits.items()
-                if tid not in self.done and tid not in self.failed
-            ),
-            key=lambda r: r["seq"],
-        )
-
-    def done_tasks(self) -> list[dict]:
-        """Completion records joined to their submit specs, seq order."""
-        out = []
-        for tid, rec in self.done.items():
-            sub = self.submits.get(tid)
-            if sub is not None:
-                out.append({**sub, "outputs_done": rec.get("outputs", [])})
-        out.sort(key=lambda r: r["seq"])
-        return out
-
     def known_workers(self) -> set[str]:
         """Workers named by replica hints: the rejoin expectation set."""
         return {w for holders in self.replica_hints.values() for w in holders}
@@ -525,7 +504,7 @@ def file_spec(f: File, source: str, size: int, tenant: Optional[str] = None) -> 
     elif isinstance(f, TempFile):
         spec["producer"] = f.producer_task_id
     for flag in ("bring_back", "keep_at_worker"):
-        if getattr(f, flag, None):
+        if getattr(f, flag):
             spec[flag] = True
     return spec
 
@@ -600,11 +579,10 @@ def task_spec(task: Task) -> dict:
         "inputs": [[sb, f.cache_name] for sb, f in task.inputs],
         "outputs": [[sb, f.cache_name] for sb, f in task.outputs],
     }
-    duration = getattr(task, "sim_duration", None)
-    if duration is not None:
+    if task.sim_duration is not None:
         spec["sim"] = {
-            "duration": duration,
-            "output_sizes": dict(getattr(task, "sim_output_sizes", {})),
+            "duration": task.sim_duration,
+            "output_sizes": dict(task.sim_output_sizes),
         }
     return spec
 
@@ -644,6 +622,6 @@ def build_task(spec: dict, registry: FileRegistry) -> Optional[Task]:
         return None
     sim = spec.get("sim")
     if sim is not None:
-        task.sim_duration = float(sim.get("duration", 0.0))  # type: ignore[attr-defined]
-        task.sim_output_sizes = dict(sim.get("output_sizes", {}))  # type: ignore[attr-defined]
+        task.sim_duration = float(sim.get("duration", 0.0))
+        task.sim_output_sizes = dict(sim.get("output_sizes", {}))
     return task

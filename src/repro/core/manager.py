@@ -42,15 +42,13 @@ import queue
 import tempfile
 import threading
 import time
-import urllib.parse
 import uuid
 from typing import Callable, Optional, Sequence
 
 from repro.core.control_plane import (
-    MINITASK_SOURCE,
-    NO_SOURCE,
     ControlPlane,
     LibraryState,
+    ManagerError,
     StagingJob,
 )
 from repro.core.files import (
@@ -62,15 +60,14 @@ from repro.core.files import (
     TempFile,
     URLFile,
 )
-from repro.core.gc import collect_workflow
 from repro.core.library import FunctionCall, Library
 from repro.core.naming import Namer
 from repro.core.policy import Policy
 from repro.core.reactor import FileBody, Peer, Reactor
 from repro.core.resources import ResourcePool, Resources
 from repro.core.resultref import ResultProxy, scan_refs
-from repro.core.task import MiniTask, PythonTask, Task, TaskResult, TaskState
-from repro.core.transfer_table import MANAGER_SOURCE, Transfer
+from repro.core.task import MiniTask, PythonTask, Task, TaskResult
+from repro.core.transfer_table import Transfer
 from repro.observe.txnlog import TransactionLogWriter
 from repro.protocol import serialization as ser
 from repro.protocol.connection import (
@@ -100,10 +97,6 @@ METRICS_DUMP_INTERVAL = 1.0
 #: seconds ``close()`` gives the queued farewells (unlinks, shutdowns,
 #: notices) to leave before the connections are dropped regardless
 CLOSE_DRAIN_SECONDS = 10.0
-
-
-class ManagerError(RuntimeError):
-    """Workflow-level failure raised to the application."""
 
 
 class _WorkerHandle:
@@ -338,8 +331,7 @@ class ManagerService:
                 worker=sess.session_id, category=sess.tenant,
             )
         for task in mgr.control.tasks.values():
-            token = getattr(task, "session_token", None)
-            sess = by_token.get(token) if token else None
+            sess = by_token.get(task.session_token)
             if sess is None:
                 continue
             if task.is_done:
@@ -405,14 +397,13 @@ class ManagerService:
         level = CacheLevel.parse(spec.get("level", "workflow"))
         if kind == "buffer":
             f: File = BufferFile(payload if payload is not None else b"", level)
-            source, size = MANAGER_SOURCE, f.size or 0
+            size = f.size
         elif kind == "url":
             f = URLFile(str(spec["url"]), level)
-            host = urllib.parse.urlparse(f.url).netloc or "localfs"
-            source, size = f"url:{host}", mgr._url_size(f.url)
+            size = mgr._url_size(f.url)
         elif kind == "local":
             f = LocalFile(self._local_path(sess, str(spec["path"])), level)
-            source, size = MANAGER_SOURCE, f.size or mgr._local_size(f.path)
+            size = mgr._local_size(f.path)
         else:
             raise ManagerError(f"unknown file kind {kind!r}")
         mgr.namer.assign(f)
@@ -423,7 +414,7 @@ class ManagerService:
             reason = mgr.control.tenant_charge_bytes(sess.tenant, size)
             if reason is not None:
                 raise ManagerError(reason)
-            mgr.control.declare(f, source, size)
+            mgr.control.declare(f, size)
         elif name not in acct.names:
             # content-identical to another tenant's declaration: the
             # existing replicas serve it, nothing moves again
@@ -583,9 +574,6 @@ class ManagerService:
 
     def _submit(self, sess: _ClientSession, task: Task) -> str:
         mgr = self.mgr
-        blocked = mgr.control.tenant_submit_blocked(task.tenant)
-        if blocked is not None:
-            raise ManagerError(blocked)
         if not sess.loopback:
             # journaled with the submit so a restarted manager can route
             # the task's outcome back to the reattached session
@@ -879,12 +867,11 @@ class Manager:
         self.recovered = False
         if self.journal is not None:
             with self._lock:
-                if self.control.restore_from_journal():
-                    self.recovered = True
+                # (the pump this asks for is the reactor's first, below:
+                # nothing is delivered before the sessions are back)
+                self.recovered = self.control.recover(recovery_grace)
+                if self.recovered:
                     self.service.restore_sessions(self.journal)
-                    # hold placements until the workers the journal knew
-                    # about rejoin (their caches re-adopt) or grace ends
-                    self.control.begin_recovery(recovery_grace)
                 self.journal.record_meta(
                     port=self.port, project=project_name, policy=policy.asdict()
                 )
@@ -930,9 +917,6 @@ class Manager:
     def now(self) -> float:
         return time.time() - self._t0
 
-    def worker_connected(self, worker_id: str) -> bool:
-        return worker_id in self.workers
-
     def request_pump(self) -> None:
         """Ask for a scheduling pass (callers hold the state lock).
 
@@ -942,13 +926,10 @@ class Manager:
         scheduling pass, not K, and the commands that pass issues leave
         as one write per worker.  A request only raises the flag and,
         when it comes from another thread, wakes the reactor; the wake
-        is sent on the False→True edge alone, so a burst costs one byte.
-        Only before the reactor runs (journal restore) or after it
-        stopped is there nobody to post to, and the pump runs here.
+        is sent on the False→True edge alone, so a burst costs one byte
+        (one sent before the reactor starts waits in the pipe for its
+        first sweep).
         """
-        if not self.reactor.running:
-            self.control.pump()
-            return
         if self._pump_wanted:
             return
         self._pump_wanted = True
@@ -1097,9 +1078,7 @@ class Manager:
         finds every needed replica already backed by a survivor."""
         self._tell(worker_id, {"type": M.SHUTDOWN})
 
-    def deliver(self, task: Task, regenerated: bool, ref) -> None:
-        if regenerated:  # regeneration reruns were already delivered
-            return
+    def deliver(self, task: Task, ref) -> None:
         if self.service.task_delivered(task, ref) is None:
             # loopback (in-process) session: ``output()`` hands back a
             # lazy proxy whose first dereference resolves through the
@@ -1116,28 +1095,16 @@ class Manager:
     # -- memoization mechanisms ------------------------------------------
 
     def memo_persist(self, task: Task, merkle: str, outputs) -> None:
-        """Retain small outputs of a freshly recorded entry as payloads.
+        """Retain ``outputs`` of a freshly recorded entry as payloads.
 
-        Each qualifying output is pulled back from a live replica
-        through the fetch plane — best effort, so retention never
-        re-runs a producer — and the bytes that arrive are stored with
-        their digest stamped into the entry.  An output that never lands
-        simply keeps ``md5=None`` and the entry stays replica-backed
-        only.
+        Each is pulled back from a live replica through the fetch plane
+        — best effort, so retention never re-runs a producer — and the
+        bytes that arrive are stored with their digest stamped into the
+        entry.  An output that never lands simply keeps ``md5=None``
+        and the entry stays replica-backed only.
         """
         store = self.memo_store
-        if store is None:
-            return
         for out in outputs:
-            if out.size > store.payload_limit:
-                continue
-            if out.md5 is not None and store.verify_payload(out.cache_name, out.md5):
-                continue
-            holders = [
-                w for w in self.replicas.locate(out.cache_name) if w in self.workers
-            ]
-            if not holders:
-                continue
 
             def retain(_worker_id, payload, name=out.cache_name) -> None:
                 if payload is not None:
@@ -1156,7 +1123,7 @@ class Manager:
         f = LocalFile(os.path.abspath(path), cache)
         with self._lock:
             self.namer.assign(f)
-            self.control.declare(f, MANAGER_SOURCE, f.size or self._local_size(f.path))
+            self.control.declare(f, self._local_size(f.path))
             if os.path.isdir(f.path):
                 self._tar_of(f)  # packed here, once, not per destination
         return f
@@ -1190,7 +1157,7 @@ class Manager:
         f = BufferFile(data, cache)
         with self._lock:
             self.namer.assign(f)
-            self.control.declare(f, MANAGER_SOURCE, f.size or 0)
+            self.control.declare(f)
         return f
 
     def declare_url(self, url: str, cache: "CacheLevel | str" = CacheLevel.WORKFLOW) -> URLFile:
@@ -1198,8 +1165,7 @@ class Manager:
         f = URLFile(url, cache)
         with self._lock:
             self.namer.assign(f)
-            host = urllib.parse.urlparse(url).netloc or "localfs"
-            self.control.declare(f, f"url:{host}", self._url_size(url))
+            self.control.declare(f, self._url_size(url))
         return f
 
     @staticmethod
@@ -1233,7 +1199,7 @@ class Manager:
         f = TempFile()
         with self._lock:
             self.namer.assign(f)
-            self.control.declare(f, NO_SOURCE, 0)
+            self.control.declare(f)
         return f
 
     def declare_minitask(
@@ -1248,7 +1214,7 @@ class Manager:
         f = MiniTaskFile(mini, cache)
         with self._lock:
             self.namer.assign(f)
-            self.control.declare(f, MINITASK_SOURCE, 0)
+            self.control.declare(f)
         return f
 
     def declare_untar(
@@ -1279,13 +1245,9 @@ class Manager:
             return self.service.submit_local(task)
 
     def _submit_prepared(self, task: Task) -> str:
-        """Validation + naming shared by loopback and client submits.
-
-        Callers hold the state lock and have already passed tenant
-        quota admission.
-        """
-        if task.state != TaskState.CREATED:
-            raise ManagerError(f"task {task.task_id} already submitted")
+        """Give a python task or a call the files its mechanism rides
+        on, then hand it to the plane, which admits or refuses it
+        (callers hold the state lock)."""
         if isinstance(task, PythonTask):
             self._prepare_python_task(task)
         if isinstance(task, FunctionCall):
@@ -1294,25 +1256,20 @@ class Manager:
                     f"function call names unknown library {task.library_name!r}"
                 )
             self._prepare_function_call(task)
-        for _, f in task.inputs:
-            if f.cache_name is None or f.cache_name not in self.control.fixed_sources:
-                # ids are assigned at submit, so name the command here
-                raise ManagerError(
-                    f"input {f.file_id} of task {task.command!r} was not declared"
-                )
-        self.control.name_outputs(task, self.namer)
-        return self.control.submit(task)
+        return self.control.submit(task, self.namer)
 
     def _prepare_python_task(self, task: PythonTask) -> None:
+        if any(n == task.RESULT_NAME for n, _f in task.outputs):
+            return  # prepared by an earlier submit (refused, or being repeated)
         payload = ser.dumps_portable(
             {"func": task.func, "args": task.args, "kwargs": task.kwargs}
         )
         pf = BufferFile(payload, CacheLevel.TASK)
         self.namer.assign(pf)
-        self.control.declare(pf, MANAGER_SOURCE, len(payload))
+        self.control.declare(pf)
         task.inputs.append((task.PAYLOAD_NAME, pf))
         result = TempFile()
-        # named (memo-aware) and declared by control.name_outputs
+        # named (memo-aware) and declared by control.submit
         task.outputs.append((task.RESULT_NAME, result))
 
     def _prepare_function_call(self, task: FunctionCall) -> None:
@@ -1485,14 +1442,7 @@ class Manager:
         with self._lock:
             if self.control.closed:
                 return
-            self.control.closed = True
-            # unblock every parked fetcher before the wires go away
-            self.control.reap_fetches(ttl=0.0)
-            deletions = collect_workflow(self.control.registry, self.control.replicas)
-            for wid, names in deletions.items():
-                for name in names:
-                    self._tell(wid, {"type": M.UNLINK, "cache_name": name})
-            self.control.log.emit(self.now(), "workflow_done")
+            self.control.end_workflow()
             if shutdown_workers:
                 for wid in self.workers:
                     self._tell(wid, {"type": M.SHUTDOWN})

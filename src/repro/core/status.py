@@ -51,13 +51,11 @@ class ManagerStatus:
 
 def _worker_rows(manager) -> list[WorkerStatus]:
     # one code path for both runtimes: everything needed lives in the
-    # shared ControlPlane (WorkerState pools, the replica table) and its
-    # RuntimePort (liveness) — no duck-typing on runtime internals
+    # shared ControlPlane (its workers are the connected ones; their
+    # pools, the replica table) — no duck-typing on runtime internals
     control = manager.control
     rows = []
     for worker_id, state in sorted(control.workers.items()):
-        if not control.port.worker_connected(worker_id):
-            continue
         rows.append(
             WorkerStatus(
                 worker_id=worker_id,

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.core.files import File, TempFile
+from repro.core.files import File
 from repro.core.resources import Resources
 
 __all__ = ["TaskState", "TaskResult", "Task", "PythonTask", "MiniTask"]
@@ -87,6 +87,14 @@ class Task:
     submission ``task_id`` is None and ``seq`` is 0.
     """
 
+    #: attach token of the remote client session that submitted the task
+    #: (journaled, so a restarted manager routes its outcome back)
+    session_token: Optional[str] = None
+    #: simulator only, set at submit: virtual seconds one execution
+    #: takes, and the produced size of each output by sandbox name
+    sim_duration: Optional[float] = None
+    sim_output_sizes: Optional[dict[str, int]] = None
+
     def __init__(self, command: str) -> None:
         self.task_id: Optional[str] = None
         #: monotonic FIFO sequence assigned at submit; the scheduler
@@ -151,8 +159,6 @@ class Task:
         self._check_mutable()
         if any(name == sandbox_name for name, _ in self.outputs):
             raise ValueError(f"duplicate output name {sandbox_name!r}")
-        if isinstance(f, TempFile):
-            f.producer_task_id = self.task_id
         self.outputs.append((sandbox_name, f))
         return self
 

@@ -22,6 +22,7 @@ depends on.
 from __future__ import annotations
 
 import itertools
+import urllib.parse
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -31,6 +32,7 @@ __all__ = [
     "MANAGER_SOURCE",
     "MINITASK_SOURCE",
     "source_kind",
+    "url_source",
 ]
 
 #: pseudo-source id for transfers served by the manager process
@@ -48,6 +50,12 @@ def source_kind(source: str) -> str:
     if source == MINITASK_SOURCE:
         return "stage"
     return "peer"
+
+
+def url_source(url: str) -> str:
+    """The source key of the host serving ``url`` — what the per-source
+    limit counts against; ``file://`` URLs share the key ``url:localfs``."""
+    return f"url:{urllib.parse.urlparse(url).netloc or 'localfs'}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +76,9 @@ class TransferTable:
 
     ``worker_limit`` applies to each worker acting as a source and
     ``source_limit`` to each "fixed" source (manager or URL host); both
-    are configurable by the user (paper §3.3).  ``None`` disables the
-    corresponding limit, which is exactly the unsupervised mode of
-    Fig. 11b.
+    are configurable by the user (paper §3.3) and fixed for the table's
+    life.  ``None`` disables the corresponding limit, which is exactly
+    the unsupervised mode of Fig. 11b.
     """
 
     def __init__(
@@ -88,10 +96,6 @@ class TransferTable:
         self._inbound: dict[tuple[str, str], str] = {}
         #: sources currently at (or over) their concurrency limit
         self._saturated: set[str] = set()
-        #: monotonic count of completions — consumers (the control
-        #: plane's staging replanner) watch it to learn "capacity may
-        #: have freed" without polling every source
-        self.completed_count: int = 0
         self._ids = itertools.count(1)
 
     # -- limits ---------------------------------------------------------
@@ -101,26 +105,10 @@ class TransferTable:
         """Concurrency limit for workers acting as transfer sources."""
         return self._worker_limit
 
-    @worker_limit.setter
-    def worker_limit(self, value: Optional[int]) -> None:
-        self._worker_limit = value
-        self._resaturate()
-
     @property
     def source_limit(self) -> Optional[int]:
         """Concurrency limit for fixed sources (manager, URL hosts)."""
         return self._source_limit
-
-    @source_limit.setter
-    def source_limit(self, value: Optional[int]) -> None:
-        self._source_limit = value
-        self._resaturate()
-
-    def _resaturate(self) -> None:
-        """Rebuild the saturation set after a limit change (rare)."""
-        self._saturated = {
-            s for s in self._load_by_source if not self._computed_available(s)
-        }
 
     def _any_zero_limit(self) -> bool:
         """True when some limit is ≤ 0 (sources saturated at zero load)."""
@@ -217,7 +205,6 @@ class TransferTable:
         if t.source in self._saturated and self._computed_available(t.source):
             self._saturated.discard(t.source)
         self._inbound.pop((t.cache_name, t.dest_worker), None)
-        self.completed_count += 1
         return t
 
     def cancel_for_worker(self, worker_id: str) -> list[Transfer]:

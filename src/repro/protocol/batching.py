@@ -35,9 +35,6 @@ class BatchSender:
     through a single instance: :meth:`notice` queues a payload-free
     message for the next flush window, :meth:`send` transmits
     immediately (flushing queued notices first to preserve FIFO order).
-    ``max_delay=0`` disables coalescing entirely — every notice is sent
-    at once — which keeps the wire byte-identical to the historical
-    protocol for tests and baseline benchmarks.
     """
 
     def __init__(
@@ -56,21 +53,16 @@ class BatchSender:
         self._stopped = False
         self._m_frames = metrics.counter("net.frames_out") if metrics else None
         self._m_fill = metrics.histogram("net.batch_fill") if metrics else None
-        self._flusher: Optional[threading.Thread] = None
-        if self.max_delay > 0:
-            self._flusher = threading.Thread(
-                target=self._flush_loop, name="batch-flusher", daemon=True
-            )
-            self._flusher.start()
+        self._flusher: Optional[threading.Thread] = threading.Thread(
+            target=self._flush_loop, name="batch-flusher", daemon=True
+        )
+        self._flusher.start()
 
     # -- producing ------------------------------------------------------
 
     def notice(self, message: dict) -> None:
         """Queue a payload-free message for the next flush window."""
         with self._lock:
-            if self.max_delay <= 0:
-                self._transmit([message])
-                return
             self._queue.append(message)
             if len(self._queue) >= self.max_batch:
                 self._flush_locked()
@@ -86,10 +78,6 @@ class BatchSender:
         waiting out ``max_delay``.
         """
         with self._lock:
-            if self.max_delay <= 0:
-                for message in messages:
-                    self._transmit([message])
-                return
             self._queue.extend(messages)
             self._flush_locked()
 

@@ -40,9 +40,8 @@ class CacheObject:
 class SimWorker:
     """The simulator's model of one worker node.
 
-    Owns a resource pool (cores/memory/disk/gpus for task packing), a
-    flat cache of objects keyed by cache name, and the set of library
-    instances currently resident.
+    Owns a resource pool (cores/memory/disk/gpus for task packing) and a
+    flat cache of objects keyed by cache name.
     """
 
     def __init__(
@@ -58,8 +57,6 @@ class SimWorker:
         self.cache: dict[str, CacheObject] = {}
         #: running total of ``cache``'s sizes, kept by insert/remove/clear
         self._cache_bytes = 0
-        #: names of libraries with a ready instance on this worker
-        self.libraries: set[str] = set()
         self.joined_at: Optional[float] = None
         self.connected = False
 
@@ -121,12 +118,11 @@ class SimCluster:
         #: observers notified with (worker,) when a worker departs
         self.leave_callbacks: list[Callable[[SimWorker], None]] = []
 
-    def add_url_server(self, host: str, up_bps: float = TEN_GBE) -> str:
-        """Register a remote data server; returns its source key ``url:host``."""
-        key = f"url:{host}"
-        if key not in self.network.nodes:
-            self.network.add_node(key, up_bps)
-        return key
+    def add_url_server(self, source: str, up_bps: float = TEN_GBE) -> None:
+        """Register the remote data server that a transfer-table source
+        key ``url:<host>`` names (once: a host serves many URLs)."""
+        if source not in self.network.nodes:
+            self.network.add_node(source, up_bps)
 
     def add_worker(
         self,
@@ -187,7 +183,6 @@ class SimCluster:
             return
         worker.connected = False
         worker.clear_cache()
-        worker.libraries.clear()
         for holder in list(worker.pool.holders()):
             worker.pool.release(holder)
         for cb in list(self.leave_callbacks):

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.control_plane import (
-    MINITASK_SOURCE,
     NO_SOURCE,
     ControlPlane,
     LibraryState,
@@ -38,7 +37,7 @@ from repro.core.control_plane import (
 )
 from repro.core.events import EventLog, makespan
 from repro.core.files import CacheLevel, File, MiniTaskFile, TempFile, URLFile
-from repro.core.gc import CacheEntryInfo, collect_workflow, plan_eviction
+from repro.core.gc import CacheEntryInfo, plan_eviction
 from repro.core.naming import Namer
 from repro.core.policy import Policy
 from repro.core.resources import Resources
@@ -155,7 +154,6 @@ class SimManager:
 
         self.evictions = 0
         self._pump_scheduled = False
-        self._finalized = False
         #: future arrivals a streaming driver has scheduled but not yet
         #: submitted; run() must not mistake an arrival gap (everything
         #: submitted so far done, more on the way) for completion
@@ -164,13 +162,8 @@ class SimManager:
         #: once it is (:meth:`_run`)
         self._crashed = False
         #: True when this life restored state journaled by a prior one
-        self.recovered = False
+        self.recovered = self.control.recover(recovery_grace)
         if self.journal is not None:
-            if self.control.restore_from_journal():
-                self.recovered = True
-                # hold placements until the workers the journal knew
-                # about rejoin (their caches re-adopt) or grace ends
-                self.control.begin_recovery(recovery_grace)
             self.journal.record_meta(project="sim", policy=policy.asdict())
 
         # adopt pre-existing worker-level cache contents (hot cache, Fig 9)
@@ -231,10 +224,6 @@ class SimManager:
 
     def now(self) -> float:
         return self.sim.now
-
-    def worker_connected(self, worker_id: str) -> bool:
-        worker = self.cluster.workers.get(worker_id)
-        return worker is not None and worker.connected
 
     def schedule(self, delay: float, fn, *args):
         """Run ``fn(*args)`` after ``delay`` virtual seconds as a
@@ -329,14 +318,16 @@ class SimManager:
         self._start_network_transfer(record)
 
     def run_minitask(self, job: StagingJob) -> None:
-        self.schedule(job.file.stage_time, self.control.on_stage_done, job)
+        self.schedule(
+            job.file.stage_time, self.control.on_transfer_complete, job.transfer_id
+        )
 
     def start_task(self, task: Task) -> None:
         worker = self.cluster.workers[task.worker_id]
         for name in task.input_cache_names():
             worker.touch(name, self.sim.now)
         task._sim_finish_event = self.schedule(  # type: ignore[attr-defined]
-            task.sim_duration, self._finish_execution, task  # type: ignore[attr-defined]
+            task.sim_duration, self._finish_execution, task
         )
 
     def cancel_task(self, task: Task) -> None:
@@ -346,14 +337,10 @@ class SimManager:
 
     def launch_library(self, lib: LibraryState, worker_id: str) -> None:
         assert isinstance(lib, SimLibrary)
-        self.schedule(lib.startup_time, self._library_up, lib, worker_id)
-
-    def _library_up(self, lib: "SimLibrary", worker_id: str) -> None:
         # the control plane ignores stale reports (worker left meanwhile)
-        self.control.on_library_ready(worker_id, lib.name)
-        worker = self.cluster.workers.get(worker_id)
-        if worker is not None and lib.state.get(worker_id) == "ready":
-            worker.libraries.add(lib.name)
+        self.schedule(
+            lib.startup_time, self.control.on_library_ready, worker_id, lib.name
+        )
 
     def store_replica(
         self, worker_id: str, cache_name: str, size: int, level: CacheLevel
@@ -378,7 +365,7 @@ class SimManager:
         if worker is not None:
             worker.remove(cache_name)
 
-    def deliver(self, task: Task, regenerated: bool, ref) -> None:
+    def deliver(self, task: Task, ref) -> None:
         pass  # applications read task state directly after run()
 
     def memo_persist(self, task: Task, merkle: str, outputs) -> None:
@@ -419,7 +406,7 @@ class SimManager:
         else:
             self.namer.assign(f)
         f.size = size
-        self.control.declare(f, source, size)
+        self.control.declare(f, size, source)
         return f
 
     def declare_url(
@@ -431,11 +418,12 @@ class SimManager:
     ) -> URLFile:
         """Declare a remote URL of ``size`` bytes; registers its server node."""
         f = URLFile(url, cache)
-        host = url.split("://", 1)[-1].split("/", 1)[0] or "server"
-        source = self.cluster.add_url_server(host, up_bps=server_bps)
         self.namer.assign(f)
         f.size = size
-        self.control.declare(f, source, size)
+        self.control.declare(f, size)
+        self.cluster.add_url_server(
+            self.control.fixed_sources[f.cache_name], up_bps=server_bps
+        )
         return f
 
     def declare_minitask(
@@ -454,7 +442,7 @@ class SimManager:
         self.namer.assign(f)
         f.size = output_size
         f.stage_time = stage_time
-        self.control.declare(f, MINITASK_SOURCE, output_size)
+        self.control.declare(f, output_size)
         return f
 
     def declare_untar(
@@ -476,7 +464,7 @@ class SimManager:
         f = TempFile()
         self.namer.assign(f)
         f.size = size
-        self.control.declare(f, NO_SOURCE, size)
+        self.control.declare(f, size)
         return f
 
     def declare_output(
@@ -495,7 +483,7 @@ class SimManager:
         f.bring_back = bring_back
         f.keep_at_worker = keep_at_worker
         f.size = size
-        self.control.declare(f, NO_SOURCE, size)
+        self.control.declare(f, size, NO_SOURCE)
         return f
 
     # ------------------------------------------------------------------
@@ -513,22 +501,10 @@ class SimManager:
         ``output_sizes`` maps sandbox output names to produced sizes,
         overriding any size given at declaration time.
         """
-        if task.state != TaskState.CREATED:
-            raise RuntimeError(f"task {task.task_id} already submitted")
-        task.sim_duration = float(duration)  # type: ignore[attr-defined]
-        task.sim_output_sizes = dict(output_sizes or {})  # type: ignore[attr-defined]
-        for _, f in task.inputs:
-            self._require_declared(f)
-        self.control.name_outputs(task, self.namer)
-        self.control.submit(task)
+        task.sim_duration = float(duration)
+        task.sim_output_sizes = dict(output_sizes or {})
+        self.control.submit(task, self.namer)
         return task
-
-    def _require_declared(self, f: File) -> None:
-        if f.cache_name is None or f.cache_name not in self.control.fixed_sources:
-            raise RuntimeError(
-                f"file {f.file_id} ({f.source_description()}) was not declared "
-                "through this manager"
-            )
 
     # -- libraries -----------------------------------------------------
 
@@ -550,8 +526,6 @@ class SimManager:
             startup_time=startup_time,
             slots=slots,
         )
-        for f in lib.env_files:
-            self._require_declared(f)
         self.control.libraries[name] = lib
         return lib
 
@@ -619,32 +593,9 @@ class SimManager:
 
     def finalize(self) -> None:
         """End-of-workflow cleanup: stop libraries, collect garbage."""
-        if self._finalized:
+        if self.control.closed:
             return
-        self._finalized = True
-        for lib in self.control.libraries.values():
-            for wid, phase in list(lib.state.items()):
-                worker = self.cluster.workers[wid]
-                if phase == "ready":
-                    worker.libraries.discard(lib.name)
-                    self.log.emit(
-                        self.sim.now, "task_end",
-                        worker=wid, task=f"{lib.name}@{wid}", category="library",
-                    )
-                try:
-                    worker.pool.release(f"lib:{lib.name}")
-                except KeyError:
-                    pass
-            lib.state.clear()
-        deletions = collect_workflow(self.registry, self.replicas)
-        # fixed order (workers, then declaration) keeps the log replayable
-        for wid in sorted(deletions):
-            worker = self.cluster.workers[wid]
-            for name in self.registry.in_declaration_order(deletions[wid]):
-                if worker.remove(name) is not None:
-                    self.log.emit(self.sim.now, "file_deleted", worker=wid, file=name)
-                self.replicas.remove_replica(name, wid)
-        self.log.emit(self.sim.now, "workflow_done")
+        self.control.end_workflow()
         if self._txn_writer is not None:
             self._txn_writer.close()
 
@@ -751,7 +702,6 @@ class SimManager:
         for worker in self.cluster.workers.values():
             for holder in worker.pool.holders():
                 worker.pool.release(holder)
-            worker.libraries.clear()
         if self.journal is not None:
             self.journal.close()
         if self._txn_writer is not None:

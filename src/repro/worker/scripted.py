@@ -30,9 +30,9 @@ __all__ = ["ScriptedWorker"]
 class ScriptedWorker:
     """Protocol-conformant worker stub for load generation and tests.
 
-    ``batch_delay=0`` makes every reply its own frame (the historical
-    wire behaviour, for baseline measurements); a positive delay
-    coalesces replies into ``batch`` envelopes like the real worker.
+    Replies are coalesced into ``batch`` envelopes like the real
+    worker's: up to ``batch_max`` per frame, held ``batch_delay``
+    seconds at most.
     """
 
     def __init__(

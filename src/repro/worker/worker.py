@@ -66,8 +66,6 @@ class Worker:
         max_cache_bytes: Optional[int] = None,
         eviction_grace: float = 5.0,
         fault_config=None,
-        batch_max: int = 128,
-        batch_delay: float = 0.002,
         reconnect_window: float = 0.0,
     ) -> None:
         self.workdir = os.path.abspath(workdir)
@@ -115,27 +113,20 @@ class Worker:
         #: exponential backoff and re-registers its cache inventory so
         #: the new manager life re-adopts the surviving replicas.
         self.reconnect_window = reconnect_window
-        self._batch_max = batch_max
-        self._batch_delay = batch_delay
         #: set when the manager *told* us to shut down; reconnect never
         #: overrides an explicit SHUTDOWN
         self._shutdown_ordered = False
         self._conn = Connection.connect(manager_host, manager_port)
         #: all outbound traffic funnels through the batch sender, which
         #: both serializes writers and coalesces payload-free notices
-        #: (batch_delay=0 restores the historical one-frame-per-message
-        #: wire behaviour)
-        self._sender = BatchSender(
-            self._conn,
-            max_batch=batch_max,
-            max_delay=batch_delay,
-            metrics=self.metrics,
-        )
+        self._sender = BatchSender(self._conn, metrics=self.metrics)
         self._stop = threading.Event()
         self._libraries: dict[str, LibraryInstanceHandle] = {}
         #: live subprocess handles by task id, for cancellation
         self._procs: dict[str, "object"] = {}
         self._procs_lock = threading.Lock()
+        #: ids of the tasks an ``execute`` is at work on (sandbox taken)
+        self._executing: set[str] = set()
         #: cache names pinned by in-flight work (inputs being used)
         self._pinned: dict[str, int] = {}
         self._pin_lock = threading.Lock()
@@ -335,12 +326,7 @@ class Worker:
                 delay = min(delay * 2, 5.0)
                 continue
             self._conn = conn
-            self._sender = BatchSender(
-                conn,
-                max_batch=self._batch_max,
-                max_delay=self._batch_delay,
-                metrics=self.metrics,
-            )
+            self._sender = BatchSender(conn, metrics=self.metrics)
             try:
                 self._register(rejoin=True)
             except (ProtocolError, OSError):
@@ -470,10 +456,38 @@ class Worker:
             return
         if mtype in (M.UNLINK, M.SEND_BACK, M.CANCEL_TASK):
             handler(msg)  # quick, stay on the command thread
-        elif payload is not None:
-            threading.Thread(target=handler, args=(msg, payload), daemon=True).start()
         else:
-            threading.Thread(target=handler, args=(msg,), daemon=True).start()
+            args = (msg,) if payload is None else (msg, payload)
+            threading.Thread(
+                target=self._reported, args=(handler, *args), daemon=True
+            ).start()
+
+    def _reported(self, handler, msg: dict, *payload) -> None:
+        """Thread body of every dispatched command: it ends in a report.
+
+        A handler reports what it foresees itself (a missing input, a
+        failed fetch, a non-zero exit).  Whatever else it raises would
+        otherwise die with this thread — heartbeats go on, so to the
+        manager the task runs, or the transfer is in flight, forever —
+        and is reported here as the command's failure: ``task_done`` for
+        a task, a call or a library install, ``cache_invalid`` for a
+        fetch or a mini task.
+        """
+        try:
+            handler(msg, *payload)
+        except Exception as exc:
+            log.exception("%s failed in the worker", msg["type"])
+            reason = f"worker: {exc!r}"
+            try:
+                if "transfer_id" in msg:
+                    self._cache_invalid(msg["cache_name"], reason, msg["transfer_id"])
+                else:
+                    self._task_done(
+                        msg["task_id"], 126, traceback.format_exc()[-1000:],
+                        failure=reason,
+                    )
+            except (ProtocolError, OSError):
+                pass  # no manager to tell; it requeues what it lost
 
     # -- file movement -----------------------------------------------------
 
@@ -666,52 +680,51 @@ class Worker:
                 # die mid-task: the manager never hears TASK_DONE and
                 # must recover via connection loss
                 self._fault_crash("crash")
+        with self._procs_lock:
+            if task_id in self._executing:
+                # a restarted manager sent again what its previous life
+                # had running here (the journal says READY): the attempt
+                # still at it holds the sandbox, and its report — on the
+                # connection of the day — answers both commands
+                log.info("execute %s: already running here", task_id)
+                return
+            self._executing.add(task_id)
         sandbox = Sandbox(self.sandbox_root, task_id)
         staging_started = time.time()
         input_names = [p[1] for p in msg["inputs"]]
         self._pin(input_names)
-        try:
-            sandbox.link_inputs(self.cache, [tuple(p) for p in msg["inputs"]])
-        except SandboxError as exc:
-            self._unpin(input_names)
-            sandbox.destroy()
-            self._task_done(task_id, 126, str(exc), failure="sandbox")
-            return
-        allocation = Resources.from_dict(msg["resources"])
-        outcome = run_command(
-            msg["command"],
-            sandbox.path,
-            msg.get("env", {}),
-            allocation,
-            sandbox_usage=sandbox.disk_usage,
-            timeout=self.task_timeout,
-            on_start=self._track(task_id),
-        )
-        with self._procs_lock:
-            self._procs.pop(task_id, None)
+        outcome = None
         failure = None
         harvested: list[tuple[str, int]] = []
-        # exit code 1 may still produce declared outputs (e.g. a PythonTask
-        # whose function raised writes the serialized exception)
+        # whatever ends the attempt, the pins and the sandbox go before
+        # it is reported: the manager may send the task straight back,
+        # and its next attempt takes the same sandbox path
         try:
-            for sandbox_name, cache_name, level in (
-                tuple(o) for o in msg["outputs"]
-            ):
-                self.cache.remove(cache_name)  # never trust a stale partial
-                sandbox.harvest_outputs(
-                    self.cache,
-                    [(sandbox_name, cache_name, CacheLevel(int(level)))],
-                    time.time(),
+            try:
+                sandbox.link_inputs(self.cache, [tuple(p) for p in msg["inputs"]])
+            except SandboxError as exc:
+                failure = str(exc)
+            else:
+                outcome = run_command(
+                    msg["command"],
+                    sandbox.path,
+                    msg.get("env", {}),
+                    Resources.from_dict(msg["resources"]),
+                    sandbox_usage=sandbox.disk_usage,
+                    timeout=self.task_timeout,
+                    on_start=self._track(task_id),
                 )
-                harvested.append((cache_name, self.cache.entry(cache_name).size))
-        except SandboxError as exc:
-            if outcome.exit_code == 0:
-                failure = f"missing output: {exc}"
-        except OSError as exc:
-            # a harvest that dies without TASK_DONE stalls the workflow
-            failure = f"output harvest failed: {exc}"
-        self._unpin(input_names)
-        sandbox.destroy()
+                failure = self._harvest(sandbox, msg["outputs"], outcome, harvested)
+        finally:
+            self._unpin(input_names)
+            sandbox.destroy()
+            with self._procs_lock:
+                self._procs.pop(task_id, None)
+                self._executing.discard(task_id)
+        if outcome is None:
+            # an input vanished since dispatch: the manager stages again
+            self._task_done(task_id, 126, failure, failure="sandbox")
+            return
         staging_time = max(0.0, time.time() - staging_started - outcome.execution_time)
         self._m_sandbox.observe(staging_time)
         self._m_exec.observe(outcome.execution_time)
@@ -727,18 +740,38 @@ class Worker:
             staging_time=staging_time,
         )
 
+    def _harvest(
+        self, sandbox: Sandbox, outputs, outcome, harvested: list
+    ) -> Optional[str]:
+        """Move a finished command's declared ``outputs`` into the cache,
+        listing each ``(cache_name, size)`` in ``harvested`` as it lands;
+        returns what to report as the attempt's failure, if anything."""
+        # exit code 1 may still produce declared outputs (e.g. a PythonTask
+        # whose function raised writes the serialized exception)
+        try:
+            for sandbox_name, cache_name, level in (tuple(o) for o in outputs):
+                self.cache.remove(cache_name)  # never trust a stale partial
+                sandbox.harvest_outputs(
+                    self.cache,
+                    [(sandbox_name, cache_name, CacheLevel(int(level)))],
+                    time.time(),
+                )
+                harvested.append((cache_name, self.cache.entry(cache_name).size))
+        except SandboxError as exc:
+            if outcome.exit_code == 0:
+                return f"missing output: {exc}"
+        except OSError as exc:
+            return f"output harvest failed: {exc}"
+        return None
+
     # -- serverless -----------------------------------------------------
 
     def _handle_install_library(self, msg: dict, payload: bytes) -> None:
         name = msg["library"]
-        task_id = msg["task_id"]
-        try:
-            self._libraries[name] = LibraryInstanceHandle(name, payload)
-            self._notice({"type": M.LIBRARY_READY, "library": name, "task_id": task_id})
-        except Exception as exc:
-            self._task_done(
-                task_id, 1, f"library install failed: {exc}", failure="library"
-            )
+        self._libraries[name] = LibraryInstanceHandle(name, payload)
+        self._notice(
+            {"type": M.LIBRARY_READY, "library": name, "task_id": msg["task_id"]}
+        )
 
     def _handle_invoke(self, msg: dict, payload: bytes) -> None:
         task_id = msg["task_id"]
@@ -795,11 +828,6 @@ class Worker:
                     task_id, 1, tb[-1000:],
                     failure=tb[-1000:] or "invoke", execution_time=invoke_seconds,
                 )
-        except Exception as exc:
-            self._task_done(
-                task_id, 1, f"{exc}\n{traceback.format_exc()[:1000]}",
-                failure=str(exc)[:500] or "invoke",
-            )
         finally:
             self._unpin(input_names)
             if os.path.lexists(staged):  # anything but a cached success

@@ -17,9 +17,18 @@ from repro.core.control_plane import (
     TRANSFER_BACKOFF_MAX,
     ControlPlane,
     LibraryState,
+    ManagerError,
     source_kind,
 )
-from repro.core.files import CacheLevel, File, MiniTaskFile, TempFile
+from repro.core.files import (
+    BufferFile,
+    CacheLevel,
+    File,
+    LocalFile,
+    MiniTaskFile,
+    TempFile,
+    URLFile,
+)
 from repro.core.naming import Namer
 from repro.core.policy import Policy
 from repro.core.resources import ResourcePool, Resources
@@ -34,7 +43,6 @@ class FakePort:
 
     def __init__(self):
         self.time = 0.0
-        self.connected = set()
         self.pushes = []       # Transfer records for manager-sourced sends
         self.fetches = []      # Transfer records for url/peer fetches
         self.minitasks = []    # StagingJob
@@ -43,19 +51,16 @@ class FakePort:
         self.launched = []     # (lib name, worker_id)
         self.stored = []       # (worker_id, cache_name, size)
         self.deleted = []      # (worker_id, cache_name)
-        self.delivered = []    # (task, regenerated)
+        self.delivered = []    # Task, once per hand-over to the application
         self.refs = []         # ResultRef of each call delivered by reference
         self.asked = []        # (worker_id, cache_name) send-back requests
         self.released = []     # worker ids whose drain completed
-        self.persisted = []    # (task, merkle) recorded memo entries
+        self.persisted = []    # (task, merkle, [names to retain]) per recorded entry
         self.decoded = []      # (task, payload) value-decode requests
         self.decodes = True    # what decode_value answers
 
     def now(self):
         return self.time
-
-    def worker_connected(self, worker_id):
-        return worker_id in self.connected
 
     def push_object(self, record, level):
         self.pushes.append(record)
@@ -81,8 +86,8 @@ class FakePort:
     def delete_replica(self, worker_id, cache_name):
         self.deleted.append((worker_id, cache_name))
 
-    def deliver(self, task, regenerated, ref):
-        self.delivered.append((task, regenerated))
+    def deliver(self, task, ref):
+        self.delivered.append(task)
         if ref is not None:
             self.refs.append(ref)
 
@@ -99,7 +104,7 @@ class FakePort:
         self.released.append(worker_id)
 
     def memo_persist(self, task, merkle, outputs):
-        self.persisted.append((task, merkle))
+        self.persisted.append((task, merkle, [o.cache_name for o in outputs]))
 
     def decode_value(self, task, payload, result=None):
         self.decoded.append((task, payload))
@@ -117,7 +122,6 @@ def make_control(memo=None, journal=None, **knobs):
 
 
 def add_worker(port, control, wid, cores=4, memory=1000):
-    port.connected.add(wid)
     return control.worker_joined(
         wid, ResourcePool(Resources(cores=cores, memory=memory))
     )
@@ -126,7 +130,7 @@ def add_worker(port, control, wid, cores=4, memory=1000):
 def declared(control, name, source=MANAGER_SOURCE, size=100, cache=CacheLevel.WORKFLOW):
     f = File(cache)
     f.cache_name = name
-    control.declare(f, source, size)
+    control.declare(f, size, source)
     return f
 
 
@@ -233,7 +237,7 @@ def test_minitask_staging_waits_for_dependency_then_runs():
     mini.add_input(tarball, "input.tar")
     mf = MiniTaskFile(mini)
     mf.cache_name = "unpacked-object"
-    control.declare(mf, MINITASK_SOURCE, 0)
+    control.declare(mf)
     t = Task("use unpacked")
     t.add_input(mf, "unpacked")
     control.submit(t)
@@ -245,7 +249,7 @@ def test_minitask_staging_waits_for_dependency_then_runs():
     control.pump()
     assert [j.file.cache_name for j in port.minitasks] == ["unpacked-object"]
     job = port.minitasks[0]
-    control.on_stage_done(job)
+    control.on_transfer_complete(job.transfer_id)
     control.pump()
     assert t.state == TaskState.RUNNING
     assert control.transfer_counts["stage"] == 1
@@ -258,7 +262,7 @@ def test_temp_output_gc_after_last_consumer():
     # WORKFLOW-level ones wait for workflow close
     temp = TempFile(CacheLevel.TASK)
     temp.cache_name = "intermediate"
-    control.declare(temp, NO_SOURCE, 0)
+    control.declare(temp)
     producer = Task("make").add_output(temp, "out")
     consumer = Task("use").add_input(temp, "out")
     control.submit(producer)
@@ -279,7 +283,7 @@ def test_worker_loss_requeues_and_regenerates_lineage():
     add_worker(port, control, "wB")
     temp = TempFile()
     temp.cache_name = "mid"
-    control.declare(temp, NO_SOURCE, 0)
+    control.declare(temp)
     producer = Task("make").add_output(temp, "out")
     consumer = Task("use").add_input(temp, "out")
     control.submit(producer)
@@ -293,7 +297,6 @@ def test_worker_loss_requeues_and_regenerates_lineage():
     # that worker dies mid-run, taking the replica and the consumer
     lost = consumer.worker_id
     assert lost == producer.worker_id
-    port.connected.discard(lost)
     control.worker_left(lost)
     # the consumer is requeued and the producer resurrected to
     # regenerate the lost intermediate
@@ -309,11 +312,9 @@ def test_worker_loss_requeues_and_regenerates_lineage():
     assert consumer.state == TaskState.RUNNING
     finish(port, control, consumer)
     assert consumer.state == TaskState.DONE
-    # the rerun is flagged as a regeneration so the adapter can
-    # suppress re-delivery to the application
-    assert [
-        r for t, r in port.delivered if t.task_id == producer.task_id
-    ] == [False, True]
+    # the application heard of the producer when it first ended: its
+    # regeneration re-run reaches ``port.deliver`` zero times
+    assert port.delivered.count(producer) == 1
 
 
 def test_consumer_submitted_after_loss_regenerates_lineage():
@@ -325,13 +326,12 @@ def test_consumer_submitted_after_loss_regenerates_lineage():
     add_worker(port, control, "wB")
     temp = TempFile()
     temp.cache_name = "mid"
-    control.declare(temp, NO_SOURCE, 0)
+    control.declare(temp)
     producer = Task("make").add_output(temp, "out")
     control.submit(producer)
     control.pump()
     finish(port, control, producer)
     lost = producer.worker_id
-    port.connected.discard(lost)
     control.worker_left(lost)
     assert control.replicas.replica_count("mid") == 0
     assert producer.state == TaskState.DONE  # nothing needed mid yet
@@ -353,7 +353,6 @@ def test_strict_loss_raises_when_budget_spent():
     control.submit(t)
     control.pump()
     assert t.state == TaskState.RUNNING
-    port.connected.discard("wA")
     with pytest.raises(RuntimeError, match="lost 1 workers"):
         control.worker_left("wA")
 
@@ -364,7 +363,7 @@ def test_replication_tops_up_temp_replicas():
     add_worker(port, control, "wB")
     temp = TempFile()
     temp.cache_name = "precious"
-    control.declare(temp, NO_SOURCE, 0)
+    control.declare(temp)
     producer = Task("make").add_output(temp, "out")
     consumer = Task("use").add_input(temp, "out")  # keeps refs alive
     control.submit(producer)
@@ -470,7 +469,7 @@ def test_library_deploy_retries_when_capacity_frees():
 def _temp(control, name):
     f = TempFile()
     f.cache_name = name
-    control.declare(f, NO_SOURCE, 0)
+    control.declare(f)
     return f
 
 
@@ -594,7 +593,6 @@ def test_holder_lost_while_consumer_parked_on_another_input():
     assert control._ready.parked == 1  # waiting on "second" only
     # the only holder of "first" dies (p2 runs elsewhere or is requeued)
     lost = p1.worker_id
-    port.connected.discard(lost)
     control.worker_left(lost)
     assert p1.state == TaskState.READY  # regenerating "first"
     control.pump()
@@ -662,7 +660,7 @@ def test_journal_restart_requeues_parked_tasks(tmp_path):
     control.journal.close()  # the manager dies; parking was never journaled
 
     port2, control2 = make_control(journal=ControlPlaneJournal(str(tmp_path)))
-    assert control2.restore_from_journal()
+    assert control2.recover(grace=0.0)
     restored = sorted(control2.tasks.values(), key=lambda t: t.seq)
     producer, consumer = restored
     assert [t.state for t in restored] == [TaskState.READY, TaskState.READY]
@@ -732,7 +730,6 @@ def test_fetch_moves_on_when_the_asked_holder_leaves_or_denies():
     _produced(control, port, holders=("wA", "wB", "wC"))
     served = []
     control.fetch("res", _waiter(served))
-    port.connected.discard("wA")
     control.worker_left("wA")
     assert port.asked == [("wA", "res"), ("wB", "res")]
     control.fetch_reply("wB", "res", None)
@@ -768,7 +765,6 @@ def _count_regenerations(control):
 def test_best_effort_fetch_never_regenerates_but_a_mixed_one_does():
     port, control = make_control()
     producer = _produced(control, port)
-    port.connected.discard("wA")
     control.worker_left("wA")  # the only replica is gone
     add_worker(port, control, "wB")
     calls = _count_regenerations(control)
@@ -783,7 +779,6 @@ def test_best_effort_fetch_never_regenerates_but_a_mixed_one_does():
     served.clear()
     control.fetch("res", _waiter(served, "retain"), best_effort=True)
     control.fetch("res", _waiter(served, "app"))
-    port.connected.discard("wC")
     control.worker_left("wC")
     assert calls == ["res"] and not served  # parked on the rerun
     assert producer.state == TaskState.READY
@@ -863,7 +858,7 @@ def test_value_retrieval_rides_the_plane_as_a_paired_retrieve():
     assert port.asked == [("wA", "res")]
     control.fetch_reply("wA", "res", b"v")
     assert task.state == TaskState.DONE and task.output() == b"v"
-    assert port.decoded == [(task, b"v")] and port.delivered == [(task, False)]
+    assert port.decoded == [(task, b"v")] and port.delivered == [task]
     assert control.idle()
     assert _fetch_events(control) == [
         ("transfer_start", "wA", "@retrieve"),
@@ -892,7 +887,6 @@ def _holder_leaves_mid_retrieval(**knobs):
     port, control, task = _running_value_task(**knobs)
     _ended(control, task)
     assert port.asked == [("wA", "res")]
-    port.connected.discard("wA")
     control.worker_left("wA")
     return port, control, task
 
@@ -919,7 +913,7 @@ def test_retrieval_whose_only_holder_leaves_settles_instead_of_parking():
     _ended(control, task)
     control.fetch_reply("wB", "res", b"again")
     assert task.state == TaskState.DONE and task.output() == b"again"
-    assert port.delivered == [(task, False)] and control.idle()
+    assert port.delivered == [task] and control.idle()
 
 
 def test_a_lost_result_takes_its_inputs_again_for_the_rerun():
@@ -938,7 +932,6 @@ def test_a_lost_result_takes_its_inputs_again_for_the_rerun():
     assert control._input_refs["payload"] == 0
     assert ("wA", "payload") in port.deleted
     add_worker(port, control, "wB")
-    port.connected.discard("wA")
     control.worker_left("wA")
     assert task.state == TaskState.READY and control._input_refs["payload"] == 1
     control.pump()
@@ -949,7 +942,7 @@ def test_a_lost_result_beyond_the_loss_budget_fails_naming_the_object():
     port, control, task = _holder_leaves_mid_retrieval(loss_retries=0)
     assert task.state == TaskState.FAILED and task.retries_used == 0
     assert task.result.failure == "result res lost with its last holder"
-    assert port.delivered == [(task, False)] and control.idle()
+    assert port.delivered == [task] and control.idle()
     with pytest.raises(RuntimeError, match="lost its result res 1 times"):
         _holder_leaves_mid_retrieval(loss_retries=0, strict_loss=True)
 
@@ -958,7 +951,6 @@ def test_a_retrieval_parked_on_a_cache_update_that_never_comes_is_a_lost_result(
     port, control, task = _running_value_task()
     _ended(control, task, announced=False, harvested=["res"])
     assert task.state == TaskState.WAITING_RETRIEVAL and port.asked == []
-    port.connected.discard("wA")
     control.worker_left("wA")
     assert task.state == TaskState.READY and task.retries_used == 1
 
@@ -975,7 +967,7 @@ def test_a_rerun_of_a_task_whose_value_was_delivered_fetches_nothing():
     _ended(control, task)
     assert task.state == TaskState.DONE and task.output() == b"v"
     assert port.asked == [("wA", "res")] and len(port.decoded) == 1
-    assert port.delivered == [(task, False), (task, True)]
+    assert port.delivered == [task]
 
 
 def test_a_cancel_while_the_value_is_on_its_way_leaves_nothing_waiting():
@@ -985,7 +977,7 @@ def test_a_cancel_while_the_value_is_on_its_way_leaves_nothing_waiting():
     assert violations(control) == []
     control.fetch_reply("wA", "res", b"late")
     assert task.state == TaskState.CANCELLED and control.idle()
-    assert port.delivered == [(task, False)]
+    assert port.delivered == [task]
 
 
 @pytest.mark.parametrize("keep", [False, True])
@@ -1101,8 +1093,7 @@ def _memo_plane(tmp_path, **knobs):
 
 def _submit_named(control, task):
     # what both runtimes do: outputs named by the plane with their Namer
-    control.name_outputs(task, Namer(seed=0, run_nonce="run"))
-    control.submit(task)
+    control.submit(task, Namer(seed=0, run_nonce="run"))
     return task
 
 
@@ -1192,3 +1183,153 @@ def test_only_memo_eligible_outputs_take_memo_names(tmp_path):
     _port2, bare = make_control()
     t = Task("make out").set_deterministic().add_output(TempFile(), "out")
     assert "-rnd-run-" in _submit_named(bare, t).outputs[0][1].cache_name
+
+
+# -- a workflow's edges: declare, admit, retain, end — one text each -------
+
+
+@pytest.mark.parametrize(
+    "make, source",
+    [
+        (lambda: BufferFile(b"bytes"), MANAGER_SOURCE),
+        (lambda: LocalFile("/data/ref.fa"), MANAGER_SOURCE),
+        (lambda: URLFile("https://archive.example:8080/db.tar"), "url:archive.example:8080"),
+        (lambda: URLFile("file:///shared/db.tar"), "url:localfs"),
+        (lambda: TempFile(), NO_SOURCE),
+        (lambda: MiniTaskFile(MiniTask("tar -xf in")), MINITASK_SOURCE),
+    ],
+)
+def test_a_declared_file_is_served_by_the_source_its_class_names(make, source):
+    _port, control = make_control()
+    f = make()
+    f.cache_name = "obj"
+    control.declare(f, 7)
+    assert control.fixed_sources["obj"] == source and control.sizes["obj"] == 7
+
+
+def test_a_plain_file_must_name_its_source():
+    _port, control = make_control()
+    f = File()
+    f.cache_name = "dataset"
+    with pytest.raises(ManagerError, match="names no source"):
+        control.declare(f, 7)
+    assert "dataset" not in control.registry
+    control.declare(f, 7, "url:mirror")  # the simulator's stand-in for content
+    assert control.fixed_sources["dataset"] == "url:mirror"
+
+
+def _refused(control, task, match):
+    """``submit`` raises and leaves nothing of ``task`` behind."""
+
+
+    def recorded():
+        return (
+            dict(control.tasks), +control._input_refs, control.outstanding,
+            len(control._ready), len(control.journal.submits),
+            {n: (a.submitted, a.outstanding) for n, a in control.tenants.items()},
+        )
+
+    before = recorded()
+    with pytest.raises(ManagerError, match=match):
+        control.submit(task, Namer(seed=0, run_nonce="run"))
+    assert recorded() == before
+
+
+def test_submit_refuses_and_records_nothing(tmp_path):
+    from repro.core.journal import ControlPlaneJournal
+
+    _port, control = make_control(journal=ControlPlaneJournal(str(tmp_path)))
+    control.set_tenant_quota("alice", task_quota=1)
+    data = declared(control, "data")
+    first = Task("use").add_input(data, "in").set_tenant("alice")
+    control.submit(first)
+    assert control._input_refs["data"] == 1
+
+    _refused(control, first, "already submitted")
+    stranger = Task("use").add_input(BufferFile(b"never declared"), "in")
+    _refused(control, stranger, "was not declared")
+    out = TempFile()
+    over = Task("make").add_input(data, "in").add_output(out, "out").set_tenant("alice")
+    _refused(control, over, "quota")
+    # a refused task is untouched: unnamed, unstamped, free to come back
+    assert over.state == TaskState.CREATED and over.task_id is None
+    assert out.cache_name is None and len(control.registry) == 1
+    control.set_tenant_quota("alice", task_quota=2)
+    control.submit(over, Namer(seed=0, run_nonce="run"))
+    assert over.state == TaskState.READY and out.cache_name in control.registry
+    control.journal.close()
+
+
+def test_a_library_with_an_undeclared_environment_file_is_refused():
+    _port, control = make_control()
+    control.libraries["lib"] = LibraryState("lib", [BufferFile(b"env")])
+    with pytest.raises(ManagerError, match="was not declared"):
+        control.install_library("lib")
+    assert not control.libraries["lib"].installed
+
+
+def test_only_small_outputs_someone_live_holds_are_handed_over_for_retention(tmp_path):
+    store = MemoStore(str(tmp_path / "memo"), payload_limit=100)
+    port, control = make_control(memo=store)
+    add_worker(port, control, "wA")
+    task = Task("make a b c").set_deterministic()
+    for name in "abc":
+        task.add_output(TempFile(), name)
+    control.submit(task, Namer(seed=0, run_nonce="run"))
+    small, big, gone = (f.cache_name for _, f in task.outputs)
+    control.pump()
+    got = control.on_task_result("wA", task.task_id, TaskResult(exit_code=0))
+    control.on_cache_update("wA", small, 100)  # at the limit: kept
+    control.on_cache_update("wA", big, 101)
+    control.on_cache_update("wA", gone, 10)
+    control.replica_evicted("wA", gone)  # nobody to fetch it from
+    control.complete_task(got, got.result or TaskResult(exit_code=0))
+    assert task.state == TaskState.DONE
+    assert port.persisted == [(task, task.merkle, [small])]
+    assert len(store.get(task.merkle).outputs) == 3  # all recorded, one retained
+
+
+def test_end_workflow_stops_libraries_then_collects_in_a_fixed_order():
+    port, control = make_control()
+    for wid in ("wB", "wA"):
+        add_worker(port, control, wid)
+    control.libraries["lib"] = LibraryState("lib")
+    control.install_library("lib")
+    for wid in ("wB", "wA"):
+        control.on_library_ready(wid, "lib")
+    declared(control, "first")
+    declared(control, "second", cache=CacheLevel.TASK)
+    declared(control, "kept", cache=CacheLevel.WORKER)
+    for wid, names in (("wB", "second first kept"), ("wA", "kept second first")):
+        for name in names.split():
+            control.register_replica(wid, name, 10)
+    served = []
+    control.fetch("first", lambda wid, payload: served.append(payload))
+    mark = len(control.log.events())
+
+    control.end_workflow()
+
+    assert control.closed and served == [None]
+    tail = [
+        (e.kind, e.worker, e.file or e.task)
+        for e in control.log.events()[mark:]
+        if e.kind != "fetch_retried"
+    ]
+    assert tail == [
+        ("task_end", "wB", "lib@wB"),
+        ("task_end", "wA", "lib@wA"),
+        ("file_deleted", "wA", "first"),
+        ("file_deleted", "wA", "second"),
+        ("file_deleted", "wB", "first"),
+        ("file_deleted", "wB", "second"),
+        ("workflow_done", None, None),
+    ]
+    assert port.deleted == [(w, n) for _k, w, n in tail[2:6]]
+    # WORKER-level objects stay for the next workflow; nothing else does
+    assert {n: control.replicas.locate(n) for n in ("first", "second", "kept")} == {
+        "first": set(), "second": set(), "kept": {"wA", "wB"},
+    }
+    assert not control.libraries["lib"].state
+    assert all(not s.pool.holders() for s in control.workers.values())
+    control.pump()  # a closed plane pumps nothing
+    assert len(control.log.events()) == mark + len(tail) + 1

@@ -156,9 +156,8 @@ def test_domain_fold_round_trip(tmp_path):
     assert set(back.sessions) == {"tok-a"}
     assert back.max_session_id == 7  # closed sessions still reserve ids
     assert back.max_seq == 2
-    assert [r["id"] for r in back.pending_tasks()] == ["t2"]
-    assert [r["id"] for r in back.done_tasks()] == ["t1"]
-    assert back.done_tasks()[0]["outputs_done"] == ["out1"]
+    assert list(back.submits) == ["t1", "t2"] and not back.failed
+    assert back.done == {"t1": {"op": "done", "id": "t1", "outputs": ["out1"]}}
     assert back.replica_hints["out1"] == {"w1": 7}
     assert back.known_workers() == {"w1"}
     back.close()

@@ -117,6 +117,22 @@ def test_submit_twice_rejected(manager):
         manager.submit(t)
 
 
+def test_a_refused_python_task_is_prepared_once_and_may_come_back(manager):
+    # its payload and result files are attached before the plane decides
+    manager.set_tenant_quota("default", task_quota=1)
+    manager.submit(Task("first"))
+    t = PythonTask(len, "abc")
+    with pytest.raises(ManagerError, match="quota"):
+        manager.submit(t)
+    manager.set_tenant_quota("default", task_quota=2)
+    manager.submit(t)
+    assert [n for n, _ in t.inputs] == [t.PAYLOAD_NAME]
+    assert [n for n, _ in t.outputs] == [t.RESULT_NAME]
+    with pytest.raises(ManagerError, match="already submitted"):
+        manager.submit(t)
+    assert len(t.inputs) == len(t.outputs) == 1
+
+
 def test_function_call_requires_known_library(manager):
     with pytest.raises(ManagerError):
         manager.submit(FunctionCall("ghost", "fn"))

@@ -8,7 +8,7 @@ and the retries-exhausted path that fails consumers instead of looping.
 All through a FakePort with a hand-advanced clock — no sleeps.
 """
 
-from repro.core.control_plane import NO_SOURCE, TRANSFER_BACKOFF_MAX
+from repro.core.control_plane import TRANSFER_BACKOFF_MAX
 from repro.core.files import TempFile
 from repro.core.scheduler import GATE_AVOID, GATE_BANNED, GATE_OK
 from repro.core.task import Task, TaskState
@@ -25,7 +25,7 @@ from tests.core.test_control_plane import (
 def _temp(control, name):
     f = TempFile()
     f.cache_name = name
-    control.declare(f, NO_SOURCE, 0)
+    control.declare(f)
     return f
 
 
@@ -169,7 +169,6 @@ def test_departure_clears_failure_history():
     add_worker(port, control, "wOk")
     _burn_peer(port, control, "z", "wBad", "wOk", 2)
     assert "wBad" in control.blocklist
-    port.connected.discard("wBad")
     control.worker_left("wBad")
     assert "wBad" not in control.blocklist
     assert control.failure_scores["wBad"] == 0
@@ -264,7 +263,6 @@ def test_deep_lineage_regenerates_recursively():
     control.pump()
     # every intermediate lives on the same worker (locality); kill it
     lost = consumer.worker_id
-    port.connected.discard(lost)
     control.worker_left(lost)
     # the tail producer is resurrected; its missing input triggers the
     # next producer up, recursively to the head of the chain
@@ -297,7 +295,6 @@ def test_regeneration_budget_exhausted_fails_consumer_not_loops():
     control.pump()
     # first loss: regeneration spends the producer's only retry
     lost = consumer.worker_id
-    port.connected.discard(lost)
     control.worker_left(lost)
     assert producer.retries_used == 1
     control.pump()
@@ -306,7 +303,6 @@ def test_regeneration_budget_exhausted_fails_consumer_not_loops():
     assert consumer.state == TaskState.RUNNING
     # second loss: budget spent — the consumer fails instead of looping
     lost = consumer.worker_id
-    port.connected.discard(lost)
     control.worker_left(lost)
     assert producer.state == TaskState.DONE  # not resurrected again
     assert consumer.state == TaskState.FAILED
@@ -326,7 +322,6 @@ def test_regeneration_impossible_without_lineage_fails_waiters():
     control.submit(consumer)
     control.pump()
     lost = consumer.worker_id
-    port.connected.discard(lost)
     control.worker_left(lost)
     # with no producer to rerun, waiting tasks fail loudly
     assert consumer.state == TaskState.FAILED
@@ -344,7 +339,6 @@ def test_requeue_backoff_delays_replacement():
     control.pump()
     assert t.state == TaskState.RUNNING
     lost = t.worker_id
-    port.connected.discard(lost)
     control.worker_left(lost)
     assert t.state == TaskState.READY
     assert t.not_before > port.time

@@ -5,7 +5,9 @@ test_control_plane) and observes the TenantAccount bookkeeping plus the
 ``tenant.<name>.*`` gauges the service's status table is built from.
 """
 
-from repro.core.control_plane import NO_SOURCE
+import pytest
+
+from repro.core.control_plane import ManagerError
 from repro.core.files import TempFile
 from repro.core.task import Task
 
@@ -60,17 +62,16 @@ def test_failed_task_counts_against_failed_not_done():
 def test_task_quota_blocks_after_headroom_exhausted():
     port, control = make_control()
     control.set_tenant_quota("alice", task_quota=2)
-    assert control.tenant_submit_blocked("alice") is None
     submit_for(control, "alice")
     submit_for(control, "alice")
-    reason = control.tenant_submit_blocked("alice")
-    assert reason is not None and "quota" in reason
+    with pytest.raises(ManagerError, match="quota"):
+        submit_for(control, "alice")
     # completing a task restores headroom
     add_worker(port, control, "wA")
     control.pump()
     running = list(control._running.values())
     finish(port, control, running[0])
-    assert control.tenant_submit_blocked("alice") is None
+    submit_for(control, "alice")
 
 
 def test_byte_quota_blocks_declares_but_not_cache_hits():
@@ -122,7 +123,8 @@ def test_tenant_namespace_tracks_names():
 def test_default_quotas_apply_to_new_tenants():
     port, control = make_control(default_task_quota=1, default_byte_quota=10)
     submit_for(control, "carol")
-    assert control.tenant_submit_blocked("carol") is not None
+    with pytest.raises(ManagerError, match="quota"):
+        submit_for(control, "carol")
     assert control.tenant_charge_bytes("carol", 11) is not None
 
 
@@ -136,7 +138,7 @@ def test_regeneration_keeps_tenant_done_ledger_consistent():
     add_worker(port, control, "wB")
     temp = TempFile()
     temp.cache_name = "mid"
-    control.declare(temp, NO_SOURCE, 0)
+    control.declare(temp)
     producer = Task("make").add_output(temp, "out")
     producer.set_tenant("alice")
     control.submit(producer)
@@ -152,7 +154,6 @@ def test_regeneration_keeps_tenant_done_ledger_consistent():
     control.pump()
     # lose the only replica: the producer is resurrected
     lost = consumer.worker_id
-    port.connected.discard(lost)
     control.worker_left(lost)
     assert acct.done == 0 == control.done_count
     assert acct.regens == 1 and acct.outstanding == 2

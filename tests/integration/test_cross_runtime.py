@@ -7,9 +7,15 @@ what ends up cached where — even though wall-clock and virtual time
 differ completely.
 """
 
+import inspect
 
-from repro.core.control_plane import source_kind
+import pytest
+
+from repro.core.control_plane import ManagerError, RuntimePort, source_kind
 from repro.core.events import peak_transfer_concurrency
+from repro.core.files import BufferFile
+from repro.core.manager import Manager
+from repro.core.policy import Policy
 from repro.core.task import Task, TaskState
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
@@ -229,3 +235,46 @@ def test_real_runtime_respects_source_transfer_limit(tmp_path):
             )
     finally:
         c.stop()
+
+
+# -- one plane, one admission rule: what either runtime refuses ------------
+
+
+def _real(policy):
+    m = Manager(policy=policy)
+    return m, m.submit, m.close
+
+
+def _sim(policy):
+    m = SimManager(SimCluster(), policy)
+    return m, lambda task: m.submit(task, duration=1.0), lambda: None
+
+
+@pytest.mark.parametrize("runtime", [_real, _sim])
+def test_both_runtimes_refuse_the_same_submits(runtime):
+    m, submit, close = runtime(Policy(default_task_quota=2))
+    try:
+        first = Task("true")
+        submit(first)
+        with pytest.raises(ManagerError, match="already submitted"):
+            submit(first)
+        with pytest.raises(ManagerError, match="was not declared"):
+            submit(Task("cat in").add_input(BufferFile(b"stranger"), "in"))
+        submit(Task("true"))
+        with pytest.raises(ManagerError, match="quota"):
+            submit(Task("true"))  # the tenant has its two outstanding
+        assert len(m.tasks) == 2 == m.control.outstanding
+    finally:
+        close()
+
+
+def test_both_runtimes_implement_the_port_and_nothing_asks_what_they_think():
+    declared = [
+        name
+        for name, member in vars(RuntimePort).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    ]
+    assert len(declared) == 16 and "worker_connected" not in declared
+    for runtime in (Manager, SimManager):
+        missing = [n for n in declared if not inspect.isfunction(vars(runtime).get(n))]
+        assert not missing, f"{runtime.__name__} lacks {missing}"

@@ -51,11 +51,12 @@ def test_worker_joining_mid_run_picks_up_work(tmp_path):
     try:
         m = cluster.manager
         tasks = []
-        for i in range(8):
+        for i in range(24):
             t = Task("sleep 0.4")
             m.submit(t)
             tasks.append(t)
-        # the queue is deeper than one worker drains quickly: reinforce
+        # the queue is deeper than one worker drains before a second
+        # process can be spawned and registered (≈ 1 s here): reinforce
         cluster.start_worker("late", cores=4)
         cluster.wait_workers(2)
         with m._lock:

@@ -134,6 +134,25 @@ def test_real_and_sim_emit_schema_identical_transaction_logs(tmp_path):
     assert real_events[-1].kind == sim_events[-1].kind == "workflow_done"
 
 
+def test_a_finished_run_ends_the_same_way_in_both_runtimes(tmp_path):
+    """The end of a workflow is the plane's (``end_workflow``): after
+    the last task, one ``file_deleted`` per collected replica — the
+    shared input at each of the two workers, worker by worker — then
+    ``workflow_done``; replayed, no cache still holds a workflow's file."""
+    for path in (_real_txn_log(tmp_path), _sim_txn_log(tmp_path)):
+        header, events = read_transactions(path, strict=True)
+        last_task = max(i for i, e in enumerate(events) if e.kind == "task_end")
+        tail = events[last_task + 1:]
+        assert [e.kind for e in tail] == ["file_deleted"] * 2 + ["workflow_done"], (
+            header["runtime"]
+        )
+        deleted = [e.worker for e in tail[:2]]
+        assert deleted == sorted(deleted) and len(set(deleted)) == 2
+        status = replay_status(events, runtime=header["runtime"])
+        assert status.workflow_done
+        assert [w.cached_objects for w in status.workers.values()] == [0, 0]
+
+
 def test_transaction_log_replays_into_event_analyses(tmp_path):
     """A log loaded from disk feeds the same analyses as the live log."""
     from repro.core.events import completion_series, makespan, task_rows

@@ -117,7 +117,7 @@ def test_workers_registering_during_close_leave_nothing_behind(monkeypatch):
         time.sleep(0.3)  # the reactor reads REGISTER, then waits on the lock
         return {}
 
-    monkeypatch.setattr("repro.core.manager.collect_workflow", register_mid_close)
+    monkeypatch.setattr("repro.core.control_plane.collect_workflow", register_mid_close)
     m.close()
     assert not m.workers
     for conn in conns:

@@ -484,3 +484,27 @@ def test_a_worker_told_to_shut_down_leaves_nothing_running(tmp_path):
                     os.killpg(int(path.read_text()), 9)
                 except (ProcessLookupError, ValueError):
                     pass
+
+
+def test_a_command_that_raises_in_the_worker_fails_its_task_not_the_worker(
+    single_worker_cluster,
+):
+    """Inputs named ``data`` and ``data/ref.fa`` cannot both be linked
+    (``FileExistsError`` out of ``link_inputs``, which foresees only a
+    missing input).  The task must come back ``FAILED`` naming the
+    error — not stay ``RUNNING`` behind a dead handler thread — with
+    its pins and sandbox released, and the worker must serve on."""
+    m = single_worker_cluster.manager
+    clash = Task("cat data/ref.fa")
+    clash.add_input(m.declare_buffer(b"a file"), "data")
+    clash.add_input(m.declare_buffer(b">ref\nACGT\n"), "data/ref.fa")
+    m.submit(clash)
+    assert m.wait(timeout=10) is clash, "the task's end was never reported"
+    assert clash.state == TaskState.FAILED and clash.result.exit_code == 126
+    assert "worker: " in clash.result.failure
+    assert "Error" in clash.result.failure  # FileExists / NotADirectory, by OS
+    after = Task("echo still here")
+    m.submit(after)
+    assert m.wait(timeout=10) is after and after.state == TaskState.DONE
+    workdir = m.workers[after.worker_id].workdir
+    assert os.listdir(os.path.join(workdir, "sandboxes")) == []

@@ -9,17 +9,28 @@ outputs to come home, and none once terminal.  Every task in
 fetch in flight (else nothing would ever finish it).  The slot ledger
 ``_lib_load`` equals a recount of the calls placed.
 
-:func:`watch_plane_invariants` wraps ``ControlPlane.pump`` so each
-outermost pump ends with :func:`violations` empty; ``tests/sim`` and
-``tests/faults`` run under it (``tests/conftest.py``), beside the wake
-oracle of ``tests/stage_wakes.py``.
+The plane's workers are exactly the runtime's connected ones — which is
+why the port needs no ``worker_connected``: membership in
+``control.workers`` is the answer.  The transfer table's per-kind loads
+equal a recount of what is in flight, and no transfer in flight touches
+a worker that left.  And a plane that ended its workflow holds nothing
+of it: no stage, fetch or awaited retrieval, and no replica of a file
+that was to live no longer than the workflow.
+
+:func:`watch_plane_invariants` wraps ``ControlPlane.pump`` and
+``end_workflow`` so each outermost pump, and the end, leave
+:func:`violations` empty; ``tests/sim`` and ``tests/faults`` run under
+it (``tests/conftest.py``), beside the wake oracle of
+``tests/stage_wakes.py``.
 """
 
 import collections
 
 from repro.core.control_plane import ControlPlane
+from repro.core.files import CacheLevel
 from repro.core.library import FunctionCall
 from repro.core.task import TaskState
+from repro.core.transfer_table import source_kind
 
 _HOME = {
     TaskState.READY: "ready",
@@ -56,11 +67,66 @@ def violations(control: ControlPlane) -> list[str]:
     )
     if placed != +control._lib_load:
         found.append(f"slot ledger {dict(control._lib_load)} != placed {dict(placed)}")
+    found += _membership(control) + _transfers(control)
+    if control.closed:
+        found += _left_after_the_end(control)
+    return found
+
+
+def _membership(control: ControlPlane) -> list[str]:
+    """``control.workers`` against the runtime's own idea of who is
+    connected: the simulated cluster's flags (for a manager life still
+    being told of joins and leaves), the real manager's handle table."""
+    port = control.port
+    if hasattr(port, "cluster"):
+        if port._crashed:
+            return []  # a dead life hears of no departure
+        connected = {w.worker_id for w in port.cluster.workers.values() if w.connected}
+    elif hasattr(port, "workers"):
+        connected = set(port.workers)
+    else:
+        return []  # a scripted port has no table of its own
+    if set(control.workers) != connected:
+        return [f"plane workers {sorted(control.workers)} != connected {sorted(connected)}"]
+    return []
+
+
+def _transfers(control: ControlPlane) -> list[str]:
+    found = []
+    active = control.transfers.active()
+    recount = collections.Counter(source_kind(t.source) for t in active)
+    if recount != +collections.Counter(control.transfers.kind_loads()):
+        found.append(
+            f"kind loads {control.transfers.kind_loads()} != in flight {dict(recount)}"
+        )
+    for t in active:
+        ends = [t.dest_worker] + [t.source] * (source_kind(t.source) == "peer")
+        gone = [w for w in ends if w not in control.workers]
+        if gone:
+            found.append(f"transfer {t.transfer_id} of {t.cache_name} touches departed {gone}")
+    return found
+
+
+def _left_after_the_end(control: ControlPlane) -> list[str]:
+    found = []
+    for what, left in (
+        ("stages", control._consumers),
+        ("fetches", control._fetches),
+        ("retrievals", control._finishing),
+    ):
+        if left:
+            found.append(f"closed with {what} left: {sorted(left)}")
+    for name in control.registry.names_at_level(CacheLevel.TASK, CacheLevel.WORKFLOW):
+        holders = control.replicas.locate(name)
+        if holders:
+            found.append(f"closed with {name} still at {sorted(holders)}")
     return found
 
 
 def watch_plane_invariants(monkeypatch) -> None:
     pump = ControlPlane.pump
+
+    end_workflow = ControlPlane.end_workflow
 
     def checked(self):
         pump(self)
@@ -68,4 +134,10 @@ def watch_plane_invariants(monkeypatch) -> None:
             found = violations(self)
             assert not found, f"control-plane invariants broken: {found}"
 
+    def ended(self):
+        end_workflow(self)
+        found = violations(self)
+        assert not found, f"control-plane invariants broken at the end: {found}"
+
     monkeypatch.setattr(ControlPlane, "pump", checked)
+    monkeypatch.setattr(ControlPlane, "end_workflow", ended)

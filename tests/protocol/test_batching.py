@@ -151,16 +151,6 @@ def test_send_with_payload_keeps_bulk_contiguous(conn_pair):
     sender.close()
 
 
-def test_zero_delay_disables_coalescing(conn_pair):
-    client, server = conn_pair
-    sender = BatchSender(client, max_delay=0)
-    for i in range(3):
-        sender.notice(_notice(i))
-    for i in range(3):
-        assert server.recv_message() == _notice(i)  # three bare frames
-    sender.close()
-
-
 def test_close_flushes_remaining_notices(conn_pair):
     client, server = conn_pair
     sender = BatchSender(client, max_batch=1000, max_delay=30.0)

@@ -138,6 +138,32 @@ def test_execute_round_trip(rig):
         assert f.read() == b"SHOUT"
 
 
+def test_a_task_sent_again_while_it_runs_is_answered_by_the_attempt_at_it(rig):
+    """A restarted manager re-sends what its previous life had running
+    here; two attempts cannot share ``sandbox-<id>``, so the one at
+    work answers for both — one report, and it is the first one's."""
+    fake, worker = rig
+    fake.wait_for(M.REGISTER)
+    execute = {
+        "type": M.EXECUTE, "task_id": "t4", "command": "sleep 0.5; echo once > out",
+        "inputs": [], "outputs": [["out", "out-4", 1]],
+        "env": {}, "resources": {"cores": 1},
+    }
+    fake.send(execute)
+    deadline = time.time() + 10
+    while "t4" not in worker._procs and time.time() < deadline:
+        time.sleep(0.01)
+    fake.send(execute)
+    done, _ = fake.wait_for(M.TASK_DONE)
+    assert done["exit_code"] == 0 and done.get("failure") is None
+    time.sleep(0.3)  # a second report would have arrived by now
+    with fake._lock:
+        reports = [m for m, _ in fake.messages if m.get("type") == M.TASK_DONE]
+    assert len(reports) == 1 and not worker._executing
+    with open(worker.cache.path_of("out-4"), "rb") as f:
+        assert f.read() == b"once\n"
+
+
 def test_fetch_failure_reports_cache_invalid(rig):
     fake, worker = rig
     fake.wait_for(M.REGISTER)
