@@ -66,6 +66,7 @@ from repro.core.scheduler import (
     ReadyQueue,
     Scheduler,
     WorkerView,
+    placement_key,
 )
 from repro.core.task import PythonTask, Task, TaskResult, TaskState
 from repro.core.transfer_table import (
@@ -99,6 +100,8 @@ TRANSFER_BACKOFF_MAX = 30.0
 #: seconds (on the runtime's clock) before an in-flight result fetch is
 #: abandoned and its waiters are failed (orphaned-waiter hygiene)
 FETCH_TTL = 300.0
+#: ready tasks one placement pass may fail to place before it stops
+PLACEMENT_WINDOW = 64
 
 
 class ManagerError(RuntimeError):
@@ -453,6 +456,14 @@ class ControlPlane:
 
         self.tasks: dict[str, Task] = {}
         self._ready = ReadyQueue()
+        #: one placement index per library key (None: the pool-wide
+        #: one), built on first use and kept current through
+        #: ``_view_changed``: the workers whose views may have changed
+        #: since the indexes were last read (``_index``)
+        self._indexes: dict[Optional[str], PlacementIndex] = {}
+        self._changed: set[str] = set()
+        #: latest requeue back-off ever set: no queued task waits past it
+        self._holdoff_until = 0.0
         #: parked READY tasks (off the ready heap, see ``_pump_body``):
         #: task id -> the missing inputs it still waits for, and the
         #: reverse index cache name -> ids of the tasks waiting for it
@@ -603,7 +614,7 @@ class ControlPlane:
         # the scheduler consults the control plane's failure knowledge
         # when ranking placements and picking transfer sources
         self.scheduler.transfer_gate = self._transfer_gate
-        self.scheduler.failure_score = lambda wid: self.failure_scores[wid]
+        self.scheduler.failure_score = lambda wid: self.failure_scores.get(wid, 0)
         self.scheduler.candidates_counter = self._m_candidates
 
     def _j(self):
@@ -641,6 +652,8 @@ class ControlPlane:
         if source is None:
             source = _fixed_source(f)
         canonical = self.registry.register(f)
+        if source == NO_SOURCE:
+            self._withdraw_source(f.cache_name)
         self.fixed_sources[f.cache_name] = source
         self.sizes[f.cache_name] = size if size is not None else (f.size or 0)
         j = self._j()
@@ -648,9 +661,20 @@ class ControlPlane:
             j.record_declare(file_spec(f, source, self.sizes[f.cache_name]))
         return canonical
 
+    def _withdraw_source(self, cache_name: str) -> None:
+        """``cache_name`` is (re)declared with no fixed source: if one
+        served it and no replica backs it, whoever reads it now waits
+        for a producer."""
+        if (
+            self.fixed_sources.get(cache_name, NO_SOURCE) != NO_SOURCE
+            and not self.replicas.replica_count(cache_name)
+        ):
+            self._unvet_needing({cache_name})
+
     def declare_output_file(self, f: File) -> None:
         """Register a task output that exists only once produced."""
         self.registry.register(f)
+        self._withdraw_source(f.cache_name)
         self.fixed_sources[f.cache_name] = NO_SOURCE
         self.sizes.setdefault(f.cache_name, f.size or 0)
         j = self._j()
@@ -1012,9 +1036,10 @@ class ControlPlane:
     def submit(self, task: Task, namer=None) -> str:
         """Admit a task into the ready queue, or refuse it.
 
-        Refused, with :class:`ManagerError` and nothing recorded: a
-        task submitted before, one naming an input nobody declared, and
-        one whose tenant already has its quota of tasks outstanding.
+        Refused, with :class:`ManagerError` and nothing recorded: any
+        task once the workflow ended (:meth:`end_workflow`), a task
+        submitted before, one naming an input nobody declared, and one
+        whose tenant already has its quota of tasks outstanding.
         An admitted task's outputs are named and declared with the
         runtime's ``namer`` (:meth:`_name_outputs`; without one they
         must be already).
@@ -1026,6 +1051,8 @@ class ControlPlane:
         ready queue: its outputs are adopted and it completes at the
         next pump without dispatching.
         """
+        if self.closed:
+            raise ManagerError("manager is closed")
         if task.state != TaskState.CREATED:
             raise ManagerError(f"task {task.task_id} already submitted")
         for _, f in task.inputs:
@@ -1075,7 +1102,7 @@ class ControlPlane:
                 task.session_token,
             )
         if not self._memo_try_hit(task):
-            self._ready.push(task)
+            self._enqueue(task)
         self.outstanding += 1
         acct.submitted += 1
         acct.outstanding += 1
@@ -1201,7 +1228,8 @@ class ControlPlane:
         task.state = TaskState.READY
         task.worker_id = None
         task.not_before = self._requeue_holdoff(task)
-        self._ready.push(task)
+        self._holdoff_until = max(self._holdoff_until, task.not_before)
+        self._enqueue(task)
         self.tasks_requeued += 1
         (self._m_regens if kind == "file_regenerated" else self._m_requeues).inc()
         self.log.emit(
@@ -1498,6 +1526,7 @@ class ControlPlane:
                 pass
             if worker_id in self._undeployed:
                 self._deploy_retry.add(worker_id)
+        self._view_changed(worker_id)
 
     def _abort_placement(self, task: Task) -> None:
         """Undo a dispatch: release pool, slots and pins at the worker."""
@@ -1666,6 +1695,34 @@ class ControlPlane:
         self.fixed_sources[cache_name] = source
         self._mark_stage_dirty(cache_name)
 
+    # -- queued tasks the pump knows about ------------------------------
+
+    def _enqueue(self, task: Task) -> None:
+        """Put a READY task on the heap, vetted if its inputs are
+        obtainable now."""
+        self._ready.push(task)
+        if self._inputs_obtainable(task):
+            self._ready.vet(task)
+
+    def _unvet_lost(self) -> None:
+        """Queued tasks needing an input that lost its last replica with
+        no source left to serve it are vetted no longer: the pump must
+        look at them (and regenerate, park or fail them) itself."""
+        lost = {
+            name
+            for name in self.replicas.take_emptied()
+            if self._input_refs.get(name, 0) > 0
+            and self.replicas.replica_count(name) == 0
+            and self.fixed_sources.get(name, MANAGER_SOURCE) == NO_SOURCE
+        }
+        if lost:
+            self._unvet_needing(lost)
+
+    def _unvet_needing(self, names: set[str]) -> None:
+        for task in self._ready.tasks():
+            if not names.isdisjoint(task.input_cache_names()):
+                self._ready.unvet(task)
+
     # -- parked ready tasks ---------------------------------------------
 
     def _park(self, entry: tuple, waiting: list[str]) -> None:
@@ -1686,7 +1743,10 @@ class ControlPlane:
             waiters.discard(task_id)
             if not waiters:
                 del self._parked_on[name]
-        self._ready.unpark(task_id)
+        if self._ready.unpark(task_id):
+            task = self.tasks[task_id]
+            if self._inputs_obtainable(task):
+                self._ready.vet(task)
 
     def _input_appeared(self, cache_name: str, worker_id: str) -> None:
         """``worker_id`` now holds a replica of ``cache_name``: the
@@ -2215,10 +2275,12 @@ class ControlPlane:
                 self.port.now(), "worker_blocklist",
                 worker=worker_id, size=score,
             )
+        self._view_changed(worker_id)  # its score, perhaps its eligibility
 
     def _note_worker_success(self, worker_id: str) -> None:
         if self.failure_scores[worker_id] > 0:
             self.failure_scores[worker_id] -= 1
+            self._view_changed(worker_id)
 
     def note_fault(
         self,
@@ -2263,6 +2325,7 @@ class ControlPlane:
         self.draining.discard(worker_id)
         self._drain_released.discard(worker_id)
         self._drain_stats.pop(worker_id, None)
+        self._view_changed(worker_id)
         self.log.emit(self.port.now(), "worker_join", worker=worker_id)
         for cache_name, size in cached:
             self.adopt_replica(worker_id, cache_name, int(size))
@@ -2285,6 +2348,7 @@ class ControlPlane:
         state = self.workers.pop(worker_id, None)
         if state is None:
             return
+        self._view_changed(worker_id)
         self.log.emit(self.port.now(), "worker_leave", worker=worker_id)
         lost_names = self.replicas.remove_worker(worker_id)
         j = self._j()
@@ -2392,6 +2456,7 @@ class ControlPlane:
         if state is None or worker_id in self.draining:
             return False
         self.draining.add(worker_id)
+        self._view_changed(worker_id)
         self._drain_stats[worker_id] = {"objects": 0, "bytes": 0}
         self._m_drains.inc()
         self.log.emit(self.port.now(), "worker_drain", worker=worker_id)
@@ -2644,7 +2709,7 @@ class ControlPlane:
             task.submitted_at = now
             for _, f in task.inputs:
                 self._input_refs[f.cache_name] += 1
-            self._ready.push(task)
+            self._enqueue(task)
             self.outstanding += 1
             acct.outstanding += 1
             self._m_resumed.inc()
@@ -2735,6 +2800,8 @@ class ControlPlane:
                     )
                 self._free_library(lib.name, worker_id)
             lib.state.clear()
+        for worker_id in self.workers:
+            self._view_changed(worker_id)  # no library is ready anywhere
         deletions = collect_workflow(self.registry, self.replicas)
         # a fixed order — worker by worker, each in declaration order —
         # keeps the log of a seeded run replayable
@@ -2750,6 +2817,7 @@ class ControlPlane:
                 )
                 self.replicas.remove_replica(name, worker_id)
         self.log.emit(self.port.now(), "workflow_done")
+        self.replicas.take_emptied()  # no pass will ask what was lost
 
     # ------------------------------------------------------------------
     # fault recovery: regeneration and replication (paper §2.2/§3.2)
@@ -2932,28 +3000,49 @@ class ControlPlane:
         # path (and the service layer's bookkeeping around it) unwound
         self._drain_memo_complete()
 
-        # 1. placement — ready tasks are popped from the priority heap
-        # in (-priority, seq) order instead of re-sorting the whole
-        # queue; placement indexes are built lazily per library key and
-        # updated in place after each dispatch, so a pump touches each
-        # worker once, not once per task
-        index_cache: dict[Optional[str], PlacementIndex] = {}
+        # 1. placement
+        now = self.port.now()
+        recovered, next_retry = self._place_ready(now)
 
-        def get_index(key: Optional[str]) -> PlacementIndex:
-            if key not in index_cache:
-                views = {}
-                for wid in self.workers:
-                    v = self._view_of(wid, key)
-                    if v is not None:
-                        views[wid] = v
-                index_cache[key] = PlacementIndex(
-                    views, self.scheduler.failure_score
-                )
-            return index_cache[key]
+        # 2. staging: re-plan the stages something woke since the last pump
+        if (
+            self._stage_dirty
+            or self._slot_offers
+            or self._deferred_staging
+            or self._deploy_retry
+        ):
+            self._replan_woken()
 
+        # 3. graceful drains: re-kick migrations, release finished ones
+        if self.draining:
+            self._advance_drains()
+
+        if next_retry is not None:
+            self._schedule_pump(next_retry - now)
+
+        # lineage producers resurrected mid-pump joined _ready after the
+        # placement loop snapshot; place them now rather than waiting on
+        # the next external event (recursion is bounded by lineage depth)
+        if recovered:
+            self.pump()
+
+    def _place_ready(self, now: float) -> tuple[bool, Optional[float]]:
+        """The pump's placement pass.  Returns whether lineage producers
+        were resurrected (they wait for a re-pump) and the earliest
+        requeue back-off still running, if any.
+
+        Ready tasks are popped from the priority heap in fair-share
+        ``(-priority, seq)`` order and placed through the per-library-key
+        indexes (:meth:`_index`), until the heap runs out or
+        ``PLACEMENT_WINDOW`` tasks failed to place.  When the rest of
+        that window can only fail (:meth:`_only_failures_left`) the pass
+        ends at once and the ready queue turns its tenant ring as those
+        failures would have: the same tasks are placed, in the same
+        order, by a pass that does not probe what it knows.
+        """
+        self._unvet_lost()
         failures = 0
         recovered = False
-        now = self.port.now()
         next_retry: Optional[float] = None
         # entries pushed from this token onward (lineage producers
         # resurrected mid-loop) wait for the recursive re-pump — the
@@ -2987,44 +3076,78 @@ class ControlPlane:
                         # deliver or one ends, so it costs none until then
                         self._park(entry, waiting)
                     continue
-                key = task.library_name if isinstance(task, FunctionCall) else None
-                wid = self.scheduler.choose_worker_indexed(task, get_index(key))
+                index = self._index(placement_key(task))
+                wid = self.scheduler.choose_worker_indexed(task, index)
                 if wid is None:
                     failures += 1
                     stash.append(entry)
-                    if failures >= 64:
+                    self._ready.vet(task)  # its inputs were just found obtainable
+                    if failures >= PLACEMENT_WINDOW:
+                        break
+                    if self._only_failures_left(now):
+                        self._ready.skip(PLACEMENT_WINDOW - failures, snapshot)
                         break
                     continue
                 self._ready.discard(task)
                 self._dispatch(task, wid)
-                for k, idx in index_cache.items():
-                    idx.update(wid, self._view_of(wid, k))
         finally:
             entries.close()  # returns mid-loop pushes to the heap
             for entry in stash:
                 self._ready.restore(entry)
+        return recovered, next_retry
 
-        # 2. staging: re-plan the stages something woke since the last pump
-        if (
-            self._stage_dirty
-            or self._slot_offers
-            or self._deferred_staging
-            or self._deploy_retry
-        ):
-            self._replan_woken()
+    def _only_failures_left(self, now: float) -> bool:
+        """True when every entry the pass has not yielded yet would fail
+        to place, each one counting a failure and going back to the heap.
 
-        # 3. graceful drains: re-kick migrations, release finished ones
-        if self.draining:
-            self._advance_drains()
+        No requeued task is still backing off (it would be set aside,
+        not fail), every active task's inputs are known obtainable (none
+        would be regenerated, parked or failed), and every ``(library
+        key, pool request)`` class still queued is recorded infeasible
+        in its index — which is exact, so each of them would get
+        ``None`` from ``choose_worker_indexed``.  (Tasks queued during
+        the pass count too, though the pass would not yield them.)
+        """
+        ready = self._ready
+        if now < self._holdoff_until:
+            return False
+        self._unvet_lost()
+        if not ready.all_vetted:
+            return False
+        # current: the failed probe before this read them (``_index``)
+        for key, request in ready.classes():
+            index = self._indexes.get(key)
+            if index is None or not index.infeasible(request):
+                return False
+        return True
 
-        if next_retry is not None:
-            self._schedule_pump(next_retry - now)
+    def _index(self, key: Optional[str]) -> PlacementIndex:
+        """The placement index of one library key, current, and built
+        from every worker the first time it is asked for."""
+        for worker_id in self._changed:  # every index takes them afresh
+            for k, index in self._indexes.items():
+                index.update(worker_id, self._view_of(worker_id, k))
+        self._changed.clear()
+        index = self._indexes.get(key)
+        if index is None:
+            views = {}
+            for wid in self.workers:
+                view = self._view_of(wid, key)
+                if view is not None:
+                    views[wid] = view
+            index = self._indexes[key] = PlacementIndex(
+                views, self.scheduler.failure_score
+            )
+        return index
 
-        # lineage producers resurrected mid-pump joined _ready after the
-        # placement loop snapshot; place them now rather than waiting on
-        # the next external event (recursion is bounded by lineage depth)
-        if recovered:
-            self.pump()
+    def _view_changed(self, worker_id: str) -> None:
+        """Something a worker's views are made of — membership, pool,
+        load, library slots, blocklist, drain, library state or failure
+        score — may have changed: every placement index takes its view
+        afresh before it is next read (however often it changed until
+        then)."""
+        if self._indexes:
+            self._changed.add(worker_id)
 
     def _inputs_obtainable(self, task: Task) -> bool:
         """True when every input exists somewhere or can be produced."""
@@ -3075,6 +3198,7 @@ class ControlPlane:
         else:
             state.pool.allocate(task.task_id, task.resources)
         state.running.add(task.task_id)
+        self._view_changed(worker_id)
         task.worker_id = worker_id
         task.state = TaskState.DISPATCHED
         self._dispatched[task.task_id] = task
@@ -3220,6 +3344,7 @@ class ControlPlane:
             return
         state.pool.allocate(f"lib:{lib.name}", lib.resources)
         lib.state[worker_id] = "staging"
+        self._view_changed(worker_id)
         pseudo = Task(f"deploy:{lib.name}")
         for i, f in enumerate(lib.env_files):
             pseudo.inputs.append((f"env{i}", f))
@@ -3235,6 +3360,7 @@ class ControlPlane:
     def _launch_library(self, lib: LibraryState, worker_id: str) -> None:
         del lib.stages[worker_id]
         lib.state[worker_id] = "starting"
+        self._view_changed(worker_id)
         self.log.emit(
             self.port.now(), "task_start",
             worker=worker_id, task=f"{lib.name}@{worker_id}", category="library",
@@ -3247,6 +3373,7 @@ class ControlPlane:
         if lib is None or lib.state.get(worker_id) != "starting":
             return
         lib.state[worker_id] = "ready"
+        self._view_changed(worker_id)
         self.log.emit(
             self.port.now(), "library_ready", worker=worker_id, category=name
         )
@@ -3278,3 +3405,4 @@ class ControlPlane:
                 state.pool.release(f"lib:{name}")
             except KeyError:
                 pass
+        self._view_changed(worker_id)

@@ -37,6 +37,8 @@ class ReplicaTable:
         self._sizes: dict[str, int] = {}
         #: incremental per-worker byte totals (sum of known sizes held)
         self._bytes_by_worker: dict[str, int] = {}
+        #: names that lost their last replica since :meth:`take_emptied`
+        self._emptied: list[str] = []
 
     # -- mutation -------------------------------------------------------
 
@@ -87,6 +89,7 @@ class ReplicaTable:
         if not workers:
             del self._workers_by_name[cache_name]
             self._sizes.pop(cache_name, None)
+            self._emptied.append(cache_name)
 
     def remove_worker(self, worker_id: str) -> set[str]:
         """Drop every replica held by a departed worker; returns the names."""
@@ -99,11 +102,14 @@ class ReplicaTable:
                 if not workers:
                     del self._workers_by_name[name]
                     self._sizes.pop(name, None)
+                    self._emptied.append(name)
         return names
 
     def forget_name(self, cache_name: str) -> set[str]:
         """Drop every replica of a file (e.g. after garbage collection)."""
         workers = self._workers_by_name.pop(cache_name, set())
+        if workers:
+            self._emptied.append(cache_name)
         for w in workers:
             self._debit(w, cache_name)
             names = self._names_by_worker.get(w)
@@ -124,6 +130,12 @@ class ReplicaTable:
             self._bytes_by_worker[worker_id] = remaining
         else:
             self._bytes_by_worker.pop(worker_id, None)
+
+    def take_emptied(self) -> list[str]:
+        """Names that lost their last replica since the previous call
+        (a name may repeat; it may have been re-replicated since)."""
+        emptied, self._emptied = self._emptied, []
+        return emptied
 
     # -- queries ----------------------------------------------------------
 

@@ -23,12 +23,14 @@ index) and compares the best against a least-loaded fallback popped
 from a :class:`PlacementIndex` heap — the same decision as ranking
 every worker (the zero-score fallback is provably equivalent to
 ranking every non-holder) at O(replicas-of-inputs + log W) per task.
-The full O(W·I) scan it is checked against, and the ``(-priority,
-seq)`` sort :class:`ReadyQueue` is checked against, live in
-``tests/core/reference_scheduler.py`` as the equivalence suite's
-oracle.  Within one placement pass the index also remembers request
-shapes that fit no worker, so a full cluster is discovered once per
-pass, not once per queued task (:meth:`PlacementIndex.infeasible`).
+The full O(W·I) scan it is checked against, the ``(-priority, seq)``
+sort :class:`ReadyQueue` is checked against, and the placement loop
+that rebuilt the index on every pass live in
+``tests/core/reference_scheduler.py`` as the equivalence suites'
+oracles.  The index lives as long as its owner keeps it current; it
+also remembers request shapes that fit no worker, so a full cluster is
+discovered once, not once per queued task
+(:meth:`PlacementIndex.infeasible`).
 
 :class:`ReadyQueue` is a lazy-deletion priority heap keyed on
 ``(-priority, seq)`` — ``seq`` being the monotonic submission sequence
@@ -43,6 +45,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
+from repro.core.library import FunctionCall
 from repro.core.replica_table import ReplicaTable
 from repro.core.resources import Resources
 from repro.core.task import Task
@@ -54,6 +57,7 @@ __all__ = [
     "Scheduler",
     "ReadyQueue",
     "PlacementIndex",
+    "placement_key",
     "GATE_OK",
     "GATE_AVOID",
     "GATE_BANNED",
@@ -63,6 +67,13 @@ __all__ = [
 GATE_OK = 0        # source is clear to serve this object now
 GATE_AVOID = 1     # temporarily avoid (retry backoff, blocklisted worker)
 GATE_BANNED = 2    # permanently out of budget for this object
+
+
+def placement_key(task: Task) -> Optional[str]:
+    """Which :class:`PlacementIndex` places ``task``: its library's for a
+    FunctionCall (the workers with a ready instance and a free slot),
+    the pool-wide one (None) for everything else."""
+    return task.library_name if isinstance(task, FunctionCall) else None
 
 
 @dataclass
@@ -146,6 +157,15 @@ class ReadyQueue:
     order is exactly ``(-priority, seq)``.  With a single tenant the
     round-robin ring has one member and the pop order is global
     ``(-priority, seq)`` (the single-tenant equivalence test pins this).
+
+    **What a pass may skip.**  The queue counts its *active* tasks —
+    live and not parked — per placement class ``(placement_key,
+    pool_request)`` (:meth:`classes`), and which of them the owner has
+    not vouched for with :meth:`vet` (inputs known obtainable; a push or
+    unpark, and :meth:`unvet`, withdraw it).  From these the pump
+    can prove that the rest of a pass would only yield entries that
+    fail, and end it with :meth:`skip`, which turns the tenant ring
+    exactly as those yields would have.
     """
 
     def __init__(self) -> None:
@@ -154,13 +174,19 @@ class ReadyQueue:
         #: round-robin ring of tenants in first-appearance order
         self._ring: list[str] = []
         self._ring_pos = 0
-        #: task_id -> (live token, task); absent = not queued.  Owning
-        #: the task reference here keeps :meth:`tasks` complete even
-        #: while a pump holds popped entries in its local stash.
-        self._live: dict[str, tuple[int, Task]] = {}
+        #: task_id -> (live token, task, placement class); absent = not
+        #: queued.  Owning the task reference here keeps :meth:`tasks`
+        #: complete even while a pump holds popped entries in its stash.
+        self._live: dict[str, tuple[int, Task, tuple]] = {}
         #: task_id -> entry held off the heap until :meth:`unpark`
         self._parked: dict[str, tuple[float, int, int, Task]] = {}
         self._next_token = 1
+        #: placement class -> active (live, unparked) tasks of it
+        self._classes: dict[tuple, int] = {}
+        #: each placement class's one key tuple (what ``_live`` holds)
+        self._class_keys: dict[tuple, tuple] = {}
+        #: ids of active tasks the owner has not vouched for (:meth:`vet`)
+        self._unvetted: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._live)
@@ -180,12 +206,33 @@ class ReadyQueue:
     def _tenant_of(task: Task) -> str:
         return getattr(task, "tenant", "default") or "default"
 
+    def _activate(self, task_id: str, key: tuple) -> None:
+        self._classes[key] = self._classes.get(key, 0) + 1
+        self._unvetted.add(task_id)
+
+    def _deactivate(self, task_id: str, key: tuple) -> None:
+        left = self._classes[key] - 1
+        if left:
+            self._classes[key] = left
+        else:
+            del self._classes[key]
+        self._unvetted.discard(task_id)
+
     def push(self, task: Task) -> None:
         """Queue (or re-queue) a ready task."""
         token = self._next_token
         self._next_token += 1
-        self._live[task.task_id] = (token, task)
-        self._parked.pop(task.task_id, None)  # superseded like a heap entry
+        tid = task.task_id
+        old = self._live.get(tid)
+        if old is not None and self._parked.pop(tid, None) is None:
+            self._deactivate(tid, old[2])  # its entry is superseded
+        # the request's fields, not the request: a class of plain values
+        # hashes and compares without calling into the dataclass
+        r = task.pool_request
+        key = (placement_key(task), r.cores, r.memory, r.disk, r.gpus)
+        key = self._class_keys.setdefault(key, key)
+        self._live[tid] = (token, task, key)
+        self._activate(tid, key)
         tenant = self._tenant_of(task)
         heap = self._heaps.get(tenant)
         if heap is None:
@@ -195,17 +242,18 @@ class ReadyQueue:
 
     def discard(self, task: Task) -> None:
         """Drop a task if queued; its heap entry dies lazily."""
-        self._live.pop(task.task_id, None)
-        self._parked.pop(task.task_id, None)
+        live = self._live.pop(task.task_id, None)
+        if live is not None and self._parked.pop(task.task_id, None) is None:
+            self._deactivate(task.task_id, live[2])
 
     def tasks(self) -> list[Task]:
         """Every live queued task (order unspecified)."""
-        return [task for _, task in self._live.values()]
+        return [task for _, task, _ in self._live.values()]
 
     def queued_by_tenant(self) -> dict[str, int]:
         """Live queued-task counts per tenant (status/metrics view)."""
         counts: dict[str, int] = {}
-        for _, task in self._live.values():
+        for _, task, _ in self._live.values():
             tenant = self._tenant_of(task)
             counts[tenant] = counts.get(tenant, 0) + 1
         return counts
@@ -277,32 +325,102 @@ class ReadyQueue:
         live = self._live.get(task.task_id)
         if live is not None and live[0] == token:
             self._parked[task.task_id] = entry
+            self._deactivate(task.task_id, live[2])
 
-    def unpark(self, task_id: str) -> None:
-        """Return a parked task's entry to the heap (no-op if not parked)."""
+    def unpark(self, task_id: str) -> bool:
+        """Return a parked task's entry to the heap; False (and nothing
+        done) if it was not parked."""
         entry = self._parked.pop(task_id, None)
-        if entry is not None:
-            heapq.heappush(self._heaps[self._tenant_of(entry[3])], entry)
+        if entry is None:
+            return False
+        heapq.heappush(self._heaps[self._tenant_of(entry[3])], entry)
+        self._activate(task_id, self._live[task_id][2])
+        return True
+
+    # -- what a pass may skip --------------------------------------------
+
+    def vet(self, task: Task) -> None:
+        """The owner knows ``task``'s inputs obtainable (until the next
+        push, unpark or :meth:`unvet` of it)."""
+        self._unvetted.discard(task.task_id)
+
+    def unvet(self, task: Task) -> None:
+        """The owner no longer knows ``task``'s inputs obtainable."""
+        if task.task_id in self._live and task.task_id not in self._parked:
+            self._unvetted.add(task.task_id)
+
+    @property
+    def all_vetted(self) -> bool:
+        """True when every active task is vetted."""
+        return not self._unvetted
+
+    def classes(self) -> Iterator[tuple[Optional[str], Resources]]:
+        """The distinct ``(placement_key, pool_request)`` of active tasks."""
+        for key, *request in self._classes:
+            yield key, Resources(*request)
+
+    def skip(self, yields: int, upto_token: int) -> None:
+        """Turn the tenant ring as the next ``yields`` yields of the
+        current ``pop_entries(upto_token)`` pass would have, without
+        popping — for a pass whose every remaining entry would go back
+        through :meth:`restore`.
+
+        What a tenant has left to yield is what its heap holds that the
+        pass may yield (live, older than ``upto_token``); the entries the
+        pass popped are not in it.  A tenant with nothing left is passed
+        over, as an empty heap is, and once nothing is left anywhere the
+        pass would have ended on a silent round, which leaves the ring
+        where it was.
+        """
+        ring = self._ring
+        if len(ring) < 2:
+            return  # one tenant: every yield turns the ring back to it
+        left = {}
+        for tenant in ring:
+            n = 0
+            for _, _, token, task in self._heaps[tenant]:
+                if n == yields:
+                    break
+                live = self._live.get(task.task_id)
+                n += token < upto_token and live is not None and live[0] == token
+            left[tenant] = n
+        for _ in range(yields):
+            for _ in range(len(ring)):
+                tenant = ring[self._ring_pos % len(ring)]
+                self._ring_pos = (self._ring_pos + 1) % len(ring)
+                if left[tenant]:
+                    left[tenant] -= 1
+                    break
+            else:
+                return
 
 
 class PlacementIndex:
-    """Per-pump worker views plus a load heap for fallback placement.
+    """Worker views plus a load heap for fallback placement, kept
+    current by its owner for as long as it lives.
 
-    Wraps the pump's per-library-key view dict with a min-heap keyed by
+    Wraps one library key's view dict with a min-heap keyed by
     ``(failure_score, running_tasks, worker_id)`` — the exact rank of a
-    worker holding none of a task's inputs.  Entries go stale when a
-    dispatch changes a worker's load; staleness is detected lazily on
-    pop by comparing against the live view, so updates are O(log W)
-    pushes and queries are amortized O(log W).
+    worker holding none of a task's inputs.  The owner calls
+    :meth:`update` for every worker whose view or failure score changed
+    before it next reads the index (the control plane marks them through
+    ``_view_changed`` and updates them in ``_index``).  Each
+    worker has exactly one valid heap entry, the one :meth:`update` last
+    pushed for it; older ones go stale and are dropped lazily when they
+    surface, so updates are O(log W) pushes, queries amortized O(log W),
+    and the heap is rebuilt from the valid entries once stale ones
+    outnumber them.  An update skipped for a failure-score change would
+    leave the worker ranked by its old score.
 
     **Infeasible shapes.**  When :meth:`best_fallback` walks the whole
     heap and finds no view that fits a request, the request's shape is
     recorded, and :meth:`infeasible` answers every later request that is
     componentwise ≥ a recorded shape without touching the heap.  The
     invariant is "no view of this index fits a recorded shape": a bigger
-    request cannot fit where a smaller one does not, and :meth:`update`
-    drops any shape the refreshed view fits, so the answer is exact —
-    not a heuristic — for as long as the index lives (one pump).
+    request cannot fit where a smaller one does not, a view that shrinks
+    or leaves cannot break it, and :meth:`update` drops any shape the
+    refreshed view fits — so the answer is exact, not a heuristic, for
+    as long as the owner keeps the index current.
     """
 
     def __init__(
@@ -312,26 +430,35 @@ class PlacementIndex:
     ) -> None:
         self.views = views
         self._fs = failure_score or (lambda _w: 0)
-        self._heap = [
-            (self._fs(wid), v.running_tasks, wid) for wid, v in views.items()
-        ]
+        #: worker -> its one valid heap entry (validity is identity)
+        self._entries = {
+            wid: (self._fs(wid), v.running_tasks, wid) for wid, v in views.items()
+        }
+        self._heap = list(self._entries.values())
         heapq.heapify(self._heap)
         #: minimal request shapes no view fits (see class docstring)
         self._infeasible: list[Resources] = []
 
     def update(self, worker_id: str, view: Optional[WorkerView]) -> None:
-        """Refresh one worker after a dispatch (None = now ineligible)."""
+        """Refresh one worker whose view or failure score may have
+        changed (None = now ineligible)."""
         if view is None:
             self.views.pop(worker_id, None)
+            self._entries.pop(worker_id, None)
             return
         self.views[worker_id] = view
         if self._infeasible and not view.draining:
             self._infeasible = [
                 s for s in self._infeasible if not view.can_fit(s)
             ]
-        heapq.heappush(
-            self._heap, (self._fs(worker_id), view.running_tasks, worker_id)
-        )
+        entry = (self._fs(worker_id), view.running_tasks, worker_id)
+        if self._entries.get(worker_id) == entry:
+            return  # same rank: the entry in the heap still stands
+        self._entries[worker_id] = entry
+        heapq.heappush(self._heap, entry)
+        if len(self._heap) > 2 * len(self._entries) + 8:
+            self._heap = list(self._entries.values())
+            heapq.heapify(self._heap)
 
     def best_fallback(self, request: Resources) -> Optional[str]:
         """Least-loaded live worker that fits ``request``, or None.
@@ -343,12 +470,14 @@ class PlacementIndex:
         stash: list[tuple[int, int, str]] = []
         found: Optional[str] = None
         heap = self._heap
+        entries = self._entries
         while heap:
-            f, r, wid = heap[0]
-            view = self.views.get(wid)
-            if view is None or (self._fs(wid), view.running_tasks) != (f, r):
+            entry = heap[0]
+            wid = entry[2]
+            if entries.get(wid) is not entry:
                 heapq.heappop(heap)  # stale: superseded or removed
                 continue
+            view = self.views[wid]
             if not view.draining and view.can_fit(request):
                 found = wid
                 break

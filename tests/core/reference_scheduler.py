@@ -3,14 +3,20 @@
 ``choose_worker`` and ``order_ready`` were ``Scheduler`` methods until
 the indexed pump replaced them; they live here, bodies unchanged, as the
 oracle of ``test_scheduler_equivalence.py`` and
-``test_scheduler_properties.py``.  Production code never imports this
-module.
+``test_scheduler_properties.py``.  ``place_ready`` is the placement pass
+the pump ran before its indexes outlived it — a ``PlacementIndex``
+rebuilt from every worker on each pass, and every ready task probed
+until 64 of them failed to place — kept, loop unchanged, as the oracle
+of ``test_placement_pass_equivalence.py``.  Production code never
+imports this module.
 """
 
 from typing import Mapping, Optional, Sequence
 
-from repro.core.scheduler import Scheduler, WorkerView
-from repro.core.task import Task
+from repro.core.control_plane import ControlPlane
+from repro.core.library import FunctionCall
+from repro.core.scheduler import PlacementIndex, Scheduler, WorkerView
+from repro.core.task import Task, TaskState
 
 
 def choose_worker(
@@ -60,3 +66,79 @@ def order_ready(tasks: Sequence[Task]) -> list[Task]:
     all carry seq 0 and keep their input order (stable sort).
     """
     return sorted(tasks, key=lambda t: (-t.priority, t.seq))
+
+
+def place_ready(self: ControlPlane, now: float) -> tuple[bool, Optional[float]]:
+    """``ControlPlane._place_ready`` as it was: a fresh index per library
+    key per pass, and a scan that stops only at the 64th failure."""
+    # 1. placement — ready tasks are popped from the priority heap
+    # in (-priority, seq) order instead of re-sorting the whole
+    # queue; placement indexes are built lazily per library key and
+    # updated in place after each dispatch, so a pump touches each
+    # worker once, not once per task
+    index_cache: dict[Optional[str], PlacementIndex] = {}
+
+    def get_index(key: Optional[str]) -> PlacementIndex:
+        if key not in index_cache:
+            views = {}
+            for wid in self.workers:
+                v = self._view_of(wid, key)
+                if v is not None:
+                    views[wid] = v
+            index_cache[key] = PlacementIndex(
+                views, self.scheduler.failure_score
+            )
+        return index_cache[key]
+
+    failures = 0
+    recovered = False
+    next_retry: Optional[float] = None
+    # entries pushed from this token onward (lineage producers
+    # resurrected mid-loop) wait for the recursive re-pump — the
+    # same snapshot semantics the sorted-list pump had
+    snapshot = self._ready.snapshot_token
+    stash: list = []
+    entries = self._ready.pop_entries(snapshot)
+    try:
+        for entry in entries:
+            task = entry[3]
+            if task.state != TaskState.READY:
+                # failed terminally earlier in this very loop
+                self._ready.discard(task)
+                continue
+            if task.not_before > now:
+                # requeue backoff: not eligible yet, wake when it is
+                next_retry = (
+                    task.not_before
+                    if next_retry is None
+                    else min(next_retry, task.not_before)
+                )
+                stash.append(entry)
+                continue
+            if not self._inputs_obtainable(task):
+                before = len(self._ready)
+                waiting = self._recover_lost_inputs(task)
+                recovered |= len(self._ready) > before
+                if task.state == TaskState.READY:
+                    # every missing input now has a live producer:
+                    # no pump can place the task before they all
+                    # deliver or one ends, so it costs none until then
+                    self._park(entry, waiting)
+                continue
+            key = task.library_name if isinstance(task, FunctionCall) else None
+            wid = self.scheduler.choose_worker_indexed(task, get_index(key))
+            if wid is None:
+                failures += 1
+                stash.append(entry)
+                if failures >= 64:
+                    break
+                continue
+            self._ready.discard(task)
+            self._dispatch(task, wid)
+            for k, idx in index_cache.items():
+                idx.update(wid, self._view_of(wid, k))
+    finally:
+        entries.close()  # returns mid-loop pushes to the heap
+        for entry in stash:
+            self._ready.restore(entry)
+    return recovered, next_retry

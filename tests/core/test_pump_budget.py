@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.control_plane import _JOB_STAGE, ControlPlane
 from repro.core.manager import Manager
-from repro.core.scheduler import PlacementIndex, Scheduler
+from repro.core.scheduler import PlacementIndex, ReadyQueue, Scheduler
 from repro.core.task import Task, TaskState
 from repro.sim.cluster import SimCluster
 from repro.sim.engine import Simulation
@@ -209,3 +209,50 @@ def test_plans_per_task_do_not_grow_with_the_fleet(monkeypatch):
         per_task[workers] = counts["plan_transfers"] / (12 * workers)
     assert per_task[200] <= 1.5 * per_task[50]
     assert per_task[200] < 8
+
+
+# -- placement costs what changed -----------------------------------------
+
+
+def test_blast_pair_places_without_probing_what_cannot_be_placed(monkeypatch):
+    """Fig. 9's shape, cold then hot on 100 workers.  A placement index
+    lives across pumps and is updated per changed worker, and a pass
+    ends once the rest of it can only fail.  Before, for 1 120
+    placements in 1 948 pumps: 66 327 ``choose_worker_indexed`` calls,
+    65 207 ``ReadyQueue.restore`` calls and 115 720 ``_view_of`` calls
+    (one index rebuilt from every worker on 1 147 passes)."""
+    counts = Counter()
+    _counting(monkeypatch, counts, Scheduler, "choose_worker_indexed")
+    _counting(monkeypatch, counts, ReadyQueue, "restore")
+    _counting(monkeypatch, counts, ControlPlane, "_view_of")
+    _counting(monkeypatch, counts, ControlPlane, "_dispatch")
+    _counting(monkeypatch, counts, ControlPlane, "pump")
+    cluster = blast_cluster(100)
+    for _ in range(2):
+        assert blast_workflow(cluster, n_tasks=560, seed=7).tasks_done == 560
+    placed, pumps = counts["_dispatch"], counts["pump"]
+    assert placed == 1120
+    assert counts["choose_worker_indexed"] <= placed + pumps, (
+        f"{counts['choose_worker_indexed']} placement probes (66 327 before)"
+    )
+    assert counts["restore"] <= pumps, f"{counts['restore']} restores (65 207 before)"
+    assert counts["_view_of"] <= 3 * placed, (
+        f"{counts['_view_of']} worker views (115 720 before)"
+    )
+
+
+def test_stream_views_follow_placements_not_the_fleet(monkeypatch):
+    """640 streaming jobs × 17 tasks on 200 workers: 10 880 placements
+    asked for 266 880 worker views when every pass rebuilt its index."""
+    counts = Counter()
+    _counting(monkeypatch, counts, ControlPlane, "_view_of")
+    cluster = SimCluster()
+    cluster.add_workers(200, cores=4)
+    run = streaming_genome_workload(
+        SimManager(cluster, seed=7),
+        n_jobs=640, fanout=16, mean_interarrival=2.0, seed=7,
+    )
+    assert run.stats.tasks_done == 640 * 17
+    assert counts["_view_of"] <= 30_000, (
+        f"{counts['_view_of']} worker views (266 880 before)"
+    )

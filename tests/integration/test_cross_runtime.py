@@ -247,7 +247,7 @@ def _real(policy):
 
 def _sim(policy):
     m = SimManager(SimCluster(), policy)
-    return m, lambda task: m.submit(task, duration=1.0), lambda: None
+    return m, lambda task: m.submit(task, duration=1.0), m.finalize
 
 
 @pytest.mark.parametrize("runtime", [_real, _sim])
@@ -263,6 +263,12 @@ def test_both_runtimes_refuse_the_same_submits(runtime):
         submit(Task("true"))
         with pytest.raises(ManagerError, match="quota"):
             submit(Task("true"))  # the tenant has its two outstanding
+        assert len(m.tasks) == 2 == m.control.outstanding
+        close()
+        late = Task("true")
+        with pytest.raises(ManagerError, match="manager is closed"):
+            submit(late)
+        assert late.state == TaskState.CREATED and late.task_id is None
         assert len(m.tasks) == 2 == m.control.outstanding
     finally:
         close()

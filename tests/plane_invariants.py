@@ -17,6 +17,14 @@ a worker that left.  And a plane that ended its workflow holds nothing
 of it: no stage, fetch or awaited retrieval, and no replica of a file
 that was to live no longer than the workflow.
 
+Each placement index the plane keeps across pumps equals a rebuild from
+its tables, but for the workers marked changed and not yet taken afresh
+(``_changed``): the same views, exactly one valid heap entry per view,
+keyed by the worker's *current* failure score and load (a change that
+marks nothing — a skipped ``_view_changed`` on a score change — shows
+here first), and no recorded infeasible shape that an unmarked view
+fits.
+
 :func:`watch_plane_invariants` wraps ``ControlPlane.pump`` and
 ``end_workflow`` so each outermost pump, and the end, leave
 :func:`violations` empty; ``tests/sim`` and ``tests/faults`` run under
@@ -67,7 +75,7 @@ def violations(control: ControlPlane) -> list[str]:
     )
     if placed != +control._lib_load:
         found.append(f"slot ledger {dict(control._lib_load)} != placed {dict(placed)}")
-    found += _membership(control) + _transfers(control)
+    found += _membership(control) + _transfers(control) + _indexes(control)
     if control.closed:
         found += _left_after_the_end(control)
     return found
@@ -104,6 +112,47 @@ def _transfers(control: ControlPlane) -> list[str]:
         gone = [w for w in ends if w not in control.workers]
         if gone:
             found.append(f"transfer {t.transfer_id} of {t.cache_name} touches departed {gone}")
+    return found
+
+
+def _indexes(control: ControlPlane) -> list[str]:
+    if getattr(control.port, "_crashed", False):
+        return []  # a dead life's pools were released under it
+    found = []
+    pending = control._changed
+    for key, index in control._indexes.items():
+        fresh = {}
+        for wid in control.workers:
+            view = control._view_of(wid, key)
+            if view is not None:
+                fresh[wid] = view
+        stale = sorted(
+            wid
+            for wid in index.views.keys() | fresh.keys()
+            if index.views.get(wid) != fresh.get(wid) and wid not in pending
+        )
+        if stale:
+            found.append(
+                f"index {key!r}: views of {stale} {[index.views.get(w) for w in stale]} "
+                f"!= rebuilt {[fresh.get(w) for w in stale]}"
+            )
+        in_heap = collections.Counter(id(entry) for entry in index._heap)
+        for wid, view in index.views.items():
+            entry = index._entries.get(wid)
+            current = (control.failure_scores[wid], view.running_tasks, wid)
+            if in_heap[id(entry)] != 1 or (entry != current and wid not in pending):
+                found.append(
+                    f"index {key!r}: {wid} has no one valid heap entry {current} "
+                    f"(entry {entry}, {in_heap[id(entry)]} in the heap)"
+                )
+        for shape in index._infeasible:
+            fits = sorted(
+                wid
+                for wid, v in fresh.items()
+                if not v.draining and v.can_fit(shape) and wid not in pending
+            )
+            if fits:
+                found.append(f"index {key!r} records {shape} infeasible; {fits} fit it")
     return found
 
 

@@ -146,7 +146,8 @@ def test_corrupt_entry_is_never_served(tmp_path):
     store = MemoStore(tmp_path / "memo")
     m = SimManager(cluster, memo_store=store)
     tasks = deterministic_batch(m, n=1)
-    m.run(finalize=False)
+    # ended, so its plane stops pumping over pools the next manager takes
+    m.run()
     entry = store.get(tasks[0].merkle)
     entry.outputs[0].cache_name = "memo-md5-" + "0" * 32
     store.flush()
