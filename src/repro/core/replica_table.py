@@ -23,7 +23,7 @@ table is bounded by live replicas, not by everything it ever saw.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 __all__ = ["ReplicaTable"]
 
@@ -187,12 +187,33 @@ class ReplicaTable:
         listed twice is counted twice, exactly as
         :meth:`cached_bytes_at` does over the same list.
         """
+        return self.locality_scores_among(cache_names, None)
+
+    def locality_scores_among(
+        self, cache_names: Iterable[str], among: Optional[AbstractSet[str]]
+    ) -> dict[str, int]:
+        """:meth:`locality_scores`, less every input held by all of
+        ``among`` (a set of workers, or a dict's keys; None skips none).
+
+        Such an input adds its bytes to every worker of ``among`` alike,
+        so a ranking of ``among`` by these scores is the ranking by the
+        full ones — and its holders, which are every worker once a
+        shared input has spread, are not walked.  The check is a length
+        comparison, then containment done in C.
+        """
         scores: dict[str, int] = {}
+        holders_of = self._workers_by_name
+        n_among = -1 if among is None else len(among)
         for n in cache_names:
             size = self._sizes.get(n, 0)
             if not size:
                 continue
-            for w in self._workers_by_name.get(n, ()):
+            holders = holders_of.get(n)
+            if not holders:
+                continue
+            if len(holders) >= n_among >= 0 and among <= holders:
+                continue  # held by every worker of ``among``
+            for w in holders:
                 scores[w] = scores.get(w, 0) + size
         return scores
 

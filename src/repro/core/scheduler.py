@@ -27,10 +27,12 @@ The full O(W·I) scan it is checked against, the ``(-priority, seq)``
 sort :class:`ReadyQueue` is checked against, and the placement loop
 that rebuilt the index on every pass live in
 ``tests/core/reference_scheduler.py`` as the equivalence suites'
-oracles.  The index lives as long as its owner keeps it current; it
-also remembers request shapes that fit no worker, so a full cluster is
-discovered once, not once per queued task
-(:meth:`PlacementIndex.infeasible`).
+oracles.  The index lives as long as its owner keeps it current.  A
+worker that cannot take a request leaves its heap until it changes, so
+a full cluster is walked once, not once per queued task or per refill,
+and the index then knows the shape fits nowhere
+(:meth:`PlacementIndex.infeasible`).  An input every indexed worker
+holds is not scored: it ranks them all alike.
 
 :class:`ReadyQueue` is a lazy-deletion priority heap keyed on
 ``(-priority, seq)`` — ``seq`` being the monotonic submission sequence
@@ -404,23 +406,40 @@ class PlacementIndex:
     worker holding none of a task's inputs.  The owner calls
     :meth:`update` for every worker whose view or failure score changed
     before it next reads the index (the control plane marks them through
-    ``_view_changed`` and updates them in ``_index``).  Each
-    worker has exactly one valid heap entry, the one :meth:`update` last
-    pushed for it; older ones go stale and are dropped lazily when they
-    surface, so updates are O(log W) pushes, queries amortized O(log W),
-    and the heap is rebuilt from the valid entries once stale ones
-    outnumber them.  An update skipped for a failure-score change would
-    leave the worker ranked by its old score.
+    ``_view_changed`` and updates them in ``_index``).  Each worker has
+    exactly one valid entry, the one :meth:`update` last made for it:
+    either in the heap or *parked* (below).  Older entries go stale and
+    are dropped lazily when they surface, so updates are O(log W)
+    pushes, queries amortized O(log W), and the heap is compacted to
+    its valid entries once stale ones outnumber them.  An update skipped
+    for a failure-score change would leave the worker ranked by its old
+    score.
 
-    **Infeasible shapes.**  When :meth:`best_fallback` walks the whole
-    heap and finds no view that fits a request, the request's shape is
-    recorded, and :meth:`infeasible` answers every later request that is
-    componentwise ≥ a recorded shape without touching the heap.  The
-    invariant is "no view of this index fits a recorded shape": a bigger
-    request cannot fit where a smaller one does not, a view that shrinks
-    or leaves cannot break it, and :meth:`update` drops any shape the
-    refreshed view fits — so the answer is exact, not a heuristic, for
-    as long as the owner keeps the index current.
+    **Parking.**  A view :meth:`best_fallback` finds unable to take a
+    request (full for that shape, or draining) leaves the heap, parked
+    on the request's shape.  It stays out until :meth:`update` refreshes
+    it, or a request arrives that is not componentwise ≥ its shape: a
+    view that does not fit a shape fits no bigger request, so the walk
+    skips exactly the views it would have rejected.  A full cluster is
+    therefore walked once; after that each freed worker comes back by
+    itself and is the next walk's first entry.  The parked shapes form a
+    chain (a request un-parks every shape it is not ≥ before it parks
+    anything), and each un-park is a set and dict operation.
+
+    **Infeasible shapes.**  When every view is parked, the index knows
+    that no view fits any request ≥ the largest parked shape, and
+    :meth:`infeasible` answers such requests without touching the heap.
+    A failed walk leaves exactly that state, so it records nothing more.
+    Before an un-park breaks it — a view updated into the index or a
+    request smaller than a parked shape — the fact moves into a record
+    of shapes (the largest parked shape, unless the refreshed view fits
+    it), which :meth:`infeasible` also reads, so a fact lives in one of
+    the two places, never both.  The record's invariant is "no
+    view of this index fits a recorded shape": a bigger request cannot
+    fit where a smaller one does not, a view that shrinks or leaves
+    cannot break it, and :meth:`update` drops any shape the refreshed
+    view fits — so both answers are exact, not heuristics, for as long
+    as the owner keeps the index current.
     """
 
     def __init__(
@@ -430,18 +449,34 @@ class PlacementIndex:
     ) -> None:
         self.views = views
         self._fs = failure_score or (lambda _w: 0)
-        #: worker -> its one valid heap entry (validity is identity)
+        #: worker -> its one valid entry (validity is identity)
         self._entries = {
             wid: (self._fs(wid), v.running_tasks, wid) for wid, v in views.items()
         }
         self._heap = list(self._entries.values())
         heapq.heapify(self._heap)
+        #: request shape -> workers parked on it, and the reverse
+        self._parked: dict[Resources, set[str]] = {}
+        self._parked_on: dict[str, Resources] = {}
         #: minimal request shapes no view fits (see class docstring)
         self._infeasible: list[Resources] = []
 
     def update(self, worker_id: str, view: Optional[WorkerView]) -> None:
         """Refresh one worker whose view or failure score may have
         changed (None = now ineligible)."""
+        parked_on = self._parked_on
+        if view is not None and self._parked and len(parked_on) == len(self._entries):
+            # every view is parked; before this one comes back, keep
+            # what that proves unless the refreshed view disproves it
+            top = self._parked_top()
+            if view.draining or not view.can_fit(top):
+                self._record(top)
+        shape = parked_on.pop(worker_id, None)
+        if shape is not None:
+            group = self._parked[shape]
+            group.discard(worker_id)
+            if not group:
+                del self._parked[shape]
         if view is None:
             self.views.pop(worker_id, None)
             self._entries.pop(worker_id, None)
@@ -452,53 +487,98 @@ class PlacementIndex:
                 s for s in self._infeasible if not view.can_fit(s)
             ]
         entry = (self._fs(worker_id), view.running_tasks, worker_id)
-        if self._entries.get(worker_id) == entry:
+        old = self._entries.get(worker_id)
+        if old == entry:
+            if shape is not None:
+                heapq.heappush(self._heap, old)  # back from parking
             return  # same rank: the entry in the heap still stands
         self._entries[worker_id] = entry
-        heapq.heappush(self._heap, entry)
-        if len(self._heap) > 2 * len(self._entries) + 8:
-            self._heap = list(self._entries.values())
+        heap = self._heap
+        heapq.heappush(heap, entry)
+        if len(heap) > 2 * (len(self._entries) - len(parked_on)) + 8:
+            # keep the valid entries only: a parked one is not in the
+            # heap, and compaction must not bring it back
+            entries = self._entries
+            self._heap = [e for e in heap if entries.get(e[2]) is e]
             heapq.heapify(self._heap)
 
     def best_fallback(self, request: Resources) -> Optional[str]:
         """Least-loaded live worker that fits ``request``, or None.
 
-        Pops stale entries permanently; valid entries that merely fail
-        the fit check are restored, so a string of same-shaped tasks
-        pays the scan once.
+        Un-parks the views parked on shapes ``request`` is not ≥, then
+        walks the heap: stale entries are dropped, and a valid one that
+        cannot take ``request`` is parked on it.
         """
-        stash: list[tuple[int, int, str]] = []
-        found: Optional[str] = None
+        for shape in self._parked:
+            if not shape.fits_within(request):
+                self._unpark_for(request)
+                break
         heap = self._heap
         entries = self._entries
+        views = self.views
+        group: Optional[set[str]] = None
         while heap:
             entry = heap[0]
             wid = entry[2]
             if entries.get(wid) is not entry:
                 heapq.heappop(heap)  # stale: superseded or removed
                 continue
-            view = self.views[wid]
+            view = views[wid]
             if not view.draining and view.can_fit(request):
-                found = wid
-                break
-            stash.append(heapq.heappop(heap))
-        for entry in stash:
-            heapq.heappush(heap, entry)
-        if found is None:
-            # every live view was examined and none fits: remember the
-            # shape (dropping recorded ones it makes redundant)
-            self._infeasible = [
-                s for s in self._infeasible if not request.fits_within(s)
-            ]
-            self._infeasible.append(request)
-        return found
+                return wid
+            heapq.heappop(heap)
+            if group is None:
+                group = self._parked.get(request)
+                if group is None:
+                    group = self._parked[request] = set()
+            group.add(wid)
+            self._parked_on[wid] = request
+        # every view is parked on a shape ≤ request now: that is the
+        # record of this failure, and nothing else keeps it
+        return None
 
     def infeasible(self, request: Resources) -> bool:
         """True when ``request`` is known to fit no view of this index."""
         for shape in self._infeasible:
             if shape.fits_within(request):  # request ≥ shape everywhere
                 return True
-        return False
+        if len(self._parked_on) != len(self._entries):
+            return False  # some view is in the heap
+        for shape in self._parked:
+            if not shape.fits_within(request):
+                return False
+        return True
+
+    def _unpark_for(self, request: Resources) -> None:
+        """Return to the heap every view parked on a shape ``request``
+        is not ≥ (what a smaller or incomparable request may fit)."""
+        if len(self._parked_on) == len(self._entries):
+            self._record(self._parked_top())
+        heap = self._heap
+        entries = self._entries
+        for shape in [s for s in self._parked if not s.fits_within(request)]:
+            for wid in self._parked.pop(shape):
+                del self._parked_on[wid]
+                heapq.heappush(heap, entries[wid])
+
+    def _parked_top(self) -> Resources:
+        """The largest parked shape (they form a chain): what no view
+        fits while every view is parked."""
+        shapes = iter(self._parked)
+        top = next(shapes)
+        for shape in shapes:
+            if top.fits_within(shape):
+                top = shape
+        return top
+
+    def _record(self, shape: Resources) -> None:
+        """Remember that no view fits ``shape`` (unless already implied),
+        dropping recorded shapes it makes redundant."""
+        for s in self._infeasible:
+            if s.fits_within(shape):
+                return
+        self._infeasible = [s for s in self._infeasible if not shape.fits_within(s)]
+        self._infeasible.append(shape)
 
 
 class Scheduler:
@@ -550,39 +630,52 @@ class Scheduler:
         be a candidate, its candidate key is ≤ its zero-score key, so
         the comparison is still exact.)
 
+        An input every view of the index holds is not scored
+        (:meth:`ReplicaTable.locality_scores_among`).  It adds the same
+        bytes to every view — the fallback's included, since it is a
+        view — so every view's full rank is its rank without that input
+        shifted by one constant in the first component: the order of
+        any two views is unchanged, ties included (their failure score,
+        load and id are untouched), and the argument above then applies
+        to the reduced scores word for word.  A view left at score 0 by
+        the skip is ranked by the fallback heap like any non-holder.
+        Once a shared input has reached every worker, this is what keeps
+        a placement from walking all of them.
+
         A request the index already knows fits no view
         (:meth:`PlacementIndex.infeasible`) returns None before any
-        scoring: locality candidates are looked up in the index's own
-        views, so if no view fits, no candidate does either.
+        scoring, and so does one the fallback finds no view for: the
+        fallback is the best of every view that fits, and locality
+        candidates are looked up in the index's own views, so if no view
+        fits, no candidate does either.  (The minimum of distinct keys
+        does not depend on the order they are compared in.)
         """
         # what the placement takes from the pool: nothing for a
         # FunctionCall, whose index holds the workers with a free slot
         request = task.pool_request
         if index.infeasible(request):
             return None
+        best = index.best_fallback(request)
+        if best is None:
+            return None
         failure_score = self.failure_score or (lambda _w: 0)
-        best_key: Optional[tuple] = None
-        best: Optional[str] = None
-        scored = 0
+        views = index.views
+        best_key = (0, failure_score(best), views[best].running_tasks, best)
+        scored = 1
         if self.locality:
-            scores = self.replicas.locality_scores(task.input_cache_names())
+            scores = self.replicas.locality_scores_among(
+                task.input_cache_names(), views.keys()
+            )
             for wid, score in scores.items():
-                view = index.views.get(wid)
+                view = views.get(wid)
                 if view is None or view.draining or not view.can_fit(request):
                     continue
                 scored += 1
                 key = (-score, failure_score(wid), view.running_tasks, wid)
-                if best_key is None or key < best_key:
+                if key < best_key:
                     best_key, best = key, wid
-        fallback = index.best_fallback(request)
-        if fallback is not None:
-            scored += 1
-            view = index.views[fallback]
-            key = (0, failure_score(fallback), view.running_tasks, fallback)
-            if best_key is None or key < best_key:
-                best_key, best = key, fallback
         counter = self.candidates_counter
-        if counter is not None and scored:
+        if counter is not None:
             counter.inc(scored)
         return best
 

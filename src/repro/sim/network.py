@@ -8,22 +8,42 @@ endpoint::
 
 Rates are recomputed whenever a transfer starts or finishes, and each
 transfer's remaining bytes are advanced between recomputations, so the
-completion time integrates the varying rate exactly.  A change costs
-O(active flows) arithmetic and *one* scheduled event: only the earliest
-finisher holds a timer, since its completion is the next change and
-re-derives everyone else's anyway.  This simple endpoint-fair model is
-what makes the paper's hotspot phenomena emerge naturally: 500 workers
-pulling from one URL server each get 1/500 of its uplink (Fig. 11a); an
-unsupervised peer swarm saturates whichever worker everyone chose
-(Fig. 11b); a per-source limit of 3 keeps every stream near full rate
-(Fig. 11c).
+completion time integrates the varying rate exactly.  This simple
+endpoint-fair model is what makes the paper's hotspot phenomena emerge
+naturally: 500 workers pulling from one URL server each get 1/500 of its
+uplink (Fig. 11a); an unsupervised peer swarm saturates whichever worker
+everyone chose (Fig. 11b); a per-source limit of 3 keeps every stream
+near full rate (Fig. 11c).
+
+**What a change costs.**  A change is a flow activating, a flow
+finishing, or :meth:`Network.set_bandwidth`.  Each node keeps its fair
+share per outgoing and per incoming flow (:attr:`NetNode.out_share`,
+:attr:`NetNode.in_share`), recomputed only where its inputs change: for
+the two endpoints of the flow that activates or finishes, and for the
+node whose bandwidth is set.  The change then makes *one* pass over the
+active flows, which for each flow advances its remaining bytes at its
+old rate, takes the smaller of its endpoints' shares as its new rate,
+and keeps the earliest finisher — the only flow that holds a timer,
+since its completion is the next change and re-derives everyone else's
+anyway.  So a change costs O(1) share arithmetic, O(active flows) of
+two subtractions, a comparison and a division each, and one scheduled
+event.
+
+Nothing cheaper can give the same finish times to the last bit:
+remaining bytes are advanced by repeated subtraction at every change,
+``max(0.0, remaining - rate * dt)``, so every flow must be touched at
+every change, including the flows whose rate it did not move — a flow
+advanced once over two intervals would round differently from one
+advanced at each.  (On a fan-out from one source, the case the paper's
+figures are about, a change at the source moves the share of every flow
+it serves anyway.)
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.sim.engine import EventHandle, Simulation
@@ -31,7 +51,7 @@ from repro.sim.engine import EventHandle, Simulation
 __all__ = ["NetNode", "NetTransfer", "Network"]
 
 
-@dataclass
+@dataclass(slots=True)
 class NetNode:
     """One endpoint: a worker, the manager, or a remote data server."""
 
@@ -42,9 +62,21 @@ class NetNode:
     down_bps: float
     active_out: int = 0
     active_in: int = 0
+    #: the uplink's fair share per outgoing flow, bytes/second
+    out_share: float = field(init=False)
+    #: the downlink's fair share per incoming flow, bytes/second
+    in_share: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.reshare()
+
+    def reshare(self) -> None:
+        """Recompute both shares after a count or a capacity changed."""
+        self.out_share = self.up_bps / max(1, self.active_out)
+        self.in_share = self.down_bps / max(1, self.active_in)
 
 
-@dataclass
+@dataclass(slots=True)
 class NetTransfer:
     """One in-flight bulk transfer between two nodes."""
 
@@ -94,16 +126,16 @@ class Network:
     ) -> None:
         """Retune a node's link capacity mid-run (fault injection).
 
-        In-flight transfers are advanced to the current instant first so
-        bytes already moved at the old rate stay moved; then every
-        active flow's rate and the next completion are recomputed.
+        Bytes already moved at the old rates stay moved: the pass that
+        follows advances every in-flight transfer at its old rate before
+        it takes the new one.
         """
         node = self.nodes[name]
-        self._advance()
         if up_bps is not None:
             node.up_bps = up_bps
         if down_bps is not None:
             node.down_bps = down_bps
+        node.reshare()
         self._rearm()
 
     def start(
@@ -135,9 +167,11 @@ class Network:
         return t
 
     def _activate(self, t: NetTransfer) -> None:
-        self._advance()
         t.src.active_out += 1
         t.dst.active_in += 1
+        t.src.reshare()
+        t.dst.reshare()
+        # its rate is still 0, so the pass's advance leaves its bytes be
         self._active[t.transfer_id] = t
         self._rearm()
 
@@ -147,22 +181,9 @@ class Network:
 
     # -- internals ------------------------------------------------------
 
-    @staticmethod
-    def _fair_rate(t: NetTransfer) -> float:
-        up = t.src.up_bps / max(1, t.src.active_out)
-        down = t.dst.down_bps / max(1, t.dst.active_in)
-        return min(up, down)
-
-    def _advance(self) -> None:
-        """Progress every active transfer to the current instant."""
-        dt = self.sim.now - self._last_update
-        if dt > 0:
-            for t in self._active.values():
-                t.remaining = max(0.0, t.remaining - t.rate * dt)
-        self._last_update = self.sim.now
-
     def _rearm(self) -> None:
-        """Recompute every rate; time the earliest finisher.
+        """The one pass: advance every flow at its old rate, give it its
+        new one, and time the earliest finisher.
 
         Flows finishing at the same instant complete in activation
         order (the first keeps the timer, and its completion re-arms
@@ -173,17 +194,28 @@ class Network:
             self._timer.cancel()
             self._timer = None
         now = self.sim.now
+        dt = now - self._last_update
+        self._last_update = now
+        advance = dt > 0
+        isfinite = math.isfinite
         first: Optional[NetTransfer] = None
         first_eta = first_due = 0.0
         for t in self._active.values():
-            t.rate = self._fair_rate(t)
-            if t.rate <= 0:
+            if advance:
+                # max(0.0, remaining - rate * dt), the same float
+                left = t.remaining - t.rate * dt
+                t.remaining = left if left > 0.0 else 0.0
+            # min(up, down), the same float
+            up = t.src.out_share
+            down = t.dst.in_share
+            rate = t.rate = down if down < up else up
+            if rate <= 0:
                 if t.remaining > 0:
                     continue
                 eta = 0.0
             else:
-                eta = t.remaining / t.rate
-                if not math.isfinite(eta):
+                eta = t.remaining / rate
+                if not isfinite(eta):
                     raise RuntimeError(f"non-finite transfer eta for {t}")
             # compared as the clock will read it: two ETAs a float apart
             # can land on one instant, and then activation order decides
@@ -194,18 +226,27 @@ class Network:
             self._timer = self.sim.schedule(first_eta, self._finish, first)
 
     def _finish(self, t: NetTransfer) -> None:
-        self._advance()
+        # its own bytes advanced as the pass will advance them
+        now = self.sim.now
+        dt = now - self._last_update
+        left = t.remaining
+        if dt > 0:
+            left -= t.rate * dt
+            left = left if left > 0.0 else 0.0
         # a sliver below a millibyte — or one whose ETA underflows the
         # float tick at the current timestamp — counts as delivered;
         # without the ETA check a sub-ulp delay livelocks the clock
-        eta = t.remaining / t.rate if t.rate > 0 else float("inf")
-        if t.remaining > 1e-3 and (self.sim.now + eta) > self.sim.now:
+        eta = left / t.rate if t.rate > 0 else float("inf")
+        if left > 1e-3 and (now + eta) > now:
             self._rearm()
             return
+        t.remaining = left
         del self._active[t.transfer_id]
         t.src.active_out -= 1
         t.dst.active_in -= 1
-        t.finished_at = self.sim.now
+        t.src.reshare()
+        t.dst.reshare()
+        t.finished_at = now
         self.completed_transfers += 1
         self.bytes_moved += t.size
         self._rearm()

@@ -592,10 +592,12 @@ class SimManager:
         )
 
     def finalize(self) -> None:
-        """End-of-workflow cleanup: stop libraries, collect garbage."""
+        """End-of-workflow cleanup: stop libraries, collect garbage, and
+        stop hearing the cluster."""
         if self.control.closed:
             return
         self.control.end_workflow()
+        self._detach()
         if self._txn_writer is not None:
             self._txn_writer.close()
 
@@ -673,6 +675,19 @@ class SimManager:
     def _on_worker_leave(self, worker: SimWorker) -> None:
         self.control.worker_left(worker.worker_id)
 
+    def _detach(self) -> None:
+        """Stop hearing the cluster's joins and leaves: a life that
+        ended (finalized or crashed) is told of no more membership, and
+        the cluster keeps no reference to it."""
+        for callbacks, cb in (
+            (self.cluster.join_callbacks, self._join),
+            (self.cluster.leave_callbacks, self._on_worker_leave),
+        ):
+            try:
+                callbacks.remove(cb)
+            except ValueError:
+                pass
+
     # -- crash / restart ---------------------------------------------------
 
     def crash(self) -> None:
@@ -687,14 +702,7 @@ class SimManager:
         state, not manager state).
         """
         self._crashed = True
-        for callbacks, cb in (
-            (self.cluster.join_callbacks, self._join),
-            (self.cluster.leave_callbacks, self._on_worker_leave),
-        ):
-            try:
-                callbacks.remove(cb)
-            except ValueError:
-                pass
+        self._detach()
         # the allocation ledgers were this manager's view of worker
         # capacity; the tasks behind them die unheard (their completions
         # are discarded above), so the next life sees full capacity —

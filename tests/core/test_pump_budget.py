@@ -7,14 +7,17 @@ entered; none of them reads a clock, so a slow machine cannot fail them
 and a regression cannot hide behind a fast one.
 """
 
+import heapq
 import threading
 import time
 from collections import Counter
 
 import pytest
 
+from repro.core import replica_table
 from repro.core.control_plane import _JOB_STAGE, ControlPlane
 from repro.core.manager import Manager
+from repro.core.replica_table import ReplicaTable
 from repro.core.scheduler import PlacementIndex, ReadyQueue, Scheduler
 from repro.core.task import Task, TaskState
 from repro.sim.cluster import SimCluster
@@ -238,6 +241,74 @@ def test_blast_pair_places_without_probing_what_cannot_be_placed(monkeypatch):
     assert counts["restore"] <= pumps, f"{counts['restore']} restores (65 207 before)"
     assert counts["_view_of"] <= 3 * placed, (
         f"{counts['_view_of']} worker views (115 720 before)"
+    )
+
+
+def _blast_placement_walks(monkeypatch, workers):
+    """BLAST cold, six tasks per worker: heap entries ``best_fallback``
+    popped, and holders locality scoring walked, per placement."""
+    counts = Counter()
+    inside = set()
+
+    def within(name, inner):
+        def wrapper(self, *args):
+            inside.add(name)
+            try:
+                return inner(self, *args)
+            finally:
+                inside.discard(name)
+
+        return wrapper
+
+    pop = heapq.heappop
+
+    def counted_pop(heap):
+        counts["pops"] += "fallback" in inside
+        return pop(heap)
+
+    class Holders(set):
+        """A replica table's holder set that counts the entries walked."""
+
+        def __iter__(self):
+            if "scores" in inside:
+                counts["walked"] += len(self)
+            return super().__iter__()
+
+    monkeypatch.setattr(heapq, "heappop", counted_pop)
+    monkeypatch.setattr(replica_table, "set", Holders, raising=False)
+    monkeypatch.setattr(
+        PlacementIndex, "best_fallback",
+        within("fallback", PlacementIndex.best_fallback),
+    )
+    monkeypatch.setattr(
+        ReplicaTable, "locality_scores_among",
+        within("scores", ReplicaTable.locality_scores_among),
+    )
+    _counting(monkeypatch, counts, ControlPlane, "_dispatch")
+    stats = blast_workflow(blast_cluster(workers), n_tasks=6 * workers, seed=7)
+    assert stats.tasks_done == counts["_dispatch"] == 6 * workers
+    monkeypatch.undo()
+    return counts["pops"] / counts["_dispatch"], counts["walked"] / counts["_dispatch"]
+
+
+def test_a_placement_pays_for_the_workers_that_changed_not_the_fleet(monkeypatch):
+    """BLAST cold at 100 and 400 workers.  A worker that cannot take a
+    request leaves the fallback heap until it changes, so a full cluster
+    is walked once, not once per refill; and the shared inputs, once
+    every worker holds them, are not walked by locality scoring."""
+    pops, walked = {}, {}
+    for workers in (100, 400):
+        pops[workers], walked[workers] = _blast_placement_walks(monkeypatch, workers)
+    assert pops[400] <= 1.5 * pops[100], (
+        f"{pops[100]:.1f} -> {pops[400]:.1f} fallback heap pops per placement "
+        "at 100 -> 400 workers (34.7 -> 134.7 when full workers were "
+        "walked past and restored on every probe)"
+    )
+    assert walked[400] <= 250, (
+        f"{walked[400]:.0f} holders walked by locality scoring per placement "
+        "at 400 workers (509 when inputs every worker holds were walked, "
+        "115 at 100; what is left still grows with the fleet while the "
+        "shared inputs spread)"
     )
 
 

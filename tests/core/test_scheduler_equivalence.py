@@ -189,6 +189,84 @@ def test_placement_pass_through_one_index_matches_reference_scan(state, data):
             index.update(wid, None)
 
 
+@st.composite
+def everywhere_state(draw):
+    """Views tied on failure score and load, draining ones among them,
+    and tasks whose inputs include files held by *every* view — the
+    inputs locality scoring skips — beside files held by a few."""
+    views = {}
+    for wid in draw(st.sets(st.sampled_from(worker_ids), min_size=1)):
+        views[wid] = WorkerView(
+            worker_id=wid,
+            capacity=CAPACITY,
+            allocated=draw(allocations),
+            running_tasks=draw(st.sampled_from([0, 0, 1])),
+            draining=draw(st.sampled_from([False, False, True])),
+        )
+    replicas = ReplicaTable()
+    for name in file_names:
+        size = draw(st.sampled_from([0, 10, 10, 1000]))
+        if name < "file-4":  # every view, and maybe a worker beyond them
+            holders = set(views) | draw(st.sets(st.sampled_from(worker_ids), max_size=2))
+        else:
+            holders = draw(st.sets(st.sampled_from(worker_ids), max_size=3))
+        for w in holders:
+            replicas.add_replica(name, w, size=size)
+    sched = Scheduler(replicas, TransferTable(), locality=True)
+    if draw(st.booleans()):
+        scores = {w: draw(st.sampled_from([0, 0, 1])) for w in worker_ids}
+        sched.failure_score = scores.get
+    return sched, views
+
+
+@settings(max_examples=300, deadline=None)
+@given(everywhere_state(), st.data())
+def test_inputs_every_view_holds_decide_nothing(state, data):
+    """Skipping an input every view holds places each task where the
+    full scan does — with draining views, failure-score and load ties,
+    and inputs held everywhere or beside one held by a few."""
+    sched, views = state
+    index = PlacementIndex(dict(views), sched.failure_score)
+    for _ in range(data.draw(st.integers(1, 6))):
+        names = data.draw(st.lists(st.sampled_from(file_names), min_size=1, max_size=5))
+        task = _draw_task(data.draw, names)
+        assert sched.choose_worker_indexed(task, index) == choose_worker(
+            sched, task, views
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cluster_state(), st.data())
+def test_a_smaller_request_after_a_larger_one_parked_workers(state, data):
+    """A large request parks every view it cannot take; a smaller (or
+    incomparable) one after it must still find each of them that fits
+    it, and the large one, asked again, must still be refused — before
+    and after a worker is refreshed, joins or leaves."""
+    sched, _task, views = state
+    index = PlacementIndex(dict(views), sched.failure_score)
+    names = data.draw(st.lists(st.sampled_from(file_names), max_size=3))
+    big = _draw_task(data.draw, names)
+    big.resources = data.draw(
+        st.sampled_from([Resources(cores=8), Resources(cores=4, gpus=2), CAPACITY])
+    )
+    shapes = [big] + [
+        _draw_task(data.draw, names) for _ in range(data.draw(st.integers(1, 4)))
+    ] + [big]
+    for i, task in enumerate(shapes):
+        assert sched.choose_worker_indexed(task, index) == choose_worker(
+            sched, task, views
+        ), f"request {i} {task.resources}"
+        if i == 1:
+            event = data.draw(st.sampled_from(["none", "refresh", "join", "leave"]))
+            wid = data.draw(st.sampled_from(worker_ids))
+            if event in ("refresh", "join"):
+                views[wid] = _draw_view(data.draw, wid)
+                index.update(wid, views[wid])
+            elif event == "leave":
+                views.pop(wid, None)
+                index.update(wid, None)
+
+
 def test_infeasible_shape_is_refused_without_a_scan_until_capacity_frees():
     replicas = ReplicaTable()
     replicas.add_replica("data", "w0", size=10)
@@ -229,6 +307,43 @@ def test_infeasible_shape_is_refused_without_a_scan_until_capacity_frees():
     )
     assert sched.choose_worker_indexed(task(cores=2), index) == "w1"
     assert sched.choose_worker_indexed(task(cores=4), index) is None
+
+
+def _full(wid, running=0, allocated=Resources(cores=8)):
+    return WorkerView(
+        worker_id=wid, capacity=CAPACITY, allocated=allocated, running_tasks=running
+    )
+
+
+def test_a_refresh_that_frees_nothing_keeps_a_full_index_known_full():
+    """A failed walk parks every view, which is what says the shape is
+    infeasible; when one of them is refreshed still full, that fact
+    moves into the record instead of being lost with the parking."""
+    one = Resources(cores=1)
+    index = PlacementIndex({w: _full(w) for w in ("w0", "w1", "w2")})
+    assert index.best_fallback(one) is None
+    assert index.infeasible(one) and index._infeasible == []
+    index.update("w0", _full("w0", running=3))
+    assert index.infeasible(one) and index._infeasible == [one]
+    assert index.infeasible(Resources(cores=2)) and not index.infeasible(Resources(cores=0))
+    index.update("w1", _full("w1", allocated=Resources(cores=6)))
+    assert not index.infeasible(one) and index._infeasible == []
+    assert index.best_fallback(one) == "w1"
+
+
+def test_compaction_keeps_parked_workers_out_of_the_heap():
+    """Stale entries of one busy worker pile up until the heap is
+    compacted; the workers parked meanwhile must stay parked."""
+    one = Resources(cores=1)
+    index = PlacementIndex({f"w{i:02d}": _full(f"w{i:02d}") for i in range(20)})
+    assert index.best_fallback(one) is None
+    free = Resources(cores=7)
+    for running in range(1, 40):
+        index.update("w00", _full("w00", running=running, allocated=free))
+    valid = [e[2] for e in index._heap if index._entries[e[2]] is e]
+    assert valid == ["w00"] and len(index._heap) <= 2 * len(valid) + 9
+    assert len(index._parked_on) == 19
+    assert index.best_fallback(one) == "w00"
 
 
 def test_duplicate_input_names_score_like_reference():

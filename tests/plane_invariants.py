@@ -19,11 +19,13 @@ that was to live no longer than the workflow.
 
 Each placement index the plane keeps across pumps equals a rebuild from
 its tables, but for the workers marked changed and not yet taken afresh
-(``_changed``): the same views, exactly one valid heap entry per view,
-keyed by the worker's *current* failure score and load (a change that
-marks nothing — a skipped ``_view_changed`` on a score change — shows
-here first), and no recorded infeasible shape that an unmarked view
-fits.
+(``_changed``): the same views, and exactly one valid entry per view —
+either once in the heap or parked, off it, on a shape the view cannot
+take — keyed by the worker's *current* failure score and load (a change
+that marks nothing — a skipped ``_view_changed`` on a score change —
+shows here first); the parked sets and their reverse map agree and
+their shapes form a chain; and no recorded infeasible shape that an
+unmarked view fits.
 
 :func:`watch_plane_invariants` wraps ``ControlPlane.pump`` and
 ``end_workflow`` so each outermost pump, and the end, leave
@@ -140,11 +142,35 @@ def _indexes(control: ControlPlane) -> list[str]:
         for wid, view in index.views.items():
             entry = index._entries.get(wid)
             current = (control.failure_scores[wid], view.running_tasks, wid)
-            if in_heap[id(entry)] != 1 or (entry != current and wid not in pending):
-                found.append(
-                    f"index {key!r}: {wid} has no one valid heap entry {current} "
-                    f"(entry {entry}, {in_heap[id(entry)]} in the heap)"
+            shape = index._parked_on.get(wid)
+            if shape is None:
+                kept = in_heap[id(entry)] == 1
+            else:
+                # parked: off the heap, on a shape the view cannot take
+                kept = (
+                    not in_heap[id(entry)]
+                    and wid in index._parked.get(shape, ())
+                    and (view.draining or not view.can_fit(shape))
                 )
+            if not kept or (entry != current and wid not in pending):
+                found.append(
+                    f"index {key!r}: {wid} has no one valid entry {current} "
+                    f"(entry {entry}, {in_heap[id(entry)]} in the heap, "
+                    f"parked on {shape})"
+                )
+        parked = {(wid, s) for s, group in index._parked.items() for wid in group}
+        on = index._parked_on
+        if parked != set(on.items()) or not on.keys() <= index.views.keys():
+            found.append(
+                f"index {key!r}: parked {sorted(index._parked_on)} disagrees "
+                f"with its shapes {index._parked} or its views"
+            )
+        if any(
+            not (a.fits_within(b) or b.fits_within(a))
+            for a in index._parked
+            for b in index._parked
+        ):
+            found.append(f"index {key!r}: parked shapes {list(index._parked)} are no chain")
         for shape in index._infeasible:
             fits = sorted(
                 wid

@@ -1,7 +1,9 @@
 """Tests for the discrete-event engine and the fair-share network model."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulation
@@ -368,6 +370,105 @@ def test_property_one_timer_finishes_when_per_flow_events_did(latency, schedule)
     assert done == expected
     assert net.bytes_moved == reference.bytes_moved
     assert net.active_count() == 0
+
+
+# -- one pass per change, same finish times ---------------------------------
+
+SINKS = [f"w{i}" for i in range(12)]
+_fan_op = st.one_of(
+    # mostly pulls off the one source, as in a fan-out of a shared input
+    st.tuples(
+        st.just("start"),
+        st.just("src"),
+        st.sampled_from(SINKS),
+        st.floats(min_value=0, max_value=1e9),
+    ),
+    st.tuples(
+        st.just("start"),
+        st.sampled_from(SINKS),
+        st.sampled_from(SINKS),
+        st.floats(min_value=0, max_value=1e9),
+    ),
+    # a link throttled to nothing, cut, or restored
+    st.tuples(
+        st.just("bandwidth"),
+        st.sampled_from(["src", "src"] + SINKS),
+        st.sampled_from([None, 0.0, 3.0, 100.0, 1.25e9]),
+        st.sampled_from([None, 0.0, 7.0, 100.0, 1.25e9]),
+    ),
+)
+
+
+def _fan_replay(network_cls, latency, schedule):
+    sim = Simulation()
+    net = network_cls(sim, latency=latency)
+    net.add_node("src", 1.25e9)
+    for name in SINKS:
+        net.add_node(name, 1e8, 3e8)
+    done = []
+    for i, (at, op) in enumerate(schedule):
+        if op[0] == "start":
+            _, src, dst, size = op
+            sim.schedule(
+                at, net.start, src, dst, size,
+                lambda t, i=i: done.append((i, sim.now, t.remaining)),
+            )
+        else:
+            _, node, up, down = op
+            sim.schedule(at, net.set_bandwidth, node, up, down)
+    # every link comes back at the end, so no flow stays stalled
+    for name in ["src"] + SINKS:
+        sim.schedule(1e4, net.set_bandwidth, name, 1e8, 1e8)
+    sim.run()
+    return net, done
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0.0, 0.25]),
+    st.lists(
+        st.tuples(st.floats(min_value=0, max_value=20.0), _fan_op),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_property_one_pass_finishes_when_the_two_pass_network_did(latency, schedule):
+    """The network against the one it replaced — a change advancing
+    every flow in one pass and re-rating it in another, through a
+    per-flow ``_fair_rate`` — on fan-outs off one source, links cut to
+    0 and restored: every transfer completes at the very instant
+    (``==``), in the very order, with the very bytes left over."""
+    from tests.sim.reference_network import SingleTimerNetwork
+
+    reference, expected = _fan_replay(SingleTimerNetwork, latency, schedule)
+    net, done = _fan_replay(Network, latency, schedule)
+    assert done == expected
+    assert net.bytes_moved == reference.bytes_moved
+    assert net.completed_transfers == reference.completed_transfers
+    assert net.active_count() == 0
+
+
+def test_many_flows_off_one_source_match_the_two_pass_network():
+    """A fixed, large case of the property above: 120 pulls of mixed
+    sizes off one source, staggered, with its uplink halved and the
+    receivers' downlinks cut and restored mid-flight."""
+    from tests.sim.reference_network import SingleTimerNetwork
+
+    rng = random.Random(26)
+    schedule = [
+        (rng.uniform(0, 5), ("start", "src", rng.choice(SINKS), rng.uniform(1e6, 5e8)))
+        for _ in range(120)
+    ]
+    schedule += [
+        (2.5, ("bandwidth", "src", 6.25e8, None)),
+        (3.0, ("bandwidth", "w3", None, 0.0)),
+        (3.5, ("bandwidth", "w3", None, 3e8)),
+    ]
+    for latency in (0.0, 0.25):
+        reference, expected = _fan_replay(SingleTimerNetwork, latency, schedule)
+        net, done = _fan_replay(Network, latency, schedule)
+        assert len(done) == 120 and done == expected
+        assert net.bytes_moved == reference.bytes_moved
 
 
 def test_a_network_change_schedules_one_event_whatever_is_in_flight(monkeypatch):

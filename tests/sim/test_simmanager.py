@@ -51,6 +51,34 @@ def test_run_on_a_finished_workflow_does_not_advance_time():
     assert m.run(finalize=False).finished == pytest.approx(finished + 3.0, abs=0.1)
 
 
+def test_a_finalized_manager_stops_hearing_the_cluster():
+    """A manager whose workflow ended is told of no later join or leave:
+    its closed plane admits no worker, its log ends at
+    ``workflow_done``, and the cluster keeps no callback of it (two
+    BLAST-style runs on one cluster used to leave four behind)."""
+    c = cluster_with(3, cores=1)
+    first = SimManager(c)
+    first.submit(Task("one"), duration=1.0)
+    first.run()
+    assert first.control.closed
+    assert c.join_callbacks == [] and c.leave_callbacks == []
+    members = sorted(first.control.workers)
+    ended = len(first.control.log)
+
+    second = SimManager(c)
+    now = second.sim.now
+    c.add_worker(cores=1, worker_id="late", at=now + 1.0)
+    c.remove_worker(members[0], at=now + 2.0)
+    second.submit(Task("two"), duration=5.0)
+    assert second.run().tasks_done == 1
+    assert "late" in c.workers and not c.workers[members[0]].connected
+
+    assert sorted(first.control.workers) == members
+    assert [e.kind for e in first.control.log.events()[ended:]] == []
+    assert first.control.log.events()[-1].kind == "workflow_done"
+    assert c.join_callbacks == [] and c.leave_callbacks == []
+
+
 def test_tasks_pack_by_cores():
     c = cluster_with(1, cores=4)
     m = SimManager(c)
