@@ -257,12 +257,50 @@ class TenantAccount:
     regens: int = 0
     #: cache names this tenant declared or produced (its namespace)
     names: set = field(default_factory=set)
+    #: the highest each gauged count ever was, recorded where it rises
+    #: (the methods below are the only writers of those counts)
+    peak_queued: int = 0
+    peak_running: int = 0
+    peak_headroom: int = -1
 
     def task_headroom(self) -> Optional[int]:
         """Remaining submit slots, or None when unlimited."""
         if self.task_quota is None:
             return None
         return max(0, self.task_quota - self.outstanding)
+
+    @property
+    def queued(self) -> int:
+        """Outstanding tasks not running (queued, staging or finishing)."""
+        return max(0, self.outstanding - self.running)
+
+    @property
+    def headroom(self) -> int:
+        """:meth:`task_headroom` as its gauge shows it: -1 = unlimited."""
+        headroom = self.task_headroom()
+        return -1 if headroom is None else headroom
+
+    def admitted(self) -> None:
+        """A task became outstanding (submitted, resumed, regenerated)."""
+        self.outstanding += 1
+        self.peak_queued = max(self.peak_queued, self.queued)
+
+    def ended(self) -> None:
+        """An outstanding task reached a terminal state."""
+        self.outstanding -= 1
+        self.note_headroom()
+
+    def started(self) -> None:
+        self.running += 1
+        self.peak_running = max(self.peak_running, self.running)
+
+    def stopped(self) -> None:
+        self.running -= 1
+        self.peak_queued = max(self.peak_queued, self.queued)
+
+    def note_headroom(self) -> None:
+        """The task quota was set, or a slot under it freed."""
+        self.peak_headroom = max(self.peak_headroom, self.headroom)
 
 
 @dataclass(eq=False)
@@ -420,7 +458,7 @@ class ControlPlane:
         self._rng = random.Random(f"{seed}:backoff")
 
         self.tenants: dict[str, TenantAccount] = {}
-        self._tenant_gauges: dict[str, dict] = {}
+        self._tenant_counters: dict[str, dict] = {}
 
         #: persistent memoization store (``repro.memo.MemoStore``) or
         #: None; policy — consult / serve / invalidate — lives here, the
@@ -552,13 +590,22 @@ class ControlPlane:
         self.closed = False
 
         # observability: instrument handles are resolved once here so the
-        # hot paths below touch no registry locks, only the instruments'
+        # hot paths below touch no registry locks, only the instruments'.
+        # The gauges are the tables' own counts and peaks, read when a
+        # snapshot is taken: nothing below writes one.
         self.metrics = MetricsRegistry()
+        ready, transfers = self._ready, self.transfers
+        self.metrics.pulled("queue.ready_depth", lambda: (len(ready), ready.peak_depth))
+        self.metrics.pulled("queue.parked", lambda: (ready.parked, ready.peak_parked))
+        self.metrics.pulled(
+            "transfers.in_flight", lambda: (transfers.moving(), transfers.peak_moving)
+        )
+        self.metrics.pulled("staging.in_flight", lambda: transfers.kind_level("stage"))
+        for kind in ("manager", "url", "peer"):
+            self.metrics.pulled(
+                f"transfers.per_source.{kind}", functools.partial(transfers.kind_level, kind)
+            )
         self._m_pump = self.metrics.histogram("pump.latency_seconds")
-        self._m_ready_depth = self.metrics.gauge("queue.ready_depth")
-        self._m_parked = self.metrics.gauge("queue.parked")
-        self._m_transfers_open = self.metrics.gauge("transfers.in_flight")
-        self._m_staging_open = self.metrics.gauge("staging.in_flight")
         self._m_cache_hits = self.metrics.counter("cache.hits")
         self._m_cache_misses = self.metrics.counter("cache.misses")
         self._m_evictions = self.metrics.counter("cache.evictions")
@@ -569,6 +616,7 @@ class ControlPlane:
         self._m_transfers_failed = self.metrics.counter("transfers.failed")
         self._m_transfers_corrupt = self.metrics.counter("transfers.corrupt")
         self._m_requeues = self.metrics.counter("recovery.requeues")
+        self._m_reports_ignored = self.metrics.counter("recovery.reports_ignored")
         self._m_regens = self.metrics.counter("recovery.regenerations")
         self._m_blocklisted = self.metrics.counter("workers.blocklisted")
         self._m_faults = self.metrics.counter("faults.injected")
@@ -603,8 +651,6 @@ class ControlPlane:
         if journal is not None:
             journal.on_compact = self._on_journal_compact
             journal.journal.on_sync = self._on_journal_sync
-        #: per-source-kind concurrency gauges, created as kinds appear
-        self._kind_gauges: dict[str, "object"] = {}
         self._pump_depth = 0
         #: scheduler hot-path instruments: per-pump policy time in µs
         #: and how many (task, worker) pairs placement actually scored
@@ -717,27 +763,23 @@ class ControlPlane:
                 task_quota=self.policy.default_task_quota,
                 byte_quota=self.policy.default_byte_quota,
             )
-            self._tenant_gauges[name] = {
-                "queued": self.metrics.gauge(f"tenant.{name}.tasks_queued"),
-                "running": self.metrics.gauge(f"tenant.{name}.tasks_running"),
-                "done": self.metrics.counter(f"tenant.{name}.tasks_done"),
-                "failed": self.metrics.counter(f"tenant.{name}.tasks_failed"),
-                "bytes": self.metrics.gauge(f"tenant.{name}.bytes_declared"),
-                "headroom": self.metrics.gauge(f"tenant.{name}.quota_headroom"),
-                "hits": self.metrics.counter(f"tenant.{name}.cache_hits"),
-                "regens": self.metrics.counter(f"tenant.{name}.regenerations"),
+            acct.note_headroom()
+            m = self.metrics
+            self._tenant_counters[name] = {
+                "done": m.counter(f"tenant.{name}.tasks_done"),
+                "failed": m.counter(f"tenant.{name}.tasks_failed"),
+                "hits": m.counter(f"tenant.{name}.cache_hits"),
+                "regens": m.counter(f"tenant.{name}.regenerations"),
             }
-            self._sync_tenant(acct)
+            prefix = f"tenant.{name}."
+            m.pulled(prefix + "tasks_queued", lambda: (acct.queued, acct.peak_queued))
+            m.pulled(prefix + "tasks_running", lambda: (acct.running, acct.peak_running))
+            # declared bytes only ever grow: the value is the peak
+            m.pulled(prefix + "bytes_declared", lambda: (acct.bytes_declared,) * 2)
+            m.pulled(
+                prefix + "quota_headroom", lambda: (acct.headroom, acct.peak_headroom)
+            )
         return acct
-
-    def _sync_tenant(self, acct: TenantAccount) -> None:
-        """Refresh the tenant's gauges from its ledger."""
-        g = self._tenant_gauges[acct.name]
-        g["queued"].set(max(0, acct.outstanding - acct.running))
-        g["running"].set(acct.running)
-        g["bytes"].set(acct.bytes_declared)
-        headroom = acct.task_headroom()
-        g["headroom"].set(-1 if headroom is None else headroom)
 
     def set_tenant_quota(
         self,
@@ -749,7 +791,7 @@ class ControlPlane:
         acct = self.tenant_account(tenant)
         acct.task_quota = task_quota
         acct.byte_quota = byte_quota
-        self._sync_tenant(acct)
+        acct.note_headroom()
         j = self._j()
         if j is not None:
             j.record_quota(tenant, task_quota, byte_quota)
@@ -771,7 +813,6 @@ class ControlPlane:
                 f"declared of {acct.byte_quota} allowed"
             )
         acct.bytes_declared += nbytes
-        self._sync_tenant(acct)
         j = self._j()
         if j is not None:
             j.record_tenant_bytes(tenant, nbytes)
@@ -788,7 +829,7 @@ class ControlPlane:
         """A tenant declared content already known to the service."""
         acct = self.tenant_account(tenant)
         acct.cache_hits += 1
-        self._tenant_gauges[tenant]["hits"].inc()
+        self._tenant_counters[tenant]["hits"].inc()
         self.log.emit(
             self.port.now(), "cache_shared",
             file=cache_name, size=size, category=tenant,
@@ -1105,8 +1146,7 @@ class ControlPlane:
             self._enqueue(task)
         self.outstanding += 1
         acct.submitted += 1
-        acct.outstanding += 1
-        self._sync_tenant(acct)
+        acct.admitted()
         self.port.request_pump()
         return task.task_id
 
@@ -1133,9 +1173,7 @@ class ControlPlane:
         task.result = TaskResult(exit_code=-1, failure="cancelled")
         self._wake_consumers(task)
         self.outstanding -= 1
-        acct = self.tenant_account(task.tenant)
-        acct.outstanding -= 1
-        self._sync_tenant(acct)
+        self.tenant_account(task.tenant).ended()
         self.port.deliver(task, None)
         self.port.request_pump()
         return True
@@ -1164,12 +1202,24 @@ class ControlPlane:
         Releases the placement, applies the sandbox/resource retry
         policies, and returns the task if the attempt stands (it is
         then :meth:`complete_task`'s — see :meth:`attempt_ended`, which
-        pairs the two).  Returns None for stale reports and for
-        attempts that were requeued by a retry policy.
+        pairs the two).  Returns None for stale reports, for a report
+        from another worker than the one the attempt runs at (logged as
+        ``report_ignored``), and for attempts that were requeued by a
+        retry policy.
         """
-        task = self._pop_running(task_id)
+        task = self._running.get(task_id)
         if task is None:
             return None
+        if task.worker_id != worker_id:
+            # taking it would finish the attempt at work elsewhere and
+            # release its placement at a worker that holds none of it
+            self._m_reports_ignored.inc()
+            self.log.emit(
+                self.port.now(), "report_ignored",
+                worker=worker_id, task=task_id, category=task.worker_id,
+            )
+            return None
+        self._pop_running(task_id)
         self._release(task, worker_id)
         # inputs stay pinned until complete_task/_requeue so that output
         # registration cannot evict the inputs the task just consumed
@@ -1264,33 +1314,31 @@ class ControlPlane:
         worker_id: str,
         task_id: str,
         result: TaskResult,
-        harvested: Sequence[str] = (),
         produced: Iterable[tuple[str, int]] = (),
     ) -> None:
         """A worker said an attempt ended: everything from here to the
         application hearing of it is decided below, once for every
         runtime.
 
-        ``harvested`` names outputs the worker collected whose
-        cache-update may still be in flight behind the report;
-        ``produced`` lists ``(cache name, size)`` of outputs the runtime
-        has not announced at all (a simulated worker sends no
-        cache-update), registered once the retry policies let the
-        attempt stand.
+        ``produced`` lists the ``(cache name, size)`` of the outputs the
+        report says the attempt left in the worker's cache; they become
+        replicas once the attempt stands.  A report that does not stand
+        leaves none: what the plane knows no replica of there is unlinked.
         """
         task = self.on_task_result(worker_id, task_id, result)
         if task is None:
-            return  # stale report, or requeued by a retry policy
+            for name, _ in produced:
+                if not self.replicas.has_replica(name, worker_id):
+                    self.port.delete_replica(worker_id, name)
+            return
         for name, size in produced:
             self.sizes[name] = size
             if name in self.registry:
                 self.registry.by_name(name).size = size
             self.register_replica(worker_id, name, size, store=True)
-        self.complete_task(task, result, harvested)
+        self.complete_task(task, result)
 
-    def complete_task(
-        self, task: Task, result: TaskResult, harvested: Sequence[str] = ()
-    ) -> None:
+    def complete_task(self, task: Task, result: TaskResult) -> None:
         """Finish an attempt that stands and whose outputs are registered.
 
         The completion waits (``WAITING_RETRIEVAL``) for the outputs
@@ -1323,14 +1371,9 @@ class ControlPlane:
                 value, result = None, task.result or result
         awaited = self._settle_outputs(task, value)
         if awaited is not None:
+            count = self.replicas.replica_count
             missing = next(
-                (
-                    f.cache_name
-                    for f in awaited
-                    if not self.replicas.replica_count(f.cache_name)
-                    and f.cache_name not in harvested
-                ),
-                None,
+                (f.cache_name for f in awaited if not count(f.cache_name)), None
             )
             if missing is None:
                 self._await_outputs(task, result, awaited)
@@ -1354,8 +1397,6 @@ class ControlPlane:
         )
         self.port.request_pump()
         for f in awaited:
-            # a harvest whose cache-update is still in flight parks the
-            # fetch until the replica registers
             self.fetch(f.cache_name, functools.partial(self._retrieved, waiting, f))
 
     def _settle_outputs(self, task: Task, value: Optional[File]) -> Optional[list]:
@@ -1426,12 +1467,10 @@ class ControlPlane:
         self.port.request_pump()
 
     def _pop_running(self, task_id: str) -> Optional[Task]:
-        """Remove a task from the running set, keeping tenant gauges true."""
+        """Remove a task from the running set, and from its tenant's."""
         task = self._running.pop(task_id, None)
         if task is not None:
-            acct = self.tenant_account(task.tenant)
-            acct.running -= 1
-            self._sync_tenant(acct)
+            self.tenant_account(task.tenant).stopped()
         return task
 
     def _finish_task(self, task: Task, result: TaskResult) -> None:
@@ -1461,23 +1500,22 @@ class ControlPlane:
         regenerated = task.task_id in self._regenerated
         self._regenerated.discard(task.task_id)
         acct = self.tenant_account(task.tenant)
-        acct.outstanding -= 1
+        acct.ended()
         if task.state == TaskState.DONE:
             acct.done += 1
             if not regenerated:
                 # a regenerated completion was already counted once and
                 # un-counted by the requeue; only the ledger field is
                 # restored — the monotonic counter must not double-count
-                self._tenant_gauges[task.tenant]["done"].inc()
+                self._tenant_counters[task.tenant]["done"].inc()
         else:
             acct.failed += 1
-            self._tenant_gauges[task.tenant]["failed"].inc()
+            self._tenant_counters[task.tenant]["failed"].inc()
         # produced outputs join the owning tenant's namespace so a
         # follow-up workflow may reference them without re-declaring
         for _, f in task.outputs:
             if f.cache_name:
                 acct.names.add(f.cache_name)
-        self._sync_tenant(acct)
         self._wake_consumers(task)
         j = self._j()
         if j is not None:
@@ -1898,7 +1936,6 @@ class ControlPlane:
             record = self.transfers.complete(transfer_id)
         except KeyError:
             record = None  # stale report (worker departed mid-flight)
-        self._sync_transfer_gauges()
         self._drop_job(worker_id, transfer_id)
         if record is None:
             self.port.request_pump()
@@ -1978,7 +2015,6 @@ class ControlPlane:
             record = self.transfers.complete(transfer_id)
         except KeyError:
             return None
-        self._sync_transfer_gauges()
         self._slot_freed(record.source)
         # a delivered transfer clears the (object, source) failure budget
         # and redeems part of the serving worker's failure score
@@ -2013,29 +2049,6 @@ class ControlPlane:
                 size=reported, category=record.source,
             )
         return record
-
-    def _sync_transfer_gauges(self) -> None:
-        """Refresh queue-depth gauges from the authoritative table.
-
-        Derived (not incremented) so cancellation paths — a departed
-        worker dropping its in-flight transfers — can never leak a
-        phantom open transfer into the metrics: the counts are the
-        table's own, kept by the ``begin``/``complete`` every path goes
-        through.  Per-source gauges are keyed by source *kind* to keep
-        cardinality bounded; peaks land in each gauge's ``max``.
-        """
-        loads = self.transfers.kind_loads()
-        staging = loads.get("stage", 0)
-        self._m_transfers_open.set(len(self.transfers) - staging)
-        self._m_staging_open.set(staging)
-        for kind, load in loads.items():
-            if kind == "stage":
-                continue
-            gauge = self._kind_gauges.get(kind)
-            if gauge is None:
-                gauge = self.metrics.gauge(f"transfers.per_source.{kind}")
-                self._kind_gauges[kind] = gauge
-            gauge.set(load)
 
     # ------------------------------------------------------------------
     # the result fetch plane: by-reference bytes resolved on demand
@@ -2116,13 +2129,14 @@ class ControlPlane:
             else:
                 self._fetch_settle(name, payload)
             return
-        # a retrieval whose holders are all spent settles empty-handed
+        # a fetch a retrieval waits on — its own, or an earlier one it
+        # joined — settles empty-handed once its holders are spent
         # rather than parking: its producer is not about to deliver, it
         # is the task waiting for this very fetch (a deadlock until the
         # TTL) — :meth:`_result_lost` sends it back for another attempt
         if (
-            st.category != "@retrieve"
-            and st.needy
+            st.needy
+            and self._awaited_by(name) is None
             and name in self.registry
             and self._regenerate(name)
         ):
@@ -2356,7 +2370,6 @@ class ControlPlane:
             for name in lost_names:
                 j.record_replica_gone(worker_id, name)
         cancelled = self.transfers.cancel_for_worker(worker_id)
-        self._sync_transfer_gauges()
         # tasks consuming a lost replica or a cancelled in-flight
         # transfer must re-plan their staging on the next pump
         for name in lost_names:
@@ -2428,11 +2441,6 @@ class ControlPlane:
             if st.asked == worker_id:
                 self._fetch_retire(name, st, "worker_lost")
                 self._fetch_advance(name, st)
-            elif st.asked is None:
-                waiting = self._awaited_by(name)
-                if waiting is not None and waiting.task.worker_id == worker_id:
-                    # parked on a cache-update that will never come
-                    self._fetch_settle(name, None)
         self.port.request_pump()
 
     # ------------------------------------------------------------------
@@ -2618,9 +2626,7 @@ class ControlPlane:
             for tenant, rec in j.quotas.items():
                 self.set_tenant_quota(tenant, rec.get("tasks"), rec.get("bytes"))
             for tenant, total in j.tenant_bytes.items():
-                acct = self.tenant_account(tenant)
-                acct.bytes_declared = total
-                self._sync_tenant(acct)
+                self.tenant_account(tenant).bytes_declared = total
             for tenant, names in j.tenant_names.items():
                 self.tenant_account(tenant).names.update(names)
             for rec in sorted(j.submits.values(), key=lambda r: r["seq"]):
@@ -2678,7 +2684,6 @@ class ControlPlane:
                 acct.failed += 1
             else:
                 acct.failed += 1
-            self._sync_tenant(acct)
             return
         if rec.get("session"):
             task.session_token = rec["session"]
@@ -2711,9 +2716,8 @@ class ControlPlane:
                 self._input_refs[f.cache_name] += 1
             self._enqueue(task)
             self.outstanding += 1
-            acct.outstanding += 1
+            acct.admitted()
             self._m_resumed.inc()
-        self._sync_tenant(acct)
 
     def _begin_recovery(self, grace: float) -> None:
         """Open the rejoin grace window after a journal restore.
@@ -2858,11 +2862,10 @@ class ControlPlane:
         self.done_count -= 1
         self.outstanding += 1
         acct = self.tenant_account(producer.tenant)
-        acct.outstanding += 1
+        acct.admitted()
         acct.done -= 1  # mirrors done_count: the completion is rescinded
         acct.regens += 1
-        self._tenant_gauges[producer.tenant]["regens"].inc()
-        self._sync_tenant(acct)
+        self._tenant_counters[producer.tenant]["regens"].inc()
         self._regenerated.add(producer.task_id)
         self._retry(producer, "file_regenerated", file=cache_name)
         return self._reclaim_inputs(producer)
@@ -2992,8 +2995,6 @@ class ControlPlane:
             elapsed = time.perf_counter() - started
             self._m_pump.observe(elapsed)
             self._m_pump_us.observe(elapsed * 1e6)
-            self._m_ready_depth.set(len(self._ready))
-            self._m_parked.set(self._ready.parked)
 
     def _pump_body(self) -> None:
         # 0. memo hits deferred at submit complete now, after the submit
@@ -3250,7 +3251,6 @@ class ControlPlane:
     def _start_transfer(self, cache_name: str, source: str, dst_wid: str) -> None:
         size = self.sizes.get(cache_name, 0)
         record = self.transfers.begin(cache_name, source, dst_wid, size, self.port.now())
-        self._sync_transfer_gauges()
         if source == MINITASK_SOURCE:
             f = self.registry.by_name(cache_name)
             assert isinstance(f, MiniTaskFile)
@@ -3305,9 +3305,7 @@ class ControlPlane:
         self._dispatched.pop(task.task_id, None)
         self._unstage(task)
         self._running[task.task_id] = task
-        acct = self.tenant_account(task.tenant)
-        acct.running += 1
-        self._sync_tenant(acct)
+        self.tenant_account(task.tenant).started()
         task.state = TaskState.RUNNING
         task.started_at = self.port.now()
         self.log.emit(

@@ -49,6 +49,9 @@ KINDS = frozenset(
         "task_requeued",
         "file_regenerated",
         "worker_blocklist",
+        # a task report from a worker other than the one the attempt
+        # runs at: ignored (category names the attempt's worker)
+        "report_ignored",
         # multi-tenant service mode: client sessions attach to a
         # long-lived manager; rejected requests and cross-tenant cache
         # reuse are first-class facts in the txn log

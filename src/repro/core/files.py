@@ -77,7 +77,8 @@ class File:
 
     Instances are handles: declaring a file does not imply it exists at
     any worker yet (URL and temp files are materialized lazily, after
-    which the worker sends a ``cache-update``).  The manager assigns
+    which the worker reports them: a ``cache-update`` for a transfer,
+    the producer's ``task-done`` for a temp).  The manager assigns
     each file a unique *cache name* (see :mod:`repro.core.naming`) which
     is the key used in worker caches and the replica table.
     """

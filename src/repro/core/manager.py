@@ -1749,7 +1749,10 @@ class Manager:
             staging_time=float(msg.get("staging_time", 0.0)),
         )
         self.control.attempt_ended(
-            handle.worker_id, task_id, result, msg.get("harvested", ())
+            handle.worker_id,
+            task_id,
+            result,
+            [(name, int(size)) for name, size in msg.get("outputs", ())],
         )
 
     def decode_value(

@@ -3,7 +3,8 @@
 Files are located at workers through this table (paper §3.3): for every
 cache name it records which workers hold a replica and how large the
 object is.  The table is updated from worker ``cache-update`` and
-``cache-invalid`` messages and consulted by the scheduler both for task
+``cache-invalid`` messages and the outputs a ``task-done`` lists, and
+consulted by the scheduler both for task
 placement (locality) and for choosing peer transfer sources.
 
 The table maintains *incremental indexes* alongside the raw facts so

@@ -189,6 +189,10 @@ class ReadyQueue:
         self._class_keys: dict[tuple, tuple] = {}
         #: ids of active tasks the owner has not vouched for (:meth:`vet`)
         self._unvetted: set[str] = set()
+        #: the most tasks ever queued, and ever parked, at once — kept
+        #: where those counts rise (:meth:`push`, :meth:`park`)
+        self.peak_depth = 0
+        self.peak_parked = 0
 
     def __len__(self) -> int:
         return len(self._live)
@@ -234,6 +238,7 @@ class ReadyQueue:
         key = (placement_key(task), r.cores, r.memory, r.disk, r.gpus)
         key = self._class_keys.setdefault(key, key)
         self._live[tid] = (token, task, key)
+        self.peak_depth = max(self.peak_depth, len(self._live))
         self._activate(tid, key)
         tenant = self._tenant_of(task)
         heap = self._heaps.get(tenant)
@@ -327,6 +332,7 @@ class ReadyQueue:
         live = self._live.get(task.task_id)
         if live is not None and live[0] == token:
             self._parked[task.task_id] = entry
+            self.peak_parked = max(self.peak_parked, len(self._parked))
             self._deactivate(task.task_id, live[2])
 
     def unpark(self, task_id: str) -> bool:

@@ -90,9 +90,13 @@ class TransferTable:
         self._source_limit = source_limit
         self._by_id: dict[str, Transfer] = {}
         self._load_by_source: dict[str, int] = {}
-        #: in-flight count per :func:`source_kind`; a kind once seen
-        #: stays (at zero) so its gauge is reset, not forgotten
+        #: in-flight count per :func:`source_kind` (a kind once seen
+        #: stays, at zero), and the most each ever had at once
         self._load_by_kind: dict[str, int] = {}
+        self._peak_by_kind: dict[str, int] = {}
+        #: the most transfers other than mini-task stagings ever in
+        #: flight at once (see :meth:`moving`)
+        self.peak_moving = 0
         self._inbound: dict[tuple[str, str], str] = {}
         #: sources currently at (or over) their concurrency limit
         self._saturated: set[str] = set()
@@ -132,8 +136,18 @@ class TransferTable:
 
     def kind_loads(self) -> dict[str, int]:
         """In-flight transfers per source kind seen so far — O(1) to
-        maintain, so per-kind gauges need no walk of :meth:`active`."""
+        maintain, so nothing that counts them walks :meth:`active`."""
         return self._load_by_kind
+
+    def kind_level(self, kind: str) -> tuple[int, int]:
+        """Transfers of one source kind in flight now, and the most there
+        ever were at once."""
+        return self._load_by_kind.get(kind, 0), self._peak_by_kind.get(kind, 0)
+
+    def moving(self) -> int:
+        """Transfers in flight that move bytes to a worker: every one but
+        the mini-task stagings (whose object is made where it lands)."""
+        return len(self._by_id) - self._load_by_kind.get("stage", 0)
 
     def source_available(self, source: str) -> bool:
         """True if ``source`` may serve one more transfer — O(1).
@@ -187,7 +201,12 @@ class TransferTable:
         self._by_id[t.transfer_id] = t
         self._load_by_source[source] = self._load_by_source.get(source, 0) + 1
         kind = source_kind(source)
-        self._load_by_kind[kind] = self._load_by_kind.get(kind, 0) + 1
+        load = self._load_by_kind[kind] = self._load_by_kind.get(kind, 0) + 1
+        # the one place in-flight counts rise: their peaks are kept here
+        if load > self._peak_by_kind.get(kind, 0):
+            self._peak_by_kind[kind] = load
+        if kind != "stage":
+            self.peak_moving = max(self.peak_moving, self.moving())
         if not self._computed_available(source):
             self._saturated.add(source)
         self._inbound[key] = t.transfer_id

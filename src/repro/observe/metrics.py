@@ -9,6 +9,12 @@ thread-safe: one lock per instrument, O(1) per observation, and a
 histogram never holds more than ``reservoir_size`` samples no matter
 how many it has seen.
 
+A gauge that mirrors a count some table keeps anyway (queue depth,
+transfers in flight, a tenant's running tasks) is a
+:class:`PulledGauge`: the table records the count's high-water mark
+where the count rises, and the gauge reads value and peak from it when
+a snapshot is taken, so the table's hot path writes no instrument.
+
 Snapshots are plain dictionaries (JSON-ready); a
 :class:`SnapshotDumper` can write them periodically so an external
 ``repro-status`` invocation — or a human with ``cat`` — sees a live
@@ -24,11 +30,12 @@ import random
 import threading
 import time
 import zlib
-from typing import Optional
+from typing import Callable, Optional
 
 __all__ = [
     "Counter",
     "Gauge",
+    "PulledGauge",
     "Histogram",
     "MetricsRegistry",
     "SnapshotDumper",
@@ -97,6 +104,26 @@ class Gauge:
 
     def snapshot(self) -> dict:
         return {"type": "gauge", "value": self._value, "max": self._max}
+
+
+class PulledGauge:
+    """A gauge whose value and peak its owner keeps.
+
+    ``read()`` returns ``(value, peak)``; it is called when the gauge is
+    read, never when the count changes, so it must only read a few
+    fields (it may run on another thread than the owner's).  The owner
+    keeps the peak exact by recording it where the count rises.
+    """
+
+    __slots__ = ("name", "_read")
+
+    def __init__(self, name: str, read: Callable[[], tuple[float, float]]) -> None:
+        self.name = name
+        self._read = read
+
+    def snapshot(self) -> dict:
+        value, peak = self._read()
+        return {"type": "gauge", "value": value, "max": peak}
 
 
 class Histogram:
@@ -201,7 +228,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Gauge | PulledGauge | Histogram] = {}
         self._lock = threading.Lock()
 
     def _get(self, name: str, kind, **kwargs):
@@ -221,6 +248,11 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
+
+    def pulled(self, name: str, read: Callable[[], tuple[float, float]]) -> PulledGauge:
+        """A gauge read from its owner at snapshot time (see
+        :class:`PulledGauge`); a name already registered keeps its reader."""
+        return self._get(name, PulledGauge, read=read)
 
     def histogram(self, name: str, reservoir_size: int = 1024) -> Histogram:
         return self._get(name, Histogram, reservoir_size=reservoir_size)

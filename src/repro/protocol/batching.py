@@ -1,20 +1,24 @@
 """Outbound control-message coalescing: the ``batch`` envelope sender.
 
-Workers produce bursts of small notices — ``cache_update`` per
-harvested output, ``task_done``, heartbeats — and sending each as its
-own frame costs the manager one wakeup, one read and one state-lock
+Workers produce bursts of small notices — ``cache_update`` per landed
+transfer, ``task_done``, heartbeats — and sending each as its own
+frame costs the manager one wakeup, one read and one state-lock
 acquisition per notice.  :class:`BatchSender` coalesces notices that
 accumulate between send windows into a single ``batch`` frame, flushed
 when the queue reaches ``max_batch`` messages or ``max_delay`` seconds
 after the first queued notice, whichever comes first.
 
-Ordering is the protocol's load-bearing invariant (a worker's
-``cache_update`` for a harvested output must precede its ``task_done``
-on the same connection), so the sender is strictly FIFO: direct sends
-— registration, frames with trailing byte payloads, streamed files —
-flush every queued notice first under the same lock.  A queue of one
-flushes as the bare message, not a one-element envelope, so lone
-notices stay byte-identical to the unbatched protocol.
+Ordering is the protocol's load-bearing invariant: a message that
+announces an object — a transfer's ``cache_update``, or the
+``task_done`` whose ``outputs`` list it — must reach the manager before
+the ``cache_invalid`` of that object's eviction, which the worker
+decides right after announcing it.  So the sender is strictly FIFO:
+direct sends — registration, frames with trailing byte payloads,
+streamed files — flush every queued notice first under the same lock.
+(A ``task_done`` leans on no earlier message: it names its outputs
+itself.)  A queue of one flushes as the bare message, not a
+one-element envelope, so lone notices stay byte-identical to the
+unbatched protocol.
 """
 
 from __future__ import annotations
@@ -72,10 +76,9 @@ class BatchSender:
     def burst(self, messages: list[dict]) -> None:
         """Queue notices that end a burst and flush the window now.
 
-        For a report someone is waiting on (a ``task_done`` behind the
-        ``cache_update``s of its outputs): the messages leave in one
-        frame together with whatever was queued before them, without
-        waiting out ``max_delay``.
+        For a report someone is waiting on (a ``task_done``): the
+        messages leave in one frame together with whatever was queued
+        before them, without waiting out ``max_delay``.
         """
         with self._lock:
             self._queue.extend(messages)

@@ -124,6 +124,8 @@ _SCHEMA: Mapping[str, tuple[str, ...]] = {
     M.HEARTBEAT: (),
     M.CACHE_UPDATE: ("cache_name", "size"),
     M.CACHE_INVALID: ("cache_name", "reason"),
+    # optional "outputs": [[cache_name, size], …] the attempt left in
+    # the worker's cache — the manager registers them with the attempt
     M.TASK_DONE: ("task_id", "exit_code"),
     M.LIBRARY_READY: ("library", "task_id"),
     # optional "md5": transit digest of the served bytes (peer replies)
@@ -204,7 +206,7 @@ def validate(message: dict) -> str:
         # result bytes nobody reads, desynchronising the stream
         raise WireError(
             "task_done carries retired field 'result_size': results "
-            "travel by reference (cache_update + harvested)"
+            "travel by reference (the report's 'outputs' names them)"
         )
     return mtype
 

@@ -2,7 +2,7 @@
 
 Each task executes in a sandbox directory where every input object is
 linked in under the user-visible name the command expects, and from
-which declared outputs are harvested into the cache when the task
+which declared outputs are moved into the cache when the task
 completes.  The sandbox is deleted afterwards, so the only persistent
 data objects are those explicitly extracted from the completed task.
 

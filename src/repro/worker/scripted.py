@@ -6,7 +6,8 @@ the manager's networking and dispatch path, not sandbox setup or
 subprocess execution.  :class:`ScriptedWorker` registers like a real
 worker and answers every command with the protocol-correct reply —
 ``cache_update`` for anything it was told to materialize, ``task_done``
-(exit 0) for every execution — without touching the filesystem.
+(exit 0, listing every declared output) for every execution — without
+touching the filesystem.
 
 Each instance is one thread reading the command connection, plus its
 :class:`~repro.protocol.batching.BatchSender` flusher, so a single
@@ -77,12 +78,6 @@ class ScriptedWorker:
 
     def _handle(self, mtype: str, msg: dict) -> None:
         if mtype == M.EXECUTE:
-            harvested = []
-            for _name, cache_name, _level in (tuple(o) for o in msg["outputs"]):
-                self._sender.notice(
-                    {"type": M.CACHE_UPDATE, "cache_name": cache_name, "size": 1}
-                )
-                harvested.append(cache_name)
             self.tasks_completed += 1
             self._sender.notice(
                 {
@@ -90,7 +85,7 @@ class ScriptedWorker:
                     "task_id": msg["task_id"],
                     "exit_code": 0,
                     "output": "",
-                    "harvested": harvested,
+                    "outputs": [[cache_name, 1] for _, cache_name, _ in msg["outputs"]],
                     "execution_time": 0.0,
                     "staging_time": 0.0,
                 }

@@ -366,21 +366,17 @@ class Worker:
         task_id: str,
         exit_code: int,
         output: str,
-        harvested: Sequence[tuple[str, int]] = (),
+        outputs: Sequence[tuple[str, int]] = (),
         **report,
     ) -> None:
-        """Report a task's end, now, in one frame.
+        """Report a task's end, now, as one message.
 
-        The ``cache_update`` of every harvested ``(cache_name, size)``
-        goes first, so the manager has seen the outputs when it reads
-        the ``task_done`` — and the burst is flushed rather than left
-        to the batch window, because the manager (and whoever submitted
-        the task) is waiting on exactly this message.
+        The ``(cache_name, size)`` of every output the attempt left in
+        the cache rides the report itself: the manager registers them
+        if it accepts the attempt.  The window is flushed rather than
+        waited out, because the manager (and whoever submitted the
+        task) is waiting on exactly this message.
         """
-        updates = [
-            {"type": M.CACHE_UPDATE, "cache_name": name, "size": size}
-            for name, size in harvested
-        ]
         done = {
             "type": M.TASK_DONE,
             "task_id": task_id,
@@ -388,13 +384,13 @@ class Worker:
             "output": output,
             **report,
         }
-        if harvested:
-            done["harvested"] = [name for name, _ in harvested]
+        if outputs:
+            done["outputs"] = list(outputs)  # [[cache_name, size], …] on the wire
         try:
-            self._sender.burst(updates + [done])
+            self._sender.burst([done])
         except (ProtocolError, OSError):
             return  # no manager to tell; it requeues what it lost
-        if harvested:
+        if outputs:
             self._enforce_cache_bound()
 
     def _count_verify(self, outcome: str, cache_name: str = "") -> None:
@@ -695,7 +691,7 @@ class Worker:
         self._pin(input_names)
         outcome = None
         failure = None
-        harvested: list[tuple[str, int]] = []
+        produced: list[tuple[str, int]] = []
         # whatever ends the attempt, the pins and the sandbox go before
         # it is reported: the manager may send the task straight back,
         # and its next attempt takes the same sandbox path
@@ -714,7 +710,7 @@ class Worker:
                     timeout=self.task_timeout,
                     on_start=self._track(task_id),
                 )
-                failure = self._harvest(sandbox, msg["outputs"], outcome, harvested)
+                failure = self._harvest(sandbox, msg["outputs"], outcome, produced)
         finally:
             self._unpin(input_names)
             sandbox.destroy()
@@ -732,7 +728,7 @@ class Worker:
             task_id,
             outcome.exit_code,
             outcome.output,
-            harvested,
+            produced,
             failure=failure,
             exceeded=outcome.exceeded,
             measured=outcome.measured.to_dict(),
@@ -741,10 +737,10 @@ class Worker:
         )
 
     def _harvest(
-        self, sandbox: Sandbox, outputs, outcome, harvested: list
+        self, sandbox: Sandbox, outputs, outcome, produced: list
     ) -> Optional[str]:
         """Move a finished command's declared ``outputs`` into the cache,
-        listing each ``(cache_name, size)`` in ``harvested`` as it lands;
+        listing each ``(cache_name, size)`` in ``produced`` as it lands;
         returns what to report as the attempt's failure, if anything."""
         # exit code 1 may still produce declared outputs (e.g. a PythonTask
         # whose function raised writes the serialized exception)
@@ -756,7 +752,7 @@ class Worker:
                     [(sandbox_name, cache_name, CacheLevel(int(level)))],
                     time.time(),
                 )
-                harvested.append((cache_name, self.cache.entry(cache_name).size))
+                produced.append((cache_name, self.cache.entry(cache_name).size))
         except SandboxError as exc:
             if outcome.exit_code == 0:
                 return f"missing output: {exc}"

@@ -836,26 +836,25 @@ def _running_value_task(**knobs):
     return port, control, task
 
 
-def _ended(control, task, exit_code=0, announced=True, **report):
-    """What a runtime does with a worker's report: announce the outputs
-    that were cached, then hand the attempt to the plane."""
-    if announced:
-        control.on_cache_update(task.worker_id, "res", 10)
+def _ended(control, task, exit_code=0, announced=True):
+    """What a runtime does with a worker's report: hand the attempt, and
+    the outputs the report lists as cached, to the plane."""
     control.attempt_ended(
-        task.worker_id, task.task_id, TaskResult(exit_code=exit_code), **report
+        task.worker_id,
+        task.task_id,
+        TaskResult(exit_code=exit_code),
+        produced=[("res", 10)] if announced else (),
     )
 
 
 def test_value_retrieval_rides_the_plane_as_a_paired_retrieve():
     port, control, task = _running_value_task()
-    # the harvest's cache-update is still in flight behind the report:
-    # the retrieval parks on it, then asks the new holder
-    _ended(control, task, announced=False, harvested=["res"])
+    # the report names the envelope it left: the retrieval asks its
+    # holder at once
+    _ended(control, task)
     assert task.state == TaskState.WAITING_RETRIEVAL
-    assert port.asked == [] and not control.idle()
+    assert port.asked == [("wA", "res")] and not control.idle()
     assert violations(control) == []
-    control.on_cache_update("wA", "res", 10)
-    assert port.asked == [("wA", "res")]
     control.fetch_reply("wA", "res", b"v")
     assert task.state == TaskState.DONE and task.output() == b"v"
     assert port.decoded == [(task, b"v")] and port.delivered == [task]
@@ -870,7 +869,7 @@ def test_value_retrieval_rides_the_plane_as_a_paired_retrieve():
 
 def test_an_awaited_output_that_exists_nowhere_fails_the_task_naming_it():
     port, control, task = _running_value_task()
-    _ended(control, task, announced=False)  # neither cached nor harvested
+    _ended(control, task, announced=False)  # cached nowhere, listed by no report
     assert task.state == TaskState.FAILED
     assert "output res never produced (exit 0)" in task.result.failure
     assert port.asked == [] and control.idle()
@@ -947,12 +946,84 @@ def test_a_lost_result_beyond_the_loss_budget_fails_naming_the_object():
         _holder_leaves_mid_retrieval(loss_retries=0, strict_loss=True)
 
 
-def test_a_retrieval_parked_on_a_cache_update_that_never_comes_is_a_lost_result():
+def test_a_retrieval_behind_an_earlier_fetch_is_lost_with_its_holder():
+    """A fetch of the envelope parked on its producer, asked the holder
+    the report named, and the completion's retrieval joined it: when
+    that holder leaves, both settle at once — the retrieval does not
+    park on its own producer until the TTL."""
     port, control, task = _running_value_task()
-    _ended(control, task, announced=False, harvested=["res"])
-    assert task.state == TaskState.WAITING_RETRIEVAL and port.asked == []
+    served = []
+    control.fetch("res", _waiter(served))
+    assert port.asked == []  # parked: the producer is still running
+    _ended(control, task)
+    assert port.asked == [("wA", "res")]
+    assert task.state == TaskState.WAITING_RETRIEVAL
     control.worker_left("wA")
+    assert served == [(None, None, None)]
     assert task.state == TaskState.READY and task.retries_used == 1
+    assert not control._fetches and not control._finishing
+    assert violations(control) == []
+
+
+# -- which reports stand ---------------------------------------------------
+
+
+def test_a_report_from_another_worker_is_ignored_and_leaks_nothing():
+    """t1 runs at wA; a report of t1 from wB used to finish it and leave
+    wA's core allocated to it forever (a third task never placed)."""
+    port, control = make_control()
+    add_worker(port, control, "wA", cores=1)
+    add_worker(port, control, "wB", cores=1)
+    t1 = Task("one").add_output(_temp(control, "out1"), "o")
+    control.submit(t1)
+    control.pump()
+    assert t1.worker_id == "wA" and t1.state == TaskState.RUNNING
+    control.attempt_ended(
+        "wB", t1.task_id, TaskResult(exit_code=0), produced=[("out1", 5)]
+    )
+    assert t1.state == TaskState.RUNNING and port.delivered == []
+    assert control.replicas.replica_count("out1") == 0
+    assert port.stored == [] and port.deleted == [("wB", "out1")]
+    (ignored,) = control.log.events("report_ignored")
+    assert (ignored.worker, ignored.task, ignored.category) == ("wB", t1.task_id, "wA")
+    assert control.metrics.snapshot()["recovery.reports_ignored"]["value"] == 1
+    assert violations(control) == []
+    # the real report ends it, and both workers take work again
+    control.attempt_ended(
+        "wA", t1.task_id, TaskResult(exit_code=0), produced=[("out1", 5)]
+    )
+    assert t1.state == TaskState.DONE
+    assert control.replicas.locate("out1") == {"wA"}
+    t2, t3 = Task("two"), Task("three")
+    control.submit(t2)
+    control.submit(t3)
+    control.pump()
+    assert {t2.worker_id, t3.worker_id} == {"wA", "wB"}
+    assert t2.state == t3.state == TaskState.RUNNING
+
+
+def test_outputs_of_an_attempt_sent_back_are_unlinked_not_registered():
+    """A resource-exceeded attempt is requeued: what its report lists
+    becomes no replica, and the worker is told to unlink it — unless the
+    plane knows a replica of that name there already."""
+    port, control = make_control()
+    add_worker(port, control, "wA", cores=8)
+    kept = declared(control, "kept", NO_SOURCE)
+    t = Task("hog").add_output(_temp(control, "part"), "o")
+    t.add_output(kept, "k")
+    control.register_replica("wA", "kept", 3)
+    control.submit(t)
+    control.pump()
+    control.attempt_ended(
+        "wA",
+        t.task_id,
+        TaskResult(exit_code=137, exceeded=["memory"]),
+        produced=[("part", 4), ("kept", 3)],
+    )
+    assert t.state == TaskState.READY and t.retries_used == 1
+    assert control.replicas.replica_count("part") == 0
+    assert port.stored == [] and port.deleted == [("wA", "part")]
+    assert control.replicas.locate("kept") == {"wA"}
 
 
 def test_a_rerun_of_a_task_whose_value_was_delivered_fetches_nothing():

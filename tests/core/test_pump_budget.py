@@ -20,6 +20,7 @@ from repro.core.manager import Manager
 from repro.core.replica_table import ReplicaTable
 from repro.core.scheduler import PlacementIndex, ReadyQueue, Scheduler
 from repro.core.task import Task, TaskState
+from repro.observe.metrics import Gauge
 from repro.sim.cluster import SimCluster
 from repro.sim.engine import Simulation
 from repro.sim.simmanager import SimManager
@@ -327,3 +328,57 @@ def test_stream_views_follow_placements_not_the_fleet(monkeypatch):
     assert counts["_view_of"] <= 30_000, (
         f"{counts['_view_of']} worker views (266 880 before)"
     )
+
+
+# -- a completion is one message and writes no gauge ----------------------
+
+
+def test_a_completion_is_one_message(manager):
+    """400 noop tasks with three temp outputs each on four scripted
+    workers: the manager reads one message per task — the task_done,
+    which lists the outputs it left — and whatever the workers say
+    unasked (1 600 messages before, when every output was a
+    cache_update of its own ahead of the report)."""
+    workers = [ScriptedWorker(manager.host, manager.port) for _ in range(4)]
+    tasks = []
+    try:
+        _wait_for(lambda: len(manager.workers) == len(workers), "the fleet")
+        for _ in range(400):
+            task = Task("noop")
+            for j in range(3):
+                task.add_output(manager.declare_temp(), f"out{j}")
+            tasks.append(task)
+            manager.submit(task)
+        finished = manager.run_until_done(timeout=60.0)
+        with manager._lock:  # each output was registered where it was made
+            registered = all(
+                manager.control.replicas.locate(f.cache_name) == {t.worker_id}
+                for t in tasks
+                for _, f in t.outputs
+            )
+    finally:
+        for w in workers:
+            w.close()
+    assert len(finished) == len(tasks)
+    assert all(t.state == TaskState.DONE for t in tasks) and registered
+    messages = manager.metrics.snapshot()["net.messages_in"]["value"]
+    # registrations are no worker message; scripted workers send no
+    # heartbeat: one message per worker is slack
+    assert messages <= len(tasks) + len(workers), (
+        f"{messages:.0f} messages in for {len(tasks)} tasks (1 600 before)"
+    )
+
+
+def test_the_blast_pair_writes_no_gauge(monkeypatch):
+    """Fig. 9's shape, cold then hot on 100 workers: every gauge the
+    plane shows is a count some table keeps with its peak, read when a
+    snapshot is taken — none is written while the run goes (33 677
+    locked ``Gauge.set`` calls before: four per tenant-ledger change,
+    two per transfer begin and end, two per pump)."""
+    counts = Counter()
+    _counting(monkeypatch, counts, Gauge, "set")
+    _counting(monkeypatch, counts, Gauge, "inc")
+    cluster = blast_cluster(100)
+    for _ in range(2):
+        assert blast_workflow(cluster, n_tasks=560, seed=7).tasks_done == 560
+    assert not counts, f"{dict(counts)} gauge writes (33 677 sets before)"

@@ -32,6 +32,9 @@ class TableMachine(RuleBasedStateMachine):
         self.transfers = self.control.transfers
         self.model_replicas: set[tuple[str, str]] = set()
         self.active_ids: list[str] = []
+        #: the most transfers ever in flight at once, per source kind
+        #: and all but stagings together, recounted after every begin
+        self.model_peaks: dict[str, int] = {}
 
     # -- replica rules ------------------------------------------------
 
@@ -79,6 +82,17 @@ class TableMachine(RuleBasedStateMachine):
             return
         t = self.transfers.begin(name, source, dest, size=10)
         self.active_ids.append(t.transfer_id)
+        recount = self._recount()
+        recount["moving"] = sum(n for kind, n in recount.items() if kind != "stage")
+        for key, n in recount.items():
+            self.model_peaks[key] = max(self.model_peaks.get(key, 0), n)
+
+    def _recount(self) -> dict[str, int]:
+        recount = {}
+        for t in self.transfers.active():
+            kind = source_kind(t.source)
+            recount[kind] = recount.get(kind, 0) + 1
+        return recount
 
     @precondition(lambda self: self.active_ids)
     @rule(data=st.data())
@@ -118,21 +132,26 @@ class TableMachine(RuleBasedStateMachine):
 
     @invariant()
     def transfer_gauges_match_a_recount_of_active(self):
-        """The gauges read the table's own per-kind counters; whatever
-        path closed a transfer (``complete`` or a departed worker's
-        ``cancel_for_worker``), they equal a walk of ``active()``."""
-        self.control._sync_transfer_gauges()
-        recount = {}
-        for t in self.transfers.active():
-            kind = source_kind(t.source)
-            recount[kind] = recount.get(kind, 0) + 1
+        """The gauges read the table's own per-kind counters and peaks;
+        whatever path closed a transfer (``complete`` or a departed
+        worker's ``cancel_for_worker``), they equal a walk of
+        ``active()``, and each peak the highest such walk after a begin.
+        (Only the control plane's transfers make per-kind gauges; the
+        table's own reading stands in for them here.)"""
+        recount = self._recount()
         gauges = self.control.metrics.snapshot()
         staging = recount.pop("stage", 0)
-        assert gauges["staging.in_flight"]["value"] == staging
-        assert gauges["transfers.in_flight"]["value"] == sum(recount.values())
+        peaks = self.model_peaks
+        assert gauges["staging.in_flight"] == {
+            "type": "gauge", "value": staging, "max": peaks.get("stage", 0)
+        }
+        assert gauges["transfers.in_flight"] == {
+            "type": "gauge", "value": sum(recount.values()), "max": peaks.get("moving", 0)
+        }
         for kind in ("manager", "url", "peer"):
-            gauge = gauges.get(f"transfers.per_source.{kind}")
-            assert (gauge["value"] if gauge else 0) == recount.get(kind, 0)
+            assert self.transfers.kind_level(kind) == (
+                recount.get(kind, 0), peaks.get(kind, 0)
+            )
 
     @invariant()
     def limits_never_exceeded_by_begin_rule(self):

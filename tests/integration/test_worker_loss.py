@@ -128,14 +128,11 @@ def test_result_lost_between_task_done_and_send_back_reruns_the_task(tmp_path):
                 elif msg["type"] == M.EXECUTE:
                     (_sandbox, result_name, _level), = msg["outputs"]
                     conn.send_message(
-                        {"type": M.CACHE_UPDATE, "cache_name": result_name, "size": 10}
-                    )
-                    conn.send_message(
                         {
                             "type": M.TASK_DONE,
                             "task_id": msg["task_id"],
                             "exit_code": 0,
-                            "harvested": [result_name],
+                            "outputs": [[result_name, 10]],
                         }
                     )
                 elif msg["type"] == M.SEND_BACK:

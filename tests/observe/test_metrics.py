@@ -116,7 +116,11 @@ def test_registry_get_or_create_and_kind_conflict():
     reg.gauge("b")
     with pytest.raises(TypeError):
         reg.counter("b")
-    assert reg.names() == ["a", "b"]
+    pulled = reg.pulled("c", lambda: (1, 2))
+    assert reg.pulled("c", lambda: (0, 0)) is pulled  # keeps its reader
+    with pytest.raises(TypeError):
+        reg.gauge("c")
+    assert reg.names() == ["a", "b", "c"]
 
 
 def test_registry_snapshot_and_dump(tmp_path):
@@ -124,11 +128,16 @@ def test_registry_snapshot_and_dump(tmp_path):
     reg.counter("hits").inc(3)
     reg.gauge("depth").set(2)
     reg.histogram("lat").observe(0.5)
+    level = [0, 0]  # (value, peak) as their owner keeps them
+    reg.pulled("queued", lambda: tuple(level))
+    level[:] = [4, 9]
     path = str(tmp_path / "metrics.json")
     reg.dump(path)
     payload = json.load(open(path))
     assert payload["metrics"]["hits"] == {"type": "counter", "value": 3}
     assert payload["metrics"]["depth"]["value"] == 2
+    # read when the snapshot is taken, not when registered
+    assert payload["metrics"]["queued"] == {"type": "gauge", "value": 4, "max": 9}
     assert payload["metrics"]["lat"]["count"] == 1
     assert "dumped_at" in payload
 

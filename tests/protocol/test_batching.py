@@ -4,8 +4,10 @@ The load-bearing invariants, each pinned here:
 
 * the receiver unwraps a ``batch`` frame into the same messages, in
   the same order, the sender queued;
-* a worker's ``cache_update`` → ``task_done`` ordering survives any
-  interleaving of queued notices and direct sends (FIFO sender);
+* a worker's announcement of an object (``cache_update``, or the
+  ``task_done`` listing it) → ``cache_invalid`` of its eviction
+  ordering survives any interleaving of queued notices and direct
+  sends (FIFO sender);
 * a lone notice travels as a bare frame, byte-identical to the
   unbatched protocol;
 * envelopes never nest and never carry messages that announce
