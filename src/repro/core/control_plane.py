@@ -1323,12 +1323,13 @@ class ControlPlane:
         ``produced`` lists the ``(cache name, size)`` of the outputs the
         report says the attempt left in the worker's cache; they become
         replicas once the attempt stands.  A report that does not stand
-        leaves none: what the plane knows no replica of there is unlinked.
+        leaves none: what is neither held nor on its way there is unlinked.
         """
         task = self.on_task_result(worker_id, task_id, result)
         if task is None:
             for name, _ in produced:
-                if not self.replicas.has_replica(name, worker_id):
+                held = self.replicas.has_replica(name, worker_id)
+                if not (held or self.transfers.in_flight(name, worker_id)):
                     self.port.delete_replica(worker_id, name)
             return
         for name, size in produced:

@@ -134,11 +134,6 @@ class TransferTable:
         """Transfers currently being served by ``source``."""
         return self._load_by_source.get(source, 0)
 
-    def kind_loads(self) -> dict[str, int]:
-        """In-flight transfers per source kind seen so far — O(1) to
-        maintain, so nothing that counts them walks :meth:`active`."""
-        return self._load_by_kind
-
     def kind_level(self, kind: str) -> tuple[int, int]:
         """Transfers of one source kind in flight now, and the most there
         ever were at once."""

@@ -1026,6 +1026,36 @@ def test_outputs_of_an_attempt_sent_back_are_unlinked_not_registered():
     assert control.replicas.locate("kept") == {"wA"}
 
 
+def test_a_stale_report_leaves_a_name_on_its_way_to_that_worker():
+    """x is being copied to wB when a report of its producer's earlier
+    attempt at wB arrives late: the report registers nothing, and wB is
+    not told to unlink the copy the plane is about to register."""
+    port, control = make_control()
+    add_worker(port, control, "wA", cores=1)
+    producer = Task("make x").add_output(_temp(control, "x"), "x")
+    control.submit(producer)
+    control.pump()
+    assert producer.worker_id == "wA"
+    control.attempt_ended(
+        "wA", producer.task_id, TaskResult(exit_code=0), produced=[("x", 7)]
+    )
+    assert producer.state == TaskState.DONE
+    add_worker(port, control, "wB", cores=2)
+    consumer = Task("use x").add_input(producer.outputs[0][1], "x")
+    consumer.set_cores(2)  # only wB fits: x moves wA -> wB
+    control.submit(consumer)
+    control.pump()
+    (copy,) = port.fetches
+    assert (copy.cache_name, copy.source, copy.dest_worker) == ("x", "wA", "wB")
+    control.attempt_ended(
+        "wB", producer.task_id, TaskResult(exit_code=0), produced=[("x", 7)]
+    )
+    assert port.deleted == [] and control.replicas.locate("x") == {"wA"}
+    control.on_cache_update("wB", "x", 7, copy.transfer_id)
+    assert control.replicas.locate("x") == {"wA", "wB"}
+    assert violations(control) == []
+
+
 def test_a_rerun_of_a_task_whose_value_was_delivered_fetches_nothing():
     port, control, task = _running_value_task()
     _ended(control, task)

@@ -135,9 +135,7 @@ class TableMachine(RuleBasedStateMachine):
         """The gauges read the table's own per-kind counters and peaks;
         whatever path closed a transfer (``complete`` or a departed
         worker's ``cancel_for_worker``), they equal a walk of
-        ``active()``, and each peak the highest such walk after a begin.
-        (Only the control plane's transfers make per-kind gauges; the
-        table's own reading stands in for them here.)"""
+        ``active()``, and each peak the highest such walk after a begin."""
         recount = self._recount()
         gauges = self.control.metrics.snapshot()
         staging = recount.pop("stage", 0)
@@ -149,9 +147,9 @@ class TableMachine(RuleBasedStateMachine):
             "type": "gauge", "value": sum(recount.values()), "max": peaks.get("moving", 0)
         }
         for kind in ("manager", "url", "peer"):
-            assert self.transfers.kind_level(kind) == (
-                recount.get(kind, 0), peaks.get(kind, 0)
-            )
+            assert gauges[f"transfers.per_source.{kind}"] == {
+                "type": "gauge", "value": recount.get(kind, 0), "max": peaks.get(kind, 0)
+            }
 
     @invariant()
     def limits_never_exceeded_by_begin_rule(self):

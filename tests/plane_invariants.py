@@ -105,10 +105,9 @@ def _transfers(control: ControlPlane) -> list[str]:
     found = []
     active = control.transfers.active()
     recount = collections.Counter(source_kind(t.source) for t in active)
-    if recount != +collections.Counter(control.transfers.kind_loads()):
-        found.append(
-            f"kind loads {control.transfers.kind_loads()} != in flight {dict(recount)}"
-        )
+    loads = control.transfers._load_by_kind
+    if recount != +collections.Counter(loads):
+        found.append(f"kind loads {loads} != in flight {dict(recount)}")
     for t in active:
         ends = [t.dest_worker] + [t.source] * (source_kind(t.source) == "peer")
         gone = [w for w in ends if w not in control.workers]
