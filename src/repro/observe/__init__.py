@@ -29,7 +29,6 @@ from repro.observe.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SnapshotDumper,
 )
 from repro.observe.txnlog import (
     TXN_SCHEMA_VERSION,
@@ -47,7 +46,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SnapshotDumper",
     "BenchReporter",
     "validate_report",
 ]

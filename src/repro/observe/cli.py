@@ -441,7 +441,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--interval", type=float, default=2.0, help="refresh period for --follow"
     )
     parser.add_argument(
-        "--metrics", help="also render a metrics snapshot JSON (see SnapshotDumper)"
+        "--metrics",
+        help="also render a metrics snapshot JSON (MetricsRegistry.dump: a "
+        "worker's <workdir>/metrics.json, or a manager's metrics_dump_path)",
     )
     parser.add_argument(
         "--workers", type=int, default=20, help="max worker rows to show"

@@ -15,10 +15,10 @@ transfers in flight, a tenant's running tasks) is a
 where the count rises, and the gauge reads value and peak from it when
 a snapshot is taken, so the table's hot path writes no instrument.
 
-Snapshots are plain dictionaries (JSON-ready); a
-:class:`SnapshotDumper` can write them periodically so an external
-``repro-status`` invocation — or a human with ``cat`` — sees a live
-view of a running process.
+Snapshots are plain dictionaries (JSON-ready); a process that writes
+one periodically with :meth:`MetricsRegistry.dump` lets an external
+``repro-status`` invocation — or a human with ``cat`` — see a live
+view of it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import random
 import threading
 import time
 import zlib
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = [
     "Counter",
@@ -38,7 +38,6 @@ __all__ = [
     "PulledGauge",
     "Histogram",
     "MetricsRegistry",
-    "SnapshotDumper",
 ]
 
 
@@ -274,45 +273,3 @@ class MetricsRegistry:
         with open(tmp, "w") as f:
             json.dump(payload, f, indent=1)
         os.replace(tmp, path)
-
-
-class SnapshotDumper:
-    """Background thread that dumps a registry to disk periodically.
-
-    The dump interval trades freshness for I/O; the final state is
-    always written by :meth:`stop`, so short-lived processes still
-    leave a complete snapshot behind.
-    """
-
-    def __init__(
-        self, registry: MetricsRegistry, path: str, interval: float = 5.0
-    ) -> None:
-        self.registry = registry
-        self.path = path
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "SnapshotDumper":
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._loop, daemon=True)
-            self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.registry.dump(self.path)
-            except OSError:
-                return  # the directory vanished; stop quietly
-
-    def stop(self) -> None:
-        """Stop the thread and write one final snapshot (idempotent)."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        try:
-            self.registry.dump(self.path)
-        except OSError:
-            pass

@@ -13,7 +13,7 @@ import json
 import os
 import socket
 import struct
-from typing import Optional
+from typing import BinaryIO, Optional
 
 __all__ = [
     "Connection",
@@ -127,18 +127,17 @@ class Connection:
         """Receive exactly ``size`` raw bytes."""
         return self._recv_exact(size)
 
-    def send_file(self, path: str | os.PathLike, size: int) -> None:
-        """Stream exactly ``size`` bytes of a file's content."""
+    def send_file(self, file: BinaryIO, size: int) -> None:
+        """Stream exactly ``size`` bytes from an open binary file."""
         remaining = size
-        with open(path, "rb") as f:
-            while remaining > 0:
-                chunk = f.read(min(IO_CHUNK, remaining))
-                if not chunk:
-                    raise ProtocolError(
-                        f"file {path} shorter than announced size {size}"
-                    )
-                self.sock.sendall(chunk)
-                remaining -= len(chunk)
+        while remaining > 0:
+            chunk = file.read(min(IO_CHUNK, remaining))
+            if not chunk:
+                raise ProtocolError(
+                    f"file {file.name} shorter than announced size {size}"
+                )
+            self.sock.sendall(chunk)
+            remaining -= len(chunk)
 
     def recv_to_file(self, path: str | os.PathLike, size: int) -> None:
         """Receive exactly ``size`` bytes into a file (created/truncated)."""

@@ -9,14 +9,19 @@ worker and answers every command with the protocol-correct reply —
 (exit 0, listing every declared output) for every execution — without
 touching the filesystem.
 
-Each instance is one thread reading the command connection, plus its
-:class:`~repro.protocol.batching.BatchSender` flusher, so a single
-benchmark process can host 128 of them; they are in-process stand-ins,
-not subprocess workers like the integration-test clusters.
+Each instance is one thread, reading the command connection and
+writing the replies, so a single benchmark process can host 128 of
+them; they are in-process stand-ins, not subprocess workers like the
+integration-test clusters.  Replies to the commands of one inbound
+read leave together: each is queued on the
+:class:`~repro.protocol.batching.BatchSender`, and the queue is
+flushed, as one ``batch`` frame, once the socket has nothing more to
+read.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 from typing import Optional
 
@@ -29,12 +34,7 @@ __all__ = ["ScriptedWorker"]
 
 
 class ScriptedWorker:
-    """Protocol-conformant worker stub for load generation and tests.
-
-    Replies are coalesced into ``batch`` envelopes like the real
-    worker's: up to ``batch_max`` per frame, held ``batch_delay``
-    seconds at most.
-    """
+    """Protocol-conformant worker stub for load generation and tests."""
 
     def __init__(
         self,
@@ -43,15 +43,11 @@ class ScriptedWorker:
         cores: float = 4,
         memory: int = 4_000,
         disk: int = 10_000,
-        batch_max: int = 128,
-        batch_delay: float = 0.002,
     ) -> None:
         self.capacity = Resources(cores=cores, memory=memory, disk=disk)
         self.tasks_completed = 0
         self._conn = Connection.connect(manager_host, manager_port)
-        self._sender = BatchSender(
-            self._conn, max_batch=batch_max, max_delay=batch_delay
-        )
+        self._sender = BatchSender(self._conn)
         self._sender.send(
             {
                 "type": M.REGISTER,
@@ -71,10 +67,22 @@ class ScriptedWorker:
                 msg = self._conn.recv_message()
                 mtype = validate(msg)
                 if mtype == M.SHUTDOWN:
+                    self._sender.flush()  # answer what came before it
                     return
                 self._handle(mtype, msg)
+                if not self._readable():
+                    self._sender.flush()
         except (ProtocolError, OSError):
             return
+
+    def _readable(self) -> bool:
+        """Whether more of the manager's bytes wait in the socket."""
+        try:
+            return bool(
+                self._conn.sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+            )
+        except BlockingIOError:
+            return False
 
     def _handle(self, mtype: str, msg: dict) -> None:
         if mtype == M.EXECUTE:

@@ -185,7 +185,8 @@ class PeerTransferServer:
                             "md5": hash_file(path),
                         }
                     )
-                    conn.send_file(tmp, size)
+                    with open(tmp, "rb") as f:
+                        conn.send_file(f, size)
                     self._count_served(size)
                 finally:
                     os.unlink(tmp)
@@ -206,7 +207,8 @@ class PeerTransferServer:
                             "md5": hash_file(tar_path),
                         }
                     )
-                    conn.send_file(tar_path, size)
+                    with open(tar_path, "rb") as f:
+                        conn.send_file(f, size)
                     self._count_served(size)
                 finally:
                     os.unlink(tar_path)
@@ -222,7 +224,8 @@ class PeerTransferServer:
                         "md5": hash_file(path),
                     }
                 )
-                conn.send_file(path, size)
+                with open(path, "rb") as f:
+                    conn.send_file(f, size)
                 self._count_served(size)
         except (ProtocolError, OSError):
             pass  # peer went away mid-transfer; manager will reschedule

@@ -9,9 +9,10 @@ instances, and reports every status change of interest to the manager
 Structure: the main loop reads manager commands (and any attached byte
 payloads) from the command connection; long-running work — task
 execution, fetches, mini-task staging, function invocations — runs on
-worker threads; all outgoing messages go through one
-:class:`~repro.protocol.batching.BatchSender`, which serializes them
-and coalesces payload-free notices into ``batch`` frames.  A
+worker threads; every outgoing message leaves as soon as it is
+produced, through one :class:`~repro.protocol.batching.BatchSender`,
+which serializes the writers.  One clock thread sends a heartbeat and
+then dumps ``metrics.json`` every few seconds.  A
 :class:`~repro.worker.transfers.PeerTransferServer` serves this
 worker's cache to peers on a separate port.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import os
 import signal
+import tempfile
 import threading
 import time
 import traceback
@@ -30,7 +32,7 @@ from repro.core.resources import Resources
 from repro.protocol.batching import BatchSender
 from repro.protocol.connection import Connection, ProtocolError
 from repro.protocol.messages import M, validate
-from repro.observe.metrics import MetricsRegistry, SnapshotDumper
+from repro.observe.metrics import MetricsRegistry
 from repro.util.logging import get_logger
 from repro.worker.cache import WorkerCache
 from repro.worker.executor import run_command
@@ -42,6 +44,7 @@ from repro.worker.transfers import (
     TransferFailed,
     fetch_from_peer,
     fetch_from_url,
+    pack_directory,
     verify_outcome,
 )
 
@@ -102,9 +105,7 @@ class Worker:
         #: transferred for a task whose EXECUTE (and pin) is in flight
         self.eviction_grace = eviction_grace
         self._peer_server = PeerTransferServer(self._lookup, metrics=self.metrics)
-        self._metrics_dumper = SnapshotDumper(
-            self.metrics, os.path.join(self.workdir, "metrics.json")
-        ).start()
+        self._metrics_path = os.path.join(self.workdir, "metrics.json")
         self._manager_addr = (manager_host, manager_port)
         #: how long (seconds) to keep retrying the manager address after
         #: the connection drops.  0 preserves the historical behaviour:
@@ -117,8 +118,8 @@ class Worker:
         #: overrides an explicit SHUTDOWN
         self._shutdown_ordered = False
         self._conn = Connection.connect(manager_host, manager_port)
-        #: all outbound traffic funnels through the batch sender, which
-        #: both serializes writers and coalesces payload-free notices
+        #: all outbound traffic funnels through the sender, which
+        #: serializes the writers
         self._sender = BatchSender(self._conn, metrics=self.metrics)
         self._stop = threading.Event()
         self._libraries: dict[str, LibraryInstanceHandle] = {}
@@ -138,10 +139,10 @@ class Worker:
         self._register()
         if fault_config is not None and not fault_config.empty:
             self._arm_faults(fault_config)
-        self._heartbeat_thread = threading.Thread(
-            target=self._heartbeat_loop, daemon=True
+        self._clock = threading.Thread(
+            target=self._clock_loop, name="worker-clock", daemon=True
         )
-        self._heartbeat_thread.start()
+        self._clock.start()
 
     # -- fault injection (chaos runs) ----------------------------------
 
@@ -210,16 +211,25 @@ class Worker:
             self._notify_fault(f"serve_{verdict}", cache_name)
         return verdict
 
-    def _heartbeat_loop(self, interval: float = 5.0) -> None:
-        """Periodic liveness signal so a silently hung worker is detectable."""
+    def _clock_loop(self, interval: float = 5.0) -> None:
+        """The worker's one clock: a heartbeat, so a silently hung worker
+        is detectable, then a metrics dump, so ``repro-status --metrics``
+        sees a live view."""
         while not self._stop.wait(interval):
             try:
-                self._notice({"type": M.HEARTBEAT})
+                self._send({"type": M.HEARTBEAT})
             except (ProtocolError, OSError):
-                # with reconnect enabled the sender is replaced under
-                # us; keep beating so the next life gets heartbeats too
-                if self.reconnect_window <= 0:
-                    return
+                # the command thread sees the loss too; with reconnect
+                # enabled the sender is replaced under us, and the next
+                # life gets heartbeats too
+                pass
+            self._dump_metrics()
+
+    def _dump_metrics(self) -> None:
+        try:
+            self.metrics.dump(self._metrics_path)
+        except OSError:
+            pass  # the workdir vanished
 
     # -- cache pressure -----------------------------------------------------
 
@@ -267,20 +277,15 @@ class Worker:
                 log.info("evicted %s under cache pressure", victim[:32])
                 self._m_evictions.inc()
                 self._m_eviction_bytes.inc(size)
-                self._cache_invalid(victim, "evicted: cache pressure")
+                try:
+                    self._cache_invalid(victim, "evicted: cache pressure")
+                except (ProtocolError, OSError):
+                    pass  # no manager to tell; a rejoin lists what is left
 
     # -- outbound ----------------------------------------------------------
 
     def _send(self, message: dict, payload: Optional[bytes] = None) -> None:
-        """Transmit immediately (flushes queued notices first)."""
         self._sender.send(message, payload)
-
-    def _notice(self, message: dict) -> None:
-        """Queue a payload-free status notice for the next batch window."""
-        self._sender.notice(message)
-
-    def _send_with_file(self, message: dict, path: str, size: int) -> None:
-        self._sender.send_with_file(message, path, size)
 
     def _register(self, rejoin: bool = False) -> None:
         cached = [
@@ -342,7 +347,10 @@ class Worker:
         msg = {"type": M.CACHE_UPDATE, "cache_name": cache_name, "size": size}
         if transfer_id is not None:
             msg["transfer_id"] = transfer_id
-        self._notice(msg)
+        try:
+            self._send(msg)
+        except (ProtocolError, OSError):
+            return  # no manager to tell; it requeues what it lost
         self._enforce_cache_bound()
 
     def _cache_invalid(
@@ -359,7 +367,7 @@ class Worker:
             # tells the manager the *source's* copy is suspect, not just
             # the link: corruption feeds replica-loss handling
             msg["corrupt"] = True
-        self._notice(msg)
+        self._send(msg)
 
     def _task_done(
         self,
@@ -373,9 +381,7 @@ class Worker:
 
         The ``(cache_name, size)`` of every output the attempt left in
         the cache rides the report itself: the manager registers them
-        if it accepts the attempt.  The window is flushed rather than
-        waited out, because the manager (and whoever submitted the
-        task) is waiting on exactly this message.
+        if it accepts the attempt.
         """
         done = {
             "type": M.TASK_DONE,
@@ -387,7 +393,7 @@ class Worker:
         if outputs:
             done["outputs"] = list(outputs)  # [[cache_name, size], …] on the wire
         try:
-            self._sender.burst([done])
+            self._send(done)
         except (ProtocolError, OSError):
             return  # no manager to tell; it requeues what it lost
         if outputs:
@@ -550,49 +556,37 @@ class Worker:
             self._cache_invalid(cache_name, str(exc), transfer_id)
 
     def _handle_send_back(self, msg: dict) -> None:
+        """Stream an object to the manager.  It is opened before it is
+        announced: one that vanished since it was cached (an eviction on
+        another thread) is answered ``found: false``, and one removed
+        once open still streams whole from its descriptor."""
         cache_name = msg["cache_name"]
+        reply = {"type": M.FILE_DATA, "cache_name": cache_name, "found": False, "size": 0}
+        try:
+            f, fmt = self._open_object(cache_name)
+        except OSError:
+            self._send(reply)
+            return
+        with f:
+            size = os.fstat(f.fileno()).st_size
+            reply.update(found=True, size=size, format=fmt)
+            self._sender.send_with_file(reply, f, size)
+
+    def _open_object(self, cache_name: str):
+        """An open binary file with a cached object's bytes, and their
+        format: the file itself, or a tar of a directory."""
         path = self._lookup(cache_name)
         if path is None:
-            self._send(
-                {"type": M.FILE_DATA, "cache_name": cache_name, "found": False, "size": 0}
-            )
-            return
-        if os.path.isdir(path):
-            import tempfile
-
-            from repro.worker.transfers import pack_directory
-
-            with tempfile.NamedTemporaryFile(suffix=".tar", delete=False) as tf:
-                tar_path = tf.name
-            try:
-                pack_directory(path, tar_path)
-                size = os.path.getsize(tar_path)
-                self._send_with_file(
-                    {
-                        "type": M.FILE_DATA,
-                        "cache_name": cache_name,
-                        "found": True,
-                        "size": size,
-                        "format": "tar",
-                    },
-                    tar_path,
-                    size,
-                )
-            finally:
-                os.unlink(tar_path)
-        else:
-            size = os.path.getsize(path)
-            self._send_with_file(
-                {
-                    "type": M.FILE_DATA,
-                    "cache_name": cache_name,
-                    "found": True,
-                    "size": size,
-                    "format": "file",
-                },
-                path,
-                size,
-            )
+            raise FileNotFoundError(cache_name)
+        if not os.path.isdir(path):
+            return open(path, "rb"), "file"
+        with tempfile.NamedTemporaryFile(suffix=".tar", delete=False) as tf:
+            tar_path = tf.name
+        try:
+            pack_directory(path, tar_path)
+            return open(tar_path, "rb"), "tar"
+        finally:
+            os.unlink(tar_path)  # an open tar outlives its name
 
     def _handle_unlink(self, msg: dict) -> None:
         self.cache.remove(msg["cache_name"])
@@ -765,7 +759,7 @@ class Worker:
     def _handle_install_library(self, msg: dict, payload: bytes) -> None:
         name = msg["library"]
         self._libraries[name] = LibraryInstanceHandle(name, payload)
-        self._notice(
+        self._send(
             {"type": M.LIBRARY_READY, "library": name, "task_id": msg["task_id"]}
         )
 
@@ -846,6 +840,7 @@ class Worker:
             handle.stop()
         self._libraries.clear()
         self._peer_server.stop()
-        self._metrics_dumper.stop()
         self._sender.close()
         self._conn.close()
+        self._clock.join(timeout=5)
+        self._dump_metrics()  # the final counts

@@ -3,7 +3,7 @@
 The manager's event loop owns a selector, a wake pipe, the listener,
 one registered socket per worker and every timer; it is the only thread
 the manager has.  Stopping a manager that still has live worker
-connections — with batched notices in flight, or with workers still
+connections — with replies in flight, or with workers still
 registering — must unwind all of it: no stray threads, no open
 descriptors, no selector keys.  Descriptor
 and thread counts are compared around the whole lifecycle, so a leak
@@ -56,15 +56,14 @@ def test_reactor_shutdown_releases_threads_and_fds():
     baseline_fds = _fd_count()
 
     m = Manager(worker_liveness_timeout=None)
-    workers = [ScriptedWorker(m.host, m.port, batch_delay=0.05) for _ in range(8)]
+    workers = [ScriptedWorker(m.host, m.port) for _ in range(8)]
     deadline = time.time() + 10
     while len(m.workers) < len(workers) and time.time() < deadline:
         time.sleep(0.01)
     assert len(m.workers) == len(workers)
 
-    # keep traffic flowing: completions and batched cache updates are
-    # mid-flight when close() lands (0.05s batch windows ensure some
-    # notices are still queued worker-side)
+    # keep traffic flowing: dispatches and completions are mid-flight
+    # when close() lands
     for i in range(40):
         t = Task("noop")
         t.add_output(m.declare_temp(), "out")
@@ -136,9 +135,11 @@ def _wait_for(predicate, what, timeout=10.0):
 
 def _owned_threads(baseline, workers):
     """Threads the manager started: everything new that is not one of
-    the in-process scripted workers' own (reader + batch flusher)."""
-    theirs = {w._thread for w in workers} | {w._sender._flusher for w in workers}
-    return set(threading.enumerate()) - baseline - theirs
+    the in-process scripted workers' own — one each, its reader."""
+    new = set(threading.enumerate()) - baseline
+    theirs = {w._thread for w in workers}
+    assert len(theirs) == len(workers) and theirs <= new
+    return new - theirs
 
 
 def test_the_manager_owns_one_thread_whatever_the_fleet(tmp_path):

@@ -10,7 +10,6 @@ from repro.observe.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SnapshotDumper,
 )
 
 
@@ -141,13 +140,3 @@ def test_registry_snapshot_and_dump(tmp_path):
     assert payload["metrics"]["lat"]["count"] == 1
     assert "dumped_at" in payload
 
-
-def test_snapshot_dumper_writes_final_state_on_stop(tmp_path):
-    reg = MetricsRegistry()
-    path = str(tmp_path / "metrics.json")
-    dumper = SnapshotDumper(reg, path, interval=3600).start()
-    reg.counter("hits").inc(7)
-    dumper.stop()
-    payload = json.load(open(path))
-    assert payload["metrics"]["hits"]["value"] == 7
-    dumper.stop()  # idempotent

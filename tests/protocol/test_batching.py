@@ -9,7 +9,8 @@ The load-bearing invariants, each pinned here:
   ordering survives any interleaving of queued notices and direct
   sends (FIFO sender);
 * a lone notice travels as a bare frame, byte-identical to the
-  unbatched protocol;
+  unbatched protocol, and the scripted worker's replies to one inbound
+  read leave together;
 * envelopes never nest and never carry messages that announce
   trailing bulk bytes.
 """
@@ -20,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocol.batching import BatchSender
+from repro.protocol.batching import MAX_BATCH, BatchSender
 from repro.protocol.connection import Connection, FrameReassembler, encode_frame, listen
 from repro.protocol.messages import M, WireError, validate, validate_batch
+from repro.worker.scripted import ScriptedWorker
 
 
 @pytest.fixture()
@@ -92,41 +94,39 @@ def test_batch_envelope_rejects_nesting_and_bulk_riders():
 # -- BatchSender wire behaviour ----------------------------------------
 
 
+def test_a_sender_starts_no_thread(conn_pair):
+    client, _ = conn_pair
+    before = set(threading.enumerate())
+    sender = BatchSender(client)
+    sender.notice(_notice(0))
+    assert set(threading.enumerate()) == before
+    sender.close()
+
+
 def test_lone_notice_is_a_bare_frame(conn_pair):
-    """A window with one notice stays byte-identical to the old wire."""
+    """A flush of one notice stays byte-identical to the old wire."""
     client, server = conn_pair
-    sender = BatchSender(client, max_delay=0.001)
+    sender = BatchSender(client)
     sender.notice(_notice(7))
+    sender.flush()
     msg = server.recv_message()
     assert msg == _notice(7)  # no envelope
     sender.close()
 
 
-def test_full_window_flushes_without_deadline(conn_pair):
+def test_a_full_queue_goes_out_without_a_flush(conn_pair):
     client, server = conn_pair
-    # deadline far away: only the size trigger can flush this fast
-    sender = BatchSender(client, max_batch=4, max_delay=30.0)
-    for i in range(4):
+    sender = BatchSender(client)
+    for i in range(MAX_BATCH):
         sender.notice(_notice(i))
     msg = server.recv_message()
-    assert msg["type"] == M.BATCH
-    assert validate_batch(msg) == [_notice(i) for i in range(4)]
-    sender.close()
-
-
-def test_deadline_flushes_partial_window(conn_pair):
-    client, server = conn_pair
-    sender = BatchSender(client, max_batch=1000, max_delay=0.005)
-    for i in range(3):
-        sender.notice(_notice(i))
-    msg = server.recv_message()  # arrives ~max_delay later, one envelope
-    assert validate_batch(msg) == [_notice(i) for i in range(3)]
+    assert validate_batch(msg) == [_notice(i) for i in range(MAX_BATCH)]
     sender.close()
 
 
 def test_direct_send_flushes_queue_first(conn_pair):
     client, server = conn_pair
-    sender = BatchSender(client, max_batch=1000, max_delay=30.0)
+    sender = BatchSender(client)
     for i in range(3):
         sender.notice(_notice(i))
     done = {"type": M.TASK_DONE, "task_id": "t1", "exit_code": 0}
@@ -139,7 +139,7 @@ def test_direct_send_flushes_queue_first(conn_pair):
 
 def test_send_with_payload_keeps_bulk_contiguous(conn_pair):
     client, server = conn_pair
-    sender = BatchSender(client, max_batch=1000, max_delay=30.0)
+    sender = BatchSender(client)
     sender.notice(_notice(0))
     blob = b"object-bytes"
     sender.send(
@@ -155,7 +155,7 @@ def test_send_with_payload_keeps_bulk_contiguous(conn_pair):
 
 def test_close_flushes_remaining_notices(conn_pair):
     client, server = conn_pair
-    sender = BatchSender(client, max_batch=1000, max_delay=30.0)
+    sender = BatchSender(client)
     sender.notice(_notice(1))
     sender.notice(_notice(2))
     sender.close()
@@ -164,17 +164,11 @@ def test_close_flushes_remaining_notices(conn_pair):
 
 
 @settings(deadline=None, max_examples=30)
-@given(
-    plan=st.lists(st.booleans(), min_size=1, max_size=30),
-    max_batch=st.integers(1, 8),
-)
-def test_fuzz_fifo_order_preserved_across_flush_patterns(plan, max_batch):
-    """Notices and direct sends arrive in exact call order, any window.
-
-    True booleans are queued notices, False are direct sends — the
-    receiver must observe the identical sequence after unwrapping
-    envelopes, whatever the batch size triggers in between.
-    """
+@given(plan=st.lists(st.sampled_from(["notice", "send", "flush"]), min_size=1, max_size=30))
+def test_fuzz_fifo_order_preserved_across_flush_patterns(plan):
+    """Notices and direct sends arrive in exact call order, whatever
+    flushes come between them: the receiver must observe the identical
+    sequence after unwrapping envelopes."""
     server_sock = listen()
     host, port = server_sock.getsockname()
     result = {}
@@ -189,16 +183,18 @@ def test_fuzz_fifo_order_preserved_across_flush_patterns(plan, max_batch):
     t.join(timeout=5)
     server = result["server"]
     try:
-        sender = BatchSender(client, max_batch=max_batch, max_delay=30.0)
+        sender = BatchSender(client)
         sent = []
-        for i, queued in enumerate(plan):
-            if queued:
+        for i, step in enumerate(plan):
+            if step == "notice":
                 sender.notice(_notice(i))
                 sent.append(_notice(i))
-            else:
+            elif step == "send":
                 direct = {"type": M.TASK_DONE, "task_id": f"t{i}", "exit_code": 0}
                 sender.send(direct)
                 sent.append(direct)
+            else:
+                sender.flush()
         sender.close()
         received = []
         while len(received) < len(sent):
@@ -208,3 +204,44 @@ def test_fuzz_fifo_order_preserved_across_flush_patterns(plan, max_batch):
         client.close()
         server.close()
         server_sock.close()
+
+
+# -- coalescing by read: the scripted worker ----------------------------
+
+
+def _execute(i):
+    return {
+        "type": M.EXECUTE, "task_id": f"t{i}", "command": "noop",
+        "inputs": [], "outputs": [["out", f"out-{i}", 1]],
+        "env": {}, "resources": {"cores": 1},
+    }
+
+
+@pytest.fixture()
+def scripted():
+    """A ScriptedWorker and the manager side of its registered connection."""
+    listener = listen()
+    worker = ScriptedWorker(*listener.getsockname())
+    sock, _ = listener.accept()
+    listener.close()
+    manager = Connection(sock)
+    assert manager.recv_message()["type"] == M.REGISTER
+    yield worker, manager
+    worker.close()
+    manager.close()
+
+
+def test_the_replies_to_one_read_leave_as_one_batch(scripted):
+    worker, manager = scripted
+    manager.send_frame(b"".join(encode_frame(_execute(i)) for i in range(8)))
+    msg = manager.recv_message()
+    assert [m["task_id"] for m in validate_batch(msg)] == [f"t{i}" for i in range(8)]
+    assert {m["type"] for m in msg["messages"]} == {M.TASK_DONE}
+
+
+def test_a_lone_execute_is_answered_by_a_bare_frame(scripted):
+    worker, manager = scripted
+    manager.send_message(_execute(0))
+    msg = manager.recv_message()
+    assert msg["type"] == M.TASK_DONE and msg["task_id"] == "t0"
+    assert msg["outputs"] == [["out-0", 1]]

@@ -72,11 +72,12 @@ def test_file_streaming(conn_pair, tmp_path):
     content = b"block" * 500_000  # 2.5 MB, crosses chunk boundaries
     src.write_bytes(content)
     client.send_message({"type": "file_data", "size": len(content)})
-    sender = threading.Thread(target=client.send_file, args=(src, len(content)))
-    sender.start()
-    msg = server.recv_message()
-    server.recv_to_file(dst, msg["size"])
-    sender.join(timeout=10)
+    with open(src, "rb") as f:
+        sender = threading.Thread(target=client.send_file, args=(f, len(content)))
+        sender.start()
+        msg = server.recv_message()
+        server.recv_to_file(dst, msg["size"])
+        sender.join(timeout=10)
     assert dst.read_bytes() == content
 
 
@@ -84,8 +85,8 @@ def test_send_file_shorter_than_announced(conn_pair, tmp_path):
     client, _ = conn_pair
     short = tmp_path / "short.bin"
     short.write_bytes(b"123")
-    with pytest.raises(ProtocolError):
-        client.send_file(short, 10)
+    with open(short, "rb") as f, pytest.raises(ProtocolError):
+        client.send_file(f, 10)
 
 
 def test_eof_raises_protocol_error(conn_pair):

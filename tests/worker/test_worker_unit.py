@@ -1,5 +1,7 @@
 """Worker unit tests against a scripted (fake) manager connection."""
 
+import json
+import os
 import threading
 import time
 
@@ -7,7 +9,7 @@ import pytest
 
 from repro.core.files import CacheLevel
 from repro.protocol.connection import Connection, listen
-from repro.protocol.messages import M, validate, validate_batch
+from repro.protocol.messages import M, validate
 from repro.worker.worker import Worker
 
 
@@ -30,14 +32,6 @@ class FakeManager:
         try:
             while True:
                 msg = self.conn.recv_message()
-                if msg.get("type") == M.BATCH:
-                    # the worker's BatchSender coalesces notices; sub-
-                    # messages never announce trailing payload bytes
-                    validate_batch(msg)
-                    with self._lock:
-                        for sub in msg["messages"]:
-                            self.messages.append((sub, None))
-                    continue
                 validate(msg)
                 payload = None
                 if msg.get("type") == M.FILE_DATA and msg.get("found"):
@@ -189,6 +183,145 @@ def test_send_back_missing_object(rig):
     msg, payload = fake.wait_for(M.FILE_DATA)
     assert msg["found"] is False
     assert payload is None
+
+
+def test_send_back_of_an_object_gone_from_disk_answers_not_found(rig):
+    """An eviction on a handler thread can remove an object's file while
+    its cache entry is still looked up: the worker answers ``found:
+    false`` and goes on taking commands."""
+    fake, worker = rig
+    fake.wait_for(M.REGISTER)
+    worker.cache.insert_bytes(b"x", "vanished", CacheLevel.WORKFLOW)
+    os.unlink(worker.cache.path_of("vanished"))
+    fake.send({"type": M.SEND_BACK, "cache_name": "vanished"})
+    msg, payload = fake.wait_for(M.FILE_DATA, timeout=10.0)
+    assert msg["found"] is False
+    assert payload is None
+    fake.send(
+        {
+            "type": M.EXECUTE, "task_id": "t1", "command": "echo ok > out",
+            "inputs": [], "outputs": [["out", "out-1", 1]],
+            "env": {}, "resources": {"cores": 1},
+        }
+    )
+    done, _ = fake.wait_for(M.TASK_DONE, timeout=10.0)
+    assert done["exit_code"] == 0
+
+
+def test_send_back_streams_a_file_and_a_directory(rig):
+    fake, worker = rig
+    fake.wait_for(M.REGISTER)
+    worker.cache.insert_bytes(b"file-bytes", "a-file", CacheLevel.WORKFLOW)
+    fake.send({"type": M.SEND_BACK, "cache_name": "a-file"})
+    msg, payload = fake.wait_for(M.FILE_DATA)
+    assert (msg["found"], msg["format"], payload) == (True, "file", b"file-bytes")
+    tree = worker.cache.staging_path("a-dir")
+    os.makedirs(tree)
+    with open(os.path.join(tree, "leaf"), "wb") as f:
+        f.write(b"leaf-bytes")
+    worker.cache.insert_from(tree, "a-dir", CacheLevel.WORKFLOW, time.time())
+    fake.send({"type": M.SEND_BACK, "cache_name": "a-dir"})
+    msg, payload = fake.wait_for(
+        M.FILE_DATA, predicate=lambda m: m["cache_name"] == "a-dir"
+    )
+    assert msg["found"] and msg["format"] == "tar"
+    assert len(payload) == msg["size"] > 0
+    worker.cache.insert_bytes(b"", "empty", CacheLevel.WORKFLOW)  # `touch out`
+    fake.send({"type": M.SEND_BACK, "cache_name": "empty"})
+    msg, payload = fake.wait_for(
+        M.FILE_DATA, predicate=lambda m: m["cache_name"] == "empty"
+    )
+    assert (msg["found"], msg["size"], payload) == (True, 0, b"")
+    fake.send(
+        {
+            "type": M.EXECUTE, "task_id": "t1", "command": "echo ok > out",
+            "inputs": [], "outputs": [["out", "out-1", 1]],
+            "env": {}, "resources": {"cores": 1},
+        }
+    )
+    done, _ = fake.wait_for(M.TASK_DONE, timeout=10.0)
+    assert done["exit_code"] == 0
+
+
+def test_a_lost_eviction_report_does_not_report_the_task_again(tmp_path):
+    """The link can drop between a ``task_done`` and the ``cache_invalid``
+    of the eviction it triggers: the task stays reported once, as done."""
+    fake = FakeManager()
+    worker = Worker(
+        fake.host, fake.port, str(tmp_path / "w"), cores=1,
+        max_cache_bytes=4, eviction_grace=0.0,
+    )
+    threading.Thread(target=worker.run, daemon=True).start()
+    try:
+        fake.wait_for(M.REGISTER)
+        worker.cache.insert_bytes(b"old-bytes", "old", CacheLevel.WORKFLOW)
+        send = worker._sender.send
+
+        def link_drops_after_task_done(message, payload=None):
+            if message["type"] == M.CACHE_INVALID:
+                raise OSError("connection reset")
+            send(message, payload)
+
+        worker._sender.send = link_drops_after_task_done
+        fake.send(
+            {
+                "type": M.EXECUTE, "task_id": "t1", "command": "echo ok > out",
+                "inputs": [], "outputs": [["out", "out-1", 1]],
+                "env": {}, "resources": {"cores": 1},
+            }
+        )
+        done, _ = fake.wait_for(M.TASK_DONE, timeout=10.0)
+        assert done["exit_code"] == 0
+        deadline = time.time() + 10
+        while worker.cache.has("old") and time.time() < deadline:
+            time.sleep(0.02)
+        assert not worker.cache.has("old")  # evicted, its report lost
+        time.sleep(0.3)  # a second report would have arrived by now
+        with fake._lock:
+            reports = [m for m, _ in fake.messages if m["type"] == M.TASK_DONE]
+        assert len(reports) == 1
+    finally:
+        worker.shutdown()
+
+
+def test_an_idle_worker_owns_only_its_clock_and_peer_accept_threads(tmp_path):
+    """Every message leaves as it is produced and one clock beats and
+    dumps metrics, so an idle worker runs two threads of its own."""
+    fake = FakeManager()
+    baseline = set(threading.enumerate())
+    worker = Worker(fake.host, fake.port, str(tmp_path / "w"), cores=1)
+    runner = threading.Thread(target=worker.run, daemon=True)
+    runner.start()
+    try:
+        fake.wait_for(M.REGISTER)
+        owned = set(threading.enumerate()) - baseline - {runner}
+        assert owned == {worker._clock, worker._peer_server._thread}, sorted(
+            t.name for t in owned
+        )
+    finally:
+        worker.shutdown()
+    runner.join(timeout=5)
+    assert not runner.is_alive() and not worker._clock.is_alive()
+
+
+def test_shutdown_writes_the_final_metrics(tmp_path):
+    fake = FakeManager()
+    worker = Worker(fake.host, fake.port, str(tmp_path / "w"), cores=1)
+    threading.Thread(target=worker.run, daemon=True).start()
+    fake.wait_for(M.REGISTER)
+    fake.send(
+        {
+            "type": M.FETCH_FILE, "cache_name": "ghost",
+            "source": {"kind": "url", "url": "file:///nonexistent/path"},
+            "transfer_id": "x1", "level": 1,
+        }
+    )
+    fake.wait_for(M.CACHE_INVALID)
+    worker.shutdown()
+    with open(tmp_path / "w" / "metrics.json") as f:
+        metrics = json.load(f)["metrics"]
+    assert metrics["fetch.failures"]["value"] == 1
+    assert metrics["net.frames_out"]["value"] >= 2  # register, cache_invalid
 
 
 def test_unlink_removes_object(rig):
