@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""A dataflow pipeline through the DAG adapter (paper §6 direction).
+"""A dataflow pipeline of Python functions (paper §6 direction).
 
-Builds a map/reduce-style genomics quality pipeline as a graph of
-Python functions — the Parsl/Dask-flavoured layer over TaskVine tasks:
-sequence batches are scored in parallel, per-batch summaries merge up
-a tree, and a final report node consumes the merged summary.
+A map/reduce-style genomics quality pipeline, each function call one
+PythonTask — the "one high-level task, one TaskVine task" mapping a
+Parsl or Dask layer makes: sequence batches are scored in parallel,
+per-batch summaries merge pairwise up a tree, one level at a time, and
+a final report task consumes the merged summary.
 
 Run with::
 
@@ -13,7 +14,6 @@ Run with::
 
 import repro
 from _cluster import start_workers
-from repro.adapters.dag import TaskGraph
 
 N_BATCHES = 6
 
@@ -56,22 +56,34 @@ def report(summary):
     )
 
 
+def run_level(m, calls):
+    """Run one level's calls in parallel; their values, in call order."""
+    tasks = [repro.PythonTask(func, *args) for func, *args in calls]
+    for task in tasks:
+        m.submit(task)
+    m.run_until_done()
+    for task in tasks:
+        if task.state != repro.TaskState.DONE:
+            raise RuntimeError(f"{task.task_id} failed: {task.result.failure}")
+    return [task.output() for task in tasks]
+
+
 def main():
     m = repro.Manager()
     start_workers(m, count=2, cores=4)
 
-    g = TaskGraph(m)
-    leaves = [g.add(score_batch, i) for i in range(N_BATCHES)]
-    # merge pairwise up a tree — the graph executes leaves in parallel
-    level = leaves
+    level = run_level(m, [(score_batch, i) for i in range(N_BATCHES)])
+    executed = len(level)
+    # merge pairwise up a tree; an odd summary out waits for the next level
     while len(level) > 1:
-        level = [
-            g.add(merge, level[i], level[i + 1]) if i + 1 < len(level) else level[i]
-            for i in range(0, len(level), 2)
-        ]
-    final = g.add(report, level[0])
-    print(final.result())
-    print(f"graph executed {len(g.nodes)} nodes across {len(m.workers)} workers")
+        pairs = [(merge, level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        merged = run_level(m, pairs)
+        executed += len(merged)
+        level = merged + level[2 * len(pairs):]
+    (final,) = run_level(m, [(report, level[0])])
+    executed += 1
+    print(final)
+    print(f"graph executed {executed} nodes across {len(m.workers)} workers")
     m.close()
 
 

@@ -94,9 +94,15 @@ __all__ = [
 
 #: fixed-source marker for files that only ever exist at workers (temps)
 NO_SOURCE = "@none"
-#: ceiling in seconds on any exponential retry/requeue backoff delay
-#: (before jitter)
+#: failed attempts tolerated per (object, source) before that source is
+#: banned for the object
+TRANSFER_RETRIES = 3
+#: exponential-backoff base in seconds between a failed transfer and the
+#: next attempt from the same source, and its ceiling (before jitter)
+TRANSFER_BACKOFF_BASE = 0.5
 TRANSFER_BACKOFF_MAX = 30.0
+#: failure score at which a worker stops receiving new placements
+BLOCKLIST_THRESHOLD = 5
 #: seconds (on the runtime's clock) before an in-flight result fetch is
 #: abandoned and its waiters are failed (orphaned-waiter hygiene)
 FETCH_TTL = 300.0
@@ -192,7 +198,7 @@ class RuntimePort(Protocol):
         ...
 
     def schedule_pump(self, delay: float) -> None:
-        """Ask the runtime to pump after ``delay`` seconds (backoffs,
+        """Ask the runtime to pump after ``delay`` seconds (transfer back-offs,
         the fetch TTL, the recovery grace poll)."""
         ...
 
@@ -451,7 +457,6 @@ class ControlPlane:
         # the knobs read on the submit / transfer-planning / completion
         # hot paths, bound once; everything else reads ``self.policy``
         self.resource_learning = policy.resource_learning
-        self.transfer_retries = policy.transfer_retries
         self.temp_replica_count = max(1, policy.temp_replica_count)
         #: deterministic jitter stream (scoped so chaos runs replay bit-
         #: identically for a given seed)
@@ -500,8 +505,6 @@ class ControlPlane:
         #: since the indexes were last read (``_index``)
         self._indexes: dict[Optional[str], PlacementIndex] = {}
         self._changed: set[str] = set()
-        #: latest requeue back-off ever set: no queued task waits past it
-        self._holdoff_until = 0.0
         #: parked READY tasks (off the ready heap, see ``_pump_body``):
         #: task id -> the missing inputs it still waits for, and the
         #: reverse index cache name -> ids of the tasks waiting for it
@@ -563,7 +566,7 @@ class ControlPlane:
         #: deferred on the name may be waiting for the clock alone
         self._retry_until: dict[str, float] = {}
         #: per-worker failure score: grows on failures/corruption it
-        #: served, shrinks on successes; at blocklist_threshold the
+        #: served, shrinks on successes; at ``BLOCKLIST_THRESHOLD`` the
         #: worker stops receiving placements and is avoided as a source
         self.failure_scores: collections.Counter = collections.Counter()
         self.blocklist: set[str] = set()
@@ -1277,8 +1280,6 @@ class ControlPlane:
         task.retries_used += 1
         task.state = TaskState.READY
         task.worker_id = None
-        task.not_before = self._requeue_holdoff(task)
-        self._holdoff_until = max(self._holdoff_until, task.not_before)
         self._enqueue(task)
         self.tasks_requeued += 1
         (self._m_regens if kind == "file_regenerated" else self._m_requeues).inc()
@@ -1286,15 +1287,6 @@ class ControlPlane:
             self.port.now(), kind,
             task=task.task_id, size=task.retries_used, **fields,
         )
-
-    def _requeue_holdoff(self, task: Task) -> float:
-        """Earliest re-placement time for a requeued task (0 = now)."""
-        base = self.policy.requeue_backoff_base
-        if base <= 0:
-            return 0.0
-        delay = self._backoff_delay(base, task.retries_used)
-        self._schedule_pump(delay)
-        return self.port.now() + delay
 
     def _loss_budget(self, task: Task) -> int:
         """How many lost workers / regenerations one task may absorb."""
@@ -1964,9 +1956,8 @@ class ControlPlane:
                     self.port.now(), "file_deleted",
                     worker=source, file=cache_name, category="corrupt",
                 )
-        base = self.policy.transfer_backoff_base
-        if attempts <= self.transfer_retries and base > 0:
-            delay = self._backoff_delay(base, attempts)
+        if attempts <= TRANSFER_RETRIES:
+            delay = self._backoff_delay(attempts)
             self._retry_at[key] = self.port.now() + delay
             self._retry_until[cache_name] = max(
                 self._retry_at[key], self._retry_until.get(cache_name, 0.0)
@@ -1991,11 +1982,11 @@ class ControlPlane:
     def _source_remains(self, cache_name: str) -> bool:
         """True while some source still has retry budget for the object."""
         for holder in self.replicas.locate(cache_name):
-            if self._transfer_attempts[(cache_name, holder)] <= self.transfer_retries:
+            if self._transfer_attempts[(cache_name, holder)] <= TRANSFER_RETRIES:
                 return True
         fixed = self.fixed_sources.get(cache_name, MANAGER_SOURCE)
         if fixed != NO_SOURCE:
-            return self._transfer_attempts[(cache_name, fixed)] <= self.transfer_retries
+            return self._transfer_attempts[(cache_name, fixed)] <= TRANSFER_RETRIES
         return False
 
     def on_transfer_complete(self, transfer_id: str) -> None:
@@ -2235,9 +2226,9 @@ class ControlPlane:
     # failure scoring, backoff and blocklisting (robustness hardening)
     # ------------------------------------------------------------------
 
-    def _backoff_delay(self, base: float, attempt: int) -> float:
+    def _backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with deterministic jitter (50–150%)."""
-        raw = min(TRANSFER_BACKOFF_MAX, base * (2 ** (attempt - 1)))
+        raw = min(TRANSFER_BACKOFF_MAX, TRANSFER_BACKOFF_BASE * (2 ** (attempt - 1)))
         return raw * (0.5 + self._rng.random())
 
     def _schedule_pump(self, delay: float) -> None:
@@ -2253,7 +2244,7 @@ class ControlPlane:
 
     def _transfer_gate(self, cache_name: str, source: str) -> int:
         """Scheduler hook: veto sources that are banned or backing off."""
-        if self._transfer_attempts[(cache_name, source)] > self.transfer_retries:
+        if self._transfer_attempts[(cache_name, source)] > TRANSFER_RETRIES:
             return GATE_BANNED
         if source in self.blocklist:
             return GATE_AVOID
@@ -2273,7 +2264,7 @@ class ControlPlane:
         score = self.failure_scores[worker_id]
         if (
             worker_id not in self.blocklist
-            and score >= self.policy.blocklist_threshold
+            and score >= BLOCKLIST_THRESHOLD
             and any(
                 wid != worker_id and wid not in self.blocklist
                 for wid in self.workers
@@ -3003,8 +2994,7 @@ class ControlPlane:
         self._drain_memo_complete()
 
         # 1. placement
-        now = self.port.now()
-        recovered, next_retry = self._place_ready(now)
+        recovered = self._place_ready()
 
         # 2. staging: re-plan the stages something woke since the last pump
         if (
@@ -3019,19 +3009,15 @@ class ControlPlane:
         if self.draining:
             self._advance_drains()
 
-        if next_retry is not None:
-            self._schedule_pump(next_retry - now)
-
         # lineage producers resurrected mid-pump joined _ready after the
         # placement loop snapshot; place them now rather than waiting on
         # the next external event (recursion is bounded by lineage depth)
         if recovered:
             self.pump()
 
-    def _place_ready(self, now: float) -> tuple[bool, Optional[float]]:
+    def _place_ready(self) -> bool:
         """The pump's placement pass.  Returns whether lineage producers
-        were resurrected (they wait for a re-pump) and the earliest
-        requeue back-off still running, if any.
+        were resurrected (they wait for a re-pump).
 
         Ready tasks are popped from the priority heap in fair-share
         ``(-priority, seq)`` order and placed through the per-library-key
@@ -3045,7 +3031,6 @@ class ControlPlane:
         self._unvet_lost()
         failures = 0
         recovered = False
-        next_retry: Optional[float] = None
         # entries pushed from this token onward (lineage producers
         # resurrected mid-loop) wait for the recursive re-pump — the
         # same snapshot semantics the sorted-list pump had
@@ -3058,15 +3043,6 @@ class ControlPlane:
                 if task.state != TaskState.READY:
                     # failed terminally earlier in this very loop
                     self._ready.discard(task)
-                    continue
-                if task.not_before > now:
-                    # requeue backoff: not eligible yet, wake when it is
-                    next_retry = (
-                        task.not_before
-                        if next_retry is None
-                        else min(next_retry, task.not_before)
-                    )
-                    stash.append(entry)
                     continue
                 if not self._inputs_obtainable(task):
                     before = len(self._ready)
@@ -3086,7 +3062,7 @@ class ControlPlane:
                     self._ready.vet(task)  # its inputs were just found obtainable
                     if failures >= PLACEMENT_WINDOW:
                         break
-                    if self._only_failures_left(now):
+                    if self._only_failures_left():
                         self._ready.skip(PLACEMENT_WINDOW - failures, snapshot)
                         break
                     continue
@@ -3096,23 +3072,20 @@ class ControlPlane:
             entries.close()  # returns mid-loop pushes to the heap
             for entry in stash:
                 self._ready.restore(entry)
-        return recovered, next_retry
+        return recovered
 
-    def _only_failures_left(self, now: float) -> bool:
+    def _only_failures_left(self) -> bool:
         """True when every entry the pass has not yielded yet would fail
         to place, each one counting a failure and going back to the heap.
 
-        No requeued task is still backing off (it would be set aside,
-        not fail), every active task's inputs are known obtainable (none
-        would be regenerated, parked or failed), and every ``(library
+        Every active task's inputs are known obtainable (none would be
+        regenerated, parked or failed), and every ``(library
         key, pool request)`` class still queued is recorded infeasible
         in its index — which is exact, so each of them would get
         ``None`` from ``choose_worker_indexed``.  (Tasks queued during
         the pass count too, though the pass would not yield them.)
         """
         ready = self._ready
-        if now < self._holdoff_until:
-            return False
         self._unvet_lost()
         if not ready.all_vetted:
             return False

@@ -939,9 +939,9 @@ class Manager:
     def schedule_pump(self, delay: float) -> None:
         """Wake the control plane after ``delay`` wall seconds.
 
-        Used by retry/requeue backoffs: a held-off transfer or task
-        needs a pump when its holdoff expires even if no worker message
-        arrives in the meantime.
+        Used by transfer back-offs and fetch deadlines: a held-off
+        source needs a pump when its holdoff expires even if no worker
+        message arrives in the meantime.
         """
         self.reactor.call_later(delay, self._timed_pump)
 

@@ -1,8 +1,11 @@
 """The manager's policy configuration: one frozen object.
 
 Everything an operator can tune about *how the control plane decides* —
-transfer limits, retry and backoff budgets, replication, quotas, memo
-opt-outs — is a field of :class:`Policy`.  A runtime
+transfer limits, the worker-loss budget, replication, quotas, memo
+opt-outs — is a field of :class:`Policy`.  How often a failing source is
+retried, how long it is held off, and when a worker is blocklisted are
+constants of the control plane (``TRANSFER_RETRIES``,
+``TRANSFER_BACKOFF_BASE``, ``BLOCKLIST_THRESHOLD``), not settings.  A runtime
 (:class:`~repro.core.manager.Manager`,
 :class:`~repro.sim.simmanager.SimManager`) takes one and hands it to
 its :class:`~repro.core.control_plane.ControlPlane` untouched, so "what
@@ -32,9 +35,6 @@ class Policy:
     source_transfer_limit: Optional[int] = 100
     #: place tasks where most of their input bytes already are
     locality: bool = True
-    #: failed attempts tolerated per (object, source) before that
-    #: source is banned for the object
-    transfer_retries: int = 3
     #: target replica count for task-produced files (paper §2.2:
     #: "duplicating items for reliability"); 1 disables replication
     temp_replica_count: int = 1
@@ -45,14 +45,6 @@ class Policy:
     #: size first allocations and resource-exceeded retries from what
     #: the task's category was observed to use (paper §2.1)
     resource_learning: bool = False
-    #: exponential-backoff base for transfer retries (0 disables
-    #: the holdoff and restores instant re-planning)
-    transfer_backoff_base: float = 0.5
-    #: backoff base for task requeues (loss/sandbox/resource retries);
-    #: 0 keeps the historical requeue-immediately behaviour
-    requeue_backoff_base: float = 0.0
-    #: failure score at which a worker stops receiving new placements
-    blocklist_threshold: int = 5
     #: quotas stamped on tenant accounts as they first appear (None =
     #: unlimited); the service layer may override per tenant afterwards
     default_task_quota: Optional[int] = None

@@ -132,8 +132,6 @@ class Task:
         self.result: Optional[TaskResult] = None
         #: worker id the task is (or was last) placed on
         self.worker_id: Optional[str] = None
-        #: earliest re-placement time after a requeue backoff (0 = now)
-        self.not_before: float = 0.0
         #: virtual/wall timestamps filled in by the runtimes for traces
         self.submitted_at: Optional[float] = None
         self.started_at: Optional[float] = None

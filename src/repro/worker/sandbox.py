@@ -59,6 +59,12 @@ class Sandbox:
             else:
                 try:
                     os.link(src, dest)
+                except FileNotFoundError:
+                    # removed since ``has`` (an unlink or an eviction on
+                    # another thread): a symlink would dangle
+                    raise SandboxError(
+                        f"input {cache_name} for task {self.task_id} left the cache"
+                    ) from None
                 except OSError:
                     os.symlink(src, dest)
 

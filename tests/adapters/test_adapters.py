@@ -1,9 +1,15 @@
-"""End-to-end tests for the DAG and serverless adapters (paper §6)."""
+"""The mappings a DAG or serverless layer makes onto the manager (paper §6).
+
+A workflow layer turns each call into one task: a ``PythonTask`` per
+graph node, whose value feeds the nodes that depend on it, or a
+``FunctionCall`` into a library made of a mapped function.  These tests
+drive those shapes through the real ``Manager`` and worker processes.
+"""
 
 import pytest
 
-from repro.adapters.dag import GraphError, TaskGraph
-from repro.adapters.serverless import ServerlessMap
+from repro.core.library import FunctionCall
+from repro.core.task import PythonTask, TaskState
 from tests.integration.conftest import Cluster
 
 
@@ -26,102 +32,65 @@ def _fail():
     raise ValueError("deliberate")
 
 
-# -- TaskGraph ------------------------------------------------------------
+def _half(x):
+    if x % 2:
+        raise ValueError(f"odd {x}")
+    return x // 2
+
+
+def _run(m, calls):
+    """Run calls that wait on nothing still pending, together; their values."""
+    tasks = [PythonTask(func, *args) for func, *args in calls]
+    for t in tasks:
+        m.submit(t)
+    m.run_until_done(timeout=120)
+    assert all(t.state == TaskState.DONE for t in tasks), [
+        (t.task_id, t.state, t.result and t.result.failure) for t in tasks
+    ]
+    return [t.output() for t in tasks]
 
 
 def test_dag_linear_chain(cluster):
-    g = TaskGraph(cluster.manager)
-    a = g.add(_double, 3)
-    b = g.add(_double, a)
-    c = g.add(_double, b)
-    assert c.result() == 24
-    assert a.result() == 6
+    m = cluster.manager
+    (a,) = _run(m, [(_double, 3)])
+    (b,) = _run(m, [(_double, a)])
+    (c,) = _run(m, [(_double, b)])
+    assert c == 24
+    assert a == 6
 
 
 def test_dag_diamond(cluster):
-    g = TaskGraph(cluster.manager)
-    root = g.add(_double, 5)
-    left = g.add(_add, root, 1)
-    right = g.add(_add, root, 2)
-    top = g.add(_add, left, right)
-    assert top.result() == (10 + 1) + (10 + 2)
+    m = cluster.manager
+    (root,) = _run(m, [(_double, 5)])
+    left, right = _run(m, [(_add, root, 1), (_add, root, 2)])
+    (top,) = _run(m, [(_add, left, right)])
+    assert top == (10 + 1) + (10 + 2)
 
 
 def test_dag_parallel_branches_independent(cluster):
-    g = TaskGraph(cluster.manager)
-    futures = [g.add(_double, i) for i in range(6)]
-    total = g.add(_add, g.add(_add, futures[0], futures[1]), futures[2])
-    results = g.results()
-    assert total.result() == 0 + 2 + 4
-    assert len(results) == 8
-
-
-def test_dag_kwarg_dependencies(cluster):
-    g = TaskGraph(cluster.manager)
-    a = g.add(_double, 4)
-    b = g.add(_add, 1, b=a)
-    assert b.result() == 9
-
-
-def test_dag_failure_propagates_downstream_only(cluster):
-    g = TaskGraph(cluster.manager)
-    bad = g.add(_fail)
-    downstream = g.add(_double, bad)
-    independent = g.add(_double, 10)
-    g.run()
-    assert independent.result() == 20
-    with pytest.raises(GraphError):
-        bad.result()
-    with pytest.raises(GraphError, match="upstream"):
-        downstream.result()
-
-
-def test_dag_rejects_cross_graph_futures(cluster):
-    g1 = TaskGraph(cluster.manager)
-    g2 = TaskGraph(cluster.manager)
-    a = g1.add(_double, 1)
-    with pytest.raises(GraphError):
-        g2.add(_double, a)
-
-
-# -- ServerlessMap -------------------------------------------------------
-
-
-def test_serverless_map_promotes_hot_function(cluster):
-    ex = ServerlessMap(cluster.manager, threshold=3, slots=2)
-    futures = ex.map(_double, range(8))
-    assert ex.promoted(_double)
-    ex.wait_all(timeout=300)
-    assert [f.result() for f in futures] == [i * 2 for i in range(8)]
-    # the first (threshold-1) ran as plain PythonTasks, the rest serverless
-    from repro.core.library import FunctionCall
-
-    kinds = [isinstance(f.task, FunctionCall) for f in futures]
-    assert kinds[:2] == [False, False]
-    assert all(kinds[2:])
-
-
-def test_serverless_map_cold_function_stays_plain(cluster):
-    ex = ServerlessMap(cluster.manager, threshold=10)
-    futures = ex.map(_double, range(3))
-    assert not ex.promoted(_double)
-    ex.wait_all(timeout=300)
-    assert [f.result() for f in futures] == [0, 2, 4]
+    m = cluster.manager
+    leaves = _run(m, [(_double, i) for i in range(6)])
+    (pair,) = _run(m, [(_add, leaves[0], leaves[1])])
+    (total,) = _run(m, [(_add, pair, leaves[2])])
+    assert total == 0 + 2 + 4
+    assert leaves == [0, 2, 4, 6, 8, 10]
+    assert len(m.log.events("task_end")) >= 8
 
 
 def test_serverless_map_remote_exception(cluster):
-    ex = ServerlessMap(cluster.manager, threshold=1)
-    future = ex.submit(_fail)
-    ex.wait_all(timeout=300)
-    with pytest.raises((ValueError, RuntimeError)):
-        future.result()
-
-
-def test_future_result_before_completion_raises(cluster):
-    ex = ServerlessMap(cluster.manager, threshold=99)
-    future = ex.submit(_double, 2)
-    if not future.done:
-        with pytest.raises(RuntimeError, match="not complete"):
-            future.result()
-    ex.wait_all(timeout=300)
-    assert future.result() == 4
+    """A mapped function that raises fails its own call, not the map."""
+    m = cluster.manager
+    m.create_library("mapped", [_fail, _half], function_slots=2)
+    m.install_library("mapped")
+    bad = FunctionCall("mapped", "_fail")
+    calls = [FunctionCall("mapped", "_half", i) for i in range(4)]
+    for fc in [bad, *calls]:
+        m.submit(fc)
+    m.run_until_done(timeout=120)
+    assert bad.state == TaskState.FAILED
+    assert "ValueError" in (bad.result.failure or "")
+    assert [fc.state for fc in calls] == [
+        TaskState.DONE, TaskState.FAILED, TaskState.DONE, TaskState.FAILED,
+    ]
+    assert [calls[0].output(), calls[2].output()] == [0, 1]
+    assert "odd 3" in (calls[3].result.failure or "")

@@ -68,7 +68,7 @@ def order_ready(tasks: Sequence[Task]) -> list[Task]:
     return sorted(tasks, key=lambda t: (-t.priority, t.seq))
 
 
-def place_ready(self: ControlPlane, now: float) -> tuple[bool, Optional[float]]:
+def place_ready(self: ControlPlane) -> bool:
     """``ControlPlane._place_ready`` as it was: a fresh index per library
     key per pass, and a scan that stops only at the 64th failure."""
     # 1. placement — ready tasks are popped from the priority heap
@@ -92,7 +92,6 @@ def place_ready(self: ControlPlane, now: float) -> tuple[bool, Optional[float]]:
 
     failures = 0
     recovered = False
-    next_retry: Optional[float] = None
     # entries pushed from this token onward (lineage producers
     # resurrected mid-loop) wait for the recursive re-pump — the
     # same snapshot semantics the sorted-list pump had
@@ -105,15 +104,6 @@ def place_ready(self: ControlPlane, now: float) -> tuple[bool, Optional[float]]:
             if task.state != TaskState.READY:
                 # failed terminally earlier in this very loop
                 self._ready.discard(task)
-                continue
-            if task.not_before > now:
-                # requeue backoff: not eligible yet, wake when it is
-                next_retry = (
-                    task.not_before
-                    if next_retry is None
-                    else min(next_retry, task.not_before)
-                )
-                stash.append(entry)
                 continue
             if not self._inputs_obtainable(task):
                 before = len(self._ready)
@@ -141,4 +131,4 @@ def place_ready(self: ControlPlane, now: float) -> tuple[bool, Optional[float]]:
         entries.close()  # returns mid-loop pushes to the heap
         for entry in stash:
             self._ready.restore(entry)
-    return recovered, next_retry
+    return recovered

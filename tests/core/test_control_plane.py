@@ -15,6 +15,7 @@ from repro.core.control_plane import (
     MINITASK_SOURCE,
     NO_SOURCE,
     TRANSFER_BACKOFF_MAX,
+    TRANSFER_RETRIES,
     ControlPlane,
     LibraryState,
     ManagerError,
@@ -410,21 +411,23 @@ def test_sandbox_failure_retries_without_growth():
 
 
 def test_transfer_failure_exhaustion_fails_waiting_tasks():
-    port, control = make_control(transfer_retries=1)
+    port, control = make_control()
     add_worker(port, control, "wA")
     f = declared(control, "cursed", "url:dead.example", 100)
     t = Task("use cursed")
     t.add_input(f, "cursed")
     control.submit(t)
     control.pump()
-    assert len(port.fetches) == 1
-    control.on_cache_invalid("wA", "cursed", port.fetches[0].transfer_id)
-    control.pump()
-    assert len(port.fetches) == 1  # retry is held off by the backoff
-    port.time += TRANSFER_BACKOFF_MAX  # past any jittered delay
-    control.pump()
-    assert len(port.fetches) == 2  # one retry allowed
-    control.on_cache_invalid("wA", "cursed", port.fetches[1].transfer_id)
+    for attempt in range(1, TRANSFER_RETRIES + 1):
+        assert len(port.fetches) == attempt
+        control.on_cache_invalid("wA", "cursed", port.fetches[-1].transfer_id)
+        control.pump()
+        assert len(port.fetches) == attempt  # retry is held off by the backoff
+        port.time += TRANSFER_BACKOFF_MAX  # past any jittered delay
+        control.pump()
+    assert len(port.fetches) == TRANSFER_RETRIES + 1  # every retry allowed
+    assert t.state != TaskState.FAILED
+    control.on_cache_invalid("wA", "cursed", port.fetches[-1].transfer_id)
     assert t.state == TaskState.FAILED
     assert "cursed" in (t.result.failure or "")
 

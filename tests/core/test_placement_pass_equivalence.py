@@ -13,12 +13,11 @@ tenant ring stands.
 The histories mix task shapes (cores and memory, some incomparable),
 two libraries' calls, three tenants with two priorities, workers that
 join, drain, leave and pick up failure scores, completions that free
-capacity, temps whose only replica leaves with its worker (lineage
-regeneration, parking), and requeue back-offs that expire with the
-clock.  Lineage is never exhausted here: a task failed in the middle of
-a pass can release a dispatched consumer's capacity, which the old
-per-pass index did not see until the next pass and the kept-current one
-sees at once.
+capacity, and temps whose only replica leaves with its worker (lineage
+regeneration, parking).  Lineage is never exhausted here: a task failed
+in the middle of a pass can release a dispatched consumer's capacity,
+which the old per-pass index did not see until the next pass and the
+kept-current one sees at once.
 """
 
 from hypothesis import given, settings
@@ -36,20 +35,15 @@ from tests.plane_invariants import violations
 
 TENANTS = ("alice", "bob", "carol")
 LIBS = ("lib1", "lib2")
-#: with and without requeue back-off (without, a regenerated producer
-#: joins the queue in the middle of a pass with nothing to wait out)
-POLICIES = [
-    Policy(requeue_backoff_base=base, loss_retries=1000, blocklist_threshold=3)
-    for base in (2.0, 0.0)
-]
+POLICY = Policy(loss_retries=1000)
 
 
 class History:
     """One plane fed a scripted history, recording every pass."""
 
-    def __init__(self, reference: bool, policy: Policy = POLICIES[0]):
+    def __init__(self, reference: bool):
         self.port = FakePort()
-        self.control = ControlPlane(self.port, policy)
+        self.control = ControlPlane(self.port, POLICY)
         self.placed = []
         self.passes = []
         self.temps = []
@@ -67,9 +61,9 @@ class History:
             self.placed.append((task.task_id, wid))
             dispatch(task, wid)
 
-        def recorded_pass(now):
+        def recorded_pass():
             before = len(self.placed)
-            result = place_ready(control, now) if reference else place(now)
+            result = place_ready(control) if reference else place()
             self.passes.append((self.placed[before:], _queue_state(control), result))
             return result
 
@@ -77,7 +71,7 @@ class History:
         control._place_ready = recorded_pass
 
     def apply(self, op):
-        control, port = self.control, self.port
+        control = self.control
         kind = op[0]
         workers = sorted(control.workers)
         if kind == "join":
@@ -100,8 +94,6 @@ class History:
                 self.temps.append(f)
                 task.add_output(f, "out")
             control.submit(task)
-        elif kind == "tick":
-            port.time += op[1]
         elif not workers:
             return
         elif kind == "finish":
@@ -118,8 +110,8 @@ class History:
                 control.worker_left(wid)
             elif kind == "drain":
                 control.drain_worker(wid)
-            elif kind == "fault":
-                control._note_worker_failure(wid)
+            elif kind == "fault":  # weighed as a corrupt transfer
+                control._note_worker_failure(wid, weight=2)
             elif kind == "success":
                 control._note_worker_success(wid)
             elif kind == "lib_ready":
@@ -154,7 +146,6 @@ OPS = st.one_of(
         st.booleans(),
     ),
     st.tuples(st.just("finish"), st.integers(0, 31)),
-    st.tuples(st.just("tick"), st.sampled_from([0.5, 3.0])),
     st.tuples(st.just("leave"), _workers),
     st.tuples(st.just("drain"), _workers),
     st.tuples(st.just("fault"), _workers),
@@ -163,10 +154,10 @@ OPS = st.one_of(
 )
 
 
-def replay(ops, policy=POLICIES[0]) -> History:
+def replay(ops) -> History:
     """Feed ``ops`` to both passes, comparing after every one."""
-    kept = History(reference=False, policy=policy)
-    rebuilt = History(reference=True, policy=policy)
+    kept = History(reference=False)
+    rebuilt = History(reference=True)
     for op in ops:
         kept.apply(op)
         rebuilt.apply(op)
@@ -178,12 +169,11 @@ def replay(ops, policy=POLICIES[0]) -> History:
 
 @settings(max_examples=400, deadline=None)
 @given(
-    st.sampled_from(POLICIES),
     st.lists(st.tuples(st.just("join"), st.integers(1, 4)), min_size=1, max_size=3),
     st.lists(OPS, min_size=10, max_size=60),
 )
-def test_placement_passes_match_the_rebuild_and_full_scan(policy, joins, ops):
-    replay([*joins, *ops], policy)
+def test_placement_passes_match_the_rebuild_and_full_scan(joins, ops):
+    replay([*joins, *ops])
 
 
 def test_a_small_task_behind_a_failing_big_one_is_still_placed():
@@ -206,21 +196,6 @@ def test_an_early_end_turns_the_tenant_ring_like_the_failures_it_skips():
     assert not kept.placed
 
 
-def test_a_task_backing_off_behind_a_failure_is_still_seen():
-    """A requeued task waiting out its back-off is set aside, not failed:
-    the pass may not end at a failure queued ahead of it."""
-    kept = replay(
-        [
-            ("join", 4),  # two of its cores go to the libraries
-            ("submit", "task", 2, 0, "alice", 0, None, False),  # runs on w1
-            ("join", 2),  # the libraries take all of it
-            ("submit", "task", 2, 0, "alice", 1, None, False),  # fits nowhere
-            ("leave", 0),  # t1 backs off behind t2, in the same class
-        ]
-    )
-    assert kept.passes[-1][2][1] is not None  # the back-off still wakes a pump
-
-
 def test_a_producer_regenerated_mid_pass_is_not_dealt_by_the_skip():
     """A lost temp's producer re-queued in the middle of a pass waits
     for the re-pump; the ring turns of the failures the pass skips must
@@ -234,8 +209,7 @@ def test_a_producer_regenerated_mid_pass_is_not_dealt_by_the_skip():
             ("submit", "task", 2, 0, "carol", 0, None, False),  # fits nowhere
             # regenerates t1 into bob's heap, then carol's t2 fails
             ("submit", "task", 2, 0, "bob", 0, 0, False),
-        ],
-        POLICIES[1],
+        ]
     )
 
 
@@ -253,7 +227,6 @@ def test_a_queued_reader_of_a_lost_temp_is_looked_at_again():
             ("submit", "task", 2, 0, "alice", 1, None, False),  # t3 fits nowhere
             ("submit", "task", 2, 0, "alice", 0, 0, False),  # t4 reads temp-0
             ("leave", 0),  # temp-0 is lost; t1 re-runs, t2 is requeued
-        ],
-        POLICIES[1],
+        ]
     )
     assert "t4" in kept.passes[-1][1][1]  # parked

@@ -1,14 +1,19 @@
 """Failure-recovery hardening in the shared control plane.
 
 Covers the chaos-readiness machinery: per-(object, source) transfer
-retry budgets with reset-on-success, exponential backoff holdoffs,
+retry budgets with reset-on-success, exponential transfer back-offs,
 per-worker failure scores and the placement blocklist, corruption
 treated as source-replica loss, deep (recursive) lineage regeneration,
 and the retries-exhausted path that fails consumers instead of looping.
 All through a FakePort with a hand-advanced clock — no sleeps.
 """
 
-from repro.core.control_plane import TRANSFER_BACKOFF_MAX
+from repro.core.control_plane import (
+    BLOCKLIST_THRESHOLD,
+    TRANSFER_BACKOFF_BASE,
+    TRANSFER_BACKOFF_MAX,
+    TRANSFER_RETRIES,
+)
 from repro.core.files import TempFile
 from repro.core.scheduler import GATE_AVOID, GATE_BANNED, GATE_OK
 from repro.core.task import Task, TaskState
@@ -49,15 +54,15 @@ def _start_peer_fetch(port, control, name, src, dst):
 
 
 def test_retry_budget_is_per_source_not_per_object():
-    port, control = make_control(transfer_retries=1, transfer_backoff_base=0.0)
+    port, control = make_control()
     add_worker(port, control, "wA")
     add_worker(port, control, "wB")
     add_worker(port, control, "wC")
     declared(control, "obj", MANAGER_SOURCE, 100)
     control.register_replica("wA", "obj", 100, store=True)
     control.register_replica("wB", "obj", 100, store=True)
-    # burn wA's budget for this object (2 failures > transfer_retries=1)
-    for _ in range(2):
+    # burn wA's budget for this object (one failure past its retries)
+    for _ in range(TRANSFER_RETRIES + 1):
         record = _start_peer_fetch(port, control, "obj", "wA", "wC")
         _fail_transfer(control, record)
     # wA is banned for this object, but wB's budget is untouched
@@ -69,7 +74,7 @@ def test_retry_budget_is_per_source_not_per_object():
 
 
 def test_transfer_success_resets_failure_budget():
-    port, control = make_control(transfer_retries=1, transfer_backoff_base=0.0)
+    port, control = make_control()
     add_worker(port, control, "wA")
     f = declared(control, "data", MANAGER_SOURCE, 100)
     t = Task("use").add_input(f, "data")
@@ -78,6 +83,7 @@ def test_transfer_success_resets_failure_budget():
     record = port.pushes[0]
     _fail_transfer(control, record)
     assert control._transfer_attempts[("data", MANAGER_SOURCE)] == 1
+    port.time += TRANSFER_BACKOFF_MAX  # past any jittered delay
     control.pump()
     record = port.pushes[-1]
     control.on_cache_update("wA", "data", 100, record.transfer_id)
@@ -90,7 +96,7 @@ def test_transfer_success_resets_failure_budget():
 
 
 def test_failed_transfer_backs_off_then_retries():
-    port, control = make_control(transfer_retries=3, transfer_backoff_base=1.0)
+    port, control = make_control()
     add_worker(port, control, "wA")
     f = declared(control, "data", "url:server", 100)
     t = Task("use").add_input(f, "data")
@@ -108,15 +114,16 @@ def test_failed_transfer_backs_off_then_retries():
 
 
 def test_backoff_delay_grows_and_caps():
-    port, control = make_control(transfer_backoff_base=1.0)
-    delays = [control._backoff_delay(1.0, attempt) for attempt in range(1, 12)]
-    # jitter is 50-150%, so attempt N is bounded by 1.5 * 2^(N-1)
+    port, control = make_control()
+    delays = [control._backoff_delay(attempt) for attempt in range(1, 12)]
+    # jitter is 50-150%, so attempt N is bounded by 1.5 * base * 2^(N-1)
     for attempt, delay in enumerate(delays, start=1):
-        assert delay <= 1.5 * min(TRANSFER_BACKOFF_MAX, 2 ** (attempt - 1))
-        assert delay >= 0.5 * min(1.0 * 2 ** (attempt - 1), TRANSFER_BACKOFF_MAX) * 0.99
+        raw = min(TRANSFER_BACKOFF_MAX, TRANSFER_BACKOFF_BASE * 2 ** (attempt - 1))
+        assert 0.5 * raw * 0.99 <= delay <= 1.5 * raw
+    assert max(delays) > TRANSFER_BACKOFF_MAX / 2  # the ceiling is reached
     # deterministic for a fixed seed
-    _, control2 = make_control(transfer_backoff_base=1.0)
-    assert delays == [control2._backoff_delay(1.0, a) for a in range(1, 12)]
+    _, control2 = make_control()
+    assert delays == [control2._backoff_delay(a) for a in range(1, 12)]
 
 
 # -- failure scores and the blocklist ---------------------------------
@@ -133,10 +140,12 @@ def _burn_peer(port, control, name_prefix, bad, dest, n):
 
 
 def test_repeat_offender_is_blocklisted_and_skipped():
-    port, control = make_control(blocklist_threshold=3, transfer_backoff_base=0.0)
+    port, control = make_control()
     add_worker(port, control, "wBad")
     add_worker(port, control, "wOk")
-    _burn_peer(port, control, "x", "wBad", "wOk", 3)
+    _burn_peer(port, control, "x", "wBad", "wOk", BLOCKLIST_THRESHOLD - 1)
+    assert "wBad" not in control.blocklist
+    _burn_peer(port, control, "y", "wBad", "wOk", 1)
     assert "wBad" in control.blocklist
     assert control.metrics.counter("workers.blocklisted").value == 1
     events = control.log.events("worker_blocklist")
@@ -152,22 +161,22 @@ def test_repeat_offender_is_blocklisted_and_skipped():
 
 
 def test_last_worker_is_never_blocklisted():
-    port, control = make_control(blocklist_threshold=2, transfer_backoff_base=0.0)
+    port, control = make_control()
     add_worker(port, control, "wOnly")
     declared(control, "y0", MANAGER_SOURCE, 10)
     control.register_replica("wOnly", "y0", 10, store=True)
-    for _ in range(4):
+    for _ in range(BLOCKLIST_THRESHOLD + 1):
         record = _start_peer_fetch(port, control, "y0", "wOnly", "wGone")
         _fail_transfer(control, record)
     assert "wOnly" not in control.blocklist  # degraded beats empty
-    assert control.failure_scores["wOnly"] >= 2
+    assert control.failure_scores["wOnly"] > BLOCKLIST_THRESHOLD
 
 
 def test_departure_clears_failure_history():
-    port, control = make_control(blocklist_threshold=2, transfer_backoff_base=0.0)
+    port, control = make_control()
     add_worker(port, control, "wBad")
     add_worker(port, control, "wOk")
-    _burn_peer(port, control, "z", "wBad", "wOk", 2)
+    _burn_peer(port, control, "z", "wBad", "wOk", BLOCKLIST_THRESHOLD)
     assert "wBad" in control.blocklist
     control.worker_left("wBad")
     assert "wBad" not in control.blocklist
@@ -175,7 +184,7 @@ def test_departure_clears_failure_history():
 
 
 def test_success_redeems_failure_score():
-    port, control = make_control(transfer_backoff_base=0.0)
+    port, control = make_control()
     add_worker(port, control, "wA")
     add_worker(port, control, "wB")
     _burn_peer(port, control, "q", "wA", "wB", 2)
@@ -191,7 +200,7 @@ def test_success_redeems_failure_score():
 
 
 def test_corrupt_transfer_discards_source_replica():
-    port, control = make_control(transfer_backoff_base=0.0)
+    port, control = make_control()
     add_worker(port, control, "wSrc")
     add_worker(port, control, "wDst")
     declared(control, "obj", MANAGER_SOURCE, 10)
@@ -209,7 +218,7 @@ def test_corrupt_transfer_discards_source_replica():
 
 
 def test_corrupt_last_temp_replica_feeds_regeneration():
-    port, control = make_control(transfer_backoff_base=0.0)
+    port, control = make_control()
     add_worker(port, control, "wSrc")
     add_worker(port, control, "wDst")
     temp = _temp(control, "mid")
@@ -327,11 +336,11 @@ def test_regeneration_impossible_without_lineage_fails_waiters():
     assert consumer.state == TaskState.FAILED
 
 
-# -- requeue backoff and fault accounting -----------------------------
+# -- requeues and fault accounting -------------------------------------
 
 
-def test_requeue_backoff_delays_replacement():
-    port, control = make_control(requeue_backoff_base=2.0)
+def test_a_requeued_task_is_placed_again_by_the_next_pump():
+    port, control = make_control()
     add_worker(port, control, "wA")
     add_worker(port, control, "wB")
     t = Task("work")
@@ -341,12 +350,8 @@ def test_requeue_backoff_delays_replacement():
     lost = t.worker_id
     control.worker_left(lost)
     assert t.state == TaskState.READY
-    assert t.not_before > port.time
-    control.pump()
-    assert t.state == TaskState.READY  # held off, not replaced yet
-    port.time = t.not_before + 0.01
-    control.pump()
-    assert t.state == TaskState.RUNNING
+    control.pump()  # no clock has to pass first
+    assert t.state == TaskState.RUNNING and t.worker_id != lost
     assert control.log.events("task_requeued")[0].category == "worker_lost"
     assert control.metrics.counter("recovery.requeues").value == 1
 

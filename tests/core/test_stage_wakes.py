@@ -11,7 +11,12 @@ many stages were planned to take it.
 
 from collections import Counter
 
-from repro.core.control_plane import NO_SOURCE, ControlPlane, LibraryState
+from repro.core.control_plane import (
+    BLOCKLIST_THRESHOLD,
+    NO_SOURCE,
+    ControlPlane,
+    LibraryState,
+)
 from repro.core.resources import Resources
 from repro.core.scheduler import Scheduler
 from repro.core.task import Task, TaskState
@@ -110,7 +115,7 @@ def test_blocklisting_the_holder_a_stage_waits_on_sends_it_to_the_source():
     # wA serves one peer at a time: the second consumer waits for its slot
     assert [(r.source, r.dest_worker) for r in port.fetches] == [("wA", "wB")]
     assert port.pushes == []
-    control._note_worker_failure("wA", weight=control.policy.blocklist_threshold)
+    control._note_worker_failure("wA", weight=BLOCKLIST_THRESHOLD)
     assert "wA" in control.blocklist
     control.pump()
     # no trusted holder is left to wait for: the manager serves it
@@ -132,7 +137,7 @@ def test_bytes_coming_home_to_the_manager_wake_the_stage_that_had_no_source():
         control.submit(t)
     control.pump()
     assert [(r.source, r.dest_worker) for r in port.fetches] == [("wA", "wB")]
-    control._note_worker_failure("wA", weight=control.policy.blocklist_threshold)
+    control._note_worker_failure("wA", weight=BLOCKLIST_THRESHOLD)
     control.pump()
     assert port.pushes == []  # the only holder is busy, and nothing else has it
     control.set_fixed_source("partial", MANAGER_SOURCE)

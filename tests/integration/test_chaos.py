@@ -9,6 +9,8 @@ byte, and the transaction log must pair each announced fault with the
 recovery it forced.
 """
 
+from collections import Counter
+
 from repro.core.task import Task, TaskState
 from repro.faults import FaultPlan, worker_fault_configs
 from tests.integration.conftest import Cluster
@@ -96,13 +98,17 @@ def test_chaos_soak_completes_with_intact_outputs(tmp_path):
 
     # every corrupt serve the workers announced was caught by checksum
     # verification and accounted as a failed transfer of that object
-    for e in (f for f in faults if f.category == "serve_corrupt"):
-        assert any(
-            r.kind == "transfer_failed"
-            and r.file == e.file
-            and r.time >= e.time
-            for r in events
-        ), f"no failure accounting for {e}"
+    # from that worker.  The serving worker's notice and the receiver's
+    # report reach the manager on two connections, so the log holds
+    # them in either order: they pair by (source, object), one to one.
     served_corrupt = [e for e in faults if e.category == "serve_corrupt"]
+    serves = Counter((e.worker, e.file) for e in served_corrupt)
+    failed = Counter(
+        (r.category, r.file) for r in events if r.kind == "transfer_failed"
+    )
+    for (source, name), n in serves.items():
+        assert failed[source, name] >= n, (
+            f"no failure accounting for a corrupt serve of {name} by {source}"
+        )
     assert metrics.counter("transfers.corrupt").value >= len(served_corrupt)
     assert metrics.counter("faults.injected").value == len(faults)

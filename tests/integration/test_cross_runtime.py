@@ -143,8 +143,12 @@ def _real_dag_run(tmp_path):
             q = Task("cat mid")
             q.add_input(mid, "mid")
             consumers.append(q)
-        for t in producers + consumers:
-            m.submit(t)
+        # one burst under the state lock: no pump runs between two
+        # submits, so the shared input cannot reach the first producer's
+        # worker and pull the next producer there by locality
+        with m._lock:
+            for t in producers + consumers:
+                m.submit(t)
         m.run_until_done(timeout=120)
         assert all(t.state == TaskState.DONE for t in producers + consumers)
         with m._lock:

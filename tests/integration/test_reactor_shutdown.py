@@ -16,8 +16,8 @@ import struct
 import threading
 import time
 
+from repro.core import control_plane
 from repro.core.manager import Manager
-from repro.core.policy import Policy
 from repro.core.resources import Resources
 from repro.core.task import Task, TaskState
 from repro.protocol.connection import Connection
@@ -213,14 +213,17 @@ def test_a_worker_whose_death_is_first_seen_on_a_write_still_leaves():
         m.close()
 
 
-def test_a_source_that_cannot_be_read_fails_its_transfer_not_the_worker(tmp_path):
+def test_a_source_that_cannot_be_read_fails_its_transfer_not_the_worker(
+    tmp_path, monkeypatch
+):
     """``declare_local`` a file, delete it, then ask for it: the push
     cannot be opened.  That is a failed transfer — retried, backed off
     and finally given up on by the control plane's rules, the consumer
     failing with the reason — while the worker goes on taking commands."""
     path = tmp_path / "vanishing.bin"
     path.write_bytes(b"soon gone" * 100)
-    m = Manager(policy=Policy(transfer_backoff_base=0.02))
+    monkeypatch.setattr(control_plane, "TRANSFER_BACKOFF_BASE", 0.02)
+    m = Manager()
     worker = ScriptedWorker(m.host, m.port)
     try:
         _wait_for(lambda: len(m.workers) == 1, "the registration")
@@ -238,7 +241,7 @@ def test_a_source_that_cannot_be_read_fails_its_transfer_not_the_worker(tmp_path
         assert str(path) in consumer.result.failure
         assert "No such file" in consumer.result.failure
         failed = m.log.events("transfer_failed")
-        assert len(failed) == m.control.policy.transfer_retries + 1
+        assert len(failed) == control_plane.TRANSFER_RETRIES + 1
         assert len(m.workers) == 1 and not m.log.events("worker_leave")
         # and the channel still works afterwards
         again = Task("true")

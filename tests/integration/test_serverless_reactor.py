@@ -14,7 +14,7 @@ import time
 
 from repro.core.library import FunctionCall
 from repro.core.resultref import ResultProxy
-from repro.core.task import Task, TaskState
+from repro.core.task import PythonTask, Task, TaskState
 
 from tests.procgroup import live_members
 
@@ -48,6 +48,30 @@ def test_library_deploy_invoke_harvest(cluster):
     # and reported how long the invocation took at the worker
     invoke = m.metrics.snapshot()["library.invoke_seconds"]
     assert invoke["count"] == len(calls) and invoke["sum"] > 0
+
+
+def test_a_library_installed_mid_stream_serves_the_rest_of_a_map(cluster):
+    """A function's first calls run as plain PythonTasks; the library
+    made of it is installed while they are still queued, and the rest of
+    the map goes to it as FunctionCalls with two slots an instance."""
+    m = cluster.manager
+
+    def double(x):
+        return x * 2
+
+    plain = [PythonTask(double, i) for i in range(2)]
+    for t in plain:
+        m.submit(t)
+    m.create_library("hot", [double], function_slots=2)
+    m.install_library("hot")
+    calls = [FunctionCall("hot", "double", i) for i in range(2, 8)]
+    for fc in calls:
+        m.submit(fc)
+    run_all(m)
+    tasks = plain + calls
+    assert all(t.state == TaskState.DONE for t in tasks)
+    assert [t.output() for t in tasks] == [i * 2 for i in range(8)]
+    assert not m.control._lib_load  # every call's slot was given back
 
 
 def test_function_result_larger_than_io_chunk(cluster):

@@ -176,6 +176,18 @@ def test_missing_input_raises(tmp_path, cache):
         sb.link_inputs(cache, [("x", "not-there")])
 
 
+def test_input_removed_under_its_entry_raises(tmp_path, cache):
+    """An object removed between the entry check and the link (an
+    ``unlink`` command racing the task) fails the setup; it is never
+    linked in as a dangling symlink the command would trip over."""
+    cache.insert_bytes(b"gone", "o", CacheLevel.WORKFLOW)
+    os.unlink(cache.path_of("o"))
+    sb = Sandbox(str(tmp_path / "sb"), "t8")
+    with pytest.raises(SandboxError, match="left the cache"):
+        sb.link_inputs(cache, [("x", "o")])
+    assert not os.path.lexists(os.path.join(sb.path, "x"))
+
+
 def test_escape_rejected(tmp_path, cache):
     cache.insert_bytes(b"x", "o", CacheLevel.WORKFLOW)
     sb = Sandbox(str(tmp_path / "sb"), "t4")
