@@ -587,7 +587,6 @@ class ControlPlane:
 
         self.outstanding = 0
         self.done_count = 0
-        self.tasks_requeued = 0
         self.transfer_counts: collections.Counter = collections.Counter()
         self.bytes_by_source: collections.Counter = collections.Counter()
         self.closed = False
@@ -595,8 +594,11 @@ class ControlPlane:
         # observability: instrument handles are resolved once here so the
         # hot paths below touch no registry locks, only the instruments'.
         # The gauges are the tables' own counts and peaks, read when a
-        # snapshot is taken: nothing below writes one.
+        # snapshot is taken: nothing below writes one.  Likewise an
+        # event is counted once, by the log: ``events.<kind>`` is its
+        # tally, so no counter below shadows an event kind.
         self.metrics = MetricsRegistry()
+        self.metrics.pulled_counters("events.", self.log.counts)
         ready, transfers = self._ready, self.transfers
         self.metrics.pulled("queue.ready_depth", lambda: (len(ready), ready.peak_depth))
         self.metrics.pulled("queue.parked", lambda: (ready.parked, ready.peak_parked))
@@ -616,37 +618,22 @@ class ControlPlane:
         self._m_sandbox = self.metrics.histogram("task.sandbox_setup_seconds")
         self._m_exec = self.metrics.histogram("task.execution_seconds")
         self._m_invoke = self.metrics.histogram("library.invoke_seconds")
-        self._m_transfers_failed = self.metrics.counter("transfers.failed")
         self._m_transfers_corrupt = self.metrics.counter("transfers.corrupt")
-        self._m_requeues = self.metrics.counter("recovery.requeues")
-        self._m_reports_ignored = self.metrics.counter("recovery.reports_ignored")
-        self._m_regens = self.metrics.counter("recovery.regenerations")
-        self._m_blocklisted = self.metrics.counter("workers.blocklisted")
-        self._m_faults = self.metrics.counter("faults.injected")
-        self._m_memo_hits = self.metrics.counter("memo.hits")
-        self._m_memo_misses = self.metrics.counter("memo.misses")
-        self._m_memo_invalidated = self.metrics.counter("memo.invalidated")
         self._m_memo_bytes = self.metrics.counter("memo.bytes_saved")
         # result fetch plane (pass-by-reference results, ROADMAP item 3)
         self._m_fetch_serves = self.metrics.counter("fetch.serves")
         self._m_fetch_bytes = self.metrics.counter("fetch.bytes")
-        self._m_fetch_retries = self.metrics.counter("fetch.retries")
         self._m_proxies = self.metrics.counter("proxy.published")
         # elastic clusters (ROADMAP item 5a): graceful drains and the
         # autoscaler's fleet decisions
-        self._m_drains = self.metrics.counter("elastic.drains_started")
-        self._m_drains_done = self.metrics.counter("elastic.drains_completed")
         self._m_drain_objects = self.metrics.counter("elastic.drain_objects_replicated")
         self._m_drain_bytes = self.metrics.counter("elastic.drain_bytes_replicated")
         self._m_drain_stranded = self.metrics.counter("elastic.drain_objects_stranded")
         self._m_scale_up = self.metrics.counter("elastic.scale_up")
         self._m_scale_down = self.metrics.counter("elastic.scale_down")
-        self._m_restarts = self.metrics.counter("recovery.manager_restarts")
-        self._m_readopted = self.metrics.counter("recovery.replicas_readopted")
         self._m_resumed = self.metrics.counter("recovery.tasks_resumed")
         self._m_restored_done = self.metrics.counter("recovery.tasks_restored_done")
         self._m_replayed = self.metrics.counter("recovery.journal_records_replayed")
-        self._m_snapshots = self.metrics.counter("journal.snapshots")
         # records ÷ fsyncs is the group-commit factor (1.0 = none)
         self._m_journal_records = self.metrics.counter("journal.records")
         self._m_journal_fsyncs = self.metrics.counter("journal.fsyncs")
@@ -680,7 +667,6 @@ class ControlPlane:
 
     def _on_journal_compact(self, lifetime: int) -> None:
         """The journal rolled a compacting snapshot."""
-        self._m_snapshots.inc()
         self.log.emit(
             self.port.now(), "journal_snapshot", size=lifetime,
         )
@@ -747,7 +733,6 @@ class ControlPlane:
             and cache_name not in self._recovery_backed
         ):
             self._recovery_backed.add(cache_name)
-            self._m_readopted.inc()
             self.log.emit(
                 self.port.now(), "replica_readopted",
                 worker=worker_id, file=cache_name, size=size,
@@ -771,10 +756,12 @@ class ControlPlane:
             self._tenant_counters[name] = {
                 "done": m.counter(f"tenant.{name}.tasks_done"),
                 "failed": m.counter(f"tenant.{name}.tasks_failed"),
-                "hits": m.counter(f"tenant.{name}.cache_hits"),
-                "regens": m.counter(f"tenant.{name}.regenerations"),
             }
             prefix = f"tenant.{name}."
+            m.pulled_counters(
+                prefix,
+                lambda: {"cache_hits": acct.cache_hits, "regenerations": acct.regens},
+            )
             m.pulled(prefix + "tasks_queued", lambda: (acct.queued, acct.peak_queued))
             m.pulled(prefix + "tasks_running", lambda: (acct.running, acct.peak_running))
             # declared bytes only ever grow: the value is the peak
@@ -832,7 +819,6 @@ class ControlPlane:
         """A tenant declared content already known to the service."""
         acct = self.tenant_account(tenant)
         acct.cache_hits += 1
-        self._tenant_counters[tenant]["hits"].inc()
         self.log.emit(
             self.port.now(), "cache_shared",
             file=cache_name, size=size, category=tenant,
@@ -929,7 +915,6 @@ class ControlPlane:
             bad = self._memo_validate(entry)
             if bad is not None:
                 self.memo.remove(entry.merkle)
-                self._m_memo_invalidated.inc()
                 self.log.emit(
                     now, "memo_invalidated",
                     task=task.task_id, file=bad, category=task.tenant,
@@ -938,7 +923,6 @@ class ControlPlane:
         if entry is not None and not self._memo_value_ok(task, entry):
             entry = None  # vetoed: the task runs, the entry stays
         if entry is None:
-            self._m_memo_misses.inc()
             self.log.emit(
                 now, "memo_miss",
                 task=task.task_id, file=task.merkle, category=task.tenant,
@@ -956,7 +940,6 @@ class ControlPlane:
                 self.set_fixed_source(name, MANAGER_SOURCE)
             saved += out.size
         self.memo.touch(entry.merkle, now)
-        self._m_memo_hits.inc()
         self._m_memo_bytes.inc(saved)
         self.log.emit(
             now, "memo_hit",
@@ -1216,7 +1199,6 @@ class ControlPlane:
         if task.worker_id != worker_id:
             # taking it would finish the attempt at work elsewhere and
             # release its placement at a worker that holds none of it
-            self._m_reports_ignored.inc()
             self.log.emit(
                 self.port.now(), "report_ignored",
                 worker=worker_id, task=task_id, category=task.worker_id,
@@ -1281,8 +1263,6 @@ class ControlPlane:
         task.state = TaskState.READY
         task.worker_id = None
         self._enqueue(task)
-        self.tasks_requeued += 1
-        (self._m_regens if kind == "file_regenerated" else self._m_requeues).inc()
         self.log.emit(
             self.port.now(), kind,
             task=task.task_id, size=task.retries_used, **fields,
@@ -1938,7 +1918,6 @@ class ControlPlane:
         key = (cache_name, source)
         self._transfer_attempts[key] += 1
         attempts = self._transfer_attempts[key]
-        self._m_transfers_failed.inc()
         self.log.emit(
             self.port.now(), "transfer_failed",
             worker=worker_id, file=cache_name, size=attempts, category=source,
@@ -2168,7 +2147,6 @@ class ControlPlane:
 
     def _fetch_retire(self, name: str, st: _Fetch, reason: str) -> None:
         """The asked holder will not serve: close its ``transfer_start``."""
-        self._m_fetch_retries.inc()
         self.log.emit(
             self.port.now(), "fetch_retried",
             worker=st.asked, file=name, category=reason,
@@ -2276,7 +2254,6 @@ class ControlPlane:
             for name, queue in self._deferred_on.items():
                 if self.replicas.has_replica(name, worker_id):
                     self._stage_dirty.update(stage for _, stage in queue)
-            self._m_blocklisted.inc()
             self.log.emit(
                 self.port.now(), "worker_blocklist",
                 worker=worker_id, size=score,
@@ -2300,7 +2277,6 @@ class ControlPlane:
         message handler) so every injection is visible in the txn log
         next to the recovery actions it provoked.
         """
-        self._m_faults.inc()
         self.log.emit(
             self.port.now(), "fault_injected",
             worker=worker_id, file=cache_name, category=category,
@@ -2458,7 +2434,6 @@ class ControlPlane:
         self.draining.add(worker_id)
         self._view_changed(worker_id)
         self._drain_stats[worker_id] = {"objects": 0, "bytes": 0}
-        self._m_drains.inc()
         self.log.emit(self.port.now(), "worker_drain", worker=worker_id)
         self._replicate_for_drain(worker_id)
         self.port.request_pump()
@@ -2532,7 +2507,6 @@ class ControlPlane:
             # worker and lineage regeneration covers any future readers
             self._m_drain_stranded.inc(len(stranded))
         self._drain_released.add(worker_id)
-        self._m_drains_done.inc()
         self.log.emit(
             self.port.now(), "worker_drained",
             worker=worker_id,
@@ -2626,7 +2600,6 @@ class ControlPlane:
             self._task_seq = itertools.count(j.max_seq + 1)
         finally:
             self._restoring = False
-        self._m_restarts.inc()
         self._m_replayed.inc(stats.replayed_records)
         self.log.emit(
             now, "manager_restart",
@@ -2857,7 +2830,6 @@ class ControlPlane:
         acct.admitted()
         acct.done -= 1  # mirrors done_count: the completion is rescinded
         acct.regens += 1
-        self._tenant_counters[producer.tenant]["regens"].inc()
         self._regenerated.add(producer.task_id)
         self._retry(producer, "file_regenerated", file=cache_name)
         return self._reclaim_inputs(producer)

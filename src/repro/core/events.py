@@ -113,11 +113,18 @@ class EventLog:
     streams the log to disk while the run is still in flight.  Sinks
     run inline under the emitter's lock, so they must be cheap and must
     not re-enter the control plane.
+
+    The log tallies its own kinds as they are appended: :meth:`count`
+    and :meth:`counts` are how many events of a kind happened, the one
+    count of that fact — the ``events.<kind>`` metrics and
+    ``repro-status`` both read it, so nothing else counts an event.
     """
 
     def __init__(self) -> None:
         self._events: list[Event] = []
         self._sinks: list = []
+        #: events appended so far, by kind (absent kind: none yet)
+        self._counts: dict[str, int] = {}
 
     @classmethod
     def from_events(cls, events) -> "EventLog":
@@ -127,6 +134,7 @@ class EventLog:
             if e.kind not in KINDS:
                 raise ValueError(f"unknown event kind {e.kind!r}")
             log._events.append(e)
+            log._counts[e.kind] = log._counts.get(e.kind, 0) + 1
         return log
 
     def attach(self, sink) -> None:
@@ -139,6 +147,7 @@ class EventLog:
             raise ValueError(f"unknown event kind {kind!r}")
         e = Event(time=time, kind=kind, **fields)
         self._events.append(e)
+        self._counts[kind] = self._counts.get(kind, 0) + 1
         for sink in self._sinks:
             sink(e)
         return e
@@ -148,6 +157,20 @@ class EventLog:
         if kind is None:
             return list(self._events)
         return [e for e in self._events if e.kind == kind]
+
+    def count(self, kind: str) -> int:
+        """How many ``kind`` events were appended (0 before the first);
+        ``kind`` must be canonical, so a misspelt one cannot read 0."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        return self._counts.get(kind, 0)
+
+    def counts(self) -> dict[str, int]:
+        """The tally of every kind appended so far, as one copy.
+
+        The copy is taken in one step, so a reader on another thread
+        than the emitter's sees a consistent tally without a lock."""
+        return self._counts.copy()
 
     def __len__(self) -> int:
         return len(self._events)

@@ -168,15 +168,6 @@ class ReplicaTable:
         """Total known bytes held by one worker — O(1) from the index."""
         return self._bytes_by_worker.get(worker_id, 0)
 
-    def workers_holding_any(self, cache_names: Iterable[str]) -> set[str]:
-        """Union of holders over ``cache_names`` (the placement candidates)."""
-        out: set[str] = set()
-        for n in cache_names:
-            w = self._workers_by_name.get(n)
-            if w:
-                out |= w
-        return out
-
     def locality_scores(self, cache_names: Iterable[str]) -> dict[str, int]:
         """Per-worker input-byte totals for one task's inputs.
 
@@ -226,11 +217,6 @@ class ReplicaTable:
         """
         held = self._names_by_worker.get(worker_id, ())
         return sum(self._sizes.get(n, 0) for n in cache_names if n in held)
-
-    def cached_count_at(self, worker_id: str, cache_names: Iterable[str]) -> int:
-        """How many of ``cache_names`` are present at a worker."""
-        held = self._names_by_worker.get(worker_id, ())
-        return sum(1 for n in cache_names if n in held)
 
     def total_names(self) -> int:
         """Number of distinct cache names with at least one replica."""

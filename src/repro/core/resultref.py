@@ -138,11 +138,6 @@ class ResultProxy:
     def cache_name(self) -> str:
         return self.ref.cache_name
 
-    def bind_fetcher(self, fetcher: Callable[[str], bytes]) -> "ResultProxy":
-        """Attach the data-plane fetcher used when no local path exists."""
-        self._fetcher = fetcher
-        return self
-
     def resolve(self) -> Any:
         """Materialize the value (memoized; thread-safe)."""
         with self._lock:

@@ -95,13 +95,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.seed, txn_log_path=args.log,
         n_workers=args.workers, n_stage=args.tasks,
     )
-    faults = stats.log.events("fault_injected")
+    count = stats.log.count
     done = sum(1 for t in tasks if t.state == TaskState.DONE)
     print(
         f"seed {args.seed}: {done}/{len(tasks)} tasks done, "
-        f"{len(faults)} faults injected, "
-        f"{len(stats.log.events('task_requeued'))} requeues, "
-        f"{len(stats.log.events('file_regenerated'))} regenerations "
+        f"{count('fault_injected')} faults injected, "
+        f"{count('task_requeued')} requeues, "
+        f"{count('file_regenerated')} regenerations "
         f"-> {args.log}"
     )
     return 0 if done == len(tasks) else 1

@@ -74,10 +74,6 @@ class BenchReporter:
             raise ValueError(f"metric {key!r} must be finite, got {value!r}")
         self.metrics[key] = value
 
-    def record_many(self, values: dict) -> None:
-        for key, value in values.items():
-            self.record(key, value)
-
     def from_stats(self, stats, prefix: str = "") -> None:
         """Record the standard series from a ``SimRunStats``-like object."""
         p = f"{prefix}_" if prefix else ""
@@ -98,24 +94,6 @@ class BenchReporter:
             governed = [v for k, v in peaks.items() if k != "@retrieve"]
             if governed:
                 self.record(f"{p}peak_transfer_concurrency", max(governed))
-
-    def from_metrics(self, registry, keys: Optional[list[str]] = None) -> None:
-        """Record control-plane metrics: cache hit rate and key latencies."""
-        snap = registry.snapshot()
-        hits = snap.get("cache.hits", {}).get("value", 0)
-        misses = snap.get("cache.misses", {}).get("value", 0)
-        if hits or misses:
-            self.record("cache_hit_rate", hits / (hits + misses))
-        for key in keys or ():
-            inst = snap.get(key)
-            if not inst:
-                continue
-            flat = key.replace(".", "_")
-            if inst.get("type") == "histogram" and inst.get("count"):
-                self.record(f"{flat}_mean", inst["mean"])
-                self.record(f"{flat}_p90", inst["p90"])
-            elif "value" in inst:
-                self.record(flat, inst["value"])
 
     # -- output --------------------------------------------------------
 

@@ -19,6 +19,7 @@ manager process, works the same for both runtimes.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import sys
 import time
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.control_plane import source_kind
-from repro.core.events import Event
+from repro.core.events import Event, EventLog
 from repro.observe.txnlog import read_transactions
 
 __all__ = [
@@ -44,16 +45,26 @@ __all__ = [
 class _WorkerReplay:
     connected: bool = True
     running: set = field(default_factory=set)
+    #: names of the libraries with an instance ready here
+    libraries: set = field(default_factory=set)
     cached_objects: int = 0
     cached_bytes: int = 0
 
 
 @dataclass
 class LogStatus:
-    """World state reconstructed from a transaction log prefix."""
+    """World state reconstructed from a transaction log prefix.
+
+    ``counts`` is the log's own per-kind tally (the one
+    ``EventLog.counts`` keeps, and ``events.<kind>`` in a metrics
+    snapshot): how many requeues, memo hits, drains … happened is read
+    from it, so a field below only holds what a count of one kind
+    cannot — sizes, a split by category, what is open right now.
+    """
 
     runtime: str = "unknown"
     horizon: float = 0.0
+    counts: collections.Counter = field(default_factory=collections.Counter)
     workers: dict[str, _WorkerReplay] = field(default_factory=dict)
     tasks_running: int = 0
     tasks_done: int = 0
@@ -62,43 +73,21 @@ class LogStatus:
     stages_open: int = 0
     stages_done: int = 0
     bytes_by_kind: dict[str, int] = field(default_factory=dict)
+    #: ready instances per library at the connected workers (a library
+    #: seen ready once stays listed, at 0 when none is ready now)
     libraries_ready: dict[str, int] = field(default_factory=dict)
     workflow_done: bool = False
-    #: chaos-run bookkeeping: injected faults by category, and the
-    #: recovery actions the control plane answered with
+    #: chaos runs: injected faults by category
     faults_by_category: dict[str, int] = field(default_factory=dict)
-    transfers_failed: int = 0
-    tasks_requeued: int = 0
-    files_regenerated: int = 0
-    workers_blocklisted: int = 0
-    #: service mode: client sessions seen attaching, requests refused,
-    #: and cross-tenant cache reuse events
-    clients_attached: int = 0
-    clients_rejected: int = 0
-    cache_shared: int = 0
-    #: persistent memoization: deterministic resubmissions served from
-    #: the store, ones that had to run, and entries invalidated at
-    #: lookup (OxyMake's rule: never serve an unsound entry)
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_invalidated: int = 0
+    #: persistent memoization: bytes the memo hits did not recompute
     memo_bytes_saved: int = 0
-    #: crash-safe manager: restarts seen in the log, journal snapshots,
-    #: and what the rejoin grace window settled on each restart
-    manager_restarts: int = 0
-    journal_snapshots: int = 0
-    workers_rejoined: int = 0
-    replicas_readopted: int = 0
-    sessions_restored: int = 0
     #: category string of the last ``recovery_complete`` event
     #: (``regenerated=N lost=N workers=J/E``), "" before any recovery
     last_recovery: str = ""
     outputs_resumed: int = 0
-    #: elastic membership: graceful drains ordered and completed, bytes
-    #: migrated off draining workers, drains that left sole-holder
-    #: objects stranded, and autoscaler decisions by direction
-    drains_started: int = 0
-    drains_completed: int = 0
+    #: elastic membership: bytes migrated off draining workers, drains
+    #: that left sole-holder objects stranded, and autoscaler decisions
+    #: by direction
     drain_bytes_migrated: int = 0
     drains_stranded: int = 0
     autoscale_up: int = 0
@@ -115,7 +104,10 @@ class LogStatus:
 
 def replay_status(events: list[Event], runtime: str = "unknown") -> LogStatus:
     """Fold an event sequence into the state at its horizon."""
-    st = LogStatus(runtime=runtime)
+    st = LogStatus(
+        runtime=runtime,
+        counts=collections.Counter(EventLog.from_events(events).counts()),
+    )
     open_tasks: set[str] = set()
     for e in events:
         st.horizon = max(st.horizon, e.time)
@@ -126,9 +118,12 @@ def replay_status(events: list[Event], runtime: str = "unknown") -> LogStatus:
             w.connected = False
             open_tasks -= w.running
             w.running = set()
+        elif e.kind in ("task_start", "task_end") and e.category == "library":
+            # a library instance (task ``<name>@<worker>``), not a task:
+            # its end takes the instance's readiness with it
+            if e.kind == "task_end" and w is not None:
+                w.libraries.discard(e.task.removesuffix(f"@{e.worker}"))
         elif e.kind == "task_start":
-            if e.category == "library":
-                st.libraries_ready.setdefault(e.category, 0)
             open_tasks.add(e.task)
             if w is not None:
                 w.running.add(e.task)
@@ -138,8 +133,6 @@ def replay_status(events: list[Event], runtime: str = "unknown") -> LogStatus:
                 st.tasks_done += 1
             if w is not None:
                 w.running.discard(e.task)
-            if e.category == "library" and e.category in st.libraries_ready:
-                pass  # library teardown; ready count handled below
         elif e.kind == "transfer_start":
             st.transfers_open += 1
         elif e.kind == "transfer_end":
@@ -166,51 +159,19 @@ def replay_status(events: list[Event], runtime: str = "unknown") -> LogStatus:
             w.cached_objects = max(0, w.cached_objects - 1)
             w.cached_bytes = max(0, w.cached_bytes - e.size)
         elif e.kind == "library_ready" and e.category is not None:
-            st.libraries_ready[e.category] = (
-                st.libraries_ready.get(e.category, 0) + 1
-            )
+            st.libraries_ready.setdefault(e.category, 0)
+            if w is not None:
+                w.libraries.add(e.category)
         elif e.kind == "fault_injected":
             st.faults_by_category[e.category or "unknown"] = (
                 st.faults_by_category.get(e.category or "unknown", 0) + 1
             )
-        elif e.kind == "transfer_failed":
-            st.transfers_failed += 1
-        elif e.kind == "task_requeued":
-            st.tasks_requeued += 1
-        elif e.kind == "file_regenerated":
-            st.files_regenerated += 1
-        elif e.kind == "worker_blocklist":
-            st.workers_blocklisted += 1
-        elif e.kind == "client_attach":
-            st.clients_attached += 1
-        elif e.kind == "client_rejected":
-            st.clients_rejected += 1
-        elif e.kind == "cache_shared":
-            st.cache_shared += 1
         elif e.kind == "memo_hit":
-            st.memo_hits += 1
             st.memo_bytes_saved += e.size
-        elif e.kind == "memo_miss":
-            st.memo_misses += 1
-        elif e.kind == "memo_invalidated":
-            st.memo_invalidated += 1
-        elif e.kind == "manager_restart":
-            st.manager_restarts += 1
-        elif e.kind == "journal_snapshot":
-            st.journal_snapshots += 1
-        elif e.kind == "worker_rejoined":
-            st.workers_rejoined += 1
-        elif e.kind == "replica_readopted":
-            st.replicas_readopted += 1
-        elif e.kind == "session_restored":
-            st.sessions_restored += 1
         elif e.kind == "recovery_complete":
             st.last_recovery = e.category or ""
             st.outputs_resumed += e.size
-        elif e.kind == "worker_drain":
-            st.drains_started += 1
         elif e.kind == "worker_drained":
-            st.drains_completed += 1
             st.drain_bytes_migrated += e.size
             if e.category == "stranded":
                 st.drains_stranded += 1
@@ -222,6 +183,10 @@ def replay_status(events: list[Event], runtime: str = "unknown") -> LogStatus:
         elif e.kind == "workflow_done":
             st.workflow_done = True
     st.tasks_running = len(open_tasks)
+    for w in st.workers.values():
+        if w.connected:
+            for name in w.libraries:
+                st.libraries_ready[name] += 1
     return st
 
 
@@ -245,7 +210,8 @@ def format_log_status(st: LogStatus, max_workers: int = 20) -> str:
             f"{name}:{n}" for name, n in sorted(st.libraries_ready.items())
         )
         lines.append(f"libraries ready: {ready}")
-    if st.faults_injected or st.transfers_failed or st.tasks_requeued:
+    n = st.counts
+    if n["fault_injected"] or n["transfer_failed"] or n["task_requeued"]:
         cats = "  ".join(
             f"{cat}:{n}" for cat, n in sorted(st.faults_by_category.items())
         )
@@ -253,35 +219,35 @@ def format_log_status(st: LogStatus, max_workers: int = 20) -> str:
             f"faults injected: {st.faults_injected}" + (f" ({cats})" if cats else "")
         )
         lines.append(
-            f"recovery: {st.transfers_failed} failed transfers, "
-            f"{st.tasks_requeued} requeues, {st.files_regenerated} regenerations, "
-            f"{st.workers_blocklisted} blocklisted"
+            f"recovery: {n['transfer_failed']} failed transfers, "
+            f"{n['task_requeued']} requeues, {n['file_regenerated']} regenerations, "
+            f"{n['worker_blocklist']} blocklisted"
         )
-    if st.clients_attached or st.clients_rejected or st.cache_shared:
+    if n["client_attach"] or n["client_rejected"] or n["cache_shared"]:
         lines.append(
-            f"clients: {st.clients_attached} attached, "
-            f"{st.clients_rejected} rejected; "
-            f"{st.cache_shared} cross-tenant cache hits"
+            f"clients: {n['client_attach']} attached, "
+            f"{n['client_rejected']} rejected; "
+            f"{n['cache_shared']} cross-tenant cache hits"
         )
-    if st.memo_hits or st.memo_misses or st.memo_invalidated:
+    if n["memo_hit"] or n["memo_miss"] or n["memo_invalidated"]:
         lines.append(
-            f"memo: {st.memo_hits} hits, {st.memo_misses} misses, "
-            f"{st.memo_invalidated} invalidated; "
+            f"memo: {n['memo_hit']} hits, {n['memo_miss']} misses, "
+            f"{n['memo_invalidated']} invalidated; "
             f"{st.memo_bytes_saved / 1e6:.1f}MB saved"
         )
-    if st.manager_restarts:
+    if n["manager_restart"]:
         lines.append(
-            f"recovery: {st.manager_restarts} manager restart(s), "
-            f"{st.workers_rejoined} workers rejoined, "
-            f"{st.replicas_readopted} replicas re-adopted, "
-            f"{st.sessions_restored} sessions restored, "
+            f"recovery: {n['manager_restart']} manager restart(s), "
+            f"{n['worker_rejoined']} workers rejoined, "
+            f"{n['replica_readopted']} replicas re-adopted, "
+            f"{n['session_restored']} sessions restored, "
             f"{st.outputs_resumed} outputs resumed"
             + (f" ({st.last_recovery})" if st.last_recovery else "")
         )
-    if st.drains_started or st.autoscale_up or st.autoscale_down:
+    if n["worker_drain"] or st.autoscale_up or st.autoscale_down:
         lines.append(
-            f"elastic: {st.drains_started} drains "
-            f"({st.drains_completed} completed, {st.drains_stranded} stranded), "
+            f"elastic: {n['worker_drain']} drains "
+            f"({n['worker_drained']} completed, {st.drains_stranded} stranded), "
             f"{st.drain_bytes_migrated / 1e6:.1f}MB migrated; "
             f"autoscale +{st.autoscale_up}/-{st.autoscale_down}"
         )

@@ -14,6 +14,12 @@ transfers in flight, a tenant's running tasks) is a
 :class:`PulledGauge`: the table records the count's high-water mark
 where the count rises, and the gauge reads value and peak from it when
 a snapshot is taken, so the table's hot path writes no instrument.
+Its counter-typed twin, :class:`PulledCounters`, does the same for
+counts an owner keeps as a family: one reader yields a dict, and the
+snapshot shows one ``<prefix><key>`` counter per entry.  The control
+plane registers one over its event log's per-kind tally
+(``events.<kind>``), so an event is counted once, by the log, and one
+over each tenant account's cache hits and regenerations.
 
 Snapshots are plain dictionaries (JSON-ready); a process that writes
 one periodically with :meth:`MetricsRegistry.dump` lets an external
@@ -36,6 +42,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "PulledGauge",
+    "PulledCounters",
     "Histogram",
     "MetricsRegistry",
 ]
@@ -123,6 +130,28 @@ class PulledGauge:
     def snapshot(self) -> dict:
         value, peak = self._read()
         return {"type": "gauge", "value": value, "max": peak}
+
+
+class PulledCounters:
+    """A family of counters whose values their owner keeps.
+
+    ``read()`` returns ``{key: value}`` as one copy (it may run on
+    another thread than the owner's, so it must not iterate a dict the
+    owner is growing); the snapshot shows each entry as a counter named
+    ``<prefix><key>``.  A key the reader does not return has no counter.
+    """
+
+    __slots__ = ("name", "_read")
+
+    def __init__(self, name: str, read: Callable[[], dict[str, float]]) -> None:
+        self.name = name
+        self._read = read
+
+    def snapshot(self) -> dict:
+        return {
+            self.name + key: {"type": "counter", "value": value}
+            for key, value in self._read().items()
+        }
 
 
 class Histogram:
@@ -227,7 +256,9 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | PulledGauge | Histogram] = {}
+        self._instruments: dict[
+            str, Counter | Gauge | PulledGauge | PulledCounters | Histogram
+        ] = {}
         self._lock = threading.Lock()
 
     def _get(self, name: str, kind, **kwargs):
@@ -253,6 +284,13 @@ class MetricsRegistry:
         :class:`PulledGauge`); a name already registered keeps its reader."""
         return self._get(name, PulledGauge, read=read)
 
+    def pulled_counters(
+        self, prefix: str, read: Callable[[], dict[str, float]]
+    ) -> PulledCounters:
+        """Counters ``<prefix><key>`` read from their owner at snapshot
+        time (see :class:`PulledCounters`)."""
+        return self._get(prefix, PulledCounters, read=read)
+
     def histogram(self, name: str, reservoir_size: int = 1024) -> Histogram:
         return self._get(name, Histogram, reservoir_size=reservoir_size)
 
@@ -264,7 +302,13 @@ class MetricsRegistry:
         """All instruments as one JSON-ready dict, keyed by name."""
         with self._lock:
             instruments = dict(self._instruments)
-        return {name: inst.snapshot() for name, inst in sorted(instruments.items())}
+        out = {}
+        for name, inst in instruments.items():
+            if isinstance(inst, PulledCounters):
+                out.update(inst.snapshot())
+            else:
+                out[name] = inst.snapshot()
+        return dict(sorted(out.items()))
 
     def dump(self, path: str) -> None:
         """Atomically write a snapshot (with a timestamp) to ``path``."""

@@ -187,7 +187,3 @@ class SimCluster:
             worker.pool.release(holder)
         for cb in list(self.leave_callbacks):
             cb(worker)
-
-    def connected_workers(self) -> list[SimWorker]:
-        """Workers currently connected, in id order."""
-        return [w for _, w in sorted(self.workers.items()) if w.connected]

@@ -216,7 +216,9 @@ class SimManager:
 
     @property
     def tasks_requeued(self) -> int:
-        return self.control.tasks_requeued
+        """Re-runs of any cause: requeued attempts and regenerations."""
+        log = self.control.log
+        return log.count("task_requeued") + log.count("file_regenerated")
 
     # ------------------------------------------------------------------
     # RuntimePort: virtual-time mechanisms behind the control plane

@@ -1,4 +1,4 @@
-"""Tests for category resource learning and status reporting."""
+"""Tests for category resource learning and simulator cancellation."""
 
 import pytest
 from hypothesis import given
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.categories import CategoryStats, CategoryTracker
 from repro.core.resources import Resources
-from repro.core.status import format_status, manager_status
 from repro.core.task import Task, TaskState
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
@@ -100,7 +99,7 @@ def test_resources_explicit_flag():
     assert t2.resources_explicit
 
 
-# -- status reporting (against the simulator) -----------------------------
+# -- sim cancellation ---------------------------------------------------------
 
 
 @pytest.fixture()
@@ -109,44 +108,6 @@ def sim_pair():
     c.add_workers(2, cores=4)
     m = SimManager(c)
     return c, m
-
-
-def test_status_counts_tasks_and_workers(sim_pair):
-    c, m = sim_pair
-    data = m.declare_dataset("d", 1000)
-    tasks = [Task(f"t{i}").add_input(data, "d") for i in range(4)]
-    for t in tasks:
-        m.submit(t, duration=1.0)
-    m.run(finalize=False)
-    status = manager_status(m)
-    assert status.tasks_by_state == {"done": 4}
-    assert status.workers_connected == 2
-    assert status.tasks_total == 4
-    assert status.files_tracked >= 1
-    assert status.replicas_total >= 1
-
-
-def test_status_formatting(sim_pair):
-    c, m = sim_pair
-    m.submit(Task("x"), duration=1.0)
-    m.run(finalize=False)
-    text = format_status(manager_status(m))
-    assert "tasks: 1" in text
-    assert "workers: 2" in text
-    assert "cache" in text
-
-
-def test_status_reports_libraries(sim_pair):
-    c, m = sim_pair
-    m.create_library("lib", startup_time=0.5)
-    m.install_library("lib")
-    m.submit(Task("x"), duration=2.0)
-    m.run(finalize=False)
-    status = manager_status(m)
-    assert status.libraries == {"lib": 2}
-
-
-# -- sim cancellation ---------------------------------------------------------
 
 
 def test_sim_cancel_ready_task(sim_pair):

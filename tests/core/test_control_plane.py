@@ -304,7 +304,7 @@ def test_worker_loss_requeues_and_regenerates_lineage():
     assert consumer.state == TaskState.READY
     assert producer.state == TaskState.READY
     assert producer.retries_used == 1
-    assert control.tasks_requeued >= 1
+    assert control.log.count("task_requeued") >= 1
     control.pump()
     assert producer.state == TaskState.RUNNING
     assert producer.worker_id == "wB"
@@ -750,7 +750,7 @@ def test_fetch_moves_on_when_the_asked_holder_leaves_or_denies():
         ("transfer_start", "wC", "@fetch"),
         ("transfer_end", "wC", "@fetch"),
     ]
-    assert control.metrics.snapshot()["fetch.retries"]["value"] == 2
+    assert control.metrics.snapshot()["events.fetch_retried"]["value"] == 2
 
 
 def _count_regenerations(control):
@@ -989,7 +989,7 @@ def test_a_report_from_another_worker_is_ignored_and_leaks_nothing():
     assert port.stored == [] and port.deleted == [("wB", "out1")]
     (ignored,) = control.log.events("report_ignored")
     assert (ignored.worker, ignored.task, ignored.category) == ("wB", t1.task_id, "wA")
-    assert control.metrics.snapshot()["recovery.reports_ignored"]["value"] == 1
+    assert control.metrics.snapshot()["events.report_ignored"]["value"] == 1
     assert violations(control) == []
     # the real report ends it, and both workers take work again
     control.attempt_ended(

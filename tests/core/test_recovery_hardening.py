@@ -147,7 +147,7 @@ def test_repeat_offender_is_blocklisted_and_skipped():
     assert "wBad" not in control.blocklist
     _burn_peer(port, control, "y", "wBad", "wOk", 1)
     assert "wBad" in control.blocklist
-    assert control.metrics.counter("workers.blocklisted").value == 1
+    assert control.metrics.snapshot()["events.worker_blocklist"]["value"] == 1
     events = control.log.events("worker_blocklist")
     assert len(events) == 1 and events[0].worker == "wBad"
     # no placements on a blocklisted worker
@@ -353,7 +353,7 @@ def test_a_requeued_task_is_placed_again_by_the_next_pump():
     control.pump()  # no clock has to pass first
     assert t.state == TaskState.RUNNING and t.worker_id != lost
     assert control.log.events("task_requeued")[0].category == "worker_lost"
-    assert control.metrics.counter("recovery.requeues").value == 1
+    assert control.metrics.snapshot()["events.task_requeued"]["value"] == 1
 
 
 def test_note_fault_is_logged_and_counted():
@@ -366,4 +366,4 @@ def test_note_fault_is_logged_and_counted():
         ("wA", "crash", None),
         ("wA", "transfer_corrupt", "obj"),
     ]
-    assert control.metrics.counter("faults.injected").value == 2
+    assert control.metrics.snapshot()["events.fault_injected"]["value"] == 2

@@ -69,8 +69,6 @@ def test_locality_scores():
     names = ["big", "small", "absent"]
     assert rt.cached_bytes_at("w1", names) == 1010
     assert rt.cached_bytes_at("w2", names) == 10
-    assert rt.cached_count_at("w1", names) == 2
-    assert rt.cached_count_at("w3", names) == 0
 
 
 def test_locate_returns_copy():

@@ -16,7 +16,7 @@ def test_demo_writes_a_replayable_chaos_log(tmp_path, capsys):
     st = replay_status(events, runtime=header["runtime"])
     assert st.workflow_done
     assert st.faults_injected > 0
-    assert st.tasks_requeued > 0
+    assert st.counts["task_requeued"] > 0
     text = format_log_status(st)
     assert "faults injected:" in text
     assert "recovery:" in text

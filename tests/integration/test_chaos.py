@@ -111,4 +111,4 @@ def test_chaos_soak_completes_with_intact_outputs(tmp_path):
             f"no failure accounting for a corrupt serve of {name} by {source}"
         )
     assert metrics.counter("transfers.corrupt").value >= len(served_corrupt)
-    assert metrics.counter("faults.injected").value == len(faults)
+    assert metrics.snapshot()["events.fault_injected"]["value"] == len(faults)

@@ -122,7 +122,7 @@ def test_manager_drain_migrates_replicas_before_departure(tmp_path):
         # and the data plane agrees: every temp is still fetchable
         for i, temp in enumerate(temps):
             assert m.fetch_bytes(temp) == f"payload-{i}\n".encode()
-        assert m.metrics.counter("recovery.regenerations").value == 0
+        assert m.log.count("file_regenerated") == 0
         assert m.metrics.counter("elastic.drain_objects_stranded").value == 0
     finally:
         cluster.stop()

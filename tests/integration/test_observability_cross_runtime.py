@@ -8,6 +8,7 @@ behind two files with the identical header schema and the identical
 timestamps and runtime-assigned identifiers.
 """
 
+import collections
 import os
 import signal
 import threading
@@ -16,6 +17,8 @@ from repro.core.control_plane import source_kind
 from repro.core.library import FunctionCall
 from repro.core.policy import Policy
 from repro.core.task import PythonTask, Task, TaskState
+from repro.faults.demo import run_chaos
+from repro.observe.cli import main as status_main
 from repro.observe.cli import replay_status
 from repro.observe.txnlog import (
     TXN_SCHEMA_VERSION,
@@ -338,3 +341,57 @@ def test_real_fetches_and_retrievals_replay_as_closed_transfers(tmp_path):
     assert status.transfers_open == 0
     starts = sum(e.kind == "transfer_start" for e in events)
     assert status.transfers_done == starts
+
+
+# -- one count, two readers -----------------------------------------------
+
+
+def test_an_event_is_counted_once_and_read_the_same_by_both_readers(
+    tmp_path, capsys
+):
+    """The log tallies its own kinds: in both runtimes every
+    ``events.<kind>`` counter of the final snapshot is the count of that
+    kind in the txn log read back, and ``repro-status`` prints those
+    same numbers."""
+    sim_path = str(tmp_path / "chaos.jsonl")
+    sm, _stats, _tasks = run_chaos(42, txn_log_path=sim_path)
+    runs = [(sim_path, sm.metrics.snapshot())]
+    real_path = str(tmp_path / "real.jsonl")
+    c = Cluster(tmp_path, n_workers=2, txn_log_path=real_path)
+    try:
+        m = c.manager
+        shared = m.declare_buffer(b"shared-dataset" * 100)
+        tasks = _submit_dag(m, shared, m.submit)
+        m.run_until_done(timeout=120)
+        assert all(t.state == TaskState.DONE for t in tasks)
+    finally:
+        c.stop()  # closes the manager, flushing workflow_done
+    runs.append((real_path, m.metrics.snapshot()))
+
+    for path, snap in runs:
+        header, events = read_transactions(path, strict=True)
+        in_log = collections.Counter(e.kind for e in events)
+        counters = {
+            name.removeprefix("events."): inst["value"]
+            for name, inst in snap.items()
+            if name.startswith("events.")
+        }
+        assert counters == in_log, header["runtime"]
+
+        def n(kind):
+            # a kind the run never emitted has no counter: it reads 0
+            return int(counters.get(kind, 0))
+
+        assert status_main([path]) == 0
+        text = capsys.readouterr().out
+        assert f"tasks: 0 running, {n('task_end')} done" in text
+        assert f", {n('transfer_end')} done; stages: " in text
+        if header["runtime"] == "sim":
+            assert n("fault_injected") and n("task_requeued")
+            assert f"faults injected: {n('fault_injected')} (" in text
+            assert (
+                f"recovery: {n('transfer_failed')} failed transfers, "
+                f"{n('task_requeued')} requeues, "
+                f"{n('file_regenerated')} regenerations, "
+                f"{n('worker_blocklist')} blocklisted"
+            ) in text

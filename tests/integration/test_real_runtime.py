@@ -383,20 +383,6 @@ def test_resource_learning_records_categories(tmp_path):
         c.stop()
 
 
-def test_status_snapshot_real_runtime(cluster):
-    from repro.core.status import format_status, manager_status
-
-    m = cluster.manager
-    data = m.declare_buffer(b"x" * 100)
-    t = Task("cat d").add_input(data, "d")
-    m.submit(t)
-    run_all(m)
-    status = manager_status(m)
-    assert status.workers_connected == 2
-    assert status.tasks_by_state.get("done") == 1
-    assert "workers: 2" in format_status(status)
-
-
 def test_python_task_numpy_payload(cluster):
     import numpy as np
 

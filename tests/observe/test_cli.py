@@ -74,10 +74,10 @@ def test_replay_folds_faults_and_recovery():
     st = replay_status(_chaos_events(), runtime="sim")
     assert st.faults_by_category == {"crash": 1, "transfer_corrupt": 1}
     assert st.faults_injected == 2
-    assert st.transfers_failed == 1
-    assert st.tasks_requeued == 1
-    assert st.files_regenerated == 1
-    assert st.workers_blocklisted == 1
+    assert st.counts["transfer_failed"] == 1
+    assert st.counts["task_requeued"] == 1
+    assert st.counts["file_regenerated"] == 1
+    assert st.counts["worker_blocklist"] == 1
 
 
 def test_format_renders_chaos_section_only_when_present():
@@ -143,3 +143,42 @@ def test_cli_renders_metrics_snapshot(tmp_path, capsys):
 def test_cli_missing_file_is_an_error(tmp_path, capsys):
     assert main([str(tmp_path / "nope.jsonl")]) == 1
     assert "repro-status" in capsys.readouterr().err
+
+
+def test_a_library_instance_is_not_a_task_and_leaves_with_its_worker():
+    """A library instance's ``task_start``/``task_end`` (category
+    ``library``) count as no task, name no library ``library``, and its
+    readiness goes when its worker does."""
+    events = [
+        Event(0.0, "worker_join", worker="w0"),
+        Event(0.5, "task_start", worker="w0", task="lib@w0", category="library"),
+        Event(1.0, "library_ready", worker="w0", category="lib"),
+    ]
+    st = replay_status(events)
+    assert (st.tasks_running, st.libraries_ready) == (0, {"lib": 1})
+    events += [
+        Event(1.5, "task_start", worker="w0", task="t1"),
+        Event(2.0, "task_end", worker="w0", task="t1"),
+        Event(3.0, "task_end", worker="w0", task="lib@w0", category="library"),
+        Event(3.0, "worker_leave", worker="w0"),
+    ]
+    st = replay_status(events)
+    assert (st.tasks_running, st.tasks_done) == (0, 1)
+    assert st.libraries_ready == {"lib": 0}
+    text = format_log_status(st)
+    assert "tasks: 0 running, 1 done" in text
+    assert "libraries ready: lib:0" in text
+
+
+def test_a_worker_leaving_takes_its_ready_libraries():
+    """The plane logs a lost worker's leave before its instances' ends."""
+    events = [
+        Event(0.0, "worker_join", worker="w0"),
+        Event(0.0, "worker_join", worker="w1"),
+        Event(1.0, "library_ready", worker="w0", category="lib"),
+        Event(1.0, "library_ready", worker="w1", category="lib"),
+        Event(2.0, "worker_leave", worker="w1"),
+        Event(2.0, "task_end", worker="w1", task="lib@w1", category="library"),
+    ]
+    st = replay_status(events)
+    assert (st.tasks_done, st.libraries_ready) == (0, {"lib": 1})

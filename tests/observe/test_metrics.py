@@ -140,3 +140,19 @@ def test_registry_snapshot_and_dump(tmp_path):
     assert payload["metrics"]["lat"]["count"] == 1
     assert "dumped_at" in payload
 
+
+
+def test_pulled_counters_expand_into_one_counter_per_key():
+    reg = MetricsRegistry()
+    tally = {}  # as its owner keeps it
+    family = reg.pulled_counters("events.", lambda: dict(tally))
+    assert reg.pulled_counters("events.", dict) is family  # keeps its reader
+    reg.counter("fetch.bytes").inc(7)
+    assert "events.memo_hit" not in reg.snapshot()  # a key absent so far
+    tally.update(memo_hit=2, fault_injected=1)
+    snap = reg.snapshot()
+    assert snap["events.memo_hit"] == {"type": "counter", "value": 2}
+    assert snap["events.fault_injected"] == {"type": "counter", "value": 1}
+    assert list(snap) == sorted(snap)  # the family sorts among the rest
+    with pytest.raises(TypeError):
+        reg.counter("events.")

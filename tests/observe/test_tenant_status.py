@@ -21,9 +21,9 @@ def _service_events():
 
 def test_replay_counts_client_activity():
     st = replay_status(_service_events(), runtime="real")
-    assert st.clients_attached == 2
-    assert st.clients_rejected == 1
-    assert st.cache_shared == 1
+    assert st.counts["client_attach"] == 2
+    assert st.counts["client_rejected"] == 1
+    assert st.counts["cache_shared"] == 1
 
 
 def test_format_mentions_client_line_only_in_service_mode():

@@ -63,6 +63,21 @@ def test_writer_as_event_log_sink(tmp_path):
     writer.close()
     rebuilt = load_event_log(path)
     assert list(rebuilt) == list(log)
+    # a log read back tallies its kinds as the live one did
+    assert rebuilt.counts() == log.counts() == {"worker_join": 1, "workflow_done": 1}
+
+
+def test_the_tally_counts_each_kind_and_refuses_an_unknown_one():
+    log = EventLog()
+    assert log.count("task_requeued") == 0
+    log.emit(1.0, "task_requeued", task="t1")
+    log.emit(2.0, "task_requeued", task="t1")
+    tally = log.counts()
+    log.emit(3.0, "memo_hit")
+    assert tally == {"task_requeued": 2}  # a copy, not a view
+    assert log.count("task_requeued") == 2 and log.count("memo_hit") == 1
+    with pytest.raises(ValueError):
+        log.count("task_requeue")  # a misspelt kind does not read 0
 
 
 def test_header_line_is_first_and_versioned(tmp_path):

@@ -94,9 +94,10 @@ def test_chaos_soak_completes_and_recovers():
             ), f"no failure accounting for {e}"
 
     # recovery machinery engaged and closed the loop
-    assert m.metrics.counter("faults.injected").value == len(faults)
+    snap = m.metrics.snapshot()
+    assert snap["events.fault_injected"]["value"] == len(faults)
     assert stats.log.events("task_requeued")
-    assert m.metrics.counter("transfers.failed").value >= len(
+    assert snap["events.transfer_failed"]["value"] >= len(
         by_category.get("transfer_fail", [])
     )
     # losing workers mid-DAG forces lineage regeneration or refetch;

@@ -106,7 +106,7 @@ def test_drain_migrates_then_departs():
     assert drained.category is None, "no sole-holder object may be stranded"
     assert drained.size > 0, "the drain must have migrated bytes"
     # the drain forced no recovery work: this is the point of draining
-    assert m.metrics.counter("recovery.regenerations").value == 0
+    assert stats.log.count("file_regenerated") == 0
     assert m.metrics.counter("elastic.drain_objects_stranded").value == 0
     assert not m.control.draining
     assert events[-1].kind == "workflow_done"
@@ -190,8 +190,8 @@ def test_autoscale_streaming_matches_static():
     assert sum(e.size for e in ups) == driver.joins
     assert sum(e.size for e in downs) == driver.drains
     # scale-downs were graceful: drains completed, nothing regenerated
-    assert m.metrics.counter("elastic.drains_completed").value == driver.drains
-    assert m.metrics.counter("recovery.regenerations").value == 0
+    assert m.metrics.snapshot()["events.worker_drained"]["value"] == driver.drains
+    assert m.control.log.count("file_regenerated") == 0
     assert scaled.outputs == static.outputs
 
 
@@ -208,16 +208,17 @@ def test_a_kill_regenerates_what_a_drain_migrates():
         m = _build(4, seed=11)
         runs[kind] = (m, _stream(m, plan=plan))
 
-    def count(kind, name):
-        return m_of[kind].metrics.counter(name).value
+    def replicated(kind):
+        return m_of[kind].metrics.counter("elastic.drain_bytes_replicated").value
+
+    def count(kind, event):
+        return m_of[kind].control.log.count(event)
 
     m_of = {kind: m for kind, (m, _result) in runs.items()}
-    assert count("drain", "elastic.drain_bytes_replicated") > 0
-    assert count("crash", "elastic.drain_bytes_replicated") == 0
-    assert count("crash", "recovery.regenerations") > count(
-        "drain", "recovery.regenerations"
-    )
-    assert count("crash", "recovery.requeues") >= count("drain", "recovery.requeues")
+    assert replicated("drain") > 0
+    assert replicated("crash") == 0
+    assert count("crash", "file_regenerated") > count("drain", "file_regenerated")
+    assert count("crash", "task_requeued") >= count("drain", "task_requeued")
     assert runs["crash"][1].outputs == runs["drain"][1].outputs
 
 
