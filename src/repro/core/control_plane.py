@@ -108,6 +108,9 @@ BLOCKLIST_THRESHOLD = 5
 FETCH_TTL = 300.0
 #: ready tasks one placement pass may fail to place before it stops
 PLACEMENT_WINDOW = 64
+#: most cache names one ``delete_replica`` call carries (one ``unlink``
+#: frame: a few hundred KiB, far below the wire's message ceiling)
+UNLINK_BATCH = 4096
 
 
 class ManagerError(RuntimeError):
@@ -175,8 +178,9 @@ class RuntimePort(Protocol):
         """Persist a new replica into the worker's cache model (may evict)."""
         ...
 
-    def delete_replica(self, worker_id: str, cache_name: str) -> None:
-        """Remove a garbage-collected object from the worker's cache."""
+    def delete_replica(self, worker_id: str, cache_names: list[str]) -> None:
+        """Remove garbage-collected objects from one worker's cache (at
+        most :data:`UNLINK_BATCH`; a single deletion is a list of one)."""
         ...
 
     def deliver(self, task: Task, ref: Optional[ResultRef]) -> None:
@@ -1201,7 +1205,7 @@ class ControlPlane:
             # release its placement at a worker that holds none of it
             self.log.emit(
                 self.port.now(), "report_ignored",
-                worker=worker_id, task=task_id, category=task.worker_id,
+                worker=worker_id, task=task.task_id, category=task.worker_id,
             )
             return None
         self._pop_running(task_id)
@@ -1210,8 +1214,8 @@ class ControlPlane:
         # registration cannot evict the inputs the task just consumed
         task.finished_at = self.port.now()
         self.log.emit(
-            self.port.now(), "task_end",
-            worker=worker_id, task=task_id, category=task.category,
+            task.finished_at, "task_end",
+            worker=worker_id, task=task.task_id, category=task.category,
         )
         self.categories.record(
             task.category,
@@ -1294,17 +1298,24 @@ class ControlPlane:
 
         ``produced`` lists the ``(cache name, size)`` of the outputs the
         report says the attempt left in the worker's cache; they become
-        replicas once the attempt stands.  A report that does not stand
-        leaves none: what is neither held nor on its way there is unlinked.
+        replicas once the attempt stands, keyed by the registry's own
+        strings.  A report that does not stand leaves none: what is
+        neither held nor on its way there is unlinked.
         """
         task = self.on_task_result(worker_id, task_id, result)
         if task is None:
-            for name, _ in produced:
-                held = self.replicas.has_replica(name, worker_id)
-                if not (held or self.transfers.in_flight(name, worker_id)):
-                    self.port.delete_replica(worker_id, name)
+            stray = [
+                name for name, _ in produced
+                if not (
+                    self.replicas.has_replica(name, worker_id)
+                    or self.transfers.in_flight(name, worker_id)
+                )
+            ]
+            if stray:
+                self.port.delete_replica(worker_id, stray)
             return
         for name, size in produced:
+            name = self.registry.own_name(name)
             self.sizes[name] = size
             if name in self.registry:
                 self.registry.by_name(name).size = size
@@ -1407,7 +1418,7 @@ class ControlPlane:
             # left the cluster unless asked to stay
             self.set_fixed_source(name, MANAGER_SOURCE)
             if not f.keep_at_worker and self.replicas.has_replica(name, holder):
-                self.port.delete_replica(holder, name)
+                self.port.delete_replica(holder, [name])
                 self.replica_evicted(holder, name)
         else:
             self.port.decode_value(task, payload, task.result)
@@ -1554,7 +1565,7 @@ class ControlPlane:
         for name in names:  # attachment order, not the set's
             if name in doomed:
                 for holder in self.replicas.forget_name(name):
-                    self.port.delete_replica(holder, name)
+                    self.port.delete_replica(holder, [name])
                     self.log.emit(
                         self.port.now(), "file_deleted", worker=holder, file=name
                     )
@@ -1874,6 +1885,7 @@ class ControlPlane:
         transfer_id: Optional[str] = None,
     ) -> None:
         """A worker reported a newly cached object (possibly a transfer)."""
+        cache_name = self.registry.own_name(cache_name)
         self.sizes[cache_name] = size
         if cache_name in self.registry:
             self.registry.by_name(cache_name).size = size
@@ -1897,6 +1909,7 @@ class ControlPlane:
         (feeding lineage regeneration when it was the last copy) rather
         than as a defect of the destination or of the task.
         """
+        cache_name = self.registry.own_name(cache_name)
         self.replicas.remove_replica(cache_name, worker_id)
         self._mark_stage_dirty(cache_name)
         j = self._j()
@@ -1930,7 +1943,7 @@ class ControlPlane:
                 cache_name, source
             ):
                 self.replicas.remove_replica(cache_name, source)
-                self.port.delete_replica(source, cache_name)
+                self.port.delete_replica(source, [cache_name])
                 self.log.emit(
                     self.port.now(), "file_deleted",
                     worker=source, file=cache_name, category="corrupt",
@@ -1947,7 +1960,7 @@ class ControlPlane:
                 # every holder burned its budget: those replicas are
                 # effectively lost — fall back to lineage regeneration
                 for holder in self.replicas.forget_name(cache_name):
-                    self.port.delete_replica(holder, cache_name)
+                    self.port.delete_replica(holder, [cache_name])
                     self.log.emit(
                         self.port.now(), "file_deleted",
                         worker=holder, file=cache_name, category="exhausted",
@@ -2310,7 +2323,9 @@ class ControlPlane:
         self._view_changed(worker_id)
         self.log.emit(self.port.now(), "worker_join", worker=worker_id)
         for cache_name, size in cached:
-            self.adopt_replica(worker_id, cache_name, int(size))
+            self.adopt_replica(
+                worker_id, self.registry.own_name(cache_name), int(size)
+            )
         if self._recovering or rejoin:
             if self._recovering:
                 self._recovery_joined += 1
@@ -2774,17 +2789,15 @@ class ControlPlane:
         deletions = collect_workflow(self.registry, self.replicas)
         # a fixed order — worker by worker, each in declaration order —
         # keeps the log of a seeded run replayable
-        declared = self.registry.in_declaration_order(
-            set().union(*deletions.values())
-        )
-        rank = {name: i for i, name in enumerate(declared)}
         for worker_id in sorted(deletions):
-            for name in sorted(deletions[worker_id], key=rank.__getitem__):
-                self.port.delete_replica(worker_id, name)
-                self.log.emit(
-                    self.port.now(), "file_deleted", worker=worker_id, file=name
-                )
-                self.replicas.remove_replica(name, worker_id)
+            names = deletions[worker_id]
+            for start in range(0, len(names), UNLINK_BATCH):
+                batch = names[start : start + UNLINK_BATCH]
+                self.port.delete_replica(worker_id, batch)
+                now = self.port.now()
+                for name in batch:
+                    self.log.emit(now, "file_deleted", worker=worker_id, file=name)
+                    self.replicas.remove_replica(name, worker_id)
         self.log.emit(self.port.now(), "workflow_done")
         self.replicas.take_emptied()  # no pass will ask what was lost
 

@@ -94,6 +94,9 @@ class File:
     #: id of the task that produces this file, stamped at its submit:
     #: the lineage a lost replica is regenerated through
     producer_task_id: Optional[str] = None
+    #: how many names a registry knew before this file's, stamped when
+    #: it registers a name first: its place in declaration order
+    rank: Optional[int] = None
 
     def __init__(self, cache: "CacheLevel | str" = CacheLevel.WORKFLOW) -> None:
         self.file_id: str = f"f{next(_file_ids)}"
@@ -218,7 +221,10 @@ class FileRegistry:
         if f.cache_name is None:
             raise ValueError(f"file {f.file_id} has no cache name yet")
         self._by_id[f.file_id] = f
+        known = len(self._by_name)
         canonical = self._by_name.setdefault(f.cache_name, f)
+        if len(self._by_name) > known:
+            f.rank = known
         return canonical
 
     def by_id(self, file_id: str) -> File:
@@ -228,6 +234,17 @@ class FileRegistry:
     def by_name(self, cache_name: str) -> File:
         """Look up the canonical file for a cache name (KeyError if unknown)."""
         return self._by_name[cache_name]
+
+    def own_name(self, cache_name: str) -> str:
+        """The registry's own string for a declared name, else
+        ``cache_name`` itself.
+
+        A name decoded from a worker's report is a second copy of one
+        the manager already holds; tables keyed by the registry's copy
+        store each name once.
+        """
+        f = self._by_name.get(cache_name)
+        return cache_name if f is None else f.cache_name
 
     def __contains__(self, cache_name: str) -> bool:
         return cache_name in self._by_name
@@ -241,20 +258,27 @@ class FileRegistry:
         Recovery paths that iterate set-valued queries (a departed
         worker's lost replicas, say) would otherwise walk cache names in
         hash order of their run-scoped nonces, making two identically
-        seeded runs recover — and log — in different orders.
+        seeded runs recover — and log — in different orders.  Names the
+        registry does not know come last, in the order given.
         """
-        index = {name: i for i, name in enumerate(self._by_name)}
-        return sorted(names, key=lambda n: index.get(n, len(index)))
+        by_name, unknown = self._by_name, len(self._by_name)
 
-    def names_at_level(self, *levels: CacheLevel) -> set[str]:
-        """All cache names whose canonical file has one of ``levels``."""
+        def rank(name: str) -> int:
+            f = by_name.get(name)
+            return unknown if f is None else f.rank
+
+        return sorted(names, key=rank)
+
+    def names_at_level(self, *levels: CacheLevel) -> list[str]:
+        """Every cache name whose canonical file has one of ``levels``,
+        in declaration order."""
         wanted = set(levels)
-        return {
+        return [
             name for name, f in self._by_name.items() if f.cache_level in wanted
-        }
+        ]
 
-    def collectable_names(self) -> set[str]:
-        """Cache names safe to delete at workflow end.
+    def collectable_names(self) -> list[str]:
+        """Cache names safe to delete at workflow end, in declaration order.
 
         ``WORKER``-lifetime files are excluded: they persist for future
         workflows (paper §3.2).

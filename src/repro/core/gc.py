@@ -34,17 +34,17 @@ class CacheEntryInfo:
 
 def collect_workflow(
     registry: FileRegistry, replicas: ReplicaTable
-) -> dict[str, set[str]]:
-    """Deletions to issue at workflow end: worker id → cache names.
+) -> dict[str, list[str]]:
+    """Deletions to issue at workflow end: worker id → cache names, each
+    worker's in declaration order.
 
     Includes every replica of every ``TASK``/``WORKFLOW``-lifetime file;
     ``WORKER``-lifetime files are never collected here.
     """
-    doomed = registry.collectable_names()
-    deletions: dict[str, set[str]] = {}
-    for name in doomed:
+    deletions: dict[str, list[str]] = {}
+    for name in registry.collectable_names():
         for worker_id in replicas.locate(name):
-            deletions.setdefault(worker_id, set()).add(name)
+            deletions.setdefault(worker_id, []).append(name)
     return deletions
 
 

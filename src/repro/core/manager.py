@@ -845,6 +845,9 @@ class Manager:
 
         self.workers: dict[str, _WorkerHandle] = {}
         self._completed: "queue.Queue[Task]" = queue.Queue()
+        #: completions the loop delivered in this sweep, handed to
+        #: ``wait()`` once its one journal sync covers their records
+        self._delivered: list[Task] = []
 
         # network traffic accounting (docs/observability.md "net.*")
         m = self.control.metrics
@@ -1064,8 +1067,8 @@ class Manager:
     ) -> None:
         pass  # real workers persist to disk before reporting cache-update
 
-    def delete_replica(self, worker_id: str, cache_name: str) -> None:
-        self._tell(worker_id, {"type": M.UNLINK, "cache_name": cache_name})
+    def delete_replica(self, worker_id: str, cache_names: list[str]) -> None:
+        self._tell(worker_id, {"type": M.UNLINK, "cache_names": cache_names})
 
     def ask_holder(self, worker_id: str, cache_name: str) -> None:
         self._tell(worker_id, {"type": M.SEND_BACK, "cache_name": cache_name})
@@ -1088,8 +1091,15 @@ class Manager:
                 task.set_output_value(
                     ResultProxy(ref, fetcher=self._fetch_result_bytes)
                 )
-            if self.journal is not None:
-                self.journal.sync()
+            if self.journal is not None and self.reactor.on_loop():
+                self._delivered.append(task)  # after before_write's sync
+            else:
+                self._completed.put(task)  # this thread's records are synced
+
+    def _hand_over_delivered(self) -> None:
+        """Let ``wait()`` see the loop's completions (records on disk)."""
+        delivered, self._delivered = self._delivered, []
+        for task in delivered:
             self._completed.put(task)
 
     # -- memoization mechanisms ------------------------------------------
@@ -1450,6 +1460,9 @@ class Manager:
             # set, and no message is handed over once this returns
             self.reactor.stop(drain=CLOSE_DRAIN_SECONDS)
         self._teardown()
+        # what a sweep cut short by the stop delivered: closing the
+        # journal synced its records
+        self._hand_over_delivered()
 
     def crash(self) -> None:
         """Die abruptly, as ``kill -9`` would: no workflow GC, no
@@ -1578,7 +1591,8 @@ class Manager:
     def before_write(self) -> None:
         """Once per reactor sweep, after its reads and timers: run the
         pump the sweep owes, then make the sweep's journal records
-        durable — the one gate in front of every socket write."""
+        durable — the one gate in front of every socket write and of
+        every completion the application sees."""
         with self._lock:
             if self._pump_wanted:
                 self._pump_wanted = False
@@ -1590,6 +1604,7 @@ class Manager:
                     self.reactor.wake()
             if self.journal is not None:
                 self.journal.sync()
+                self._hand_over_delivered()
 
     def sweep_done(self, seconds: float) -> None:
         self._m_queued.set(self.reactor.queued_bytes)

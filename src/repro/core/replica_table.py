@@ -17,23 +17,37 @@ the scheduler's hot path never rescans state:
   (O(replicas-of-inputs)) instead of probing every worker.
 
 Every mutation prunes exhausted entries: a name with no surviving
-replica drops its worker set *and* its recorded size, and a worker with
+replica drops its holders *and* its recorded size, and a worker with
 no holdings drops its name set and byte total — a long-lived manager's
 table is bounded by live replicas, not by everything it ever saw.
+
+Most names have one holder (a task's outputs, before anything reads
+them), so a name held by one worker maps to that worker's id; a set of
+ids is made at the second holder and folds back to the id when one is
+left.  The shape is private: every query answers as if each name had a
+set, and :meth:`locate` hands out a fresh one.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable, Optional, Union
 
 __all__ = ["ReplicaTable"]
+
+#: a name's holders: the one worker's id, or a set of two or more ids
+_Holders = Union[str, set[str]]
+
+
+def _each(holders: _Holders) -> "tuple[str] | set[str]":
+    """The worker ids of either shape, to iterate."""
+    return (holders,) if holders.__class__ is str else holders
 
 
 class ReplicaTable:
     """Bidirectional index of (cache name ↔ worker) replica facts."""
 
     def __init__(self) -> None:
-        self._workers_by_name: dict[str, set[str]] = {}
+        self._workers_by_name: dict[str, _Holders] = {}
         self._names_by_worker: dict[str, set[str]] = {}
         self._sizes: dict[str, int] = {}
         #: incremental per-worker byte totals (sum of known sizes held)
@@ -58,15 +72,24 @@ class ReplicaTable:
                 f"size mismatch for {cache_name}: {known} vs {size} "
                 "(files are immutable)"
             )
-        holders = self._workers_by_name.setdefault(cache_name, set())
-        newly_held = worker_id not in holders
+        holders = self._workers_by_name.get(cache_name)
+        if holders is None:
+            holders = self._workers_by_name[cache_name] = worker_id
+            newly_held = True
+        elif holders.__class__ is str:
+            newly_held = holders != worker_id
+            if newly_held:
+                holders = self._workers_by_name[cache_name] = {holders, worker_id}
+        else:
+            newly_held = worker_id not in holders
+            if newly_held:
+                holders.add(worker_id)
         if newly_held:
-            holders.add(worker_id)
             self._names_by_worker.setdefault(worker_id, set()).add(cache_name)
         if size is not None and known is None:
             self._sizes[cache_name] = size
             if size:
-                for w in holders:
+                for w in _each(holders):
                     self._bytes_by_worker[w] = self._bytes_by_worker.get(w, 0) + size
         elif newly_held:
             s = self._sizes.get(cache_name, 0)
@@ -77,49 +100,50 @@ class ReplicaTable:
 
     def remove_replica(self, cache_name: str, worker_id: str) -> None:
         """Forget one replica; idempotent if already absent."""
-        workers = self._workers_by_name.get(cache_name)
-        if workers is None or worker_id not in workers:
+        if not self.has_replica(cache_name, worker_id):
             return
-        workers.discard(worker_id)
         self._debit(worker_id, cache_name)
-        names = self._names_by_worker.get(worker_id)
-        if names is not None:
-            names.discard(cache_name)
-            if not names:
-                del self._names_by_worker[worker_id]
-        if not workers:
-            del self._workers_by_name[cache_name]
-            self._sizes.pop(cache_name, None)
-            self._emptied.append(cache_name)
+        names = self._names_by_worker[worker_id]
+        names.discard(cache_name)
+        if not names:
+            del self._names_by_worker[worker_id]
+        self._unhold(cache_name, worker_id)
 
     def remove_worker(self, worker_id: str) -> set[str]:
         """Drop every replica held by a departed worker; returns the names."""
         names = self._names_by_worker.pop(worker_id, set())
         self._bytes_by_worker.pop(worker_id, None)
         for name in names:
-            workers = self._workers_by_name.get(name)
-            if workers is not None:
-                workers.discard(worker_id)
-                if not workers:
-                    del self._workers_by_name[name]
-                    self._sizes.pop(name, None)
-                    self._emptied.append(name)
+            self._unhold(name, worker_id)
         return names
 
     def forget_name(self, cache_name: str) -> set[str]:
         """Drop every replica of a file (e.g. after garbage collection)."""
-        workers = self._workers_by_name.pop(cache_name, set())
+        holders = self._workers_by_name.pop(cache_name, None)
+        workers = set() if holders is None else set(_each(holders))
         if workers:
             self._emptied.append(cache_name)
         for w in workers:
             self._debit(w, cache_name)
-            names = self._names_by_worker.get(w)
-            if names is not None:
-                names.discard(cache_name)
-                if not names:
-                    del self._names_by_worker[w]
+            names = self._names_by_worker[w]
+            names.discard(cache_name)
+            if not names:
+                del self._names_by_worker[w]
         self._sizes.pop(cache_name, None)
         return workers
+
+    def _unhold(self, cache_name: str, worker_id: str) -> None:
+        """Take one holder (it is one) off a name's holders; the last
+        one takes the name and its size with it."""
+        holders = self._workers_by_name[cache_name]
+        if holders.__class__ is str:
+            del self._workers_by_name[cache_name]
+            self._sizes.pop(cache_name, None)
+            self._emptied.append(cache_name)
+            return
+        holders.discard(worker_id)
+        if len(holders) == 1:
+            (self._workers_by_name[cache_name],) = holders
 
     def _debit(self, worker_id: str, cache_name: str) -> None:
         """Subtract one replica's bytes from a worker's running total."""
@@ -142,7 +166,8 @@ class ReplicaTable:
 
     def locate(self, cache_name: str) -> set[str]:
         """Workers currently holding a replica (copy; may be empty)."""
-        return set(self._workers_by_name.get(cache_name, ()))
+        holders = self._workers_by_name.get(cache_name)
+        return set() if holders is None else set(_each(holders))
 
     def holdings(self, worker_id: str) -> set[str]:
         """Cache names held by one worker (copy; may be empty)."""
@@ -150,11 +175,17 @@ class ReplicaTable:
 
     def has_replica(self, cache_name: str, worker_id: str) -> bool:
         """True if the specific worker holds the file."""
-        return worker_id in self._workers_by_name.get(cache_name, ())
+        holders = self._workers_by_name.get(cache_name)
+        if holders.__class__ is str:
+            return holders == worker_id
+        return holders is not None and worker_id in holders
 
     def replica_count(self, cache_name: str) -> int:
         """Number of workers holding the file."""
-        return len(self._workers_by_name.get(cache_name, ()))
+        holders = self._workers_by_name.get(cache_name)
+        if holders.__class__ is str:
+            return 1
+        return 0 if holders is None else len(holders)
 
     def size_of(self, cache_name: str, default: int = 0) -> int:
         """Known size in bytes, or ``default`` if never reported.
@@ -201,7 +232,13 @@ class ReplicaTable:
             if not size:
                 continue
             holders = holders_of.get(n)
-            if not holders:
+            if holders is None:
+                continue
+            if holders.__class__ is str:
+                # a sole holder is all of ``among`` only if it is all there is
+                if n_among == 0 or (n_among == 1 and holders in among):
+                    continue
+                scores[holders] = scores.get(holders, 0) + size
                 continue
             if len(holders) >= n_among >= 0 and among <= holders:
                 continue  # held by every worker of ``among``
@@ -224,7 +261,7 @@ class ReplicaTable:
 
     def total_replicas(self) -> int:
         """Number of (file, worker) replica pairs cluster-wide."""
-        return sum(len(w) for w in self._workers_by_name.values())
+        return sum(map(len, self._names_by_worker.values()))
 
     def names(self) -> set[str]:
         """All cache names with at least one replica (copy)."""

@@ -110,7 +110,8 @@ _SCHEMA: Mapping[str, tuple[str, ...]] = {
     M.STAGE_MINITASK: ("cache_name", "spec", "level", "transfer_id"),
     M.EXECUTE: ("task_id", "command", "inputs", "outputs", "resources"),
     M.SEND_BACK: ("cache_name",),
-    M.UNLINK: ("cache_name",),
+    # a list of names: workflow end unlinks a worker's objects in one frame
+    M.UNLINK: ("cache_names",),
     M.INSTALL_LIBRARY: ("library", "functions", "payload_size", "task_id"),
     # "result_name" is the cache name the worker stores the result
     # envelope under: results travel by reference, never in the reply

@@ -362,10 +362,11 @@ class SimManager:
                 self.evictions += 1
         worker.insert(cache_name, size, level, self.sim.now)
 
-    def delete_replica(self, worker_id: str, cache_name: str) -> None:
+    def delete_replica(self, worker_id: str, cache_names: list[str]) -> None:
         worker = self.cluster.workers.get(worker_id)
         if worker is not None:
-            worker.remove(cache_name)
+            for name in cache_names:
+                worker.remove(name)
 
     def deliver(self, task: Task, ref) -> None:
         pass  # applications read task state directly after run()

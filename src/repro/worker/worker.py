@@ -589,7 +589,8 @@ class Worker:
             os.unlink(tar_path)  # an open tar outlives its name
 
     def _handle_unlink(self, msg: dict) -> None:
-        self.cache.remove(msg["cache_name"])
+        for name in msg["cache_names"]:
+            self.cache.remove(name)
 
     def _handle_cancel(self, msg: dict) -> None:
         with self._procs_lock:

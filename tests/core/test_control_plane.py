@@ -84,8 +84,8 @@ class FakePort:
     def store_replica(self, worker_id, cache_name, size, level):
         self.stored.append((worker_id, cache_name, size))
 
-    def delete_replica(self, worker_id, cache_name):
-        self.deleted.append((worker_id, cache_name))
+    def delete_replica(self, worker_id, cache_names):
+        self.deleted.extend((worker_id, name) for name in cache_names)
 
     def deliver(self, task, ref):
         self.delivered.append(task)

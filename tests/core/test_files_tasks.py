@@ -70,8 +70,8 @@ def test_registry_collectable_names():
         f = BufferFile(f"{i}".encode(), cache=level)
         f.cache_name = f"n{i}"
         reg.register(f)
-    assert reg.collectable_names() == {"n0", "n1"}
-    assert reg.names_at_level(CacheLevel.WORKER) == {"n2"}
+    assert reg.collectable_names() == ["n0", "n1"]  # declaration order
+    assert reg.names_at_level(CacheLevel.WORKER) == ["n2"]
 
 
 # -- tasks ---------------------------------------------------------------

@@ -46,7 +46,24 @@ def test_collect_workflow_spares_worker_level():
         rt.add_replica(name, "w1")
         rt.add_replica(name, "w2")
     deletions = collect_workflow(reg, rt)
-    assert deletions == {"w1": {"t", "wf"}, "w2": {"t", "wf"}}
+    assert deletions == {"w1": ["t", "wf"], "w2": ["t", "wf"]}
+
+
+def test_collect_workflow_lists_each_worker_in_declaration_order():
+    # declared out of name order, held out of declaration order
+    reg = reg_with(
+        {
+            "z": CacheLevel.WORKFLOW,
+            "m": CacheLevel.TASK,
+            "keep": CacheLevel.WORKER,
+            "a": CacheLevel.WORKFLOW,
+        }
+    )
+    rt = ReplicaTable()
+    for name, holders in (("a", "w1 w2"), ("keep", "w1"), ("m", "w2"), ("z", "w2 w1")):
+        for w in holders.split():
+            rt.add_replica(name, w)
+    assert collect_workflow(reg, rt) == {"w2": ["z", "m", "a"], "w1": ["z", "a"]}
 
 
 def test_collect_workflow_empty_when_nothing_cached():

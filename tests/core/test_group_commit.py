@@ -20,6 +20,7 @@ import pytest
 from repro.core.journal import Journal
 from repro.core.manager import Manager
 from repro.core.reactor import Reactor
+from repro.core.task import Task
 from repro.protocol.messages import M
 from repro.service.client import ClientError, ServiceClient
 from repro.worker.scripted import ScriptedWorker
@@ -279,3 +280,56 @@ def test_bare_journal_keeps_fsync_per_append(tmp_path, monkeypatch):
     j.close()
     records, stats = Journal(str(tmp_path / "j")).replay()
     assert len(records) == 10 and stats.torn_bytes == 0
+
+
+def test_library_mode_completions_wait_for_the_sweeps_one_fsync(tmp_path, monkeypatch):
+    """``wait()`` hears of a completion only after the fsync that covers
+    its ``done`` record, and that is the sweep's one fsync: completions
+    that share a sweep share it, however many there are."""
+    mgr = Manager(journal_dir=str(tmp_path / "journal"))
+    workers = [ScriptedWorker(mgr.host, mgr.port) for _ in range(4)]
+    try:
+        timeline = _Timeline(monkeypatch, mgr)
+        inner_put = mgr._completed.put
+
+        def put(task, *args, **kwargs):
+            timeline._add("visible", task.task_id, threading.current_thread())
+            return inner_put(task, *args, **kwargs)
+
+        mgr._completed.put = put
+        n = 400
+        for _ in range(n):
+            task = Task("noop")
+            task.add_output(mgr.declare_temp(), "out")
+            mgr.submit(task)
+        for _ in range(n):
+            assert mgr.wait(timeout=30.0) is not None
+        events = timeline.snapshot()
+    finally:
+        for w in workers:
+            w.close()
+        mgr.close()
+
+    reactor = mgr.reactor.thread
+    sweeps, fsyncs, records = [], 0, 0
+    for kind, _what, thread in events:
+        if thread is reactor and kind == "fsync":
+            fsyncs += 1
+        elif thread is reactor and kind == "append":
+            records += 1
+        elif kind == "sweep_end":
+            sweeps.append((records, fsyncs))
+            records = fsyncs = 0
+    assert all(f <= 1 for _r, f in sweeps), sweeps
+    assert sum(r for r, _f in sweeps) >= n  # a done record per task at least
+    assert sum(f for _r, f in sweeps) < n  # completions shared their fsyncs
+
+    done_at = {
+        rec["id"]: i
+        for i, (kind, rec, _t) in enumerate(events)
+        if kind == "append" and rec["op"] == "done"
+    }
+    visible = [(i, tid) for i, (kind, tid, _t) in enumerate(events) if kind == "visible"]
+    assert len(visible) == n
+    for i, tid in visible:
+        assert done_at[tid] < i and _covered(events, done_at[tid], i), tid

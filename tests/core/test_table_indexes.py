@@ -126,6 +126,26 @@ def test_size_pruned_with_last_replica():
     assert table._names_by_worker == {}  # empty sets pruned too
 
 
+def test_a_sole_holder_is_stored_as_its_id_and_read_as_a_set():
+    table = ReplicaTable()
+    table.add_replica("f", "w0", size=5)
+    assert table._workers_by_name == {"f": "w0"}  # no set for one holder
+    assert table.locate("f") == {"w0"} and table.has_replica("f", "w0")
+    assert not table.has_replica("f", "w") and table.replica_count("f") == 1
+    table.add_replica("f", "w1")
+    assert table._workers_by_name == {"f": {"w0", "w1"}}
+    table.remove_replica("f", "w0")
+    assert table._workers_by_name == {"f": "w1"}  # back to the id
+    assert table.bytes_at("w1") == 5 and table.bytes_at("w0") == 0
+    # a sole holder is all of ``among`` only when ``among`` is just it
+    assert table.locality_scores_among(["f"], {"w1"}) == {}
+    assert table.locality_scores_among(["f"], set()) == {}
+    assert table.locality_scores_among(["f"], {"w1", "w2"}) == {"w1": 5}
+    assert table.locality_scores_among(["f"], {"w2"}) == {"w1": 5}
+    assert table.total_replicas() == 1
+    assert table.forget_name("f") == {"w1"} and table._workers_by_name == {}
+
+
 def test_late_size_credits_existing_holders():
     table = ReplicaTable()
     table.add_replica("f", "w0")

@@ -27,7 +27,8 @@ def test_a_resource_exceeded_retry_leaves_no_replica_of_the_first_attempt():
             while True:
                 msg = conn.recv_message()
                 if msg["type"] == M.UNLINK:
-                    received.append((M.UNLINK, msg["cache_name"]))
+                    (unlinked,) = msg["cache_names"]
+                    received.append((M.UNLINK, unlinked))
                 elif msg["type"] == M.EXECUTE:
                     (_sandbox, name, _level), = msg["outputs"]
                     first = not received

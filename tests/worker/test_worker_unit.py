@@ -328,7 +328,7 @@ def test_unlink_removes_object(rig):
     fake, worker = rig
     fake.wait_for(M.REGISTER)
     worker.cache.insert_bytes(b"x", "gone-soon", CacheLevel.WORKFLOW)
-    fake.send({"type": M.UNLINK, "cache_name": "gone-soon"})
+    fake.send({"type": M.UNLINK, "cache_names": ["gone-soon"]})
     deadline = time.time() + 10
     while worker.cache.has("gone-soon") and time.time() < deadline:
         time.sleep(0.02)
