@@ -846,7 +846,7 @@ class Manager:
         self.workers: dict[str, _WorkerHandle] = {}
         self._completed: "queue.Queue[Task]" = queue.Queue()
         #: completions the loop delivered in this sweep, handed to
-        #: ``wait()`` once its one journal sync covers their records
+        #: ``wait()`` by ``before_write`` after the sweep's journal sync
         self._delivered: list[Task] = []
 
         # network traffic accounting (docs/observability.md "net.*")
@@ -1091,7 +1091,7 @@ class Manager:
                 task.set_output_value(
                     ResultProxy(ref, fetcher=self._fetch_result_bytes)
                 )
-            if self.journal is not None and self.reactor.on_loop():
+            if self.reactor.on_loop():
                 self._delivered.append(task)  # after before_write's sync
             else:
                 self._completed.put(task)  # this thread's records are synced
@@ -1315,7 +1315,8 @@ class Manager:
     def empty(self) -> bool:
         """True when no submitted task remains incomplete."""
         with self._lock:
-            return self.control.outstanding == 0
+            # a completion counts until ``wait()`` can see it
+            return self.control.outstanding == 0 and not self._delivered
 
     def cancel(self, task: Task) -> bool:
         """Cancel a submitted task; returns False if already terminal.
@@ -1462,7 +1463,8 @@ class Manager:
         self._teardown()
         # what a sweep cut short by the stop delivered: closing the
         # journal synced its records
-        self._hand_over_delivered()
+        with self._lock:
+            self._hand_over_delivered()
 
     def crash(self) -> None:
         """Die abruptly, as ``kill -9`` would: no workflow GC, no
@@ -1604,7 +1606,7 @@ class Manager:
                     self.reactor.wake()
             if self.journal is not None:
                 self.journal.sync()
-                self._hand_over_delivered()
+            self._hand_over_delivered()
 
     def sweep_done(self, seconds: float) -> None:
         self._m_queued.set(self.reactor.queued_bytes)

@@ -333,3 +333,36 @@ def test_library_mode_completions_wait_for_the_sweeps_one_fsync(tmp_path, monkey
     assert len(visible) == n
     for i, tid in visible:
         assert done_at[tid] < i and _covered(events, done_at[tid], i), tid
+
+
+def test_run_until_done_returns_a_completion_still_waiting_for_its_sync(tmp_path):
+    """Between the handler that finishes a task and the sweep's
+    ``before_write`` the task is out of ``outstanding`` but not yet
+    visible to ``wait()``; ``empty()`` must not call the workflow done in
+    that gap, however long the sync behind it takes."""
+    mgr = Manager(journal_dir=str(tmp_path / "journal"))
+    workers = [ScriptedWorker(mgr.host, mgr.port) for _ in range(4)]
+    real_before_write = mgr.before_write
+    gaps = []  # empty() as seen with completions not yet handed over
+
+    def before_write():
+        if mgr._delivered:
+            gaps.append(mgr.empty())
+            threading.Event().wait(0.05)  # a slow fsync, lock not held
+        real_before_write()
+
+    mgr.before_write = before_write
+    try:
+        tasks = []
+        for _ in range(40):
+            task = Task("noop")
+            task.add_output(mgr.declare_temp(), "out")
+            mgr.submit(task)
+            tasks.append(task)
+        done = mgr.run_until_done(timeout=60.0)
+    finally:
+        for w in workers:
+            w.close()
+        mgr.close()
+    assert gaps and not any(gaps)
+    assert sorted(t.task_id for t in done) == sorted(t.task_id for t in tasks)

@@ -10,6 +10,7 @@ frame per worker when the workflow ends.
 
 import gc
 import math
+import sys
 import time
 import tracemalloc
 
@@ -78,6 +79,10 @@ def _unlinks(m):
 
 
 def test_a_finished_task_retains_under_its_byte_budget(fleet):
+    if sys.gettrace() is not None:
+        # a coverage or debugging tracer allocates inside the traced
+        # window; the budget is set for the program alone
+        pytest.skip("a trace function is installed")
     _run(fleet, 20)  # tables and logs past their first growth
     gc.collect()
     tracemalloc.start()
