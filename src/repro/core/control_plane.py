@@ -121,14 +121,16 @@ class ManagerError(RuntimeError):
 def _fixed_source(f: File) -> str:
     """The one source that serves a declared file for the whole run,
     which follows from what kind of file it is."""
+    # the kinds are siblings: the order only decides how many tests
+    # run, so the kind declared most is tested first
+    if isinstance(f, TempFile):
+        return NO_SOURCE  # exists only at workers, once produced
     if isinstance(f, (BufferFile, LocalFile)):
         return MANAGER_SOURCE  # the manager holds the bytes, or reads the path
     if isinstance(f, URLFile):
         return url_source(f.url)
     if isinstance(f, MiniTaskFile):
         return MINITASK_SOURCE
-    if isinstance(f, TempFile):
-        return NO_SOURCE  # exists only at workers, once produced
     raise ManagerError(
         f"file {f.file_id} ({f.source_description()}) names no source to serve it"
     )
@@ -298,7 +300,10 @@ class TenantAccount:
     def ended(self) -> None:
         """An outstanding task reached a terminal state."""
         self.outstanding -= 1
-        self.note_headroom()
+        if self.task_quota is not None:
+            # a slot under the quota freed (unlimited, the gauge reads
+            # -1 whatever is outstanding)
+            self.note_headroom()
 
     def started(self) -> None:
         self.running += 1
@@ -482,11 +487,12 @@ class ControlPlane:
 
         #: durable write-ahead journal (``repro.core.journal
         #: .ControlPlaneJournal``) or None; every state transition that
-        #: must survive a manager crash is appended through ``_j()``
+        #: must survive a manager crash is appended through ``_j``
         self.journal = journal
-        #: True while :meth:`_restore_from_journal` replays — replayed
-        #: transitions must not be re-appended to the journal
-        self._restoring = False
+        #: the journal to append to, or None: absent, or replaying in
+        #: :meth:`_restore_from_journal` (replayed transitions must not
+        #: be re-appended)
+        self._j = journal
         #: recovery grace window: after a restart the pump holds new
         #: placements until the previously-known workers rejoined (or a
         #: deadline passed), so surviving replicas re-adopt before the
@@ -657,12 +663,6 @@ class ControlPlane:
         self.scheduler.failure_score = lambda wid: self.failure_scores.get(wid, 0)
         self.scheduler.candidates_counter = self._m_candidates
 
-    def _j(self):
-        """The journal to append to, or None (absent / replaying)."""
-        if self.journal is None or self._restoring:
-            return None
-        return self.journal
-
     def _on_journal_sync(self, records: int) -> None:
         """One journal fsync made ``records`` appended records durable."""
         self._m_journal_fsyncs.inc()
@@ -691,32 +691,34 @@ class ControlPlane:
         if source is None:
             source = _fixed_source(f)
         canonical = self.registry.register(f)
-        if source == NO_SOURCE:
-            self._withdraw_source(f.cache_name)
-        self.fixed_sources[f.cache_name] = source
-        self.sizes[f.cache_name] = size if size is not None else (f.size or 0)
-        j = self._j()
+        name = f.cache_name
+        served = self.fixed_sources.get(name, NO_SOURCE)
+        self.fixed_sources[name] = source
+        if source == NO_SOURCE and served != NO_SOURCE:
+            self._source_withdrawn(name)
+        size = self.sizes[name] = size if size is not None else (f.size or 0)
+        j = self._j
         if j is not None:
-            j.record_declare(file_spec(f, source, self.sizes[f.cache_name]))
+            j.record_declare(file_spec(f, source, size))
         return canonical
 
-    def _withdraw_source(self, cache_name: str) -> None:
-        """``cache_name`` is (re)declared with no fixed source: if one
-        served it and no replica backs it, whoever reads it now waits
+    def _source_withdrawn(self, cache_name: str) -> None:
+        """``cache_name`` was redeclared with no fixed source where one
+        served it: if no replica backs it, whoever reads it now waits
         for a producer."""
-        if (
-            self.fixed_sources.get(cache_name, NO_SOURCE) != NO_SOURCE
-            and not self.replicas.replica_count(cache_name)
-        ):
+        if not self.replicas.replica_count(cache_name):
             self._unvet_needing({cache_name})
 
     def declare_output_file(self, f: File) -> None:
         """Register a task output that exists only once produced."""
         self.registry.register(f)
-        self._withdraw_source(f.cache_name)
-        self.fixed_sources[f.cache_name] = NO_SOURCE
-        self.sizes.setdefault(f.cache_name, f.size or 0)
-        j = self._j()
+        name = f.cache_name
+        served = self.fixed_sources.get(name, NO_SOURCE)
+        self.fixed_sources[name] = NO_SOURCE
+        if served != NO_SOURCE:
+            self._source_withdrawn(name)
+        self.sizes.setdefault(name, f.size or 0)
+        j = self._j
         if j is not None:
             j.record_declare(
                 file_spec(f, NO_SOURCE, self.sizes[f.cache_name])
@@ -728,7 +730,7 @@ class ControlPlane:
         self.sizes.setdefault(cache_name, size)
         self.fixed_sources.setdefault(cache_name, NO_SOURCE)
         self._input_appeared(cache_name, worker_id)
-        j = self._j()
+        j = self._j
         if j is not None:
             j.record_replica(worker_id, cache_name, size)
         if (
@@ -786,7 +788,7 @@ class ControlPlane:
         acct.task_quota = task_quota
         acct.byte_quota = byte_quota
         acct.note_headroom()
-        j = self._j()
+        j = self._j
         if j is not None:
             j.record_quota(tenant, task_quota, byte_quota)
         return acct
@@ -807,17 +809,19 @@ class ControlPlane:
                 f"declared of {acct.byte_quota} allowed"
             )
         acct.bytes_declared += nbytes
-        j = self._j()
+        j = self._j
         if j is not None:
             j.record_tenant_bytes(tenant, nbytes)
         return None
 
-    def tenant_add_name(self, tenant: str, cache_name: str) -> None:
-        """Admit a cache name into the tenant's namespace."""
-        self.tenant_account(tenant).names.add(cache_name)
-        j = self._j()
-        if j is not None:
-            j.record_tenant_name(tenant, cache_name)
+    def tenant_add_names(self, tenant: str, cache_names: Iterable[str]) -> None:
+        """Admit cache names into the tenant's namespace."""
+        names = self.tenant_account(tenant).names
+        j = self._j
+        for name in cache_names:
+            names.add(name)
+            if j is not None:
+                j.record_tenant_name(tenant, name)
 
     def tenant_cache_hit(self, tenant: str, cache_name: str, size: int) -> None:
         """A tenant declared content already known to the service."""
@@ -843,7 +847,7 @@ class ControlPlane:
             and task.tenant not in self.policy.memo_opt_out
         )
 
-    def _name_outputs(self, task: Task, namer) -> None:
+    def _name_outputs(self, task: Task, namer, eligible: bool) -> None:
         """Name and declare an admitted ``task``'s outputs (its inputs
         are already named), with the runtime's ``namer``.
 
@@ -855,7 +859,7 @@ class ControlPlane:
         GC and worker restarts.  Every other unnamed output takes the
         namer's run-salted name.
         """
-        merkle = task_merkle(task) if self._memo_eligible(task) else None
+        merkle = task_merkle(task) if eligible else None
         for _, f in task.outputs:
             if merkle is not None and self._memo_renameable(f):
                 f.cache_level = CacheLevel.WORKER
@@ -889,7 +893,8 @@ class ControlPlane:
         )
 
     def _memo_try_hit(self, task: Task) -> bool:
-        """Serve ``task`` from the memo store if soundly possible.
+        """Serve a memo-eligible ``task`` from the memo store if soundly
+        possible.
 
         Returns True when the task's recorded outputs were adopted and
         the task is queued for immediate completion (it must then *not*
@@ -899,8 +904,6 @@ class ControlPlane:
         invalidated and the task runs — a corrupt memo entry is never
         served.
         """
-        if not self._memo_eligible(task):
-            return False
         try:
             task.merkle = task_merkle(task)
         except RuntimeError:
@@ -937,8 +940,9 @@ class ControlPlane:
         for out in entry.outputs:
             name = out.cache_name
             self.sizes[name] = out.size
-            if name in self.registry:
-                self.registry.by_name(name).size = out.size
+            f = self.registry.get(name)
+            if f is not None:
+                f.size = out.size
             if self.replicas.replica_count(name) == 0:
                 # payload-backed: the manager serves the bytes itself
                 self.set_fixed_source(name, MANAGER_SOURCE)
@@ -1100,13 +1104,15 @@ class ControlPlane:
                 f"task quota exceeded: {acct.outstanding} outstanding "
                 f"of {acct.task_quota} allowed"
             )
+        eligible = self._memo_eligible(task)
         if namer is not None:
-            self._name_outputs(task, namer)
+            self._name_outputs(task, namer, eligible)
         task.seq = next(self._task_seq)
         if task.task_id is None:
             task.task_id = f"t{task.seq}"
-        for _, f in task.inputs:
-            self._input_refs[f.cache_name] += 1
+        names = task.input_names = task.input_cache_names()
+        for name in names:
+            self._input_refs[name] += 1
         for _, f in task.outputs:
             # record lineage for regeneration after replica loss
             f.producer_task_id = task.task_id
@@ -1123,7 +1129,7 @@ class ControlPlane:
         task.state = TaskState.READY
         task.submitted_at = self.port.now()
         self.tasks[task.task_id] = task
-        j = self._j()
+        j = self._j
         if j is not None:
             j.record_submit(
                 task.task_id,
@@ -1132,7 +1138,7 @@ class ControlPlane:
                 task_spec(task),
                 task.session_token,
             )
-        if not self._memo_try_hit(task):
+        if not (eligible and self._memo_try_hit(task)):
             self._enqueue(task)
         self.outstanding += 1
         acct.submitted += 1
@@ -1161,9 +1167,10 @@ class ControlPlane:
             self._finishing.pop(task.task_id, None)
         task.state = TaskState.CANCELLED
         task.result = TaskResult(exit_code=-1, failure="cancelled")
+        task.input_names = None
         self._wake_consumers(task)
         self.outstanding -= 1
-        self.tenant_account(task.tenant).ended()
+        self.tenants[task.tenant].ended()
         self.port.deliver(task, None)
         self.port.request_pump()
         return True
@@ -1281,9 +1288,11 @@ class ControlPlane:
         wid = task.worker_id
         if wid is None:
             return
-        pinned = self._pinned[wid]
-        for name in task.input_cache_names():
-            pinned[name] -= 1
+        names = task.input_names
+        if names:
+            pinned = self._pinned[wid]
+            for name in names:
+                pinned[name] -= 1
 
     def attempt_ended(
         self,
@@ -1299,8 +1308,9 @@ class ControlPlane:
         ``produced`` lists the ``(cache name, size)`` of the outputs the
         report says the attempt left in the worker's cache; they become
         replicas once the attempt stands, keyed by the registry's own
-        strings.  A report that does not stand leaves none: what is
-        neither held nor on its way there is unlinked.
+        strings, and stamped with the instant the attempt ended.  A
+        report that does not stand leaves none: what is neither held nor
+        on its way there is unlinked.
         """
         task = self.on_task_result(worker_id, task_id, result)
         if task is None:
@@ -1314,12 +1324,9 @@ class ControlPlane:
             if stray:
                 self.port.delete_replica(worker_id, stray)
             return
+        now = task.finished_at
         for name, size in produced:
-            name = self.registry.own_name(name)
-            self.sizes[name] = size
-            if name in self.registry:
-                self.registry.by_name(name).size = size
-            self.register_replica(worker_id, name, size, store=True)
+            self._replica_reported(worker_id, name, size, now, store=True)
         self.complete_task(task, result)
 
     def complete_task(self, task: Task, result: TaskResult) -> None:
@@ -1388,9 +1395,10 @@ class ControlPlane:
         returns those its completion must bring home — ``value`` and
         every ``bring_back`` output — or None (the usual case)."""
         awaited = None
+        replicate = self.temp_replica_count > 1
         for _, f in task.outputs:
             name = f.cache_name
-            if name and self.replicas.replica_count(name) > 0:
+            if replicate and name and self.replicas.replica_count(name) > 0:
                 self._ensure_replication(name)
             if f is value or f.bring_back:
                 if awaited is None:
@@ -1454,7 +1462,7 @@ class ControlPlane:
         """Remove a task from the running set, and from its tenant's."""
         task = self._running.pop(task_id, None)
         if task is not None:
-            self.tenant_account(task.tenant).stopped()
+            self.tenants[task.tenant].stopped()
         return task
 
     def _finish_task(self, task: Task, result: TaskResult) -> None:
@@ -1468,22 +1476,31 @@ class ControlPlane:
             and task._output_set
         ):
             ok = True  # the function's exception is delivered through output()
-        task.state = TaskState.DONE if ok else TaskState.FAILED
-        self._unpark(task.task_id)
-        self._ready.discard(task)
-        self._dispatched.pop(task.task_id, None)
-        self._unstage(task)
-        self._pop_running(task.task_id)
-        self._finishing.pop(task.task_id, None)
+        tid = task.task_id
+        # the one structure the state names (a caller may have taken the
+        # task out of it already: a worker report pops it from running)
+        prior, task.state = task.state, TaskState.DONE if ok else TaskState.FAILED
+        if prior is TaskState.RUNNING:
+            if tid in self._running:
+                self._pop_running(tid)
+        elif prior is TaskState.WAITING_RETRIEVAL:
+            self._finishing.pop(tid, None)
+        elif prior is TaskState.DISPATCHED:
+            self._dispatched.pop(tid, None)
+            self._unstage(task)
+        else:
+            self._unpark(tid)
+            self._ready.discard(task)
         self.outstanding -= 1
         if task.state == TaskState.DONE:
             self.done_count += 1
         merkle = self._memo_pending.pop(task.task_id, None)
         if task.state == TaskState.DONE and merkle is not None and self.memo is not None:
             self._memo_record(task, merkle)
-        regenerated = task.task_id in self._regenerated
-        self._regenerated.discard(task.task_id)
-        acct = self.tenant_account(task.tenant)
+        regenerated = tid in self._regenerated
+        if regenerated:
+            self._regenerated.discard(tid)
+        acct = self.tenants[task.tenant]
         acct.ended()
         if task.state == TaskState.DONE:
             acct.done += 1
@@ -1500,8 +1517,9 @@ class ControlPlane:
         for _, f in task.outputs:
             if f.cache_name:
                 acct.names.add(f.cache_name)
+        task.input_names = None
         self._wake_consumers(task)
-        j = self._j()
+        j = self._j
         if j is not None:
             if task.state == TaskState.DONE:
                 j.record_done(
@@ -1558,7 +1576,9 @@ class ControlPlane:
 
     def _gc_task_inputs(self, task: Task) -> None:
         """Drop input references; collect task-lifetime files at zero."""
-        names = task.input_cache_names()
+        names = task.input_names
+        if not names:
+            return
         for name in names:
             self._input_refs[name] -= 1
         doomed = collect_task_inputs(names, self.registry, self._input_refs)
@@ -1722,6 +1742,10 @@ class ControlPlane:
     def _enqueue(self, task: Task) -> None:
         """Put a READY task on the heap, vetted if its inputs are
         obtainable now."""
+        if task.input_names is None:
+            # back from an end (a lost output's regeneration), or
+            # restored from the journal: stamped afresh
+            task.input_names = task.input_cache_names()
         self._ready.push(task)
         if self._inputs_obtainable(task):
             self._ready.vet(task)
@@ -1742,7 +1766,7 @@ class ControlPlane:
 
     def _unvet_needing(self, names: set[str]) -> None:
         for task in self._ready.tasks():
-            if not names.isdisjoint(task.input_cache_names()):
+            if not names.isdisjoint(task.input_names):
                 self._ready.unvet(task)
 
     # -- parked ready tasks ---------------------------------------------
@@ -1796,10 +1820,11 @@ class ControlPlane:
         """``task`` reached a terminal state: whoever is parked on an
         output it did not leave behind has nothing to wait for, and the
         pump must decide between regeneration and failure."""
+        parked_on = self._parked_on
         for _, f in task.outputs:
             name = f.cache_name
-            if name and self.replicas.replica_count(name) == 0:
-                for tid in list(self._parked_on.get(name, ())):
+            if name in parked_on and self.replicas.replica_count(name) == 0:
+                for tid in list(parked_on[name]):
                     self._unpark(tid)
 
     def fail_tasks_needing(self, cache_name: str, reason: str) -> None:
@@ -1807,7 +1832,7 @@ class ControlPlane:
         doomed = [
             t
             for t in self._ready.tasks() + list(self._dispatched.values())
-            if cache_name in t.input_cache_names()
+            if cache_name in t.input_names
         ]
         for t in doomed:
             if t.state == TaskState.DISPATCHED:
@@ -1833,12 +1858,37 @@ class ControlPlane:
         model first (the simulator inserts and may evict; the real
         worker already wrote it to disk before reporting).
         """
-        level = (
-            self.registry.by_name(cache_name).cache_level
-            if cache_name in self.registry
-            else CacheLevel.WORKFLOW
+        self._add_replica(
+            worker_id, cache_name, size,
+            self.registry.get(cache_name), self.port.now(), store,
         )
+
+    def _replica_reported(
+        self, worker_id: str, cache_name: str, size: int, now: float, store: bool
+    ) -> None:
+        """A worker reported holding ``cache_name`` of ``size`` bytes, as
+        of ``now``: the size is learnt and the replica registered, keyed
+        by the registry's own string (a decoded name is a second copy)."""
+        f = self.registry.get(cache_name)
+        if f is not None:
+            cache_name = f.cache_name
+            f.size = size
+        self.sizes[cache_name] = size
+        self._add_replica(worker_id, cache_name, size, f, now, store)
+
+    def _add_replica(
+        self,
+        worker_id: str,
+        cache_name: str,
+        size: int,
+        f: Optional[File],
+        now: float,
+        store: bool,
+    ) -> None:
+        """:meth:`register_replica` of the declared file ``f`` (None if
+        undeclared), its ``file_cached`` event stamped ``now``."""
         if store:
+            level = CacheLevel.WORKFLOW if f is None else f.cache_level
             self.port.store_replica(worker_id, cache_name, size, level)
         try:
             self.replicas.add_replica(cache_name, worker_id, size)
@@ -1847,10 +1897,9 @@ class ControlPlane:
             # keep the first-learned one rather than killing the runtime
             self.replicas.add_replica(cache_name, worker_id)
         self.log.emit(
-            self.port.now(), "file_cached",
-            worker=worker_id, file=cache_name, size=size,
+            now, "file_cached", worker=worker_id, file=cache_name, size=size
         )
-        j = self._j()
+        j = self._j
         if j is not None:
             j.record_replica(worker_id, cache_name, size)
         self._input_appeared(cache_name, worker_id)
@@ -1867,7 +1916,7 @@ class ControlPlane:
         size = self.replicas.size_of(cache_name)
         self.replicas.remove_replica(cache_name, worker_id)
         self._mark_stage_dirty(cache_name)
-        j = self._j()
+        j = self._j
         if j is not None:
             j.record_replica_gone(worker_id, cache_name)
         self._m_evictions.inc()
@@ -1885,13 +1934,11 @@ class ControlPlane:
         transfer_id: Optional[str] = None,
     ) -> None:
         """A worker reported a newly cached object (possibly a transfer)."""
-        cache_name = self.registry.own_name(cache_name)
-        self.sizes[cache_name] = size
-        if cache_name in self.registry:
-            self.registry.by_name(cache_name).size = size
         if transfer_id is not None:
             self._finish_transfer(transfer_id, size=size)
-        self.register_replica(worker_id, cache_name, size, store=False)
+        self._replica_reported(
+            worker_id, cache_name, size, self.port.now(), store=False
+        )
         self.port.request_pump()
 
     def on_cache_invalid(
@@ -1912,7 +1959,7 @@ class ControlPlane:
         cache_name = self.registry.own_name(cache_name)
         self.replicas.remove_replica(cache_name, worker_id)
         self._mark_stage_dirty(cache_name)
-        j = self._j()
+        j = self._j
         if j is not None:
             j.record_replica_gone(worker_id, cache_name)
         if transfer_id is None:
@@ -2131,7 +2178,7 @@ class ControlPlane:
 
     def _awaited_by(self, name: str) -> Optional[_Retrieval]:
         """The ended attempt whose completion waits for ``name``."""
-        f = self.registry.by_name(name) if name in self.registry else None
+        f = self.registry.get(name)
         waiting = self._finishing.get(f.producer_task_id) if f is not None else None
         if waiting is not None and name in waiting.awaited:
             return waiting
@@ -2348,7 +2395,7 @@ class ControlPlane:
         self._view_changed(worker_id)
         self.log.emit(self.port.now(), "worker_leave", worker=worker_id)
         lost_names = self.replicas.remove_worker(worker_id)
-        j = self._j()
+        j = self._j
         if j is not None:
             for name in lost_names:
                 j.record_replica_gone(worker_id, name)
@@ -2594,7 +2641,7 @@ class ControlPlane:
             return False
         stats = j.last_replay_stats
         now = self.port.now()
-        self._restoring = True
+        self._j = None
         try:
             for spec in j.declares.values():
                 name = spec["name"]
@@ -2614,7 +2661,7 @@ class ControlPlane:
                 self._restore_task(rec, now)
             self._task_seq = itertools.count(j.max_seq + 1)
         finally:
-            self._restoring = False
+            self._j = j
         self._m_replayed.inc(stats.replayed_records)
         self.log.emit(
             now, "manager_restart",
@@ -2685,8 +2732,9 @@ class ControlPlane:
             self._m_restored_done.inc()
             for name, size in done_rec.get("outputs", ()):
                 self.sizes[name] = size
-                if name in self.registry:
-                    self.registry.by_name(name).size = size
+                f = self.registry.get(name)
+                if f is not None:
+                    f.size = size
                 self._recovery_await[name] = size
                 acct.names.add(name)
         else:
@@ -2821,7 +2869,7 @@ class ControlPlane:
         """
         if self.fixed_sources.get(cache_name) != NO_SOURCE:
             return True  # refetchable: normal transfer planning recovers it
-        f = self.registry.by_name(cache_name) if cache_name in self.registry else None
+        f = self.registry.get(cache_name)
         producer_id = f.producer_task_id if f is not None else None
         producer = self.tasks.get(producer_id) if producer_id else None
         if producer is None:
@@ -2853,7 +2901,7 @@ class ControlPlane:
         re-run, regenerating those lost meanwhile.  False when one of
         them is unrecoverable."""
         ok = True
-        for name in task.input_cache_names():
+        for name in task.input_names:
             self._input_refs[name] += 1
             if (
                 self.replicas.replica_count(name) == 0
@@ -3111,7 +3159,7 @@ class ControlPlane:
 
     def _inputs_obtainable(self, task: Task) -> bool:
         """True when every input exists somewhere or can be produced."""
-        for name in task.input_cache_names():
+        for name in task.input_names:
             if self.replicas.replica_count(name) > 0:
                 continue
             if self.fixed_sources.get(name, MANAGER_SOURCE) == NO_SOURCE:
@@ -3136,7 +3184,7 @@ class ControlPlane:
         leaving its output (:meth:`_wake_consumers`).
         """
         waiting = []
-        for name in task.input_cache_names():
+        for name in task.input_names:
             if (
                 self.replicas.replica_count(name) == 0
                 and self.fixed_sources.get(name, MANAGER_SOURCE) == NO_SOURCE
@@ -3164,7 +3212,10 @@ class ControlPlane:
         self._dispatched[task.task_id] = task
         # hit/miss is judged once, at placement: did locality put the
         # task where its inputs already live, or must bytes move?
-        names = task.input_cache_names()
+        names = task.input_names
+        if not names:
+            self._start_execution(task)
+            return
         hits = sum(self.replicas.has_replica(name, worker_id) for name in names)
         self._m_cache_hits.inc(hits)
         self._m_cache_misses.inc(len(names) - hits)
@@ -3229,11 +3280,8 @@ class ControlPlane:
             self.port.now(), "transfer_start",
             worker=dst_wid, file=cache_name, size=size, category=source,
         )
-        level = (
-            self.registry.by_name(cache_name).cache_level
-            if cache_name in self.registry
-            else CacheLevel.WORKFLOW
-        )
+        f = self.registry.get(cache_name)
+        level = CacheLevel.WORKFLOW if f is None else f.cache_level
         if source == MANAGER_SOURCE:
             self.port.push_object(record, level)
         else:
@@ -3261,15 +3309,17 @@ class ControlPlane:
     def _start_execution(self, task: Task) -> None:
         if task.state != TaskState.DISPATCHED:
             return
-        self._dispatched.pop(task.task_id, None)
-        self._unstage(task)
-        self._running[task.task_id] = task
-        self.tenant_account(task.tenant).started()
+        tid = task.task_id
+        self._dispatched.pop(tid, None)
+        # its stage, if it waited, closed before calling this
+        self._task_stages.pop(tid, None)
+        self._running[tid] = task
+        self.tenants[task.tenant].started()
         task.state = TaskState.RUNNING
         task.started_at = self.port.now()
         self.log.emit(
-            self.port.now(), "task_start",
-            worker=task.worker_id, task=task.task_id, category=task.category,
+            task.started_at, "task_start",
+            worker=task.worker_id, task=tid, category=task.category,
         )
         self.port.start_task(task)
 

@@ -141,11 +141,20 @@ class EventLog:
         """Register a callable invoked with each subsequently emitted event."""
         self._sinks.append(sink)
 
-    def emit(self, time: float, kind: str, **fields) -> Event:
+    def emit(
+        self,
+        time: float,
+        kind: str,
+        worker: Optional[str] = None,
+        task: Optional[str] = None,
+        file: Optional[str] = None,
+        size: int = 0,
+        category: Optional[str] = None,
+    ) -> Event:
         """Append an event; ``kind`` must be one of the canonical kinds."""
         if kind not in KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        e = Event(time=time, kind=kind, **fields)
+        e = Event(time, kind, worker, task, file, size, category)
         self._events.append(e)
         self._counts[kind] = self._counts.get(kind, 0) + 1
         for sink in self._sinks:

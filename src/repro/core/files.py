@@ -235,6 +235,11 @@ class FileRegistry:
         """Look up the canonical file for a cache name (KeyError if unknown)."""
         return self._by_name[cache_name]
 
+    def get(self, cache_name: str) -> Optional[File]:
+        """The canonical file for a cache name, or None if undeclared;
+        its ``cache_name`` is the registry's own string."""
+        return self._by_name.get(cache_name)
+
     def own_name(self, cache_name: str) -> str:
         """The registry's own string for a declared name, else
         ``cache_name`` itself.

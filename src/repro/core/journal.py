@@ -205,7 +205,7 @@ class Journal:
         self.pending_records += 1
         self.lifetime_records += 1
         self._unsynced += 1
-        if threading.get_ident() != self._group_thread:
+        if not self.group_committing():
             self.sync()
 
     def begin_group_commit(self) -> None:
@@ -217,6 +217,10 @@ class Journal:
         other thread keeps fsync-per-append.
         """
         self._group_thread = threading.get_ident()
+
+    def group_committing(self) -> bool:
+        """True on the thread whose appends wait for its :meth:`sync`."""
+        return threading.get_ident() == self._group_thread
 
     def sync(self) -> None:
         """One fsync for every record appended since the last."""
@@ -300,6 +304,9 @@ class ControlPlaneJournal:
         self.snapshot_every = max(8, snapshot_every)
         #: called after each automatic compaction with the snapshot size
         self.on_compact: Optional[Callable[[int], None]] = None
+        #: a compaction fell due on the group-committing thread: its
+        #: next :meth:`sync` snapshots instead of fsyncing the log
+        self._compact_due = False
         self.meta: dict = {}
         self.declares: dict[str, dict] = {}
         self.quotas: dict[str, dict] = {}
@@ -333,11 +340,22 @@ class ControlPlaneJournal:
 
     def _record(self, rec: dict) -> None:
         self._fold(rec)
-        self.journal.append(rec)
-        if self.journal.pending_records >= self.snapshot_every:
-            self.compact()
-            if self.on_compact is not None:
-                self.on_compact(self.journal.lifetime_records)
+        journal = self.journal
+        journal.append(rec)
+        if journal.pending_records >= self.snapshot_every:
+            if journal.group_committing():
+                # that thread owes one sync for its whole sweep; a
+                # snapshot now would fsync a fresh log that the sweep's
+                # later records then need fsynced again
+                self._compact_due = True
+            else:
+                self._auto_compact()
+
+    def _auto_compact(self) -> None:
+        self._compact_due = False
+        self.compact()
+        if self.on_compact is not None:
+            self.on_compact(self.journal.lifetime_records)
 
     def record_meta(self, **fields) -> None:
         self._record({"op": "meta", **fields})
@@ -472,7 +490,13 @@ class ControlPlaneJournal:
         self.journal.begin_group_commit()
 
     def sync(self) -> None:
-        self.journal.sync()
+        """Make every appended record durable: the one fsync a group
+        commit owes, or — with a compaction due — the snapshot, whose
+        fsync covers every record folded into it."""
+        if self._compact_due:
+            self._auto_compact()
+        else:
+            self.journal.sync()
 
     def close(self) -> None:
         self.journal.close()

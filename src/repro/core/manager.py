@@ -119,7 +119,7 @@ class _WorkerHandle:
         self.transfer_port = transfer_port
         #: shared with the control plane's WorkerState after admission
         self.running: set[str] = set()
-        self.last_seen = time.time()
+        self.last_seen = time.monotonic()
 
 
 class _LibraryState(LibraryState):
@@ -177,7 +177,7 @@ class _ClientSession:
         self.delivered = 0
         #: notices lost to the buffer cap while detached
         self.dropped = 0
-        #: wall-clock time the session lost its attachment (reaping TTL)
+        #: monotonic-clock time the session lost its attachment (reaping TTL)
         self.detached_at: Optional[float] = None
         #: True when the session was rebuilt from the journal after a
         #: manager restart: its pre-crash notices are gone (counted in
@@ -266,7 +266,7 @@ class ManagerService:
     def client_gone(self, sess: _ClientSession) -> None:
         """The session's connection closed: detach, keep the workflow."""
         sess.peer = None
-        sess.detached_at = time.time()
+        sess.detached_at = time.monotonic()
         mgr = self.mgr
         mgr.control.log.emit(
             mgr.now(), "client_detach", worker=sess.session_id, category=sess.tenant
@@ -323,7 +323,7 @@ class ManagerService:
             sess.token = token
             sess.session_id = rec.get("sid", sess.session_id)
             sess.restored = True
-            sess.detached_at = time.time()
+            sess.detached_at = time.monotonic()
             self.sessions[token] = sess
             by_token[token] = sess
             mgr.control.log.emit(
@@ -419,7 +419,7 @@ class ManagerService:
             # content-identical to another tenant's declaration: the
             # existing replicas serve it, nothing moves again
             mgr.control.tenant_cache_hit(sess.tenant, name, size)
-        mgr.control.tenant_add_name(sess.tenant, name)
+        mgr.control.tenant_add_names(sess.tenant, (name,))
         self._reply(
             sess,
             {
@@ -570,7 +570,7 @@ class ManagerService:
                 f"input {src!r} is outside tenant {sess.tenant!r}'s namespace"
             )
         mgr.control.tenant_cache_hit(sess.tenant, src, mgr.sizes.get(src, 0))
-        mgr.control.tenant_add_name(sess.tenant, src)
+        mgr.control.tenant_add_names(sess.tenant, (src,))
 
     def _submit(self, sess: _ClientSession, task: Task) -> str:
         mgr = self.mgr
@@ -579,8 +579,9 @@ class ManagerService:
             # the task's outcome back to the reattached session
             task.session_token = sess.token
         tid = mgr._submit_prepared(task)
-        for _name, f in task.outputs:
-            mgr.control.tenant_add_name(task.tenant, f.cache_name)
+        mgr.control.tenant_add_names(
+            task.tenant, [f.cache_name for _name, f in task.outputs]
+        )
         if not sess.loopback:
             sess.tasks.add(tid)
             self.by_task[tid] = sess
@@ -796,7 +797,7 @@ class Manager:
         #: the end of construction (journal restore pumps inline)
         self.reactor = Reactor(listener, self)
         self._lock = threading.RLock()
-        self._t0 = time.time()
+        self._t0 = time.monotonic()
         #: persistent memoization store; None disables memoization
         self.memo_store = None
         if memo_dir is not None:
@@ -918,7 +919,7 @@ class Manager:
     # ------------------------------------------------------------------
 
     def now(self) -> float:
-        return time.time() - self._t0
+        return time.monotonic() - self._t0
 
     def request_pump(self) -> None:
         """Ask for a scheduling pass (callers hold the state lock).
@@ -1333,10 +1334,10 @@ class Manager:
 
         Raises :class:`ManagerError` if the deadline passes first.
         """
-        deadline = time.time() + timeout
+        deadline = time.monotonic() + timeout
         finished = []
         while not self.empty():
-            remaining = deadline - time.time()
+            remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ManagerError(
                     f"workflow did not finish within {timeout}s "
@@ -1513,7 +1514,7 @@ class Manager:
     def _liveness_sweep(self) -> None:
         """Reap silent workers and long-abandoned client sessions (a
         repeating reactor timer)."""
-        now = time.time()
+        now = time.monotonic()
         if self.worker_liveness_timeout is not None:
             self._reap_stale(now)
         self._reap_sessions(now)
@@ -1697,7 +1698,7 @@ class Manager:
     def _dispatch(
         self, handle: _WorkerHandle, mtype: str, msg: dict, payload: Optional[bytes]
     ) -> None:
-        handle.last_seen = time.time()
+        handle.last_seen = time.monotonic()
         with self._lock:
             self._on_worker_message(handle, mtype, msg, payload)
 

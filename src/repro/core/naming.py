@@ -285,6 +285,11 @@ class Namer:
         return not (f.cache_name or "").split("-", 2)[1].startswith("rnd")
 
     def _name_for(self, f: File) -> str:
+        # the kinds are siblings: the order only decides how many tests
+        # run, so the kind declared most is tested first
+        if isinstance(f, TempFile):
+            # named when bound to a producing task; placeholder until then
+            return self._random_name("temp")
         if isinstance(f, BufferFile):
             # hashing a buffer is free; always content-address it
             return buffer_cache_name(f.data)
@@ -304,9 +309,6 @@ class Namer:
         if isinstance(f, MiniTaskFile):
             spec = self._mini_task_spec(f)
             return f"task-md5-{spec}{self._salt(f.cache_level)}"
-        if isinstance(f, TempFile):
-            # named when bound to a producing task; placeholder until then
-            return self._random_name("temp")
         return self._random_name("file")
 
     def _mini_task_spec(self, f: MiniTaskFile) -> str:

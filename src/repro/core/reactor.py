@@ -192,6 +192,8 @@ class Reactor:
         self.thread = threading.Thread(
             target=self._run, name="manager-reactor", daemon=True
         )
+        #: the loop thread's id while it runs (what :meth:`on_loop` tests)
+        self._loop_ident: Optional[int] = None
 
     # -- any thread --------------------------------------------------------
 
@@ -200,7 +202,7 @@ class Reactor:
         return self.thread.is_alive()
 
     def on_loop(self) -> bool:
-        return threading.current_thread() is self.thread
+        return threading.get_ident() == self._loop_ident
 
     def start(self) -> None:
         self.thread.start()
@@ -281,12 +283,17 @@ class Reactor:
         return peer
 
     def _run(self) -> None:
+        self._loop_ident = threading.get_ident()
         try:
             while not self._stopping:
                 self._sweep(self._sel.select(self._timeout()))
             self._drain()
         finally:
-            self._release()
+            try:
+                self._release()
+            finally:
+                # a later thread may be handed the same id
+                self._loop_ident = None
 
     def _timeout(self) -> Optional[float]:
         with self._lock:

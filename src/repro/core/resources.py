@@ -115,12 +115,22 @@ class ResourcePool:
     A worker owns one pool; the manager mirrors one pool per connected
     worker so placement decisions never overcommit.  The invariant
     ``allocated.fits_within(capacity)`` holds after every public call.
+
+    The ledger is four running totals, one per dimension, added to and
+    subtracted from in the order the requests come: the same arithmetic
+    as folding the requests with ``+`` and ``-``, without building a
+    :class:`Resources` per step.  ``allocated`` is built when read.
     """
 
     def __init__(self, capacity: Resources) -> None:
         self.capacity = capacity
-        self.allocated = Resources(cores=0, memory=0, disk=0, gpus=0)
+        self._cores = self._memory = self._disk = self._gpus = 0
         self._holders: dict[str, Resources] = {}
+
+    @property
+    def allocated(self) -> Resources:
+        """Resources currently allocated, summed over every holder."""
+        return Resources(self._cores, self._memory, self._disk, self._gpus)
 
     def available(self) -> Resources:
         """Resources not currently allocated."""
@@ -128,7 +138,13 @@ class ResourcePool:
 
     def can_fit(self, request: Resources) -> bool:
         """True if ``request`` would fit without overcommit."""
-        return (self.allocated + request).fits_within(self.capacity)
+        c = self.capacity
+        return (
+            self._cores + request.cores <= c.cores
+            and self._memory + request.memory <= c.memory
+            and self._disk + request.disk <= c.disk
+            and self._gpus + request.gpus <= c.gpus
+        )
 
     def allocate(self, holder: str, request: Resources) -> None:
         """Reserve ``request`` under key ``holder`` (e.g. a task id).
@@ -143,12 +159,26 @@ class ResourcePool:
                 f"cannot allocate {request} (available {self.available()})"
             )
         self._holders[holder] = request
-        self.allocated = self.allocated + request
+        self._cores += request.cores
+        self._memory += request.memory
+        self._disk += request.disk
+        self._gpus += request.gpus
 
     def release(self, holder: str) -> Resources:
-        """Release and return the allocation held by ``holder``."""
+        """Release and return the allocation held by ``holder``.
+
+        Raises ``KeyError`` for an unknown holder, and ``ValueError``
+        (with the holder gone and the totals as they were) should float
+        rounding take a total below zero.
+        """
         request = self._holders.pop(holder)
-        self.allocated = self.allocated - request
+        cores = self._cores - request.cores
+        memory = self._memory - request.memory
+        disk = self._disk - request.disk
+        gpus = self._gpus - request.gpus
+        if cores < 0 or memory < 0 or disk < 0 or gpus < 0:
+            Resources(cores, memory, disk, gpus)  # raises the value type's error
+        self._cores, self._memory, self._disk, self._gpus = cores, memory, disk, gpus
         return request
 
     def holders(self) -> dict[str, Resources]:

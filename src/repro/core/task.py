@@ -23,6 +23,10 @@ from repro.core.resources import Resources
 
 __all__ = ["TaskState", "TaskResult", "Task", "PythonTask", "MiniTask"]
 
+#: the allocation a task asks for until the application sizes it
+#: (immutable, so every new task shares the one value)
+_ONE_CORE = Resources(cores=1)
+
 
 class TaskState(enum.Enum):
     """Lifecycle of a task as tracked by the manager."""
@@ -104,8 +108,13 @@ class Task:
         #: ``(sandbox_name, File)`` pairs, in attachment order
         self.inputs: list[tuple[str, File]] = []
         self.outputs: list[tuple[str, File]] = []
+        #: the inputs' cache names in attachment order, stamped by the
+        #: manager when it admits (or requeues) the task and dropped
+        #: when the task ends; None outside that span.  Set here so the
+        #: stamp lands in the instance dict's shared keys
+        self.input_names: Optional[tuple[str, ...]] = None
         self.env: dict[str, str] = {}
-        self.resources = Resources(cores=1)
+        self.resources = _ONE_CORE
         #: False until the application sizes the task explicitly; lets
         #: the manager's category learning pick first allocations
         self.resources_explicit = False
@@ -146,8 +155,9 @@ class Task:
     def add_input(self, f: File, sandbox_name: str) -> "Task":
         """Attach ``f`` to appear in the sandbox as ``sandbox_name``."""
         self._check_mutable()
-        if any(name == sandbox_name for name, _ in self.inputs):
-            raise ValueError(f"duplicate input name {sandbox_name!r}")
+        for name, _ in self.inputs:
+            if name == sandbox_name:
+                raise ValueError(f"duplicate input name {sandbox_name!r}")
         self.inputs.append((sandbox_name, f))
         return self
 
@@ -155,8 +165,9 @@ class Task:
         """Declare that the command produces ``sandbox_name``; its content
         becomes file ``f`` after completion."""
         self._check_mutable()
-        if any(name == sandbox_name for name, _ in self.outputs):
-            raise ValueError(f"duplicate output name {sandbox_name!r}")
+        for name, _ in self.outputs:
+            if name == sandbox_name:
+                raise ValueError(f"duplicate output name {sandbox_name!r}")
         self.outputs.append((sandbox_name, f))
         return self
 
@@ -232,8 +243,11 @@ class Task:
         """The attached output file handles, in attachment order."""
         return [f for _, f in self.outputs]
 
-    def input_cache_names(self) -> list[str]:
-        """Cache names of all inputs (requires naming to have run)."""
+    def input_cache_names(self) -> tuple[str, ...]:
+        """Cache names of all inputs (requires naming to have run): the
+        manager's stamp (:attr:`input_names`) while it holds one."""
+        if self.input_names is not None:
+            return self.input_names
         names = []
         for _, f in self.inputs:
             if f.cache_name is None:
@@ -241,7 +255,7 @@ class Task:
                     f"input {f.file_id} of {self.task_id or self.command!r} unnamed"
                 )
             names.append(f.cache_name)
-        return names
+        return tuple(names)
 
     def value_output(self) -> Optional[File]:
         """The output whose content is the *value* the application reads

@@ -197,7 +197,7 @@ class Histogram:
             if len(self._reservoir) < self.reservoir_size:
                 self._reservoir.append(value)
             else:
-                slot = self._rng.randrange(self._count)
+                slot = int(self._rng.random() * self._count)
                 if slot < self.reservoir_size:
                     self._reservoir[slot] = value
 

@@ -61,9 +61,14 @@ def session_kind(mtype: str) -> Optional[str]:
     return None
 
 
+#: the one compact encoder every frame goes through (stateless between
+#: calls, so threads may share it)
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(message: dict) -> bytes:
     """Encode one JSON control message as a length-prefixed frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode()
+    payload = _ENCODER.encode(message).encode()
     if len(payload) > MAX_MESSAGE_SIZE:
         raise ProtocolError(f"message too large: {len(payload)} bytes")
     return _HEADER.pack(len(payload)) + payload

@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.core.journal import Journal
+from repro.core.journal import ControlPlaneJournal, Journal
 from repro.core.manager import Manager
 from repro.core.reactor import Reactor
 from repro.core.task import Task
@@ -280,6 +280,36 @@ def test_bare_journal_keeps_fsync_per_append(tmp_path, monkeypatch):
     j.close()
     records, stats = Journal(str(tmp_path / "j")).replay()
     assert len(records) == 10 and stats.torn_bytes == 0
+
+
+def test_a_compaction_due_mid_sweep_takes_the_place_of_its_sync(tmp_path, monkeypatch):
+    """A compaction that falls due on the group-committing thread waits
+    for that thread's sync and replaces it: the snapshot's fsync covers
+    the folded records, and no fresh log is fsynced twice in a sweep."""
+    cj = ControlPlaneJournal(str(tmp_path / "j"), snapshot_every=8)
+    compacted = []
+    cj.on_compact = compacted.append
+    log_fsyncs = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        real_fsync(fd)
+        fh = cj.journal._fh
+        if fh is not None and fd == fh.fileno():
+            log_fsyncs.append(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    cj.begin_group_commit()
+    for i in range(20):
+        cj.record_meta(i=i)
+    assert compacted == [] and log_fsyncs == []  # due, not taken mid-sweep
+    cj.sync()
+    assert compacted == [20] and len(log_fsyncs) == 1
+    assert cj.journal.pending_records == 0 and cj.journal._unsynced == 0
+    cj.sync()  # nothing owed
+    assert len(log_fsyncs) == 1
+    cj.close()
+    assert ControlPlaneJournal(str(tmp_path / "j")).meta == {"i": 19}
 
 
 def test_library_mode_completions_wait_for_the_sweeps_one_fsync(tmp_path, monkeypatch):

@@ -122,3 +122,69 @@ def test_property_pool_never_overcommits(requests):
         if pool.can_fit(req):
             pool.allocate(str(i), req)
         assert pool.allocated.fits_within(capacity)
+
+
+class _FoldPool:
+    """The pool ledger as a fold of :class:`Resources` values: every
+    allocation adds a request with ``+``, every release subtracts it
+    with ``-`` — the oracle the running totals must match exactly."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.allocated = Resources(cores=0, memory=0, disk=0, gpus=0)
+        self.holders = {}
+
+    def allocate(self, holder, request):
+        if holder in self.holders:
+            raise ValueError(holder)
+        if not (self.allocated + request).fits_within(self.capacity):
+            raise ResourceExhausted(holder)
+        self.holders[holder] = request
+        self.allocated = self.allocated + request
+
+    def release(self, holder):
+        request = self.holders.pop(holder)
+        self.allocated = self.allocated - request
+        return request
+
+
+# fractional cores too: the totals must round exactly as the fold does
+ledger_request_st = st.builds(
+    Resources,
+    cores=st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 1.5]) | st.floats(0, 6, width=32),
+    memory=st.integers(min_value=0, max_value=400),
+    disk=st.integers(min_value=0, max_value=400),
+    gpus=st.integers(min_value=0, max_value=2),
+)
+ledger_op_st = st.tuples(
+    st.sampled_from(["allocate", "release"]),
+    st.integers(min_value=0, max_value=5),
+    ledger_request_st,
+)
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except (ResourceExhausted, ValueError, KeyError) as exc:
+        return None, type(exc)
+
+
+@given(st.lists(ledger_op_st, max_size=40), st.lists(ledger_request_st, max_size=4))
+def test_property_pool_ledger_is_the_fold_of_its_requests(ops, probes):
+    capacity = Resources(cores=8, memory=1000, disk=1000, gpus=4)
+    pool, fold = ResourcePool(capacity), _FoldPool(capacity)
+    for op, holder, request in ops:
+        name = f"h{holder}"
+        if op == "allocate":
+            got = _outcome(lambda: pool.allocate(name, request))
+            want = _outcome(lambda: fold.allocate(name, request))
+        else:
+            got = _outcome(lambda: pool.release(name))
+            want = _outcome(lambda: fold.release(name))
+        assert got == want
+        # exactly the fold's values, ints and floats alike
+        assert repr(pool.allocated) == repr(fold.allocated)
+        assert pool.holders() == fold.holders
+        for r in probes + [request]:
+            assert pool.can_fit(r) == (fold.allocated + r).fits_within(capacity)

@@ -115,8 +115,8 @@ def test_quota_headroom_gauge_reflects_limits():
 def test_tenant_namespace_tracks_names():
     port, control = make_control()
     acct = control.tenant_account("alice")
-    control.tenant_add_name("alice", "buffer-md5-abc")
-    control.tenant_add_name("alice", "buffer-md5-abc")
+    control.tenant_add_names("alice", ["buffer-md5-abc"])
+    control.tenant_add_names("alice", ["buffer-md5-abc"])
     assert acct.names == {"buffer-md5-abc"}
 
 

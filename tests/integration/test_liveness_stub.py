@@ -11,8 +11,10 @@ import time
 
 from repro.core.manager import Manager
 from repro.core.resources import Resources
+from repro.core.task import Task
 from repro.protocol.connection import Connection
 from repro.protocol.messages import M
+from repro.worker.scripted import ScriptedWorker
 from tests.integration.conftest import EventWaiter
 
 
@@ -74,7 +76,7 @@ def test_traffic_refreshes_liveness(tmp_path):
         # age the handle past the deadline: it is reapable right now
         handle.last_seen -= 120.0
         aged = handle.last_seen
-        assert m._find_stale(time.time()) == [handle]
+        assert m._find_stale(time.monotonic()) == [handle]
         # any message — here a bare heartbeat — resets the silence clock;
         # no transaction-log event marks it, so this wait leans on the
         # waiter's fallback re-check rather than an event wakeup
@@ -83,9 +85,35 @@ def test_traffic_refreshes_liveness(tmp_path):
             lambda: handle.last_seen > aged, timeout=10,
             describe="heartbeat refreshing last_seen",
         )
-        assert m._reap_stale(time.time()) == []  # deadline defused
+        assert m._reap_stale(time.monotonic()) == []  # deadline defused
         with m._lock:
             assert wid in m.workers
         stub.close()
     finally:
+        m.close()
+
+
+def test_a_wall_clock_step_reaps_no_live_worker(monkeypatch):
+    """Liveness, session expiry and the manager's stamps read the
+    monotonic clock: the wall clock stepping an hour forward (an NTP
+    correction, a resumed VM) declares no live worker dead."""
+    m = Manager(worker_liveness_timeout=60.0)
+    events = EventWaiter(m)
+    fleet = [ScriptedWorker(m.host, m.port) for _ in range(3)]
+    try:
+        events.wait_for(lambda: len(m.workers) == 3, timeout=10, describe="3 joins")
+        before = m.now()
+        wall = time.time
+        monkeypatch.setattr(time, "time", lambda: wall() + 3600.0)
+        m._liveness_sweep()
+        with m._lock:
+            assert len(m.workers) == 3
+        assert m.now() - before < 60.0
+        task = Task("noop")
+        m.submit(task)
+        assert [t.task_id for t in m.run_until_done(timeout=30)] == [task.task_id]
+        assert m.log.events("worker_leave") == []
+    finally:
+        for w in fleet:
+            w.close()
         m.close()

@@ -1,5 +1,6 @@
 """Tests for socket framing and the wire message schema."""
 
+import json
 import struct
 import threading
 
@@ -300,3 +301,21 @@ def test_all_schema_types_validate_with_required_fields():
     for mtype, fields in _SCHEMA.items():
         msg = {"type": mtype, **{f: "x" for f in fields}}
         assert validate(msg) == mtype
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.text(max_size=8), _JSON, max_size=6))
+def test_a_frame_is_the_compact_json_of_its_message(message):
+    """The shared encoder writes exactly what ``json.dumps`` with the
+    compact separators writes: non-ASCII escaped, non-finite floats as
+    JavaScript literals, keys in insertion order."""
+    payload = json.dumps(message, separators=(",", ":")).encode()
+    assert encode_frame(message) == struct.pack(">I", len(payload)) + payload
