@@ -42,8 +42,7 @@ def start_workers(manager, count=2, cores=4, workdir_root=None, disk=4000):
     atexit.register(cleanup)
     deadline = time.time() + 30
     while time.time() < deadline:
-        with manager._lock:
-            if len(manager.workers) >= count:
-                return procs
+        if len(manager.workers) >= count:
+            return procs
         time.sleep(0.05)
     raise TimeoutError("workers failed to register")

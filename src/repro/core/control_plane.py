@@ -90,6 +90,7 @@ __all__ = [
     "LibraryState",
     "TenantAccount",
     "ControlPlane",
+    "presubmit",
 ]
 
 #: fixed-source marker for files that only ever exist at workers (temps)
@@ -134,6 +135,29 @@ def _fixed_source(f: File) -> str:
     raise ManagerError(
         f"file {f.file_id} ({f.source_description()}) names no source to serve it"
     )
+
+
+def _not_declared(task: Task, f: File) -> str:
+    # ids are assigned after the checks, so name the command
+    return f"input {f.file_id} ({f.source_description()}) of task {task.command!r} was not declared"
+
+
+def presubmit(task: Task, plane: "ControlPlane") -> str:
+    """What a submitter decides alone, off the plane's thread: refuse a
+    task once the plane is closed, one submitted before and one with an
+    input never named; then stamp ``seq`` and the id from the plane's
+    counter (``next`` on it is atomic).  Returns the id."""
+    if plane.closed:
+        raise ManagerError("manager is closed")
+    if task.seq:
+        raise ManagerError(f"task {task.task_id} already submitted")
+    for _, f in task.inputs:
+        if f.cache_name is None:
+            raise ManagerError(_not_declared(task, f))
+    task.seq = next(plane._task_seq)
+    if task.task_id is None:
+        task.task_id = f"t{task.seq}"
+    return task.task_id
 
 
 class RuntimePort(Protocol):
@@ -1079,9 +1103,9 @@ class ControlPlane:
         runtime's ``namer`` (:meth:`_name_outputs`; without one they
         must be already).
 
-        Submission stamps the task's identity: a monotonic per-manager
-        ``seq`` (the FIFO key the scheduler orders by) and, unless the
-        application supplied one, the id ``t<seq>``.  A deterministic
+        Submission stamps the task's identity unless :func:`presubmit`
+        did: a monotonic per-manager ``seq`` (the FIFO key the scheduler
+        orders by) and, unless supplied, the id ``t<seq>``.  A deterministic
         task whose merkle matches a sound memo entry never reaches the
         ready queue: its outputs are adopted and it completes at the
         next pump without dispatching.
@@ -1092,11 +1116,7 @@ class ControlPlane:
             raise ManagerError(f"task {task.task_id} already submitted")
         for _, f in task.inputs:
             if not self._declared(f):
-                # ids are assigned below, so name the command here
-                raise ManagerError(
-                    f"input {f.file_id} ({f.source_description()}) of task "
-                    f"{task.command!r} was not declared"
-                )
+                raise ManagerError(_not_declared(task, f))
         acct = self.tenant_account(task.tenant)
         headroom = acct.task_headroom()
         if headroom is not None and headroom <= 0:
@@ -1107,7 +1127,7 @@ class ControlPlane:
         eligible = self._memo_eligible(task)
         if namer is not None:
             self._name_outputs(task, namer, eligible)
-        task.seq = next(self._task_seq)
+        task.seq = task.seq or next(self._task_seq)
         if task.task_id is None:
             task.task_id = f"t{task.seq}"
         names = task.input_names = task.input_cache_names()

@@ -91,12 +91,6 @@ class File:
     #: then on; the worker copy is dropped unless ``keep_at_worker``
     bring_back = False
     keep_at_worker = False
-    #: id of the task that produces this file, stamped at its submit:
-    #: the lineage a lost replica is regenerated through
-    producer_task_id: Optional[str] = None
-    #: how many names a registry knew before this file's, stamped when
-    #: it registers a name first: its place in declaration order
-    rank: Optional[int] = None
 
     def __init__(self, cache: "CacheLevel | str" = CacheLevel.WORKFLOW) -> None:
         self.file_id: str = f"f{next(_file_ids)}"
@@ -107,6 +101,14 @@ class File:
         self.size: Optional[int] = None
         #: cache names this file's materialization depends on (mini tasks)
         self.dependencies: tuple[str, ...] = ()
+        # set here, not first by the plane: files made in a burst before the
+        # reactor stamps any would each get a dict (shared keys stop growing)
+        #: id of the task that produces this file, stamped at its submit:
+        #: the lineage a lost replica is regenerated through
+        self.producer_task_id: Optional[str] = None
+        #: how many names a registry knew before this file's, stamped when
+        #: it registers a name first: its place in declaration order
+        self.rank: Optional[int] = None
 
     def source_description(self) -> str:
         """Human-readable provenance used in logs and error messages."""

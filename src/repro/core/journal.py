@@ -11,11 +11,11 @@ OxyMake's durable content-addressed state (PAPERS.md):
 
 * :class:`Journal` — the framing layer.  An append-only file of
   length-prefixed JSON records (4-byte big-endian length + UTF-8
-  payload), fsync'd per append — or, for the one thread that asked for
-  group commit (the manager's reactor), once per :meth:`Journal.sync` —
-  next to an atomically-replaced ``snapshot.json``.  A crash can tear
-  at most the trailing record; replay detects the torn tail, reports
-  it, and truncates it away before the next append.
+  payload), fsync'd per append — or, under group commit (the manager's),
+  once per :meth:`Journal.sync` — next to an atomically-replaced
+  ``snapshot.json``.  A crash can tear at most the trailing record;
+  replay detects the torn tail, reports it, and truncates it away
+  before the next append.
 
 * :class:`ControlPlaneJournal` — the domain layer.  Folds the record
   stream into mirrors of the control plane's durable state (declares,
@@ -47,7 +47,6 @@ import base64
 import json
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -122,8 +121,8 @@ class Journal:
         self.pending_records = 0
         #: records appended over the journal's whole life
         self.lifetime_records = 0
-        #: ident of the thread whose appends are group-committed
-        self._group_thread: Optional[int] = None
+        #: appends leave their fsync to the next :meth:`sync`
+        self.group_commit = False
         #: records written to the log but not yet covered by an fsync
         self._unsynced = 0
         #: called after each fsync with the number of records it covered
@@ -193,9 +192,9 @@ class Journal:
     def append(self, record: dict) -> None:
         """Durably append one record (length prefix + JSON + fsync).
 
-        On the thread that called :meth:`begin_group_commit` the record
-        is written at once but its fsync is left to that thread's next
-        :meth:`sync`; everywhere else the record is on disk on return.
+        Under group commit (:meth:`begin_group_commit`) the record is
+        written at once but its fsync is left to the next :meth:`sync`;
+        otherwise the record is on disk on return.
         """
         payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
         fh = self._open_for_append()
@@ -205,22 +204,13 @@ class Journal:
         self.pending_records += 1
         self.lifetime_records += 1
         self._unsynced += 1
-        if not self.group_committing():
+        if not self.group_commit:
             self.sync()
 
     def begin_group_commit(self) -> None:
-        """Group-commit the calling thread's appends from now on.
-
-        That thread then owes a :meth:`sync` before it lets anything
-        its records caused be observed (a frame offered to a socket, a
-        completion handed to the application).  Every
-        other thread keeps fsync-per-append.
-        """
-        self._group_thread = threading.get_ident()
-
-    def group_committing(self) -> bool:
-        """True on the thread whose appends wait for its :meth:`sync`."""
-        return threading.get_ident() == self._group_thread
+        """Leave every later append's fsync to :meth:`sync`, which the owner
+        owes before anything the records caused is observed."""
+        self.group_commit = True
 
     def sync(self) -> None:
         """One fsync for every record appended since the last."""
@@ -304,8 +294,8 @@ class ControlPlaneJournal:
         self.snapshot_every = max(8, snapshot_every)
         #: called after each automatic compaction with the snapshot size
         self.on_compact: Optional[Callable[[int], None]] = None
-        #: a compaction fell due on the group-committing thread: its
-        #: next :meth:`sync` snapshots instead of fsyncing the log
+        #: a compaction fell due under group commit: the next
+        #: :meth:`sync` snapshots instead of fsyncing the log
         self._compact_due = False
         self.meta: dict = {}
         self.declares: dict[str, dict] = {}
@@ -343,8 +333,8 @@ class ControlPlaneJournal:
         journal = self.journal
         journal.append(rec)
         if journal.pending_records >= self.snapshot_every:
-            if journal.group_committing():
-                # that thread owes one sync for its whole sweep; a
+            if journal.group_commit:
+                # the owner owes one sync for its whole sweep; a
                 # snapshot now would fsync a fresh log that the sweep's
                 # later records then need fsynced again
                 self._compact_due = True

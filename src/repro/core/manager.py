@@ -11,25 +11,19 @@ with virtual-time mechanisms, so any behavioural change belongs in
 ``control_plane.py``, never here.
 
 Concurrency model: one :class:`~repro.core.reactor.Reactor` thread owns
-every socket and every clock of the manager.  It accepts workers and
-clients, reassembles their frames and hands complete messages to
-:meth:`Manager.peer_message`, which feeds the control plane under the
-state lock; it drains one outbound FIFO per peer with non-blocking
-sends; and its deadline heap runs the back-off wake-ups, the liveness
-sweep, session reaping and the metrics dump.  Nothing here reads or
-writes a socket: a command is encoded and appended to its peer's FIFO
-(:meth:`Manager._send`), from whichever thread holds the state lock.
-Application threads interact through the public API
-(declare/submit/wait/fetch) which takes the same lock, so the manager
-is safe to drive from ordinary sequential application code.
-
-The reactor is also the only thread that runs the scheduling pump: it
-pumps once per sweep, in :meth:`Manager.before_write`, and a pump
-requested from any other thread (``submit``, ``cancel``,
-``drain_worker``) is *posted* to it — a flag plus one byte on the wake
-pipe — rather than run on the caller (:meth:`Manager.request_pump`).
-The same call then makes the sweep's journal records durable, so the
-frames the sweep queued leave only after the fsync that covers them.
+every socket, every clock and, once it has started, the control plane.
+It accepts workers and clients, hands their complete messages to
+:meth:`Manager.peer_message`, which feeds the plane, drains one outbound
+FIFO per peer (:meth:`Manager._send` only appends to it), and runs the
+back-off wake-ups, liveness sweep, session reaping and metrics dump from
+its deadline heap.  An application thread calling the public API does
+its own work — naming, hashing, packing, pickling, stamping a task's id
+— and posts the plane step to the reactor's inbox (:meth:`Manager._post`,
+one wake byte per burst); a call the plane answers posts and waits
+(:meth:`Manager._ask`), after every post made before it.  Each sweep's
+:meth:`Manager.before_write` applies the inbox, runs the sweep's one
+scheduling pump and makes the sweep's journal records durable, so its
+frames leave only after the fsync that covers them.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ import itertools
 import os
 import queue
 import tempfile
-import threading
 import time
 import uuid
 from typing import Callable, Optional, Sequence
@@ -50,6 +43,7 @@ from repro.core.control_plane import (
     LibraryState,
     ManagerError,
     StagingJob,
+    presubmit,
 )
 from repro.core.files import (
     BufferFile,
@@ -66,7 +60,7 @@ from repro.core.policy import Policy
 from repro.core.reactor import FileBody, Peer, Reactor
 from repro.core.resources import ResourcePool, Resources
 from repro.core.resultref import ResultProxy, scan_refs
-from repro.core.task import MiniTask, PythonTask, Task, TaskResult
+from repro.core.task import MiniTask, PythonTask, Task, TaskResult, TaskState
 from repro.core.transfer_table import Transfer
 from repro.observe.txnlog import TransactionLogWriter
 from repro.protocol import serialization as ser
@@ -148,9 +142,7 @@ class _ClientSession:
 
     The session outlives its socket: a client may detach (or crash)
     and later reattach with its token, picking up the notices that
-    were buffered in between.  ``loopback`` marks the in-process
-    session that backs ``Manager.submit``/``wait`` — it has no socket
-    and its completions go to the manager's completion queue.
+    were buffered in between.
     """
 
     _ids = itertools.count(1)
@@ -164,7 +156,6 @@ class _ClientSession:
         self.session_id = f"C{next(self._ids):03d}"
         self.token = uuid.uuid4().hex
         self.tenant = tenant
-        self.loopback = False
         #: the attached connection; set and cleared on the reactor thread
         self.peer: Optional[Peer] = None
         #: outstanding task ids owned by this session
@@ -196,9 +187,9 @@ class ManagerService:
     second workflow declaring identical inputs gets a cache hit and
     zero re-transfer (paper §3.2's point of naming by content).
 
-    All methods run under the manager's state lock.  Protocol errors
-    from a client answer with ``client_reject`` (and a
-    ``client_rejected`` event) instead of unwinding the connection.
+    All methods run on the reactor.  Protocol errors from a client
+    answer with ``client_reject`` (and a ``client_rejected`` event)
+    instead of unwinding the connection.
     """
 
     def __init__(self, mgr: "Manager", project_name: str, password: Optional[str]) -> None:
@@ -207,10 +198,8 @@ class ManagerService:
         self.password = password
         #: attach-token -> session (reattach looks up here)
         self.sessions: dict[str, _ClientSession] = {}
-        #: outstanding task id -> owning session (remote sessions only)
+        #: outstanding task id -> owning session
         self.by_task: dict[str, _ClientSession] = {}
-        self.loopback = _ClientSession("default")
-        self.loopback.loopback = True
 
     # -- admission -----------------------------------------------------
 
@@ -434,16 +423,14 @@ class ManagerService:
     def _local_path(self, sess: _ClientSession, path: str) -> str:
         """Resolve a ``kind="local"`` declaration path for one session.
 
-        The loopback session *is* the in-process application — it may
-        name anything the manager process can read.  Remote tenants all
-        share one project password, so an unrestricted local declare
-        would let any of them read any file on the manager host
-        (/etc/passwd, another tenant's data): their paths must resolve
-        — symlinks included — inside the operator-configured
-        ``client_local_root``, or the declare is refused outright.
+        Remote tenants all share one project password, so an
+        unrestricted local declare would let any of them read any file
+        on the manager host (/etc/passwd, another tenant's data): their
+        paths must resolve — symlinks included — inside the
+        operator-configured ``client_local_root``, or the declare is
+        refused outright.  (The in-process application declares through
+        ``Manager.declare_local``, which may name anything.)
         """
-        if sess.loopback:
-            return os.path.abspath(path)
         root = self.mgr.client_local_root
         if root is None:
             raise ManagerError(
@@ -573,23 +560,13 @@ class ManagerService:
         mgr.control.tenant_add_names(sess.tenant, (src,))
 
     def _submit(self, sess: _ClientSession, task: Task) -> str:
-        mgr = self.mgr
-        if not sess.loopback:
-            # journaled with the submit so a restarted manager can route
-            # the task's outcome back to the reattached session
-            task.session_token = sess.token
-        tid = mgr._submit_prepared(task)
-        mgr.control.tenant_add_names(
-            task.tenant, [f.cache_name for _name, f in task.outputs]
-        )
-        if not sess.loopback:
-            sess.tasks.add(tid)
-            self.by_task[tid] = sess
+        # journaled with the submit so a restarted manager can route
+        # the task's outcome back to the reattached session
+        task.session_token = sess.token
+        tid = self.mgr._submit_prepared(task)
+        sess.tasks.add(tid)
+        self.by_task[tid] = sess
         return tid
-
-    def submit_local(self, task: Task) -> str:
-        """Loopback client: the in-process API rides the same session path."""
-        return self._submit(self.loopback, task)
 
     def _accept(self, sess: _ClientSession, ref, task: Task, tid: str) -> None:
         self._reply(
@@ -680,8 +657,8 @@ class ManagerService:
         """Route a completed task to its owning remote session; ``ref``
         is the ``ResultRef`` of a call that finished by reference.
 
-        Returns None when the task belongs to the in-process loopback
-        path (the caller then feeds the completion queue as before).
+        Returns None when the task belongs to the in-process
+        application (the caller then feeds the completion queue).
         """
         sess = self.by_task.pop(task.task_id, None)
         if sess is None:
@@ -794,9 +771,8 @@ class Manager:
         listener = listen(host, port)
         self.host, self.port = listener.getsockname()
         #: the one thread that touches a socket or a clock; started at
-        #: the end of construction (journal restore pumps inline)
+        #: the end of construction, which owns the plane until then
         self.reactor = Reactor(listener, self)
-        self._lock = threading.RLock()
         self._t0 = time.monotonic()
         #: persistent memoization store; None disables memoization
         self.memo_store = None
@@ -811,6 +787,7 @@ class Manager:
             from repro.core.journal import ControlPlaneJournal
 
             self.journal = ControlPlaneJournal(journal_dir)
+            self.journal.begin_group_commit()  # synced below, then per sweep
         self.recovery_grace = recovery_grace
         self.control = ControlPlane(
             self,
@@ -826,8 +803,7 @@ class Manager:
         #: idle seconds after which a detached session with no
         #: outstanding tasks is reaped; None keeps sessions forever
         self.client_session_ttl = client_session_ttl
-        #: client-session table (service mode); the in-process API is
-        #: its loopback session, so one code path owns all submissions
+        #: client-session table (service mode)
         self.service = ManagerService(self, project_name, password)
         #: streams every event to disk as it is emitted (live tailable)
         self._txn_writer: Optional[TransactionLogWriter] = None
@@ -859,10 +835,12 @@ class Manager:
         self._m_loop = m.histogram("net.reactor_loop_seconds")
         self._m_queued = m.gauge("net.outbound_queued_bytes")
 
-        #: a pump is owed: the reactor runs it at the end of its sweep.
-        #: Set by request_pump from any thread (under _lock); while it is
-        #: True a wake byte is in the pipe or the reactor is mid sweep
+        #: a pump is owed: the reactor runs it at the end of its sweep
         self._pump_wanted = False
+        #: commands (a callable and its arguments) posted for the reactor
+        self._inbox: collections.deque = collections.deque()
+        #: a wake is pending for the inbox (lowered just before a drain)
+        self._posted = False
         #: cache name of a declared directory -> the one tar every push
         #: of it streams (removed at close)
         self._packed: dict[str, str] = {}
@@ -870,15 +848,15 @@ class Manager:
         #: True when this life restored state journaled by a prior one
         self.recovered = False
         if self.journal is not None:
-            with self._lock:
-                # (the pump this asks for is the reactor's first, below:
-                # nothing is delivered before the sessions are back)
-                self.recovered = self.control.recover(recovery_grace)
-                if self.recovered:
-                    self.service.restore_sessions(self.journal)
-                self.journal.record_meta(
-                    port=self.port, project=project_name, policy=policy.asdict()
-                )
+            # (the pump this asks for is the reactor's first, below:
+            # nothing is delivered before the sessions are back)
+            self.recovered = self.control.recover(recovery_grace)
+            if self.recovered:
+                self.service.restore_sessions(self.journal)
+            self.journal.record_meta(
+                port=self.port, project=project_name, policy=policy.asdict()
+            )
+            self.journal.sync()
         #: seconds of silence (no message, not even a heartbeat) after
         #: which a worker is declared dead; None disables the sweep
         self.worker_liveness_timeout = worker_liveness_timeout
@@ -892,11 +870,7 @@ class Manager:
             self.reactor.call_later(
                 METRICS_DUMP_INTERVAL, self._dump_metrics, every=METRICS_DUMP_INTERVAL
             )
-        if self.journal is not None:
-            # records the reactor journals during a sweep share one
-            # fsync, taken in before_write ahead of the sweep's frames
-            # (due on the first sweep, before any peer can be read)
-            self.reactor.call_later(0.0, self.journal.begin_group_commit)
+        self.reactor.wake()  # a first sweep runs what construction owes
         self.reactor.start()
 
     # -- control-plane state views (single source of truth) --------------
@@ -922,23 +896,9 @@ class Manager:
         return time.monotonic() - self._t0
 
     def request_pump(self) -> None:
-        """Ask for a scheduling pass (callers hold the state lock).
-
-        The reactor is the one pumping thread: it pumps once at the end
-        of each event sweep, so K completions in a sweep — or K submits
-        from an application thread while it sleeps or sweeps — cost one
-        scheduling pass, not K, and the commands that pass issues leave
-        as one write per worker.  A request only raises the flag and,
-        when it comes from another thread, wakes the reactor; the wake
-        is sent on the False→True edge alone, so a burst costs one byte
-        (one sent before the reactor starts waits in the pipe for its
-        first sweep).
-        """
-        if self._pump_wanted:
-            return
+        """Ask for a scheduling pass (the plane asks, on the reactor): one
+        per sweep, however many completions or submits it applied."""
         self._pump_wanted = True
-        if not self.reactor.on_loop():
-            self.reactor.wake()
 
     def schedule_pump(self, delay: float) -> None:
         """Wake the control plane after ``delay`` wall seconds.
@@ -947,12 +907,7 @@ class Manager:
         source needs a pump when its holdoff expires even if no worker
         message arrives in the meantime.
         """
-        self.reactor.call_later(delay, self._timed_pump)
-
-    def _timed_pump(self) -> None:
-        with self._lock:
-            if not self.control.closed:
-                self.request_pump()
+        self.reactor.call_later(delay, self.request_pump)
 
     def send_fetch(self, record: Transfer, level: CacheLevel) -> None:
         if record.source.startswith("url:"):
@@ -1084,18 +1039,14 @@ class Manager:
 
     def deliver(self, task: Task, ref) -> None:
         if self.service.task_delivered(task, ref) is None:
-            # loopback (in-process) session: ``output()`` hands back a
-            # lazy proxy whose first dereference resolves through the
-            # fetch plane; the application observes the completion the
-            # moment it is queued, so its record must be on disk first
+            # the in-process application: ``output()`` hands back a lazy
+            # proxy resolved through the fetch plane, and ``wait()`` sees
+            # the task once the sweep's sync put its record on disk
             if ref is not None:
                 task.set_output_value(
                     ResultProxy(ref, fetcher=self._fetch_result_bytes)
                 )
-            if self.reactor.on_loop():
-                self._delivered.append(task)  # after before_write's sync
-            else:
-                self._completed.put(task)  # this thread's records are synced
+            self._delivered.append(task)
 
     def _hand_over_delivered(self) -> None:
         """Let ``wait()`` see the loop's completions (records on disk)."""
@@ -1125,6 +1076,45 @@ class Manager:
 
             self.control.fetch(out.cache_name, retain, True)  # best effort
 
+    # -- the inbox: how an application thread reaches the plane ---------
+
+    def _post(self, *command) -> None:
+        """Queue a callable and its arguments for the reactor (any thread)."""
+        self._inbox.append(command)
+        if not self._posted:
+            self._posted = True
+            self.reactor.wake()
+
+    def _ask(self, fn: Callable, *args):
+        """``fn(*args)`` on the reactor after every earlier post: what it
+        returns, or raises, is this call's."""
+        if self.reactor.on_loop():
+            return fn(*args)
+        answer: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
+
+        def reply() -> None:
+            try:
+                answer.put((True, fn(*args)))
+            except Exception as exc:  # noqa: BLE001 - raised on the asking thread
+                answer.put((False, exc))
+
+        self._post(reply)
+        if not self.reactor.running:
+            self._apply_posts()  # a stopped reactor applies nothing more
+        ok, value = answer.get()
+        if ok:
+            return value
+        raise value
+
+    def _apply_posts(self) -> None:
+        """Apply every queued command, in order (on the plane's owner)."""
+        while self._inbox:
+            command = self._inbox.popleft()
+            try:
+                command[0](*command[1:])
+            except Exception:  # noqa: BLE001 - one bad command must not end the loop
+                log.exception("posted command %r failed", command[0])
+
     # ------------------------------------------------------------------
     # public API: declarations
     # ------------------------------------------------------------------
@@ -1132,16 +1122,15 @@ class Manager:
     def declare_local(self, path: str, cache: "CacheLevel | str" = CacheLevel.WORKFLOW) -> LocalFile:
         """Declare a file or directory from the shared filesystem."""
         f = LocalFile(os.path.abspath(path), cache)
-        with self._lock:
-            self.namer.assign(f)
-            self.control.declare(f, self._local_size(f.path))
-            if os.path.isdir(f.path):
-                self._tar_of(f)  # packed here, once, not per destination
+        self.namer.assign(f)
+        if os.path.isdir(f.path):
+            self._tar_of(f)  # packed here, once, not per destination
+        self._post(self.control.declare, f, self._local_size(f.path))
         return f
 
     def _tar_of(self, f: LocalFile) -> str:
         """The one tar every push of a declared directory streams,
-        packed on first use (callers hold the state lock)."""
+        packed on first use."""
         tar_path = self._packed.get(f.cache_name)
         if tar_path is None:
             from repro.worker.transfers import pack_directory
@@ -1166,17 +1155,15 @@ class Manager:
     ) -> BufferFile:
         """Declare literal bytes from the application's memory."""
         f = BufferFile(data, cache)
-        with self._lock:
-            self.namer.assign(f)
-            self.control.declare(f)
+        self.namer.assign(f)
+        self._post(self.control.declare, f)
         return f
 
     def declare_url(self, url: str, cache: "CacheLevel | str" = CacheLevel.WORKFLOW) -> URLFile:
         """Declare a remote object; workers fetch it on demand."""
         f = URLFile(url, cache)
-        with self._lock:
-            self.namer.assign(f)
-            self.control.declare(f, self._url_size(url))
+        self.namer.assign(f)
+        self._post(self.control.declare, f, self._url_size(url))
         return f
 
     @staticmethod
@@ -1208,9 +1195,8 @@ class Manager:
     def declare_temp(self) -> TempFile:
         """Declare an ephemeral file that never leaves the cluster."""
         f = TempFile()
-        with self._lock:
-            self.namer.assign(f)
-            self.control.declare(f)
+        self.namer.assign(f)
+        self._post(self.control.declare, f)
         return f
 
     def declare_minitask(
@@ -1223,9 +1209,8 @@ class Manager:
                     f"mini task input {dep.file_id} must be declared first"
                 )
         f = MiniTaskFile(mini, cache)
-        with self._lock:
-            self.namer.assign(f)
-            self.control.declare(f)
+        self.namer.assign(f)
+        self._post(self.control.declare, f)
         return f
 
     def declare_untar(
@@ -1242,46 +1227,60 @@ class Manager:
     # ------------------------------------------------------------------
 
     def submit(self, task: Task) -> str:
-        """Submit a task for execution; returns its id.
+        """Submit a task; returns its id before the task is queued (the
+        reactor admits and places it in its next sweep).  Raises
+        :class:`ManagerError` for what this call decides alone
+        (:func:`presubmit`, or a call naming a library never created); a
+        refusal only the plane makes — a tenant quota, an input named but
+        not declared here — comes back from :meth:`wait` as the task,
+        ``FAILED`` with the reason, recorded nowhere and free to return."""
+        if isinstance(task, FunctionCall) and task.library_name not in self.libraries:
+            raise ManagerError(f"function call names unknown library {task.library_name!r}")
+        payload = None
+        if isinstance(task, PythonTask):
+            payload = self._prepare_python_task(task)
+        tid = presubmit(task, self.control)
+        if task.result is not None:  # refused before: it comes back fresh
+            task.state, task.result = TaskState.CREATED, None
+        self._post(self._admit, task, payload)
+        return tid
 
-        Returns once the task is validated, named and queued (``READY``);
-        placement happens on the reactor's next sweep, so a burst of
-        submits costs one scheduling pass rather than one each.
-
-        Routes through the service's loopback session, so in-process
-        submissions ride the same quota/accounting path as remote
-        clients while keeping this signature unchanged.
-        """
-        with self._lock:
-            return self.service.submit_local(task)
+    def _admit(self, task: Task, payload: Optional[BufferFile]) -> None:
+        try:
+            if payload is not None:
+                self.control.declare(payload)
+            self._submit_prepared(task)
+        except ManagerError as exc:
+            task.state, task.result = TaskState.FAILED, TaskResult(failure=str(exc))
+            task.seq = 0  # never admitted: it may come back
+            self._delivered.append(task)
 
     def _submit_prepared(self, task: Task) -> str:
-        """Give a python task or a call the files its mechanism rides
-        on, then hand it to the plane, which admits or refuses it
-        (callers hold the state lock)."""
-        if isinstance(task, PythonTask):
-            self._prepare_python_task(task)
+        """Give a call the files its mechanism rides on, then hand the
+        task to the plane, which admits or refuses it, and its outputs
+        to its tenant's namespace."""
         if isinstance(task, FunctionCall):
-            if task.library_name not in self.control.libraries:
-                raise ManagerError(
-                    f"function call names unknown library {task.library_name!r}"
-                )
             self._prepare_function_call(task)
-        return self.control.submit(task, self.namer)
+        tid = self.control.submit(task, self.namer)
+        self.control.tenant_add_names(
+            task.tenant, [f.cache_name for _name, f in task.outputs]
+        )
+        return tid
 
-    def _prepare_python_task(self, task: PythonTask) -> None:
+    def _prepare_python_task(self, task: PythonTask) -> Optional[BufferFile]:
+        """The payload input to declare on admission, once (None after)."""
         if any(n == task.RESULT_NAME for n, _f in task.outputs):
-            return  # prepared by an earlier submit (refused, or being repeated)
+            return None  # prepared by an earlier submit (refused, or being repeated)
         payload = ser.dumps_portable(
             {"func": task.func, "args": task.args, "kwargs": task.kwargs}
         )
         pf = BufferFile(payload, CacheLevel.TASK)
         self.namer.assign(pf)
-        self.control.declare(pf)
         task.inputs.append((task.PAYLOAD_NAME, pf))
         result = TempFile()
         # named (memo-aware) and declared by control.submit
         task.outputs.append((task.RESULT_NAME, result))
+        return pf
 
     def _prepare_function_call(self, task: FunctionCall) -> None:
         """Attach the by-reference result output and proxy-argument inputs.
@@ -1315,9 +1314,8 @@ class Manager:
 
     def empty(self) -> bool:
         """True when no submitted task remains incomplete."""
-        with self._lock:
-            # a completion counts until ``wait()`` can see it
-            return self.control.outstanding == 0 and not self._delivered
+        # a completion counts until ``wait()`` can see it
+        return self._ask(lambda: self.control.outstanding == 0 and not self._delivered)
 
     def cancel(self, task: Task) -> bool:
         """Cancel a submitted task; returns False if already terminal.
@@ -1326,8 +1324,7 @@ class Manager:
         process group is killed at the worker.  A cancelled task is
         delivered through :meth:`wait` with state ``CANCELLED``.
         """
-        with self._lock:
-            return self.control.cancel(task)
+        return self._ask(self.control.cancel, task)
 
     def run_until_done(self, timeout: float = 300.0) -> list[Task]:
         """Convenience driver: wait for every outstanding task.
@@ -1336,22 +1333,24 @@ class Manager:
         """
         deadline = time.monotonic() + timeout
         finished = []
-        while not self.empty():
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ManagerError(
-                    f"workflow did not finish within {timeout}s "
-                    f"({self.control.outstanding} tasks outstanding)"
-                )
-            t = self.wait(timeout=min(1.0, remaining))
+        while True:
+            t = self.wait(timeout=0)
+            # one empty() round trip per batch of completions, not per task
+            if t is None and self.empty():
+                # what it counted was handed over before it answered
+                while (t := self.wait(timeout=0)) is not None:
+                    finished.append(t)
+                return finished
+            if t is None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ManagerError(
+                        f"workflow did not finish within {timeout}s "
+                        f"({self.control.outstanding} tasks outstanding)"
+                    )
+                t = self.wait(timeout=min(1.0, remaining))
             if t is not None:
                 finished.append(t)
-        while True:  # drain anything that raced the empty() check
-            t = self.wait(timeout=0.01)
-            if t is None:
-                break
-            finished.append(t)
-        return finished
 
     # -- serverless ----------------------------------------------------
 
@@ -1364,18 +1363,16 @@ class Manager:
     ) -> Library:
         """Define a library of Python functions for serverless calls."""
         library = Library(name, functions)
-        with self._lock:
-            if name in self.control.libraries:
-                raise ManagerError(f"library {name!r} already created")
-            self.control.libraries[name] = _LibraryState(
-                library, resources, function_slots
-            )
+        lib = _LibraryState(library, resources, function_slots)
+        if self._ask(self.control.libraries.setdefault, name, lib) is not lib:
+            raise ManagerError(f"library {name!r} already created")
         return library
 
     def install_library(self, name: str) -> None:
         """Deploy the library to every current and future worker."""
-        with self._lock:
-            self.control.install_library(name)
+        if name not in self.libraries:
+            raise ManagerError(f"library {name!r} was never created")
+        self._post(self.control.install_library, name)
 
     # -- tenancy ---------------------------------------------------------
 
@@ -1386,8 +1383,7 @@ class Manager:
         byte_quota: Optional[int] = None,
     ) -> None:
         """Override one tenant's quotas (None = unlimited dimension)."""
-        with self._lock:
-            self.control.set_tenant_quota(tenant, task_quota, byte_quota)
+        self._post(self.control.set_tenant_quota, tenant, task_quota, byte_quota)
 
     # -- data retrieval ---------------------------------------------------
 
@@ -1419,10 +1415,9 @@ class Manager:
         empty or the deadline passes.
         """
         waiter: "queue.Queue[Optional[bytes]]" = queue.Queue()
-        with self._lock:
-            self.control.fetch(
-                cache_name, lambda _wid, payload: waiter.put(payload)
-            )
+        self._post(
+            self.control.fetch, cache_name, lambda _wid, payload: waiter.put(payload)
+        )
         try:
             data = waiter.get(timeout=timeout)
         except queue.Empty:
@@ -1441,8 +1436,7 @@ class Manager:
         its sole-holder cache objects.  Returns False when the worker
         is unknown or already draining.
         """
-        with self._lock:
-            return self.control.drain_worker(worker_id)
+        return self._ask(self.control.drain_worker, worker_id)
 
     def close(self, shutdown_workers: bool = True) -> None:
         """Garbage-collect workflow files and release all connections.
@@ -1451,21 +1445,18 @@ class Manager:
         things the peers are sent: the reactor writes them out (against
         one deadline for the whole fleet) and then drops every socket.
         """
-        with self._lock:
-            if self.control.closed:
-                return
-            self.control.end_workflow()
-            if shutdown_workers:
-                for wid in self.workers:
-                    self._tell(wid, {"type": M.SHUTDOWN})
-            # under the lock: admission is refused once ``closed`` is
-            # set, and no message is handed over once this returns
-            self.reactor.stop(drain=CLOSE_DRAIN_SECONDS)
-        self._teardown()
-        # what a sweep cut short by the stop delivered: closing the
-        # journal synced its records
-        with self._lock:
-            self._hand_over_delivered()
+        if self._ask(self._close_plane, shutdown_workers):
+            self._teardown()
+
+    def _close_plane(self, shutdown_workers: bool) -> bool:
+        if self.control.closed:
+            return False
+        self.control.end_workflow()
+        if shutdown_workers:
+            for wid in self.workers:
+                self._tell(wid, {"type": M.SHUTDOWN})
+        self.reactor.stop(drain=CLOSE_DRAIN_SECONDS)
+        return True
 
     def crash(self) -> None:
         """Die abruptly, as ``kill -9`` would: no workflow GC, no
@@ -1477,17 +1468,21 @@ class Manager:
         ``journal_dir``) is the only record this life leaves behind.
         Used by crash-recovery tests; operational crashes need no help.
         """
-        with self._lock:
-            if self.control.closed:
-                return
-            self.control.closed = True
-            self.reactor.stop()
-        self._teardown()
+        if self._ask(self._crash_plane):
+            self._teardown()
+
+    def _crash_plane(self) -> bool:
+        if self.control.closed:
+            return False
+        self.control.closed = True
+        self.reactor.stop()
+        return True
 
     def _teardown(self) -> None:
         """Wait for the reactor to release every socket and timer, then
         the files this life held open."""
         self.reactor.join(timeout=CLOSE_DRAIN_SECONDS + 10)
+        self._apply_posts()  # what came after the reactor's last sweep
         for tar_path in self._packed.values():
             try:
                 os.unlink(tar_path)
@@ -1500,6 +1495,8 @@ class Manager:
         # crash() leaves exactly the bytes a real SIGKILL would
         if self.journal is not None:
             self.journal.close()
+        # closing the journal synced what those last commands recorded
+        self._hand_over_delivered()
 
     def __enter__(self) -> "Manager":
         return self
@@ -1530,11 +1527,10 @@ class Manager:
 
     def _find_stale(self, now: float) -> list[_WorkerHandle]:
         """Workers silent past the liveness timeout as of ``now``."""
-        with self._lock:
-            return [
-                h for h in self.workers.values()
-                if now - h.last_seen > self.worker_liveness_timeout
-            ]
+        return [
+            h for h in self.workers.values()
+            if now - h.last_seen > self.worker_liveness_timeout
+        ]
 
     def _reap_stale(self, now: float) -> list[str]:
         """Declare every stale worker dead; returns their ids.
@@ -1556,8 +1552,7 @@ class Manager:
         """Expire long-detached client sessions (always-on hygiene)."""
         if self.client_session_ttl is None:
             return []
-        with self._lock:
-            return self.service.reap_sessions(now, self.client_session_ttl)
+        return self.service.reap_sessions(now, self.client_session_ttl)
 
     def _register_worker(self, peer: Peer, msg: dict) -> _WorkerHandle:
         """Admit a worker: create its handle and tell the control plane."""
@@ -1568,46 +1563,48 @@ class Manager:
             int(msg["transfer_port"]),
         )
         handle.workdir = msg.get("workdir")
-        with self._lock:
-            self.workers[handle.worker_id] = handle
-            log.info(
-                "worker %s %s (%s cores, transfer port %d, %d cached objects)",
-                handle.worker_id,
-                "rejoined" if msg.get("rejoin") else "joined",
-                handle.capacity.cores,
-                handle.transfer_port, len(msg.get("cached", [])),
-            )
-            # adopt persisted worker-lifetime cache contents (hot cache)
-            state = self.control.worker_joined(
-                handle.worker_id,
-                handle.pool,
-                cached=[
-                    (name, int(size)) for name, size, _level in msg.get("cached", [])
-                ],
-                rejoin=bool(msg.get("rejoin")),
-            )
-            handle.running = state.running
+        self.workers[handle.worker_id] = handle
+        log.info(
+            "worker %s %s (%s cores, transfer port %d, %d cached objects)",
+            handle.worker_id,
+            "rejoined" if msg.get("rejoin") else "joined",
+            handle.capacity.cores,
+            handle.transfer_port, len(msg.get("cached", [])),
+        )
+        # adopt persisted worker-lifetime cache contents (hot cache)
+        state = self.control.worker_joined(
+            handle.worker_id,
+            handle.pool,
+            cached=[
+                (name, int(size)) for name, size, _level in msg.get("cached", [])
+            ],
+            rejoin=bool(msg.get("rejoin")),
+        )
+        handle.running = state.running
         return handle
 
     # -- reactor handler: what the transport hands over ----------------------
 
     def before_write(self) -> None:
-        """Once per reactor sweep, after its reads and timers: run the
-        pump the sweep owes, then make the sweep's journal records
-        durable — the one gate in front of every socket write and of
-        every completion the application sees."""
-        with self._lock:
+        """Once per reactor sweep, after its reads and timers: apply
+        what the application posted, run the pump the sweep owes, then
+        make the sweep's journal records durable — the one gate in front
+        of every socket write and of every completion the application
+        sees."""
+        # lowered before the drain: a post it misses raises it again
+        self._posted = False
+        self._apply_posts()
+        if self._pump_wanted:
+            self._pump_wanted = False
+            if not self.control.closed:
+                self.control.pump()
             if self._pump_wanted:
-                self._pump_wanted = False
-                if not self.control.closed:
-                    self.control.pump()
-                if self._pump_wanted:
-                    # asked for by the pump itself (a requeue, a memo
-                    # completion): owed to the next sweep
-                    self.reactor.wake()
-            if self.journal is not None:
-                self.journal.sync()
-            self._hand_over_delivered()
+                # asked for by the pump itself (a requeue, a memo
+                # completion): owed to the next sweep
+                self.reactor.wake()
+        if self.journal is not None:
+            self.journal.sync()
+        self._hand_over_delivered()
 
     def sweep_done(self, seconds: float) -> None:
         self._m_queued.set(self.reactor.queued_bytes)
@@ -1618,10 +1615,10 @@ class Manager:
         owner = peer.owner
         if payload is not None:
             if isinstance(owner, _ClientSession):
-                with self._lock:
-                    self.service.handle_message(owner, msg["type"], msg, payload)
+                self.service.handle_message(owner, msg["type"], msg, payload)
             else:
-                self._dispatch(owner, msg["type"], msg, payload)
+                owner.last_seen = time.monotonic()
+                self._on_worker_message(owner, msg["type"], msg, payload)
             return
         self._m_frames_in.inc()
         if isinstance(owner, _ClientSession):
@@ -1634,29 +1631,28 @@ class Manager:
                 raise ProtocolError(
                     f"expected a session-opening frame, got {mtype!r}"
                 )
-            with self._lock:
-                if self.control.closed:
-                    raise ProtocolError("manager is closing")
-                if role == SESSION_CLIENT:
-                    self.service.hello(peer, msg)
-                else:
-                    peer.owner = self._register_worker(peer, msg)
+            if self.control.closed:
+                raise ProtocolError("manager is closing")
+            if role == SESSION_CLIENT:
+                self.service.hello(peer, msg)
+            else:
+                peer.owner = self._register_worker(peer, msg)
         elif mtype == M.FILE_DATA and msg.get("found"):
             peer.expect_payload(msg, int(msg["size"]))
         else:
-            self._dispatch(owner, mtype, msg, None)
+            owner.last_seen = time.monotonic()
+            self._on_worker_message(owner, mtype, msg, None)
 
     def peer_closed(self, peer: Peer, error: Optional[Exception]) -> None:
         """A connection ended — EOF, a read error, a write error or a
         liveness reap all arrive here, once."""
         owner = peer.owner
-        with self._lock:
-            if isinstance(owner, _WorkerHandle):
-                if error is not None:
-                    log.warning("dropping worker %s: %s", owner.worker_id, error)
-                self._on_worker_gone(owner)
-            elif isinstance(owner, _ClientSession):
-                self.service.client_gone(owner)
+        if isinstance(owner, _WorkerHandle):
+            if error is not None:
+                log.warning("dropping worker %s: %s", owner.worker_id, error)
+            self._on_worker_gone(owner)
+        elif isinstance(owner, _ClientSession):
+            self.service.client_gone(owner)
 
     def _client_frame(self, peer: Peer, sess: _ClientSession, msg: dict) -> None:
         """Validate and route one frame from an attached client.
@@ -1673,8 +1669,7 @@ class Manager:
             if mtype not in CLIENT_KINDS:
                 raise WireError(f"{mtype!r} is not a client message")
         except WireError as exc:
-            with self._lock:
-                self.service.reject(sess, "protocol", str(exc), ref=msg.get("ref"))
+            self.service.reject(sess, "protocol", str(exc), ref=msg.get("ref"))
             return
         spec = msg.get("spec") or {}
         if (
@@ -1692,15 +1687,7 @@ class Manager:
             # blob, follows as one bulk payload
             peer.expect_payload(msg, int(msg["payload_size"]))
             return
-        with self._lock:
-            self.service.handle_message(sess, mtype, msg, None)
-
-    def _dispatch(
-        self, handle: _WorkerHandle, mtype: str, msg: dict, payload: Optional[bytes]
-    ) -> None:
-        handle.last_seen = time.monotonic()
-        with self._lock:
-            self._on_worker_message(handle, mtype, msg, payload)
+        self.service.handle_message(sess, mtype, msg, None)
 
     def _on_worker_message(
         self, handle: _WorkerHandle, mtype: str, msg: dict, payload: Optional[bytes]
@@ -1866,15 +1853,14 @@ class Manager:
         self._send(handle.peer, header, FileBody(fh, header["size"]))
 
     def _push_failed(self, record: Transfer, reason: str) -> None:
-        with self._lock:
-            if not self.control.closed:
-                log.warning(
-                    "push of %s to %s failed: %s",
-                    record.cache_name, record.dest_worker, reason,
-                )
-                self.control.on_cache_invalid(
-                    record.dest_worker, record.cache_name, record.transfer_id, reason
-                )
+        if not self.control.closed:
+            log.warning(
+                "push of %s to %s failed: %s",
+                record.cache_name, record.dest_worker, reason,
+            )
+            self.control.on_cache_invalid(
+                record.dest_worker, record.cache_name, record.transfer_id, reason
+            )
 
     def _tell(self, worker_id: str, message: dict, payload=None) -> None:
         """Send a command to a worker, if it is still here."""
@@ -1888,8 +1874,8 @@ class Manager:
         """Queue a control message (plus the bytes or file it announces)
         behind whatever the peer is already owed.
 
-        Callers hold the state lock, so per-peer wire order is issue
-        order.  Nothing is written here: the reactor writes each FIFO
+        Only the reactor sends, so per-peer wire order is issue order.
+        Nothing is written here: the reactor writes each FIFO
         after its sweep's ``before_write``, which is what orders the
         journal's fsync before the frames, and one ``send`` carries
         every command a sweep produced for that peer.

@@ -105,8 +105,8 @@ def record_to_event(record: dict) -> Event:
 class TransactionLogWriter:
     """Append-only JSONL writer, usable as an ``EventLog`` sink.
 
-    The writer is called inline from ``EventLog.emit`` — under the real
-    manager's state lock, or on the simulator's single thread — so each
+    The writer is called inline from ``EventLog.emit`` — on the real
+    manager's reactor, or on the simulator's single thread — so each
     write is one buffered line plus an optional flush.  ``flush_every``
     bounds how many events a crash can lose (1 = flush per event, the
     default, since manager event rates are modest by design).

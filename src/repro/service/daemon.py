@@ -265,9 +265,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             docs/elasticity.md): the control plane decides, and drains
             what leaves; the processes it asks for are started here."""
             workers[:] = [p for p in workers if p.poll() is None]
-            with mgr._lock:
-                add, _drained = mgr.control.autoscale_tick(scaler)
-            # subprocess launches are slow: do them outside the lock
+            add, _drained = mgr.control.autoscale_tick(scaler)
             for _ in range(add):
                 workers.append(
                     _spawn_worker(
@@ -304,10 +302,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # close() sends SHUTDOWN to connected workers; give the
         # subprocesses a moment to honor it before escalating
         mgr.close(shutdown_workers=True)
-        deadline = time.time() + 10
+        deadline = time.monotonic() + 10
         for proc in workers:
             try:
-                proc.wait(timeout=max(0.1, deadline - time.time()))
+                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
                 proc.terminate()
                 try:
@@ -377,8 +375,8 @@ def _cmd_stop(args: argparse.Namespace) -> int:
         print(f"repro-service: dead (stale pidfile, pid {pid}); cleaned state file")
         return 1
     os.kill(pid, signal.SIGTERM)
-    deadline = time.time() + args.timeout
-    while time.time() < deadline:
+    deadline = time.monotonic() + args.timeout
+    while time.monotonic() < deadline:
         if not _pid_alive(pid):
             print(f"repro-service: pid {pid} stopped")
             return 0

@@ -681,7 +681,7 @@ class Worker:
                 return
             self._executing.add(task_id)
         sandbox = Sandbox(self.sandbox_root, task_id)
-        staging_started = time.time()
+        staging_started = time.monotonic()
         input_names = [p[1] for p in msg["inputs"]]
         self._pin(input_names)
         outcome = None
@@ -716,7 +716,7 @@ class Worker:
             # an input vanished since dispatch: the manager stages again
             self._task_done(task_id, 126, failure, failure="sandbox")
             return
-        staging_time = max(0.0, time.time() - staging_started - outcome.execution_time)
+        staging_time = max(0.0, time.monotonic() - staging_started - outcome.execution_time)
         self._m_sandbox.observe(staging_time)
         self._m_exec.observe(outcome.execution_time)
         self._task_done(
@@ -814,14 +814,17 @@ class Worker:
             else:
                 # a failure envelope is never cached: a cached failure
                 # under a content-addressed name would shadow a later
-                # successful retry (insert_from keeps the existing entry)
+                # successful retry (insert_from keeps the existing entry);
+                # it is gone before the failure is reported
+                if os.path.lexists(staged):
+                    os.unlink(staged)
                 self._task_done(
                     task_id, 1, tb[-1000:],
                     failure=tb[-1000:] or "invoke", execution_time=invoke_seconds,
                 )
         finally:
             self._unpin(input_names)
-            if os.path.lexists(staged):  # anything but a cached success
+            if os.path.lexists(staged):  # an invocation that raised
                 os.unlink(staged)
 
     # -- lifecycle ----------------------------------------------------------

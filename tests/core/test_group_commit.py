@@ -20,10 +20,11 @@ import pytest
 from repro.core.journal import ControlPlaneJournal, Journal
 from repro.core.manager import Manager
 from repro.core.reactor import Reactor
-from repro.core.task import Task
+from repro.core.task import Task, TaskState
 from repro.protocol.messages import M
 from repro.service.client import ClientError, ServiceClient
 from repro.worker.scripted import ScriptedWorker
+from tests.reactor_owner import on_reactor
 
 _LEN = struct.Struct(">I")
 
@@ -171,8 +172,7 @@ def test_frames_leave_after_the_fsync_that_covers_their_records(journaled):
         checked += 1
     assert checked >= 1 + 3 * len(accepted)
     # nothing journaled is left waiting for a sweep that may never come
-    with mgr._lock:
-        assert mgr.journal.journal._unsynced == 0
+    assert on_reactor(mgr, lambda: mgr.journal.journal._unsynced) == 0
 
 
 def test_one_fsync_per_sweep_that_journaled_and_none_otherwise(journaled):
@@ -205,23 +205,44 @@ def test_one_fsync_per_sweep_that_journaled_and_none_otherwise(journaled):
     assert snap["journal.records_per_sync"]["max"] >= 2
 
 
-def test_an_append_off_the_reactor_is_durable_when_it_returns(journaled):
+def test_a_library_mode_declare_is_journaled_by_the_reactor_before_its_frames(
+    journaled,
+):
+    """The application thread posts a declare and a submit and journals
+    nothing itself: the reactor appends their records, and the fsync of
+    the sweep that appended each covers it before any frame it causes —
+    the push of the declared bytes, the execute of the task."""
     mgr, _client, timeline = journaled
     before = len(timeline.snapshot())
-    me = threading.current_thread()
-    mgr.declare_buffer(b"library-mode declare")  # journals on this thread
+    f = mgr.declare_buffer(b"library-mode declare")
+    task = Task("cat in").add_input(f, "in")
+    mgr.submit(task)
+    assert mgr.wait(timeout=30.0) is task and task.state == TaskState.DONE
     events = timeline.snapshot()[before:]
-    mine = [(k, t) for k, _w, t in events if t is me]
-    assert mine == [("append", me), ("fsync", me)]
-    with mgr._lock:
-        assert mgr.journal.journal._unsynced == 0
+    reactor = mgr.reactor.thread
+    assert [t for k, _w, t in events if k in ("append", "fsync") and t is not reactor] == []
+
+    def at(kind, test):
+        return next(i for i, (k, w, _t) in enumerate(events) if k == kind and test(w))
+
+    declared = at("append", lambda r: r["op"] == "declare" and r["name"] == f.cache_name)
+    submitted = at("append", lambda r: r["op"] == "submit" and r["id"] == task.task_id)
+    pushed = at("handover", lambda fr: fr["type"] == M.PUT_FILE)
+    executed = at("handover", lambda fr: fr["type"] == M.EXECUTE)
+    for record, frame in ((declared, pushed), (submitted, executed)):
+        assert record < frame and _covered(events, record, frame)
+        synced = next(i for i in range(record, frame) if events[i][0] == "fsync")
+        # the covering fsync is the appending sweep's own
+        assert not [k for k, _w, _t in events[record:synced] if k == "sweep_end"]
+    assert on_reactor(mgr, lambda: mgr.journal.journal._unsynced) == 0
 
 
 def test_reactor_and_application_threads_share_one_log_cleanly(journaled):
-    """More journaling threads than cores, a short switch interval: the
-    group-committing reactor and fsync-per-append application threads
-    interleave on one file and every record still replays, framed."""
-    mgr, client, _timeline = journaled
+    """More posting threads than cores, a short switch interval: the
+    declares of eight application threads and a client's submits
+    interleave in the reactor's appends, and every record still
+    replays, framed."""
+    mgr, client, timeline = journaled
     threads_n, each = 8, 25
     errors: list = []
 
@@ -247,9 +268,10 @@ def test_reactor_and_application_threads_share_one_log_cleanly(journaled):
         assert len(client.run_until_done(timeout=60.0)) == len(accepted)
     finally:
         sys.setswitchinterval(interval)
-    with mgr._lock:
-        assert mgr.journal.journal._unsynced == 0
-        log_path = mgr.journal.journal.log_path
+    assert on_reactor(mgr, lambda: mgr.journal.journal._unsynced) == 0
+    log_path = mgr.journal.journal.log_path
+    reactor = mgr.reactor.thread
+    assert {t for k, _w, t in timeline.snapshot() if k == "append"} == {reactor}
     records, good, torn = Journal(os.path.dirname(log_path))._read_log()
     assert torn == 0 and good == os.path.getsize(log_path)
     ops = [r["op"] for r in records]
@@ -270,7 +292,7 @@ def test_bare_journal_keeps_fsync_per_append(tmp_path, monkeypatch):
     j.sync()  # nothing owed
     assert len(synced) == 5
 
-    # group commit is per thread: this thread's appends wait for sync()
+    # under group commit the appends wait for sync()
     j.begin_group_commit()
     for i in range(5):
         j.append({"op": "meta", "i": i})
@@ -283,8 +305,8 @@ def test_bare_journal_keeps_fsync_per_append(tmp_path, monkeypatch):
 
 
 def test_a_compaction_due_mid_sweep_takes_the_place_of_its_sync(tmp_path, monkeypatch):
-    """A compaction that falls due on the group-committing thread waits
-    for that thread's sync and replaces it: the snapshot's fsync covers
+    """A compaction that falls due under group commit waits for the
+    owner's next sync and replaces it: the snapshot's fsync covers
     the folded records, and no fresh log is fsynced twice in a sweep."""
     cj = ControlPlaneJournal(str(tmp_path / "j"), snapshot_every=8)
     compacted = []
@@ -378,7 +400,7 @@ def test_run_until_done_returns_a_completion_still_waiting_for_its_sync(tmp_path
     def before_write():
         if mgr._delivered:
             gaps.append(mgr.empty())
-            threading.Event().wait(0.05)  # a slow fsync, lock not held
+            threading.Event().wait(0.05)  # a slow fsync
         real_before_write()
 
     mgr.before_write = before_write

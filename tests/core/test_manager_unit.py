@@ -11,8 +11,9 @@ import time
 from repro.core.files import CacheLevel
 from repro.core.library import FunctionCall
 from repro.core.manager import Manager, ManagerError, _ClientSession
-from repro.core.task import PythonTask, Task
+from repro.core.task import PythonTask, Task, TaskState
 from repro.core.transfer_table import MANAGER_SOURCE
+from tests.reactor_owner import holding_reactor, on_reactor
 
 
 @pytest.fixture()
@@ -30,7 +31,8 @@ def test_listens_on_localhost(manager):
 def test_declare_buffer_names_and_sizes(manager):
     f = manager.declare_buffer(b"payload")
     assert f.cache_name.startswith("buffer-md5-")
-    assert manager.sizes[f.cache_name] == 7
+    # the plane registers it on the reactor, after declare returned
+    assert on_reactor(manager, lambda: manager.sizes[f.cache_name]) == 7
     assert manager.fixed_sources[f.cache_name] == MANAGER_SOURCE
 
 
@@ -38,13 +40,14 @@ def test_declare_local_file_and_dir(manager, tmp_path):
     p = tmp_path / "x.bin"
     p.write_bytes(b"ab" * 500)
     f = manager.declare_local(str(p))
-    assert manager.sizes[f.cache_name] == 1000
     d = tmp_path / "tree"
     d.mkdir()
     (d / "member").write_bytes(b"xyz")
     fd = manager.declare_local(str(d), cache="worker")
     assert fd.cache_name.startswith("dir-md5-")
-    assert manager.sizes[fd.cache_name] == 3
+    sizes = on_reactor(manager, lambda: dict(manager.sizes))
+    assert sizes[f.cache_name] == 1000
+    assert sizes[fd.cache_name] == 3
 
 
 def test_declare_local_worker_level_content_named(manager, tmp_path):
@@ -63,7 +66,7 @@ def test_declare_url_sets_host_source(manager, tmp_path):
     p = tmp_path / "remote.bin"
     p.write_bytes(b"remote")
     f = manager.declare_url(f"file://{p}")
-    assert manager.fixed_sources[f.cache_name] == "url:localfs"
+    assert on_reactor(manager, lambda: manager.fixed_sources[f.cache_name]) == "url:localfs"
     assert manager.sizes[f.cache_name] == 6
 
 
@@ -88,7 +91,7 @@ def test_declare_untar_builds_minitask(manager, tmp_path):
     tarball = manager.declare_local(str(p))
     env = manager.declare_untar(tarball)
     assert env.cache_name.startswith("task-md5-")
-    assert manager.fixed_sources[env.cache_name] == "@minitask"
+    assert on_reactor(manager, lambda: manager.fixed_sources[env.cache_name]) == "@minitask"
     assert env.mini_task.inputs[0][1] is tarball
 
 
@@ -122,10 +125,13 @@ def test_a_refused_python_task_is_prepared_once_and_may_come_back(manager):
     manager.set_tenant_quota("default", task_quota=1)
     manager.submit(Task("first"))
     t = PythonTask(len, "abc")
-    with pytest.raises(ManagerError, match="quota"):
-        manager.submit(t)
+    manager.submit(t)  # the plane refuses it: the tenant is at its quota
+    assert manager.wait(timeout=10.0) is t
+    assert t.state == TaskState.FAILED and "quota" in t.result.failure
+    assert on_reactor(manager, lambda: t.task_id not in manager.tasks)
     manager.set_tenant_quota("default", task_quota=2)
     manager.submit(t)
+    assert on_reactor(manager, lambda: manager.tasks[t.task_id].state) == TaskState.READY
     assert [n for n, _ in t.inputs] == [t.PAYLOAD_NAME]
     assert [n for n, _ in t.outputs] == [t.RESULT_NAME]
     with pytest.raises(ManagerError, match="already submitted"):
@@ -213,9 +219,9 @@ def test_run_until_done_times_out_without_workers(manager):
 
 
 def test_wake_reactor_never_blocks_on_a_full_pipe(manager):
-    """Wakers hold the state lock the reactor needs before it can drain
-    the wake pipe, so a full pipe must read as "a wake is pending"."""
-    with manager._lock:  # the reactor stalls at the end of its sweep
+    """A poster wakes the reactor while it is busy and cannot drain the
+    wake pipe, so a full pipe must read as "a wake is pending"."""
+    with holding_reactor(manager):  # the reactor stalls inside a command
         try:
             while True:
                 manager.reactor._wake_w.send(b"\0" * 65536, socket.MSG_DONTWAIT)
@@ -225,12 +231,13 @@ def test_wake_reactor_never_blocks_on_a_full_pipe(manager):
         waker.start()
         waker.join(timeout=2.0)
         assert not waker.is_alive()
-    # the pending wakes still serve their purpose once the lock is free
-    manager.submit(Task("cmd"))
+    # the pending wakes still serve their purpose once the reactor is free
+    t = Task("cmd")
+    manager.submit(t)
     deadline = time.monotonic() + 5.0
-    while manager._pump_wanted and time.monotonic() < deadline:
+    while t.state != TaskState.READY and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert not manager._pump_wanted
+    assert t.state == TaskState.READY
 
 
 # -- client-session hygiene (service mode) ---------------------------
@@ -256,8 +263,6 @@ def test_client_local_paths_resolve_inside_the_configured_root(tmp_path):
         # symlinks are resolved before the containment check
         with pytest.raises(ManagerError, match="outside"):
             svc._local_path(sess, "link/passwd")
-        # the loopback session is the in-process application: unrestricted
-        assert svc._local_path(svc.loopback, "/etc/passwd") == "/etc/passwd"
 
 
 def test_client_local_paths_disabled_without_a_root(manager):

@@ -30,6 +30,7 @@ from repro.sim.workloads import (
     streaming_genome_workload,
 )
 from repro.worker.scripted import ScriptedWorker
+from tests.reactor_owner import PlaneEntries, holding_reactor, on_reactor
 
 
 @pytest.fixture()
@@ -64,7 +65,11 @@ def test_library_mode_submits_never_pump_on_the_caller(manager):
     tasks = [Task("noop") for _ in range(2000)]
     for t in tasks:
         manager.submit(t)
-    _wait_for(lambda: not manager._pump_wanted, "the posted pump")
+    # each round trip is a sweep later: the flag is down once a sweep
+    # after the last admission pumped
+    _wait_for(
+        lambda: not on_reactor(manager, lambda: manager._pump_wanted), "the posted pump"
+    )
     me = threading.current_thread()
     assert me not in pumps
     assert set(pumps) == {manager.reactor.thread}
@@ -107,6 +112,28 @@ def test_off_reactor_requests_are_served_by_the_reactor(manager):
     finally:
         worker.close()
     assert set(pumps) == {manager.reactor.thread}
+
+
+def test_a_burst_posted_behind_a_round_trip_is_admitted_by_one_pump(
+    manager, monkeypatch
+):
+    """2 000 submits posted while a command holds the reactor are
+    applied in the sweep that command belongs to and placed by that
+    sweep's one pump; the application thread enters the plane not once."""
+    entries = PlaneEntries(monkeypatch)
+    on_reactor(manager, lambda: None)  # the warm-up sweep's pump, if any
+    before = entries.counts["pump"]
+    tasks = [Task("noop") for _ in range(2000)]
+    with holding_reactor(manager):
+        for t in tasks:
+            manager.submit(t)
+        assert entries.counts["submit"] == 0  # posted, not applied
+    _wait_for(lambda: entries.counts["pump"] > before, "the burst's pump")
+    assert on_reactor(manager, lambda: len(manager.tasks)) == len(tasks)
+    assert entries.counts["pump"] == before + 1
+    assert entries.counts["submit"] == len(tasks)
+    assert all(t.state == TaskState.READY for t in tasks)
+    assert entries.off_owner == []
 
 
 def test_full_cluster_walks_the_load_heap_once_per_pass(monkeypatch):
@@ -350,12 +377,12 @@ def test_a_completion_is_one_message(manager):
             tasks.append(task)
             manager.submit(task)
         finished = manager.run_until_done(timeout=60.0)
-        with manager._lock:  # each output was registered where it was made
-            registered = all(
-                manager.control.replicas.locate(f.cache_name) == {t.worker_id}
-                for t in tasks
-                for _, f in t.outputs
-            )
+        # each output was registered where it was made
+        registered = on_reactor(manager, lambda: all(
+            manager.control.replicas.locate(f.cache_name) == {t.worker_id}
+            for t in tasks
+            for _, f in t.outputs
+        ))
     finally:
         for w in workers:
             w.close()

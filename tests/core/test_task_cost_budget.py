@@ -2,8 +2,10 @@
 
 Every task crosses the manager on two paths:
 
-* **submit**, on the application thread: ``Task``, three times
-  ``declare_temp`` + ``add_output``, and ``Manager.submit``;
+* **submit**: ``Task``, three times ``declare_temp`` + ``add_output``,
+  and ``Manager.submit`` on the application thread, which name, stamp
+  and post; then the reactor applying what was posted (the plane's
+  declares and admission);
 * **completion → dispatch**, on the reactor: a worker's report of the
   attempt through ``ControlPlane.attempt_ended``, then the sweep's one
   pump, which places the next task.  It is driven here through the
@@ -11,7 +13,7 @@ Every task crosses the manager on two paths:
   tasks with three temp outputs, every report of a sweep handled before
   its pump (as the reactor does).
 
-Each path is run under ``sys.setprofile`` on the calling thread only,
+Each path is run under ``sys.setprofile`` on every thread it crosses,
 which counts Python calls (a frame entered, a generator resumed) and
 builtin calls (a C function called).  Counts do not depend on the
 machine, so a slow one cannot fail these tests and a regression cannot
@@ -20,12 +22,12 @@ hide behind a fast one.  Run with ``-s`` to see the figures; DESIGN.md
 """
 
 import sys
-import time
 
 from repro.core.files import TempFile
 from repro.core.manager import Manager
 from repro.core.task import Task, TaskResult
 from tests.core.test_control_plane import add_worker, make_control
+from tests.reactor_owner import on_reactor
 
 TASKS = 2000
 OUTPUTS = 3
@@ -41,14 +43,20 @@ SUBMIT_PYTHON_CALLS = 66
 SUBMIT_BUILTIN_CALLS = 86
 
 
-def _count_calls(fn) -> tuple[float, float]:
-    """Python and builtin calls per task that ``fn()`` makes."""
+def _profiler():
+    """A profile function and the counts it keeps (one per thread)."""
     counts = {"call": 0, "c_call": 0}
 
     def profile(_frame, event, _arg):
         if event in counts:
             counts[event] += 1
 
+    return counts, profile
+
+
+def _count_calls(fn) -> tuple[float, float]:
+    """Python and builtin calls per task that ``fn()`` makes."""
+    counts, profile = _profiler()
     sys.setprofile(profile)
     try:
         fn()
@@ -95,18 +103,14 @@ def test_completion_to_dispatch_on_the_plane_stays_in_budget():
 
 
 def test_submit_on_the_application_thread_stays_in_budget():
+    """Counted on both threads the submit crosses: the application
+    thread, and the reactor's sweeps (what it applies from the inbox,
+    and the pumps and wake-ups the burst costs it)."""
     m = Manager()
     try:
-        # a warm-up submit leaves the reactor's pump flag down; holding
-        # the state lock then keeps it raised for the counted window,
-        # so the window wakes the reactor exactly once, whatever the
-        # reactor's timing
-        m.submit(Task("noop"))
-        while True:
-            with m._lock:
-                if not m._pump_wanted:
-                    break
-            time.sleep(0.001)
+        m.submit(Task("noop"))  # warm-up
+        loop, profile = _profiler()
+        on_reactor(m, sys.setprofile, profile)
 
         def submit_all():
             for _ in range(TASKS):
@@ -115,11 +119,15 @@ def test_submit_on_the_application_thread_stays_in_budget():
                     task.add_output(m.declare_temp(), f"out{k}")
                 m.submit(task)
 
-        with m._lock:
-            python, builtin = _count_calls(submit_all)
+        app_python, app_builtin = _count_calls(submit_all)
+        # a round trip: the reactor stops counting after every post above
+        on_reactor(m, sys.setprofile, None)
     finally:
         m.close()
-    print(f"\nsubmit on the application thread: {python:.1f} Python, "
-          f"{builtin:.1f} builtin calls per task")
+    python = app_python + loop["call"] / TASKS
+    builtin = app_builtin + loop["c_call"] / TASKS
+    print(f"\nsubmit: {python:.1f} Python, {builtin:.1f} builtin calls per "
+          f"task ({app_python:.1f} and {app_builtin:.1f} of them on the "
+          f"application thread)")
     assert python <= SUBMIT_PYTHON_CALLS, python
     assert builtin <= SUBMIT_BUILTIN_CALLS, builtin

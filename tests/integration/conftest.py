@@ -21,9 +21,9 @@ class EventWaiter:
     Attached as an :class:`~repro.core.events.EventLog` sink, so every
     emitted event immediately re-checks the waited-on condition — tests
     block on "the log shows X" instead of sleeping and polling.  The
-    sink runs inline under the manager's state lock, so it only pings a
+    sink runs inline on the manager's reactor, so it only pings a
     ``threading.Event``; predicates are evaluated on the waiting thread
-    with no waiter lock held (they may take the manager lock freely).
+    with no waiter lock held (they may ask the reactor freely).
 
     A slow fallback re-check (``RECHECK``) covers conditions that can
     become true without an event — e.g. a heartbeat refreshing
@@ -120,8 +120,7 @@ class Cluster:
 
     def wait_workers(self, count, timeout=30.0):
         def joined():
-            with self.manager._lock:
-                return len(self.manager.workers) >= count
+            return len(self.manager.workers) >= count
 
         self.events.wait_for(
             joined, timeout=timeout, describe=f"{count} workers joined"

@@ -28,6 +28,7 @@ from repro.service.client import ServiceClient
 from repro.worker.cache import WorkerCache
 
 from .conftest import Cluster
+from tests.reactor_owner import on_reactor
 
 LIBRARY = "budget"
 
@@ -219,19 +220,21 @@ def test_small_argument_calls_leave_nothing_behind_but_results(service):
     client = service.attach("alice")
     assert service.value(client, client.call(LIBRARY, "add", 0, 0)) == 0
     mgr = service.mgr
-    with mgr._lock:
-        acct = mgr.control.tenant_account("alice")
-        before = (len(mgr.registry), len(mgr.journal.declares), len(acct.names))
-        charged = acct.bytes_declared
+    acct = on_reactor(mgr, mgr.control.tenant_account, "alice")
+
+    def sizes():
+        return (len(mgr.registry), len(mgr.journal.declares), len(acct.names))
+
+    before = on_reactor(mgr, sizes)
+    charged = acct.bytes_declared
 
     replies = [client.call(LIBRARY, "add", i, i) for i in range(200)]
     assert [service.value(client, r) for r in replies] == [2 * i for i in range(200)]
 
-    with mgr._lock:
-        after = (len(mgr.registry), len(mgr.journal.declares), len(acct.names))
-        assert acct.bytes_declared == charged  # inline arguments are free
-        names = mgr.registry.names_at_level(*CacheLevel)
-        assert not [n for n in names if n.startswith("buffer-")]
+    after = on_reactor(mgr, sizes)
+    assert acct.bytes_declared == charged  # inline arguments are free
+    names = on_reactor(mgr, mgr.registry.names_at_level, *CacheLevel)
+    assert not [n for n in names if n.startswith("buffer-")]
     assert [a - b for a, b in zip(after, before)] == [200, 200, 200]
     assert not [n for n in os.listdir(service.cache_objects) if n.startswith("buffer-")]
 
@@ -246,10 +249,11 @@ def test_two_tenants_memo_match_on_the_same_small_call(tmp_path):
         second = bob.call(LIBRARY, "triple", 14, deterministic=True)
         assert svc.value(bob, second) == 42
         mgr = svc.mgr
-        with mgr._lock:
-            a, b = mgr.tasks[first["task_id"]], mgr.tasks[second["task_id"]]
-            assert a.merkle is not None and a.merkle == b.merkle
-            assert a.args_name is None and b.args_name is None
+        a, b = on_reactor(
+            mgr, lambda: (mgr.tasks[first["task_id"]], mgr.tasks[second["task_id"]])
+        )
+        assert a.merkle is not None and a.merkle == b.merkle
+        assert a.args_name is None and b.args_name is None
         assert len(list(mgr.log.events("memo_hit"))) == 1
         assert first["outputs"] == second["outputs"]
     finally:

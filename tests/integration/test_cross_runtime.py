@@ -8,6 +8,7 @@ differ completely.
 """
 
 import inspect
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.core.task import Task, TaskState
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
 from tests.integration.conftest import Cluster
+from tests.reactor_owner import holding_reactor, on_reactor
 
 N_TASKS = 8
 N_PAIRS = 4
@@ -38,15 +40,14 @@ def _real_run(tmp_path):
             m.submit(t)
         m.run_until_done(timeout=120)
         assert all(t.state == TaskState.DONE for t in tasks)
-        with m._lock:
-            pushes = sum(
-                1 for e in m.log.events("transfer_start")
-                if e.file == shared.cache_name
-            )
-            holders = len(m.replicas.locate(shared.cache_name))
-            by_worker = {}
-            for t in tasks:
-                by_worker[t.worker_id] = by_worker.get(t.worker_id, 0) + 1
+        pushes = sum(
+            1 for e in m.log.events("transfer_start")
+            if e.file == shared.cache_name
+        )
+        holders = len(on_reactor(m, m.replicas.locate, shared.cache_name))
+        by_worker = {}
+        for t in tasks:
+            by_worker[t.worker_id] = by_worker.get(t.worker_id, 0) + 1
         return pushes, holders, by_worker
     finally:
         c.stop()
@@ -143,17 +144,17 @@ def _real_dag_run(tmp_path):
             q = Task("cat mid")
             q.add_input(mid, "mid")
             consumers.append(q)
-        # one burst under the state lock: no pump runs between two
-        # submits, so the shared input cannot reach the first producer's
-        # worker and pull the next producer there by locality
-        with m._lock:
+        # one burst while the reactor is held: every submit is applied
+        # before the next pump, so the shared input cannot reach the
+        # first producer's worker and pull the next producer there by
+        # locality
+        with holding_reactor(m):
             for t in producers + consumers:
                 m.submit(t)
         m.run_until_done(timeout=120)
         assert all(t.state == TaskState.DONE for t in producers + consumers)
-        with m._lock:
-            _check_dag_placement(producers, consumers)
-            return _movement_profile(m.control)
+        _check_dag_placement(producers, consumers)
+        return on_reactor(m, _movement_profile, m.control)
     finally:
         c.stop()
 
@@ -221,13 +222,12 @@ def test_real_runtime_respects_source_transfer_limit(tmp_path):
             m.submit(t)
         m.run_until_done(timeout=120)
         assert all(t.state == TaskState.DONE for t in tasks)
-        with m._lock:
-            peaks = peak_transfer_concurrency(m.log)
-            limits = {
-                source: m.transfers.limit_for(source)
-                for source in peaks
-                if source != "@retrieve"
-            }
+        peaks = on_reactor(m, peak_transfer_concurrency, m.log)
+        limits = {
+            source: m.transfers.limit_for(source)
+            for source in peaks
+            if source != "@retrieve"
+        }
         assert peaks  # the workflow did move data
         for source, peak in peaks.items():
             if source == "@retrieve":
@@ -246,17 +246,33 @@ def test_real_runtime_respects_source_transfer_limit(tmp_path):
 
 def _real(policy):
     m = Manager(policy=policy)
-    return m, m.submit, m.close
+
+    def refused(task, match):
+        # what only the plane refuses comes back as the task, FAILED
+        m.submit(task)
+        assert m.wait(timeout=10.0) is task
+        assert task.state == TaskState.FAILED
+        assert re.search(match, task.result.failure), task.result.failure
+
+    return m, m.submit, refused, lambda fn: on_reactor(m, fn), m.close
 
 
 def _sim(policy):
     m = SimManager(SimCluster(), policy)
-    return m, lambda task: m.submit(task, duration=1.0), m.finalize
+
+    def submit(task):
+        return m.submit(task, duration=1.0)
+
+    def refused(task, match):
+        with pytest.raises(ManagerError, match=match):
+            submit(task)
+
+    return m, submit, refused, lambda fn: fn(), m.finalize
 
 
 @pytest.mark.parametrize("runtime", [_real, _sim])
 def test_both_runtimes_refuse_the_same_submits(runtime):
-    m, submit, close = runtime(Policy(default_task_quota=2))
+    m, submit, refused, on_plane, close = runtime(Policy(default_task_quota=2))
     try:
         first = Task("true")
         submit(first)
@@ -264,16 +280,22 @@ def test_both_runtimes_refuse_the_same_submits(runtime):
             submit(first)
         with pytest.raises(ManagerError, match="was not declared"):
             submit(Task("cat in").add_input(BufferFile(b"stranger"), "in"))
+        named_elsewhere = BufferFile(b"declared to another manager")
+        named_elsewhere.cache_name = "buffer-md5-not-declared-here"
+        refused(Task("cat in").add_input(named_elsewhere, "in"), "was not declared")
         submit(Task("true"))
-        with pytest.raises(ManagerError, match="quota"):
-            submit(Task("true"))  # the tenant has its two outstanding
-        assert len(m.tasks) == 2 == m.control.outstanding
+        refused(Task("true"), "quota")  # the tenant has its two outstanding
+
+        def admitted():
+            return len(m.tasks), m.control.outstanding
+
+        assert on_plane(admitted) == (2, 2)
         close()
         late = Task("true")
         with pytest.raises(ManagerError, match="manager is closed"):
             submit(late)
         assert late.state == TaskState.CREATED and late.task_id is None
-        assert len(m.tasks) == 2 == m.control.outstanding
+        assert on_plane(admitted) == (2, 2)
     finally:
         close()
 

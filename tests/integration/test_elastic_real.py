@@ -14,6 +14,7 @@ worker-announced (a ``draining`` wire message from a fault config's
 from repro.core.task import Task, TaskState
 from repro.faults import FaultPlan, worker_fault_configs
 from tests.integration.conftest import Cluster
+from tests.reactor_owner import on_reactor
 
 N_STAGE = 4
 
@@ -59,8 +60,7 @@ def test_worker_joining_mid_run_picks_up_work(tmp_path):
         # process can be spawned and registered (≈ 1 s here): reinforce
         cluster.start_worker("late", cores=4)
         cluster.wait_workers(2)
-        with m._lock:
-            joined = sorted(m.workers)
+        joined = on_reactor(m, lambda: sorted(m.workers))
         m.run_until_done(timeout=120)
         assert all(t.state == TaskState.DONE for t in tasks)
         events = m.log.events()
@@ -85,11 +85,10 @@ def test_manager_drain_migrates_replicas_before_departure(tmp_path):
     try:
         m = cluster.manager
         temps = _produce(m)
-        with m._lock:
-            holdings = {
-                wid: set(m.control.replicas.holdings(wid))
-                for wid in m.control.workers
-            }
+        holdings = on_reactor(m, lambda: {
+            wid: set(m.control.replicas.holdings(wid))
+            for wid in m.control.workers
+        })
         victim = max(holdings, key=lambda wid: (len(holdings[wid]), wid))
         assert holdings[victim], "the victim must hold cache objects"
 

@@ -16,6 +16,7 @@ from repro.core.task import TaskState
 from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
 from tests.integration.conftest import Cluster
+from tests.reactor_owner import on_reactor
 
 SLOTS = 3  # more slots than the worker has free cores: slots, not cores, gate
 CALLS = 2 * SLOTS
@@ -79,13 +80,11 @@ def _real_run(tmp_path):
             lambda: sum(fc.state == TaskState.RUNNING for fc in calls) == SLOTS,
             describe="every slot busy",
         )
-        with m._lock:
-            (wid,) = m.control.workers
-            observed = _observe(m.control, wid, calls[0])
+        (wid,) = on_reactor(m, lambda: list(m.control.workers))
+        observed = on_reactor(m, _observe, m.control, wid, calls[0])
         m.run_until_done(timeout=120)
         assert all(fc.state == TaskState.DONE for fc in calls)
-        with m._lock:
-            return _profile(m.control, observed)
+        return on_reactor(m, _profile, m.control, observed)
     finally:
         c.stop()
 

@@ -16,6 +16,7 @@ from repro.protocol.connection import Connection
 from repro.protocol.messages import M
 from repro.worker.scripted import ScriptedWorker
 from tests.integration.conftest import EventWaiter
+from tests.reactor_owner import on_reactor
 
 
 def _register_stub(manager, events):
@@ -37,29 +38,26 @@ def test_silent_worker_is_reaped_at_the_timeout_boundary(tmp_path):
     events = EventWaiter(m)
     try:
         stub = _register_stub(m, events)
-        with m._lock:
-            wid = next(iter(m.workers))
-            joined_at = m.workers[wid].last_seen
+        wid = next(iter(m.workers))
+        joined_at = m.workers[wid].last_seen
         # just inside the timeout: still considered alive
-        assert m._find_stale(joined_at + 59.9) == []
-        assert m._reap_stale(joined_at + 59.9) == []
-        with m._lock:
-            assert wid in m.workers
+        assert on_reactor(m, m._find_stale, joined_at + 59.9) == []
+        assert on_reactor(m, m._reap_stale, joined_at + 59.9) == []
+        assert wid in m.workers
         # just past it: found, declared dead, connection closed
-        assert m._find_stale(joined_at + 60.1) != []
-        assert m._reap_stale(joined_at + 60.1) == [wid]
+        assert on_reactor(m, m._find_stale, joined_at + 60.1) != []
+        assert on_reactor(m, m._reap_stale, joined_at + 60.1) == [wid]
         # the receive path unwinds the closed socket into worker_leave
         events.wait_event("worker_leave", lambda e: e.worker == wid, timeout=10)
 
         def removed():
-            with m._lock:
-                return wid not in m.workers
+            return wid not in m.workers
 
         events.wait_for(removed, timeout=10, describe="reaped worker removal")
         leaves = m.log.events("worker_leave")
         assert [e.worker for e in leaves] == [wid]
         # reaping is idempotent: the handle is gone, nothing left to find
-        assert m._find_stale(joined_at + 120.0) == []
+        assert on_reactor(m, m._find_stale, joined_at + 120.0) == []
         stub.close()
     finally:
         m.close()
@@ -70,13 +68,12 @@ def test_traffic_refreshes_liveness(tmp_path):
     events = EventWaiter(m)
     try:
         stub = _register_stub(m, events)
-        with m._lock:
-            wid = next(iter(m.workers))
-            handle = m.workers[wid]
+        wid = next(iter(m.workers))
+        handle = m.workers[wid]
         # age the handle past the deadline: it is reapable right now
         handle.last_seen -= 120.0
         aged = handle.last_seen
-        assert m._find_stale(time.monotonic()) == [handle]
+        assert on_reactor(m, m._find_stale, time.monotonic()) == [handle]
         # any message — here a bare heartbeat — resets the silence clock;
         # no transaction-log event marks it, so this wait leans on the
         # waiter's fallback re-check rather than an event wakeup
@@ -85,9 +82,8 @@ def test_traffic_refreshes_liveness(tmp_path):
             lambda: handle.last_seen > aged, timeout=10,
             describe="heartbeat refreshing last_seen",
         )
-        assert m._reap_stale(time.monotonic()) == []  # deadline defused
-        with m._lock:
-            assert wid in m.workers
+        assert on_reactor(m, m._reap_stale, time.monotonic()) == []  # deadline defused
+        assert wid in m.workers
         stub.close()
     finally:
         m.close()
@@ -105,9 +101,8 @@ def test_a_wall_clock_step_reaps_no_live_worker(monkeypatch):
         before = m.now()
         wall = time.time
         monkeypatch.setattr(time, "time", lambda: wall() + 3600.0)
-        m._liveness_sweep()
-        with m._lock:
-            assert len(m.workers) == 3
+        on_reactor(m, m._liveness_sweep)
+        assert len(m.workers) == 3
         assert m.now() - before < 60.0
         task = Task("noop")
         m.submit(task)

@@ -29,6 +29,7 @@ from repro.sim.cluster import SimCluster
 from repro.sim.simmanager import SimManager
 from tests.integration.conftest import Cluster
 from tests.integration.test_service_mode import _proc_for
+from tests.reactor_owner import holding_reactor
 
 N_TASKS = 6
 
@@ -89,7 +90,11 @@ def _real_txn_log(tmp_path):
     try:
         m = c.manager
         shared = m.declare_buffer(b"shared-dataset" * 100)
-        tasks = _submit_dag(m, shared, m.submit)
+        # one burst, placed by one pump as the simulator places it: a
+        # pump between two submits could let the first task's worker,
+        # once it holds the input, serve the second worker as a peer
+        with holding_reactor(m):
+            tasks = _submit_dag(m, shared, m.submit)
         m.run_until_done(timeout=120)
         assert all(t.state == TaskState.DONE for t in tasks)
     finally:

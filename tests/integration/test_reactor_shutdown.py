@@ -23,6 +23,7 @@ from repro.core.task import Task, TaskState
 from repro.protocol.connection import Connection
 from repro.protocol.messages import M
 from repro.worker.scripted import ScriptedWorker
+from tests.reactor_owner import holding_reactor
 
 
 def _fd_count():
@@ -173,10 +174,10 @@ def test_the_manager_owns_one_thread_whatever_the_fleet(tmp_path):
 
 def test_a_worker_whose_death_is_first_seen_on_a_write_still_leaves():
     """A worker that never reads has a 64 MiB push parked on its
-    socket when it dies with a reset, while an application thread holds
-    the state lock (as ``declare_local`` does while hashing).  Whichever
-    of the write and the read notices first, the worker leaves the
-    control plane and its task goes back to the queue."""
+    socket when it dies with a reset, while the reactor is busy inside a
+    command.  Whichever of the write and the read notices first, the
+    worker leaves the control plane and its task goes back to the
+    queue."""
     m = Manager(worker_liveness_timeout=None)
     conn = Connection.connect(m.host, m.port)
     try:
@@ -196,12 +197,12 @@ def test_a_worker_whose_death_is_first_seen_on_a_write_still_leaves():
         # dispatched, and the push stuck against a full socket
         _wait_for(lambda: task.state == TaskState.DISPATCHED, "the placement")
         _wait_for(lambda: 0 < m.reactor.queued_bytes < size, "a blocked write")
-        with m._lock:
+        with holding_reactor(m):
             conn.sock.setsockopt(
                 socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
             )
             conn.sock.close()  # RST, not FIN
-            time.sleep(0.3)  # the loop has seen it and waits for the lock
+            time.sleep(0.3)  # the reset is in before the loop looks again
         _wait_for(
             lambda: wid not in m.workers and wid not in m.control.workers,
             "the dead worker to leave", timeout=2.0,

@@ -6,6 +6,7 @@ from repro.core.files import CacheLevel
 from repro.core.library import FunctionCall
 from repro.core.resources import Resources
 from repro.core.task import PythonTask, Task, TaskState
+from tests.reactor_owner import holding_reactor
 
 
 def run_all(manager, timeout=120.0):
@@ -79,7 +80,7 @@ def test_local_directory_input(cluster, tmp_path, monkeypatch):
     # whole-worker tasks placed by one pump: both workers are pushed the
     # tree by the manager (no replica exists yet for a peer to serve)
     tasks = [Task("cat tree/sub/inner.txt") for _ in range(2)]
-    with m._lock:
+    with holding_reactor(m):  # both applied before the next pump
         for t in tasks:
             t.add_input(f, "tree")
             t.set_resources(Resources(cores=4))

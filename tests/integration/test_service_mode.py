@@ -21,6 +21,7 @@ from repro.protocol.messages import M
 from repro.service.client import ClientError, ServiceClient
 
 from tests.integration.conftest import Cluster
+from tests.reactor_owner import on_reactor
 
 SHARED = b"shared input content for both tenants\n"
 
@@ -381,8 +382,9 @@ def test_small_tenant_sessions_are_not_queued_behind_a_flood():
         worker = ScriptedWorker(mgr.host, mgr.port, cores=4)  # acks instantly
         for c in clients.values():
             c.run_until_done(timeout=60)
-        with mgr._lock:
-            order = [mgr.tasks[e.task].tenant for e in mgr.log.events("task_start")]
+        order = on_reactor(
+            mgr, lambda: [mgr.tasks[e.task].tenant for e in mgr.log.events("task_start")]
+        )
     finally:
         for c in clients.values():
             c.close()

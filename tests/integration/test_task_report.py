@@ -14,6 +14,7 @@ from repro.protocol.connection import ProtocolError
 from repro.protocol.messages import M
 from tests.integration.conftest import EventWaiter
 from tests.integration.test_liveness_stub import _register_stub
+from tests.reactor_owner import on_reactor
 
 
 def test_a_resource_exceeded_retry_leaves_no_replica_of_the_first_attempt():
@@ -65,8 +66,7 @@ def test_a_resource_exceeded_retry_leaves_no_replica_of_the_first_attempt():
         # and only the attempt that stood left a replica
         cached = [e for e in m.log.events("file_cached") if e.file == name]
         assert [(e.worker, e.size) for e in cached] == [(task.worker_id, 6)]
-        with m._lock:
-            assert m.control.replicas.locate(name) == {task.worker_id}
+        assert on_reactor(m, m.control.replicas.locate, name) == {task.worker_id}
     finally:
         m.close()
         stub.join(timeout=5)

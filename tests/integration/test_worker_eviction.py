@@ -15,6 +15,7 @@ from repro.core.manager import Manager
 from repro.core.resources import Resources
 from repro.core.task import Task, TaskState
 from tests.integration.conftest import EventWaiter
+from tests.reactor_owner import on_reactor
 
 _CTX = mp.get_context("spawn")
 
@@ -40,8 +41,7 @@ def bounded_cluster(tmp_path):
     proc.start()
 
     def admitted():
-        with m._lock:
-            return bool(m.workers)
+        return on_reactor(m, lambda: bool(m.workers))
 
     m.events.wait_for(admitted, timeout=30, describe="worker admission")
     yield m
@@ -70,11 +70,10 @@ def test_cache_pressure_evicts_and_informs_manager(bounded_cluster):
     wid = next(iter(m.workers))
 
     def _held():
-        with m._lock:
-            return [
-                b.cache_name for b in blobs
-                if m.replicas.has_replica(b.cache_name, wid)
-            ]
+        return on_reactor(m, lambda: [
+            b.cache_name for b in blobs
+            if m.replicas.has_replica(b.cache_name, wid)
+        ])
 
     # trailing cache-invalid messages are still in flight when the last
     # task finishes; wait on the replica table reflecting the eviction

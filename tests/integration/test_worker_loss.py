@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.task import Task, TaskState
 from tests.integration.conftest import Cluster
+from tests.reactor_owner import on_reactor
 
 
 @pytest.fixture()
@@ -17,8 +18,7 @@ def cluster3(tmp_path):
 
 def _proc_of_worker(cluster, manager, worker_id):
     """Map a manager-side worker id to its OS process via the workdir."""
-    with manager._lock:
-        workdir = manager.workers[worker_id].workdir
+    workdir = on_reactor(manager, lambda: manager.workers[worker_id].workdir)
     for i, proc in enumerate(cluster.procs):
         if workdir and workdir.endswith(f"worker-w{i}"):
             return proc
@@ -56,20 +56,18 @@ def test_replicas_dropped_when_worker_leaves(cluster3):
     for t in tasks:
         m.submit(t)
     m.run_until_done(timeout=120)
-    with m._lock:
-        holders_before = m.replicas.locate(data.cache_name)
+    holders_before = on_reactor(m, m.replicas.locate, data.cache_name)
     assert holders_before
     cluster3.procs[0].terminate()
     cluster3.events.wait_event("worker_leave", timeout=20)
 
     def departed():
-        with m._lock:
-            return len(m.workers) == 2
+        return len(m.workers) == 2
 
     cluster3.events.wait_for(departed, timeout=20, describe="worker removal")
-    with m._lock:
-        holders_after = m.replicas.locate(data.cache_name)
-        live = set(m.workers)
+    holders_after, live = on_reactor(
+        m, lambda: (m.replicas.locate(data.cache_name), set(m.workers))
+    )
     assert holders_after <= live
 
 
@@ -84,8 +82,7 @@ def test_heartbeats_keep_idle_workers_alive(tmp_path):
         # heartbeat period, so there is no event to wait on — time
         # passing IS the test condition
         time.sleep(8)  # > heartbeat interval, below the timeout
-        with m._lock:
-            assert len(m.workers) == 1
+        assert len(m.workers) == 1
         t = Task("echo alive")
         m.submit(t)
         m.run_until_done(timeout=60)

@@ -132,6 +132,32 @@ def test_execute_round_trip(rig):
         assert f.read() == b"SHOUT"
 
 
+def test_a_wall_clock_step_during_a_task_does_not_inflate_its_staging_time(
+    rig, monkeypatch
+):
+    """Staging is timed on the clock execution is timed on: stepping the
+    wall clock an hour forward (an NTP correction, a resumed VM) while
+    the command runs must not show up in the reported staging time."""
+    fake, worker = rig
+    fake.wait_for(M.REGISTER)
+    fake.send(
+        {
+            "type": M.EXECUTE, "task_id": "t-step", "command": "sleep 0.3",
+            "inputs": [], "outputs": [], "env": {}, "resources": {"cores": 1},
+        }
+    )
+    deadline = time.monotonic() + 10.0
+    while "t-step" not in worker._procs:  # the command is running
+        assert time.monotonic() < deadline, "the task never started"
+        time.sleep(0.005)
+    wall = time.time
+    monkeypatch.setattr(time, "time", lambda: wall() + 3600.0)
+    done, _ = fake.wait_for(M.TASK_DONE)
+    assert done["exit_code"] == 0
+    assert 0.0 <= done["staging_time"] < 1.0, done["staging_time"]
+    assert done["execution_time"] >= 0.3
+
+
 def test_a_task_sent_again_while_it_runs_is_answered_by_the_attempt_at_it(rig):
     """A restarted manager re-sends what its previous life had running
     here; two attempts cannot share ``sandbox-<id>``, so the one at
