@@ -41,14 +41,12 @@ from repro.core.autoscale import Autoscaler
 from repro.core.categories import CategoryTracker
 from repro.core.events import EventLog
 from repro.core.files import (
-    BufferFile,
     CacheLevel,
     File,
     FileRegistry,
-    LocalFile,
+    LearnedFile,
     MiniTaskFile,
     TempFile,
-    URLFile,
 )
 from repro.core.gc import collect_task_inputs, collect_workflow
 from repro.core.journal import build_task, file_spec, restore_file, task_spec
@@ -72,10 +70,10 @@ from repro.core.task import PythonTask, Task, TaskResult, TaskState
 from repro.core.transfer_table import (
     MANAGER_SOURCE,
     MINITASK_SOURCE,
+    NO_SOURCE,
     Transfer,
     TransferTable,
     source_kind,
-    url_source,
 )
 from repro.observe.metrics import MetricsRegistry
 
@@ -93,8 +91,6 @@ __all__ = [
     "presubmit",
 ]
 
-#: fixed-source marker for files that only ever exist at workers (temps)
-NO_SOURCE = "@none"
 #: failed attempts tolerated per (object, source) before that source is
 #: banned for the object
 TRANSFER_RETRIES = 3
@@ -117,24 +113,6 @@ UNLINK_BATCH = 4096
 class ManagerError(RuntimeError):
     """Workflow-level failure raised to the application: a declaration
     or submission the manager refuses, a result it cannot produce."""
-
-
-def _fixed_source(f: File) -> str:
-    """The one source that serves a declared file for the whole run,
-    which follows from what kind of file it is."""
-    # the kinds are siblings: the order only decides how many tests
-    # run, so the kind declared most is tested first
-    if isinstance(f, TempFile):
-        return NO_SOURCE  # exists only at workers, once produced
-    if isinstance(f, (BufferFile, LocalFile)):
-        return MANAGER_SOURCE  # the manager holds the bytes, or reads the path
-    if isinstance(f, URLFile):
-        return url_source(f.url)
-    if isinstance(f, MiniTaskFile):
-        return MINITASK_SOURCE
-    raise ManagerError(
-        f"file {f.file_id} ({f.source_description()}) names no source to serve it"
-    )
 
 
 def _not_declared(task: Task, f: File) -> str:
@@ -576,8 +554,10 @@ class ControlPlane:
         self._fetches: dict[str, _Fetch] = {}
         self.workers: dict[str, WorkerState] = {}
 
-        self.fixed_sources: dict[str, str] = {}
-        self.sizes: dict[str, int] = {}
+        #: the source that serves each name, read like a mapping: one
+        #: field of the name's record in the registry, which also holds
+        #: its size (:meth:`size_of`)
+        self.sources = self.registry.sources
         self.libraries: dict[str, LibraryState] = {}
         self._lib_load: collections.Counter = collections.Counter()
         #: workers an installed library did not fit on, and those among
@@ -706,25 +686,52 @@ class ControlPlane:
     def declare(
         self, f: File, size: Optional[int] = None, source: Optional[str] = None
     ) -> File:
-        """Register a named file and the fixed source that serves it.
+        """Register a named file, its size and the source that serves it.
 
-        The source follows from the file's class (:func:`_fixed_source`);
-        only a plain :class:`File` — the simulator's stand-in for
-        content — has to name one.
+        The source follows from the file's kind (``File.source``); only
+        a plain :class:`File` — the simulator's stand-in for content —
+        has to name one.  A redeclaration updates the canonical record.
         """
         if source is None:
-            source = _fixed_source(f)
+            source = f.source
+            if source is None:
+                raise ManagerError(
+                    f"file {f.file_id} ({f.source_description()}) "
+                    "names no source to serve it"
+                )
+        served = self.sources.get(f.cache_name, NO_SOURCE)
         canonical = self.registry.register(f)
-        name = f.cache_name
-        served = self.fixed_sources.get(name, NO_SOURCE)
-        self.fixed_sources[name] = source
+        name = canonical.cache_name
+        if canonical.source != source:  # a kind names its own
+            canonical.source = source
         if source == NO_SOURCE and served != NO_SOURCE:
             self._source_withdrawn(name)
-        size = self.sizes[name] = size if size is not None else (f.size or 0)
+        if size is not None:
+            canonical.size = size
+        elif canonical is not f:
+            canonical.size = f.size
         j = self._j
         if j is not None:
-            j.record_declare(file_spec(f, source, size))
+            j.record_declare(file_spec(f, source, canonical.size or 0))
         return canonical
+
+    def size_of(self, cache_name: str) -> int:
+        """The size of a name: its record's, else (a name no record
+        holds, reported by a worker) the replica table's, else 0."""
+        f = self.registry.get(cache_name)
+        if f is None:
+            return self.replicas.size_of(cache_name)
+        return f.size or 0
+
+    def _learned(self, cache_name: str, size: int) -> File:
+        """The record of a name the plane learns of without a
+        declaration (a replica a joining worker announces, an output a
+        journal recorded): the registry's own, or a new
+        :class:`LearnedFile` of ``size`` bytes."""
+        f = self.registry.get(cache_name)
+        if f is None:
+            f = self.registry.register(LearnedFile(cache_name, size))
+        return f
 
     def _source_withdrawn(self, cache_name: str) -> None:
         """``cache_name`` was redeclared with no fixed source where one
@@ -735,24 +742,20 @@ class ControlPlane:
 
     def declare_output_file(self, f: File) -> None:
         """Register a task output that exists only once produced."""
-        self.registry.register(f)
-        name = f.cache_name
-        served = self.fixed_sources.get(name, NO_SOURCE)
-        self.fixed_sources[name] = NO_SOURCE
+        served = self.sources.get(f.cache_name, NO_SOURCE)
+        canonical = self.registry.register(f)
+        if canonical.source != NO_SOURCE:
+            canonical.source = NO_SOURCE
         if served != NO_SOURCE:
-            self._source_withdrawn(name)
-        self.sizes.setdefault(name, f.size or 0)
+            self._source_withdrawn(canonical.cache_name)
         j = self._j
         if j is not None:
-            j.record_declare(
-                file_spec(f, NO_SOURCE, self.sizes[f.cache_name])
-            )
+            j.record_declare(file_spec(f, NO_SOURCE, canonical.size or 0))
 
     def adopt_replica(self, worker_id: str, cache_name: str, size: int) -> None:
         """Adopt a pre-existing cache entry announced by a joining worker."""
+        cache_name = self._learned(cache_name, size).cache_name
         self.replicas.add_replica(cache_name, worker_id, size)
-        self.sizes.setdefault(cache_name, size)
-        self.fixed_sources.setdefault(cache_name, NO_SOURCE)
         self._input_appeared(cache_name, worker_id)
         j = self._j
         if j is not None:
@@ -963,10 +966,7 @@ class ControlPlane:
         saved = 0
         for out in entry.outputs:
             name = out.cache_name
-            self.sizes[name] = out.size
-            f = self.registry.get(name)
-            if f is not None:
-                f.size = out.size
+            self._learned(name, out.size).size = out.size
             if self.replicas.replica_count(name) == 0:
                 # payload-backed: the manager serves the bytes itself
                 self.set_fixed_source(name, MANAGER_SOURCE)
@@ -1046,7 +1046,7 @@ class ControlPlane:
                 MemoOutput(
                     sandbox=remote_name,
                     cache_name=f.cache_name,
-                    size=self.sizes.get(f.cache_name, f.size or 0),
+                    size=self.size_of(f.cache_name),
                 )
             )
         if isinstance(task, PythonTask):
@@ -1090,7 +1090,7 @@ class ControlPlane:
     # ------------------------------------------------------------------
 
     def _declared(self, f: File) -> bool:
-        return f.cache_name is not None and f.cache_name in self.fixed_sources
+        return f.cache_name is not None and f.cache_name in self.registry
 
     def submit(self, task: Task, namer=None) -> str:
         """Admit a task into the ready queue, or refuse it.
@@ -1545,7 +1545,7 @@ class ControlPlane:
                 j.record_done(
                     task.task_id,
                     [
-                        [f.cache_name, self.sizes.get(f.cache_name, f.size or 0)]
+                        [f.cache_name, self.size_of(f.cache_name)]
                         for _, f in task.outputs
                         if f.cache_name
                     ],
@@ -1698,7 +1698,7 @@ class ControlPlane:
                 if not queue:
                     del index[key]
         stage.deferred = list(dict.fromkeys(names))
-        fixed = {self.fixed_sources.get(name, MANAGER_SOURCE) for name in names}
+        fixed = {self.sources.get(name, MANAGER_SOURCE) for name in names}
         stage.behind = [s for s in fixed if source_kind(s) in ("manager", "url")]
         for name in stage.deferred:
             bisect.insort(self._deferred_on.setdefault(name, []), entry)
@@ -1754,21 +1754,50 @@ class ControlPlane:
         """``cache_name`` is served by ``source`` from now on (the bytes
         came home to the manager); stages that found no source for it
         plan again."""
-        self.fixed_sources[cache_name] = source
+        f = self.registry.by_name(cache_name)
+        if f.source != source:
+            f.source = source
         self._mark_stage_dirty(cache_name)
 
     # -- queued tasks the pump knows about ------------------------------
 
     def _enqueue(self, task: Task) -> None:
         """Put a READY task on the heap, vetted if its inputs are
-        obtainable now."""
+        obtainable now; or park it at once when the producer of each
+        missing one is queued or running, since no pump can place it
+        before they deliver.  Anything else the pump looks at (and
+        regenerates, parks or fails the task)."""
         if task.input_names is None:
             # back from an end (a lost output's regeneration), or
             # restored from the journal: stamped afresh
             task.input_names = task.input_cache_names()
+        waiting = self._producers_pending(task)
+        if waiting:
+            self._ready.push(task, parked=True)
+            self._await(task.task_id, waiting)
+            return
         self._ready.push(task)
-        if self._inputs_obtainable(task):
+        if waiting is not None:
             self._ready.vet(task)
+
+    def _producers_pending(self, task: Task) -> Optional[list[str]]:
+        """The inputs of ``task`` that exist nowhere and that only a
+        producer makes, when each one's producer is queued or running
+        (an empty list: every input is obtainable); None when one has
+        no such producer.  Reads state only."""
+        waiting = []
+        count, get = self.replicas.replica_count, self.registry.get
+        for name in task.input_names:
+            if count(name):
+                continue
+            f = get(name)
+            if f is None or f.source != NO_SOURCE:
+                continue
+            producer = self.tasks.get(f.producer_task_id)
+            if producer is None or producer.is_done:
+                return None
+            waiting.append(name)
+        return waiting
 
     def _unvet_lost(self) -> None:
         """Queued tasks needing an input that lost its last replica with
@@ -1779,7 +1808,7 @@ class ControlPlane:
             for name in self.replicas.take_emptied()
             if self._input_refs.get(name, 0) > 0
             and self.replicas.replica_count(name) == 0
-            and self.fixed_sources.get(name, MANAGER_SOURCE) == NO_SOURCE
+            and self.sources.get(name, MANAGER_SOURCE) == NO_SOURCE
         }
         if lost:
             self._unvet_needing(lost)
@@ -1794,11 +1823,14 @@ class ControlPlane:
     def _park(self, entry: tuple, waiting: list[str]) -> None:
         """Take a READY task off the heap until its ``waiting`` inputs
         appear; until then no pump looks at it."""
-        tid = entry[3].task_id
         self._ready.park(entry)
-        self._awaiting[tid] = set(waiting)
+        self._await(entry[3].task_id, waiting)
+
+    def _await(self, task_id: str, waiting: list[str]) -> None:
+        """A parked task waits for its ``waiting`` inputs to appear."""
+        self._awaiting[task_id] = set(waiting)
         for name in waiting:
-            self._parked_on.setdefault(name, set()).add(tid)
+            self._parked_on.setdefault(name, set()).add(task_id)
 
     def _unpark(self, task_id: str) -> None:
         """Forget a parked task's waits and put it back on the heap
@@ -1893,7 +1925,6 @@ class ControlPlane:
         if f is not None:
             cache_name = f.cache_name
             f.size = size
-        self.sizes[cache_name] = size
         self._add_replica(worker_id, cache_name, size, f, now, store)
 
     def _add_replica(
@@ -2023,7 +2054,7 @@ class ControlPlane:
             )
             self._schedule_pump(delay)
         if not self._source_remains(cache_name):
-            if self.fixed_sources.get(cache_name) == NO_SOURCE:
+            if self.sources.get(cache_name) == NO_SOURCE:
                 # every holder burned its budget: those replicas are
                 # effectively lost — fall back to lineage regeneration
                 for holder in self.replicas.forget_name(cache_name):
@@ -2043,7 +2074,7 @@ class ControlPlane:
         for holder in self.replicas.locate(cache_name):
             if self._transfer_attempts[(cache_name, holder)] <= TRANSFER_RETRIES:
                 return True
-        fixed = self.fixed_sources.get(cache_name, MANAGER_SOURCE)
+        fixed = self.sources.get(cache_name, MANAGER_SOURCE)
         if fixed != NO_SOURCE:
             return self._transfer_attempts[(cache_name, fixed)] <= TRANSFER_RETRIES
         return False
@@ -2054,7 +2085,10 @@ class ControlPlane:
         record = self._finish_transfer(transfer_id)
         if record is None:
             return  # cancelled: an endpoint departed mid-flight
-        size = self.sizes.get(record.cache_name, record.size)
+        size = record.size
+        f = self.registry.get(record.cache_name)
+        if f is not None:
+            size = f.size or 0
         self.register_replica(record.dest_worker, record.cache_name, size, store=True)
         self.port.request_pump()
 
@@ -2120,7 +2154,7 @@ class ControlPlane:
         self._m_proxies.inc()
         return ResultRef(
             cache_name=name,
-            size=self.sizes.get(name, 0),
+            size=self.size_of(name),
             holders=tuple(sorted(self.replicas.locate(name))),
         )
 
@@ -2171,7 +2205,7 @@ class ControlPlane:
             st.category = "@retrieve" if retrieval else "@fetch"
             self.log.emit(
                 self.port.now(), "transfer_start",
-                worker=st.asked, file=name, size=self.sizes.get(name, 0),
+                worker=st.asked, file=name, size=self.size_of(name),
                 category=st.category,
             )
             if holders:
@@ -2240,7 +2274,7 @@ class ControlPlane:
             if st.asked is not None:
                 self._fetch_retire(name, st, "abandoned")
         else:
-            size = len(payload) or self.sizes.get(name, 0)
+            size = len(payload) or self.size_of(name)
             # "fetch" is its own category beside "retrieve" (an output
             # the producer's completion waits for): a fetch moves bytes
             # only when something *dereferences* a result, which the
@@ -2528,7 +2562,7 @@ class ControlPlane:
             name
             for name in self.replicas.holdings(worker_id)
             if self.replicas.replica_count(name) == 1
-            and self.fixed_sources.get(name) == NO_SOURCE
+            and self.sources.get(name) == NO_SOURCE
         ]
         return self.registry.in_declaration_order(sole)
 
@@ -2667,10 +2701,10 @@ class ControlPlane:
                 name = spec["name"]
                 if name in self.registry:
                     continue
-                f, source, size = restore_file(spec)
-                self.registry.register(f)
-                self.fixed_sources[name] = source
-                self.sizes[name] = size
+                f, source, _size = restore_file(spec)
+                f = self.registry.register(f)
+                if f.source != source:
+                    f.source = source
             for tenant, rec in j.quotas.items():
                 self.set_tenant_quota(tenant, rec.get("tasks"), rec.get("bytes"))
             for tenant, total in j.tenant_bytes.items():
@@ -2712,7 +2746,7 @@ class ControlPlane:
                 acct.done += 1
                 self.done_count += 1
                 for name, size in done_rec.get("outputs", ()):
-                    self.sizes.setdefault(name, size)
+                    name = self._learned(name, size).cache_name
                     self._recovery_await[name] = size
                     acct.names.add(name)
             elif failed_rec is None:
@@ -2751,10 +2785,9 @@ class ControlPlane:
             acct.done += 1
             self._m_restored_done.inc()
             for name, size in done_rec.get("outputs", ()):
-                self.sizes[name] = size
-                f = self.registry.get(name)
-                if f is not None:
-                    f.size = size
+                f = self._learned(name, size)
+                f.size = size
+                name = f.cache_name
                 self._recovery_await[name] = size
                 acct.names.add(name)
         else:
@@ -2794,7 +2827,7 @@ class ControlPlane:
         # every awaited output is backed (or refetchable).
         return all(
             self.replicas.replica_count(name) > 0
-            or self.fixed_sources.get(name, NO_SOURCE) != NO_SOURCE
+            or self.sources.get(name, NO_SOURCE) != NO_SOURCE
             for name in self._recovery_await
         )
 
@@ -2817,7 +2850,7 @@ class ControlPlane:
             if self.replicas.replica_count(name) > 0:
                 resumed += 1
                 continue
-            if self.fixed_sources.get(name, NO_SOURCE) != NO_SOURCE:
+            if self.sources.get(name, NO_SOURCE) != NO_SOURCE:
                 resumed += 1  # refetchable: transfer planning recovers it
                 continue
             if self._regenerate(name):
@@ -2887,7 +2920,7 @@ class ControlPlane:
         False means the object is unrecoverable (no lineage, or the
         producer's retry budget is spent) and consumers should fail.
         """
-        if self.fixed_sources.get(cache_name) != NO_SOURCE:
+        if self.sources.get(cache_name) != NO_SOURCE:
             return True  # refetchable: normal transfer planning recovers it
         f = self.registry.get(cache_name)
         producer_id = f.producer_task_id if f is not None else None
@@ -2925,7 +2958,7 @@ class ControlPlane:
             self._input_refs[name] += 1
             if (
                 self.replicas.replica_count(name) == 0
-                and self.fixed_sources.get(name) == NO_SOURCE
+                and self.sources.get(name) == NO_SOURCE
             ):
                 ok &= self._regenerate(name)
         return ok
@@ -2938,7 +2971,7 @@ class ControlPlane:
         """
         if self.temp_replica_count <= 1:
             return
-        if self.fixed_sources.get(cache_name) != NO_SOURCE:
+        if self.sources.get(cache_name) != NO_SOURCE:
             return  # refetchable from its source, or already at the manager
         have = self.replicas.locate(cache_name)
         needed = self.temp_replica_count - len(have)
@@ -3182,7 +3215,7 @@ class ControlPlane:
         for name in task.input_names:
             if self.replicas.replica_count(name) > 0:
                 continue
-            if self.fixed_sources.get(name, MANAGER_SOURCE) == NO_SOURCE:
+            if self.sources.get(name, MANAGER_SOURCE) == NO_SOURCE:
                 return False
         return True
 
@@ -3207,7 +3240,7 @@ class ControlPlane:
         for name in task.input_names:
             if (
                 self.replicas.replica_count(name) == 0
-                and self.fixed_sources.get(name, MANAGER_SOURCE) == NO_SOURCE
+                and self.sources.get(name, MANAGER_SOURCE) == NO_SOURCE
             ):
                 if self._regenerate(name):
                     waiting.append(name)
@@ -3269,7 +3302,7 @@ class ControlPlane:
         (:meth:`_slot_freed`) or a holder being blocklisted.
         """
         wid = stage.worker_id
-        plan = self.scheduler.plan_transfers(stage.consumer, wid, self.fixed_sources)
+        plan = self.scheduler.plan_transfers(stage.consumer, wid, self.sources)
         for cache_name, source in plan.transfers:
             self._start_transfer(cache_name, source, wid)
         if plan.transfers or plan.pending or plan.deferred:
@@ -3279,7 +3312,7 @@ class ControlPlane:
             stage.start()
 
     def _start_transfer(self, cache_name: str, source: str, dst_wid: str) -> None:
-        size = self.sizes.get(cache_name, 0)
+        size = self.size_of(cache_name)
         record = self.transfers.begin(cache_name, source, dst_wid, size, self.port.now())
         if source == MINITASK_SOURCE:
             f = self.registry.by_name(cache_name)

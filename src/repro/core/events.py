@@ -10,6 +10,7 @@ an :class:`EventLog`, so the analysis here is runtime-agnostic.
 
 from __future__ import annotations
 
+import array
 import bisect
 from dataclasses import dataclass
 from typing import Optional
@@ -105,14 +106,30 @@ class Event:
     category: Optional[str] = None
 
 
+#: event kinds by their one-byte code in a log's kind column, and back
+_KIND_NAMES = tuple(sorted(KINDS))
+_KIND_CODES = {kind: bytes((code,)) for code, kind in enumerate(_KIND_NAMES)}
+#: fields of a row kept as references, in ``EventLog._cells``
+_CELLS = 5
+
+
 class EventLog:
     """Append-only, time-ordered record of workflow events.
+
+    An event is one row, and :meth:`emit` builds no object for it: the
+    time goes to a column of doubles (it reads back as a ``float``), the
+    kind to a column of one-byte codes, and the other five fields to one
+    flat list of references.
+    An :class:`Event` is made only where one is handed out: to each
+    sink as the event is emitted, and to whoever reads the log
+    (:meth:`events`, iteration), as it is read.
 
     Sinks attached via :meth:`attach` see each event as it is emitted —
     this is how a :class:`~repro.observe.txnlog.TransactionLogWriter`
     streams the log to disk while the run is still in flight.  Sinks
-    run inline under the emitter's lock, so they must be cheap and must
-    not re-enter the control plane.
+    run inline on the emitting thread (the manager's reactor, or the
+    simulator's loop), so they must be cheap and must not re-enter the
+    control plane.
 
     The log tallies its own kinds as they are appended: :meth:`count`
     and :meth:`counts` are how many events of a kind happened, the one
@@ -121,7 +138,10 @@ class EventLog:
     """
 
     def __init__(self) -> None:
-        self._events: list[Event] = []
+        self._time = array.array("d")
+        self._kind = bytearray()
+        #: worker, task, file, size and category of each row, flat
+        self._cells: list = []
         self._sinks: list = []
         #: events appended so far, by kind (absent kind: none yet)
         self._counts: dict[str, int] = {}
@@ -131,10 +151,7 @@ class EventLog:
         """Rebuild a log from an event iterable (e.g. a parsed file)."""
         log = cls()
         for e in events:
-            if e.kind not in KINDS:
-                raise ValueError(f"unknown event kind {e.kind!r}")
-            log._events.append(e)
-            log._counts[e.kind] = log._counts.get(e.kind, 0) + 1
+            log.emit(e.time, e.kind, e.worker, e.task, e.file, e.size, e.category)
         return log
 
     def attach(self, sink) -> None:
@@ -150,22 +167,42 @@ class EventLog:
         file: Optional[str] = None,
         size: int = 0,
         category: Optional[str] = None,
-    ) -> Event:
+    ) -> None:
         """Append an event; ``kind`` must be one of the canonical kinds."""
-        if kind not in KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        e = Event(time, kind, worker, task, file, size, category)
-        self._events.append(e)
+        try:
+            code = _KIND_CODES[kind]
+        except KeyError:
+            raise ValueError(f"unknown event kind {kind!r}") from None
+        self._time.append(time)
+        self._kind += code
+        # the cells go last, in one step: a row is whole once they are in
+        self._cells += (worker, task, file, size, category)
         self._counts[kind] = self._counts.get(kind, 0) + 1
-        for sink in self._sinks:
-            sink(e)
-        return e
+        if self._sinks:
+            e = Event(time, kind, worker, task, file, size, category)
+            for sink in self._sinks:
+                sink(e)
+
+    def _row(self, i: int) -> Event:
+        at = i * _CELLS
+        return Event(
+            self._time[i], _KIND_NAMES[self._kind[i]], *self._cells[at : at + _CELLS]
+        )
 
     def events(self, kind: Optional[str] = None) -> list[Event]:
-        """All events, or only those of one kind, in emission order."""
+        """All events, or only those of one kind, in emission order
+        (each an :class:`Event` built by this call)."""
         if kind is None:
-            return list(self._events)
-        return [e for e in self._events if e.kind == kind]
+            return list(self)
+        code = _KIND_CODES.get(kind)
+        if code is None:
+            return []
+        kinds, rows, whole = self._kind, [], len(self)
+        i = kinds.find(code, 0, whole)
+        while i >= 0:
+            rows.append(self._row(i))
+            i = kinds.find(code, i + 1, whole)
+        return rows
 
     def count(self, kind: str) -> int:
         """How many ``kind`` events were appended (0 before the first);
@@ -182,10 +219,18 @@ class EventLog:
         return self._counts.copy()
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._cells) // _CELLS
 
     def __iter__(self):
-        return iter(self._events)
+        """The events in emission order, each built as it is reached (a
+        row still being appended on another thread is left out)."""
+        cells = iter(self._cells)
+        return map(
+            Event,
+            self._time,
+            map(_KIND_NAMES.__getitem__, self._kind),
+            *[cells] * _CELLS,
+        )
 
 
 @dataclass(frozen=True, slots=True)

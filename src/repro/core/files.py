@@ -30,6 +30,13 @@ import enum
 import itertools
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.transfer_table import (
+    MANAGER_SOURCE,
+    MINITASK_SOURCE,
+    NO_SOURCE,
+    url_source,
+)
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.task import Task
 
@@ -41,7 +48,9 @@ __all__ = [
     "URLFile",
     "TempFile",
     "MiniTaskFile",
+    "LearnedFile",
     "FileRegistry",
+    "shareable",
 ]
 
 
@@ -81,10 +90,20 @@ class File:
     the producer's ``task-done`` for a temp).  The manager assigns
     each file a unique *cache name* (see :mod:`repro.core.naming`) which
     is the key used in worker caches and the replica table.
+
+    The canonical handle of a name is also the manager's one record of
+    it: its size, its producer, its place in declaration order and the
+    source that serves it all live here, and no table repeats them.
     """
 
     #: short tag used in cache-name prefixes and traces
     kind = "file"
+    #: the source key that serves this file when no worker holds it
+    #: (:mod:`repro.core.transfer_table`): each kind names its own, so a
+    #: record carries one only where it differs — a plain ``File`` (the
+    #: simulator's stand-in for content names it at declaration), an
+    #: output that came home to the manager, a withdrawn source
+    source: Optional[str] = None
     #: shared-storage mode (paper Fig. 13a), set per file by the
     #: simulator's ``declare_output``: the producing task completes only
     #: once this output came home to the manager, which serves it from
@@ -106,8 +125,9 @@ class File:
         #: id of the task that produces this file, stamped at its submit:
         #: the lineage a lost replica is regenerated through
         self.producer_task_id: Optional[str] = None
-        #: how many names a registry knew before this file's, stamped when
-        #: it registers a name first: its place in declaration order
+        #: how many names a registry saw declared before this file's,
+        #: stamped when it registers a name first: its place in
+        #: declaration order
         self.rank: Optional[int] = None
 
     def source_description(self) -> str:
@@ -125,6 +145,7 @@ class LocalFile(File):
     """A file or directory in the shared filesystem of the cluster."""
 
     kind = "local"
+    source = MANAGER_SOURCE  # the manager reads the path
 
     def __init__(self, path: str, cache: "CacheLevel | str" = CacheLevel.WORKFLOW):
         super().__init__(cache)
@@ -142,6 +163,7 @@ class BufferFile(File):
     """
 
     kind = "buffer"
+    source = MANAGER_SOURCE  # the manager holds the bytes
 
     def __init__(self, data: bytes, cache: "CacheLevel | str" = CacheLevel.WORKFLOW):
         if isinstance(data, str):
@@ -167,6 +189,7 @@ class URLFile(File):
     def __init__(self, url: str, cache: "CacheLevel | str" = CacheLevel.WORKFLOW):
         super().__init__(cache)
         self.url = url
+        self.source = url_source(url)
 
     def source_description(self) -> str:
         return f"url:{self.url}"
@@ -182,6 +205,7 @@ class TempFile(File):
     """
 
     kind = "temp"
+    source = NO_SOURCE  # exists only at workers, once produced
 
 
 class MiniTaskFile(File):
@@ -194,6 +218,7 @@ class MiniTaskFile(File):
     """
 
     kind = "minitask"
+    source = MINITASK_SOURCE
     #: virtual seconds one materialization takes (simulator only)
     stage_time = 0.0
 
@@ -205,33 +230,82 @@ class MiniTaskFile(File):
         return f"minitask:{self.mini_task.command!r}"
 
 
-class FileRegistry:
-    """Manager-side index of every declared file.
+def shareable(cache_name: str) -> bool:
+    """Whether two files may share ``cache_name``: a content- or
+    spec-derived name may repeat, a run-scoped random one (its second
+    segment is ``rnd``: ``temp-rnd-<nonce>-<bits>``) may not."""
+    return not cache_name.partition("-")[2].startswith("rnd")
 
-    Maps both declaration ids and cache names to :class:`File` handles,
-    and answers lifetime queries for garbage collection.  Registering
-    two files that resolve to the same cache name is allowed (identical
-    content declared twice) and returns the canonical first handle.
+
+class LearnedFile(File):
+    """The record of a name the manager learned without a declaration:
+    a replica a joining worker announced, an output a journal recorded.
+
+    Nothing but a worker serves it, nothing collects it at workflow end,
+    and it has no place in declaration order; a later declaration of
+    the name takes its place in the registry.
+    """
+
+    kind = "learned"
+    source = NO_SOURCE
+
+    def __init__(self, cache_name: str, size: int) -> None:
+        super().__init__(CacheLevel.WORKER)
+        self.cache_name = cache_name
+        self.size = size
+
+
+class _Sources:
+    """The registry's names to the sources that serve them, read like a
+    mapping (``get`` only): what transfer planning asks of each input."""
+
+    __slots__ = ("_by_name",)
+
+    def __init__(self, by_name: dict[str, File]) -> None:
+        self._by_name = by_name
+
+    def get(self, cache_name: str, default: Optional[str] = None) -> Optional[str]:
+        f = self._by_name.get(cache_name)
+        return default if f is None else f.source
+
+
+class FileRegistry:
+    """Manager-side index of every declared file: one record per name.
+
+    Maps cache names to their canonical :class:`File` handles, and
+    answers lifetime queries for garbage collection.  Registering two
+    files that resolve to the same content- or spec-derived name is
+    allowed (identical content declared twice) and returns the canonical
+    first handle; a second file under a run-scoped random (``-rnd-``)
+    name is a collision, and is refused.
     """
 
     def __init__(self) -> None:
-        self._by_id: dict[str, File] = {}
         self._by_name: dict[str, File] = {}
+        self._ranks = itertools.count()
+        #: each name's source, read like a mapping
+        self.sources = _Sources(self._by_name)
 
     def register(self, f: File) -> File:
         """Record ``f``; returns the canonical handle for its cache name."""
-        if f.cache_name is None:
+        name = f.cache_name
+        if name is None:
             raise ValueError(f"file {f.file_id} has no cache name yet")
-        self._by_id[f.file_id] = f
-        known = len(self._by_name)
-        canonical = self._by_name.setdefault(f.cache_name, f)
-        if len(self._by_name) > known:
-            f.rank = known
-        return canonical
-
-    def by_id(self, file_id: str) -> File:
-        """Look up a file by declaration id (KeyError if unknown)."""
-        return self._by_id[file_id]
+        known = self._by_name.get(name)
+        if known is f:
+            return f
+        if known is not None and known.__class__ is not LearnedFile:
+            if not shareable(name):
+                raise RuntimeError(f"cache name collision within run: {name}")
+            return known
+        if known is not None:
+            # a declaration takes the place of what was learned, and the
+            # name keeps the registry's own string
+            f.cache_name = known.cache_name
+        self._by_name[f.cache_name] = f
+        if f.__class__ is not LearnedFile:
+            f.rank = next(self._ranks)
+        return f
 
     def by_name(self, cache_name: str) -> File:
         """Look up the canonical file for a cache name (KeyError if unknown)."""
@@ -272,7 +346,7 @@ class FileRegistry:
 
         def rank(name: str) -> int:
             f = by_name.get(name)
-            return unknown if f is None else f.rank
+            return unknown if f is None or f.rank is None else f.rank
 
         return sorted(names, key=rank)
 

@@ -61,6 +61,7 @@ from repro.core.files import (
 )
 from repro.core.resources import Resources
 from repro.core.task import PythonTask, Task
+from repro.core.transfer_table import MINITASK_SOURCE, NO_SOURCE
 
 __all__ = [
     "Journal",
@@ -532,8 +533,6 @@ def restore_file(spec: dict) -> tuple[File, str, int]:
     control plane treats them like produced data: live replicas back
     them, or lineage regeneration / terminal failure applies.
     """
-    from repro.core.control_plane import MINITASK_SOURCE, NO_SOURCE
-
     level = CacheLevel(spec.get("level", int(CacheLevel.WORKFLOW)))
     kind = spec.get("kind", "file")
     source = spec.get("source", NO_SOURCE)
@@ -557,11 +556,11 @@ def restore_file(spec: dict) -> tuple[File, str, int]:
         if source == MINITASK_SOURCE:
             source = NO_SOURCE  # the wrapped mini task is not replayable
     f.cache_name = spec["name"]
-    f.size = spec.get("size", 0)
+    f.size = int(spec.get("size", 0) or 0)
     for flag in ("bring_back", "keep_at_worker"):
         if spec.get(flag):
             setattr(f, flag, True)
-    return f, source, int(spec.get("size", 0) or 0)
+    return f, source, f.size
 
 
 def task_spec(task: Task) -> dict:

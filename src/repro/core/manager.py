@@ -398,7 +398,7 @@ class ManagerService:
         mgr.namer.assign(f)
         name = f.cache_name
         acct = mgr.control.tenant_account(sess.tenant)
-        hit = name in mgr.control.fixed_sources
+        hit = name in mgr.registry
         if not hit:
             reason = mgr.control.tenant_charge_bytes(sess.tenant, size)
             if reason is not None:
@@ -556,7 +556,7 @@ class ManagerService:
             raise ManagerError(
                 f"input {src!r} is outside tenant {sess.tenant!r}'s namespace"
             )
-        mgr.control.tenant_cache_hit(sess.tenant, src, mgr.sizes.get(src, 0))
+        mgr.control.tenant_cache_hit(sess.tenant, src, mgr.control.size_of(src))
         mgr.control.tenant_add_names(sess.tenant, (src,))
 
     def _submit(self, sess: _ClientSession, task: Task) -> str:
@@ -883,8 +883,6 @@ class Manager:
     metrics = property(lambda self: self.control.metrics)
     categories = property(lambda self: self.control.categories)
     tasks = property(lambda self: self.control.tasks)
-    fixed_sources = property(lambda self: self.control.fixed_sources)
-    sizes = property(lambda self: self.control.sizes)
     libraries = property(lambda self: self.control.libraries)
     _closed = property(lambda self: self.control.closed)
 
@@ -1742,16 +1740,18 @@ class Manager:
         if task_id.startswith("lib:"):
             self.control.on_library_failed(handle.worker_id, task_id[len("lib:"):])
             return
+        # a finished task keeps its result: an empty fact costs nothing
+        # (no list per task, and a zero is the one shared constant)
         result = TaskResult(
             exit_code=int(msg["exit_code"]),
             output=msg.get("output", ""),
             failure=msg.get("failure"),
-            exceeded=list(msg.get("exceeded", [])),
+            exceeded=tuple(msg.get("exceeded", ())),
             measured=(
                 Resources.from_dict(msg["measured"]) if "measured" in msg else None
             ),
-            execution_time=float(msg.get("execution_time", 0.0)),
-            staging_time=float(msg.get("staging_time", 0.0)),
+            execution_time=float(msg.get("execution_time", 0.0)) or 0.0,
+            staging_time=float(msg.get("staging_time", 0.0)) or 0.0,
         )
         self.control.attempt_ended(
             handle.worker_id,

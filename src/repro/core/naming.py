@@ -244,45 +244,35 @@ class Namer:
     are salted with a per-run nonce, so names from different runs can
     never collide even across managers sharing workers; ``seed`` makes
     a run's random names reproducible for tests and the simulator.
+    Nothing here remembers a name: the manager's registry sees every
+    declared one and refuses a second file under a random name.
     """
 
     def __init__(self, seed: Optional[int] = None, run_nonce: Optional[str] = None):
         self._rng = random.Random(seed)
         self.run_nonce = run_nonce or uuid.uuid4().hex[:12]
-        self._issued: set[str] = set()
         #: optional callbacks used to name URL files
         self.header_fetcher: Optional[Callable[[str], Mapping[str, str]]] = None
         self.url_downloader: Optional[Callable[[str], bytes]] = None
 
     def _random_name(self, prefix: str) -> str:
-        """A fresh per-run random name, guaranteed unique within the run."""
-        while True:
-            name = f"{prefix}-rnd-{self.run_nonce}-{self._rng.getrandbits(64):016x}"
-            if name not in self._issued:
-                return name
+        """A fresh per-run random name: 64 random bits under the run's
+        nonce (the registry refuses the one-in-2**64 repeat)."""
+        return f"{prefix}-rnd-{self.run_nonce}-{self._rng.getrandbits(64):016x}"
 
     def _salt(self, level: CacheLevel) -> str:
         """Run-nonce salt for spec-hashed names that must not outlive the run."""
         return "" if level == CacheLevel.WORKER else f"-{self.run_nonce}"
 
     def assign(self, f: File) -> str:
-        """Compute, record, and return the cache name for ``f``.
+        """Compute, set, and return the cache name for ``f``.
 
         Idempotent: a file already named keeps its name.  For mini-task
         files, the producing task's inputs must already be named.
         """
-        if f.cache_name is not None:
-            return f.cache_name
-        f.cache_name = self._name_for(f)
-        if f.cache_name in self._issued and not self._shareable(f):
-            raise RuntimeError(f"cache name collision within run: {f.cache_name}")
-        self._issued.add(f.cache_name)
+        if f.cache_name is None:
+            f.cache_name = self._name_for(f)
         return f.cache_name
-
-    @staticmethod
-    def _shareable(f: File) -> bool:
-        """Content/spec-derived names may legitimately repeat across files."""
-        return not (f.cache_name or "").split("-", 2)[1].startswith("rnd")
 
     def _name_for(self, f: File) -> str:
         # the kinds are siblings: the order only decides how many tests
@@ -337,9 +327,6 @@ class Namer:
             producing_task.resources.to_dict(),
             producing_task.env,
         )
-        old = f.cache_name
-        if old is not None:
-            self._issued.discard(old)
         # distinguish multiple temp outputs of one task by output name
         out_name = next(
             (rn for rn, ff in producing_task.outputs if ff is f), f.file_id
@@ -349,7 +336,6 @@ class Namer:
             f"{self._salt(f.cache_level)}"
         )
         f.producer_task_id = producing_task.task_id
-        self._issued.add(f.cache_name)
         return f.cache_name
 
     def name_task_output(self, f: File, task, merkle: str) -> str:
@@ -361,12 +347,8 @@ class Namer:
         derived purely from the task merkle plus the output's sandbox
         name, never salted with the run nonce.
         """
-        old = f.cache_name
-        if old is not None:
-            self._issued.discard(old)
         out_name = next((rn for rn, ff in task.outputs if ff is f), f.file_id)
         f.cache_name = f"memo-md5-{hash_bytes((merkle + ':' + out_name).encode())}"
         if isinstance(f, TempFile):
             f.producer_task_id = task.task_id
-        self._issued.add(f.cache_name)
         return f.cache_name

@@ -224,8 +224,9 @@ class ReadyQueue:
             del self._classes[key]
         self._unvetted.discard(task_id)
 
-    def push(self, task: Task) -> None:
-        """Queue (or re-queue) a ready task."""
+    def push(self, task: Task, parked: bool = False) -> None:
+        """Queue (or re-queue) a ready task; ``parked`` holds it off the
+        heap from the start, until :meth:`unpark`."""
         token = self._next_token
         self._next_token += 1
         tid = task.task_id
@@ -239,13 +240,18 @@ class ReadyQueue:
         key = self._class_keys.setdefault(key, key)
         self._live[tid] = (token, task, key)
         self.peak_depth = max(self.peak_depth, len(self._live))
-        self._activate(tid, key)
         tenant = self._tenant_of(task)
         heap = self._heaps.get(tenant)
         if heap is None:
             heap = self._heaps[tenant] = []
             self._ring.append(tenant)
-        heapq.heappush(heap, (-task.priority, task.seq, token, task))
+        entry = (-task.priority, task.seq, token, task)
+        if parked:
+            self._parked[tid] = entry
+            self.peak_parked = max(self.peak_parked, len(self._parked))
+            return
+        self._activate(tid, key)
+        heapq.heappush(heap, entry)
 
     def discard(self, task: Task) -> None:
         """Drop a task if queued; its heap entry dies lazily."""
@@ -691,13 +697,15 @@ class Scheduler:
         self,
         task: Task,
         worker_id: str,
-        fixed_sources: Mapping[str, str],
+        sources: Mapping[str, str],
     ) -> TransferPlan:
         """Plan how the chosen worker obtains each missing input.
 
-        ``fixed_sources`` maps cache names to their original source key
-        (``MANAGER_SOURCE`` or ``url:<host>``); files producible locally
-        by a mini task map to the pseudo-source ``@minitask``.  The
+        ``sources`` maps cache names to the source key that serves them
+        when no peer can (``MANAGER_SOURCE`` or ``url:<host>``; the
+        control plane passes its registry's ``sources``); files
+        producible locally by a mini task map to the pseudo-source
+        ``@minitask``, and a name it does not know to the manager.  The
         returned plan never exceeds any source's concurrency limit and
         never duplicates a transfer already in flight.
 
@@ -724,7 +732,7 @@ class Scheduler:
             if self.transfers.in_flight(cache_name, worker_id):
                 plan.pending.append(cache_name)
                 continue
-            source = self._pick_source(cache_name, worker_id, fixed_sources, load, available)
+            source = self._pick_source(cache_name, worker_id, sources, load, available)
             if source is None:
                 plan.deferred.append(cache_name)
             else:
@@ -736,7 +744,7 @@ class Scheduler:
         self,
         cache_name: str,
         dest_worker: str,
-        fixed_sources: Mapping[str, str],
+        sources: Mapping[str, str],
         load,
         available,
     ) -> Optional[str]:
@@ -771,7 +779,7 @@ class Scheduler:
             # one-per-worker down to the initial handful (paper §4.2,
             # Colmena).  (With peer transfers disabled, fall through.)
             return None
-        fixed = fixed_sources.get(cache_name, MANAGER_SOURCE)
+        fixed = sources.get(cache_name, MANAGER_SOURCE)
         if fixed == "@minitask":
             # materialized locally at the worker; no network source needed
             return fixed if gate(cache_name, fixed) == GATE_OK else None

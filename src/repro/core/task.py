@@ -15,8 +15,8 @@ serverless types live in :mod:`repro.core.library`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.files import File
 from repro.core.resources import Resources
@@ -53,7 +53,7 @@ class TaskState(enum.Enum):
 TERMINAL_STATES = frozenset({TaskState.DONE, TaskState.FAILED, TaskState.CANCELLED})
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskResult:
     """Outcome of one task execution attempt."""
 
@@ -69,7 +69,7 @@ class TaskResult:
     #: seconds spent staging inputs before execution began
     staging_time: float = 0.0
     #: resource dimensions that exceeded the declared allocation
-    exceeded: list[str] = field(default_factory=list)
+    exceeded: Sequence[str] = ()
 
     @property
     def ok(self) -> bool:

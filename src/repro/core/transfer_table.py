@@ -31,6 +31,7 @@ __all__ = [
     "TransferTable",
     "MANAGER_SOURCE",
     "MINITASK_SOURCE",
+    "NO_SOURCE",
     "source_kind",
     "url_source",
 ]
@@ -39,6 +40,9 @@ __all__ = [
 MANAGER_SOURCE = "@manager"
 #: pseudo-source id for files materialized by a mini task at the worker
 MINITASK_SOURCE = "@minitask"
+#: source marker of files that only ever exist at workers (temps): no
+#: transfer is ever planned from it
+NO_SOURCE = "@none"
 
 
 def source_kind(source: str) -> str:

@@ -207,10 +207,6 @@ class SimManager:
         return self.control.tasks
 
     @property
-    def fixed_sources(self):
-        return self.control.fixed_sources
-
-    @property
     def libraries(self):
         return self.control.libraries
 
@@ -381,7 +377,7 @@ class SimManager:
         self.network.start(
             worker_id,
             MANAGER_NODE,
-            self.control.sizes.get(cache_name, 0),
+            self.control.size_of(cache_name),
             # no real bytes exist here: the plane accounts the declared size
             lambda _t: self._run(self.control.fetch_reply, worker_id, cache_name, b""),
         )
@@ -405,7 +401,6 @@ class SimManager:
         f = File(cache)
         if f.cache_level == CacheLevel.WORKER:
             f.cache_name = f"file-md5-{hash_bytes(key.encode())}"
-            self.namer._issued.add(f.cache_name)
         else:
             self.namer.assign(f)
         f.size = size
@@ -424,9 +419,7 @@ class SimManager:
         self.namer.assign(f)
         f.size = size
         self.control.declare(f, size)
-        self.cluster.add_url_server(
-            self.control.fixed_sources[f.cache_name], up_bps=server_bps
-        )
+        self.cluster.add_url_server(f.source, up_bps=server_bps)
         return f
 
     def declare_minitask(
@@ -613,9 +606,9 @@ class SimManager:
             return  # stale completion: the task was requeued after a loss
         # a simulated worker announces nothing: the outputs enter its
         # cache, at their final sizes, as the attempt is accepted
-        sizes = self.control.sizes
+        size_of = self.control.size_of
         produced = [
-            (f.cache_name, task.sim_output_sizes.get(sandbox_name, sizes[f.cache_name]))
+            (f.cache_name, task.sim_output_sizes.get(sandbox_name, size_of(f.cache_name)))
             for sandbox_name, f in task.outputs
         ]
         self.control.attempt_ended(

@@ -6,6 +6,7 @@ from repro.core.files import (
     BufferFile,
     CacheLevel,
     FileRegistry,
+    LearnedFile,
     LocalFile,
     TempFile,
     URLFile,
@@ -61,7 +62,34 @@ def test_registry_dedups_by_cache_name():
     canonical = reg.register(f1)
     assert reg.register(f2) is canonical is f1
     assert len(reg) == 1
-    assert reg.by_id(f2.file_id) is f2  # ids still resolve individually
+
+
+def test_registry_refuses_a_second_file_under_a_random_name():
+    reg = FileRegistry()
+    first, second = TempFile(), TempFile()
+    first.cache_name = second.cache_name = "temp-rnd-run-00000000000000aa"
+    assert reg.register(first) is first
+    assert reg.register(first) is first  # the same file again is no repeat
+    with pytest.raises(RuntimeError, match="collision"):
+        reg.register(second)
+    assert reg.get(first.cache_name) is first
+
+
+def test_a_declaration_takes_the_place_of_a_learned_record():
+    reg = FileRegistry()
+    kept = BufferFile(b"a", CacheLevel.WORKER)
+    kept.cache_name = "n0"
+    reg.register(kept)
+    learned = reg.register(LearnedFile("buffer-md5-b", 1))
+    assert learned.rank is None and learned.cache_level == CacheLevel.WORKER
+    assert reg.in_declaration_order(["buffer-md5-b", "n0"]) == ["n0", "buffer-md5-b"]
+    f = BufferFile(b"b")
+    f.cache_name = "".join(["buffer-md5-", "b"])  # equal, not the registry's
+    assert f.cache_name is not learned.cache_name
+    assert reg.register(f) is f
+    assert f.cache_name is learned.cache_name
+    assert reg.get("buffer-md5-b") is f and f.rank is not None
+    assert reg.collectable_names() == ["buffer-md5-b"]
 
 
 def test_registry_collectable_names():

@@ -8,6 +8,7 @@ accounting), and the file/task serializer round-trips.
 
 import json
 import os
+import shutil
 import struct
 
 import pytest
@@ -23,7 +24,7 @@ from repro.core.journal import (
     restore_file,
     task_spec,
 )
-from repro.core.task import Task
+from repro.core.task import Task, TaskState
 
 _LEN = struct.Struct(">I")
 
@@ -301,3 +302,49 @@ def test_task_referencing_unknown_file_is_not_restorable():
 
 def test_serverless_call_is_not_restorable():
     assert build_task({"kind": "call", "command": ""}, FileRegistry()) is None
+
+
+# ----------------------------------------------------------------------
+# a journal written by an earlier release replays
+# ----------------------------------------------------------------------
+
+#: written at dec4602, when the control plane kept a name's size and
+#: source in tables of their own: one worker; a buffer (inlined), a
+#: buffer too large to inline, a URL, a local path, an untar mini task
+#: and a plain ``File`` naming ``url:mirror``; a producer of a temp that
+#: finished with 333 bytes, and its consumer still queued, whose output
+#: was named and declared at submit
+OLD_JOURNAL = os.path.join(os.path.dirname(__file__), "fixtures", "journal-dec4602")
+
+#: every name that journal restores, with its size and source as the
+#: release that wrote it restored them
+OLD_JOURNAL_NAMES = {
+    "buffer-md5-406abbf36d2baf5791c59d1f312fd8be": [15, "@manager"],
+    "buffer-md5-c37e28fdafdb7319c5822431121bf043": [4194305, NO_SOURCE],
+    "file-md5-dataset": [2048, "url:mirror"],
+    "local-rnd-fixture-e3e70682c2094cac": [512, "@manager"],
+    "task-md5-6e0cdddab8112f76af6c56ae49c7bcf7-fixture": [77, NO_SOURCE],
+    "temp-rnd-fixture-0a5d2f346baa9455": [333, NO_SOURCE],
+    "temp-rnd-fixture-f728b4fa42485e3a": [0, NO_SOURCE],
+    "url-rnd-fixture-629f6fbed82c07cd": [4096, "url:data.example:8443"],
+}
+
+
+def test_a_journal_written_before_records_held_sizes_replays(tmp_path):
+    from tests.core.test_control_plane import make_control
+
+    shutil.copytree(OLD_JOURNAL, tmp_path / "journal")
+    _port, control = make_control(journal=ControlPlaneJournal(str(tmp_path / "journal")))
+    assert control.recover(grace=0.0)
+    restored = {
+        name: [control.size_of(name), control.sources.get(name)]
+        for name in OLD_JOURNAL_NAMES
+    }
+    assert restored == OLD_JOURNAL_NAMES
+    assert len(control.registry) == len(OLD_JOURNAL_NAMES)
+    states = {t.task_id: t.state for t in control.tasks.values()}
+    assert states == {"t1": TaskState.DONE, "t2": TaskState.READY}
+    # its input's producer is done: not parked, the pump decides (a
+    # holder re-announcing it, or the producer's re-run)
+    assert control._ready.parked == 0
+    control.journal.close()

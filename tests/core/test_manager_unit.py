@@ -32,8 +32,8 @@ def test_declare_buffer_names_and_sizes(manager):
     f = manager.declare_buffer(b"payload")
     assert f.cache_name.startswith("buffer-md5-")
     # the plane registers it on the reactor, after declare returned
-    assert on_reactor(manager, lambda: manager.sizes[f.cache_name]) == 7
-    assert manager.fixed_sources[f.cache_name] == MANAGER_SOURCE
+    assert on_reactor(manager, lambda: manager.control.size_of(f.cache_name)) == 7
+    assert manager.control.sources.get(f.cache_name) == MANAGER_SOURCE
 
 
 def test_declare_local_file_and_dir(manager, tmp_path):
@@ -45,9 +45,10 @@ def test_declare_local_file_and_dir(manager, tmp_path):
     (d / "member").write_bytes(b"xyz")
     fd = manager.declare_local(str(d), cache="worker")
     assert fd.cache_name.startswith("dir-md5-")
-    sizes = on_reactor(manager, lambda: dict(manager.sizes))
-    assert sizes[f.cache_name] == 1000
-    assert sizes[fd.cache_name] == 3
+    sizes = on_reactor(
+        manager, lambda: [manager.control.size_of(x.cache_name) for x in (f, fd)]
+    )
+    assert sizes == [1000, 3]
 
 
 def test_declare_local_worker_level_content_named(manager, tmp_path):
@@ -66,8 +67,8 @@ def test_declare_url_sets_host_source(manager, tmp_path):
     p = tmp_path / "remote.bin"
     p.write_bytes(b"remote")
     f = manager.declare_url(f"file://{p}")
-    assert on_reactor(manager, lambda: manager.fixed_sources[f.cache_name]) == "url:localfs"
-    assert manager.sizes[f.cache_name] == 6
+    assert on_reactor(manager, lambda: manager.control.sources.get(f.cache_name)) == "url:localfs"
+    assert manager.control.size_of(f.cache_name) == 6
 
 
 def test_declare_url_worker_level_uses_stat_headers(manager, tmp_path):
@@ -91,7 +92,7 @@ def test_declare_untar_builds_minitask(manager, tmp_path):
     tarball = manager.declare_local(str(p))
     env = manager.declare_untar(tarball)
     assert env.cache_name.startswith("task-md5-")
-    assert on_reactor(manager, lambda: manager.fixed_sources[env.cache_name]) == "@minitask"
+    assert on_reactor(manager, lambda: manager.control.sources.get(env.cache_name)) == "@minitask"
     assert env.mini_task.inputs[0][1] is tarball
 
 

@@ -4,8 +4,9 @@ A long-lived manager keeps one picture of cluster storage; each fact in
 it should be stored once.  These tests run a few hundred noop tasks
 (three temp outputs each) through a :class:`Manager` and a
 :class:`ScriptedWorker` fleet and bound what the manager retains: heap
-bytes per finished task, one string per cache name, and one ``unlink``
-frame per worker when the workflow ends.
+bytes per finished task, one string per cache name held by few
+containers, and one ``unlink`` frame per worker when the workflow ends;
+and what the event log retains per event.
 """
 
 import gc
@@ -17,6 +18,7 @@ import tracemalloc
 import pytest
 
 from repro.core import control_plane
+from repro.core.events import EventLog
 from repro.core.manager import Manager
 from repro.core.task import Task, TaskState
 from repro.protocol.messages import M
@@ -26,9 +28,23 @@ WORKERS = 4
 TASKS = 300
 OUTPUTS = 3
 #: heap bytes a finished noop task with three temp outputs may leave in
-#: the manager (≈ 3.7 KB measured on CPython 3.11; ≈ 4.6 KB when each
-#: sole holder took a set and each reported name was a decoded copy)
-BYTES_PER_TASK = 4_200
+#: the manager (≈ 2.86 KB measured on CPython 3.11; ≈ 3.6 KB while a
+#: name's size and source had tables of their own, the namer kept a set
+#: of the names it issued and each event was an object; ≈ 4.6 KB when
+#: each sole holder took a set and each reported name was a decoded copy)
+BYTES_PER_TASK = 3_100
+#: heap bytes one retained event may cost with no sink attached: a
+#: double, a one-byte kind and five references, with the columns'
+#: spare room (≈ 53 B measured on CPython 3.11; ≈ 120 B as a frozen
+#: ``Event`` holding its own float)
+BYTES_PER_EVENT = 60
+#: containers ``gc`` finds holding a finished temp's name string: its
+#: record, its holder's name set, its tenant's namespace and the event
+#: log's cells (five while a ``file_cached`` event was an object and the
+#: namer kept every name it issued).  A dict does not show its ``str``
+#: keys to ``gc``, so the registry's and replica table's indexes are
+#: not counted here; the string identity test below covers them
+NAME_HOLDERS = 4
 
 
 def _wait_for(predicate, what, timeout=10.0):
@@ -94,6 +110,33 @@ def test_a_finished_task_retains_under_its_byte_budget(fleet):
     finally:
         tracemalloc.stop()
     assert retained / TASKS < BYTES_PER_TASK, retained / TASKS
+
+
+def test_a_retained_event_costs_a_row_not_an_object():
+    log = EventLog()
+    log.emit(0.0, "file_cached", worker="W001", file="f", size=1)
+    events = 20_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(events):
+            # a fresh float per event, as the runtimes' clocks give
+            log.emit(i * 0.001, "file_cached", worker="W001", file="f", size=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) == events + 1
+    assert retained / events < BYTES_PER_EVENT, retained / events
+
+
+def test_a_temp_name_is_held_by_few_containers(fleet):
+    tasks = _run(fleet, 50)
+    gc.collect()
+    for task in tasks:
+        for _sandbox, f in task.outputs:
+            holders = gc.get_referrers(f.cache_name)
+            assert len(holders) <= NAME_HOLDERS, [type(h) for h in holders]
 
 
 def test_a_reported_name_is_stored_as_the_managers_own_string(fleet):

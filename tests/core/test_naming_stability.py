@@ -10,7 +10,14 @@ this before; these tests are the regression net.
 
 import pytest
 
-from repro.core.files import BufferFile, CacheLevel, LocalFile, MiniTaskFile, TempFile
+from repro.core.files import (
+    BufferFile,
+    CacheLevel,
+    LocalFile,
+    MiniTaskFile,
+    TempFile,
+    shareable,
+)
 from repro.core.library import FunctionCall
 from repro.core.manager import Manager
 from repro.core.naming import Namer, task_merkle
@@ -33,7 +40,7 @@ def test_buffer_names_identical_across_runs():
         fb = BufferFile(b"shared payload", level)
         assert a.assign(fa) == b.assign(fb)
         assert "aaaaaaaaaaaa" not in fa.cache_name
-        assert Namer._shareable(fa)
+        assert shareable(fa.cache_name)
 
 
 def test_worker_level_local_names_identical_across_runs(tmp_path):
@@ -44,7 +51,7 @@ def test_worker_level_local_names_identical_across_runs(tmp_path):
     fb = LocalFile(str(path), CacheLevel.WORKER)
     assert a.assign(fa) == b.assign(fb)
     assert a.run_nonce not in fa.cache_name
-    assert Namer._shareable(fa)
+    assert shareable(fa.cache_name)
 
 
 def test_worker_level_minitask_names_identical_across_runs():
@@ -74,7 +81,7 @@ def test_non_worker_levels_are_salted_with_the_nonce(tmp_path):
     fb = LocalFile(str(path), CacheLevel.WORKFLOW)
     assert a.assign(fa) != b.assign(fb)
     assert a.run_nonce in fa.cache_name
-    assert not Namer._shareable(fa)
+    assert not shareable(fa.cache_name)
 
 
 def test_worker_level_temp_output_names_identical_across_runs():
@@ -95,7 +102,7 @@ def test_shareable_predicate_keys_on_the_rnd_segment():
     a, _ = two_namers()
     f = TempFile()
     a.assign(f)  # temp files get per-run random names
-    assert not Namer._shareable(f)
+    assert not shareable(f.cache_name)
     assert f.cache_name.split("-", 2)[1].startswith("rnd")
 
 

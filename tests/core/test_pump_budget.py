@@ -164,16 +164,21 @@ def test_full_cluster_walks_the_load_heap_once_per_pass(monkeypatch):
 
 def test_fan_in_tasks_are_examined_when_their_inputs_change(monkeypatch):
     """64 streaming jobs × fan-out 16: a merge task waits for sixteen
-    producers, and is looked at when it arrives and when they are done
-    — not on every pump in between."""
+    producers, and is looked at when it arrives (and parked there) and
+    when they are done — not on every pump in between."""
     calls = Counter()
-    inner = ControlPlane._recover_lost_inputs
 
-    def counted(self, task):
-        calls[task.task_id] += 1
-        return inner(self, task)
+    def counting(name):
+        inner = getattr(ControlPlane, name)
 
-    monkeypatch.setattr(ControlPlane, "_recover_lost_inputs", counted)
+        def counted(self, task):
+            calls[task.task_id] += 1
+            return inner(self, task)
+
+        monkeypatch.setattr(ControlPlane, name, counted)
+
+    counting("_recover_lost_inputs")
+    counting("_producers_pending")
     cluster = SimCluster()
     cluster.add_workers(200, cores=4)
     m = SimManager(cluster, seed=7)
@@ -183,8 +188,13 @@ def test_fan_in_tasks_are_examined_when_their_inputs_change(monkeypatch):
     assert run.stats.tasks_done == 64 * 17
     merges = [t for t in m.control.tasks.values() if t.category == "merge"]
     assert len(merges) == 64
-    assert set(calls) <= {t.task_id for t in merges}
     assert all(1 <= calls[t.task_id] <= 2 for t in merges)
+    # a producer's inputs are there from the start: looked at on arrival
+    assert all(
+        calls[t.task_id] == 1
+        for t in m.control.tasks.values()
+        if t.category != "merge"
+    )
 
 
 # -- an event costs what it changed ---------------------------------------
@@ -269,6 +279,30 @@ def test_blast_pair_places_without_probing_what_cannot_be_placed(monkeypatch):
     assert counts["restore"] <= pumps, f"{counts['restore']} restores (65 207 before)"
     assert counts["_view_of"] <= 3 * placed, (
         f"{counts['_view_of']} worker views (115 720 before)"
+    )
+
+
+def test_a_fan_in_submitted_before_its_producers_is_not_probed(monkeypatch):
+    """64 jobs of eight producers and one merge, all submitted up front
+    to three one-core workers.  A merge whose producers are queued is
+    parked as it arrives; before, it stayed unvetted until a pass
+    reached it, so every pass failed a whole placement window first:
+    41 113 ``choose_worker_indexed`` calls for 576 tasks."""
+    counts = Counter()
+    _counting(monkeypatch, counts, Scheduler, "choose_worker_indexed")
+    cluster = SimCluster()
+    cluster.add_workers(3, cores=1)
+    m = SimManager(cluster, seed=7)
+    for j in range(64):
+        merge = Task(f"merge {j}")
+        for i in range(8):
+            part = m.declare_temp(size=1000)
+            m.submit(Task(f"part {j}.{i}").add_output(part, "part"), duration=1.0)
+            merge.add_input(part, f"part{i}")
+        m.submit(merge, duration=1.0)
+    assert m.run().tasks_done == 576
+    assert counts["choose_worker_indexed"] <= 3 * 576, (
+        f"{counts['choose_worker_indexed']} placement probes (41 113 before)"
     )
 
 

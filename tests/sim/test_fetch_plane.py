@@ -142,7 +142,7 @@ def test_bring_back_retrievals_are_paired_in_the_txn_log(tmp_path):
     assert all(t.state == TaskState.DONE for t in tasks)
     # shared-storage semantics: the manager now sources every output,
     # and only the kept one still has its worker copy
-    assert all(m.fixed_sources[o.cache_name] == "@manager" for o in outs + [kept])
+    assert all(m.control.sources.get(o.cache_name) == "@manager" for o in outs + [kept])
     assert [bool(m.replicas.locate(o.cache_name)) for o in outs + [kept]] == [
         False, False, False, True,
     ]
@@ -201,7 +201,7 @@ def test_retrieval_with_no_holder_left_regenerates_the_output():
     ] == [producer.task_id]
     assert [e.worker for e in _retrieves(m, "transfer_start")] == ["w0", "w1"]
     assert [e.worker for e in _retrieves(m, "transfer_end")] == ["w1"]
-    assert m.fixed_sources[out.cache_name] == "@manager"
+    assert m.control.sources.get(out.cache_name) == "@manager"
 
 
 def test_a_result_lost_beyond_the_loss_budget_aborts_the_simulated_run():

@@ -49,8 +49,8 @@ def test_each_gauge_max_is_the_exact_peak_of_its_count(monkeypatch):
     depths = []
     push = ReadyQueue.push
 
-    def recording_push(self, task):
-        push(self, task)
+    def recording_push(self, task, parked=False):
+        push(self, task, parked)
         depths.append(len(self))
 
     monkeypatch.setattr(ReadyQueue, "push", recording_push)

@@ -67,7 +67,7 @@ def _fingerprint(m):
     out = []
     for t in m.control.tasks.values():
         sizes = tuple(
-            sorted(m.control.sizes.get(f.cache_name, 0) for _, f in t.outputs)
+            sorted(m.control.size_of(f.cache_name) for _, f in t.outputs)
         )
         out.append((t.command, t.state.name, sizes))
     return sorted(out)

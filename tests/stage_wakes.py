@@ -27,7 +27,7 @@ def overslept(control: ControlPlane) -> list:
         if not stage.live or stage in control._stage_dirty or control._woken(stage):
             continue
         plan = control.scheduler.plan_transfers(
-            stage.consumer, stage.worker_id, control.fixed_sources
+            stage.consumer, stage.worker_id, control.sources
         )
         if plan.transfers or not (plan.pending or plan.deferred):
             late.append((stage, plan))
