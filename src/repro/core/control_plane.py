@@ -117,7 +117,7 @@ class ManagerError(RuntimeError):
 
 def _not_declared(task: Task, f: File) -> str:
     # ids are assigned after the checks, so name the command
-    return f"input {f.file_id} ({f.source_description()}) of task {task.command!r} was not declared"
+    return f"input {f.label()} of task {task.command!r} was not declared"
 
 
 def presubmit(task: Task, plane: "ControlPlane") -> str:
@@ -269,8 +269,6 @@ class TenantAccount:
     #: completions un-counted for regeneration (``done`` dipped by one
     #: per entry until the producer re-delivers)
     regens: int = 0
-    #: cache names this tenant declared or produced (its namespace)
-    names: set = field(default_factory=set)
     #: the highest each gauged count ever was, recorded where it rises
     #: (the methods below are the only writers of those counts)
     peak_queued: int = 0
@@ -570,6 +568,12 @@ class ControlPlane:
             collections.Counter
         )
         self._input_refs: collections.Counter = collections.Counter()
+        #: one string per distinct sandbox name among the plane's tasks,
+        #: so 20 000 tasks naming an output ``out0`` share one.  A table
+        #: of the plane's own, not ``sys.intern``: names a remote client
+        #: chose live as long as the plane that holds their tasks, never
+        #: as long as the process
+        self._sandbox_names: dict[str, str] = {}
         #: failed-attempt counts keyed by (cache_name, source) — one
         #: budget *per source*, so a flaky peer cannot starve a healthy
         #: one; reset when a transfer from that source succeeds
@@ -696,8 +700,7 @@ class ControlPlane:
             source = f.source
             if source is None:
                 raise ManagerError(
-                    f"file {f.file_id} ({f.source_description()}) "
-                    "names no source to serve it"
+                    f"file {f.label()} names no source to serve it"
                 )
         served = self.sources.get(f.cache_name, NO_SOURCE)
         canonical = self.registry.register(f)
@@ -841,14 +844,37 @@ class ControlPlane:
             j.record_tenant_bytes(tenant, nbytes)
         return None
 
+    def in_namespace(self, tenant: str, cache_name: str) -> bool:
+        """Whether ``cache_name`` is in ``tenant``'s namespace, read off
+        the name's record: the tenant declared or adopted it through a
+        session (the record's ``owner``), or one of its tasks produces
+        it (the record's producer)."""
+        f = self.registry.get(cache_name)
+        if f is None:
+            return False
+        if f.owned_by(tenant):
+            return True
+        producer = self.tasks.get(f.producer_task_id)
+        return producer is not None and producer.tenant == tenant
+
     def tenant_add_names(self, tenant: str, cache_names: Iterable[str]) -> None:
-        """Admit cache names into the tenant's namespace."""
-        names = self.tenant_account(tenant).names
+        """Admit declared cache names into the tenant's namespace.
+
+        A name the tenant's own tasks do not already produce takes the
+        tenant's account string among its record's owners.  The journal
+        gets a ``tenant_name`` record for every name (it writes each
+        once): a restart restores a memo output shared by two tenants'
+        tasks under one of them as producer, and the other tenant's
+        record is what keeps the name in its namespace.
+        """
+        acct = self.tenant_account(tenant)
         j = self._j
         for name in cache_names:
-            names.add(name)
             if j is not None:
                 j.record_tenant_name(tenant, name)
+            f = self.registry.get(name)
+            if f is not None and not self.in_namespace(tenant, name):
+                f.add_owner(acct.name)
 
     def tenant_cache_hit(self, tenant: str, cache_name: str, size: int) -> None:
         """A tenant declared content already known to the service."""
@@ -1114,9 +1140,12 @@ class ControlPlane:
             raise ManagerError("manager is closed")
         if task.state != TaskState.CREATED:
             raise ManagerError(f"task {task.task_id} already submitted")
-        for _, f in task.inputs:
+        share = self._sandbox_names.setdefault
+        inputs = task.inputs
+        for i, (name, f) in enumerate(inputs):
             if not self._declared(f):
                 raise ManagerError(_not_declared(task, f))
+            inputs[i] = (share(name, name), f)
         acct = self.tenant_account(task.tenant)
         headroom = acct.task_headroom()
         if headroom is not None and headroom <= 0:
@@ -1133,9 +1162,11 @@ class ControlPlane:
         names = task.input_names = task.input_cache_names()
         for name in names:
             self._input_refs[name] += 1
-        for _, f in task.outputs:
+        outputs = task.outputs
+        for i, (name, f) in enumerate(outputs):
             # record lineage for regeneration after replica loss
             f.producer_task_id = task.task_id
+            outputs[i] = (share(name, name), f)
         if isinstance(task, FunctionCall):
             lib = self.libraries.get(task.library_name)
             if lib is not None:
@@ -1532,11 +1563,6 @@ class ControlPlane:
         else:
             acct.failed += 1
             self._tenant_counters[task.tenant]["failed"].inc()
-        # produced outputs join the owning tenant's namespace so a
-        # follow-up workflow may reference them without re-declaring
-        for _, f in task.outputs:
-            if f.cache_name:
-                acct.names.add(f.cache_name)
         task.input_names = None
         self._wake_consumers(task)
         j = self._j
@@ -2709,10 +2735,12 @@ class ControlPlane:
                 self.set_tenant_quota(tenant, rec.get("tasks"), rec.get("bytes"))
             for tenant, total in j.tenant_bytes.items():
                 self.tenant_account(tenant).bytes_declared = total
-            for tenant, names in j.tenant_names.items():
-                self.tenant_account(tenant).names.update(names)
             for rec in sorted(j.submits.values(), key=lambda r: r["seq"]):
                 self._restore_task(rec, now)
+            # after the tasks: a name their outputs place in a namespace
+            # needs no owner on its record
+            for tenant, names in j.tenant_names.items():
+                self.tenant_add_names(tenant, sorted(names))
             self._task_seq = itertools.count(j.max_seq + 1)
         finally:
             self._j = j
@@ -2748,7 +2776,8 @@ class ControlPlane:
                 for name, size in done_rec.get("outputs", ()):
                     name = self._learned(name, size).cache_name
                     self._recovery_await[name] = size
-                    acct.names.add(name)
+                    # no task left to produce it: the record names the tenant
+                    self.tenant_add_names(tenant, (name,))
             elif failed_rec is None:
                 stub = Task("@lost")
                 stub.task_id = tid
@@ -2787,9 +2816,8 @@ class ControlPlane:
             for name, size in done_rec.get("outputs", ()):
                 f = self._learned(name, size)
                 f.size = size
-                name = f.cache_name
-                self._recovery_await[name] = size
-                acct.names.add(name)
+                self._recovery_await[f.cache_name] = size
+                self.tenant_add_names(tenant, (f.cache_name,))
         else:
             task.state = TaskState.READY
             task.submitted_at = now
@@ -3386,8 +3414,8 @@ class ControlPlane:
         for f in lib.env_files:
             if not self._declared(f):
                 raise ManagerError(
-                    f"environment file {f.file_id} ({f.source_description()}) "
-                    f"of library {name!r} was not declared"
+                    f"environment file {f.label()} of library {name!r} "
+                    "was not declared"
                 )
         lib.installed = True
         for wid in list(self.workers):

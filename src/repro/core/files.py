@@ -48,6 +48,7 @@ __all__ = [
     "URLFile",
     "TempFile",
     "MiniTaskFile",
+    "RetrievedFile",
     "LearnedFile",
     "FileRegistry",
     "shareable",
@@ -78,9 +79,6 @@ class CacheLevel(enum.IntEnum):
         return cls(value)
 
 
-_file_ids = itertools.count(1)
-
-
 class File:
     """A named, immutable data object in a workflow.
 
@@ -92,60 +90,122 @@ class File:
     is the key used in worker caches and the replica table.
 
     The canonical handle of a name is also the manager's one record of
-    it: its size, its producer, its place in declaration order and the
-    source that serves it all live here, and no table repeats them.
+    it: its size, its producer, its place in declaration order, the
+    source that serves it and the tenants that declared it all live
+    here, and no table repeats them.  A record is a fixed set of slots
+    (no instance dict) and has no id of its own: messages name a file
+    by its cache name and :meth:`source_description`.  A field only
+    some kinds take is a slot of those kinds, or a class default here
+    that the kind setting it overrides.
     """
+
+    __slots__ = (
+        "cache_level",
+        "cache_name",
+        "size",
+        "producer_task_id",
+        "rank",
+        "source",
+        "owner",
+    )
 
     #: short tag used in cache-name prefixes and traces
     kind = "file"
-    #: the source key that serves this file when no worker holds it
-    #: (:mod:`repro.core.transfer_table`): each kind names its own, so a
-    #: record carries one only where it differs — a plain ``File`` (the
-    #: simulator's stand-in for content names it at declaration), an
-    #: output that came home to the manager, a withdrawn source
-    source: Optional[str] = None
-    #: shared-storage mode (paper Fig. 13a), set per file by the
-    #: simulator's ``declare_output``: the producing task completes only
+    #: the source key that serves a file of this kind when no worker
+    #: holds it (:mod:`repro.core.transfer_table`), copied into
+    #: ``source`` at construction.  A plain ``File`` (the simulator's
+    #: stand-in for content) names its source at declaration
+    kind_source: Optional[str] = None
+    #: shared-storage mode (paper Fig. 13a), which only a
+    #: :class:`RetrievedFile` sets: the producing task completes only
     #: once this output came home to the manager, which serves it from
     #: then on; the worker copy is dropped unless ``keep_at_worker``
     bring_back = False
     keep_at_worker = False
 
     def __init__(self, cache: "CacheLevel | str" = CacheLevel.WORKFLOW) -> None:
-        self.file_id: str = f"f{next(_file_ids)}"
         self.cache_level = CacheLevel.parse(cache)
         #: assigned by the manager's naming policy; None until declared
         self.cache_name: Optional[str] = None
         #: size in bytes, once known (declared, measured, or reported)
         self.size: Optional[int] = None
-        #: cache names this file's materialization depends on (mini tasks)
-        self.dependencies: tuple[str, ...] = ()
-        # set here, not first by the plane: files made in a burst before the
-        # reactor stamps any would each get a dict (shared keys stop growing)
         #: id of the task that produces this file, stamped at its submit:
-        #: the lineage a lost replica is regenerated through
+        #: the lineage a lost replica is regenerated through, and the
+        #: tenant whose namespace the output joins
         self.producer_task_id: Optional[str] = None
         #: how many names a registry saw declared before this file's,
         #: stamped when it registers a name first: its place in
         #: declaration order
         self.rank: Optional[int] = None
+        #: the source key that serves this name when no worker holds it:
+        #: the kind's own, unless the plane moved it (an output that
+        #: came home, a withdrawn source)
+        self.source: Optional[str] = self.kind_source
+        #: the tenant (its account's own string), or the set of tenants,
+        #: that declared or adopted this name through a session; an
+        #: output is in its producer's tenant's namespace without one
+        self.owner: "str | set[str] | None" = None
 
     def source_description(self) -> str:
         """Human-readable provenance used in logs and error messages."""
         return self.kind
 
+    def owned_by(self, tenant: str) -> bool:
+        """Whether ``tenant`` declared or adopted this name."""
+        owner = self.owner
+        if owner is None:
+            return False
+        return owner == tenant if owner.__class__ is str else tenant in owner
+
+    def add_owner(self, tenant: str) -> None:
+        """Count ``tenant`` among the name's owners: its string for the
+        first, a set once a second tenant declares the same content."""
+        owner = self.owner
+        if owner is None:
+            self.owner = tenant
+        elif owner.__class__ is not str:
+            owner.add(tenant)
+        elif owner != tenant:
+            self.owner = {owner, tenant}
+
+    def label(self) -> str:
+        """How a message names this file: its provenance, and its cache
+        name once it has one."""
+        desc = self.source_description()
+        return desc if self.cache_name is None else f"{desc} {self.cache_name}"
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<{type(self).__name__} {self.file_id} "
+            f"<{type(self).__name__} {self.source_description()} "
             f"cache={self.cache_level.name} name={self.cache_name}>"
         )
+
+
+class RetrievedFile(File):
+    """A task output brought home to the manager on completion: the
+    simulator's shared-storage mode (paper Fig. 13a), the one kind that
+    sets ``bring_back`` and ``keep_at_worker``.  Its kind stays
+    ``file``, so journals and traces read as for a plain ``File``."""
+
+    __slots__ = ("bring_back", "keep_at_worker")
+
+    def __init__(
+        self,
+        cache: "CacheLevel | str" = CacheLevel.WORKFLOW,
+        bring_back: bool = True,
+        keep_at_worker: bool = False,
+    ) -> None:
+        super().__init__(cache)
+        self.bring_back = bring_back
+        self.keep_at_worker = keep_at_worker
 
 
 class LocalFile(File):
     """A file or directory in the shared filesystem of the cluster."""
 
+    __slots__ = ("path",)
     kind = "local"
-    source = MANAGER_SOURCE  # the manager reads the path
+    kind_source = MANAGER_SOURCE  # the manager reads the path
 
     def __init__(self, path: str, cache: "CacheLevel | str" = CacheLevel.WORKFLOW):
         super().__init__(cache)
@@ -162,8 +222,9 @@ class BufferFile(File):
     the manager pushes the bytes directly to workers.
     """
 
+    __slots__ = ("data",)
     kind = "buffer"
-    source = MANAGER_SOURCE  # the manager holds the bytes
+    kind_source = MANAGER_SOURCE  # the manager holds the bytes
 
     def __init__(self, data: bytes, cache: "CacheLevel | str" = CacheLevel.WORKFLOW):
         if isinstance(data, str):
@@ -184,6 +245,7 @@ class URLFile(File):
     that stale data can never be served under an old name (paper §3.2).
     """
 
+    __slots__ = ("url",)
     kind = "url"
 
     def __init__(self, url: str, cache: "CacheLevel | str" = CacheLevel.WORKFLOW):
@@ -204,8 +266,9 @@ class TempFile(File):
     experiment (paper Fig. 13).
     """
 
+    __slots__ = ()
     kind = "temp"
-    source = NO_SOURCE  # exists only at workers, once produced
+    kind_source = NO_SOURCE  # exists only at workers, once produced
 
 
 class MiniTaskFile(File):
@@ -217,14 +280,18 @@ class MiniTaskFile(File):
     share one cached object.
     """
 
+    __slots__ = ("mini_task", "dependencies", "stage_time")
     kind = "minitask"
-    source = MINITASK_SOURCE
-    #: virtual seconds one materialization takes (simulator only)
-    stage_time = 0.0
+    kind_source = MINITASK_SOURCE
 
     def __init__(self, mini_task: "Task", cache: "CacheLevel | str" = CacheLevel.WORKFLOW):
         super().__init__(cache)
         self.mini_task = mini_task
+        #: cache names this file's materialization depends on, set when
+        #: it is named
+        self.dependencies: tuple[str, ...] = ()
+        #: virtual seconds one materialization takes (simulator only)
+        self.stage_time = 0.0
 
     def source_description(self) -> str:
         return f"minitask:{self.mini_task.command!r}"
@@ -246,8 +313,9 @@ class LearnedFile(File):
     the name takes its place in the registry.
     """
 
+    __slots__ = ()
     kind = "learned"
-    source = NO_SOURCE
+    kind_source = NO_SOURCE
 
     def __init__(self, cache_name: str, size: int) -> None:
         super().__init__(CacheLevel.WORKER)
@@ -290,7 +358,7 @@ class FileRegistry:
         """Record ``f``; returns the canonical handle for its cache name."""
         name = f.cache_name
         if name is None:
-            raise ValueError(f"file {f.file_id} has no cache name yet")
+            raise ValueError(f"{f.label()} has no cache name yet")
         known = self._by_name.get(name)
         if known is f:
             return f
@@ -299,9 +367,14 @@ class FileRegistry:
                 raise RuntimeError(f"cache name collision within run: {name}")
             return known
         if known is not None:
-            # a declaration takes the place of what was learned, and the
-            # name keeps the registry's own string
+            # a declaration takes the place of what was learned: the
+            # name keeps the registry's own string, and the tenants that
+            # adopted or restored it stay its owners
             f.cache_name = known.cache_name
+            owner = known.owner
+            if owner is not None:
+                for tenant in (owner,) if owner.__class__ is str else owner:
+                    f.add_owner(tenant)
         self._by_name[f.cache_name] = f
         if f.__class__ is not LearnedFile:
             f.rank = next(self._ranks)

@@ -56,6 +56,7 @@ from repro.core.files import (
     File,
     FileRegistry,
     LocalFile,
+    RetrievedFile,
     TempFile,
     URLFile,
 )
@@ -551,15 +552,16 @@ def restore_file(spec: dict) -> tuple[File, str, int]:
     elif kind == "temp":
         f = TempFile(level)
         f.producer_task_id = spec.get("producer")
+    elif spec.get("bring_back") or spec.get("keep_at_worker"):
+        f = RetrievedFile(
+            level, bool(spec.get("bring_back")), bool(spec.get("keep_at_worker"))
+        )
     else:
         f = File(level)
         if source == MINITASK_SOURCE:
             source = NO_SOURCE  # the wrapped mini task is not replayable
     f.cache_name = spec["name"]
     f.size = int(spec.get("size", 0) or 0)
-    for flag in ("bring_back", "keep_at_worker"):
-        if spec.get(flag):
-            setattr(f, flag, True)
     return f, source, f.size
 
 

@@ -397,14 +397,13 @@ class ManagerService:
             raise ManagerError(f"unknown file kind {kind!r}")
         mgr.namer.assign(f)
         name = f.cache_name
-        acct = mgr.control.tenant_account(sess.tenant)
         hit = name in mgr.registry
         if not hit:
             reason = mgr.control.tenant_charge_bytes(sess.tenant, size)
             if reason is not None:
                 raise ManagerError(reason)
             mgr.control.declare(f, size)
-        elif name not in acct.names:
+        elif not mgr.control.in_namespace(sess.tenant, name):
             # content-identical to another tenant's declaration: the
             # existing replicas serve it, nothing moves again
             mgr.control.tenant_cache_hit(sess.tenant, name, size)
@@ -461,7 +460,6 @@ class ManagerService:
             task: Task = self._build_call(spec, payload)
         else:
             task = Task(str(spec["command"]))
-        acct = mgr.control.tenant_account(sess.tenant)
         for entry in spec.get("inputs", ()):
             sandbox, src = entry[0], entry[1]
             if isinstance(src, dict):
@@ -469,8 +467,8 @@ class ManagerService:
                 if f is None:
                     raise ManagerError(f"unknown dag key {src.get('key')!r}")
             else:
-                if src not in acct.names:
-                    self._adopt_name(sess, acct, src)
+                if not mgr.control.in_namespace(sess.tenant, src):
+                    self._adopt_name(sess, src)
                 f = mgr.registry.by_name(src)
             task.add_input(f, sandbox)
         for entry in spec.get("outputs", ()):
@@ -537,7 +535,7 @@ class ManagerService:
             task.args_blob = payload
         return task
 
-    def _adopt_name(self, sess: _ClientSession, acct, src: str) -> None:
+    def _adopt_name(self, sess: _ClientSession, src: str) -> None:
         """Admit a cache name from outside the tenant's namespace.
 
         Content-addressed names act as capabilities: a client holding a
@@ -564,6 +562,11 @@ class ManagerService:
         # the task's outcome back to the reattached session
         task.session_token = sess.token
         tid = self.mgr._submit_prepared(task)
+        # an output its own task produces is in the tenant's namespace
+        # already; one another tenant's record holds (a memo name) is not
+        self.mgr.control.tenant_add_names(
+            sess.tenant, [f.cache_name for _name, f in task.outputs]
+        )
         sess.tasks.add(tid)
         self.by_task[tid] = sess
         return tid
@@ -709,8 +712,7 @@ class ManagerService:
     def _fetch(self, sess: _ClientSession, msg: dict) -> None:
         mgr = self.mgr
         name = str(msg["cache_name"])
-        acct = mgr.control.tenant_account(sess.tenant)
-        if name not in acct.names:
+        if not mgr.control.in_namespace(sess.tenant, name):
             raise ManagerError(
                 f"{name!r} is outside tenant {sess.tenant!r}'s namespace"
             )
@@ -1204,7 +1206,7 @@ class Manager:
         for _, dep in mini.inputs:
             if dep.cache_name is None:
                 raise ManagerError(
-                    f"mini task input {dep.file_id} must be declared first"
+                    f"mini task input {dep.label()} must be declared first"
                 )
         f = MiniTaskFile(mini, cache)
         self.namer.assign(f)
@@ -1255,15 +1257,11 @@ class Manager:
 
     def _submit_prepared(self, task: Task) -> str:
         """Give a call the files its mechanism rides on, then hand the
-        task to the plane, which admits or refuses it, and its outputs
-        to its tenant's namespace."""
+        task to the plane, which admits or refuses it (its outputs join
+        its tenant's namespace through their producer)."""
         if isinstance(task, FunctionCall):
             self._prepare_function_call(task)
-        tid = self.control.submit(task, self.namer)
-        self.control.tenant_add_names(
-            task.tenant, [f.cache_name for _name, f in task.outputs]
-        )
-        return tid
+        return self.control.submit(task, self.namer)
 
     def _prepare_python_task(self, task: PythonTask) -> Optional[BufferFile]:
         """The payload input to declare on admission, once (None after)."""
@@ -1399,7 +1397,7 @@ class Manager:
                 return fh.read()
         name = f.cache_name
         if name is None:
-            raise ManagerError(f"file {f.file_id} was never declared")
+            raise ManagerError(f"file {f.label()} was never declared")
         return self._fetch_result_bytes(name, timeout=timeout)
 
     def _fetch_result_bytes(self, cache_name: str, timeout: float = 60.0) -> bytes:

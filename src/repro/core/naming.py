@@ -196,7 +196,7 @@ def task_merkle(task) -> str:
     for remote_name, f in task.inputs:
         if f.cache_name is None:
             raise RuntimeError(
-                f"input {f.file_id} of {task.task_id or task.command!r} unnamed"
+                f"input {f.label()} of {task.task_id or task.command!r} unnamed"
             )
         input_names.append([remote_name, f.cache_name])
     if isinstance(task, PythonTask):
@@ -235,6 +235,22 @@ def task_merkle(task) -> str:
         sort_keys=True,
     ).encode()
     return hash_bytes(document)
+
+
+def _sandbox_name(f: File, task) -> str:
+    """The sandbox name ``task`` gives its output ``f``.
+
+    A content-derived output name hashes it, so a file that is not one
+    of the task's outputs has no such name: anything put in its place
+    (a per-process counter, say) would make the name depend on the run
+    rather than on the recipe.
+    """
+    for sandbox, out in task.outputs:
+        if out is f:
+            return sandbox
+    raise ValueError(
+        f"{f.label()} is not an output of {task.task_id or task.command!r}"
+    )
 
 
 class Namer:
@@ -328,9 +344,7 @@ class Namer:
             producing_task.env,
         )
         # distinguish multiple temp outputs of one task by output name
-        out_name = next(
-            (rn for rn, ff in producing_task.outputs if ff is f), f.file_id
-        )
+        out_name = _sandbox_name(f, producing_task)
         f.cache_name = (
             f"temp-md5-{hash_bytes((spec + ':' + out_name).encode())}"
             f"{self._salt(f.cache_level)}"
@@ -347,7 +361,7 @@ class Namer:
         derived purely from the task merkle plus the output's sandbox
         name, never salted with the run nonce.
         """
-        out_name = next((rn for rn, ff in task.outputs if ff is f), f.file_id)
+        out_name = _sandbox_name(f, task)
         f.cache_name = f"memo-md5-{hash_bytes((merkle + ':' + out_name).encode())}"
         if isinstance(f, TempFile):
             f.producer_task_id = task.task_id

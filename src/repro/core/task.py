@@ -252,7 +252,7 @@ class Task:
         for _, f in self.inputs:
             if f.cache_name is None:
                 raise RuntimeError(
-                    f"input {f.file_id} of {self.task_id or self.command!r} unnamed"
+                    f"input {f.label()} of {self.task_id or self.command!r} unnamed"
                 )
             names.append(f.cache_name)
         return tuple(names)

@@ -36,7 +36,14 @@ from repro.core.control_plane import (
     StagingJob,
 )
 from repro.core.events import EventLog, makespan
-from repro.core.files import CacheLevel, File, MiniTaskFile, TempFile, URLFile
+from repro.core.files import (
+    CacheLevel,
+    File,
+    MiniTaskFile,
+    RetrievedFile,
+    TempFile,
+    URLFile,
+)
 from repro.core.gc import CacheEntryInfo, plan_eviction
 from repro.core.naming import Namer
 from repro.core.policy import Policy
@@ -474,10 +481,8 @@ class SimManager:
         downstream consumer must pull the data from the manager again
         (the round-trip TaskVine's TempFiles eliminate).
         """
-        f = File(CacheLevel.WORKFLOW)
+        f = RetrievedFile(CacheLevel.WORKFLOW, bring_back, keep_at_worker)
         self.namer.assign(f)
-        f.bring_back = bring_back
-        f.keep_at_worker = keep_at_worker
         f.size = size
         self.control.declare(f, size, NO_SOURCE)
         return f

@@ -29,6 +29,7 @@ from repro.core.files import (
     File,
     LocalFile,
     MiniTaskFile,
+    RetrievedFile,
     TempFile,
     URLFile,
 )
@@ -130,8 +131,10 @@ def add_worker(port, control, wid, cores=4, memory=1000):
     )
 
 
-def declared(control, name, source=MANAGER_SOURCE, size=100, cache=CacheLevel.WORKFLOW):
-    f = File(cache)
+def declared(
+    control, name, source=MANAGER_SOURCE, size=100, cache=CacheLevel.WORKFLOW, kind=File
+):
+    f = kind(cache)
     f.cache_name = name
     control.declare(f, size, source)
     return f
@@ -1093,7 +1096,7 @@ def test_a_bring_back_output_comes_home_before_its_task_is_done(keep):
     """Shared-storage mode (paper Fig. 13a), decided in the plane."""
     port, control = make_control()
     add_worker(port, control, "wA")
-    out = declared(control, "res", NO_SOURCE)
+    out = declared(control, "res", NO_SOURCE, kind=RetrievedFile)
     out.bring_back, out.keep_at_worker = True, keep
     task = Task("emit").add_output(out, "o")
     control.submit(task)

@@ -32,9 +32,18 @@ def test_cache_level_ordering():
     assert CacheLevel.TASK < CacheLevel.WORKFLOW < CacheLevel.WORKER
 
 
-def test_file_ids_unique():
-    ids = {BufferFile(b"x").file_id for _ in range(100)}
-    assert len(ids) == 100
+def test_a_file_is_its_own_identity_not_an_id():
+    """Two handles of the same content are two records until a registry
+    makes one canonical; neither carries an id or an instance dict."""
+    files = [BufferFile(b"x") for _ in range(100)]
+    assert len(set(files)) == 100  # hashed and compared by identity
+    assert files[0] != files[1] and files[0] == files[0]
+    for f in (files[0], TempFile(), LearnedFile("n", 1)):
+        assert not hasattr(f, "file_id") and not hasattr(f, "__dict__")
+    registry = FileRegistry()
+    for f in files:
+        f.cache_name = "buffer-md5-x"
+    assert {registry.register(f) for f in files} == {files[0]}
 
 
 def test_buffer_accepts_str():

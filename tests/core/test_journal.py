@@ -14,7 +14,14 @@ import struct
 import pytest
 
 from repro.core.control_plane import MINITASK_SOURCE, NO_SOURCE
-from repro.core.files import BufferFile, CacheLevel, FileRegistry, TempFile, URLFile
+from repro.core.files import (
+    BufferFile,
+    CacheLevel,
+    FileRegistry,
+    RetrievedFile,
+    TempFile,
+    URLFile,
+)
 from repro.core.journal import (
     MAX_INLINE_BYTES,
     ControlPlaneJournal,
@@ -260,6 +267,20 @@ def test_temp_file_spec_keeps_producer_lineage():
     assert source == "w0"  # sim node names round-trip verbatim
 
 
+@pytest.mark.parametrize("keep", [False, True])
+def test_a_retrieved_output_spec_keeps_its_flags(keep):
+    f = RetrievedFile(CacheLevel.WORKFLOW, keep_at_worker=keep)
+    f.cache_name = "file-out"
+    spec = file_spec(f, source=NO_SOURCE, size=3)
+    assert spec["kind"] == "file" and spec["bring_back"] is True
+    back, _source, _size = restore_file(spec)
+    assert isinstance(back, RetrievedFile)
+    assert (back.bring_back, back.keep_at_worker) == (True, keep)
+    plain, _source, _size = restore_file({"name": "file-in", "kind": "file"})
+    assert (plain.bring_back, plain.keep_at_worker) == (False, False)
+    assert not isinstance(plain, RetrievedFile)
+
+
 def test_task_spec_round_trip(tmp_path):
     registry = FileRegistry()
     fin = BufferFile(b"in", CacheLevel.WORKFLOW)
@@ -348,3 +369,101 @@ def test_a_journal_written_before_records_held_sizes_replays(tmp_path):
     # holder re-announcing it, or the producer's re-run)
     assert control._ready.parked == 0
     control.journal.close()
+
+
+#: written at 7cdfa5f, when each tenant's namespace was a set of names:
+#: a service-mode manager with no worker; tenants ``alice`` and ``bob``
+#: both declare ``SHARED`` (bob's is a cache hit), each declares bytes
+#: of its own, and alice submits one task that reads ``SHARED`` and
+#: names an output ``ALICE_OUT``.  Every name a tenant declared or
+#: produced is a ``tenant_name`` record
+NAMESPACE_JOURNAL = os.path.join(
+    os.path.dirname(__file__), "fixtures", "journal-7cdfa5f"
+)
+SHARED = "buffer-md5-bd5b22ccbdb09436fc6144390b745122"
+ALICE_OWN = "buffer-md5-c7a4c4036a1c322272b717b7c56bf82e"
+BOB_OWN = "buffer-md5-781b5325c3970e2cdbabd73666860653"
+ALICE_OUT = "temp-rnd-44263f0a5c9e-f2a74de452e6b438"
+
+
+def test_a_journal_of_namespace_sets_replays_into_the_records(tmp_path):
+    from repro.core.manager import Manager
+    from repro.service.client import ClientError, ServiceClient
+    from tests.reactor_owner import on_reactor
+
+    shutil.copytree(NAMESPACE_JOURNAL, tmp_path / "journal")
+    m = Manager(password="pw", journal_dir=str(tmp_path / "journal"))
+    try:
+        def namespaces():
+            return {
+                name: sorted(
+                    t for t in ("alice", "bob") if m.control.in_namespace(t, name)
+                )
+                for name in (SHARED, ALICE_OWN, BOB_OWN, ALICE_OUT)
+            }
+
+        assert on_reactor(m, namespaces) == {
+            SHARED: ["alice", "bob"],
+            ALICE_OWN: ["alice"],
+            BOB_OWN: ["bob"],
+            ALICE_OUT: ["alice"],
+        }
+        # the output is alice's through its producer, not an owner field
+        assert on_reactor(m, lambda: m.registry.get(ALICE_OUT).owner) is None
+        with ServiceClient(m.host, m.port, "alice", password="pw") as alice:
+            assert alice.fetch(SHARED) == b"shared reference"
+            assert alice.fetch(ALICE_OWN) == b"alice's own bytes"
+            with pytest.raises(ClientError, match="outside tenant 'alice'"):
+                alice.fetch(BOB_OWN)
+        with ServiceClient(m.host, m.port, "bob", password="pw") as bob:
+            assert bob.fetch(BOB_OWN) == b"bob's own bytes"
+            with pytest.raises(ClientError, match="outside tenant 'bob'"):
+                bob.fetch(ALICE_OWN)
+    finally:
+        m.close()
+
+
+def test_a_memo_output_two_tenants_produce_stays_in_both_namespaces(tmp_path):
+    """Alice's and bob's identical deterministic tasks name one memo
+    output.  Live, its record's producer is alice's task; a restart
+    restores the record under bob's, the later submit, and alice's
+    ``tenant_name`` record is what keeps it in her namespace."""
+    from repro.core.manager import Manager
+    from repro.service.client import ServiceClient
+    from tests.reactor_owner import on_reactor
+
+    journal_dir = str(tmp_path / "journal")
+    memo_dir = str(tmp_path / "memo")
+
+    def namespaces(m, name):
+        return on_reactor(
+            m,
+            lambda: sorted(
+                t for t in ("alice", "bob") if m.control.in_namespace(t, name)
+            ),
+        )
+
+    m = Manager(password="pw", journal_dir=journal_dir, memo_dir=memo_dir)
+    try:
+        with ServiceClient(m.host, m.port, "alice", password="pw") as alice, \
+                ServiceClient(m.host, m.port, "bob", password="pw") as bob:
+            ref = alice.declare_buffer(b"memo input")["cache_name"]
+            bob.declare_buffer(b"memo input")
+            names = [
+                client.submit(
+                    "cat in > out", inputs=[("in", ref)], outputs=["out"],
+                    deterministic=True,
+                )["outputs"]["out"]
+                for client in (alice, bob)
+            ]
+        assert names[0] == names[1] and names[0].startswith("memo-md5-")
+        name = names[0]
+        assert namespaces(m, name) == ["alice", "bob"]
+    finally:
+        m.close()
+
+    m = Manager(password="pw", journal_dir=journal_dir, memo_dir=memo_dir)
+    try:
+        assert namespaces(m, name) == ["alice", "bob"]
+    finally:
+        m.close()

@@ -19,32 +19,51 @@ import pytest
 
 from repro.core import control_plane
 from repro.core.events import EventLog
+from repro.core.files import TempFile
 from repro.core.manager import Manager
 from repro.core.task import Task, TaskState
 from repro.protocol.messages import M
 from repro.worker.scripted import ScriptedWorker
+from tests.core.test_control_plane import make_control
+from tests.reactor_owner import on_reactor
 
 WORKERS = 4
 TASKS = 300
 OUTPUTS = 3
 #: heap bytes a finished noop task with three temp outputs may leave in
-#: the manager (≈ 2.86 KB measured on CPython 3.11; ≈ 3.6 KB while a
-#: name's size and source had tables of their own, the namer kept a set
-#: of the names it issued and each event was an object; ≈ 4.6 KB when
-#: each sole holder took a set and each reported name was a decoded copy)
-BYTES_PER_TASK = 3_100
+#: the manager (≈ 2.29 KB measured on CPython 3.11; ≈ 2.87 KB while each
+#: file record had an id string and an instance dict, each tenant kept
+#: a set of its names and each task its own copy of ``out0``; ≈ 3.6 KB
+#: while a name's size and source had tables of their own, the namer
+#: kept a set of the names it issued and each event was an object;
+#: ≈ 4.6 KB when each sole holder took a set and each reported name was
+#: a decoded copy)
+BYTES_PER_TASK = 2_500
+#: heap bytes one file record costs: seven slots and the object
+#: header, no instance dict (136 B in two blocks, plus a 53 B id
+#: string, while a record had a dict and an id of its own).  The bound
+#: is under what one more slot would cost, so stray allocations by
+#: another thread inside the traced window do not fail it
+BYTES_PER_RECORD = 88
+#: heap bytes one ``declare_temp()`` may leave in the manager once the
+#: plane has it: the record, its name string, its registry entry and
+#: its declaration rank (≈ 229 B measured on CPython 3.11; ≈ 331 B with
+#: the id string and the instance dict)
+BYTES_PER_TEMP = 250
+TEMPS = 2_000
 #: heap bytes one retained event may cost with no sink attached: a
 #: double, a one-byte kind and five references, with the columns'
 #: spare room (≈ 53 B measured on CPython 3.11; ≈ 120 B as a frozen
 #: ``Event`` holding its own float)
 BYTES_PER_EVENT = 60
 #: containers ``gc`` finds holding a finished temp's name string: its
-#: record, its holder's name set, its tenant's namespace and the event
-#: log's cells (five while a ``file_cached`` event was an object and the
-#: namer kept every name it issued).  A dict does not show its ``str``
-#: keys to ``gc``, so the registry's and replica table's indexes are
-#: not counted here; the string identity test below covers them
-NAME_HOLDERS = 4
+#: record, its holder's name set and the event log's cells (four while
+#: each tenant's namespace was a set of names, five while a
+#: ``file_cached`` event was an object and the namer kept every name it
+#: issued).  A dict does not show its ``str`` keys to ``gc``, so the
+#: registry's and replica table's indexes are not counted here; the
+#: string identity test below covers them
+NAME_HOLDERS = 3
 
 
 def _wait_for(predicate, what, timeout=10.0):
@@ -110,6 +129,59 @@ def test_a_finished_task_retains_under_its_byte_budget(fleet):
     finally:
         tracemalloc.stop()
     assert retained / TASKS < BYTES_PER_TASK, retained / TASKS
+
+
+def test_a_declared_temp_is_a_slotted_record_under_its_byte_budget():
+    if sys.gettrace() is not None:
+        pytest.skip("a trace function is installed")
+    m = Manager(worker_liveness_timeout=None)
+    try:
+        m.declare_temp()
+        on_reactor(m, len, m.registry)  # the plane's tables past their start
+        temps = [None] * TEMPS
+        records = [None] * TEMPS
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(TEMPS):
+                records[i] = TempFile()
+            record = tracemalloc.get_traced_memory()[0] - before
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(TEMPS):
+                temps[i] = m.declare_temp()
+            # a round trip: every declare posted above is applied first
+            assert on_reactor(m, len, m.registry) == TEMPS + 1
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    finally:
+        m.close()
+    assert not hasattr(temps[0], "__dict__")
+    assert not hasattr(temps[0], "file_id")
+    assert record / TEMPS < BYTES_PER_RECORD + 8, record / TEMPS
+    assert retained / TEMPS <= BYTES_PER_TEMP, retained / TEMPS
+
+
+def test_a_sandbox_name_is_stored_once_across_the_planes_tasks():
+    _port, control = make_control()
+    ref = TempFile()
+    ref.cache_name = "temp-ref"
+    control.declare(ref)
+    tasks = []
+    for i in range(3):
+        task = Task("noop")
+        out = TempFile()
+        out.cache_name = f"temp-out-{i}"
+        control.declare(out)
+        # names built at run time, as a workload's f"out{j}" is
+        task.add_input(ref, "".join(["i", "n"]))
+        task.add_output(out, "".join(["o", "u", "t", "0"]))
+        control.submit(task)
+        tasks.append(task)
+    assert len({id(t.outputs[0][0]) for t in tasks}) == 1
+    assert len({id(t.inputs[0][0]) for t in tasks}) == 1
 
 
 def test_a_retained_event_costs_a_row_not_an_object():

@@ -20,6 +20,7 @@ from repro.core.naming import (
     buffer_cache_name,
     directory_merkle,
     local_cache_name,
+    task_merkle,
     task_spec_hash,
     url_cache_name,
 )
@@ -346,3 +347,24 @@ def test_two_temp_outputs_of_one_task_distinct():
     o1, o2 = TempFile(cache=CacheLevel.WORKER), TempFile(cache=CacheLevel.WORKER)
     t.add_output(o1, "outA").add_output(o2, "outB")
     assert n.name_temp_output(o1, t) != n.name_temp_output(o2, t)
+
+
+def test_a_content_derived_output_name_needs_the_file_to_be_an_output():
+    """A ``temp-md5-`` or ``memo-md5-`` name hashes the output's sandbox
+    name; a file the task does not produce has none, and is refused
+    rather than named after anything the process happens to hold."""
+    n = Namer(seed=1)
+    t = Task("cmd").add_output(TempFile(), "out")
+    stray = TempFile()
+    with pytest.raises(ValueError, match="not an output"):
+        n.name_temp_output(stray, t)
+    with pytest.raises(ValueError, match="not an output"):
+        n.name_task_output(stray, t, task_merkle(t))
+    assert stray.cache_name is None and stray.producer_task_id is None
+    # how many files the process made before does not move a name
+    first = n.name_task_output(t.outputs[0][1], t, task_merkle(t))
+    for _ in range(100):
+        TempFile()
+    again = Task("cmd").add_output(TempFile(), "out")
+    out = again.outputs[0][1]
+    assert Namer(seed=9).name_task_output(out, again, task_merkle(again)) == first

@@ -11,7 +11,7 @@ from repro.core.control_plane import ManagerError
 from repro.core.files import TempFile
 from repro.core.task import Task
 
-from tests.core.test_control_plane import add_worker, finish, make_control
+from tests.core.test_control_plane import add_worker, declared, finish, make_control
 
 
 def submit_for(control, tenant, name="job", inputs=()):
@@ -112,12 +112,31 @@ def test_quota_headroom_gauge_reflects_limits():
     assert gauge(control, "alice", "quota_headroom") == -1
 
 
-def test_tenant_namespace_tracks_names():
+def test_tenant_namespace_is_read_off_the_record():
     port, control = make_control()
-    acct = control.tenant_account("alice")
+    f = declared(control, "buffer-md5-abc")
     control.tenant_add_names("alice", ["buffer-md5-abc"])
     control.tenant_add_names("alice", ["buffer-md5-abc"])
-    assert acct.names == {"buffer-md5-abc"}
+    assert f.owner is control.tenant_account("alice").name
+    assert control.in_namespace("alice", "buffer-md5-abc")
+    assert not control.in_namespace("bob", "buffer-md5-abc")
+    # the rare name two tenants declared takes a set
+    control.tenant_add_names("bob", ["buffer-md5-abc"])
+    assert f.owner == {"alice", "bob"}
+    assert control.in_namespace("bob", "buffer-md5-abc")
+    # a name no record holds is in no namespace, and gets none
+    control.tenant_add_names("alice", ["buffer-md5-nope"])
+    assert not control.in_namespace("alice", "buffer-md5-nope")
+    # an output is in its producer's tenant's namespace, with no owner
+    out = TempFile()
+    out.cache_name = "temp-out"
+    control.declare(out)
+    t = Task("make").add_output(out, "o").set_tenant("carol")
+    control.submit(t)
+    control.tenant_add_names("carol", ["temp-out"])
+    assert out.owner is None
+    assert control.in_namespace("carol", "temp-out")
+    assert not control.in_namespace("alice", "temp-out")
 
 
 def test_default_quotas_apply_to_new_tenants():
@@ -177,3 +196,20 @@ def test_worker_loss_returns_task_to_queued_accounting():
     # task is requeued: outstanding again, no longer running
     assert acct.running == 0 and acct.outstanding == 1
     assert gauge(control, "alice", "tasks_queued") == 1
+
+
+def test_a_name_adopted_before_a_task_declares_it_keeps_its_owner():
+    port, control = make_control()
+    add_worker(port, control, "w1")
+    name = "memo-md5-abc"
+    # a joining worker announces the name; alice's session adopts it
+    control.adopt_replica("w1", name, 5)
+    control.tenant_add_names("alice", [name])
+    # bob's deterministic task then declares the same memo name
+    out = TempFile()
+    out.cache_name = name
+    control.declare_output_file(out)
+    control.submit(Task("make").add_output(out, "o").set_tenant("bob"))
+    assert control.registry.get(name) is out
+    assert control.in_namespace("alice", name)
+    assert control.in_namespace("bob", name)

@@ -223,7 +223,9 @@ def test_small_argument_calls_leave_nothing_behind_but_results(service):
     acct = on_reactor(mgr, mgr.control.tenant_account, "alice")
 
     def sizes():
-        return (len(mgr.registry), len(mgr.journal.declares), len(acct.names))
+        names = mgr.registry.names_at_level(*CacheLevel)
+        namespace = sum(mgr.control.in_namespace("alice", n) for n in names)
+        return (len(mgr.registry), len(mgr.journal.declares), namespace)
 
     before = on_reactor(mgr, sizes)
     charged = acct.bytes_declared
