@@ -13,10 +13,13 @@ lifetime, then least recently used).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.core.files import CacheLevel, FileRegistry
-from repro.core.replica_table import ReplicaTable
+from repro.core.files import CacheLevel
+
+if TYPE_CHECKING:  # the worker imports this module for its cache entries
+    from repro.core.files import FileRegistry
+    from repro.core.replica_table import ReplicaTable
 
 __all__ = ["CacheEntryInfo", "collect_workflow", "collect_task_inputs", "plan_eviction"]
 

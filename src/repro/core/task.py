@@ -28,6 +28,23 @@ __all__ = ["TaskState", "TaskResult", "Task", "PythonTask", "MiniTask"]
 _ONE_CORE = Resources(cores=1)
 
 
+class _NoEnv(dict):
+    """The environment of every task that sets none: one shared empty
+    mapping, so it refuses writes (:meth:`Task.set_env` gives the task
+    its own).  It is a ``dict``, so it encodes and hashes as ``{}``."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a task's environment is set with Task.set_env")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse  # type: ignore[assignment]
+    clear = pop = popitem = setdefault = update = _refuse  # type: ignore[assignment]
+
+
+_NO_ENV = _NoEnv()
+
+
 class TaskState(enum.Enum):
     """Lifecycle of a task as tracked by the manager."""
 
@@ -91,6 +108,51 @@ class Task:
     submission ``task_id`` is None and ``seq`` is 0.
     """
 
+    # what every task sets or the manager stamps on every task: one
+    # pointer each.  A rarely set field below is a class default, and
+    # the instance dict is made only when a task writes one of them
+    __slots__ = (
+        "task_id",
+        "seq",
+        "command",
+        "inputs",
+        "outputs",
+        "input_names",
+        "state",
+        "result",
+        "worker_id",
+        "submitted_at",
+        "started_at",
+        "finished_at",
+        "__dict__",
+    )
+
+    #: environment variables for the execution (:meth:`set_env`); a
+    #: task that sets none shares the one empty, read-only mapping
+    env: dict[str, str] = _NO_ENV
+    resources: Resources = _ONE_CORE
+    #: False until the application sizes the task explicitly; lets
+    #: the manager's category learning pick first allocations
+    resources_explicit: bool = False
+    #: times the manager may re-execute after a resource-exceeded
+    #: or worker-loss failure (paper §2.1 retry policy)
+    max_retries: int = 1
+    retries_used: int = 0
+    #: multiplier applied to the allocation on a resource-exceeded retry
+    retry_resource_growth: float = 2.0
+    priority: float = 0.0
+    #: free-form label grouping similar tasks in traces
+    category: str = "default"
+    #: owning tenant in service mode; quota accounting and the
+    #: fair-share ready queue key off this ("default" = single-tenant)
+    tenant: str = "default"
+    #: the application's assertion that this task is a pure function
+    #: of its declared inputs — the gate for result memoization.
+    #: Impure tasks (clocks, randomness, network) must stay False.
+    deterministic: bool = False
+    #: task-spec Merkle hash, stamped at submit for memo-eligible
+    #: tasks (see :func:`repro.core.naming.task_merkle`)
+    merkle: Optional[str] = None
     #: attach token of the remote client session that submitted the task
     #: (journaled, so a restarted manager routes its outcome back)
     session_token: Optional[str] = None
@@ -110,33 +172,8 @@ class Task:
         self.outputs: list[tuple[str, File]] = []
         #: the inputs' cache names in attachment order, stamped by the
         #: manager when it admits (or requeues) the task and dropped
-        #: when the task ends; None outside that span.  Set here so the
-        #: stamp lands in the instance dict's shared keys
+        #: when the task ends; None outside that span
         self.input_names: Optional[tuple[str, ...]] = None
-        self.env: dict[str, str] = {}
-        self.resources = _ONE_CORE
-        #: False until the application sizes the task explicitly; lets
-        #: the manager's category learning pick first allocations
-        self.resources_explicit = False
-        #: times the manager may re-execute after a resource-exceeded
-        #: or worker-loss failure (paper §2.1 retry policy)
-        self.max_retries: int = 1
-        self.retries_used: int = 0
-        #: multiplier applied to the allocation on a resource-exceeded retry
-        self.retry_resource_growth: float = 2.0
-        self.priority: float = 0.0
-        #: free-form label grouping similar tasks in traces
-        self.category: str = "default"
-        #: owning tenant in service mode; quota accounting and the
-        #: fair-share ready queue key off this ("default" = single-tenant)
-        self.tenant: str = "default"
-        #: the application's assertion that this task is a pure function
-        #: of its declared inputs — the gate for result memoization.
-        #: Impure tasks (clocks, randomness, network) must stay False.
-        self.deterministic: bool = False
-        #: task-spec Merkle hash, stamped at submit for memo-eligible
-        #: tasks (see :func:`repro.core.naming.task_merkle`)
-        self.merkle: Optional[str] = None
         self.state = TaskState.CREATED
         self.result: Optional[TaskResult] = None
         #: worker id the task is (or was last) placed on
@@ -174,6 +211,8 @@ class Task:
     def set_env(self, key: str, value: str) -> "Task":
         """Set an environment variable for the task's execution."""
         self._check_mutable()
+        if self.env is _NO_ENV:
+            self.env = {}
         self.env[key] = str(value)
         return self
 

@@ -23,19 +23,24 @@ Three layers:
 a transaction log as it is written, or summarizes a finished one.
 """
 
-from repro.observe.bench_report import BenchReporter, validate_report
-from repro.observe.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.observe.txnlog import (
-    TXN_SCHEMA_VERSION,
-    TransactionLogWriter,
-    load_event_log,
-    read_transactions,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:  # pragma: no cover - static tools see the eager names
+    from repro.observe.bench_report import BenchReporter, validate_report
+    from repro.observe.metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+    )
+    from repro.observe.txnlog import (
+        TXN_SCHEMA_VERSION,
+        TransactionLogWriter,
+        load_event_log,
+        read_transactions,
+    )
 
 __all__ = [
     "TXN_SCHEMA_VERSION",
@@ -49,3 +54,21 @@ __all__ = [
     "BenchReporter",
     "validate_report",
 ]
+
+#: the module each public name lives in, imported when the name is first
+#: read: a worker needs :mod:`~repro.observe.metrics` only, not the
+#: transaction log or the bench reporter
+_ORIGIN = {
+    "TXN_SCHEMA_VERSION": "repro.observe.txnlog",
+    "TransactionLogWriter": "repro.observe.txnlog",
+    "read_transactions": "repro.observe.txnlog",
+    "load_event_log": "repro.observe.txnlog",
+    "Counter": "repro.observe.metrics",
+    "Gauge": "repro.observe.metrics",
+    "Histogram": "repro.observe.metrics",
+    "MetricsRegistry": "repro.observe.metrics",
+    "BenchReporter": "repro.observe.bench_report",
+    "validate_report": "repro.observe.bench_report",
+}
+
+__getattr__, __dir__ = _lazy(__name__, _ORIGIN)

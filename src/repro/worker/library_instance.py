@@ -185,6 +185,11 @@ def _instance_main(
     except Exception as exc:
         _write_frame(replies, ("init_error", repr(exc)))
         return
+    # the invocation path (proxy arguments, worker-local paths) is loaded
+    # here, once: the worker does not load it, and a fork that imported
+    # it would compile it again on every call
+    import repro.core.resultref  # noqa: F401
+
     # what the worker and the import left on the heap is never garbage
     # here: keep the collector off it (and off the forks' shared pages)
     gc.freeze()

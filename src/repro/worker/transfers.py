@@ -22,7 +22,6 @@ import shutil
 import tarfile
 import tempfile
 import threading
-import urllib.request
 from typing import Callable, Optional
 
 from repro.protocol.connection import Connection, ProtocolError, listen
@@ -348,6 +347,9 @@ def fetch_from_url(
             shutil.copyfile(src, dest_path)
             size = os.path.getsize(dest_path)
     else:
+        # only a worker that fetches a remote URL pays for the HTTP stack
+        import urllib.request
+
         try:
             with urllib.request.urlopen(url, timeout=timeout) as resp, open(
                 dest_path, "wb"

@@ -164,6 +164,26 @@ def test_set_cores_preserves_other_dimensions():
     assert t.resources == Resources(cores=8, memory=512, disk=100, gpus=1)
 
 
+def test_a_task_keeps_its_rare_fields_off_the_instance_until_set():
+    import json
+
+    plain, enved = Task("x"), Task("y").set_env("A", "1").set_tenant("alice")
+    # per-task fields are slots; a task that sets no rare field has an
+    # empty instance dict, and one that sets a field holds only that one
+    assert vars(plain) == {}
+    assert vars(enved) == {"env": {"A": "1"}, "tenant": "alice"}
+    # the shared empty environment is one mapping that refuses writes,
+    # and still reads, encodes and hashes as an empty dict
+    assert plain.env == {} and Task("z").env is plain.env
+    with pytest.raises(TypeError):
+        plain.env["A"] = "1"
+    with pytest.raises(TypeError):
+        plain.env.update(A="1")
+    assert json.dumps({"env": plain.env}) == '{"env": {}}'
+    assert sorted(plain.env.items()) == [] and dict(plain.env) == {}
+    assert plain.tenant == "default" and plain.resources == Resources(cores=1)
+
+
 def test_input_cache_names_requires_naming():
     t = Task("x").add_input(BufferFile(b"1"), "in")
     with pytest.raises(RuntimeError):

@@ -31,14 +31,15 @@ WORKERS = 4
 TASKS = 300
 OUTPUTS = 3
 #: heap bytes a finished noop task with three temp outputs may leave in
-#: the manager (≈ 2.29 KB measured on CPython 3.11; ≈ 2.87 KB while each
-#: file record had an id string and an instance dict, each tenant kept
-#: a set of its names and each task its own copy of ``out0``; ≈ 3.6 KB
-#: while a name's size and source had tables of their own, the namer
-#: kept a set of the names it issued and each event was an object;
+#: the manager (≈ 2.11 KB measured on CPython 3.11; ≈ 2.29 KB while a
+#: ``Task`` was an object plus an instance dict of every field; ≈ 2.87 KB
+#: while each file record had an id string and an instance dict, each
+#: tenant kept a set of its names and each task its own copy of ``out0``;
+#: ≈ 3.6 KB while a name's size and source had tables of their own, the
+#: namer kept a set of the names it issued and each event was an object;
 #: ≈ 4.6 KB when each sole holder took a set and each reported name was
 #: a decoded copy)
-BYTES_PER_TASK = 2_500
+BYTES_PER_TASK = 2_300
 #: heap bytes one file record costs: seven slots and the object
 #: header, no instance dict (136 B in two blocks, plus a 53 B id
 #: string, while a record had a dict and an id of its own).  The bound

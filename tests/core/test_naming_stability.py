@@ -175,7 +175,7 @@ def test_task_merkle_sensitivity():
     new_content.add_output(TempFile(), "out.txt")
     assert task_merkle(new_content) != base
     enved = _command_task()
-    enved.env["LC_ALL"] = "C"
+    enved.set_env("LC_ALL", "C")
     assert task_merkle(enved) != base
 
 

@@ -359,3 +359,55 @@ def test_pytask_runner_unserializable_result(tmp_path):
     out = ser.loads(result.read_bytes())
     assert out.get("unserializable") is True
     assert "socket" in out["value"]
+
+
+_IMPORT_WATCH = """
+import os, sys
+
+#: (pid, module) of every module this process and its forks import
+IMPORTS = []
+sys.addaudithook(
+    lambda event, args: event == "import" and IMPORTS.append((os.getpid(), args[0]))
+)
+import repro.worker.worker  # a real worker's modules, nothing more
+from repro.worker.library_instance import LibraryInstanceHandle, build_payload
+
+
+def add_one(x):
+    import __main__
+
+    mine = os.getpid()
+    return x + 1, [m for pid, m in __main__.IMPORTS if pid == mine]
+
+
+args_blob, staging, cache_name, path = sys.argv[1:5]
+handle = LibraryInstanceHandle("watch", build_payload({"add_one": add_one}))
+with open(args_blob, "rb") as f:
+    handle.invoke("c1", "add_one", f.read(), staging, {cache_name: path})
+ok, _size, tb = handle.wait("c1", timeout=30)
+handle.stop()
+print(ok, tb, flush=True)
+"""
+
+
+def test_an_invocation_fork_imports_nothing(tmp_path):
+    """A call's fork runs on what its instance loaded before it froze the
+    heap: a module the fork imports (a proxy argument's
+    ``repro.core.resultref``, say) is compiled again on every call, which
+    cuts a service's call throughput by a third.  The host process loads
+    what a worker loads, so the instance is the one loading the rest."""
+    from repro.core.resultref import ResultProxy, ResultRef, encode_result
+
+    value = tmp_path / "value.bin"
+    value.write_bytes(encode_result(41))
+    args = tmp_path / "args.bin"
+    args.write_bytes(pack_invocation((ResultProxy(ResultRef("v-1", 0)),), {}))
+    staging = tmp_path / "result.bin"
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_WATCH, str(args), str(staging), "v-1", str(value)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+    )
+    assert out.stdout.startswith("True"), out.stdout + out.stderr
+    assert unpack_result(staging.read_bytes()) == (42, [])
