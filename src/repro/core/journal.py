@@ -614,19 +614,26 @@ def build_task(spec: dict, registry: FileRegistry) -> Optional[Task]:
     if spec.get("kind") == "call":
         return None
     task = Task(spec["command"])
-    task.category = spec.get("category", "default")
-    task.priority = spec.get("priority", 0.0)
-    task.deterministic = bool(spec.get("deterministic", False))
-    task.merkle = spec.get("merkle")
-    task.max_retries = int(spec.get("max_retries", 1))
-    task.env = dict(spec.get("env", {}))
     res = spec.get("resources", {})
-    task.resources = Resources(
-        cores=res.get("cores", 1),
-        memory=res.get("memory", 0),
-        disk=res.get("disk", 0),
-        gpus=res.get("gpus", 0),
-    )
+    fields = {
+        "category": spec.get("category", Task.category),
+        "priority": spec.get("priority", Task.priority),
+        "deterministic": bool(spec.get("deterministic", False)),
+        "merkle": spec.get("merkle"),
+        "max_retries": int(spec.get("max_retries", Task.max_retries)),
+        "env": dict(spec.get("env", ())),
+        "resources": Resources(
+            cores=res.get("cores", 1),
+            memory=res.get("memory", 0),
+            disk=res.get("disk", 0),
+            gpus=res.get("gpus", 0),
+        ),
+    }
+    # a field at its class default stays one: a restored default task
+    # gets an instance dict for ``resources_explicit`` alone
+    for name, value in fields.items():
+        if value != getattr(Task, name):
+            setattr(task, name, value)
     task.resources_explicit = True
     try:
         for sandbox, name in spec.get("inputs", ()):

@@ -18,10 +18,11 @@ FIFO per peer (:meth:`Manager._send` only appends to it), and runs the
 back-off wake-ups, liveness sweep, session reaping and metrics dump from
 its deadline heap.  An application thread calling the public API does
 its own work — naming, hashing, packing, pickling, stamping a task's id
-— and posts the plane step to the reactor's inbox (:meth:`Manager._post`,
-one wake byte per burst); a call the plane answers posts and waits
-(:meth:`Manager._ask`), after every post made before it.  Each sweep's
-:meth:`Manager.before_write` applies the inbox, runs the sweep's one
+— and posts the plane step to the reactor's one inbox
+(:meth:`~repro.core.reactor.Reactor.post`, one wake byte per burst); a
+call the plane answers posts and waits (:meth:`Manager._ask`), after
+every post made before it.  The reactor applies the inbox once per
+sweep, just before :meth:`Manager.before_write` runs the sweep's one
 scheduling pump and makes the sweep's journal records durable, so its
 frames leave only after the fsync that covers them.
 """
@@ -839,10 +840,6 @@ class Manager:
 
         #: a pump is owed: the reactor runs it at the end of its sweep
         self._pump_wanted = False
-        #: commands (a callable and its arguments) posted for the reactor
-        self._inbox: collections.deque = collections.deque()
-        #: a wake is pending for the inbox (lowered just before a drain)
-        self._posted = False
         #: cache name of a declared directory -> the one tar every push
         #: of it streams (removed at close)
         self._packed: dict[str, str] = {}
@@ -872,7 +869,8 @@ class Manager:
             self.reactor.call_later(
                 METRICS_DUMP_INTERVAL, self._dump_metrics, every=METRICS_DUMP_INTERVAL
             )
-        self.reactor.wake()  # a first sweep runs what construction owes
+        if self._pump_wanted:  # journal recovery's: the reactor's first sweep
+            self.reactor.post(self.request_pump)
         self.reactor.start()
 
     # -- control-plane state views (single source of truth) --------------
@@ -1076,15 +1074,6 @@ class Manager:
 
             self.control.fetch(out.cache_name, retain, True)  # best effort
 
-    # -- the inbox: how an application thread reaches the plane ---------
-
-    def _post(self, *command) -> None:
-        """Queue a callable and its arguments for the reactor (any thread)."""
-        self._inbox.append(command)
-        if not self._posted:
-            self._posted = True
-            self.reactor.wake()
-
     def _ask(self, fn: Callable, *args):
         """``fn(*args)`` on the reactor after every earlier post: what it
         returns, or raises, is this call's."""
@@ -1098,22 +1087,11 @@ class Manager:
             except Exception as exc:  # noqa: BLE001 - raised on the asking thread
                 answer.put((False, exc))
 
-        self._post(reply)
-        if not self.reactor.running:
-            self._apply_posts()  # a stopped reactor applies nothing more
+        self.reactor.post(reply)
         ok, value = answer.get()
         if ok:
             return value
         raise value
-
-    def _apply_posts(self) -> None:
-        """Apply every queued command, in order (on the plane's owner)."""
-        while self._inbox:
-            command = self._inbox.popleft()
-            try:
-                command[0](*command[1:])
-            except Exception:  # noqa: BLE001 - one bad command must not end the loop
-                log.exception("posted command %r failed", command[0])
 
     # ------------------------------------------------------------------
     # public API: declarations
@@ -1125,7 +1103,7 @@ class Manager:
         self.namer.assign(f)
         if os.path.isdir(f.path):
             self._tar_of(f)  # packed here, once, not per destination
-        self._post(self.control.declare, f, self._local_size(f.path))
+        self.reactor.post(self.control.declare, f, self._local_size(f.path))
         return f
 
     def _tar_of(self, f: LocalFile) -> str:
@@ -1156,14 +1134,14 @@ class Manager:
         """Declare literal bytes from the application's memory."""
         f = BufferFile(data, cache)
         self.namer.assign(f)
-        self._post(self.control.declare, f)
+        self.reactor.post(self.control.declare, f)
         return f
 
     def declare_url(self, url: str, cache: "CacheLevel | str" = CacheLevel.WORKFLOW) -> URLFile:
         """Declare a remote object; workers fetch it on demand."""
         f = URLFile(url, cache)
         self.namer.assign(f)
-        self._post(self.control.declare, f, self._url_size(url))
+        self.reactor.post(self.control.declare, f, self._url_size(url))
         return f
 
     @staticmethod
@@ -1196,7 +1174,7 @@ class Manager:
         """Declare an ephemeral file that never leaves the cluster."""
         f = TempFile()
         self.namer.assign(f)
-        self._post(self.control.declare, f)
+        self.reactor.post(self.control.declare, f)
         return f
 
     def declare_minitask(
@@ -1210,7 +1188,7 @@ class Manager:
                 )
         f = MiniTaskFile(mini, cache)
         self.namer.assign(f)
-        self._post(self.control.declare, f)
+        self.reactor.post(self.control.declare, f)
         return f
 
     def declare_untar(
@@ -1242,7 +1220,7 @@ class Manager:
         tid = presubmit(task, self.control)
         if task.result is not None:  # refused before: it comes back fresh
             task.state, task.result = TaskState.CREATED, None
-        self._post(self._admit, task, payload)
+        self.reactor.post(self._admit, task, payload)
         return tid
 
     def _admit(self, task: Task, payload: Optional[BufferFile]) -> None:
@@ -1368,7 +1346,7 @@ class Manager:
         """Deploy the library to every current and future worker."""
         if name not in self.libraries:
             raise ManagerError(f"library {name!r} was never created")
-        self._post(self.control.install_library, name)
+        self.reactor.post(self.control.install_library, name)
 
     # -- tenancy ---------------------------------------------------------
 
@@ -1379,7 +1357,7 @@ class Manager:
         byte_quota: Optional[int] = None,
     ) -> None:
         """Override one tenant's quotas (None = unlimited dimension)."""
-        self._post(self.control.set_tenant_quota, tenant, task_quota, byte_quota)
+        self.reactor.post(self.control.set_tenant_quota, tenant, task_quota, byte_quota)
 
     # -- data retrieval ---------------------------------------------------
 
@@ -1411,7 +1389,7 @@ class Manager:
         empty or the deadline passes.
         """
         waiter: "queue.Queue[Optional[bytes]]" = queue.Queue()
-        self._post(
+        self.reactor.post(
             self.control.fetch, cache_name, lambda _wid, payload: waiter.put(payload)
         )
         try:
@@ -1478,7 +1456,6 @@ class Manager:
         """Wait for the reactor to release every socket and timer, then
         the files this life held open."""
         self.reactor.join(timeout=CLOSE_DRAIN_SECONDS + 10)
-        self._apply_posts()  # what came after the reactor's last sweep
         for tar_path in self._packed.values():
             try:
                 os.unlink(tar_path)
@@ -1582,22 +1559,18 @@ class Manager:
     # -- reactor handler: what the transport hands over ----------------------
 
     def before_write(self) -> None:
-        """Once per reactor sweep, after its reads and timers: apply
-        what the application posted, run the pump the sweep owes, then
-        make the sweep's journal records durable — the one gate in front
-        of every socket write and of every completion the application
-        sees."""
-        # lowered before the drain: a post it misses raises it again
-        self._posted = False
-        self._apply_posts()
+        """Once per reactor sweep, after its reads, timers and posts: run
+        the pump the sweep owes, then make the sweep's journal records
+        durable — the one gate in front of every socket write and of
+        every completion the application sees."""
         if self._pump_wanted:
             self._pump_wanted = False
             if not self.control.closed:
                 self.control.pump()
             if self._pump_wanted:
                 # asked for by the pump itself (a requeue, a memo
-                # completion): owed to the next sweep
-                self.reactor.wake()
+                # completion): owed to the next sweep, which runs at once
+                self.reactor.post(self.request_pump)
         if self.journal is not None:
             self.journal.sync()
         self._hand_over_delivered()

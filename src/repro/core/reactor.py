@@ -9,27 +9,28 @@ deadline heap whose head is the ``select`` timeout.  What a frame
 sweep boundaries are handed to a :class:`Handler`, and this module
 imports nothing of tasks, files, libraries or the control plane.
 
-Who may touch a socket:
-
-* only the loop thread reads, writes, accepts or closes one;
-* any thread may :meth:`Peer.send`, :meth:`Peer.close`,
-  :meth:`Reactor.call_later` or :meth:`Reactor.wake` — these only
-  append to a FIFO, the doomed list or the deadline heap under the
-  reactor's own short lock, and wake the loop when called off it;
-* the loop never holds that lock across a socket call, a file read or a
-  handler call, so a peer that stops reading delays nobody but itself.
+Only the loop thread reads, writes, accepts or closes a socket, or calls
+:meth:`Peer.send` and :meth:`Peer.close`, so every FIFO and the deadline
+heap have one owner and no lock.  Another thread reaches the loop
+through its one inbox, :meth:`Reactor.post`: a deque append, plus a wake
+byte for the first post since the loop last drained it.
+:meth:`Reactor.call_later` and :meth:`Reactor.stop` post themselves when
+called off the loop.
 
 One sweep of the loop is: read what is readable and hand it over, run
-the timers that are due, close the peers asked to close,
-:meth:`Handler.before_write`, write what every non-empty FIFO's socket
-will take, :meth:`Handler.sweep_done`.  Every handler call but the last
-precedes the sweep's writes, so what the loop thread queues during a
-sweep leaves in that sweep, coalesced into one ``send`` per peer.
+the timers that are due, close the peers asked to close, apply the
+inbox, :meth:`Handler.before_write`, write what every non-empty FIFO's
+socket will take, :meth:`Handler.sweep_done`.  Every handler call but
+the last precedes the sweep's writes, so what the loop thread queues
+during a sweep leaves in that sweep, coalesced into one ``send`` per
+peer.  The loop never wakes itself: a post it makes, like a close it
+owes, just makes the next ``select`` return at once.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import heapq
 import itertools
 import selectors
@@ -56,8 +57,7 @@ _WRITE_BUDGET = 4 * IO_CHUNK
 
 
 class Handler(Protocol):
-    """What the loop hands over.  Every method runs on the loop thread
-    with no reactor lock held."""
+    """What the loop hands over.  Every method runs on the loop thread."""
 
     def peer_message(
         self, peer: "Peer", message: dict, payload: Optional[bytes]
@@ -122,13 +122,12 @@ class Peer:
         self.sock = sock
         #: the handler's own record for this peer (None until it says)
         self.owner = None
-        #: written by the loop alone, just before ``peer_closed``
         self.closed = False
         self._reactor = reactor
         self._frames = FrameReassembler()
         self._awaiting: Optional[dict] = None
         self._fifo: collections.deque = collections.deque()
-        #: unsent rest of the chunk being written (loop thread only)
+        #: unsent rest of the chunk being written
         self._head: Optional[memoryview] = None
         #: the socket took less than offered; wait for EVENT_WRITE
         self._blocked = False
@@ -138,7 +137,7 @@ class Peer:
         self._last = False
 
     def send(self, *items: "bytes | FileBody", last: bool = False) -> None:
-        """Append ``items`` to the FIFO as one unit (any thread).
+        """Append ``items`` to the FIFO as one unit (loop thread).
 
         ``last`` closes the peer once they have left, and what it sends
         meanwhile is discarded.  Items for a peer that is closed or
@@ -153,8 +152,8 @@ class Peer:
         self._awaiting = message
 
     def close(self) -> None:
-        """Drop the connection now, unsent items included (any thread);
-        ``peer_closed`` follows on the loop."""
+        """Drop the connection now, unsent items included (loop thread);
+        ``peer_closed`` follows in the next sweep."""
         self._reactor._doom(self)
 
 
@@ -166,7 +165,7 @@ class Reactor:
         self._listener = listener
         self._handler = handler
         self._sel = selectors.DefaultSelector()
-        # self-pipe: lets any thread interrupt a pending select().  The
+        # self-pipe: lets a post interrupt a pending select().  The
         # write end never blocks: a full pipe means a wake is pending.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
@@ -174,9 +173,12 @@ class Reactor:
         listener.setblocking(False)
         self._sel.register(listener, selectors.EVENT_READ, None)
         self._sel.register(self._wake_r, selectors.EVENT_READ, None)
-        #: guards FIFO appends and byte counts, ``_dirty``, ``_doomed``
-        #: and ``_deadlines``; never held across I/O or a handler call
-        self._lock = threading.Lock()
+        #: commands (a callable and its arguments) posted for the loop
+        self._inbox: collections.deque = collections.deque()
+        #: a wake byte is owed to no post: lowered just before a drain
+        self._woken = False
+        #: the loop made its last drain; a post is applied by its poster
+        self._ended = False
         self.peers: set[Peer] = set()
         #: peers with something to write
         self._dirty: set[Peer] = set()
@@ -207,30 +209,32 @@ class Reactor:
     def start(self) -> None:
         self.thread.start()
 
-    def wake(self) -> None:
-        """Make the loop run one more sweep."""
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:
-            # BlockingIOError: the pipe is full, so a wake is already
-            # pending; anything else: the pipe closed with the loop
-            pass
+    def post(self, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` on the loop, after every earlier post (any
+        thread).  It runs in the next sweep, before ``before_write``;
+        once the loop has made its last drain, it runs here and now."""
+        self._inbox.append((fn, args))
+        if self._ended:
+            self._apply_posts()
+        elif not (self._woken or threading.get_ident() == self._loop_ident):
+            self._woken = True
+            self._wake()
 
     def call_later(
         self, delay: float, fn: Callable[[], None], every: Optional[float] = None
     ) -> Timer:
         """Run ``fn`` on the loop ``delay`` seconds from now, and then
         every ``every`` seconds if given, until cancelled or the loop
-        stops."""
+        stops (any thread)."""
         timer = Timer(time.monotonic() + max(0.0, delay), next(self._seq), fn, every)
-        with self._lock:
+        if self.on_loop():
             heapq.heappush(self._deadlines, timer)
-        if not self.on_loop():
-            self.wake()
+        else:
+            self.post(heapq.heappush, self._deadlines, timer)
         return timer
 
     def stop(self, drain: Optional[float] = None) -> None:
-        """Ask the loop to exit; pair with :meth:`join`.
+        """Ask the loop to exit (any thread); pair with :meth:`join`.
 
         With ``drain`` it first writes out every FIFO, giving up on
         whatever has not left after that many seconds in total; with
@@ -239,39 +243,38 @@ class Reactor:
         reported closed — and every socket, the listener and every
         timer are released by the time the thread ends.
         """
-        with self._lock:
-            if drain is not None:
-                self._drain_deadline = time.monotonic() + drain
-            self._stopping = True
-        self.wake()
+        if not self.on_loop():
+            if not self._ended:  # (after its end the loop is stopped)
+                self.post(self.stop, drain)
+            return
+        if drain is not None:
+            self._drain_deadline = time.monotonic() + drain
+        self._stopping = True
 
     def join(self, timeout: Optional[float] = None) -> None:
         self.thread.join(timeout)
 
-    def _enqueue(self, peer: Peer, items: tuple, last: bool) -> None:
-        with self._lock:
-            accepted = not (peer.closed or peer._doomed or peer._last)
-            if accepted:
-                for item in items:
-                    peer._fifo.append(item)
-                    self.queued_bytes += _size(item)
-                peer._last = last
-                self._dirty.add(peer)
-        if not accepted:
-            _discard(items)
-        elif not self.on_loop():
-            self.wake()
-
-    def _doom(self, peer: Peer, error: Optional[Exception] = None) -> None:
-        with self._lock:
-            if peer.closed or peer._doomed:
-                return
-            peer._doomed = True
-            self._doomed.append((peer, error))
-        if not self.on_loop():
-            self.wake()
+    def _wake(self) -> None:
+        # a full pipe means a wake is pending; a closed one, the loop ended
+        with contextlib.suppress(OSError):
+            self._wake_w.send(b"\0")
 
     # -- the loop ----------------------------------------------------------
+
+    def _enqueue(self, peer: Peer, items: tuple, last: bool) -> None:
+        if peer.closed or peer._doomed or peer._last:
+            _discard(items)
+            return
+        for item in items:
+            peer._fifo.append(item)
+            self.queued_bytes += _size(item)
+        peer._last = last
+        self._dirty.add(peer)
+
+    def _doom(self, peer: Peer, error: Optional[Exception] = None) -> None:
+        if not (peer.closed or peer._doomed):
+            peer._doomed = True
+            self._doomed.append((peer, error))
 
     def adopt(self, sock: socket.socket) -> Peer:
         """Take over a connected socket (loop thread, or before
@@ -292,18 +295,18 @@ class Reactor:
             try:
                 self._release()
             finally:
-                # a later thread may be handed the same id
-                self._loop_ident = None
+                self._ended = True  # a later post is applied by its poster
+                self._apply_posts()
+                self._loop_ident = None  # a later thread may get the same id
 
     def _timeout(self) -> Optional[float]:
-        with self._lock:
-            if self._doomed or not all(p._blocked for p in self._dirty):
-                return 0.0  # a close is owed, or a peer ran out of write budget
-            timers = self._deadlines
-            while timers and timers[0].cancelled:
-                heapq.heappop(timers)
-            if timers:
-                return max(0.0, timers[0].when - time.monotonic())
+        if self._inbox or self._doomed or not all(p._blocked for p in self._dirty):
+            return 0.0  # a post or a close is owed, or a peer has more to write
+        timers = self._deadlines
+        while timers and timers[0].cancelled:
+            heapq.heappop(timers)
+        if timers:
+            return max(0.0, timers[0].when - time.monotonic())
         return None
 
     def _sweep(self, events) -> None:
@@ -316,10 +319,8 @@ class Reactor:
                 if key.fileobj is self._listener:
                     self._accept()
                 else:
-                    try:
+                    with contextlib.suppress(OSError):
                         self._wake_r.recv(4096)
-                    except OSError:
-                        pass
                 continue
             if mask & selectors.EVENT_WRITE:
                 peer._blocked = False
@@ -328,10 +329,12 @@ class Reactor:
         if self._stopping:
             return
         self._run_timers()
-        with self._lock:
-            doomed, self._doomed = self._doomed, []
+        doomed, self._doomed = self._doomed, []
         for peer, error in doomed:
             self._close(peer, error)
+        # lowered before the drain: a post it misses wakes the loop again
+        self._woken = False
+        self._apply_posts()
         self._handler.before_write()
         if self._stopping:
             return  # stop() decides whether what is queued still leaves
@@ -387,12 +390,11 @@ class Reactor:
     def _run_timers(self) -> None:
         now = time.monotonic()
         due = []
-        with self._lock:
-            timers = self._deadlines
-            while timers and timers[0].when <= now:
-                timer = heapq.heappop(timers)
-                if not timer.cancelled:
-                    due.append(timer)
+        timers = self._deadlines
+        while timers and timers[0].when <= now:
+            timer = heapq.heappop(timers)
+            if not timer.cancelled:
+                due.append(timer)
         for timer in due:
             try:
                 timer.fn()
@@ -400,8 +402,17 @@ class Reactor:
                 log.exception("timer callback %r failed", timer.fn)
             if timer.every is not None and not timer.cancelled:
                 timer.when = time.monotonic() + timer.every
-                with self._lock:
-                    heapq.heappush(self._deadlines, timer)
+                heapq.heappush(timers, timer)
+
+    def _apply_posts(self) -> None:
+        """Apply every posted command, in order."""
+        inbox = self._inbox
+        while inbox:
+            fn, args = inbox.popleft()
+            try:
+                fn(*args)
+            except Exception:  # noqa: BLE001 - one bad command must not end the loop
+                log.exception("posted command %r failed", fn)
 
     def _close(self, peer: Peer, error: Optional[Exception]) -> None:
         if peer.closed:
@@ -410,22 +421,17 @@ class Reactor:
         self._handler.peer_closed(peer, error)
 
     def _release_peer(self, peer: Peer) -> None:
-        with self._lock:
-            peer.closed = True
-            self._dirty.discard(peer)
-            unsent, peer._fifo = peer._fifo, collections.deque()
-            self.queued_bytes -= sum(map(_size, unsent)) + len(peer._head or b"")
+        peer.closed = True
+        self._dirty.discard(peer)
+        unsent, peer._fifo = peer._fifo, collections.deque()
+        self.queued_bytes -= sum(map(_size, unsent)) + len(peer._head or b"")
         _discard(unsent)
         peer._head = None
         self.peers.discard(peer)
-        try:
+        with contextlib.suppress(KeyError, ValueError):
             self._sel.unregister(peer.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
+        with contextlib.suppress(OSError):
             peer.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         peer.sock.close()
 
     # -- the write step ----------------------------------------------------
@@ -433,8 +439,7 @@ class Reactor:
     def _write_step(self) -> list:
         """Offer every non-empty FIFO to its socket; returns the peers
         whose write failed, each with its error."""
-        with self._lock:
-            ready = [p for p in self._dirty if not p._blocked]
+        ready = [p for p in self._dirty if not p._blocked]
         failed = []
         for peer in ready:
             try:
@@ -442,12 +447,10 @@ class Reactor:
             except OSError as exc:
                 failed.append((peer, exc))
                 continue
-            with self._lock:
-                drained = peer._head is None and not peer._fifo
-                if drained:
-                    self._dirty.discard(peer)
-            if drained and peer._last:
-                self._doom(peer)
+            if peer._head is None and not peer._fifo:
+                self._dirty.discard(peer)
+                if peer._last:
+                    self._doom(peer)
             self._watch(peer)
         return failed
 
@@ -472,8 +475,7 @@ class Reactor:
                     return
                 peer._head = None
         finally:
-            with self._lock:
-                self.queued_bytes -= written
+            self.queued_bytes -= written
 
     @staticmethod
     def _write(sock: socket.socket, data: memoryview) -> int:
@@ -529,12 +531,10 @@ class Reactor:
         while deadline is not None and time.monotonic() < deadline:
             for peer, _error in self._write_step():
                 self._release_peer(peer)
-            with self._lock:
-                if not self._dirty:
-                    return
-                full = [p for p in self._dirty if p._blocked]
-                stuck = len(full) == len(self._dirty)
-            if stuck:  # every socket is full: wait for one to take more
+            if not self._dirty:
+                return
+            full = [p for p in self._dirty if p._blocked]
+            if len(full) == len(self._dirty):  # wait for a full socket to take more
                 with selectors.DefaultSelector() as writable:
                     for peer in full:
                         writable.register(peer.sock, selectors.EVENT_WRITE, peer)
@@ -544,9 +544,8 @@ class Reactor:
     def _release(self) -> None:
         for peer in list(self.peers):
             self._release_peer(peer)
-        with self._lock:
-            self._deadlines.clear()
-            self._doomed.clear()
+        self._deadlines.clear()
+        self._doomed.clear()
         self._sel.close()
         self._listener.close()
         self._wake_r.close()

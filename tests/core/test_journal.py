@@ -31,6 +31,7 @@ from repro.core.journal import (
     restore_file,
     task_spec,
 )
+from repro.core.resources import Resources
 from repro.core.task import Task, TaskState
 
 _LEN = struct.Struct(">I")
@@ -311,6 +312,19 @@ def test_task_spec_round_trip(tmp_path):
     assert [(sb, f.cache_name) for sb, f in back.outputs] == [("out.txt", "temp-out")]
     assert back.sim_duration == 2.5
     assert back.sim_output_sizes == {"out.txt": 11}
+
+
+def test_a_restored_task_holds_only_the_fields_that_differ():
+    """A default task comes back with an instance dict holding
+    ``resources_explicit`` alone, not one entry per journaled field."""
+    back = build_task(json.loads(json.dumps(task_spec(Task("true")))), FileRegistry())
+    assert vars(back) == {"resources_explicit": True}
+    assert back.env == {} and back.resources == Resources()
+    sized = Task("true").set_resources(Resources(cores=2, memory=100))
+    sized.priority = 5.0
+    back = build_task(task_spec(sized), FileRegistry())
+    assert back.resources == Resources(cores=2, memory=100)
+    assert sorted(vars(back)) == ["priority", "resources", "resources_explicit"]
 
 
 def test_task_referencing_unknown_file_is_not_restorable():

@@ -228,7 +228,10 @@ def test_wake_reactor_never_blocks_on_a_full_pipe(manager):
                 manager.reactor._wake_w.send(b"\0" * 65536, socket.MSG_DONTWAIT)
         except BlockingIOError:
             pass
-        waker = threading.Thread(target=manager.reactor.wake, daemon=True)
+        # the first post since the drain that took the hold writes a byte
+        waker = threading.Thread(
+            target=manager.reactor.post, args=(lambda: None,), daemon=True
+        )
         waker.start()
         waker.join(timeout=2.0)
         assert not waker.is_alive()

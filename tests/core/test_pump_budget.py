@@ -136,6 +136,38 @@ def test_a_burst_posted_behind_a_round_trip_is_admitted_by_one_pump(
     assert entries.off_owner == []
 
 
+#: submits in the free-running preloaded phase below, and the pumps it
+#: may take: one per hundred submits (≈ 25 measured on a 2-core
+#: container; 90–118 over a whole preloaded drain of 64 workers before
+#: the application thread posted its plane steps)
+PRELOADED_SUBMITS = 20_000
+PRELOADED_PUMPS = PRELOADED_SUBMITS // 100
+
+
+def test_a_free_running_preloaded_phase_pumps_once_per_hundred_submits(manager):
+    """The submit half of a preloaded drain, as ``dispatch_storm`` runs
+    it: noop tasks with three temp outputs each, into a manager with no
+    worker yet and a reactor nobody holds.  Each sweep applies whatever
+    was posted since the last and pumps once, so the submits, not the
+    pumps, set the pace."""
+    pumps = _record_pump_threads(manager)
+    tasks = []
+    for _ in range(PRELOADED_SUBMITS):
+        task = Task("noop")
+        for j in range(3):
+            task.add_output(manager.declare_temp(), f"out{j}")
+        manager.submit(task)
+        tasks.append(task)
+    _wait_for(
+        lambda: not on_reactor(manager, lambda: manager._pump_wanted),
+        "the last admission's pump",
+    )
+    print(f"\n{PRELOADED_SUBMITS} preloaded submits: {len(pumps)} pumps "
+          f"(bound {PRELOADED_PUMPS})")
+    assert all(t.state == TaskState.READY for t in tasks)
+    assert 0 < len(pumps) <= PRELOADED_PUMPS
+
+
 def test_full_cluster_walks_the_load_heap_once_per_pass(monkeypatch):
     """560 BLAST tasks on 100×4 cores: the cluster is full for most of
     the run, and each pass may discover that once — not once per queued

@@ -4,12 +4,14 @@ Everything the manager relies on — per-peer FIFO order across frame,
 bulk and file items, a stalled peer delaying nobody else, the deadline
 heap, the two ways of stopping, and one ``peer_closed`` per peer however
 its end is noticed — is checked here against a recording handler, with
-no ControlPlane, Task or File in sight.
+no ControlPlane, Task or File in sight.  ``Peer.send`` and ``Peer.close``
+are the loop's alone, so the test thread posts them (``Reactor.post``).
 """
 
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -100,11 +102,11 @@ def test_a_slow_reader_gets_frame_bulk_and_file_items_in_issue_order(loop, tmp_p
     first = encode_frame({"type": "put", "size": len(bulk)})
     second = encode_frame({"type": "file", "size": len(body)})
     third = encode_frame({"type": "after"})
-    peer.send(first, bulk)
-    peer.send(second, FileBody(open(path, "rb"), len(body)))
-    peer.send(third)
+    reactor.post(peer.send, first, bulk)
+    reactor.post(peer.send, second, FileBody(open(path, "rb"), len(body)))
+    reactor.post(peer.send, third)
     expected = first + bulk + second + body + third
-    assert reactor.queued_bytes > 0
+    _wait(lambda: reactor.queued_bytes > 0, "the posted sends to be queued")
     assert _read_exact(far, len(expected), step=1) == expected
     _wait(lambda: reactor.queued_bytes == 0, "the byte count to return to zero")
     far.close()
@@ -116,10 +118,10 @@ def test_a_peer_that_stops_reading_delays_nobody_else(loop):
     lively, lively_far = _pair(reactor)
     reactor.start()
     backlog = bytes(8 << 20)
-    stalled.send(backlog)  # nobody ever reads stalled_far
+    reactor.post(stalled.send, backlog)  # nobody ever reads stalled_far
     frame = encode_frame({"type": "hello"})
     started = time.monotonic()
-    lively.send(frame)
+    reactor.post(lively.send, frame)
     assert _read_exact(lively_far, len(frame), step=4096) == frame
     assert time.monotonic() - started < 1.0
     # the stalled backlog is a number, not a thread parked in sendall
@@ -184,12 +186,68 @@ def test_a_timer_that_raises_does_not_end_the_loop(loop):
     assert reactor.running
 
 
+def test_posts_from_many_threads_each_run_once_in_order_and_none_is_stranded(loop):
+    """Posters race the loop's drain with no lock between them: every
+    post must run once, in its poster's order, and wake a loop that has
+    nothing else to wake it (no peer, no timer).  Each poster waits for
+    its last post to run before making the next burst, so many posts
+    land just as the loop finishes a drain or while it sleeps, where a
+    lost wake would strand one for good.  The switch interval is shortened so the threads interleave
+    inside ``post`` and the drain themselves."""
+    reactor, _handler = loop
+    threads, per_thread = 8, 600
+    ran: list = []
+    stranded: list = []
+    reactor.start()
+
+    def run(k, i, done):
+        ran.append((k, i))
+        done.set()
+
+    def poster(k):
+        for i in range(0, per_thread, k + 1):  # bursts of k + 1 posts
+            done = threading.Event()
+            burst = range(i, min(i + k + 1, per_thread))
+            for j in burst:
+                reactor.post(run, k, j, done if j == burst[-1] else threading.Event())
+            if not done.wait(5):
+                stranded.append((k, i))
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=poster, args=(k,)) for k in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(30)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert stranded == []
+    for k in range(threads):
+        assert [i for j, i in ran if j == k] == list(range(per_thread))
+
+
+def test_a_post_after_the_loop_ended_runs_on_its_poster(loop):
+    reactor, _handler = loop
+    ran: list = []
+    reactor.start()
+    reactor.stop()
+    reactor.join(5)
+    assert not reactor.running
+    reactor.post(lambda: ran.append(threading.current_thread()))
+    reactor.stop()  # no loop to ask: a no-op
+    assert ran == [threading.current_thread()]
+
+
 def test_stop_with_a_deadline_writes_out_what_is_queued(loop):
     reactor, handler = loop
     peer, far = _pair(reactor, sndbuf=4096)
     reactor.start()
     data = os.urandom(1 << 20)
-    peer.send(data)
+    reactor.post(peer.send, data)
     reactor.stop(drain=10.0)
     assert _read_exact(far, len(data), step=65536) == data
     assert far.recv(1) == b""  # then the connection is released
@@ -203,7 +261,7 @@ def test_stop_gives_up_at_its_deadline(loop):
     reactor, _handler = loop
     peer, far = _pair(reactor, sndbuf=4096)
     reactor.start()
-    peer.send(bytes(8 << 20))  # far never reads
+    reactor.post(peer.send, bytes(8 << 20))  # far never reads
     started = time.monotonic()
     reactor.stop(drain=0.3)
     reactor.join(5)
@@ -217,9 +275,9 @@ def test_stop_without_a_deadline_sends_nothing(loop):
     peer, far = _pair(reactor)
     handler.hold = threading.Event()
     reactor.start()
-    reactor.wake()
+    reactor.post(lambda: None)  # one sweep
     assert handler.holding.wait(5)  # the loop is parked in before_write
-    peer.send(encode_frame({"type": "never sent"}))
+    reactor.post(peer.send, encode_frame({"type": "never sent"}))
     reactor.stop()
     handler.hold.set()
     reactor.join(5)
@@ -233,8 +291,8 @@ def test_the_last_item_closes_the_peer_once_it_has_left(loop):
     peer, far = _pair(reactor)
     reactor.start()
     reject = encode_frame({"type": "reject"})
-    peer.send(reject, last=True)
-    peer.send(encode_frame({"type": "too late"}))
+    reactor.post(lambda: peer.send(reject, last=True))
+    reactor.post(peer.send, encode_frame({"type": "too late"}))
     assert _read_exact(far, len(reject), step=4096) == reject
     assert far.recv(4096) == b""
     _wait(lambda: handler.closed == [(peer, None)], "the close to be reported")
@@ -250,7 +308,7 @@ def test_every_way_a_peer_ends_is_reported_exactly_once(loop, how):
     if how == "eof":
         far.close()
     elif how == "reset_under_a_write":
-        peer.send(bytes(4 << 20))
+        reactor.post(peer.send, bytes(4 << 20))
         _wait(lambda: 0 < reactor.queued_bytes < 4 << 20, "a blocked write")
         far.close()
     elif how == "bad_frame":
@@ -258,7 +316,8 @@ def test_every_way_a_peer_ends_is_reported_exactly_once(loop, how):
     elif how == "handler":
         far.sendall(encode_frame({"type": "boom"}))
     else:
-        threading.Thread(target=peer.close).start()  # from another thread
+        # a close posted from another thread
+        threading.Thread(target=reactor.post, args=(peer.close,)).start()
     _wait(lambda: handler.closed, "the departure")
     time.sleep(0.05)
     assert [p for p, _e in handler.closed] == [peer]
@@ -283,7 +342,9 @@ def test_a_file_that_ends_short_closes_its_peer_with_the_reason(loop, tmp_path):
     reactor.start()
     path = tmp_path / "short.bin"
     path.write_bytes(b"x" * 100)
-    peer.send(encode_frame({"type": "file", "size": 500}), FileBody(open(path, "rb"), 500))
+    reactor.post(
+        peer.send, encode_frame({"type": "file", "size": 500}), FileBody(open(path, "rb"), 500)
+    )
     _wait(lambda: handler.closed, "the peer to be closed")
     (closed, error), = handler.closed
     assert closed is peer and "400 bytes short" in str(error)
