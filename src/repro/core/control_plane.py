@@ -487,12 +487,8 @@ class ControlPlane:
 
         #: durable write-ahead journal (``repro.core.journal
         #: .ControlPlaneJournal``) or None; every state transition that
-        #: must survive a manager crash is appended through ``_j``
+        #: must survive a manager crash is appended (a replica's, from its event)
         self.journal = journal
-        #: the journal to append to, or None: absent, or replaying in
-        #: :meth:`_restore_from_journal` (replayed transitions must not
-        #: be re-appended)
-        self._j = journal
         #: recovery grace window: after a restart the pump holds new
         #: placements until the previously-known workers rejoined (or a
         #: deadline passed), so surviving replicas re-adopt before the
@@ -659,6 +655,7 @@ class ControlPlane:
         if journal is not None:
             journal.on_compact = self._on_journal_compact
             journal.journal.on_sync = self._on_journal_sync
+            self.log.attach(journal)
         self._pump_depth = 0
         #: scheduler hot-path instruments: per-pump policy time in µs
         #: and how many (task, worker) pairs placement actually scored
@@ -713,9 +710,8 @@ class ControlPlane:
             canonical.size = size
         elif canonical is not f:
             canonical.size = f.size
-        j = self._j
-        if j is not None:
-            j.record_declare(file_spec(f, source, canonical.size or 0))
+        if self.journal is not None:
+            self.journal.record_declare(file_spec(f, source, canonical.size or 0))
         return canonical
 
     def size_of(self, cache_name: str) -> int:
@@ -751,18 +747,16 @@ class ControlPlane:
             canonical.source = NO_SOURCE
         if served != NO_SOURCE:
             self._source_withdrawn(canonical.cache_name)
-        j = self._j
-        if j is not None:
-            j.record_declare(file_spec(f, NO_SOURCE, canonical.size or 0))
+        if self.journal is not None:
+            self.journal.record_declare(file_spec(f, NO_SOURCE, canonical.size or 0))
 
     def adopt_replica(self, worker_id: str, cache_name: str, size: int) -> None:
         """Adopt a pre-existing cache entry announced by a joining worker."""
-        cache_name = self._learned(cache_name, size).cache_name
-        self.replicas.add_replica(cache_name, worker_id, size)
-        self._input_appeared(cache_name, worker_id)
-        j = self._j
-        if j is not None:
-            j.record_replica(worker_id, cache_name, size)
+        f = self._learned(cache_name, size)
+        cache_name = f.cache_name
+        self._add_replica(
+            worker_id, cache_name, size, f, self.port.now(), False, "adopted"
+        )
         if (
             self._recovering
             and cache_name in self._recovery_await
@@ -818,9 +812,8 @@ class ControlPlane:
         acct.task_quota = task_quota
         acct.byte_quota = byte_quota
         acct.note_headroom()
-        j = self._j
-        if j is not None:
-            j.record_quota(tenant, task_quota, byte_quota)
+        if self.journal is not None:
+            self.journal.record_quota(tenant, task_quota, byte_quota)
         return acct
 
     def tenant_charge_bytes(self, tenant: str, nbytes: int) -> Optional[str]:
@@ -839,9 +832,8 @@ class ControlPlane:
                 f"declared of {acct.byte_quota} allowed"
             )
         acct.bytes_declared += nbytes
-        j = self._j
-        if j is not None:
-            j.record_tenant_bytes(tenant, nbytes)
+        if self.journal is not None:
+            self.journal.record_tenant_bytes(tenant, nbytes)
         return None
 
     def in_namespace(self, tenant: str, cache_name: str) -> bool:
@@ -868,7 +860,7 @@ class ControlPlane:
         record is what keeps the name in its namespace.
         """
         acct = self.tenant_account(tenant)
-        j = self._j
+        j = self.journal
         for name in cache_names:
             if j is not None:
                 j.record_tenant_name(tenant, name)
@@ -1180,9 +1172,8 @@ class ControlPlane:
         task.state = TaskState.READY
         task.submitted_at = self.port.now()
         self.tasks[task.task_id] = task
-        j = self._j
-        if j is not None:
-            j.record_submit(
+        if self.journal is not None:
+            self.journal.record_submit(
                 task.task_id,
                 task.seq,
                 task.tenant,
@@ -1565,7 +1556,7 @@ class ControlPlane:
             self._tenant_counters[task.tenant]["failed"].inc()
         task.input_names = None
         self._wake_consumers(task)
-        j = self._j
+        j = self.journal
         if j is not None:
             if task.state == TaskState.DONE:
                 j.record_done(
@@ -1630,12 +1621,17 @@ class ControlPlane:
         doomed = collect_task_inputs(names, self.registry, self._input_refs)
         for name in names:  # attachment order, not the set's
             if name in doomed:
-                for holder in self.replicas.forget_name(name):
-                    self.port.delete_replica(holder, [name])
-                    self.log.emit(
-                        self.port.now(), "file_deleted", worker=holder, file=name
-                    )
+                self._forget(name)
                 self._mark_stage_dirty(name)
+
+    def _forget(self, cache_name: str, category: Optional[str] = None) -> None:
+        """Unlink every replica of ``cache_name`` and log each deletion."""
+        for holder in self.replicas.forget_name(cache_name):
+            self.port.delete_replica(holder, [cache_name])
+            self.log.emit(
+                self.port.now(), "file_deleted",
+                worker=holder, file=cache_name, category=category,
+            )
 
     # -- waiting stages: who wakes them ---------------------------------
 
@@ -1961,6 +1957,7 @@ class ControlPlane:
         f: Optional[File],
         now: float,
         store: bool,
+        category: Optional[str] = None,
     ) -> None:
         """:meth:`register_replica` of the declared file ``f`` (None if
         undeclared), its ``file_cached`` event stamped ``now``."""
@@ -1974,11 +1971,9 @@ class ControlPlane:
             # keep the first-learned one rather than killing the runtime
             self.replicas.add_replica(cache_name, worker_id)
         self.log.emit(
-            now, "file_cached", worker=worker_id, file=cache_name, size=size
+            now, "file_cached",
+            worker=worker_id, file=cache_name, size=size, category=category,
         )
-        j = self._j
-        if j is not None:
-            j.record_replica(worker_id, cache_name, size)
         self._input_appeared(cache_name, worker_id)
         # a mini-task job at this worker does not wait for the pump: it
         # plans again at once (and may take the slot this arrival freed)
@@ -1989,13 +1984,11 @@ class ControlPlane:
                 self._advance(job.stage)
 
     def replica_evicted(self, worker_id: str, cache_name: str) -> None:
-        """A worker dropped a replica on its own (cache pressure)."""
+        """A worker dropped a replica on its own (cache pressure): the
+        simulator's cache model, or a real worker's ``cache_invalid``."""
         size = self.replicas.size_of(cache_name)
         self.replicas.remove_replica(cache_name, worker_id)
         self._mark_stage_dirty(cache_name)
-        j = self._j
-        if j is not None:
-            j.record_replica_gone(worker_id, cache_name)
         self._m_evictions.inc()
         self._m_eviction_bytes.inc(size)
         self.log.emit(
@@ -2034,14 +2027,13 @@ class ControlPlane:
         than as a defect of the destination or of the task.
         """
         cache_name = self.registry.own_name(cache_name)
-        self.replicas.remove_replica(cache_name, worker_id)
-        self._mark_stage_dirty(cache_name)
-        j = self._j
-        if j is not None:
-            j.record_replica_gone(worker_id, cache_name)
         if transfer_id is None:
+            # autonomous eviction, not a failed command
+            self.replica_evicted(worker_id, cache_name)
             self.port.request_pump()
-            return  # autonomous eviction, not a failed command
+            return
+        # (no replica lost: a transfer goes to a worker without one)
+        self._mark_stage_dirty(cache_name)
         try:
             record = self.transfers.complete(transfer_id)
         except KeyError:
@@ -2083,12 +2075,7 @@ class ControlPlane:
             if self.sources.get(cache_name) == NO_SOURCE:
                 # every holder burned its budget: those replicas are
                 # effectively lost — fall back to lineage regeneration
-                for holder in self.replicas.forget_name(cache_name):
-                    self.port.delete_replica(holder, [cache_name])
-                    self.log.emit(
-                        self.port.now(), "file_deleted",
-                        worker=holder, file=cache_name, category="exhausted",
-                    )
+                self._forget(cache_name, "exhausted")
                 if not self._regenerate(cache_name):
                     self.fail_tasks_needing(cache_name, reason)
             else:
@@ -2475,10 +2462,6 @@ class ControlPlane:
         self._view_changed(worker_id)
         self.log.emit(self.port.now(), "worker_leave", worker=worker_id)
         lost_names = self.replicas.remove_worker(worker_id)
-        j = self._j
-        if j is not None:
-            for name in lost_names:
-                j.record_replica_gone(worker_id, name)
         cancelled = self.transfers.cancel_for_worker(worker_id)
         # tasks consuming a lost replica or a cancelled in-flight
         # transfer must re-plan their staging on the next pump
@@ -2721,7 +2704,7 @@ class ControlPlane:
             return False
         stats = j.last_replay_stats
         now = self.port.now()
-        self._j = None
+        j.writing = False
         try:
             for spec in j.declares.values():
                 name = spec["name"]
@@ -2737,13 +2720,19 @@ class ControlPlane:
                 self.tenant_account(tenant).bytes_declared = total
             for rec in sorted(j.submits.values(), key=lambda r: r["seq"]):
                 self._restore_task(rec, now)
+            # a TASK-lifetime output no unfinished task reads was
+            # collected when its last reader ended: it is not lost
+            for name in collect_task_inputs(
+                list(self._recovery_await), self.registry, self._input_refs
+            ):
+                del self._recovery_await[name]
             # after the tasks: a name their outputs place in a namespace
             # needs no owner on its record
             for tenant, names in j.tenant_names.items():
                 self.tenant_add_names(tenant, sorted(names))
             self._task_seq = itertools.count(j.max_seq + 1)
         finally:
-            self._j = j
+            j.writing = True
         self._m_replayed.inc(stats.replayed_records)
         self.log.emit(
             now, "manager_restart",
@@ -2761,62 +2750,42 @@ class ControlPlane:
         failed_rec = j.failed.get(tid)
         acct = self.tenant_account(tenant)
         acct.submitted += 1
+        # None: not re-executable (a serverless call, or inputs the
+        # registry no longer knows).  A completed one still leaves its
+        # recorded outputs to await re-adoption; a pending one is lost
         task = build_task(rec["spec"], self.registry)
+        if task is None and done_rec is None and failed_rec is None:
+            task = Task("@lost")
+            failed_rec = {"reason": "not restorable across manager restart"}
         if task is not None:
             task.task_id = tid
             task.seq = int(rec["seq"])
             task.set_tenant(tenant)
-        if task is None:
-            # not re-executable (serverless call, or inputs the registry
-            # no longer knows).  A completed one still leaves recorded
-            # outputs to await re-adoption; a pending one is lost work.
-            if done_rec is not None:
-                acct.done += 1
-                self.done_count += 1
-                for name, size in done_rec.get("outputs", ()):
-                    name = self._learned(name, size).cache_name
-                    self._recovery_await[name] = size
-                    # no task left to produce it: the record names the tenant
-                    self.tenant_add_names(tenant, (name,))
-            elif failed_rec is None:
-                stub = Task("@lost")
-                stub.task_id = tid
-                stub.seq = int(rec["seq"])
-                stub.set_tenant(tenant)
-                stub.state = TaskState.FAILED
-                stub.result = TaskResult(
-                    exit_code=-1,
-                    failure="not restorable across manager restart",
-                )
-                if rec.get("session"):
-                    stub.session_token = rec["session"]
-                self.tasks[tid] = stub
-                acct.failed += 1
-            else:
-                acct.failed += 1
-            return
-        if rec.get("session"):
-            task.session_token = rec["session"]
-        for _, f in task.outputs:
-            f.producer_task_id = tid
-        self.tasks[tid] = task
+            if rec.get("session"):
+                task.session_token = rec["session"]
+            for _, f in task.outputs:
+                f.producer_task_id = tid
+            self.tasks[tid] = task
         if failed_rec is not None:
-            task.state = TaskState.FAILED
-            task.result = TaskResult(
-                exit_code=-1, failure=failed_rec.get("reason", "failed")
-            )
             acct.failed += 1
+            if task is not None:
+                task.state = TaskState.FAILED
+                task.result = TaskResult(
+                    exit_code=-1, failure=failed_rec.get("reason", "failed")
+                )
         elif done_rec is not None:
-            task.state = TaskState.DONE
-            task.result = TaskResult(exit_code=0, output="restored")
-            task.finished_at = now
             self.done_count += 1
             acct.done += 1
-            self._m_restored_done.inc()
+            if task is not None:
+                task.state = TaskState.DONE
+                task.result = TaskResult(exit_code=0, output="restored")
+                task.finished_at = now
+                self._m_restored_done.inc()
             for name, size in done_rec.get("outputs", ()):
                 f = self._learned(name, size)
                 f.size = size
                 self._recovery_await[f.cache_name] = size
+                # (with no task restored to produce it, the record names the tenant)
                 self.tenant_add_names(tenant, (f.cache_name,))
         else:
             task.state = TaskState.READY

@@ -24,7 +24,9 @@ OxyMake's durable content-addressed state (PAPERS.md):
   accumulate, so replay cost is bounded by the live state, not by run
   length.  Replica-grant records are *hints* — on restart the ground
   truth is the inventory each reconnecting worker re-announces — so
-  compaction keeps only the latest location map.
+  compaction keeps only the latest location map.  The journal folds
+  them from the plane's ``file_cached`` / ``file_deleted`` /
+  ``worker_leave`` events, as an :class:`~repro.core.events.EventLog` sink.
 
 * serializers — :func:`file_spec` / :func:`restore_file` and
   :func:`task_spec` / :func:`build_task` turn the runtime-agnostic
@@ -48,7 +50,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.files import (
     BufferFile,
@@ -63,6 +65,9 @@ from repro.core.files import (
 from repro.core.resources import Resources
 from repro.core.task import PythonTask, Task
 from repro.core.transfer_table import MINITASK_SOURCE, NO_SOURCE
+
+if TYPE_CHECKING:
+    from repro.core.events import Event
 
 __all__ = [
     "Journal",
@@ -296,9 +301,12 @@ class ControlPlaneJournal:
         self.snapshot_every = max(8, snapshot_every)
         #: called after each automatic compaction with the snapshot size
         self.on_compact: Optional[Callable[[int], None]] = None
-        #: a compaction fell due under group commit: the next
-        #: :meth:`sync` snapshots instead of fsyncing the log
-        self._compact_due = False
+        #: False while the plane replays this journal (a replayed
+        #: transition is not new) and once :meth:`close` ended the life
+        self.writing = True
+        #: (name, worker) hints of a prior life not re-announced since
+        #: ``manager_restart``: gone at ``recovery_complete``
+        self._unconfirmed: set[tuple[str, str]] = set()
         self.meta: dict = {}
         self.declares: dict[str, dict] = {}
         self.quotas: dict[str, dict] = {}
@@ -330,24 +338,52 @@ class ControlPlaneJournal:
 
     # -- recording ------------------------------------------------------
 
+    def _append(self, rec: dict) -> None:
+        if self.writing:
+            self._fold(rec)
+            self.journal.append(rec)
+
     def _record(self, rec: dict) -> None:
-        self._fold(rec)
-        journal = self.journal
-        journal.append(rec)
-        if journal.pending_records >= self.snapshot_every:
-            if journal.group_commit:
-                # the owner owes one sync for its whole sweep; a
-                # snapshot now would fsync a fresh log that the sweep's
-                # later records then need fsynced again
-                self._compact_due = True
-            else:
-                self._auto_compact()
+        self._append(rec)
+        # under group commit the owner owes one sync for its whole
+        # sweep, and that sync snapshots: one now would fsync a fresh
+        # log that the sweep's later records then need fsynced again
+        if not self.journal.group_commit and self._compact_due():
+            self._auto_compact()
+
+    def _compact_due(self) -> bool:
+        return self.journal.pending_records >= self.snapshot_every
 
     def _auto_compact(self) -> None:
-        self._compact_due = False
         self.compact()
         if self.on_compact is not None:
             self.on_compact(self.journal.lifetime_records)
+
+    def __call__(self, e: Event) -> None:
+        """Sink protocol: write the replica change an event reports.  It
+        never compacts (the snapshot's ``journal_snapshot``, emitted in a
+        sink, would reach the later sinks ahead of the event sunk)."""
+        kind, name, worker = e.kind, e.file, e.worker
+        if kind == "file_cached":
+            self._append({"op": "replica", "worker": worker, "name": name, "size": e.size})
+            self._unconfirmed.discard((name, worker))
+        elif kind == "file_deleted":
+            self._gone(worker, name)
+        elif kind == "worker_leave":
+            for name in [n for n, at in self.replica_hints.items() if worker in at]:
+                self._gone(worker, name)
+        elif kind == "manager_restart":
+            self._unconfirmed = {(n, w) for n, at in self.replica_hints.items() for w in at}
+        elif kind == "recovery_complete":
+            # a hint no rejoining worker backed is replica loss: the
+            # next life must not wait for it
+            for name, worker in sorted(self._unconfirmed):
+                self._gone(worker, name)
+            self._unconfirmed.clear()
+
+    def _gone(self, worker_id: str, name: str) -> None:
+        if worker_id in self.replica_hints.get(name, ()):
+            self._append({"op": "replica_gone", "worker": worker_id, "name": name})
 
     def record_meta(self, **fields) -> None:
         self._record({"op": "meta", **fields})
@@ -394,13 +430,6 @@ class ControlPlaneJournal:
 
     def record_failed(self, task_id: str, reason: str) -> None:
         self._record({"op": "failed", "id": task_id, "reason": reason})
-
-    def record_replica(self, worker_id: str, name: str, size: int) -> None:
-        self._record({"op": "replica", "worker": worker_id, "name": name, "size": size})
-
-    def record_replica_gone(self, worker_id: str, name: str) -> None:
-        if worker_id in self.replica_hints.get(name, ()):
-            self._record({"op": "replica_gone", "worker": worker_id, "name": name})
 
     # -- folding --------------------------------------------------------
 
@@ -485,12 +514,13 @@ class ControlPlaneJournal:
         """Make every appended record durable: the one fsync a group
         commit owes, or — with a compaction due — the snapshot, whose
         fsync covers every record folded into it."""
-        if self._compact_due:
+        if self._compact_due():
             self._auto_compact()
         else:
             self.journal.sync()
 
     def close(self) -> None:
+        self.writing = False
         self.journal.close()
 
 

@@ -1081,6 +1081,25 @@ def test_a_rerun_of_a_task_whose_value_was_delivered_fetches_nothing():
     assert port.delivered == [task]
 
 
+def test_a_real_workers_eviction_is_logged_and_counted_as_the_simulators():
+    """A real worker reports an eviction as ``cache_invalid`` with no
+    transfer: it takes the simulator's path (``replica_evicted``), so the
+    manager logs the deletion and counts the eviction."""
+    port, control = make_control()
+    add_worker(port, control, "wA")
+    declared(control, "cold", NO_SOURCE, 40, kind=TempFile)
+    control.register_replica("wA", "cold", 40)
+    control.on_cache_invalid("wA", "cold", None, "evicted: cache pressure")
+    assert control.replicas.locate("cold") == set()
+    (gone,) = control.log.events("file_deleted")
+    assert (gone.worker, gone.file, gone.size, gone.category) == (
+        "wA", "cold", 40, "evicted",
+    )
+    snap = control.metrics.snapshot()
+    assert snap["cache.evictions"]["value"] == 1
+    assert snap["cache.eviction_bytes"]["value"] == 40
+
+
 def test_a_cancel_while_the_value_is_on_its_way_leaves_nothing_waiting():
     port, control, task = _running_value_task()
     _ended(control, task)

@@ -14,6 +14,7 @@ import struct
 import pytest
 
 from repro.core.control_plane import MINITASK_SOURCE, NO_SOURCE
+from repro.core.events import Event
 from repro.core.files import (
     BufferFile,
     CacheLevel,
@@ -35,6 +36,10 @@ from repro.core.resources import Resources
 from repro.core.task import Task, TaskState
 
 _LEN = struct.Struct(">I")
+
+
+def _cached(worker, name, size):
+    return Event(0.0, "file_cached", worker=worker, file=name, size=size)
 
 
 # ----------------------------------------------------------------------
@@ -151,9 +156,9 @@ def test_domain_fold_round_trip(tmp_path):
     cj.record_submit("t1", 1, "alice", {"command": "true"}, "tok-a")
     cj.record_submit("t2", 2, "alice", {"command": "false"}, None)
     cj.record_done("t1", ["out1"])
-    cj.record_replica("w0", "out1", 7)
-    cj.record_replica("w1", "out1", 7)
-    cj.record_replica_gone("w0", "out1")
+    cj(_cached("w0", "out1", 7))
+    cj(_cached("w1", "out1", 7))
+    cj(Event(0.0, "file_deleted", worker="w0", file="out1"))
     cj.close()
 
     back = ControlPlaneJournal(str(tmp_path))
@@ -182,11 +187,12 @@ def test_domain_compaction_drops_redundant_records(tmp_path):
     for _ in range(3):
         cj.record_tenant_bytes("alice", 10)
     for w in ("w0", "w1", "w2"):
-        cj.record_replica(w, "obj", 5)
-        cj.record_replica_gone(w, "obj")
-    cj.record_replica("w3", "obj", 5)
+        cj(_cached(w, "obj", 5))
+        cj(Event(0.0, "worker_leave", worker=w))
+    cj(_cached("w3", "obj", 5))
     cj.record_declare({"name": "obj", "kind": "temp", "size": 5})
-    # 11 appends >= snapshot_every=8: an automatic compaction ran
+    # 11 appends >= snapshot_every=8: an automatic compaction ran (at the
+    # declare: the event sink's appends leave it to a hand-written record)
     assert os.path.exists(os.path.join(str(tmp_path), Journal.SNAPSHOT_NAME))
     cj.close()
 

@@ -27,6 +27,12 @@ shows here first); the parked sets and their reverse map agree and
 their shapes form a chain; and no recorded infeasible shape that an
 unmarked view fits.
 
+A journal's replica hints are the replica table: the journal learns
+replicas only from the plane's events, so a replica dropped without a
+``file_deleted`` (or added without a ``file_cached``) shows here — but
+inside a restart's rejoin window, where the hints are the prior life's
+and wait for their workers to come back.
+
 :func:`watch_plane_invariants` wraps ``ControlPlane.pump`` and
 ``end_workflow`` so each outermost pump, and the end, leave
 :func:`violations` empty; ``tests/sim`` and ``tests/faults`` run under
@@ -78,6 +84,7 @@ def violations(control: ControlPlane) -> list[str]:
     if placed != +control._lib_load:
         found.append(f"slot ledger {dict(control._lib_load)} != placed {dict(placed)}")
     found += _membership(control) + _transfers(control) + _indexes(control)
+    found += _replica_hints(control)
     if control.closed:
         found += _left_after_the_end(control)
     return found
@@ -114,6 +121,22 @@ def _transfers(control: ControlPlane) -> list[str]:
         if gone:
             found.append(f"transfer {t.transfer_id} of {t.cache_name} touches departed {gone}")
     return found
+
+
+def _replica_hints(control: ControlPlane) -> list[str]:
+    journal = control.journal
+    if journal is None or control._recovering or not journal.writing:
+        return []  # no journal, a rejoin window, or a life that ended
+    hints = {name: set(at) for name, at in journal.replica_hints.items()}
+    live = {name: control.replicas.locate(name) for name in control.replicas.names()}
+    if hints == live:
+        return []
+    return [
+        f"journal hints {name} at {sorted(hints.get(name, ()))}, "
+        f"replicas at {sorted(live.get(name, ()))}"
+        for name in sorted(hints.keys() | live.keys())
+        if hints.get(name, set()) != live.get(name, set())
+    ]
 
 
 def _indexes(control: ControlPlane) -> list[str]:

@@ -99,9 +99,12 @@ WORKLOADS = {
 }
 
 #: generated at d055ddb with the command in the module docstring (identical
-#: under PYTHONHASHSEED=0, =12345 and =random)
+#: under PYTHONHASHSEED=0, =12345 and =random).  ``blast_cold_hot_100w`` was
+#: re-pinned once a re-adopted cache entry logged ``file_cached`` (category
+#: ``adopted``): with its hot pass's 400 adoption rows dropped, the log
+#: still digests to d055ddb's ``df7241308b8e…fdebc10c``
 DIGESTS = {
-    "blast_cold_hot_100w": "df7241308b8e31eca259f87ad691f79c8527d934fd70d48138022f88fdebc10c",
+    "blast_cold_hot_100w": "f50ff2c16ad74a12c5a5b4fb6755fa3864825b3bfc0bb5438c339824eed041a5",
     "stream_200w": "40770cb4b455bb85de3f0adfd40f2bbaf79384afc602ab937c19160aa708c56d",
     "distribution_url_500w": "c8dc674277caf7645be039c338a07b954805316b6c08720d4d8554746dfde3f3",
     "distribution_unmanaged_500w": "520cc46af5e8d3ffb49a6f63f10797b75e8077d22f5ab89826ed7a4f7a6d8f30",

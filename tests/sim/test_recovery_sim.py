@@ -9,6 +9,7 @@ from the shared transaction log, which carries both lives as segments
 of one file.
 """
 
+from repro.core.files import CacheLevel, TempFile
 from repro.core.journal import ControlPlaneJournal
 from repro.core.task import Task, TaskState
 from repro.faults import FaultPlan, SimFaultInjector
@@ -242,3 +243,62 @@ def test_cleanly_drained_worker_leaves_the_rejoin_expectation(tmp_path):
     assert not list(m2.log.events("file_regenerated"))
     rejoined = {e.worker for e in m2.log.events("worker_rejoined")}
     assert "w0" not in rejoined
+
+
+def test_a_collected_task_temp_is_neither_awaited_nor_regenerated(tmp_path):
+    """Regression: a producer -> consumer chain ran through a
+    ``TASK``-lifetime temp, which was collected when the consumer ended;
+    then the manager crashed.  The collected temp is not lost: the
+    journal must not hint it at its old holder, and the restarted life
+    must close its rejoin window as the worker rejoins (not at its
+    deadline) and must not re-run the producer."""
+    journal_dir = str(tmp_path / "journal")
+    cluster = SimCluster()
+    cluster.add_worker(cores=4, worker_id="w0")
+    m1 = SimManager(cluster, seed=1, journal_dir=journal_dir)
+    temp = TempFile(CacheLevel.TASK)
+    m1.namer.assign(temp)
+    m1.control.declare(temp)
+    produce = Task("produce").add_output(temp, "out")
+    m1.submit(produce, duration=1.0, output_sizes={"out": MB})
+    consume = Task("consume").add_input(temp, "in")
+    m1.submit(consume, duration=1.0)
+    m1.run(finalize=False)
+    assert produce.state == consume.state == TaskState.DONE
+    assert not m1.replicas.locate(temp.cache_name)  # collected
+    hinted = temp.cache_name in m1.journal.replica_hints
+    m1.crash()
+
+    m2 = SimManager(cluster, seed=1, journal_dir=journal_dir, recovery_grace=5.0)
+    assert m2.recovered
+    restarted_at = m2.sim.now
+    m2.sim.run()  # no workflow outstanding: drain the rejoin
+    (closed,) = m2.log.events("recovery_complete")
+    regenerated = m2.log.count("file_regenerated")
+    assert (hinted, regenerated, closed.time) == (False, 0, restarted_at)
+
+
+def test_a_hint_no_rejoiner_backs_is_dropped_when_the_window_closes(tmp_path):
+    """Worker ids are minted per manager life: once the rejoin window
+    closed, the journal hints a re-adopted output at its new holder
+    only, so the next restart does not expect the old identity too."""
+    journal_dir = str(tmp_path / "journal")
+    c1 = SimCluster()
+    c1.add_worker(worker_id="w0")
+    m1 = SimManager(c1, journal_dir=journal_dir)
+    out = m1.declare_temp()
+    m1.submit(Task("produce").add_output(out, "out"), duration=1.0,
+              output_sizes={"out": MB})
+    m1.run(finalize=False)
+    name = out.cache_name
+    assert m1.journal.replica_hints[name] == {"w0": MB}
+    m1.crash()
+
+    c2 = SimCluster()
+    holder = c2.add_worker(worker_id="late0")
+    holder.insert(name, MB, CacheLevel.WORKFLOW, 0.0)
+    m2 = SimManager(c2, journal_dir=journal_dir, recovery_grace=5.0)
+    m2.sim.run()
+    assert m2.log.count("recovery_complete") == 1
+    assert m2.journal.replica_hints == {name: {"late0": MB}}
+    assert m2.journal.known_workers() == {"late0"}
