@@ -1469,7 +1469,7 @@ class ControlPlane:
             self.set_fixed_source(name, MANAGER_SOURCE)
             if not f.keep_at_worker and self.replicas.has_replica(name, holder):
                 self.port.delete_replica(holder, [name])
-                self.replica_evicted(holder, name)
+                self._replica_dropped(holder, name, "retrieved")
         else:
             self.port.decode_value(task, payload, task.result)
         waiting.awaited.discard(name)
@@ -1986,15 +1986,21 @@ class ControlPlane:
     def replica_evicted(self, worker_id: str, cache_name: str) -> None:
         """A worker dropped a replica on its own (cache pressure): the
         simulator's cache model, or a real worker's ``cache_invalid``."""
+        size = self._replica_dropped(worker_id, cache_name, "evicted")
+        self._m_evictions.inc()
+        self._m_eviction_bytes.inc(size)
+
+    def _replica_dropped(self, worker_id: str, cache_name: str, category: str) -> int:
+        """One replica is gone: forget it, wake the stages reading it and
+        log its deletion under ``category``; returns its size."""
         size = self.replicas.size_of(cache_name)
         self.replicas.remove_replica(cache_name, worker_id)
         self._mark_stage_dirty(cache_name)
-        self._m_evictions.inc()
-        self._m_eviction_bytes.inc(size)
         self.log.emit(
             self.port.now(), "file_deleted",
-            worker=worker_id, file=cache_name, size=size, category="evicted",
+            worker=worker_id, file=cache_name, size=size, category=category,
         )
+        return size
 
     def on_cache_update(
         self,

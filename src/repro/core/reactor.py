@@ -1,10 +1,12 @@
-"""The manager's transport: one loop owns every socket and every clock.
+"""A process's transport: one loop owns every socket and every clock.
 
-A :class:`Reactor` is one thread around one ``selectors`` selector.  It
-accepts connections, reassembles inbound frames
-(:class:`~repro.protocol.connection.FrameReassembler`), drains one FIFO
-of outbound items per peer with non-blocking sends, and runs one
-deadline heap whose head is the ``select`` timeout.  What a frame
+A :class:`Reactor` is one thread around one ``selectors`` selector.  The
+manager's accepts connections on its listener; a worker's has none and
+adopts the one connection it dials.  It reassembles inbound frames
+(:class:`~repro.protocol.connection.FrameReassembler`), writing a bulk
+payload to a file as it arrives when asked to, drains one FIFO of
+outbound items per peer with non-blocking sends, and runs one deadline
+heap whose head is the ``select`` timeout.  What a frame
 *means* is not known here: complete messages, closed peers and the two
 sweep boundaries are handed to a :class:`Handler`, and this module
 imports nothing of tasks, files, libraries or the control plane.
@@ -114,7 +116,7 @@ class Peer:
     """One connected socket: inbound reassembly and the outbound FIFO."""
 
     __slots__ = (
-        "sock", "owner", "closed", "_reactor", "_frames", "_awaiting",
+        "sock", "owner", "closed", "_reactor", "_frames", "_awaiting", "_sink",
         "_fifo", "_head", "_blocked", "_mask", "_doomed", "_last",
     )
 
@@ -126,6 +128,7 @@ class Peer:
         self._reactor = reactor
         self._frames = FrameReassembler()
         self._awaiting: Optional[dict] = None
+        self._sink: Optional[BinaryIO] = None
         self._fifo: collections.deque = collections.deque()
         #: unsent rest of the chunk being written
         self._head: Optional[memoryview] = None
@@ -145,11 +148,17 @@ class Peer:
         """
         self._reactor._enqueue(self, items, last)
 
-    def expect_payload(self, message: dict, size: int) -> None:
+    def expect_payload(
+        self, message: dict, size: int, sink: Optional[BinaryIO] = None
+    ) -> None:
         """The next ``size`` bytes on the wire belong to ``message``:
-        deliver it again with them (loop thread, from ``peer_message``)."""
-        self._frames.expect_bytes(size)
+        deliver it again with them (loop thread, from ``peer_message``).
+        With ``sink`` they are written to it as they arrive, and
+        ``message`` comes again with ``b""``; the reactor closes
+        ``sink``."""
+        self._frames.expect_bytes(size, sink)
         self._awaiting = message
+        self._sink = sink
 
     def close(self) -> None:
         """Drop the connection now, unsent items included (loop thread);
@@ -159,9 +168,10 @@ class Peer:
 
 class Reactor:
     """The loop.  ``listener`` is a bound, listening socket the reactor
-    takes over; :meth:`start` runs the thread, :meth:`stop` ends it."""
+    takes over, or None when every connection is adopted (:meth:`adopt`);
+    :meth:`start` runs the thread, :meth:`stop` ends it."""
 
-    def __init__(self, listener: socket.socket, handler: Handler) -> None:
+    def __init__(self, listener: Optional[socket.socket], handler: Handler) -> None:
         self._listener = listener
         self._handler = handler
         self._sel = selectors.DefaultSelector()
@@ -170,8 +180,9 @@ class Reactor:
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        listener.setblocking(False)
-        self._sel.register(listener, selectors.EVENT_READ, None)
+        if listener is not None:
+            listener.setblocking(False)
+            self._sel.register(listener, selectors.EVENT_READ, None)
         self._sel.register(self._wake_r, selectors.EVENT_READ, None)
         #: commands (a callable and its arguments) posted for the loop
         self._inbox: collections.deque = collections.deque()
@@ -192,7 +203,9 @@ class Reactor:
         self._stopping = False
         self._drain_deadline: Optional[float] = None
         self.thread = threading.Thread(
-            target=self._run, name="manager-reactor", daemon=True
+            target=self._run,
+            name=f"{type(handler).__name__.lower()}-reactor",
+            daemon=True,
         )
         #: the loop thread's id while it runs (what :meth:`on_loop` tests)
         self._loop_ident: Optional[int] = None
@@ -383,6 +396,9 @@ class Reactor:
             kind, value = item
             if kind == "bytes":
                 message, peer._awaiting = peer._awaiting, None
+                if peer._sink is not None:
+                    peer._sink.close()
+                    peer._sink = None
                 deliver(peer, message, value)
             else:
                 deliver(peer, value, None)
@@ -427,6 +443,8 @@ class Reactor:
         self.queued_bytes -= sum(map(_size, unsent)) + len(peer._head or b"")
         _discard(unsent)
         peer._head = None
+        if peer._sink is not None:  # a payload cut short
+            peer._sink.close()
         self.peers.discard(peer)
         with contextlib.suppress(KeyError, ValueError):
             self._sel.unregister(peer.sock)
@@ -547,7 +565,8 @@ class Reactor:
         self._deadlines.clear()
         self._doomed.clear()
         self._sel.close()
-        self._listener.close()
+        if self._listener is not None:
+            self._listener.close()
         self._wake_r.close()
         self._wake_w.close()
 

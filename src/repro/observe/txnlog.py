@@ -21,7 +21,9 @@ task execution            ``task_start`` / ``task_end``
 transfers                 ``transfer_start`` / ``transfer_end``
 mini-task staging         ``stage_start`` / ``stage_end``
 replicas and eviction     ``file_cached`` / ``file_deleted``
-                          (``category="evicted"`` marks cache-pressure loss)
+                          (``category="evicted"`` marks cache-pressure loss,
+                          ``"retrieved"`` an output brought back and not
+                          asked to stay)
 libraries                 ``library_ready`` / ``library_failed``
 workflow                  ``workflow_done``
 ========================  ====================================================

@@ -1,9 +1,9 @@
 """Outbound control-message coalescing: the ``batch`` envelope sender.
 
 Sending each small message as its own frame costs the manager one
-wakeup, one read and one state-lock acquisition per message.  A sender
-that produces several replies from one inbound read — the scripted
-worker answering a burst of ``execute`` frames — queues them with
+wakeup and one read per message.  A sender that produces several
+replies from one inbound read — the scripted worker answering a burst
+of ``execute`` frames — queues them with
 :meth:`BatchSender.notice` and writes them out as a single ``batch``
 frame when it has nothing more to read (:meth:`BatchSender.flush`).
 There is no timer: a queue is written out by whoever flushes it, or
@@ -14,17 +14,20 @@ announces an object — a transfer's ``cache_update``, or the
 ``task_done`` whose ``outputs`` list it — must reach the manager before
 the ``cache_invalid`` of that object's eviction, which the worker
 decides right after announcing it.  So the sender is strictly FIFO:
-every write — a flush, registration, frames with trailing byte
-payloads, streamed files — first writes out the queue under the same
-lock.  A queue of one goes out as the bare message, not a one-element
-envelope, so lone messages stay byte-identical to the unbatched
-protocol.
+every write — a flush, registration, a frame with a trailing byte
+payload — first writes out the queue under the same lock.  A queue of
+one goes out as the bare message, not a one-element envelope, so lone
+messages stay byte-identical to the unbatched protocol.
+
+The real worker does not use this sender: its messages are frames on
+its reactor's one FIFO per connection (:mod:`repro.core.reactor`),
+which gives the same order with no lock.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import BinaryIO, Optional
+from typing import Optional
 
 from repro.protocol.connection import Connection
 from repro.protocol.messages import M
@@ -66,13 +69,6 @@ class BatchSender:
             self._transmit([message])
             if payload is not None:
                 self.conn.send_bytes(payload)
-
-    def send_with_file(self, message: dict, file: BinaryIO, size: int) -> None:
-        """Send a message followed by ``size`` bytes of an open file."""
-        with self._lock:
-            self._flush_locked()
-            self._transmit([message])
-            self.conn.send_file(file, size)
 
     def flush(self) -> None:
         """Write any queued messages out now."""

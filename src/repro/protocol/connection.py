@@ -218,6 +218,7 @@ class FrameReassembler:
         self._chunks: list[bytes] = []
         self._buffered = 0
         self._expected: Optional[int] = None  # bulk-mode byte count
+        self._sink: Optional[BinaryIO] = None  # where bulk bytes go, if not to an item
         self._eof = False
 
     @property
@@ -233,13 +234,16 @@ class FrameReassembler:
         else:
             self._eof = True
 
-    def expect_bytes(self, size: int) -> None:
-        """The next item is a raw payload of exactly ``size`` bytes."""
+    def expect_bytes(self, size: int, sink: Optional[BinaryIO] = None) -> None:
+        """The next item is a raw payload of exactly ``size`` bytes — or,
+        with ``sink``, ``b""`` once those bytes have been written to
+        ``sink`` as they arrived."""
         if self._expected is not None:
             raise ProtocolError("already expecting a bulk payload")
         if size < 0:
             raise ProtocolError(f"negative bulk payload size {size}")
         self._expected = size
+        self._sink = sink
 
     def next_item(self) -> Optional[tuple[str, "dict | bytes"]]:
         """Next complete item, or None until more bytes arrive.
@@ -248,11 +252,15 @@ class FrameReassembler:
         on EOF with a partial frame or bulk payload outstanding.
         """
         if self._expected is not None:
+            if self._sink is not None and self._buffered:
+                taken = self._take(min(self._buffered, self._expected))
+                self._sink.write(taken)
+                self._expected -= len(taken)
             if self._buffered < self._expected:
                 self._check_eof("bulk payload")
                 return None
             payload = self._take(self._expected)
-            self._expected = None
+            self._expected = self._sink = None
             return ("bytes", payload)
         if self._buffered < _HEADER.size:
             self._check_eof("frame header")

@@ -17,8 +17,10 @@ self-consistently hashed) object cannot poison a cache.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
+import socket
 import tarfile
 import tempfile
 import threading
@@ -152,13 +154,11 @@ class PeerTransferServer:
     def _serve(self, conn: Connection) -> None:
         if self._g_open is not None:
             self._g_open.inc()
+        temp = None
         try:
             msg = conn.recv_message()
-            if msg.get("type") != M.GET:
-                conn.send_message({"type": M.FILE_DATA, "cache_name": "", "found": False, "size": 0})
-                return
-            cache_name = msg["cache_name"]
-            path = self._lookup(cache_name)
+            cache_name = msg["cache_name"] if msg.get("type") == M.GET else ""
+            path = self._lookup(cache_name) if cache_name else None
             if path is None or not os.path.lexists(path):
                 conn.send_message(
                     {"type": M.FILE_DATA, "cache_name": cache_name, "found": False, "size": 0}
@@ -167,79 +167,53 @@ class PeerTransferServer:
             verdict = self.tamper(cache_name) if self.tamper is not None else None
             if verdict == "fail":
                 return  # injected failure: vanish mid-handshake
+            source, fmt, md5 = path, "file", None
             if verdict == "corrupt" and os.path.isfile(path):
                 # the reply advertises the digest of the *pristine* copy
                 # while damaged bytes flow — exactly what in-transit
                 # corruption looks like to the receiver
-                tmp = _corrupted_copy(path)
-                try:
-                    size = os.path.getsize(tmp)
-                    conn.send_message(
-                        {
-                            "type": M.FILE_DATA,
-                            "cache_name": cache_name,
-                            "found": True,
-                            "size": size,
-                            "format": "file",
-                            "md5": hash_file(path),
-                        }
-                    )
-                    with open(tmp, "rb") as f:
-                        conn.send_file(f, size)
-                    self._count_served(size)
-                finally:
-                    os.unlink(tmp)
-                return
-            if os.path.isdir(path):
+                md5 = hash_file(path)
+                source = temp = _corrupted_copy(path)
+            elif os.path.isdir(path):
                 with tempfile.NamedTemporaryFile(suffix=".tar", delete=False) as tf:
-                    tar_path = tf.name
-                try:
-                    pack_directory(path, tar_path)
-                    size = os.path.getsize(tar_path)
-                    conn.send_message(
-                        {
-                            "type": M.FILE_DATA,
-                            "cache_name": cache_name,
-                            "found": True,
-                            "size": size,
-                            "format": "tar",
-                            "md5": hash_file(tar_path),
-                        }
-                    )
-                    with open(tar_path, "rb") as f:
-                        conn.send_file(f, size)
-                    self._count_served(size)
-                finally:
-                    os.unlink(tar_path)
-            else:
-                size = os.path.getsize(path)
-                conn.send_message(
-                    {
-                        "type": M.FILE_DATA,
-                        "cache_name": cache_name,
-                        "found": True,
-                        "size": size,
-                        "format": "file",
-                        "md5": hash_file(path),
-                    }
-                )
-                with open(path, "rb") as f:
-                    conn.send_file(f, size)
-                self._count_served(size)
+                    source = temp = tf.name
+                pack_directory(path, temp)
+                fmt = "tar"
+            size = os.path.getsize(source)
+            conn.send_message(
+                {
+                    "type": M.FILE_DATA,
+                    "cache_name": cache_name,
+                    "found": True,
+                    "size": size,
+                    "format": fmt,
+                    "md5": md5 or hash_file(source),
+                }
+            )
+            with open(source, "rb") as f:
+                conn.send_file(f, size)
+            self._count_served(size)
         except (ProtocolError, OSError):
             pass  # peer went away mid-transfer; manager will reschedule
         finally:
+            if temp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(temp)
             if self._g_open is not None:
                 self._g_open.dec()
             conn.close()
 
     def stop(self) -> None:
-        """Shut the server down (idempotent)."""
+        """Shut the server down and wait for its accept loop (idempotent;
+        a serve in progress runs to its end)."""
         self._stop.set()
         try:
-            self._sock.close()
+            # close alone would leave the accept() in progress blocked
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
+        self._thread.join(timeout=5)
 
 
 def fetch_from_peer(

@@ -6,19 +6,22 @@ performs transfers asynchronously as commanded, hosts library
 instances, and reports every status change of interest to the manager
 (``cache-update`` / ``cache-invalid`` / ``task-done`` messages).
 
-Structure: the main loop reads manager commands (and any attached byte
-payloads) from the command connection; long-running work — task
-execution, fetches, mini-task staging, function invocations — runs on
-worker threads; every outgoing message leaves as soon as it is
-produced, through one :class:`~repro.protocol.batching.BatchSender`,
-which serializes the writers.  One clock thread sends a heartbeat and
-then dumps ``metrics.json`` every few seconds.  A
+Structure: a worker is a :class:`~repro.core.reactor.Reactor` handler,
+the manager's transport.  Its loop owns the manager connection — every
+command enters :meth:`Worker.peer_message`, every message out is a
+frame on the connection's one FIFO — and every clock, and its state
+(pins, the tasks at work, their children) has no lock.  A step that
+blocks runs on a thread the loop starts once it has pinned the inputs
+and recorded the work; the thread posts its report, which the loop
+sends before it enforces the cache bound, so an object's announcement
+precedes its eviction's ``cache-invalid``.  A
 :class:`~repro.worker.transfers.PeerTransferServer` serves this
 worker's cache to peers on a separate port.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import tempfile
@@ -28,9 +31,9 @@ import traceback
 from typing import Optional, Sequence
 
 from repro.core.files import CacheLevel
+from repro.core.reactor import FileBody, Handler, Peer, Reactor
 from repro.core.resources import Resources
-from repro.protocol.batching import BatchSender
-from repro.protocol.connection import Connection, ProtocolError
+from repro.protocol.connection import Connection, encode_frame
 from repro.protocol.messages import M, validate
 from repro.observe.metrics import MetricsRegistry
 from repro.util.logging import get_logger
@@ -53,7 +56,7 @@ __all__ = ["Worker"]
 log = get_logger(__name__)
 
 
-class Worker:
+class Worker(Handler):
     """One worker node's mechanisms, driven by manager policy."""
 
     def __init__(
@@ -85,6 +88,7 @@ class Worker:
         self._m_invoke = self.metrics.histogram("library.invoke_seconds")
         self._m_evictions = self.metrics.counter("cache.evictions")
         self._m_eviction_bytes = self.metrics.counter("cache.eviction_bytes")
+        self._m_frames_out = self.metrics.counter("net.frames_out")
         # content-verification accounting: skips (nothing checkable)
         # must be distinguishable from passes for chaos-run forensics
         self._m_verify = {
@@ -107,42 +111,56 @@ class Worker:
         self._peer_server = PeerTransferServer(self._lookup, metrics=self.metrics)
         self._metrics_path = os.path.join(self.workdir, "metrics.json")
         self._manager_addr = (manager_host, manager_port)
-        #: how long (seconds) to keep retrying the manager address after
-        #: the connection drops.  0 preserves the historical behaviour:
-        #: a lost manager ends the worker.  Non-zero makes the worker
-        #: survive a crash-safe manager restart — it reconnects with
-        #: exponential backoff and re-registers its cache inventory so
-        #: the new manager life re-adopts the surviving replicas.
+        #: how long (seconds) to keep dialing the manager after the
+        #: connection drops (0: a lost manager ends the worker), so a
+        #: worker survives a crash-safe manager restart and re-registers
+        #: its cache for the new life to re-adopt
         self.reconnect_window = reconnect_window
         #: set when the manager *told* us to shut down; reconnect never
         #: overrides an explicit SHUTDOWN
         self._shutdown_ordered = False
-        self._conn = Connection.connect(manager_host, manager_port)
-        #: all outbound traffic funnels through the sender, which
-        #: serializes the writers
-        self._sender = BatchSender(self._conn, metrics=self.metrics)
-        self._stop = threading.Event()
+        self.reactor = Reactor(None, self)
+        self._peer: Peer = self.reactor.adopt(
+            Connection.connect(manager_host, manager_port).sock
+        )
+        #: what the loop does with each command (and the bytes it announced)
+        self._handlers = {
+            M.FETCH_FILE: lambda msg, _: self._off_loop(msg, self._fetch),
+            M.PUT_FILE: lambda msg, _: self._off_loop(msg, self._store, self._pushed),
+            M.INSTALL_LIBRARY: lambda msg, blob: self._off_loop(msg, self._install, blob),
+            M.STAGE_MINITASK: self._handle_stage,
+            M.EXECUTE: self._handle_execute,
+            M.INVOKE: self._handle_invoke,
+            M.SEND_BACK: self._handle_send_back,
+            M.UNLINK: self._handle_unlink,
+            M.CANCEL_TASK: self._handle_cancel,
+        }
+        # -- the loop's state: only the loop thread touches it ----------
         self._libraries: dict[str, LibraryInstanceHandle] = {}
         #: live subprocess handles by task id, for cancellation
         self._procs: dict[str, "object"] = {}
-        self._procs_lock = threading.Lock()
-        #: ids of the tasks an ``execute`` is at work on (sandbox taken)
-        self._executing: set[str] = set()
+        #: ids of the tasks an ``execute`` is at work on (sandbox taken),
+        #: each mapped to whether a ``cancel_task`` came for it
+        self._executing: dict[str, bool] = {}
         #: cache names pinned by in-flight work (inputs being used)
         self._pinned: dict[str, int] = {}
-        self._pin_lock = threading.Lock()
+        #: staging file of the ``put_file`` whose bytes are arriving
+        self._pushed = ""
+        #: ``_close`` ran: a child that starts from now on is killed
+        self._closing = False
+        #: an injected crash is under way: the process exits once its
+        #: notice has left
+        self._crashing = False
         #: chaos-run self-sabotage instructions (WorkerFaultConfig)
         self.fault_config = fault_config
         self._tasks_executed = 0
         self._fault_rng = None
+        #: the tamper coin stream is drawn on the peer-serve threads
         self._fault_lock = threading.Lock()
         self._register()
         if fault_config is not None and not fault_config.empty:
             self._arm_faults(fault_config)
-        self._clock = threading.Thread(
-            target=self._clock_loop, name="worker-clock", daemon=True
-        )
-        self._clock.start()
+        self.reactor.call_later(5.0, self._beat, every=5.0)
 
     # -- fault injection (chaos runs) ----------------------------------
 
@@ -151,79 +169,51 @@ class Worker:
             self._fault_rng = cfg.rng()
             self._peer_server.tamper = self._serve_tamper
         if cfg.crash_at is not None:
-            timer = threading.Timer(cfg.crash_at, self._fault_crash, ("crash",))
-            timer.daemon = True
-            timer.start()
+            self.reactor.call_later(cfg.crash_at, self._fault_crash)
         if cfg.disconnect_at is not None:
-            timer = threading.Timer(cfg.disconnect_at, self._fault_disconnect)
-            timer.daemon = True
-            timer.start()
+            self.reactor.call_later(cfg.disconnect_at, self._fault_disconnect)
         if cfg.drain_at is not None:
-            timer = threading.Timer(cfg.drain_at, self.announce_drain)
-            timer.daemon = True
-            timer.start()
+            self.reactor.call_later(cfg.drain_at, self.announce_drain)
 
-    def _notify_fault(self, category: str, cache_name: Optional[str] = None) -> None:
-        """Best-effort fault notice so the manager's log shows the cause."""
-        msg = {"type": M.FAULT, "category": category}
-        if cache_name is not None:
-            msg["cache_name"] = cache_name
-        try:
-            self._send(msg)
-        except (ProtocolError, OSError):
-            pass
-
-    def _fault_crash(self, category: str) -> None:
-        log.warning("injected %s: exiting abruptly", category)
-        self._notify_fault(category)
-        os._exit(17)  # no cleanup: a crash leaves everything behind
+    def _fault_crash(self) -> None:
+        log.warning("injected crash: exiting abruptly")
+        self._crashing = True
+        if self._peer.closed:
+            os._exit(17)
+        # the connection's last frame: peer_closed exits once it has left,
+        # and nothing read after it is handled
+        self._send({"type": M.FAULT, "category": "crash"}, last=True)
 
     def _fault_disconnect(self) -> None:
         log.warning("injected disconnect: dropping manager connection")
-        self._notify_fault("disconnect")
-        try:
-            self._conn.close()
-        except OSError:
-            pass
+        self._send({"type": M.FAULT, "category": "disconnect"}, last=True)
 
     def announce_drain(self, reason: Optional[str] = None) -> None:
-        """Announce a graceful departure (elastic scale-down).
-
-        The worker keeps serving running tasks and peer transfers; the
-        manager migrates this worker's sole-holder objects to survivors
-        and then answers with ``shutdown``, which ends the run loop
-        without triggering a reconnect.
-        """
+        """Announce a graceful departure (elastic scale-down; loop).  The
+        worker serves on while the manager migrates its sole-holder
+        objects, then answers ``shutdown``, which ends it for good."""
         log.info("announcing graceful drain to manager")
         msg: dict = {"type": M.DRAINING}
         if reason is not None:
             msg["reason"] = reason
-        try:
-            self._send(msg)
-        except (ProtocolError, OSError):
-            pass
+        self._send(msg)
 
     def _serve_tamper(self, cache_name: str) -> Optional[str]:
+        """(peer-serve thread) Draw one serve's injected fate."""
         with self._fault_lock:
             verdict = self.fault_config.serve_verdict(self._fault_rng)
         if verdict is not None:
             log.warning("injected peer-serve %s for %s", verdict, cache_name[:32])
-            self._notify_fault(f"serve_{verdict}", cache_name)
+            notice = {"type": M.FAULT, "category": f"serve_{verdict}", "cache_name": cache_name}
+            self.reactor.post(self._send, notice)
         return verdict
 
-    def _clock_loop(self, interval: float = 5.0) -> None:
+    def _beat(self) -> None:
         """The worker's one clock: a heartbeat, so a silently hung worker
         is detectable, then a metrics dump, so ``repro-status --metrics``
         sees a live view."""
-        while not self._stop.wait(interval):
-            try:
-                self._send({"type": M.HEARTBEAT})
-            except (ProtocolError, OSError):
-                # the command thread sees the loss too; with reconnect
-                # enabled the sender is replaced under us, and the next
-                # life gets heartbeats too
-                pass
-            self._dump_metrics()
+        self._send({"type": M.HEARTBEAT})
+        self._dump_metrics()
 
     def _dump_metrics(self) -> None:
         try:
@@ -232,20 +222,6 @@ class Worker:
             pass  # the workdir vanished
 
     # -- cache pressure -----------------------------------------------------
-
-    def _pin(self, names: list[str]) -> None:
-        with self._pin_lock:
-            for n in names:
-                self._pinned[n] = self._pinned.get(n, 0) + 1
-
-    def _unpin(self, names: list[str]) -> None:
-        with self._pin_lock:
-            for n in names:
-                count = self._pinned.get(n, 0) - 1
-                if count > 0:
-                    self._pinned[n] = count
-                else:
-                    self._pinned.pop(n, None)
 
     def _enforce_cache_bound(self) -> None:
         """Evict least-valuable objects when over the admission bound.
@@ -264,8 +240,7 @@ class Worker:
         if overflow <= 0:
             return
         now = time.time()
-        with self._pin_lock:
-            pinned = set(self._pinned)
+        pinned = set(self._pinned)
         pinned |= {
             e.cache_name
             for e in self.cache.entries()
@@ -277,15 +252,21 @@ class Worker:
                 log.info("evicted %s under cache pressure", victim[:32])
                 self._m_evictions.inc()
                 self._m_eviction_bytes.inc(size)
-                try:
-                    self._cache_invalid(victim, "evicted: cache pressure")
-                except (ProtocolError, OSError):
-                    pass  # no manager to tell; a rejoin lists what is left
+                # with no manager to tell, a rejoin lists what is left
+                self._send(self._cache_invalid(victim, "evicted: cache pressure"))
 
     # -- outbound ----------------------------------------------------------
 
-    def _send(self, message: dict, payload: Optional[bytes] = None) -> None:
-        self._sender.send(message, payload)
+    def _send(
+        self, message: dict, body: Optional[FileBody] = None, last: bool = False
+    ) -> None:
+        """Queue one message, and the file it announces, on the manager
+        connection's FIFO (loop thread).  While the connection is down it
+        is dropped: the manager requeues what it lost, and a rejoin lists
+        what the cache holds."""
+        self._m_frames_out.inc()
+        items = () if body is None else (body,)
+        self._peer.send(encode_frame(message), *items, last=last)
 
     def _register(self, rejoin: bool = False) -> None:
         cached = [
@@ -305,61 +286,44 @@ class Worker:
             msg["rejoin"] = True
         self._send(msg)
 
-    def _reconnect(self) -> bool:
-        """Retry the manager address with exponential backoff.
-
-        Returns True once a fresh connection is registered, False when
-        the window expires (or shutdown intervenes).  The old sender and
-        connection are torn down first so in-flight worker threads fail
-        fast instead of writing into a dead socket.
-        """
-        deadline = time.monotonic() + self.reconnect_window
+    def _redial(self, deadline: float, delay: float) -> None:
+        """Dial the manager address again (loop timer); on a refusal try
+        again ``delay`` seconds later, doubling to 5 s, until
+        ``deadline``, and then end the worker."""
+        left = deadline - time.monotonic()
         try:
-            self._sender.close()
-        except (ProtocolError, OSError):
-            pass
-        try:
-            self._conn.close()
+            conn = Connection.connect(*self._manager_addr, timeout=max(0.1, min(5.0, left)))
         except OSError:
-            pass
-        delay = 0.2
-        while not self._stop.is_set() and time.monotonic() < deadline:
-            try:
-                conn = Connection.connect(*self._manager_addr)
-            except OSError:
-                time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
-                delay = min(delay * 2, 5.0)
-                continue
-            self._conn = conn
-            self._sender = BatchSender(conn, metrics=self.metrics)
-            try:
-                self._register(rejoin=True)
-            except (ProtocolError, OSError):
-                continue  # manager died again mid-handshake; keep trying
-            log.info("reconnected to manager at %s:%d", *self._manager_addr)
-            return True
-        return False
+            left = deadline - time.monotonic()
+            if left > 0:
+                retry = functools.partial(self._redial, deadline, min(delay * 2, 5.0))
+                self.reactor.call_later(min(delay, left), retry)
+            else:
+                self.shutdown()
+            return
+        self._peer = self.reactor.adopt(conn.sock)
+        self._register(rejoin=True)
+        log.info("reconnected to manager at %s:%d", *self._manager_addr)
 
     def _lookup(self, cache_name: str) -> Optional[str]:
         return self.cache.path_of(cache_name) if self.cache.has(cache_name) else None
 
-    def _cache_update(self, cache_name: str, size: int, transfer_id: Optional[str] = None) -> None:
+    @staticmethod
+    def _cache_update(
+        cache_name: str, size: int, transfer_id: Optional[str] = None
+    ) -> dict:
         msg = {"type": M.CACHE_UPDATE, "cache_name": cache_name, "size": size}
         if transfer_id is not None:
             msg["transfer_id"] = transfer_id
-        try:
-            self._send(msg)
-        except (ProtocolError, OSError):
-            return  # no manager to tell; it requeues what it lost
-        self._enforce_cache_bound()
+        return msg
 
+    @staticmethod
     def _cache_invalid(
-        self,
         cache_name: str,
         reason: str,
         transfer_id: Optional[str] = None,
         corrupt: bool = False,
-    ) -> None:
+    ) -> dict:
         msg = {"type": M.CACHE_INVALID, "cache_name": cache_name, "reason": reason}
         if transfer_id is not None:
             msg["transfer_id"] = transfer_id
@@ -367,17 +331,17 @@ class Worker:
             # tells the manager the *source's* copy is suspect, not just
             # the link: corruption feeds replica-loss handling
             msg["corrupt"] = True
-        self._send(msg)
+        return msg
 
+    @staticmethod
     def _task_done(
-        self,
         task_id: str,
         exit_code: int,
         output: str,
         outputs: Sequence[tuple[str, int]] = (),
         **report,
-    ) -> None:
-        """Report a task's end, now, as one message.
+    ) -> dict:
+        """A task's end, as one message.
 
         The ``(cache_name, size)`` of every output the attempt left in
         the cache rides the report itself: the manager registers them
@@ -392,114 +356,125 @@ class Worker:
         }
         if outputs:
             done["outputs"] = list(outputs)  # [[cache_name, size], …] on the wire
-        try:
-            self._send(done)
-        except (ProtocolError, OSError):
-            return  # no manager to tell; it requeues what it lost
-        if outputs:
-            self._enforce_cache_bound()
+        return done
 
     def _count_verify(self, outcome: str, cache_name: str = "") -> None:
         self._m_verify[outcome].inc()
         if outcome == "failed":
             log.warning("content verification failed for %s", cache_name[:48])
 
-    # -- main loop --------------------------------------------------------
+    # -- the loop: what the reactor hands over ------------------------------
 
     def run(self) -> None:
-        """Serve manager commands until shutdown or disconnect.
-
-        With a non-zero ``reconnect_window`` a dropped connection is
-        not fatal: the worker re-dials the manager address (covering a
-        crash-safe manager restart) and resumes serving.  An explicit
-        SHUTDOWN from the manager always ends the worker.
-        """
+        """Serve manager commands until told to shut down, or until the
+        manager is lost past the reconnect window (:meth:`peer_closed`)."""
+        self.reactor.start()
         try:
-            while not self._stop.is_set():
-                try:
-                    msg = self._conn.recv_message()
-                except (ProtocolError, OSError):
-                    if self.reconnect_window > 0 and not self._shutdown_ordered:
-                        log.warning(
-                            "manager connection lost; retrying for %.0fs",
-                            self.reconnect_window,
-                        )
-                        if self._reconnect():
-                            continue
-                    break
-                mtype = validate(msg)
-                # attached payloads must be drained on this thread to keep framing
-                payload: Optional[bytes] = None
-                if mtype in (M.INSTALL_LIBRARY, M.INVOKE):
-                    payload = self._conn.recv_bytes(int(msg["payload_size"]))
-                if mtype == M.PUT_FILE:
-                    self._handle_put_file(msg)  # streams to disk inline
-                    continue
-                if mtype == M.SHUTDOWN:
-                    self._shutdown_ordered = True
-                    break
-                self._dispatch(mtype, msg, payload)
+            self.reactor.join()
         finally:
-            self.shutdown()
+            self.shutdown()  # a loop that died of an error kills what runs too
 
-    def _dispatch(self, mtype: str, msg: dict, payload: Optional[bytes]) -> None:
-        handlers = {
-            M.FETCH_FILE: self._handle_fetch,
-            M.STAGE_MINITASK: self._handle_stage,
-            M.EXECUTE: self._handle_execute,
-            M.SEND_BACK: self._handle_send_back,
-            M.UNLINK: self._handle_unlink,
-            M.INSTALL_LIBRARY: self._handle_install_library,
-            M.INVOKE: self._handle_invoke,
-            M.CANCEL_TASK: self._handle_cancel,
-        }
-        handler = handlers.get(mtype)
+    def peer_message(self, peer: Peer, msg: dict, payload: Optional[bytes]) -> None:
+        """One command (a ``WireError`` closes the connection), or one
+        and the bytes it announced."""
+        if payload is None:
+            mtype = validate(msg)
+            if mtype == M.PUT_FILE:
+                # written to the staging file as they arrive; a file that
+                # cannot be opened closes the connection (framing is lost)
+                self._pushed = self.cache.staging_path(msg["cache_name"])
+                peer.expect_payload(msg, int(msg["size"]), open(self._pushed, "wb"))
+                return
+            if mtype in (M.INSTALL_LIBRARY, M.INVOKE):
+                peer.expect_payload(msg, int(msg["payload_size"]))
+                return
+            if mtype == M.SHUTDOWN:
+                self._shutdown_ordered = True
+                self.shutdown()
+                return
+        handler = self._handlers.get(msg["type"])
         if handler is None:
             return
-        if mtype in (M.UNLINK, M.SEND_BACK, M.CANCEL_TASK):
-            handler(msg)  # quick, stay on the command thread
-        else:
-            args = (msg,) if payload is None else (msg, payload)
-            threading.Thread(
-                target=self._reported, args=(handler, *args), daemon=True
-            ).start()
-
-    def _reported(self, handler, msg: dict, *payload) -> None:
-        """Thread body of every dispatched command: it ends in a report.
-
-        A handler reports what it foresees itself (a missing input, a
-        failed fetch, a non-zero exit).  Whatever else it raises would
-        otherwise die with this thread — heartbeats go on, so to the
-        manager the task runs, or the transfer is in flight, forever —
-        and is reported here as the command's failure: ``task_done`` for
-        a task, a call or a library install, ``cache_invalid`` for a
-        fetch or a mini task.
-        """
         try:
-            handler(msg, *payload)
-        except Exception as exc:
-            log.exception("%s failed in the worker", msg["type"])
-            reason = f"worker: {exc!r}"
-            try:
-                if "transfer_id" in msg:
-                    self._cache_invalid(msg["cache_name"], reason, msg["transfer_id"])
-                else:
-                    self._task_done(
-                        msg["task_id"], 126, traceback.format_exc()[-1000:],
-                        failure=reason,
-                    )
-            except (ProtocolError, OSError):
-                pass  # no manager to tell; it requeues what it lost
+            handler(msg, payload)
+        except Exception as exc:  # noqa: BLE001 - every command ends in a report
+            report = self._failed(msg, exc)
+            if report is not None:
+                self._send(report)
+
+    def peer_closed(self, peer: Peer, error: Optional[Exception]) -> None:
+        """The manager connection ended: dial again within the reconnect
+        window (a crash-safe manager restart), or end the worker.  An
+        explicit SHUTDOWN always ends it."""
+        if self._crashing:
+            os._exit(17)  # no cleanup: a crash leaves everything behind
+        if self._closing:
+            return
+        if self.reconnect_window > 0 and not self._shutdown_ordered:
+            log.warning(
+                "manager connection lost; retrying for %.0fs", self.reconnect_window
+            )
+            self._redial(time.monotonic() + self.reconnect_window, 0.2)
+        else:
+            self.shutdown()
+
+    def _off_loop(self, msg: dict, work, *args, pinned=(), key=None) -> None:
+        """Pin ``pinned``, then run the blocking ``work(msg, *args)`` on a
+        thread of its own; :meth:`_landed` releases the pins and the
+        record ``key`` (a task or a mini task) the loop has made."""
+        for n in pinned:
+            self._pinned[n] = self._pinned.get(n, 0) + 1
+        try:
+            threading.Thread(
+                target=self._work, args=(msg, work, args, pinned, key), daemon=True
+            ).start()
+        except RuntimeError as exc:  # no thread to be had: it lands failed now
+            self._landed(self._failed(msg, exc), pinned, key)
+
+    def _work(self, msg: dict, work, args: tuple, pinned, key) -> None:
+        """Thread body of every blocking step: it ends in a report, what
+        ``work`` returns or — whatever it raises — :meth:`_failed`'s (a
+        step that died unreported would run forever to the manager)."""
+        try:
+            report = work(msg, *args)
+        except Exception as exc:  # noqa: BLE001 - every command ends in a report
+            report = self._failed(msg, exc)
+        self.reactor.post(self._landed, report, pinned, key)
+
+    def _landed(self, report: dict, pinned: Sequence[str], key: Optional[str]) -> None:
+        """(loop) A blocking step ended: release its pins and records,
+        send its report, then relieve cache pressure — after it, so an
+        object is announced before its eviction is."""
+        for n in pinned:
+            if self._pinned[n] > 1:
+                self._pinned[n] -= 1
+            else:
+                del self._pinned[n]
+        if key is not None:
+            self._procs.pop(key, None)
+            self._executing.pop(key, None)
+        self._send(report)
+        self._enforce_cache_bound()
+
+    def _failed(self, msg: dict, exc: Exception) -> Optional[dict]:
+        """The report of a command that raised: ``task_done`` for a
+        task, a call or a library install, ``cache_invalid`` for a
+        transfer or a mini task."""
+        log.exception("%s failed in the worker", msg["type"])
+        reason = f"worker: {exc!r}"
+        mtype = msg["type"]
+        if mtype in (M.FETCH_FILE, M.STAGE_MINITASK, M.PUT_FILE):
+            return self._cache_invalid(msg["cache_name"], reason, msg.get("transfer_id"))
+        if mtype in (M.EXECUTE, M.INVOKE, M.INSTALL_LIBRARY):
+            output = traceback.format_exc()[-1000:]
+            return self._task_done(msg["task_id"], 126, output, failure=reason)
+        return None
 
     # -- file movement -----------------------------------------------------
 
-    def _handle_put_file(self, msg: dict) -> None:
-        """Receive manager-sourced bytes; must run inline for framing."""
+    def _store(self, msg: dict, staged: str) -> dict:
+        """A push's bytes are in the staging file: unpack, check, cache."""
         cache_name = msg["cache_name"]
-        size = int(msg["size"])
-        level = CacheLevel(int(msg["level"]))
-        staged = self.cache.staging_path(cache_name)
-        self._conn.recv_to_file(staged, size)
         if msg.get("format") == "tar":
             from repro.worker.transfers import unpack_directory
 
@@ -511,17 +486,15 @@ class Worker:
         self._count_verify(outcome, cache_name)
         if outcome == "failed":
             os.unlink(staged)
-            self._cache_invalid(
-                cache_name,
-                "content verification failed for manager push",
-                msg.get("transfer_id"),
-                corrupt=True,
+            reason = "content verification failed for manager push"
+            return self._cache_invalid(
+                cache_name, reason, msg.get("transfer_id"), corrupt=True
             )
-            return
+        level = CacheLevel(int(msg["level"]))
         entry = self.cache.insert_from(staged, cache_name, level, time.time())
-        self._cache_update(cache_name, entry.size, msg.get("transfer_id"))
+        return self._cache_update(cache_name, entry.size, msg.get("transfer_id"))
 
-    def _handle_fetch(self, msg: dict) -> None:
+    def _fetch(self, msg: dict) -> dict:
         cache_name = msg["cache_name"]
         level = CacheLevel(int(msg["level"]))
         source = msg["source"]
@@ -547,56 +520,66 @@ class Worker:
             else:
                 raise TransferFailed(f"unknown source kind {source['kind']!r}")
             entry = self.cache.insert_from(staged, cache_name, level, time.time())
-            self._cache_update(cache_name, entry.size, transfer_id)
+            return self._cache_update(cache_name, entry.size, transfer_id)
         except CorruptTransfer as exc:
             self._m_fetch_failures.inc()
-            self._cache_invalid(cache_name, str(exc), transfer_id, corrupt=True)
+            return self._cache_invalid(cache_name, str(exc), transfer_id, corrupt=True)
         except (TransferFailed, OSError) as exc:
             self._m_fetch_failures.inc()
-            self._cache_invalid(cache_name, str(exc), transfer_id)
+            return self._cache_invalid(cache_name, str(exc), transfer_id)
 
-    def _handle_send_back(self, msg: dict) -> None:
-        """Stream an object to the manager.  It is opened before it is
-        announced: one that vanished since it was cached (an eviction on
-        another thread) is answered ``found: false``, and one removed
-        once open still streams whole from its descriptor."""
-        cache_name = msg["cache_name"]
-        reply = {"type": M.FILE_DATA, "cache_name": cache_name, "found": False, "size": 0}
-        try:
-            f, fmt = self._open_object(cache_name)
-        except OSError:
-            self._send(reply)
-            return
-        with f:
-            size = os.fstat(f.fileno()).st_size
-            reply.update(found=True, size=size, format=fmt)
-            self._sender.send_with_file(reply, f, size)
+    def _handle_send_back(self, msg: dict, _payload=None) -> None:
+        """Stream an object to the manager: a file from the loop, a
+        directory once a thread has tarred it."""
+        path = self._lookup(msg["cache_name"])
+        if path is not None and os.path.isdir(path):
+            threading.Thread(target=self._pack, args=(msg, path), daemon=True).start()
+        else:
+            self._send_object(msg, path, "file")
 
-    def _open_object(self, cache_name: str):
-        """An open binary file with a cached object's bytes, and their
-        format: the file itself, or a tar of a directory."""
-        path = self._lookup(cache_name)
-        if path is None:
-            raise FileNotFoundError(cache_name)
-        if not os.path.isdir(path):
-            return open(path, "rb"), "file"
+    def _pack(self, msg: dict, path: str) -> None:
+        """(thread) Tar a directory object, then have the loop send it."""
         with tempfile.NamedTemporaryFile(suffix=".tar", delete=False) as tf:
             tar_path = tf.name
         try:
             pack_directory(path, tar_path)
-            return open(tar_path, "rb"), "tar"
-        finally:
-            os.unlink(tar_path)  # an open tar outlives its name
+        except Exception:  # noqa: BLE001 - a send-back ends in a reply
+            log.exception("packing %s failed", msg["cache_name"][:32])
+            os.unlink(tar_path)
+            tar_path = None
+        self.reactor.post(self._send_object, msg, tar_path, "tar")
 
-    def _handle_unlink(self, msg: dict) -> None:
+    def _send_object(self, msg: dict, path: Optional[str], fmt: str) -> None:
+        """(loop) Answer a send-back.  The object is opened before it is
+        announced: one that vanished since it was cached (evicted or
+        unlinked meanwhile) is answered ``found: false``, and one
+        removed once open still streams whole from its descriptor."""
+        reply = {"type": M.FILE_DATA, "cache_name": msg["cache_name"], "found": False, "size": 0}
+        try:
+            f = open(path, "rb") if path is not None else None
+        except OSError:
+            f = None
+        if fmt == "tar" and path is not None:
+            os.unlink(path)  # an open tar outlives its name
+        if f is None:
+            self._send(reply)
+            return
+        size = os.fstat(f.fileno()).st_size
+        reply.update(found=True, size=size, format=fmt)
+        self._send(reply, FileBody(f, size))
+
+    def _handle_unlink(self, msg: dict, _payload=None) -> None:
         for name in msg["cache_names"]:
             self.cache.remove(name)
 
-    def _handle_cancel(self, msg: dict) -> None:
-        with self._procs_lock:
-            proc = self._procs.get(msg["task_id"])
+    def _handle_cancel(self, msg: dict, _payload=None) -> None:
+        task_id = msg["task_id"]
+        proc = self._procs.get(task_id)
         if proc is not None:
             self._kill_group(proc)
+        elif task_id in self._executing:
+            # its child is not registered yet: it is killed when it is
+            self._executing[task_id] = True
 
     @staticmethod
     def _kill_group(proc) -> None:
@@ -608,28 +591,35 @@ class Worker:
             pass
 
     def _track(self, key: str):
-        """``run_command``'s ``on_start`` hook: list the process under
-        ``key`` for :meth:`_handle_cancel` and :meth:`shutdown`."""
+        """``run_command``'s ``on_start`` hook (a work thread): have the
+        loop list the process under ``key``."""
+        return functools.partial(self.reactor.post, self._child_started, key)
 
-        def register(proc) -> None:
-            with self._procs_lock:
-                self._procs[key] = proc
-            if self._stop.is_set():
-                self._kill_group(proc)  # started while shutting down
-
-        return register
+    def _child_started(self, key: str, proc) -> None:
+        """(loop) List a child for :meth:`_handle_cancel` and
+        :meth:`shutdown` — or kill it, if its task was cancelled before
+        it started or the worker is shutting down."""
+        if self._closing or self._executing.get(key):
+            self._kill_group(proc)
+        else:
+            self._procs[key] = proc
 
     # -- mini-task staging ------------------------------------------------
 
-    def _handle_stage(self, msg: dict) -> None:
+    def _handle_stage(self, msg: dict, _payload=None) -> None:
         """Materialize a file by running its mini-task (paper §2.4)."""
+        self._off_loop(
+            msg, self._stage,
+            pinned=[p[1] for p in msg["spec"]["inputs"]],
+            key=f"stage-{msg['transfer_id']}",
+        )
+
+    def _stage(self, msg: dict) -> dict:
         spec = msg["spec"]
         cache_name = msg["cache_name"]
         level = CacheLevel(int(msg["level"]))
         transfer_id = msg["transfer_id"]
         sandbox = Sandbox(self.sandbox_root, f"stage-{transfer_id}")
-        input_names = [p[1] for p in spec["inputs"]]
-        self._pin(input_names)
         try:
             sandbox.link_inputs(self.cache, [tuple(p) for p in spec["inputs"]])
             outcome = run_command(
@@ -648,48 +638,47 @@ class Worker:
                 self.cache, [(spec["output_name"], cache_name, level)], time.time()
             )
             entry = self.cache.entry(cache_name)
-            self._cache_update(cache_name, entry.size, transfer_id)
+            return self._cache_update(cache_name, entry.size, transfer_id)
         except (SandboxError, OSError) as exc:
-            self._cache_invalid(cache_name, str(exc), transfer_id)
+            return self._cache_invalid(cache_name, str(exc), transfer_id)
         finally:
-            with self._procs_lock:
-                self._procs.pop(sandbox.task_id, None)
-            self._unpin(input_names)
             sandbox.destroy()
 
     # -- task execution --------------------------------------------------
 
-    def _handle_execute(self, msg: dict) -> None:
+    def _handle_execute(self, msg: dict, _payload=None) -> None:
         task_id = msg["task_id"]
         log.debug("execute %s: %s", task_id, msg["command"][:60])
         cfg = self.fault_config
         if cfg is not None and cfg.crash_after_tasks is not None:
-            with self._fault_lock:
-                self._tasks_executed += 1
-                nth = self._tasks_executed
-            if nth == cfg.crash_after_tasks:
+            self._tasks_executed += 1
+            if self._tasks_executed == cfg.crash_after_tasks:
                 # die mid-task: the manager never hears TASK_DONE and
                 # must recover via connection loss
-                self._fault_crash("crash")
-        with self._procs_lock:
-            if task_id in self._executing:
-                # a restarted manager sent again what its previous life
-                # had running here (the journal says READY): the attempt
-                # still at it holds the sandbox, and its report — on the
-                # connection of the day — answers both commands
-                log.info("execute %s: already running here", task_id)
+                self._fault_crash()
                 return
-            self._executing.add(task_id)
+        if task_id in self._executing:
+            # a restarted manager sent again what its previous life
+            # had running here (the journal says READY): the attempt
+            # still at it holds the sandbox, and its report — on the
+            # connection of the day — answers both commands
+            log.info("execute %s: already running here", task_id)
+            return
+        self._executing[task_id] = False
+        inputs = [p[1] for p in msg["inputs"]]
+        self._off_loop(msg, self._execute, pinned=inputs, key=task_id)
+
+    def _execute(self, msg: dict) -> dict:
+        task_id = msg["task_id"]
         sandbox = Sandbox(self.sandbox_root, task_id)
         staging_started = time.monotonic()
-        input_names = [p[1] for p in msg["inputs"]]
-        self._pin(input_names)
         outcome = None
         failure = None
         produced: list[tuple[str, int]] = []
-        # whatever ends the attempt, the pins and the sandbox go before
-        # it is reported: the manager may send the task straight back,
-        # and its next attempt takes the same sandbox path
+        # whatever ends the attempt, the sandbox goes before it is
+        # reported (and the pins with the report, on the loop): the
+        # manager may send the task straight back, and its next attempt
+        # takes the same sandbox path
         try:
             try:
                 sandbox.link_inputs(self.cache, [tuple(p) for p in msg["inputs"]])
@@ -707,19 +696,14 @@ class Worker:
                 )
                 failure = self._harvest(sandbox, msg["outputs"], outcome, produced)
         finally:
-            self._unpin(input_names)
             sandbox.destroy()
-            with self._procs_lock:
-                self._procs.pop(task_id, None)
-                self._executing.discard(task_id)
         if outcome is None:
             # an input vanished since dispatch: the manager stages again
-            self._task_done(task_id, 126, failure, failure="sandbox")
-            return
+            return self._task_done(task_id, 126, failure, failure="sandbox")
         staging_time = max(0.0, time.monotonic() - staging_started - outcome.execution_time)
         self._m_sandbox.observe(staging_time)
         self._m_exec.observe(outcome.execution_time)
-        self._task_done(
+        return self._task_done(
             task_id,
             outcome.exit_code,
             outcome.output,
@@ -757,25 +741,30 @@ class Worker:
 
     # -- serverless -----------------------------------------------------
 
-    def _handle_install_library(self, msg: dict, payload: bytes) -> None:
+    def _install(self, msg: dict, payload: bytes) -> dict:
+        """(thread) Start a library instance; the loop lists it first."""
         name = msg["library"]
-        self._libraries[name] = LibraryInstanceHandle(name, payload)
-        self._send(
-            {"type": M.LIBRARY_READY, "library": name, "task_id": msg["task_id"]}
-        )
+        handle = LibraryInstanceHandle(name, payload)
+        self.reactor.post(self._libraries.__setitem__, name, handle)
+        return {"type": M.LIBRARY_READY, "library": name, "task_id": msg["task_id"]}
 
     def _handle_invoke(self, msg: dict, payload: bytes) -> None:
-        task_id = msg["task_id"]
         library = msg["library"]
         handle = self._libraries.get(library)
         if handle is None or not handle.alive():
-            self._task_done(
-                task_id, 1, f"library {library!r} not running", failure="library"
+            self._send(
+                self._task_done(
+                    msg["task_id"], 1, f"library {library!r} not running",
+                    failure="library",
+                )
             )
             return
+        inputs = [str(n) for n in msg.get("inputs", [])]
+        self._off_loop(msg, self._invoke, handle, payload, pinned=inputs)
+
+    def _invoke(self, msg: dict, handle: LibraryInstanceHandle, payload: bytes) -> dict:
+        task_id = msg["task_id"]
         result_name = msg["result_name"]
-        input_names = [str(n) for n in msg.get("inputs", [])]
-        self._pin(input_names)
         # the invocation's fork writes the result envelope here itself:
         # the bytes are serialized once, reach the cache by a rename,
         # and only their size comes back through the worker
@@ -794,57 +783,56 @@ class Worker:
                     args_blob = f.read()
             # proxy arguments dereference against this worker's cache
             paths = {
-                cn: p for cn in input_names if (p := self._lookup(cn)) is not None
+                cn: p
+                for cn in msg.get("inputs", [])
+                if (p := self._lookup(str(cn))) is not None
             }
             handle.invoke(task_id, msg["function"], args_blob, staged, paths)
             ok, _size, tb = handle.wait(task_id, timeout=self.task_timeout)
             invoke_seconds = time.monotonic() - invoke_started
             self._m_invoke.observe(invoke_seconds)
             if ok:
-                level = CacheLevel(
-                    int(msg.get("result_level", int(CacheLevel.WORKFLOW)))
-                )
-                entry = self.cache.insert_from(
-                    staged, result_name, level, time.time()
-                )
-                self._task_done(
+                level = CacheLevel(int(msg.get("result_level", CacheLevel.WORKFLOW)))
+                entry = self.cache.insert_from(staged, result_name, level, time.time())
+                return self._task_done(
                     task_id, 0, "", [(result_name, entry.size)],
                     execution_time=invoke_seconds,
                 )
-            else:
-                # a failure envelope is never cached: a cached failure
-                # under a content-addressed name would shadow a later
-                # successful retry (insert_from keeps the existing entry);
-                # it is gone before the failure is reported
-                if os.path.lexists(staged):
-                    os.unlink(staged)
-                self._task_done(
-                    task_id, 1, tb[-1000:],
-                    failure=tb[-1000:] or "invoke", execution_time=invoke_seconds,
-                )
+            # a failure envelope is never cached: a cached failure
+            # under a content-addressed name would shadow a later
+            # successful retry (insert_from keeps the existing entry);
+            # it is gone before the failure is reported
+            if os.path.lexists(staged):
+                os.unlink(staged)
+            return self._task_done(
+                task_id, 1, tb[-1000:],
+                failure=tb[-1000:] or "invoke", execution_time=invoke_seconds,
+            )
         finally:
-            self._unpin(input_names)
             if os.path.lexists(staged):  # an invocation that raised
                 os.unlink(staged)
 
     # -- lifecycle ----------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Kill what is running, then stop libraries, the peer server
-        and the command channel: ordered out, or with the manager lost
-        past the reconnect window, nobody is left to hear a result."""
-        if self._stop.is_set():
+        """End the worker (any thread): ordered out, or with the manager
+        lost past the reconnect window, nobody is left to hear a result.
+        Off the loop, it returns once the loop has ended."""
+        self.reactor.post(self._close)
+        if self.reactor.running and not self.reactor.on_loop():
+            self.reactor.join(timeout=10)
+
+    def _close(self) -> None:
+        """(loop) Kill what is running, then stop libraries, the peer
+        server and the loop, which writes out what is queued first."""
+        if self._closing:
             return
-        self._stop.set()
-        with self._procs_lock:
-            running = list(self._procs.values())
-        for proc in running:
+        self._closing = True
+        for proc in self._procs.values():
             self._kill_group(proc)
         for handle in self._libraries.values():
             handle.stop()
         self._libraries.clear()
         self._peer_server.stop()
-        self._sender.close()
-        self._conn.close()
-        self._clock.join(timeout=5)
+        self.reactor.stop(drain=1.0)
         self._dump_metrics()  # the final counts

@@ -29,14 +29,15 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 #: ``repro`` modules a role may load: the worker loads 24 (worker,
 #: protocol, util, ``observe.metrics``, ``core.files`` / ``core.gc`` /
-#: ``core.resources`` / ``core.transfer_table`` and the packages), the
+#: ``core.resources`` / ``core.transfer_table``, the ``core.reactor`` its
+#: loop runs on and the packages — and no ``protocol.batching``), the
 #: client 9; both loaded 40 and 33 while ``repro/__init__.py`` imported
 #: the manager.  The daemon's module loads 3 and imports the manager when
 #: it runs: a client loaded before the manager is compiled raised the
 #: daemon's peak RSS by ≈ 3 MB when bytecode is not cached
 BOUND = {
     "repro": 1,
-    "repro.worker.cli": 25,
+    "repro.worker.cli": 24,
     "repro.service.client": 10,
     "repro.service.daemon": 3,
 }
@@ -85,6 +86,9 @@ def test_import_repro_loads_no_submodule():
 def test_a_worker_loads_nothing_of_the_manager():
     loaded = _loaded("import repro.worker.cli")
     assert [m for m in MANAGER_ONLY if m in loaded] == []
+    # its messages are frames on its reactor's FIFO, not a batch sender's
+    assert "repro.core.reactor" in loaded
+    assert "repro.protocol.batching" not in loaded
     # only a worker that fetches a remote URL pays for the HTTP stack
     assert "urllib.request" not in loaded
 

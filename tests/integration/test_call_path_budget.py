@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.files import CacheLevel
 from repro.observe.metrics import MetricsRegistry
+from repro.protocol.connection import FrameReassembler
 from repro.protocol.messages import INLINE_ARGS_MAX, M
 from repro.service.client import ServiceClient
 from repro.worker.cache import WorkerCache
@@ -325,16 +326,26 @@ class _CountedWorker:
 
         cache.insert_bytes = counting_bytes
 
-        #: message types of every frame the worker sends
+        #: message types of every frame the worker sends, read back from
+        #: the bytes its reactor writes to the socket
         self.frames: list[list[str]] = []
-        sender = self.worker._sender
-        real_transmit = sender._transmit
+        wire = FrameReassembler()
+        real_write = self.worker.reactor._write
 
-        def recording_transmit(messages):
-            self.frames.append([m["type"] for m in messages])
-            return real_transmit(messages)
+        def recording_write(sock, data):
+            sent = real_write(sock, data)
+            wire.feed(bytes(data[:sent]))
+            while (item := wire.next_item()) is not None:
+                kind, message = item
+                if kind == "bytes":
+                    continue  # the object a send-back streams
+                if message.get("found"):
+                    wire.expect_bytes(message["size"])
+                subs = message["messages"] if message["type"] == M.BATCH else [message]
+                self.frames.append([m["type"] for m in subs])
+            return sent
 
-        sender._transmit = recording_transmit
+        self.worker.reactor._write = recording_write
         self.thread = threading.Thread(target=self.worker.run, daemon=True)
         self.thread.start()
         svc.cluster.wait_workers(1)

@@ -102,7 +102,11 @@ WORKLOADS = {
 #: under PYTHONHASHSEED=0, =12345 and =random).  ``blast_cold_hot_100w`` was
 #: re-pinned once a re-adopted cache entry logged ``file_cached`` (category
 #: ``adopted``): with its hot pass's 400 adoption rows dropped, the log
-#: still digests to d055ddb's ``df7241308b8e…fdebc10c``
+#: still digests to d055ddb's ``df7241308b8e…fdebc10c``.
+#: ``topeft_shared_storage`` was re-pinned once a brought-back output
+#: deleted at its holder logged ``file_deleted`` category ``retrieved``
+#: instead of ``evicted``: with those 293 categories read back as
+#: ``evicted`` the log still digests to ``73bec61480d7…56ca6fc``
 DIGESTS = {
     "blast_cold_hot_100w": "f50ff2c16ad74a12c5a5b4fb6755fa3864825b3bfc0bb5438c339824eed041a5",
     "stream_200w": "40770cb4b455bb85de3f0adfd40f2bbaf79384afc602ab937c19160aa708c56d",
@@ -110,7 +114,7 @@ DIGESTS = {
     "distribution_unmanaged_500w": "520cc46af5e8d3ffb49a6f63f10797b75e8077d22f5ab89826ed7a4f7a6d8f30",
     "distribution_managed_500w": "71919ba3f7d7eba829983a616ee7a1f2dc041b3bb42f57f08a4512e77d9880c2",
     "topeft_in_cluster": "a246273a4ac8fed05a5f8067d8e9c961fb7822fb4ff64f3cefba6e4232fcb555",
-    "topeft_shared_storage": "73bec61480d78cbf75c10c327bac1d38e798fe7b5bf1193e9436feb4e56ca6fc",
+    "topeft_shared_storage": "108b930365dd1dcc7a591489fbb3a3f8bb0c3052f905c3a28247356815214499",
     "bgd_200w": "bd0bb546c089e64a1a48f2e2b1b310285d1071a77f2c0903af7861ef26042d14",
     "chaos_seed42": "22adba884184e723e0fe9d97e9479b92ab691a6757fe21710952456ec4081c31",
 }

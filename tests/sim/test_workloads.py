@@ -1,5 +1,7 @@
 """Tests for the paper-experiment workload builders (scaled down)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.sim.trace import (
@@ -66,6 +68,18 @@ def test_topeft_tree_structure_and_modes():
     assert temp.stats.transfer_counts.get("retrieve", 0) == 0
     assert shared.stats.transfer_counts.get("retrieve", 0) == shared.n_tasks
     assert shared.stats.makespan >= temp.stats.makespan
+
+
+def test_a_brought_back_output_deleted_at_its_holder_is_no_eviction():
+    """Shared-storage mode deletes each output at its holder once the
+    manager holds it: a deliberate deletion, logged as ``retrieved``,
+    never as a cache-pressure eviction."""
+    shared = topeft_workflow(
+        in_cluster=False, n_chunks=16, fan_in=4, n_workers=8, process_time=5.0
+    )
+    deleted = Counter(e.category for e in shared.stats.log.events("file_deleted"))
+    assert deleted["retrieved"] == shared.n_tasks
+    assert deleted["evicted"] == shared.stats.evictions == 0
 
 
 def test_topeft_worker_ramp():

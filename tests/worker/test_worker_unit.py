@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.core.files import CacheLevel
+from repro.core.reactor import Peer
 from repro.protocol.connection import Connection, listen
 from repro.protocol.messages import M, validate
 from repro.worker.worker import Worker
@@ -269,7 +270,7 @@ def test_send_back_streams_a_file_and_a_directory(rig):
     assert done["exit_code"] == 0
 
 
-def test_a_lost_eviction_report_does_not_report_the_task_again(tmp_path):
+def test_a_lost_eviction_report_does_not_report_the_task_again(tmp_path, monkeypatch):
     """The link can drop between a ``task_done`` and the ``cache_invalid``
     of the eviction it triggers: the task stays reported once, as done."""
     fake = FakeManager()
@@ -277,18 +278,17 @@ def test_a_lost_eviction_report_does_not_report_the_task_again(tmp_path):
         fake.host, fake.port, str(tmp_path / "w"), cores=1,
         max_cache_bytes=4, eviction_grace=0.0,
     )
+    send = Peer.send
+
+    def link_drops_after_task_done(peer, frame, *items, last=False):
+        if json.loads(frame[4:])["type"] != M.CACHE_INVALID:
+            send(peer, frame, *items, last=last)
+
+    monkeypatch.setattr(Peer, "send", link_drops_after_task_done)
     threading.Thread(target=worker.run, daemon=True).start()
     try:
         fake.wait_for(M.REGISTER)
         worker.cache.insert_bytes(b"old-bytes", "old", CacheLevel.WORKFLOW)
-        send = worker._sender.send
-
-        def link_drops_after_task_done(message, payload=None):
-            if message["type"] == M.CACHE_INVALID:
-                raise OSError("connection reset")
-            send(message, payload)
-
-        worker._sender.send = link_drops_after_task_done
         fake.send(
             {
                 "type": M.EXECUTE, "task_id": "t1", "command": "echo ok > out",
@@ -306,13 +306,113 @@ def test_a_lost_eviction_report_does_not_report_the_task_again(tmp_path):
         with fake._lock:
             reports = [m for m, _ in fake.messages if m["type"] == M.TASK_DONE]
         assert len(reports) == 1
+        assert not [m for m, _ in fake.messages if m["type"] == M.CACHE_INVALID]
     finally:
         worker.shutdown()
 
 
-def test_an_idle_worker_owns_only_its_clock_and_peer_accept_threads(tmp_path):
-    """Every message leaves as it is produced and one clock beats and
-    dumps metrics, so an idle worker runs two threads of its own."""
+def test_a_task_cancelled_before_its_child_starts_is_killed_and_reported_once(rig):
+    """A child is registered on the loop by a post from its work thread,
+    so a ``cancel_task`` read right behind its ``execute`` is applied
+    first: the cancel is kept, and the child killed when it registers."""
+    fake, worker = rig
+    fake.wait_for(M.REGISTER)
+    fake.send(
+        {
+            "type": M.EXECUTE, "task_id": "t-cancel", "command": "sleep 30",
+            "inputs": [], "outputs": [], "env": {}, "resources": {"cores": 1},
+        }
+    )
+    fake.send({"type": M.CANCEL_TASK, "task_id": "t-cancel"})
+    done, _ = fake.wait_for(M.TASK_DONE, timeout=10.0)
+    assert done["task_id"] == "t-cancel" and done["exit_code"] == -9
+    time.sleep(0.3)  # a second report would have arrived by now
+    with fake._lock:
+        reports = [m for m, _ in fake.messages if m.get("type") == M.TASK_DONE]
+    assert len(reports) == 1
+    assert not worker._executing
+
+
+def test_a_mini_task_sharing_a_running_tasks_input_leaves_it_pinned(tmp_path):
+    """A mini task pins its inputs as an ``execute`` does: when it lands
+    while a task reading the same input runs, the cache bound evicts
+    the mini task's output, never the input the task still reads."""
+    fake = FakeManager()
+    worker = Worker(
+        fake.host, fake.port, str(tmp_path / "w"), cores=2,
+        max_cache_bytes=1, eviction_grace=0.0,
+    )
+    threading.Thread(target=worker.run, daemon=True).start()
+    try:
+        fake.wait_for(M.REGISTER)
+        worker.cache.insert_bytes(b"shared\n", "shared", CacheLevel.WORKFLOW)
+        fake.send(
+            {
+                "type": M.EXECUTE, "task_id": "t1",
+                "command": "sleep 1; cat word > out",
+                "inputs": [["word", "shared"]], "outputs": [["out", "out-1", 1]],
+                "env": {}, "resources": {"cores": 1},
+            }
+        )
+        deadline = time.time() + 10
+        while "t1" not in worker._procs and time.time() < deadline:
+            time.sleep(0.01)
+        fake.send(
+            {
+                "type": M.STAGE_MINITASK, "cache_name": "staged-1",
+                "spec": {
+                    "command": "rev < input > output", "inputs": [["input", "shared"]],
+                    "output_name": "output", "env": {}, "resources": {"cores": 1},
+                },
+                "level": 1, "transfer_id": "x1",
+            }
+        )
+        done, _ = fake.wait_for(M.TASK_DONE, timeout=10.0)
+        assert done["exit_code"] == 0
+        with fake._lock:
+            seen = [(m["type"], m.get("cache_name")) for m, _ in fake.messages]
+        landed = seen.index((M.CACHE_UPDATE, "staged-1"))
+        reported = seen.index((M.TASK_DONE, None))
+        assert landed < reported  # the mini task landed while t1 ran
+        assert (M.CACHE_INVALID, "staged-1") in seen[landed:reported]
+        assert (M.CACHE_INVALID, "shared") not in seen[:reported]
+    finally:
+        worker.shutdown()
+
+
+def test_a_work_thread_that_cannot_start_releases_its_task(rig, monkeypatch):
+    """A task whose thread cannot be started is reported failed, and its
+    record and pins go with it: the same task sent again runs."""
+    fake, worker = rig
+    fake.wait_for(M.REGISTER)
+    worker.cache.insert_bytes(b"x", "in-1", CacheLevel.WORKFLOW)
+    execute = {
+        "type": M.EXECUTE, "task_id": "t1", "command": "cat word > out",
+        "inputs": [["word", "in-1"]], "outputs": [["out", "out-1", 1]],
+        "env": {}, "resources": {"cores": 1},
+    }
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    fake.send(execute)
+    failed, _ = fake.wait_for(M.TASK_DONE, timeout=10.0)
+    monkeypatch.undo()
+    assert failed["exit_code"] == 126 and "new thread" in failed["failure"]
+    fake.send(execute)
+    done, _ = fake.wait_for(
+        M.TASK_DONE, timeout=10.0, predicate=lambda m: m["exit_code"] == 0
+    )
+    assert done["task_id"] == "t1"
+    time.sleep(0.1)  # the second report's _landed has run
+    assert not worker._executing and not worker._pinned
+
+
+def test_an_idle_worker_owns_only_its_loop_and_peer_accept_threads(tmp_path):
+    """Every message is a frame on the loop's one FIFO and the loop keeps
+    every clock, so an idle worker runs two threads of its own, and
+    neither outlives ``shutdown()``."""
     fake = FakeManager()
     baseline = set(threading.enumerate())
     worker = Worker(fake.host, fake.port, str(tmp_path / "w"), cores=1)
@@ -321,13 +421,15 @@ def test_an_idle_worker_owns_only_its_clock_and_peer_accept_threads(tmp_path):
     try:
         fake.wait_for(M.REGISTER)
         owned = set(threading.enumerate()) - baseline - {runner}
-        assert owned == {worker._clock, worker._peer_server._thread}, sorted(
+        assert owned == {worker.reactor.thread, worker._peer_server._thread}, sorted(
             t.name for t in owned
         )
     finally:
         worker.shutdown()
     runner.join(timeout=5)
-    assert not runner.is_alive() and not worker._clock.is_alive()
+    assert not runner.is_alive()
+    assert not worker.reactor.thread.is_alive()
+    assert not worker._peer_server._thread.is_alive()
 
 
 def test_shutdown_writes_the_final_metrics(tmp_path):
